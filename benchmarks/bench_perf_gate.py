@@ -2,7 +2,7 @@
 
 Thin wrapper over the ``perf_baseline`` campaign
 (:mod:`repro.campaign.perf`): the four canonical scenarios (E1-style
-scaling, E2-style latency, E9-style flush, E23 fast-forwarding) live
+scaling, E2-style latency, E9-style flush, E23 compiled hot path) live
 there as campaign cells, the committed baseline ``BENCH_PERF.json`` *is*
 the campaign artifact, and this script only adds the tolerance-based
 gates that a byte-diff cannot express (wall-clock ceilings, speedup
@@ -20,11 +20,11 @@ Usage::
 ``--check`` fails (exit 1) when a scenario's simulated throughput drops
 more than 10% below the committed baseline, or its wall-clock exceeds it
 by more than 25%, or E1's batching CPU speedup falls under 1.1x, or
-E23's hybrid run is not fused / not identical to exact / slower than
-the 3.0x floor over the pinned exact baseline. The simulated-throughput
-check is effectively exact (the simulator is deterministic); the wall
-checks assume comparable hardware — refresh the baseline with
-``--update`` when the reference machine changes.
+E23's run on the compiled hot path is slower than the 3.0x floor over
+the pinned exact-stepper baseline. The simulated-throughput check is
+effectively exact (the simulator is deterministic); the wall checks
+assume comparable hardware — refresh the baseline with ``--update`` when
+the reference machine changes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ BASELINE_PATH = REPO_ROOT / "BENCH_PERF.json"
 SIM_THROUGHPUT_TOLERANCE = 0.10  # simulated ev/s may drop at most 10%
 WALL_TOLERANCE = 0.25  # wall-clock may grow at most 25%
 MIN_E1_CPU_SPEEDUP = 1.1  # batching must stay a CPU win
-MIN_E23_SPEEDUP = 3.0  # hybrid vs the pinned exact baseline
+MIN_E23_SPEEDUP = 3.0  # compiled path vs the pinned exact-stepper wall
 
 Scenarios = Dict[str, Dict[str, Any]]
 
@@ -106,21 +106,9 @@ def check(current: Scenarios, baseline: Scenarios) -> int:
         )
         failures += 1
     e23 = current["e23_fastforward"]
-    if e23["ff_mode"] != "fused":
-        print(
-            "  FAIL e23_fastforward: hybrid run fell back to exact "
-            f"mode ({e23['ff_mode']}) on a fusion-eligible config"
-        )
-        failures += 1
-    if not e23["identical"]:
-        print(
-            "  FAIL e23_fastforward: hybrid report/slates differ from "
-            "exact — identity contract broken"
-        )
-        failures += 1
     if e23["speedup_vs_baseline"] < MIN_E23_SPEEDUP:
         print(
-            "  FAIL e23_fastforward: hybrid speedup "
+            "  FAIL e23_fastforward: speedup "
             f"{e23['speedup_vs_baseline']:.2f}x < {MIN_E23_SPEEDUP}x "
             f"over the pinned {E23_BASELINE_EXACT_WALL_S}s exact wall"
         )
@@ -129,12 +117,11 @@ def check(current: Scenarios, baseline: Scenarios) -> int:
 
 
 def profile_hot_path(results_dir: Path) -> None:
-    """cProfile one hybrid E23 pass; write the top-25 cumulative table.
+    """cProfile one E23 pass; write the top-25 cumulative table.
 
-    The artifact (``DIR/profile_top25.txt``) is what the fast-forward
-    work was steered by: it shows where the remaining wall goes once
-    the handlers are fused (heap ops, dict lookups, the fused closures
-    themselves).
+    The artifact (``DIR/profile_top25.txt``) shows where the wall goes
+    on the compiled per-event path (heap ops, dict lookups, the handler
+    closures themselves).
     """
     import cProfile
     import io
@@ -142,15 +129,15 @@ def profile_hot_path(results_dir: Path) -> None:
 
     from repro.campaign.perf import _chain_app, _events
     from repro.cluster import ClusterSpec
-    from repro.sim import SimConfig, create_runtime
+    from repro.sim import SimConfig, SimRuntime
     from repro.sim.sources import Source
 
     n, spacing, keys, machines = 30_000, 0.00002, 200, 4
     horizon = n * spacing + 5.0
-    runtime = create_runtime(
+    runtime = SimRuntime(
         _chain_app(),
         ClusterSpec.uniform(machines, cores=4),
-        SimConfig(fastforward=True),
+        SimConfig(),
         [Source("S1", iter(_events(n, spacing, keys)))],
     )
     profiler = cProfile.Profile()
@@ -190,7 +177,7 @@ def main(argv: Any = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="cProfile one hybrid E23 pass and write the top-25 "
+        help="cProfile one E23 pass and write the top-25 "
         "cumulative table to the results dir (default benchmarks/results/)",
     )
     args = parser.parse_args(argv)

@@ -2,7 +2,7 @@
 
 These are the four canonical scenarios the perf gate has always run
 (E1-style scaling, E2-style latency, E9-style flush pressure, E23
-fast-forwarding), relocated from ``benchmarks/bench_perf_gate.py`` so
+compiled hot path), relocated from ``benchmarks/bench_perf_gate.py`` so
 the ``perf_baseline`` campaign regenerates ``BENCH_PERF.json`` through
 the runner and the gate script becomes a thin wrapper over the same
 cells.
@@ -27,16 +27,16 @@ from repro.core.event import Event
 from repro.core.operators import Context, Mapper, Updater
 from repro.errors import ConfigurationError
 from repro.kvstore.cluster import ReplicatedKVStore
-from repro.sim import SimConfig, SimRuntime, create_runtime
+from repro.sim import SimConfig, SimRuntime
 from repro.sim.sources import Source
 from repro.slates.manager import FlushPolicy, SlateManager
 
-#: E23 exact-mode baseline: the committed wall of the E1 workload on the
-#: exact stepper on the reference machine, pinned so the hybrid speedup
-#: claim is measured against a fixed yardstick rather than a same-run
-#: remeasurement. The issue targeted 5x; the honest measured speedup on
-#: this workload is ~4x (see EXPERIMENTS.md E23 for the CPython floor
-#: analysis).
+#: E23 baseline: the committed wall of the E1 workload on the original
+#: exact stepper on the reference machine, pinned so the compiled path's
+#: speedup is measured against a fixed yardstick — the stepper itself
+#: no longer exists to be remeasured. The issue that introduced E23
+#: targeted 5x; the honest measured speedup on this workload is 3-4x
+#: (see EXPERIMENTS.md E23 for the CPython floor analysis).
 E23_BASELINE_EXACT_WALL_S = 3.6863
 
 #: Timing repeats per measured run; min is reported (least-noise).
@@ -222,47 +222,35 @@ def scenario_e9_flush() -> Dict[str, Any]:
 
 
 def scenario_e23_fastforward() -> Dict[str, Any]:
-    """The E1 chain workload, exact vs hybrid fast-forwarding, with
-    *identical* default configuration for both runs — the only delta is
-    ``fastforward=True`` — so report and final-slate identity is a
-    like-for-like claim. The speedup figure is the hybrid wall against
-    the pinned committed exact baseline (the same number E1 reports as
-    ``wall_s_unbatched``); a fresh same-config exact wall is recorded
-    alongside for transparency about machine drift."""
+    """The E1 chain workload at default configuration on the compiled
+    per-event path. The speedup figure is its wall against the pinned
+    committed wall of the exact stepper this path replaced (the same
+    number E1 reported as ``wall_s_unbatched`` back then); identity with
+    that stepper is pinned by ``tests/sim/golden_reports.json``, and
+    ``steps`` / ``inlined_steps`` here are deterministic."""
     n, spacing, keys, machines = 30_000, 0.00002, 200, 4
     horizon = n * spacing + 5.0
 
-    def run(fastforward: bool) -> Tuple[Any, Any, Any]:
-        cfg = SimConfig(fastforward=fastforward)
-        runtime = create_runtime(
+    def run() -> Tuple[Any, Any]:
+        runtime = SimRuntime(
             _chain_app(),
             ClusterSpec.uniform(machines, cores=4),
-            cfg,
+            SimConfig(),
             [Source("S1", iter(_events(n, spacing, keys)))],
         )
-        report = runtime.run(horizon)
-        ff = runtime.ff_summary() if fastforward else None
-        return report, runtime.slates_of("U1"), ff
+        return runtime.run(horizon), runtime.ff_summary()
 
-    (rep_x, slates_x, _), wall_x, cpu_x = _timed(lambda: run(False))
-    (rep_h, slates_h, ff), wall_h, cpu_h = _timed(lambda: run(True))
-    dump_x = json.dumps(slates_x, sort_keys=True)
-    dump_h = json.dumps(slates_h, sort_keys=True)
-    identical = rep_x.counter_report() == rep_h.counter_report() and dump_x == dump_h
+    (report, ff), wall, cpu = _timed(run)
     return {
         "events": n,
         "machines": machines,
-        "sim_events_per_s": round(rep_h.events_per_second(), 3),
-        "steps": rep_h.steps,
-        "ff_mode": ff["mode"],
+        "sim_events_per_s": round(report.events_per_second(), 3),
+        "steps": report.steps,
         "inlined_steps": ff["inlined_steps"],
         "baseline_exact_wall_s": E23_BASELINE_EXACT_WALL_S,
-        "exact_wall_s_fresh": round(wall_x, 4),
-        "wall_s": round(wall_h, 4),
-        "cpu_s": round(cpu_h, 4),
-        "speedup_vs_baseline": round(E23_BASELINE_EXACT_WALL_S / wall_h, 3),
-        "speedup_vs_fresh_exact": round(wall_x / wall_h, 3),
-        "identical": identical,
+        "wall_s": round(wall, 4),
+        "cpu_s": round(cpu, 4),
+        "speedup_vs_baseline": round(E23_BASELINE_EXACT_WALL_S / wall, 3),
     }
 
 
@@ -281,9 +269,7 @@ VOLATILE_METRICS: Tuple[str, ...] = (
     "cpu_s_unbatched",
     "speedup_wall",
     "speedup_cpu",
-    "exact_wall_s_fresh",
     "speedup_vs_baseline",
-    "speedup_vs_fresh_exact",
 )
 
 

@@ -9,9 +9,8 @@ Muppet 1.0-vs-2.0, hotspots, failures, SSD-vs-HDD).
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.sim.des import Simulator
-from repro.sim.fastforward import FastForwardRuntime, create_runtime
 from repro.sim.runtime import (ENGINE_MUPPET1, ENGINE_MUPPET2, SimConfig,
-                               SimReport, SimRuntime)
+                               SimReport, SimRuntime, create_runtime)
 from repro.sim.sources import (Source, constant_rate, from_trace,
                                poisson_rate, spiky_rate)
 
@@ -19,7 +18,6 @@ __all__ = [
     "CostModel",
     "ENGINE_MUPPET1",
     "ENGINE_MUPPET2",
-    "FastForwardRuntime",
     "SimConfig",
     "SimReport",
     "SimRuntime",

@@ -4,8 +4,9 @@ Events are ``(time, priority, seq, action, handle, args)`` entries in a
 heap; ties on time break by priority then insertion sequence, so runs are
 bit-for-bit reproducible. Callbacks receive the simulator (legacy form)
 or a pre-bound argument tuple (:meth:`Simulator.schedule_call`) and may
-schedule further events. This is the substrate under
-:class:`repro.sim.runtime.SimRuntime`.
+schedule further events; a callback returns ``None`` or its final
+continuation as a tail call (see :meth:`Simulator._drain`). This is the
+substrate under :class:`repro.sim.runtime.SimRuntime`.
 
 The entry layout is deliberately uniform: every entry is one 6-tuple, so
 the run loop unpacks without length dispatch and the hot schedulers
@@ -93,9 +94,12 @@ class Simulator:
         self._seq = itertools.count()
         self._max_steps = max_steps
         self.steps = 0
+        #: Steps executed inline by the trampoline (clock advanced
+        #: analytically, no heap traffic). ``steps`` includes them.
+        self.inlined_steps = 0
         #: Optional controlled-scheduling hook (model checking). None on
         #: every production path; the hot loop checks it once per
-        #: ``run_until`` call, not per event.
+        #: ``run``/``run_until`` call, not per event.
         self.hook: Optional[SchedulerHook] = None
 
     def now(self) -> float:
@@ -157,33 +161,83 @@ class Simulator:
             (at, priority, next(self._seq), action, handle, None))
         return handle
 
-    def run_until(self, t_end: float) -> None:  # hot-path
+    def run_until(self, t_end: float) -> None:
         """Process events up to and including time ``t_end``."""
+        self._drain(t_end)
+        self.clock.advance_to(max(self.clock.now(), t_end))
+
+    def run(self) -> None:
+        """Process events until the schedule is empty."""
+        self._drain(float("inf"))
+
+    def _drain(self, t_end: float) -> None:  # hot-path
+        """The event loop: pop, advance, run — with a tail-call trampoline.
+
+        An action returns ``None`` (anything it wanted to run later is
+        already in the heap) or its final continuation as a *tail*
+        ``(at, action, args)`` with implicit priority 0. A tail is
+        executed inline **iff it would have been the very next pop
+        anyway**: a fresh entry carries the largest sequence number, so
+        it precedes the heap top only when it sorts strictly before it
+        on ``(time, priority)``. The action has fully returned by then,
+        so push-then-pop and inline execution are indistinguishable —
+        same step count, same sequence-number stream (the inlined tail
+        consumes the ``next(seq)`` its push would have), same clock
+        trajectory. Otherwise, and always past the horizon, the tail
+        becomes an ordinary heap entry. Faults, timers and ring-change
+        broadcasts live in the heap (broadcasts at priority ``-1``, so
+        they win every tie against a tail), which is why a quiescent
+        stretch is advanced inline only *up to* the next such entry.
+        """
         if self.hook is not None:
-            self._run_hooked(t_end)
+            self._drain_hooked(t_end)
             return
         heap = self._heap
         pop = heapq.heappop
-        advance = self.clock.advance_to
+        push = heapq.heappush
+        seq = self._seq
+        clock = self.clock
         max_steps = self._max_steps
-        while heap and heap[0][0] <= t_end:
-            at, _priority, _seq, action, handle, args = pop(heap)
-            if handle is not None and handle.cancelled:
-                continue
-            advance(at)
-            self.steps += 1
-            if self.steps > max_steps:
-                raise SimulationError(
-                    f"simulation exceeded max_steps={max_steps}"
-                )
-            if args is None:
-                action(self)
-            else:
-                action(*args)
-        advance(max(self.clock.now(), t_end))
+        # Local counters, written back in ``finally`` so the totals stay
+        # correct when an action raises. Heap pops are time-monotone
+        # (every schedule validates ``at >= now``), so the clock can be
+        # stored directly instead of through ``advance_to``'s guard.
+        steps = self.steps
+        inlined = self.inlined_steps
+        try:
+            while heap and heap[0][0] <= t_end:
+                at, _priority, _seq, action, handle, args = pop(heap)
+                if handle is not None and handle.cancelled:
+                    continue
+                clock._now = at
+                steps += 1
+                if steps > max_steps:
+                    raise SimulationError(
+                        f"simulation exceeded max_steps={max_steps}"
+                    )
+                tail = action(self) if args is None else action(*args)
+                while tail is not None:
+                    at, action, args = tail
+                    if at > t_end or (heap and (
+                            at > heap[0][0]
+                            or (at == heap[0][0] and heap[0][1] <= 0))):
+                        push(heap, (at, 0, next(seq), action, None, args))
+                        break
+                    next(seq)      # the seq the push would have consumed
+                    clock._now = at
+                    steps += 1
+                    inlined += 1
+                    if steps > max_steps:
+                        raise SimulationError(
+                            f"simulation exceeded max_steps={max_steps}"
+                        )
+                    tail = action(self) if args is None else action(*args)
+        finally:
+            self.steps = steps
+            self.inlined_steps = inlined
 
-    def _run_hooked(self, t_end: float) -> None:
-        """The :class:`SchedulerHook` variant of :meth:`run_until`.
+    def _drain_hooked(self, t_end: float) -> None:
+        """The :class:`SchedulerHook` variant of :meth:`_drain`.
 
         Identical semantics except that when two or more non-cancelled
         entries are co-enabled — equal ``(time, priority)`` at the heap
@@ -191,7 +245,10 @@ class Simulator:
         (they keep their seq, so a hook that always answers 0 yields
         the exact default schedule). Entries at different times or
         priorities are never reordered: priority encodes intended
-        causality (e.g. failure broadcasts before ordinary sends).
+        causality (e.g. failure broadcasts before ordinary sends). A
+        returned tail is always *pushed* (consuming the same seq the
+        unhooked loop would), never inlined, so the hook sees every
+        continuation as a heap entry it can reorder.
         """
         heap = self._heap
         hook = self.hook
@@ -222,32 +279,10 @@ class Simulator:
                     f"simulation exceeded max_steps={self._max_steps}"
                 )
             action, args = chosen[3], chosen[5]
-            if args is None:
-                action(self)
-            else:
-                action(*args)
-        self.clock.advance_to(max(self.clock.now(), t_end))
-
-    def run(self) -> None:
-        """Process events until the schedule is empty."""
-        heap = self._heap
-        pop = heapq.heappop
-        advance = self.clock.advance_to
-        max_steps = self._max_steps
-        while heap:
-            at, _priority, _seq, action, handle, args = pop(heap)
-            if handle is not None and handle.cancelled:
-                continue
-            advance(at)
-            self.steps += 1
-            if self.steps > max_steps:
-                raise SimulationError(
-                    f"simulation exceeded max_steps={max_steps}"
-                )
-            if args is None:
-                action(self)
-            else:
-                action(*args)
+            tail = action(self) if args is None else action(*args)
+            if tail is not None:
+                heapq.heappush(heap, (tail[0], 0, next(self._seq),
+                                      tail[1], None, tail[2]))
 
     def pending(self) -> int:
         """Number of scheduled events not yet executed."""

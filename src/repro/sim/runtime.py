@@ -38,18 +38,20 @@ with every step counted in :class:`repro.metrics.RobustnessCounters`.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from heapq import heappush
 from typing import (Any, Deque, Dict, Iterable, List, Optional, Set, Tuple,
                     Union)
 
 from repro.cluster.hashring import HashRing, route_key
-from repro.cluster.topology import ClusterSpec
+from repro.cluster.topology import ClusterSpec, NetworkSpec
 from repro.core.application import Application, OperatorSpec
 from repro.core.event import Event, EventCounter, derive_origin
-from repro.core.operators import Context, Mapper, Operator, TimerRequest, Updater
-from repro.core.slate import Slate, SlateKey
+from repro.core.operators import Context, Operator, TimerRequest
+from repro.core.slate import Slate, SlateKey, _json_size_fast
 from repro.elastic import (Autoscaler, AutoscalerConfig, MigrationConfig,
                            MigrationCoordinator, MigrationState,
                            ScaleDecision)
@@ -64,6 +66,7 @@ from repro.metrics import (DataPlaneCounters, LatencyRecorder,
 from repro.muppet.dispatch import SingleChoiceDispatcher, TwoChoiceDispatcher
 from repro.muppet.master import Master
 from repro.obs import MetricsRegistry, RingTracer, TimelineRecorder, Tracer
+from repro.muppet.conductor import IPCAccountant
 from repro.muppet.queues import BoundedQueue, OverflowPolicy, SourceThrottle
 from repro.muppet.replay import ReplayStats
 from repro.shedding.controller import (TIER_OVERFLOW, TIER_THIN,
@@ -78,6 +81,10 @@ from repro.slates.manager import FlushPolicy, RetryPolicy, SlateManager
 
 ENGINE_MUPPET1 = "muppet1"
 ENGINE_MUPPET2 = "muppet2"
+
+#: Wholesale-clear bound for the per-event path's memo tables (mirrors
+#: the hashring memo discipline: bounded table, cleared when full).
+_MEMO_MAX = 65_536
 
 
 @dataclass
@@ -209,15 +216,10 @@ class SimConfig:
     #: updaters. ``None`` (the default) disables the whole subsystem —
     #: the engine then behaves byte-identically to pre-shedding builds.
     shedding: Optional[SheddingConfig] = None
-    #: Hybrid analytic/DES fast-forwarding (see
-    #: :mod:`repro.sim.fastforward`). Off (the default) runs the exact
-    #: stepper. On, :func:`repro.sim.fastforward.create_runtime` builds
-    #: a :class:`~repro.sim.fastforward.FastForwardRuntime`, which fuses
-    #: the dispatch→route→enqueue→deliver inner loop and advances
-    #: quiescent stretches analytically while producing the *same*
-    #: ``counter_report()`` and slate contents as the exact engine.
-    #: ``SimRuntime`` itself ignores the knob, so constructing one
-    #: directly always yields exact behaviour.
+    #: Accepted, selects nothing: there is one per-event path (see
+    #: :meth:`SimRuntime._compile_handlers`) and both values build it.
+    #: Kept for ``bench/``, which passes it, until the next benchmark PR
+    #: drops the argument.
     fastforward: bool = False
     #: Elastic autoscaling policy (see :mod:`repro.elastic.autoscaler`):
     #: EWMA-smoothed queue/p99/dirty-backlog signals drive planned
@@ -531,7 +533,7 @@ class SimRuntime:
         #: per-message hot path stays untouched for fault-free runs.
         self._injector = injector if injector.has_rules() else None
         self._recoveries = 0
-        self.sim = self._make_simulator()
+        self.sim = Simulator()
         self.counters = EventCounter()
         self.master = Master()
         self.latency: Dict[str, LatencyRecorder] = {}
@@ -640,24 +642,10 @@ class SimRuntime:
         self._build_machines()
         self._build_rings()
         self._register_metrics()
-        #: Hot-path plumbing: pre-bound handler references (an attribute
-        #: fetch of a method allocates a fresh bound-method object per
-        #: event; binding once here makes the per-event fetch a plain
-        #: load) and a pre-resolved operator-spec table (dict hit instead
-        #: of Application.operator's try/except per delivery).
-        self._deliver_bound = self._deliver
-        self._finish_bound = self._finish
-        self._send_bound = self._send
         self._is_muppet2 = self.config.engine == ENGINE_MUPPET2
         self._op_specs: Dict[str, OperatorSpec] = {
             s.name: s for s in self.app.operators()}
-
-    def _make_simulator(self) -> Simulator:
-        """Factory for the event loop; the fast-forward runtime overrides
-        this to install its tail-call trampoline scheduler. Everything —
-        clock, kv-store, managers — hangs off the returned simulator's
-        clock, so the swap must happen here, not after construction."""
-        return Simulator()
+        self._compile_handlers()
 
     @property
     def tracer(self) -> Optional[Tracer]:
@@ -878,7 +866,34 @@ class SimRuntime:
 
     # -- top-level run -------------------------------------------------------
     def run(self, duration_s: float) -> SimReport:
-        """Simulate ``duration_s`` seconds and summarize the outcome."""
+        """Simulate ``duration_s`` seconds and summarize the outcome.
+
+        Cyclic garbage collection is deferred for the duration of the
+        event loop: the per-event records (tuple events, slotted
+        envelopes, heap entries, journal and batch-buffer entries) are
+        acyclic and die by refcount, so the collector's generation scans
+        are pure overhead mid-run. Collection is re-enabled before the
+        report is built, picking up whatever was deferred. This changes
+        no simulated state — it only removes wall-clock noise.
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._run_events(duration_s)
+        finally:
+            if collecting:
+                gc.enable()
+        return self._report(duration_s)
+
+    def ff_summary(self) -> Dict[str, int]:
+        """How many steps the trampoline ran inline vs through the heap
+        (the name predates the single path; ``bench/`` reads it)."""
+        inlined = self.sim.inlined_steps
+        return {"inlined_steps": inlined,
+                "heap_steps": self.sim.steps - inlined}
+
+    def _run_events(self, duration_s: float) -> None:
+        """Schedule sources, faults and background ticks; run the loop."""
         for source in self.sources:
             self._start_source(source)
         for fault in self.fault_schedule.point_events():
@@ -914,33 +929,6 @@ class SimRuntime:
             self._shed.finish(self.sim.now())
         if self.config.throttle is not None:
             self.config.throttle.finish(self.sim.now())
-        return self._report(duration_s)
-
-    # -- sources -----------------------------------------------------------------
-    def _start_source(self, source: Source) -> None:
-        iterator = source.events
-        state = {"next": next(iterator, None)}
-
-        def step(sim: Simulator) -> None:
-            # Drain every event already due in one step, then sleep
-            # until the next arrival — one heap entry per quiet gap
-            # instead of a zero-delay re-step per event.
-            while True:
-                event = state["next"]
-                if event is None:
-                    return
-                throttle = self.config.throttle
-                if throttle is not None and throttle.paused:
-                    self.counters.throttled += 1
-                    sim.schedule_in(self.config.throttle_check_s, step)
-                    return
-                if event.ts > sim.now():
-                    sim.schedule(event.ts, step)
-                    return
-                self._inject(event)
-                state["next"] = next(iterator, None)
-
-        self.sim.schedule_in(0.0, step)
 
     def _subscribers_of(self, sid: str) -> List[OperatorSpec]:
         """Per-sid subscriber lists, cached (the workflow is immutable
@@ -950,72 +938,6 @@ class SimRuntime:
         if subs is None:
             subs = self._subs_cache[sid] = list(self.app.subscribers_of(sid))
         return subs
-
-    def _inject(self, event: Event) -> None:  # hot-path
-        """M0 reads one source event and hashes it onward (Section 4.1)."""
-        stamped = self.app.streams.stamp(event)
-        self.counters.published += 1
-        birth = self.sim.now()
-        if self._trace is not None:
-            origin, oseq = stamped.provenance()
-            self._trace.emit(birth, "source", sid=stamped.sid,
-                             key=stamped.key, origin=origin, oseq=oseq)
-        for spec in self._subscribers_of(stamped.sid):
-            envelope = _Envelope(stamped, birth, spec.name)
-            self._send(envelope, from_machine=None,
-                       extra_delay=self.config.costs.source_service_s)
-
-    # -- routing / sending ------------------------------------------------------
-    def _send(self, envelope: _Envelope, from_machine: Optional[str],  # hot-path
-              extra_delay: float = 0.0) -> None:
-        machine = self._destination_machine(envelope)
-        if machine is None:
-            self.counters.lost_failure += 1
-            return
-        if self._dedup and not envelope.is_timer:
-            # Effectively-once journals *before* the liveness check: an
-            # event addressed to a machine that died an instant ago (the
-            # window before the master broadcast reroutes the ring) must
-            # still be replayable, or it is lost exactly as under
-            # at-most-once. Timers are exempt — a replayed invocation
-            # that re-applies re-derives its timers, so journaling them
-            # too would double-fire.
-            self.replay_journal.record(machine.name, envelope,
-                                       self.sim.now())
-        if not machine.alive:
-            self._handle_dead_destination(machine, envelope)
-            return
-        if self.replay_journal is not None and not self._dedup:
-            self.replay_journal.record(machine.name, envelope,
-                                       self.sim.now())
-        same = from_machine == machine.name
-        if (self._batching and not same
-                and not (self._dedup and envelope.replayed)):
-            # Loopback sends skip batching: they pay no per-message
-            # network latency, so coalescing would only add linger.
-            # Replayed envelopes (effectively-once) also ship solo: a
-            # resend lingering in a coalescing buffer could be overtaken
-            # by a fresh, higher-sequence event arriving over a
-            # different link, and a lost event sneaking in *behind* the
-            # watermark its successor advanced would be mistaken for a
-            # duplicate. Batching only ever delays an event, so solo
-            # resends stay ahead of everything sent after them.
-            self._batch_enqueue(envelope, from_machine, machine,
-                                extra_delay)
-            return
-        delay = extra_delay + self.cluster.network.transfer_time(
-            envelope.event.size_bytes(), same_machine=same)
-        if self._injector is not None:
-            delivered, delay = self._injector.message_fate(
-                from_machine, machine.name, self.sim.now(), delay)
-            if not delivered:
-                # Partition/drop losses are silent: the sender does not
-                # learn of them, so no failure report follows (unlike a
-                # dead destination). Replay, if enabled, journaled the
-                # event above and can resurrect it on a later crash.
-                return
-        self.sim.schedule_call_in(delay, self._deliver_bound,
-                                  machine, envelope)
 
     # -- data-plane batching ---------------------------------------------------
     def _batch_enqueue(self, envelope: _Envelope,
@@ -1094,7 +1016,12 @@ class SimRuntime:
 
         def deliver_all(sim: Simulator) -> None:
             for env in envelopes:
-                self._deliver(machine, env)
+                # A heap-dispatched _deliver returns the started event's
+                # finish as its tail; mid-batch it is scheduled at once,
+                # so sequence numbers are consumed in the same order.
+                tail = self._deliver(machine, env)
+                if tail is not None:
+                    sim.schedule_call(tail[0], tail[1], *tail[2])
 
         self.sim.schedule(arrival, deliver_all)
 
@@ -1179,106 +1106,7 @@ class SimRuntime:
                 self.counters_replayed += 1
                 if self._dedup:
                     lost.replayed = True
-                self._send(lost, from_machine=None)
-
-    # -- delivery / queues -----------------------------------------------------
-    def _deliver(self, machine: _Machine, envelope: _Envelope) -> None:  # hot-path
-        if not machine.alive:
-            self._handle_dead_destination(machine, envelope)
-            return
-        if self._dedup:
-            # Close the rebalance residual hazard (see
-            # :meth:`schedule_add_machine`): an event that was in flight
-            # — or parked in a coalescing buffer — while the ring moved
-            # its key would update the old owner's orphaned cache copy
-            # and lose the last-write-wins race. Exactness cannot absorb
-            # that, so late arrivals re-route to the current owner.
-            target = self._destination_machine(envelope)
-            if target is not None and target is not machine:
-                self._send(envelope, from_machine=machine.name)
-                return
-        shed = self._shed
-        if (shed is not None and not envelope.is_timer
-                and not envelope.diverted
-                and machine.pressure_tier >= TIER_OVERFLOW
-                and shed.config.overflow_sid is not None
-                and machine.queue_depth_fraction()
-                >= shed.config.divert_fraction):
-            # Overflow tier: shed arrivals to the degraded stream
-            # *before* the queues fill, instead of waiting for hard
-            # queue-full rejections.
-            self.shedding.diverted_proactive += 1
-            self._note_overflow(machine.name, "diverted_proactive")
-            self._divert(machine, envelope, shed.config.overflow_sid,
-                         proactive=True)
-            return
-        if self._is_muppet2:
-            worker = None
-            if machine.replay_pins:
-                # Replay ordering guard (see _Machine.replay_pins): a
-                # queued replay pins its (key, fn) to one worker so no
-                # fresh same-key event can overtake it via the spill rule.
-                pin = machine.replay_pins.get(
-                    (envelope.event.key, envelope.dest_fn))
-                if pin is not None:
-                    worker = pin[0]
-            if worker is None:
-                # Fast path: the dispatcher inspects only its two candidate
-                # workers instead of the caller building O(threads) length/
-                # processing lists per event (see dispatch.choose_workers).
-                worker = machine.dispatcher.choose_workers(
-                    envelope.event.key, envelope.dest_fn, machine.workers)
-        else:
-            worker = self._choose_worker(machine, envelope)
-            if worker is None:
-                # The ring moved this key (failure broadcast raced the
-                # send); re-route from scratch.
-                self._send(envelope, from_machine=machine.name)
-                return
-        if self._trace is not None:
-            origin, oseq = envelope.event.provenance()
-            self._trace.emit(self.sim.now(), "dispatch",
-                             machine=machine.name, fn=envelope.dest_fn,
-                             key=envelope.event.key, worker=worker.index,
-                             origin=origin, oseq=oseq)
-        if worker.queue.offer(envelope):
-            if (self._is_muppet2 and self._dedup and envelope.replayed
-                    and not envelope.is_timer):
-                pin_key = (envelope.event.key, envelope.dest_fn)
-                pin = machine.replay_pins.get(pin_key)
-                if pin is None:
-                    machine.replay_pins[pin_key] = [worker, 1]
-                else:
-                    pin[1] += 1
-            if self._trace is not None:
-                origin, oseq = envelope.event.provenance()
-                self._trace.emit(self.sim.now(), "enqueue",
-                                 machine=machine.name,
-                                 fn=envelope.dest_fn,
-                                 key=envelope.event.key,
-                                 worker=worker.index,
-                                 depth=len(worker.queue),
-                                 origin=origin, oseq=oseq)
-            self._try_start(worker)
-            return
-        self._overflow(machine, worker, envelope)
-
-    def _choose_worker(self, machine: _Machine,
-                       envelope: _Envelope) -> Optional[_Worker]:
-        if self.config.engine == ENGINE_MUPPET2:
-            assert machine.dispatcher is not None
-            lengths = [len(w.queue) for w in machine.workers]
-            processing = [w.current for w in machine.workers]
-            index = machine.dispatcher.choose(
-                envelope.event.key, envelope.dest_fn, lengths, processing)
-            return machine.workers[index]
-        ring = self._function_rings[envelope.dest_fn]
-        wid = ring.lookup(route_key(envelope.event.key, envelope.dest_fn))
-        worker = self._worker_by_id[wid]
-        if worker.machine is not machine:
-            # A failure broadcast moved this key between send and deliver.
-            return None
-        return worker
+                self._send(lost, None)
 
     def _overflow(self, machine: _Machine, worker: _Worker,
                   envelope: _Envelope) -> None:
@@ -1287,11 +1115,8 @@ class SimRuntime:
             self.counters.dropped_overflow += 1
             self._note_overflow(machine.name, "dropped")
             if self._trace is not None:
-                origin, oseq = envelope.event.provenance()
-                self._trace.emit(self.sim.now(), "shed",
-                                 machine=machine.name, fn=envelope.dest_fn,
-                                 key=envelope.event.key, outcome="drop",
-                                 origin=origin, oseq=oseq)
+                self._trace_envelope("shed", machine, envelope,
+                                     outcome="drop")
             return
         if policy.kind == "divert":
             assert policy.overflow_sid is not None
@@ -1303,13 +1128,10 @@ class SimRuntime:
         self.counters.throttled += 1
         self._note_overflow(machine.name, "throttle_retries")
         if self._trace is not None:
-            origin, oseq = envelope.event.provenance()
-            self._trace.emit(self.sim.now(), "shed", machine=machine.name,
-                             fn=envelope.dest_fn, key=envelope.event.key,
-                             outcome="throttle_retry",
-                             origin=origin, oseq=oseq)
+            self._trace_envelope("shed", machine, envelope,
+                                 outcome="throttle_retry")
         self.sim.schedule_call_in(self.config.retry_delay_s,
-                                  self._deliver_bound, machine, envelope)
+                                  self._deliver, machine, envelope)
 
     def _divert(self, machine: _Machine, envelope: _Envelope,
                 overflow_sid: str, proactive: bool = False) -> None:
@@ -1331,259 +1153,746 @@ class SimRuntime:
             envelope.event.with_stream(overflow_sid))
         stamped = stamped.with_provenance(origin, oseq)
         if self._trace is not None:
-            self._trace.emit(self.sim.now(), "shed", machine=machine.name,
-                             fn=envelope.dest_fn, key=stamped.key,
-                             outcome="divert", proactive=proactive,
-                             origin=origin, oseq=oseq)
+            self._trace_envelope("shed", machine, envelope,
+                                 outcome="divert", proactive=proactive)
         for spec in self._subscribers_of(overflow_sid):
             self._send(_Envelope(stamped, envelope.birth_ts, spec.name,
                                  diverted=True, replayed=envelope.replayed),
-                       from_machine=machine.name)
+                       machine.name)
 
-    # -- execution -------------------------------------------------------------
-    def _try_start(self, worker: _Worker) -> None:  # hot-path
-        machine = worker.machine
-        if not machine.alive or worker.busy or len(worker.queue) == 0:
-            return
-        if machine.free_cores <= 0:
-            if not worker.waiting:
-                machine.waiting.append(worker)
-                worker.waiting = True
-            return
-        machine.free_cores -= 1
-        envelope = worker.queue.poll()
-        assert envelope is not None
-        worker.busy = True
-        item = (envelope.event.key, envelope.dest_fn)
-        worker.current = item
-        if machine.replay_pins and envelope.replayed \
-                and not envelope.is_timer:
-            # Last queued replay for this (key, fn) is now executing; the
-            # dispatcher's processing-affinity rule covers the rest of
-            # the window (worker.current == item until _finish).
-            pin = machine.replay_pins.get(item)
-            if pin is not None:
-                pin[1] -= 1
-                if pin[1] <= 0:
-                    del machine.replay_pins[item]
-        count = self._processing_counts.get(item, 0) + 1
-        self._processing_counts[item] = count
-        if count > self._max_workers_per_slate:
-            self._max_workers_per_slate = count
-        service, outputs, timers = self._execute(worker, envelope, count)
-        self.sim.schedule_call_in(service, self._finish_bound,
-                                  worker, envelope, outputs, timers)
+    # -- the per-event path ----------------------------------------------------
+    def _compile_handlers(self) -> None:
+        """Closure-compile inject → send → deliver → execute → finish.
 
-    def _operator_instance(self, worker: _Worker, fn: str) -> Operator:
-        machine = worker.machine
-        if self.config.engine == ENGINE_MUPPET2:
-            return machine.shared_instances[fn]
-        return machine.shared_instances[worker.wid]
+        This is the only per-event path. Every per-event constant (cost
+        terms, stream sequencers, subscriber tuples, network parameters)
+        is a closure cell — one LOAD_DEREF instead of an attribute chain
+        — and the dispatcher's memo-hit decision, the slate-cache hit,
+        the event-size arithmetic and the slate touch are inlined with
+        their stats bookkeeping replicated operation for operation.
+        Every optional feature is one construction-time boolean cell
+        (``tracing``, ``dedup``, ``batching``, ``shedding``, ``muppet1``
+        ...) guarding a call into that feature's cold method, so a
+        disabled feature costs one untaken branch and an enabled one
+        runs the same code every other configuration runs. Float
+        service-time and delay expressions keep one fixed operand order
+        throughout: reports are compared byte for byte.
 
-    def _execute(self, worker: _Worker, envelope: _Envelope,  # hot-path
-                 concurrent: int) -> Tuple[float, List[Event], List[TimerRequest]]:
-        """Run the operator now; return (service time, outputs, timers)."""
+        ``_deliver`` and ``_finish`` *return* the continuation they end
+        on — the started event's ``_finish`` — as a tail
+        ``(at, action, args)`` instead of pushing it, and the source
+        stepper returns its own wake-up the same way;
+        :meth:`Simulator._drain` runs a tail inline when it would have
+        been the next pop anyway. The model checker labels heap entries
+        by these closures' ``__name__`` (``_deliver``/``_finish``/
+        ``_send``/``step``), so the names are part of the contract.
+        """
+        rt = self
         cfg = self.config
         costs = cfg.costs
-        machine = worker.machine
-        spec = self._op_specs[envelope.dest_fn]
-        instance = self._operator_instance(worker, spec.name)
-        event = envelope.event
-        ctx = Context(spec.name, event.ts, spec.publishes, event.key)
-        if self._trace is not None:
-            origin, oseq = event.provenance()
-            extra: Dict[str, Any] = {}  # noqa: MUP009 -- tracing-only branch; allocates nothing when the tracer is off
-            if spec.kind == "update":
-                # The kv-store cell this update touches — the join key
-                # that lets reconstruct_chain follow the event through
-                # slate flushes into replica writes.
-                extra["updater"] = spec.name
-                extra["row"], extra["column"] = SlateKey(
-                    spec.name, event.key).row_column()
-            self._trace.emit(self.sim.now(), "execute",
-                             machine=machine.name, op=spec.name,
-                             op_kind=spec.kind, key=event.key,
-                             worker=worker.index,
-                             timer=envelope.is_timer,
-                             replayed=envelope.replayed,
-                             origin=origin, oseq=oseq, **extra)
+        clock = self.sim.clock
+        heap = self.sim._heap
+        sim_seq = self.sim._seq
+        counters = self.counters
+        pcounts = self._processing_counts
+        latency = self.latency
+        ring = self._machine_ring
+        injector = self._injector
+        streams = self.app.streams
+        ops = self._op_specs
+        journal = self.replay_journal
+        trace = self._trace
+        throttle = cfg.throttle
+        throttle_check_s = max(0.0, cfg.throttle_check_s)
 
-        service = costs.dispatch_lock_s * (2 if cfg.engine == ENGINE_MUPPET2
-                                           else 1)
-        if cfg.engine == ENGINE_MUPPET1:
-            # Conductor <-> task-processor IPC: fixed wakeup cost plus a
-            # byte-accurate serialization charge (see muppet.conductor).
-            from repro.muppet.conductor import IPCAccountant
+        # One boolean cell per optional feature.
+        tracing = trace is not None
+        dedup = self._dedup
+        at_least_once = journal is not None and not dedup
+        batching = self._batching
+        shedding = self._shed is not None
+        thinnable = self._thinnable
+        muppet2 = self._is_muppet2
+        muppet1 = not muppet2
+        two_choice = muppet2 and cfg.two_choice
+        memoize = muppet2 and cfg.memoize_routing
 
-            ipc = IPCAccountant(fixed_s=costs.ipc_overhead_s)
-            if len(machine.workers) > machine.cores:
-                service += costs.context_switch_s
-        else:
-            ipc = None
+        lock_s = costs.dispatch_lock_s * (2 if muppet2 else 1)
+        switch_s = costs.context_switch_s
+        map_s = costs.map_service_s
+        upd_s = costs.update_service_s
+        byte_s = costs.slate_byte_cost_s
+        cont_s = costs.slate_contention_s
+        source_s = costs.source_service_s
+        # Muppet 1.0 conductor <-> task-processor IPC: a fixed wakeup
+        # cost plus a byte-accurate serialization charge.
+        ipc = (None if muppet2
+               else IPCAccountant(fixed_s=costs.ipc_overhead_s))
+        net = self.cluster.network
+        inline_net = type(net) is NetworkSpec
+        net_lat = net.latency_s
+        net_bw = net.bandwidth_bytes_per_s
+        max_bytes = cfg.max_slate_bytes
+        write_through = cfg.flush_policy.kind == "write_through"
+        sinks = cfg.latency_sinks
+        latency_ops = frozenset(
+            s.name for s in self.app.operators()
+            if s.kind == "update" and (sinks is None or s.name in sinks))
+        # sid -> (sequencer, subscriber names, external?). Stamping is
+        # inlined through this table; an unknown sid, or an operator
+        # publishing into an external stream, takes the registry's
+        # checked stamp(), which raises the proper WorkflowError.
+        stream_info = {
+            sid: (streams._seq[sid],
+                  tuple(s.name for s in self._subscribers_of(sid)),
+                  streams.spec(sid).external)
+            for sid in streams.sids()}
+        tuple_new = tuple.__new__
+        obj_new = object.__new__
 
-        if spec.kind == "map":
-            assert isinstance(instance, Mapper)
-            if envelope.is_timer:
-                raise SimulationError("timer delivered to a mapper")
-            instance.map(ctx, event)
-            service += costs.map_time(instance.cost_factor)
-            if ipc is not None:
-                out_bytes = sum(e.size_bytes() for e in ctx.emitted)
-                service += ipc.cost(event.size_bytes(),
-                                    output_bytes=out_bytes)
-        else:
-            assert isinstance(instance, Updater)
-            weight = 1.0
-            if (self._thinner is not None and not envelope.is_timer
-                    and machine.pressure_tier >= TIER_THIN
-                    and spec.name in self._thinnable):
-                keep, weight = self._thinner.decide(event.key)
-                if not keep:
-                    # Thinned: skip the slate read and the update
-                    # entirely — that saved work is the whole point.
-                    # Kept siblings carry weight 1/p, so the counter
-                    # stays unbiased (see repro.shedding.thinning).
-                    self.counters.thinned += 1
-                    self.shedding.thinned += 1
-                    if self._trace is not None:
-                        origin, oseq = event.provenance()
-                        self._trace.emit(self.sim.now(), "shed",
-                                         machine=machine.name,
-                                         op=spec.name, key=event.key,
-                                         outcome="thin",
-                                         origin=origin, oseq=oseq)
-                    return service, [], []
-                if weight > 1.0:
-                    self.shedding.kept_weighted += 1
-                    self.shedding.weight_applied += weight
-            mgr = worker.mgr
-            slate = mgr.get(instance, event.key)
-            read_io = mgr.take_pending_io()
-            service += self._charge_device(machine, read_io)
-            if (self._dedup and envelope.replayed
-                    and not envelope.is_timer):
-                origin, oseq = event.provenance()
-                if oseq <= slate.watermark(origin):
-                    # The slate already durably contains this event's
-                    # effect (the watermark persisted with the fields
-                    # that include it): skip the re-application. The
-                    # slate read was still paid for — dedup is not free.
-                    self.replay_journal.stats.deduped += 1
-                    if self._trace is not None:
-                        self._trace.emit(self.sim.now(), "dedup",
-                                         machine=machine.name,
-                                         op=spec.name, key=event.key,
-                                         origin=origin, oseq=oseq,
-                                         decision="skip")
-                    return service, [], []
-                self._replay_reapplied += 1
-                if self._trace is not None:
-                    self._trace.emit(self.sim.now(), "dedup",
-                                     machine=machine.name, op=spec.name,
-                                     key=event.key, origin=origin,
-                                     oseq=oseq, decision="reapply")
-            if envelope.is_timer:
-                instance.on_timer(ctx, event.key, slate,
-                                  envelope.timer_payload)
+        # (key, fn) -> _Machine, valid for one ring generation. Pure
+        # given the generation, but the memoize_routing ablation still
+        # means "recompute every hash", so it is honoured here too.
+        dest_memo: Dict[Tuple[str, str], _Machine] = {}
+        ring_gen = [ring.generation]
+        #: (key, fn) -> SlateKey: pure value identity, only bounded.
+        skeys: Dict[Tuple[str, str], SlateKey] = {}
+
+        destination_machine = self._destination_machine
+        handle_dead = self._handle_dead_destination
+        overflow = self._overflow
+        schedule_timer = self._schedule_timer
+        batch_enqueue = self._batch_enqueue
+        trace_envelope = self._trace_envelope
+
+        def _send(envelope: _Envelope, from_machine: Optional[str],
+                  extra_delay: float = 0.0) -> None:  # hot-path
+            event = envelope.event
+            if memoize:
+                if ring_gen[0] != ring.generation:
+                    dest_memo.clear()
+                    ring_gen[0] = ring.generation
+                machine = dest_memo.get((event.key, envelope.dest_fn))
+                if machine is None:
+                    machine = destination_machine(envelope)
+                    if machine is not None:
+                        if len(dest_memo) >= _MEMO_MAX:
+                            dest_memo.clear()
+                        dest_memo[(event.key, envelope.dest_fn)] = machine
             else:
-                if weight != 1.0:
-                    instance.update_weighted(ctx, event, slate, weight)
+                machine = destination_machine(envelope)
+            if machine is None:
+                counters.lost_failure += 1
+                return
+            if dedup and not envelope.is_timer:
+                # Effectively-once journals *before* the liveness check:
+                # an event addressed to a machine that died an instant
+                # ago (the window before the master broadcast reroutes
+                # the ring) must still be replayable, or it is lost
+                # exactly as under at-most-once. Timers are exempt — a
+                # replayed invocation that re-applies re-derives its
+                # timers, so journaling them too would double-fire.
+                journal.record(machine.name, envelope, clock._now)
+            if not machine.alive:
+                handle_dead(machine, envelope)
+                return
+            if at_least_once:
+                journal.record(machine.name, envelope, clock._now)
+            same = from_machine == machine.name
+            if (batching and not same
+                    and not (dedup and envelope.replayed)):
+                # Loopback sends skip batching: they pay no per-message
+                # network latency, so coalescing would only add linger.
+                # Replayed envelopes (effectively-once) also ship solo:
+                # a resend lingering in a coalescing buffer could be
+                # overtaken by a fresh, higher-sequence event arriving
+                # over a different link, and a lost event sneaking in
+                # *behind* the watermark its successor advanced would be
+                # mistaken for a duplicate. Batching only ever delays an
+                # event, so solo resends stay ahead of everything sent
+                # after them.
+                batch_enqueue(envelope, from_machine, machine, extra_delay)
+                return
+            if not inline_net:
+                delay = extra_delay + net.transfer_time(
+                    event.size_bytes(), same_machine=same)
+            elif same:
+                delay = extra_delay
+            else:
+                # Event.size_bytes() inlined for the common payload
+                # types (same arithmetic; other types take the method).
+                v = event.value
+                tv = type(v)
+                if v is None:
+                    size = 16 + len(event.sid) + len(event.key)
+                elif tv is int:
+                    size = (16 + len(event.sid) + len(event.key)
+                            + len(repr(v)))
+                elif tv is str:
+                    size = (16 + len(event.sid) + len(event.key)
+                            + len(v.encode("utf-8")))
                 else:
-                    instance.update(ctx, event, slate)
-                if self._dedup:
-                    origin, oseq = event.provenance()
-                    slate.advance_watermark(origin, oseq)
-            slate.touch(event.ts)
-            mgr.note_update(slate)
-            write_io = mgr.take_pending_io()
-            service += self._charge_device(machine, write_io)
-            service += costs.update_time(instance.cost_factor,
-                                         slate.estimated_bytes())
-            if ipc is not None:
-                out_bytes = sum(e.size_bytes() for e in ctx.emitted)
-                service += ipc.cost(event.size_bytes(),
-                                    slate_bytes=slate.estimated_bytes(),
-                                    output_bytes=out_bytes)
-            if concurrent > 1:
-                service += costs.slate_contention_s
-                self._contention_events += 1
-        if self._injector is not None:
-            factor = self._injector.cpu_factor(machine.name, self.sim.now())
-            if factor > 1.0:
-                extra = service * (factor - 1.0)
-                service += extra
-                self._injector.note_gray_cpu(extra)
-        return service, list(ctx.emitted), list(ctx.timers)
+                    size = event.size_bytes()
+                delay = extra_delay + (net_lat + size / net_bw)
+            if injector is not None:
+                delivered, delay = injector.message_fate(
+                    from_machine, machine.name, clock._now, delay)
+                if not delivered:
+                    # Partition/drop losses are silent: the sender does
+                    # not learn of them, so no failure report follows
+                    # (unlike a dead destination). Replay, if enabled,
+                    # journaled the event above and can resurrect it on
+                    # a later crash.
+                    return
+            now = clock._now
+            heappush(heap, (now + delay if delay > 0.0 else now, 0,
+                            next(sim_seq), _deliver, None,
+                            (machine, envelope)))
 
-    def _charge_device(self, machine: _Machine, io_s: float) -> float:
-        """Queue synchronous I/O behind the machine's storage device."""
-        if io_s <= 0:
-            return 0.0
+        def _inject(event: Event) -> None:  # hot-path
+            """M0 reads one source event and hashes it onward (§4.1)."""
+            info = stream_info.get(event[0])
+            if info is None:
+                stamped = streams.stamp(event)  # raises: unknown sid
+            else:
+                # Event.with_seq, flattened to one C-level allocation
+                # (fields are tuple slots 0..6).
+                stamped = tuple_new(
+                    Event, (event[0], event[1], event[2], event[3],
+                            next(info[0]), event[5], event[6]))
+            counters.published += 1
+            birth = clock._now
+            if trace is not None:
+                origin, oseq = stamped.provenance()
+                trace.emit(birth, "source", sid=stamped.sid,
+                           key=stamped.key, origin=origin, oseq=oseq)
+            for sub_name in info[1]:
+                # _Envelope(stamped, birth, sub_name), allocated without
+                # the dataclass __init__ frame.
+                env = obj_new(_Envelope)
+                env.event = stamped
+                env.birth_ts = birth
+                env.dest_fn = sub_name
+                env.is_timer = False
+                env.timer_payload = None
+                env.diverted = False
+                env.replayed = False
+                _send(env, None, source_s)
+
+        def try_start(worker: _Worker, tail: bool):  # hot-path
+            """Start the worker's next queued event if a core is free;
+            the event's ``_finish`` is returned (``tail``) or pushed."""
+            machine = worker.machine
+            if not machine.alive or worker.busy:
+                return None
+            items = worker.queue._items
+            if not items:
+                return None
+            if machine.free_cores <= 0:
+                if not worker.waiting:
+                    machine.waiting.append(worker)
+                    worker.waiting = True
+                return None
+            machine.free_cores -= 1
+            envelope = items.popleft()
+            worker.busy = True
+            event = envelope.event
+            fn = envelope.dest_fn
+            key = event[2]
+            ts = event[1]
+            item = (key, fn)
+            worker.current = item
+            if (dedup and machine.replay_pins and envelope.replayed
+                    and not envelope.is_timer):
+                rt._unpin_replay(machine, item)
+            count = pcounts.get(item, 0) + 1
+            pcounts[item] = count
+            if count > rt._max_workers_per_slate:
+                rt._max_workers_per_slate = count
+            # -- execute: run the operator now, charge its service time --
+            spec = ops[fn]
+            # Muppet 1.0 loads one copy of the code per worker process.
+            instance = machine.shared_instances[fn if muppet2
+                                                else worker.wid]
+            # Context(), allocated without the constructor frame — the
+            # slot stores below are __init__'s body verbatim.
+            ctx = obj_new(Context)
+            ctx.operator = fn
+            ctx.input_ts = ts
+            ctx.input_key = key
+            ctx.now = ts
+            ctx._output_sids = spec.publishes
+            ctx.emitted = []
+            ctx.timers = []
+            if tracing:
+                rt._trace_execute(machine, worker, envelope, spec)
+            service = lock_s
+            if muppet1 and len(machine.workers) > machine.cores:
+                service += switch_s
+            #: Thinned or dedup-skipped: the slate is not touched, no
+            #: output is produced, and the service charged so far stands.
+            skipped = False
+            if spec.kind == "map":
+                if envelope.is_timer:
+                    raise SimulationError("timer delivered to a mapper")
+                instance.map(ctx, event)
+                service += map_s * instance.cost_factor
+                if muppet1:
+                    service += ipc.cost(
+                        event.size_bytes(), output_bytes=sum(
+                            e.size_bytes() for e in ctx.emitted))
+            else:
+                weight = 1.0
+                if (shedding and not envelope.is_timer
+                        and machine.pressure_tier >= TIER_THIN
+                        and fn in thinnable):
+                    weight = rt._thin(machine, fn, event)
+                    skipped = weight is None
+                if not skipped:
+                    mgr = worker.mgr
+                    # Slate-cache hit, inlined with SlateCache.get's
+                    # exact bookkeeping (LRU touch + hit count). Miss or
+                    # TTL expiry delegates to the manager, which then
+                    # does its own (single) stats accounting.
+                    sk = skeys.get(item)
+                    if sk is None:
+                        if len(skeys) >= _MEMO_MAX:
+                            skeys.clear()
+                        sk = skeys[item] = SlateKey(fn, key)
+                    cache = mgr.cache
+                    slate = cache._slates.get(sk)
+                    if slate is not None and (
+                            slate.ttl is None
+                            or not slate.expired(clock._now)):
+                        cache._slates.move_to_end(sk)
+                        cache.stats.hits += 1
+                    else:
+                        slate = mgr.get(instance, key)
+                    if mgr.pending_io_s > 0.0:
+                        service += rt._charge_device(machine, mgr)
+                    if (dedup and envelope.replayed
+                            and not envelope.is_timer):
+                        skipped = rt._dedup_skips(machine, fn, event, slate)
+                if not skipped:
+                    if envelope.is_timer:
+                        instance.on_timer(ctx, key, slate,
+                                          envelope.timer_payload)
+                    else:
+                        if weight != 1.0:
+                            instance.update_weighted(ctx, event, slate,
+                                                     weight)
+                        else:
+                            instance.update(ctx, event, slate)
+                        if dedup:
+                            origin, oseq = event.provenance()
+                            slate.advance_watermark(origin, oseq)
+                    # Slate.touch + SlateManager.note_update, inlined:
+                    # the version bump keys the size/encode caches, the
+                    # dirty transition feeds the cache's dirty index.
+                    slate.last_update_ts = ts
+                    slate._version += 1
+                    if not slate._dirty:
+                        slate._dirty = True
+                        listener = slate._dirty_listener
+                        if listener is not None:
+                            listener(slate, True)
+                    if max_bytes is not None:
+                        slate.check_size(max_bytes)
+                    if write_through:
+                        mgr._flush_slate(slate)
+                    if mgr.pending_io_s > 0.0:
+                        service += rt._charge_device(machine, mgr)
+                    # Slate.estimated_bytes, inlined with its per-version
+                    # cache discipline; the non-counter shape falls back
+                    # to the method (which recomputes and caches alike).
+                    if slate._size_version == slate._version:
+                        sbytes = slate._size_bytes
+                    else:
+                        sbytes = _json_size_fast(slate._data)
+                        if sbytes < 0:
+                            sbytes = slate.estimated_bytes()
+                        else:
+                            slate._size_version = slate._version
+                            slate._size_bytes = sbytes
+                    service += (upd_s * instance.cost_factor
+                                + byte_s * sbytes)
+                    if muppet1:
+                        service += ipc.cost(
+                            event.size_bytes(), slate_bytes=sbytes,
+                            output_bytes=sum(
+                                e.size_bytes() for e in ctx.emitted))
+                    if count > 1:
+                        service += cont_s
+                        rt._contention_events += 1
+            if injector is not None and not skipped:
+                factor = injector.cpu_factor(machine.name, clock._now)
+                if factor > 1.0:
+                    extra = service * (factor - 1.0)
+                    service += extra
+                    injector.note_gray_cpu(extra)
+            # ---------------------------------------------------------------
+            now = clock._now
+            at = now + service if service > 0.0 else now
+            if tail:
+                return (at, _finish,
+                        (worker, envelope, ctx.emitted, ctx.timers))
+            heappush(heap, (at, 0, next(sim_seq), _finish, None,
+                            (worker, envelope, ctx.emitted, ctx.timers)))
+            return None
+
+        def _deliver(machine: _Machine, envelope: _Envelope):  # hot-path
+            if not machine.alive:
+                handle_dead(machine, envelope)
+                return None
+            key = envelope.event.key
+            fn = envelope.dest_fn
+            item = (key, fn)
+            pin = None
+            if dedup:
+                # Close the rebalance residual hazard (see
+                # :meth:`schedule_add_machine`): an event that was in
+                # flight — or parked in a coalescing buffer — while the
+                # ring moved its key would update the old owner's
+                # orphaned cache copy and lose the last-write-wins race.
+                # Exactness cannot absorb that, so late arrivals
+                # re-route to the current owner.
+                target = destination_machine(envelope)
+                if target is not None and target is not machine:
+                    _send(envelope, machine.name)
+                    return None
+                if machine.replay_pins:
+                    pin = machine.replay_pins.get(item)
+            if (shedding and machine.pressure_tier >= TIER_OVERFLOW
+                    and rt._divert_proactively(machine, envelope)):
+                return None
+            workers = machine.workers
+            if pin is not None:
+                # Replay ordering guard (see _Machine.replay_pins): a
+                # queued replay pins its (key, fn) to one worker so no
+                # fresh same-key event can overtake it via the spill
+                # rule.
+                worker = pin[0]
+            elif not muppet2:
+                worker = rt._muppet1_worker(machine, envelope)
+                if worker is None:
+                    # The ring moved this key (failure broadcast raced
+                    # the send); re-route from scratch.
+                    _send(envelope, machine.name)
+                    return None
+            elif not two_choice:
+                worker = machine.dispatcher.choose_workers(key, fn, workers)
+            else:
+                # TwoChoiceDispatcher.choose_workers + the candidates
+                # memo hit, inlined (stats identical by construction;
+                # the miss path is the dispatcher's own candidates(),
+                # which accounts itself).
+                dispatcher = machine.dispatcher
+                dstats = dispatcher.stats
+                dstats.dispatched += 1
+                if dispatcher.num_threads == 1:
+                    dstats.queue_locks += 1
+                    worker = workers[0]
+                    if worker.current == item:
+                        dstats.affinity_hits += 1
+                    dstats.to_primary += 1
+                else:
+                    pair = dispatcher._memo.get(item)
+                    if pair is None:
+                        pair = dispatcher.candidates(key, fn)
+                    else:
+                        dstats.memo_hits += 1
+                    dstats.queue_locks += 2
+                    worker = workers[pair[0]]
+                    if worker.current == item:
+                        dstats.to_primary += 1
+                        dstats.affinity_hits += 1
+                    else:
+                        second = workers[pair[1]]
+                        if second.current == item:
+                            dstats.to_secondary += 1
+                            dstats.affinity_hits += 1
+                            worker = second
+                        elif (len(worker.queue._items)
+                              >= dispatcher.significant_factor
+                              * (len(second.queue._items) + 1)):
+                            dstats.to_secondary += 1
+                            dstats.spills += 1
+                            worker = second
+                        else:
+                            dstats.to_primary += 1
+            if tracing:
+                trace_envelope("dispatch", machine, envelope,
+                               worker=worker.index)
+            # BoundedQueue.offer, inlined.
+            queue = worker.queue
+            qstats = queue.stats
+            items = queue._items
+            qstats.offered += 1
+            max_size = queue.max_size
+            if max_size is not None and len(items) >= max_size:
+                qstats.rejected += 1
+                overflow(machine, worker, envelope)
+                return None
+            items.append(envelope)
+            qstats.accepted += 1
+            depth = len(items)
+            if depth > qstats.peak_depth:
+                qstats.peak_depth = depth
+            if (dedup and muppet2 and envelope.replayed
+                    and not envelope.is_timer):
+                rt._pin_replay(machine, worker, envelope)
+            if tracing:
+                trace_envelope("enqueue", machine, envelope,
+                               worker=worker.index, depth=depth)
+            if worker.busy:  # the saturated regime: no call frame
+                return None
+            return try_start(worker, True)
+
+        def _finish(worker: _Worker, envelope: _Envelope,
+                    outputs: List[Event],
+                    timers: List[TimerRequest]):  # hot-path
+            machine = worker.machine
+            item = worker.current
+            if item is not None:
+                # try_start seeds pcounts[item] before it schedules this
+                # finish, so plain indexing is safe.
+                remaining = pcounts[item] - 1
+                if remaining <= 0:
+                    pcounts.pop(item, None)
+                else:
+                    pcounts[item] = remaining
+            worker.busy = False
+            worker.current = None
+            machine.free_cores += 1
+            if not machine.alive:
+                counters.lost_failure += 1
+                return None
+            counters.processed += 1
+            fn = envelope.dest_fn
+            if fn in latency_ops and not envelope.is_timer:
+                recorder = latency.get(fn)
+                if recorder is None:
+                    recorder = latency[fn] = LatencyRecorder()
+                recorder.record(clock._now - envelope.birth_ts)
+            if outputs:
+                birth = envelope.birth_ts
+                replayed = envelope.replayed
+                from_name = machine.name
+                ordinal = 0
+                for out in outputs:
+                    info = stream_info.get(out[0])
+                    if info is None or info[2]:
+                        stamped = streams.stamp(out, from_operator=True)
+                        info = stream_info[stamped.sid]
+                    else:
+                        stamped = tuple_new(
+                            Event, (out[0], out[1], out[2], out[3],
+                                    next(info[0]), out[5], out[6]))
+                    if dedup:
+                        # Replay-stable identity: derived from the
+                        # *input* event's provenance, not from the
+                        # stream registry's publication seq (which keeps
+                        # counting across replays). A deterministic
+                        # operator re-derives the same (origin, oseq) on
+                        # replay, so downstream watermarks recognize the
+                        # duplicate.
+                        origin, oseq = derive_origin(envelope.event, fn,
+                                                     ordinal)
+                        stamped = stamped.with_provenance(origin, oseq)
+                    if tracing:
+                        rt._trace_publish(envelope, stamped, ordinal)
+                    counters.published += 1
+                    for sub_name in info[1]:
+                        env = obj_new(_Envelope)
+                        env.event = stamped
+                        env.birth_ts = birth
+                        env.dest_fn = sub_name
+                        env.is_timer = False
+                        env.timer_payload = None
+                        env.diverted = False
+                        env.replayed = replayed
+                        _send(env, from_name)
+                    ordinal += 1
+            if timers:
+                for timer in timers:
+                    schedule_timer(machine, envelope, timer)
+            waiting = machine.waiting
+            while machine.free_cores > 0 and waiting:
+                next_worker = waiting.popleft()
+                next_worker.waiting = False
+                try_start(next_worker, False)
+            if worker.queue._items:
+                return try_start(worker, True)
+            return None
+
+        def _start_source(source: Source) -> None:
+            iterator = source.events
+            pending = [next(iterator, None)]
+
+            def step(sim: Simulator):  # hot-path
+                # Drain every event already due in one step, then sleep
+                # until the next arrival — one wake-up per quiet gap,
+                # returned as a tail so a quiescent gap advances without
+                # heap traffic.
+                event = pending[0]
+                now = clock._now
+                while event is not None:
+                    if throttle is not None and throttle.paused:
+                        counters.throttled += 1
+                        pending[0] = event
+                        return (now + throttle_check_s, step, None)
+                    if event.ts > now:
+                        pending[0] = event
+                        return (event.ts, step, None)
+                    _inject(event)
+                    event = next(iterator, None)
+                pending[0] = None
+                return None
+
+            self.sim.schedule_in(0.0, step)
+
+        self._inject = _inject
+        self._send = _send
+        self._deliver = _deliver
+        self._finish = _finish
+        self._start_source = _start_source
+
+    # -- cold feature hooks of the per-event path -------------------------------
+    def _muppet1_worker(self, machine: _Machine,
+                        envelope: _Envelope) -> Optional[_Worker]:
+        """Muppet 1.0 routing: ``<key, function>`` hashes straight to the
+        one owning worker; None when a failure broadcast moved the key
+        between send and deliver."""
+        ring = self._function_rings[envelope.dest_fn]
+        wid = ring.lookup(route_key(envelope.event.key, envelope.dest_fn))
+        worker = self._worker_by_id[wid]
+        return worker if worker.machine is machine else None
+
+    def _charge_device(self, machine: _Machine, mgr: SlateManager) -> float:
+        """Queue the manager's accrued synchronous kv I/O behind the
+        machine's storage device; returns the wait it adds."""
+        io_s = mgr.take_pending_io()
         now = self.sim.now()
-        start = max(now, machine.device_busy_until)
-        done = start + io_s
+        done = max(now, machine.device_busy_until) + io_s
         machine.device_busy_until = done
         return done - now
 
-    def _finish(self, worker: _Worker, envelope: _Envelope,  # hot-path
-                outputs: List[Event], timers: List[TimerRequest]) -> None:
-        machine = worker.machine
-        item = worker.current
-        if item is not None:
-            remaining = self._processing_counts.get(item, 1) - 1
-            if remaining <= 0:
-                self._processing_counts.pop(item, None)
-            else:
-                self._processing_counts[item] = remaining
-        worker.busy = False
-        worker.current = None
-        machine.free_cores += 1
-        if not machine.alive:
-            self.counters.lost_failure += 1
-            return
-        self.counters.processed += 1
+    def _pin_replay(self, machine: _Machine, worker: _Worker,
+                    envelope: _Envelope) -> None:
+        """Count one more queued replay for its (key, fn) on ``worker``
+        (see ``_Machine.replay_pins``)."""
+        pin_key = (envelope.event.key, envelope.dest_fn)
+        pin = machine.replay_pins.get(pin_key)
+        if pin is None:
+            machine.replay_pins[pin_key] = [worker, 1]
+        else:
+            pin[1] += 1
 
-        spec = self._op_specs[envelope.dest_fn]
-        if spec.kind == "update" and not envelope.is_timer:
-            sinks = self.config.latency_sinks
-            if sinks is None or spec.name in sinks:
-                self.latency.setdefault(spec.name, LatencyRecorder()).record(
-                    self.sim.now() - envelope.birth_ts)
+    def _unpin_replay(self, machine: _Machine,
+                      item: Tuple[str, str]) -> None:
+        """A queued replay for ``item`` starts executing. After the last
+        one, the dispatcher's processing-affinity rule covers the rest
+        of the window (``worker.current == item`` until ``_finish``)."""
+        pin = machine.replay_pins.get(item)
+        if pin is not None:
+            pin[1] -= 1
+            if pin[1] <= 0:
+                del machine.replay_pins[item]
 
-        for ordinal, out in enumerate(outputs):
-            stamped = self.app.streams.stamp(out, from_operator=True)
-            if self._dedup:
-                # Replay-stable identity: derived from the *input*
-                # event's provenance, not from the stream registry's
-                # publication seq (which keeps counting across replays).
-                # A deterministic operator re-derives the same
-                # (origin, oseq) on replay, so downstream watermarks
-                # recognize the duplicate.
-                origin, oseq = derive_origin(envelope.event,
-                                             envelope.dest_fn, ordinal)
-                stamped = stamped.with_provenance(origin, oseq)
+    def _dedup_skips(self, machine: _Machine, fn: str, event: Event,
+                     slate: Slate) -> bool:
+        """Effectively-once check of one replayed event against the
+        slate's watermark; True when its effect is already there."""
+        origin, oseq = event.provenance()
+        skip = oseq <= slate.watermark(origin)
+        if skip:
+            # The slate already durably contains this event's effect
+            # (the watermark persisted with the fields that include
+            # it): skip the re-application. The slate read was still
+            # paid for — dedup is not free.
+            self.replay_journal.stats.deduped += 1
+        else:
+            self._replay_reapplied += 1
+        if self._trace is not None:
+            self._trace.emit(self.sim.now(), "dedup", machine=machine.name,
+                             op=fn, key=event.key, origin=origin, oseq=oseq,
+                             decision="skip" if skip else "reapply")
+        return skip
+
+    def _thin(self, machine: _Machine, fn: str,
+              event: Event) -> Optional[float]:
+        """Thinning decision for one update of a thinnable updater under
+        pressure: the inverse-probability weight to apply it with, or
+        None when it is thinned away."""
+        keep, weight = self._thinner.decide(event.key)
+        if not keep:
+            # Thinned: skip the slate read and the update entirely —
+            # that saved work is the whole point. Kept siblings carry
+            # weight 1/p, so the counter stays unbiased (see
+            # repro.shedding.thinning).
+            self.counters.thinned += 1
+            self.shedding.thinned += 1
             if self._trace is not None:
-                parent_origin, parent_oseq = envelope.event.provenance()
-                child_origin, child_oseq = stamped.provenance()
-                self._trace.emit(self.sim.now(), "publish",
-                                 sid=stamped.sid, op=envelope.dest_fn,
-                                 ordinal=ordinal,
-                                 parent_origin=parent_origin,
-                                 parent_oseq=parent_oseq,
-                                 origin=child_origin, oseq=child_oseq)
-            self.counters.published += 1
-            for sub in self._subscribers_of(stamped.sid):
-                self._send(_Envelope(stamped, envelope.birth_ts, sub.name,
-                                     replayed=envelope.replayed),
-                           from_machine=machine.name)
-        for timer in timers:
-            self._schedule_timer(machine, envelope, timer)
+                origin, oseq = event.provenance()
+                self._trace.emit(self.sim.now(), "shed",
+                                 machine=machine.name, op=fn, key=event.key,
+                                 outcome="thin", origin=origin, oseq=oseq)
+            return None
+        if weight > 1.0:
+            self.shedding.kept_weighted += 1
+            self.shedding.weight_applied += weight
+        return weight
 
-        while machine.free_cores > 0 and machine.waiting:
-            next_worker = machine.waiting.popleft()
-            next_worker.waiting = False
-            self._try_start(next_worker)
-        self._try_start(worker)
+    def _divert_proactively(self, machine: _Machine,
+                            envelope: _Envelope) -> bool:
+        """Overflow tier: shed an arrival to the degraded stream *before*
+        the queues fill, instead of waiting for hard queue-full
+        rejections. True when the envelope was diverted."""
+        shed_cfg = self._shed.config
+        if (envelope.is_timer or envelope.diverted
+                or shed_cfg.overflow_sid is None
+                or machine.queue_depth_fraction() < shed_cfg.divert_fraction):
+            return False
+        self.shedding.diverted_proactive += 1
+        self._note_overflow(machine.name, "diverted_proactive")
+        self._divert(machine, envelope, shed_cfg.overflow_sid,
+                     proactive=True)
+        return True
+
+    def _trace_envelope(self, kind: str, machine: _Machine,
+                        envelope: _Envelope, **fields: Any) -> None:
+        """Emit one span about an envelope at a machine (tracing on)."""
+        origin, oseq = envelope.event.provenance()
+        self._trace.emit(  # noqa: MUP005 -- every caller is behind the guard
+            self.sim.now(), kind, machine=machine.name, fn=envelope.dest_fn,
+            key=envelope.event.key, **fields, origin=origin, oseq=oseq)
+
+    def _trace_execute(self, machine: _Machine, worker: _Worker,
+                       envelope: _Envelope, spec: OperatorSpec) -> None:
+        event = envelope.event
+        origin, oseq = event.provenance()
+        extra: Dict[str, Any] = {}
+        if spec.kind == "update":
+            # The kv-store cell this update touches — the join key that
+            # lets reconstruct_chain follow the event through slate
+            # flushes into replica writes.
+            extra["updater"] = spec.name
+            extra["row"], extra["column"] = SlateKey(
+                spec.name, event.key).row_column()
+        self._trace.emit(  # noqa: MUP005 -- the one caller is behind the guard
+            self.sim.now(), "execute", machine=machine.name, op=spec.name,
+            op_kind=spec.kind, key=event.key, worker=worker.index,
+            timer=envelope.is_timer, replayed=envelope.replayed,
+            origin=origin, oseq=oseq, **extra)
+
+    def _trace_publish(self, envelope: _Envelope, stamped: Event,
+                       ordinal: int) -> None:
+        parent_origin, parent_oseq = envelope.event.provenance()
+        child_origin, child_oseq = stamped.provenance()
+        self._trace.emit(  # noqa: MUP005 -- the one caller is behind the guard
+            self.sim.now(), "publish", sid=stamped.sid, op=envelope.dest_fn,
+            ordinal=ordinal, parent_origin=parent_origin,
+            parent_oseq=parent_oseq, origin=child_origin, oseq=child_oseq)
 
     def _schedule_timer(self, machine: _Machine, envelope: _Envelope,
                         timer: TimerRequest) -> None:
@@ -1600,7 +1909,7 @@ class SimRuntime:
                 f"!timer:{timer.updater}", next(self._timer_ids))
         timer_env = _Envelope(timer_event, envelope.birth_ts, timer.updater,
                               is_timer=True, timer_payload=timer.payload)
-        self.sim.schedule_call(fire_at, self._send_bound,
+        self.sim.schedule_call(fire_at, self._send,
                                timer_env, machine.name)
 
     # -- background processes ----------------------------------------------------
@@ -2205,19 +2514,14 @@ class SimRuntime:
                                                     envelope.dest_fn))
                         moved = wid != worker.wid
                     if moved:
-                        self._send(envelope, from_machine=machine.name)
+                        self._send(envelope, machine.name)
                     else:
                         kept.append(envelope)
                 for envelope in kept:
                     worker.queue.offer(envelope)
                     if (self._is_muppet2 and self._dedup
                             and envelope.replayed and not envelope.is_timer):
-                        pin_key = (envelope.event.key, envelope.dest_fn)
-                        pin = machine.replay_pins.get(pin_key)
-                        if pin is None:
-                            machine.replay_pins[pin_key] = [worker, 1]
-                        else:
-                            pin[1] += 1
+                        self._pin_replay(machine, worker, envelope)
 
     def _rebalance_flush(self) -> None:
         """Flush every dirty slate cluster-wide before a ring change, so
@@ -2522,3 +2826,16 @@ class SimRuntime:
             timeline_data=(self._timeline.as_dict()
                            if self._timeline is not None else None),
         )
+
+
+def create_runtime(
+    app: Application,
+    cluster: ClusterSpec,
+    config: Optional[SimConfig] = None,
+    sources: Iterable[Source] = (),
+    failures: Union[Iterable[Tuple[float, str]], FaultSchedule] = (),
+    tracer: Optional[Tracer] = None,
+) -> SimRuntime:
+    """Build a :class:`SimRuntime` — the constructor under the name
+    ``bench/`` imports. There is nothing to choose between any more."""
+    return SimRuntime(app, cluster, config, sources, failures, tracer)

@@ -1,13 +1,15 @@
-"""Hybrid fast-forwarding: identity with the exact engine, determinism,
-fallback boundaries, and fusion-eligibility fallbacks.
+"""Inline advancement on the one per-event path: identity with the exact
+engine's goldens, determinism, and fallback boundaries.
 
-The contract under test (see :mod:`repro.sim.fastforward`): a fused
-hybrid run performs the *same* state transitions in the *same* order as
-the exact engine — ``counter_report()`` and final slates are identical,
-not merely statistically close — and inline advancement never jumps
-over a heap-scheduled fault, timer, or ring change. Ineligible
-configurations must fall back to exact mode (recorded with a reason)
-rather than silently approximate.
+The contract under test (see :meth:`repro.sim.des.Simulator._drain`):
+running a handler's continuation inline instead of through the heap
+changes nothing observable — ``counter_report()``, the step count and
+the final slates equal what the exact stepper produced (pinned in
+``golden_reports.json``, recorded before that stepper was deleted) — and
+inline advancement never jumps over a heap-scheduled fault, timer, or
+ring change. Every configuration runs the same compiled handlers, so the
+features that used to force a separate "exact" engine (tracing,
+effectively-once, batching) advance inline too.
 """
 
 import json
@@ -15,129 +17,74 @@ import json
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core import Application, Updater
-from repro.faults import FaultSchedule
-from repro.sim import (ENGINE_MUPPET1, SimConfig, SimRuntime, constant_rate,
-                       create_runtime)
-from repro.sim.fastforward import FastForwardRuntime
+from repro.sim import SimConfig, SimRuntime, create_runtime
 from repro.sim.sources import Source
-from repro.shedding.controller import SheddingConfig
-from tests.conftest import EchoMapper, build_count_app, make_events
+from tests.conftest import make_events
+from tests.sim import test_golden_reports as golden
+
+GOLDEN = json.loads(golden.GOLDEN_PATH.read_text())
 
 
-def _chain_app() -> Application:
-    """S1 -> M1 -> S2 -> M2 -> S3 -> U1: the E1 pipeline shape."""
-    app = Application("ff-chain")
-    app.add_stream("S1", external=True)
-    app.add_stream("S2")
-    app.add_stream("S3")
-    app.add_mapper("M1", EchoMapper, subscribes=["S1"], publishes=["S2"],
-                   config={"output_sid": "S2"})
-    app.add_mapper("M2", EchoMapper, subscribes=["S2"], publishes=["S3"],
-                   config={"output_sid": "S3"})
-    app.add_updater("U1", CountSum, subscribes=["S3"])
-    return app.validate()
-
-
-class CountSum(Updater):
-    """Count + sum per key: order-insensitive fields, but byte-compared."""
-
-    def init_slate(self, key):
-        return {"count": 0, "total": 0}
-
-    def update(self, ctx, event, slate):
-        slate["count"] += 1
-        slate["total"] += event.value or 0
-
-
-class Windowed(Updater):
-    """Sets one timer per key on the first event (fallback-boundary probe)."""
-
-    def init_slate(self, key):
-        return {"count": 0, "fired": 0}
-
-    def update(self, ctx, event, slate):
-        if slate["count"] == 0:
-            ctx.set_timer(event.ts + 0.5)
-        slate["count"] += 1
-
-    def on_timer(self, ctx, key, slate, payload=None):
-        slate["fired"] += 1
-
-
-def _fingerprint(runtime, report):
-    """Everything the identity contract covers, as one comparable blob."""
-    return (json.dumps(report.counter_report(), sort_keys=True, default=str),
-            json.dumps(runtime.slates_of("U1"), sort_keys=True))
-
-
-def _run(app, config, sources_fn, horizon, failures=(), machines=4):
-    runtime = create_runtime(app, ClusterSpec.uniform(machines, cores=4),
-                             config, sources_fn(), failures=failures)
-    report = runtime.run(horizon)
+def _pinned(name):
+    """Run one golden scenario; assert its row; hand back the run."""
+    runtime, report, updaters = golden.SCENARIOS[name]()
+    assert golden.row_of(runtime, report, updaters) == GOLDEN[name]
     return runtime, report
 
 
-def _e1_sources(n=4_000, spacing=0.0002, keys=64):
-    return lambda: [Source("S1", iter(make_events(n, keys=keys,
-                                                  spacing=spacing)))]
+class TestIdentityWithExactGoldens:
+    """The exact stepper's reports and slates, byte for byte."""
 
-
-class TestIdentityWithExact:
-    """Hybrid vs exact: byte-identical reports and slates, same config."""
-
-    def test_e1_style_dense_pipeline(self):
-        sources = _e1_sources()
-        exact = _run(_chain_app(), SimConfig(), sources, 6.0)
-        hybrid = _run(_chain_app(), SimConfig(fastforward=True), sources, 6.0)
-        assert hybrid[0].ff.mode == "fused"
-        assert _fingerprint(*exact) == _fingerprint(*hybrid)
-        # Same DES trajectory, not just same endpoint.
-        assert exact[1].steps == hybrid[1].steps
+    @pytest.mark.parametrize("fastforward", [False, True])
+    def test_dense_pipeline_whatever_the_retired_knob_says(self,
+                                                           fastforward):
+        # SimConfig.fastforward selects nothing: both values, and both
+        # constructors, build the same runtime.
+        runtime = create_runtime(
+            golden.chain_app(), ClusterSpec.uniform(4, cores=4),
+            SimConfig(fastforward=fastforward),
+            [Source("S1", iter(make_events(4_000, keys=8,
+                                           spacing=0.00002)))])
+        assert type(runtime) is SimRuntime
+        report = runtime.run(6.0)
+        assert golden.row_of(runtime, report) == GOLDEN["muppet2_dense"]
 
     def test_quiescent_gaps_are_inlined_not_approximated(self):
-        # 50 ms spacing dwarfs per-event service time: almost every step
-        # chains through the trampoline, and the totals still match.
-        sources = _e1_sources(n=200, spacing=0.05, keys=8)
-        exact = _run(_chain_app(), SimConfig(), sources, 12.0)
-        hybrid = _run(_chain_app(), SimConfig(fastforward=True), sources,
-                      12.0)
-        assert hybrid[0].sim.inlined_steps > 0
-        assert _fingerprint(*exact) == _fingerprint(*hybrid)
+        # 50 ms spacing dwarfs per-event service time: every started
+        # event's finish chains through the trampoline, and the totals
+        # still match.
+        runtime, report = _pinned("muppet2_quiescent_gaps")
+        assert runtime.sim.inlined_steps >= report.counters.processed
 
-    def test_e6d_style_seeded_chaos(self):
+    def test_seeded_chaos(self):
         # Crash + revive one machine mid-run under a seeded schedule:
-        # loss accounting, recovery, and rehydration all on the cold
-        # paths the fused engine delegates to.
-        def schedule():
-            return FaultSchedule(seed=7).crash(0.55, "m001", recover_at=1.4)
+        # loss accounting, recovery and rehydration on the cold paths.
+        runtime, report = _pinned("trace_on_chaos")
+        assert report.robustness.recoveries == 1
 
-        def sources():
-            return [constant_rate("S1", rate_per_s=1500.0, duration_s=2.0,
-                                  key_fn=lambda i: f"k{i % 32}")]
 
-        cfg = dict(queue_capacity=100_000, kill_kv_on_machine_failure=True)
-        exact = _run(build_count_app(), SimConfig(**cfg), sources, 4.0,
-                     failures=schedule())
-        hybrid = _run(build_count_app(), SimConfig(fastforward=True, **cfg),
-                      sources, 4.0, failures=schedule())
-        assert hybrid[0].ff.mode == "fused"
-        assert exact[1].robustness.recoveries == 1
-        assert (json.dumps(exact[1].counter_report(), sort_keys=True,
-                           default=str)
-                == json.dumps(hybrid[1].counter_report(), sort_keys=True,
-                              default=str))
-        assert exact[0].slates_of("U1") == hybrid[0].slates_of("U1")
+class TestFormerlyExactOnlyFeaturesAdvanceInline:
+    """Tracing, effectively-once and batching used to switch the fused
+    handlers off; now they are branches on the same handlers."""
+
+    @pytest.mark.parametrize("name", ["trace_on_chaos",
+                                      "effectively_once_batching_crash",
+                                      "shedding_e22_thin",
+                                      "muppet1_workers_per_function"])
+    def test_same_handlers_same_goldens(self, name):
+        runtime, _ = _pinned(name)
+        summary = runtime.ff_summary()
+        assert summary["inlined_steps"] > 0
+        assert (summary["inlined_steps"] + summary["heap_steps"]
+                == runtime.sim.steps)
 
 
 class TestThreeRunDeterminism:
-    def test_hybrid_reports_identical_across_runs(self):
+    def test_reports_identical_across_runs(self):
         def one():
-            runtime, report = _run(_chain_app(),
-                                   SimConfig(fastforward=True),
-                                   _e1_sources(n=2_000), 6.0)
-            assert runtime.ff.mode == "fused"
-            return _fingerprint(runtime, report)
+            runtime, report, _ = golden.SCENARIOS["muppet2_dense"]()
+            return (golden.row_of(runtime, report),
+                    runtime.sim.inlined_steps)
 
         first, second, third = one(), one(), one()
         assert first == second == third
@@ -147,93 +94,20 @@ class TestFallbackBoundary:
     """Inline advancement must stop at every heap-scheduled cold event."""
 
     def test_scheduled_fault_in_a_quiescent_gap_still_fires(self):
-        # One event burst, then nothing: the crash at t=2.0 sits inside
-        # a long quiescent stretch the trampoline is fast-forwarding.
-        def sources():
-            return [Source("S1", iter(make_events(60, keys=6,
-                                                  spacing=0.001)))]
-
-        schedule = FaultSchedule(seed=3).crash(2.0, "m002", recover_at=3.0)
-        runtime, report = _run(build_count_app(),
-                               SimConfig(fastforward=True), sources, 5.0,
-                               failures=schedule)
-        assert runtime.ff.mode == "fused"
+        runtime, report = _pinned("crash_in_quiescent_gap")
+        assert runtime.sim.inlined_steps > 0
         assert report.robustness.recoveries == 1
         assert runtime.machines["m002"].alive
 
     def test_timers_fire_despite_inline_advancement(self):
-        app = Application("ff-windowed")
-        app.add_stream("S1", external=True)
-        app.add_updater("U1", Windowed, subscribes=["S1"])
-        app.validate()
-
-        def sources():
-            return [Source("S1", iter(make_events(40, keys=10,
-                                                  spacing=0.05)))]
-
-        exact = _run(app, SimConfig(), sources, 6.0)
-        hybrid = _run(app, SimConfig(fastforward=True), sources, 6.0)
-        fired = sum(v["fired"] for v in hybrid[0].slates_of("U1").values())
+        runtime, _ = _pinned("timers_one_per_key")
+        assert runtime.sim.inlined_steps > 0
+        fired = sum(v["fired"] for v in runtime.slates_of("U1").values())
         assert fired == 10  # one timer per key, none skipped
-        assert _fingerprint(*exact) == _fingerprint(*hybrid)
 
     def test_ring_change_broadcast_is_not_skipped(self):
-        def sources():
-            return [Source("S1", iter(make_events(60, keys=12,
-                                                  spacing=0.001)))]
-
-        def with_join(ff):
-            runtime = create_runtime(
-                build_count_app(), ClusterSpec.uniform(3, cores=4),
-                SimConfig(fastforward=ff), sources())
-            # t=1.5 lies in the post-burst quiescent stretch.
-            runtime.schedule_add_machine(1.5, "m900", cores=4)
-            report = runtime.run(4.0)
-            return runtime, report
-
-        exact = with_join(False)
-        hybrid = with_join(True)
-        assert hybrid[0].ff.mode == "fused"
-        assert "m900" in hybrid[0].machines
-        assert "m900" in hybrid[0]._machine_ring.live_members
-        assert _fingerprint(*exact) == _fingerprint(*hybrid)
-
-
-class TestFusionEligibility:
-    """Blocked configurations fall back to exact mode, with a reason."""
-
-    @pytest.mark.parametrize("cfg_kwargs, reason_part", [
-        (dict(engine=ENGINE_MUPPET1), "muppet2"),
-        (dict(trace=True), "tracing"),
-        (dict(replay_horizon_s=1.0), "replay"),
-        (dict(delivery_semantics="effectively-once"), "replay"),
-        (dict(batch_max_events=64), "batching"),
-        (dict(shedding=SheddingConfig()), "shedding"),
-    ])
-    def test_blocked_config_falls_back_to_exact(self, cfg_kwargs,
-                                                reason_part):
-        runtime = create_runtime(
-            build_count_app(), ClusterSpec.uniform(3, cores=4),
-            SimConfig(fastforward=True, **cfg_kwargs),
-            [Source("S1", iter(make_events(50)))])
-        assert isinstance(runtime, FastForwardRuntime)
-        assert runtime.ff.mode == "exact"
-        assert reason_part in runtime.ff.reason
-        # Exact fallback still runs correctly end to end.
-        runtime.run(3.0)
-        total = sum(v["count"] for v in runtime.slates_of("U1").values())
-        assert total == 50
-
-    def test_fastforward_off_builds_plain_runtime(self):
-        runtime = create_runtime(
-            build_count_app(), ClusterSpec.uniform(3, cores=4),
-            SimConfig(), [Source("S1", iter(make_events(10)))])
-        assert type(runtime) is SimRuntime
-
-    def test_ff_summary_shape(self):
-        runtime, _ = _run(_chain_app(), SimConfig(fastforward=True),
-                          _e1_sources(n=500), 4.0)
-        summary = runtime.ff_summary()
-        assert summary["mode"] == "fused"
-        assert summary["reason"] is None
-        assert summary["inlined_steps"] + summary["heap_steps"] > 0
+        # The join at t=1.5 lies in the post-burst quiescent stretch.
+        runtime, _ = _pinned("join_in_quiescent_gap")
+        assert runtime.sim.inlined_steps > 0
+        assert "m900" in runtime.machines
+        assert "m900" in runtime._machine_ring.live_members
