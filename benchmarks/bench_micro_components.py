@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
@@ -17,7 +18,11 @@ from repro.cluster.hashring import HashRing, route_key
 from repro.core import ReferenceExecutor
 from repro.core.event import Event
 from repro.core.slate import Slate, SlateKey, _json_size_fast
+from repro.kvstore.bloom import BloomFilter, hash_pair
+from repro.kvstore.cells import Cell
+from repro.kvstore.commitlog import CommitLog
 from repro.kvstore.node import StorageNode
+from repro.kvstore.sstable import SSTable
 from repro.muppet.dispatch import DispatchStats, TwoChoiceDispatcher
 from repro.slates.cache import SlateCache
 from repro.slates.codec import CompressedJsonCodec, JsonCodec
@@ -102,6 +107,52 @@ def test_micro_kvstore_get_sstable(benchmark):
     node.flush()
     keys = itertools.cycle([f"row{i}" for i in range(500)])
     benchmark(lambda: node.get(next(keys), "U1"))
+
+
+def _blob_cells(count: int, size: int):
+    """Sorted cells with incompressible values, like flushed slates."""
+    rng = random.Random(7)
+    return [Cell(f"row{i:06d}", "U1", rng.randbytes(size), float(i))
+            for i in range(count)]
+
+
+def test_micro_sstable_build_and_persist(benchmark, tmp_path):
+    """One flush: 1 000 cells x 400 B to a run file (bloom fill, record
+    encoding, one streamed write, rename)."""
+    cells = _blob_cells(1000, 400)
+    table = benchmark(lambda: SSTable(cells, generation=1,
+                                      path=tmp_path / "run.sst"))
+    assert SSTable.load(tmp_path / "run.sst").cells() == table.cells()
+
+
+def test_micro_commitlog_durable_append(benchmark, tmp_path):
+    """What a durable ``put_many`` pays the log: 200 appends, then one
+    flush to the OS."""
+    cells = _blob_cells(200, 400)
+    log = CommitLog(tmp_path / "node.commitlog")
+
+    def batch():
+        for cell in cells:
+            log.append(cell)
+        log.flush()
+
+    # Each round starts from an empty file, as after a memtable flush.
+    benchmark.pedantic(batch, setup=log.truncate, rounds=300)
+    log.close()
+
+
+def test_micro_bloom_add_probe_hashed(benchmark):
+    """Filling and probing a filter from precomputed hash pairs — the
+    compaction and multi-run read paths, which hash each key once."""
+    pairs = [hash_pair(f"row{i}\x00U1") for i in range(1000)]
+
+    def fill_and_probe():
+        bloom = BloomFilter(expected_items=len(pairs))
+        for h1, h2 in pairs:
+            bloom.add_hashed(h1, h2)
+        return sum(bloom.might_contain_hashed(h1, h2) for h1, h2 in pairs)
+
+    assert benchmark(fill_and_probe) == len(pairs)
 
 
 def test_micro_slate_cache_hit(benchmark):

@@ -12,7 +12,20 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable
+import struct
+from typing import Tuple
+
+_PAIR = struct.Struct(">QQ")
+
+
+def hash_pair(item: str) -> Tuple[int, int]:
+    """The two 64-bit hashes every filter derives its bit positions from:
+    position ``i`` is ``(h1 + i * h2) % num_bits`` (double hashing of one
+    blake2b digest). They depend on the item alone, not on the filter, so
+    a caller can hash once and probe, or fill, many filters."""
+    h1, h2 = _PAIR.unpack(hashlib.blake2b(item.encode("utf-8"),
+                                          digest_size=16).digest())
+    return h1, h2 | 1  # odd => full period
 
 
 class BloomFilter:
@@ -41,25 +54,41 @@ class BloomFilter:
         self._bits = bytearray((self._num_bits + 7) // 8)
         self._count = 0
 
-    def _positions(self, item: str) -> Iterable[int]:
-        """Derive k bit positions via double hashing of a blake2b digest."""
-        digest = hashlib.blake2b(item.encode("utf-8"),
-                                 digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1  # odd => full period
-        for i in range(self._num_hashes):
-            yield (h1 + i * h2) % self._num_bits
-
     def add(self, item: str) -> None:
         """Insert an item."""
-        for pos in self._positions(item):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+        self.add_hashed(*hash_pair(item))
+
+    def add_hashed(self, h1: int, h2: int) -> None:
+        """Insert the item whose :func:`hash_pair` is ``(h1, h2)``."""
+        num_bits = self._num_bits
+        bits = self._bits
+        pos = h1 % num_bits
+        step = h2 % num_bits
+        for _ in range(self._num_hashes):
+            bits[pos >> 3] |= 1 << (pos & 7)
+            pos += step
+            if pos >= num_bits:
+                pos -= num_bits
         self._count += 1
 
     def might_contain(self, item: str) -> bool:
         """False means definitely absent; True means possibly present."""
-        return all(self._bits[pos >> 3] & (1 << (pos & 7))
-                   for pos in self._positions(item))
+        return self.might_contain_hashed(*hash_pair(item))
+
+    def might_contain_hashed(self, h1: int, h2: int) -> bool:
+        """:meth:`might_contain` for the item whose :func:`hash_pair` is
+        ``(h1, h2)`` — one hash serves every filter probed for a key."""
+        num_bits = self._num_bits
+        bits = self._bits
+        pos = h1 % num_bits
+        step = h2 % num_bits
+        for _ in range(self._num_hashes):
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+            pos += step
+            if pos >= num_bits:
+                pos -= num_bits
+        return True
 
     def __contains__(self, item: str) -> bool:
         return self.might_contain(item)

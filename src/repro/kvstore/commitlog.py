@@ -4,42 +4,171 @@ The memtable delays flushing "as long as possible" (Section 4.2); what makes
 that safe in Cassandra is the commit log — every mutation is appended
 sequentially before being acknowledged, so a crashed node replays the log to
 rebuild its memtable. We implement both an in-memory log (for the simulator
-and fast tests) and an on-disk JSON-lines log (for real-crash tests).
+and fast tests) and an on-disk log (for real-crash tests).
+
+**Record format.** The log and the SSTable files
+(:mod:`repro.kvstore.sstable`) share one binary cell record, defined here::
+
+    header   <IIIBdd  row_len, column_len, value_len, flags, write_ts, ttl
+    body     row (UTF-8) | column (UTF-8) | value (raw bytes)
+    trailer  <I       CRC32 of header + body
+
+``flags`` bit 0 marks a tombstone (``value_len`` 0, value ``None``), bit 1
+says the TTL field is meaningful (otherwise the cell has none). Timestamps
+and TTLs are IEEE doubles, so an integer comes back as the equal float. A
+log file is nothing but records back to back: replay stops at the first
+record that is cut short or fails its CRC, which is how a write torn by a
+crash is told from an acknowledged one.
+
+**What "durable" means here.** The log keeps one file handle open;
+``append`` encodes into it and the node calls :meth:`CommitLog.flush` once
+per ``put`` (once per ``put_many`` batch) before acknowledging, which hands
+the bytes to the operating system. There is no ``fsync``: acknowledged
+writes survive the death of the process, not of the machine.
+
+**Charged size.** What ``append`` returns — and the node bills the device
+for — is not the binary record's length but the length of the JSON line
+this log used to write (:func:`charged_size`), computed arithmetically.
+The simulated cost model, and with it every committed campaign artifact,
+is calibrated in those bytes.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import math
+import struct
+import zlib
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import StoreError
 from repro.kvstore.cells import Cell
 
-
-def _encode(cell: Cell) -> str:
-    """One JSON line per mutation; values are latin-1-escaped bytes."""
-    return json.dumps({
-        "row": cell.row,
-        "column": cell.column,
-        "value": (cell.value.decode("latin-1")
-                  if cell.value is not None else None),
-        "write_ts": cell.write_ts,
-        "ttl": cell.ttl,
-    }, separators=(",", ":"))
+_HEADER = struct.Struct("<IIIBdd")
+_CRC = struct.Struct("<I")
+_TOMBSTONE = 1
+_HAS_TTL = 2
+_READ_CHUNK = 1 << 20
 
 
-def _decode(line: str) -> Cell:
-    record = json.loads(line)
-    value = record["value"]
-    return Cell(
-        row=record["row"],
-        column=record["column"],
-        value=value.encode("latin-1") if value is not None else None,
-        write_ts=record["write_ts"],
-        ttl=record["ttl"],
-    )
+def encode_record(cell: Cell) -> bytes:
+    """The binary record of one cell (module docstring has the layout)."""
+    row = cell.row.encode("utf-8", "surrogatepass")
+    column = cell.column.encode("utf-8", "surrogatepass")
+    value = cell.value
+    flags = 0
+    if value is None:
+        flags = _TOMBSTONE
+        value = b""
+    ttl = cell.ttl
+    if ttl is None:
+        ttl = 0.0
+    else:
+        flags |= _HAS_TTL
+    body = b"".join((
+        _HEADER.pack(len(row), len(column), len(value), flags,
+                     cell.write_ts, ttl),
+        row, column, value))
+    return body + _CRC.pack(zlib.crc32(body))
+
+
+def decode_records(data: bytes) -> Tuple[List[Cell], int]:
+    """Decode back-to-back records from the start of ``data``.
+
+    Stops at the first record that is incomplete or fails its CRC.
+
+    Returns:
+        ``(cells, end)`` — the cells of every whole record and the offset
+        just past the last of them (``len(data)`` when nothing is torn).
+    """
+    cells: List[Cell] = []
+    offset = 0
+    header_size = _HEADER.size
+    total = len(data)
+    while offset + header_size <= total:
+        row_len, column_len, value_len, flags, write_ts, ttl = \
+            _HEADER.unpack_from(data, offset)
+        row_at = offset + header_size
+        column_at = row_at + row_len
+        value_at = column_at + column_len
+        crc_at = value_at + value_len
+        if crc_at + _CRC.size > total:
+            break
+        if _CRC.unpack_from(data, crc_at)[0] != zlib.crc32(
+                data[offset:crc_at]):
+            break
+        cells.append(Cell(
+            data[row_at:column_at].decode("utf-8", "surrogatepass"),
+            data[column_at:value_at].decode("utf-8", "surrogatepass"),
+            None if flags & _TOMBSTONE else data[value_at:crc_at],
+            write_ts,
+            ttl if flags & _HAS_TTL else None))
+        offset = crc_at + _CRC.size
+    return cells, offset
+
+
+def read_records(handle: BinaryIO) -> Tuple[List[Cell], int]:
+    """Decode the records of an open file from its current position, a
+    chunk at a time (a run file is never held in memory whole).
+
+    Returns:
+        ``(cells, leftover)`` — ``leftover`` counts the trailing bytes
+        that are no whole record: 0 for an intact file.
+    """
+    cells: List[Cell] = []
+    pending = b""
+    while True:
+        chunk = handle.read(_READ_CHUNK)
+        if not chunk:
+            return cells, len(pending)
+        pending += chunk
+        decoded, end = decode_records(pending)
+        cells.extend(decoded)
+        pending = pending[end:]
+
+
+# -- the size the device is charged ---------------------------------------------
+# ``{"row":,"column":,"value":,"write_ts":,"ttl":}`` plus the newline.
+_JSON_FRAME = 47
+#: For each byte of a value, a byte with as many bits set as JSON spends
+#: on it beyond one character: none for printable ASCII, one for the
+#: two-character escapes, five for the rest (``\\u00xx``). The bits set in
+#: a translated value are then the characters its escaping adds — a count
+#: with no per-byte branch, which matters on compressed (random) values.
+_ESCAPE_BITS = bytes(
+    0 if 0x20 <= byte < 0x7f and byte not in b'"\\'
+    else 1 if byte in b'"\\\n\r\t\b\f' else 0b11111
+    for byte in range(256))
+
+
+def _json_number_len(number: Union[int, float, None]) -> int:
+    if number is None:
+        return 4  # null
+    if isinstance(number, float):
+        length = len(float.__repr__(number))
+        # JSON spells inf "Infinity"; "NaN" is as long as "nan".
+        return length + 5 if math.isinf(number) else length
+    return len(int.__repr__(number))
+
+
+def charged_size(cell: Cell) -> int:
+    """Length of the JSON line (newline included) that ``json.dumps`` with
+    compact separators writes for ``cell`` with its value decoded as
+    latin-1 — the log's former format, and still the unit the device is
+    billed in. Exact for every byte value; nothing is serialised."""
+    value = cell.value
+    if value is None:
+        value_len = 4  # null
+    else:
+        value_len = 2 + len(value) + int.from_bytes(
+            value.translate(_ESCAPE_BITS), "little").bit_count()
+    return (_JSON_FRAME
+            + len(encode_basestring_ascii(cell.row))
+            + len(encode_basestring_ascii(cell.column))
+            + value_len
+            + _json_number_len(cell.write_ts)
+            + _json_number_len(cell.ttl))
 
 
 class CommitLog:
@@ -48,67 +177,113 @@ class CommitLog:
     Args:
         path: File path for a durable log; ``None`` keeps the log purely
             in memory (simulator mode — device costs are still charged by
-            the node, only persistence is skipped).
+            the node, only persistence is skipped). A new ``CommitLog`` is
+            a new segment: a file already at ``path`` is emptied. Use
+            :meth:`open` to continue an existing one.
     """
 
     def __init__(self, path: Optional[Path] = None) -> None:
         self._path = Path(path) if path is not None else None
         self._memory: List[Cell] = []
         self._bytes = 0
+        self._handle = None
         if self._path is not None:
+            self._attach()
+            self.truncate()
+
+    @classmethod
+    def open(cls, path: Path) -> "CommitLog":
+        """Continue the log at ``path`` in place (created when missing).
+
+        Nothing already acknowledged is rewritten: the file is opened for
+        append after cutting off a torn last record, if there is one, so a
+        crash at any point of a restart loses nothing. :meth:`replay`
+        then yields what the file held.
+        """
+        log = cls()
+        log._path = Path(path)
+        cells, leftover = log._read()
+        log._attach()
+        if leftover:
+            try:
+                log._handle.truncate(log._handle.tell() - leftover)
+            except OSError as exc:
+                raise StoreError(f"commit log open failed: {exc}") from exc
+        log._bytes = sum(charged_size(cell) for cell in cells)
+        return log
+
+    def _read(self) -> Tuple[List[Cell], int]:
+        """Every whole record in the file, and the torn bytes after."""
+        assert self._path is not None
+        try:
+            with self._path.open("rb") as handle:
+                return read_records(handle)
+        except FileNotFoundError:
+            return [], 0
+        except OSError as exc:
+            raise StoreError(f"commit log read failed: {exc}") from exc
+
+    def _attach(self) -> None:
+        """Open the handle, in append mode: wherever the file is cut,
+        every write lands at its end."""
+        assert self._path is not None
+        try:
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            # Truncate any stale log: a fresh CommitLog is a fresh segment.
-            self._path.write_text("")
+            self._handle = self._path.open("ab")
+        except OSError as exc:
+            raise StoreError(f"commit log open failed: {exc}") from exc
 
     @property
     def size_bytes(self) -> int:
-        """Total bytes appended since the last truncation."""
+        """Total charged bytes appended since the last truncation."""
         return self._bytes
 
     def append(self, cell: Cell) -> int:
-        """Append one mutation; returns the encoded size in bytes."""
-        encoded = _encode(cell)
-        size = len(encoded) + 1
+        """Append one mutation; returns its charged size in bytes
+        (:func:`charged_size`). A durable log buffers the record in its
+        handle: call :meth:`flush` before acknowledging the write."""
+        size = charged_size(cell)
         self._bytes += size
-        if self._path is not None:
+        if self._handle is not None:
             try:
-                with self._path.open("a", encoding="utf-8") as handle:
-                    handle.write(encoded)
-                    handle.write("\n")
+                self._handle.write(encode_record(cell))
             except OSError as exc:
                 raise StoreError(f"commit log append failed: {exc}") from exc
         else:
             self._memory.append(cell)
         return size
 
+    def flush(self) -> None:
+        """Hand every appended record to the operating system."""
+        if self._handle is not None:
+            try:
+                self._handle.flush()
+            except OSError as exc:
+                raise StoreError(f"commit log flush failed: {exc}") from exc
+
     def replay(self) -> Iterator[Cell]:
         """Yield every logged mutation in append order (crash recovery)."""
-        if self._path is not None:
-            if not self._path.exists():
-                return
-            with self._path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        yield _decode(line)
-        else:
+        if self._path is None:
             yield from list(self._memory)
-
-    @classmethod
-    def replay_file(cls, path: Path) -> Iterator[Cell]:
-        """Replay an existing on-disk log without truncating it."""
-        log = cls.__new__(cls)
-        log._path = Path(path)
-        log._memory = []
-        log._bytes = 0
-        return log.replay()
+            return
+        self.flush()
+        yield from self._read()[0]
 
     def truncate(self) -> None:
         """Discard the log after a successful memtable flush."""
         self._memory.clear()
         self._bytes = 0
-        if self._path is not None:
+        if self._handle is not None:
             try:
-                self._path.write_text("")
+                self._handle.truncate(0)
             except OSError as exc:
                 raise StoreError(f"commit log truncate failed: {exc}") from exc
+
+    def close(self) -> None:
+        """Flush and release the file handle; the log accepts no more
+        appends. A no-op for an in-memory log."""
+        if self._handle is not None:
+            try:
+                self._handle.close()
+            except OSError as exc:
+                raise StoreError(f"commit log close failed: {exc}") from exc

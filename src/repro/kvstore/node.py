@@ -1,8 +1,10 @@
 """A single LSM storage node — our from-scratch Cassandra stand-in.
 
-Write path: append to the commit log (sequential I/O), then buffer in the
-memtable; when the memtable exceeds its threshold, flush it as a new SSTable
-(sequential I/O) and truncate the log. When the SSTable count reaches the
+Write path: append to the commit log (sequential I/O; a durable log is
+flushed to the operating system once per ``put`` or ``put_many`` batch,
+before the write is acknowledged), then buffer in the memtable; when the
+memtable exceeds its threshold, flush it as a new SSTable (sequential I/O)
+and truncate the log. When the SSTable count reaches the
 compaction threshold, merge all runs into one, purging TTL-expired cells and
 tombstones. Read path: memtable first (free), then SSTables newest-first,
 charging one random read per file actually probed; bloom filters skip files
@@ -30,7 +32,7 @@ from repro.kvstore.cells import Cell
 from repro.kvstore.commitlog import CommitLog
 from repro.kvstore.device import StorageDevice
 from repro.kvstore.memtable import Memtable
-from repro.kvstore.sstable import SSTable, merge_sstables
+from repro.kvstore.sstable import SSTable, key_hashes, merge_sstables
 
 
 @dataclass(slots=True)
@@ -93,6 +95,10 @@ class StorageNode:
         self._log = CommitLog(log_path)
         self._memtable = Memtable()
         self._sstables: List[SSTable] = []  # oldest first
+        #: Generation of the next run. It only ever grows, across
+        #: restarts too, so it names run files without collisions and
+        #: orders them on reopen.
+        self._next_generation = 1
         self.stats = NodeStats()
         #: Simulated seconds of flush/compaction work awaiting the
         #: background I/O thread.
@@ -134,6 +140,7 @@ class StorageNode:
             self.stats.puts += 1
             total_bytes += self._log.append(cell)
             self._memtable.put(cell)
+        self._log.flush()
         cost = self.device.charge_sequential_write(total_bytes)
         if self._memtable.size_bytes >= self.memtable_flush_bytes:
             self.flush()
@@ -149,6 +156,7 @@ class StorageNode:
     def _apply(self, cell: Cell) -> float:
         self.stats.puts += 1
         size = self._log.append(cell)
+        self._log.flush()
         cost = self.device.charge_sequential_write(size)
         self._memtable.put(cell)
         if self._memtable.size_bytes >= self.memtable_flush_bytes:
@@ -172,8 +180,11 @@ class StorageNode:
             return (cell.value if cell.live(now) else None), 0.0
 
         cost = 0.0
+        if not self._sstables:
+            return None, cost
+        hashes = key_hashes(row, column)  # one hash probes every run
         for table in reversed(self._sstables):  # newest first
-            if not table.might_contain(row, column):
+            if not table.might_contain(row, column, hashes):
                 self.stats.bloom_skips += 1
                 continue
             self.stats.sstables_probed += 1
@@ -237,10 +248,9 @@ class StorageNode:
         """Flush the memtable to a new SSTable; returns background cost."""
         if len(self._memtable) == 0:
             return 0.0
-        path = None
-        if self._data_dir is not None:
-            path = self._data_dir / f"{self.name}-{len(self._sstables)}-{self.stats.flushes}.sst"
-        table = SSTable(self._memtable.cells_sorted(), path=path)
+        generation, path = self._next_run()
+        table = SSTable(self._memtable.cells_sorted(), generation=generation,
+                        path=path)
         self._sstables.append(table)
         cost = self.device.charge_sequential_write(table.size_bytes)
         self.pending_background_s += cost
@@ -263,19 +273,32 @@ class StorageNode:
         input_bytes = sum(t.size_bytes for t in self._sstables)
         input_cells = sum(len(t) for t in self._sstables)
         cost = self.device.charge_sequential_read(input_bytes)
-        path = None
-        if self._data_dir is not None:
-            path = self._data_dir / f"{self.name}-compacted-{self.stats.compactions}.sst"
-        merged = merge_sstables(self._sstables, now=now, path=path)
+        generation, path = self._next_run()
+        merged = merge_sstables(self._sstables, now=now, path=path,
+                                generation=generation)
         cost += self.device.charge_sequential_write(merged.size_bytes)
         self.stats.ttl_purged_cells += input_cells - len(merged)
+        # Oldest first: whatever a crash leaves behind is the merged run
+        # plus the newest inputs, which still read the same.
         for table in self._sstables:
             table.delete_file()
-        self._sstables = [merged] if len(merged) else []
+        if len(merged):
+            self._sstables = [merged]
+        else:
+            merged.delete_file()  # nothing survived: leave no empty run
+            self._sstables = []
         self.stats.compactions += 1
         self.stats.bytes_compacted += input_bytes
         self.pending_background_s += cost
         return cost
+
+    def _next_run(self) -> Tuple[int, Optional[Path]]:
+        """Generation and file (``None`` in memory) of the next run."""
+        generation = self._next_generation
+        self._next_generation = generation + 1
+        if self._data_dir is None:
+            return generation, None
+        return generation, self._data_dir / f"{self.name}-{generation:08d}.sst"
 
     def take_background_cost(self) -> float:
         """Drain accrued flush/compaction time (background-thread hook)."""
@@ -287,31 +310,36 @@ class StorageNode:
     def open(cls, name: str, data_dir: Path, **kwargs) -> "StorageNode":
         """Reopen a node from its persisted state (cold process restart).
 
-        Loads every ``*.sst`` run in ``data_dir`` (oldest generation
-        first) and replays the commit log into a fresh memtable — the
-        full durability story: flushed data comes back from SSTables,
-        acknowledged-but-unflushed writes from the log.
+        Loads every ``*.sst`` run in ``data_dir``, ordered by the
+        generation in its header, and replays the commit log into a fresh
+        memtable — the full durability story: flushed data comes back
+        from SSTables, acknowledged-but-unflushed writes from the log.
+        Nothing acknowledged is rewritten on the way (the log is continued
+        in place), so a restart that dies at any point can be repeated.
         """
         data_dir = Path(data_dir)
-        log_path = data_dir / f"{name}.commitlog"
-        pending: List[Cell] = []
-        if log_path.exists():
-            pending = list(CommitLog.replay_file(log_path))
-        node = cls(name, data_dir=data_dir, **kwargs)
-        # The constructor truncated the log file; re-apply the replayed
-        # mutations so they are buffered (and re-logged) again.
-        # Order runs oldest-first by file timestamp (lexicographic names
-        # would mis-order flush #10 before #9), so newest-first reads
-        # resolve duplicate keys correctly.
-        sst_paths = sorted(data_dir.glob("*.sst"),
-                           key=lambda p: (p.stat().st_mtime_ns, p.name))
-        for generation, path in enumerate(sst_paths, start=1):
-            node._sstables.append(SSTable.load(path,
-                                               generation=generation))
-        for cell in pending:
+        # Built in memory, then pointed at the directory: constructing it
+        # there would start a new, empty log segment.
+        node = cls(name, **kwargs)
+        node._data_dir = data_dir
+        try:
+            for unfinished in data_dir.glob("*.sst.tmp"):
+                unfinished.unlink()
+        except OSError as exc:
+            raise StoreError(f"stale run cleanup failed: {exc}") from exc
+        node._sstables = sorted(
+            (SSTable.load(path) for path in data_dir.glob("*.sst")),
+            key=lambda table: table.generation)
+        if node._sstables:
+            node._next_generation = node._sstables[-1].generation + 1
+        node._log = CommitLog.open(data_dir / f"{name}.commitlog")
+        for cell in node._log.replay():
             node._memtable.put(cell)
-            node._log.append(cell)
         return node
+
+    def close(self) -> None:
+        """Release the commit log's file handle (durable nodes)."""
+        self._log.close()
 
     # -- failure / recovery ---------------------------------------------------
     def crash(self) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kvstore.bloom import BloomFilter
+from repro.kvstore.bloom import BloomFilter, hash_pair
 
 
 class TestBloomFilter:
@@ -36,6 +36,32 @@ class TestBloomFilter:
         bloom.add("a")
         bloom.add("a")
         assert len(bloom) == 2
+
+    def test_bit_positions_are_the_double_hashing_ones(self):
+        """Position i is (h1 + i*h2) % num_bits of one blake2b digest —
+        the filter's contents decide ``bloom_skips``, so they are pinned
+        against the definition, not against the implementation."""
+        import hashlib
+        bloom = BloomFilter(expected_items=50)
+        expected = bytearray(len(bloom._bits))
+        for i in range(50):
+            item = f"row{i}\x00U1"
+            bloom.add(item)
+            digest = hashlib.blake2b(item.encode(), digest_size=16).digest()
+            h1 = int.from_bytes(digest[:8], "big")
+            h2 = int.from_bytes(digest[8:], "big") | 1
+            for k in range(bloom.num_hashes):
+                pos = (h1 + k * h2) % bloom.size_bits
+                expected[pos >> 3] |= 1 << (pos & 7)
+        assert bloom._bits == expected
+
+    def test_precomputed_pair_is_the_same_item(self):
+        by_item, by_pair = (BloomFilter(expected_items=10) for _ in range(2))
+        by_item.add("present")
+        by_pair.add_hashed(*hash_pair("present"))
+        assert by_item._bits == by_pair._bits
+        assert by_item.might_contain_hashed(*hash_pair("present"))
+        assert not by_item.might_contain_hashed(*hash_pair("absent"))
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):

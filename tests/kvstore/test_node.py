@@ -1,6 +1,7 @@
 """StorageNode: LSM read/write paths, flush, compaction, crash recovery."""
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -164,3 +165,69 @@ class TestIntrospection:
         for i in range(10):
             node.put("hot", "c", f"{i}".encode())
         assert node.absorbed_overwrites == 9
+
+
+class TestCostModelPinned:
+    """The simulated costs are calibrated in the bytes the store used to
+    write as JSON lines. The files went binary; the charges must not
+    move. The numbers below are what the JSON-lines implementation
+    produced for this run (PR 13, commit 29f3e89)."""
+
+    @staticmethod
+    def seeded_run(data_dir) -> StorageNode:
+        rng = random.Random(20120827)
+        ticks = itertools.count()
+        node = StorageNode("n1", clock=lambda: next(ticks) * 0.25,
+                           memtable_flush_bytes=4096, compaction_threshold=3,
+                           data_dir=data_dir)
+        rows = [f"user{i}" for i in range(120)] + ["clé-é", "行-7",
+                                                   "tab\tq\"uote"]
+        ttls = [None, None, None, 30, 12.5, 1e9]
+        for _ in range(1500):
+            row = rng.choice(rows)
+            roll = rng.random()
+            if roll < 0.45:
+                node.put(row, "U1", rng.randbytes(rng.randrange(0, 200)),
+                         ttl=rng.choice(ttls))
+            elif roll < 0.55:
+                node.put_many([(rng.choice(rows), "U2",
+                                rng.randbytes(rng.randrange(1, 64)), None)
+                               for _ in range(4)])
+            elif roll < 0.60:
+                node.delete(row, "U1")
+            else:
+                node.get(row, rng.choice(["U1", "U2", "U3"]))
+        return node
+
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_counters_equal_the_json_lines_store(self, tmp_path, durable):
+        node = self.seeded_run(tmp_path if durable else None)
+        assert node.stats.as_dict() == {
+            "puts": 1302, "gets": 624, "deletes": 77, "memtable_hits": 34,
+            "sstables_probed": 254, "bloom_skips": 597, "flushes": 27,
+            "compactions": 13, "bytes_flushed": 113567,
+            "bytes_compacted": 308338, "ttl_purged_cells": 960}
+        device = node.device.stats.as_dict()
+        assert device.pop("busy_time_s") == pytest.approx(0.029797544)
+        assert device == {
+            "random_reads": 254, "random_writes": 0,
+            "sequential_bytes_read": 308338,
+            "sequential_bytes_written": 766773}
+        assert node.absorbed_overwrites == 112
+        assert node._log.size_bytes == 7927
+        assert node.stored_bytes() == 21907
+        node.close()
+
+    def test_durable_run_reopens_to_the_same_answers(self, tmp_path: Path):
+        node = self.seeded_run(tmp_path)
+        node.close()
+        frozen = lambda: 400.0  # noqa: E731 -- past the run's last tick
+        node.clock = frozen
+        reopened = StorageNode.open("n1", tmp_path, clock=frozen)
+        rows = sorted({row for row, _ in node._memtable._cells}
+                      | {cell.row for t in node._sstables for cell in t.cells()})
+        assert len(rows) > 100
+        for row in rows:
+            for column in ("U1", "U2"):
+                assert reopened.get(row, column)[0] == \
+                    node.get(row, column)[0]

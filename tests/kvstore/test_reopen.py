@@ -1,10 +1,13 @@
 """Cold restarts: a StorageNode reopened from disk keeps everything."""
 
 import itertools
+import os
 from pathlib import Path
 
-
+from repro.kvstore.cells import Cell
+from repro.kvstore.commitlog import encode_record
 from repro.kvstore.node import StorageNode
+from repro.kvstore.sstable import SSTable
 
 
 def clock():
@@ -67,6 +70,145 @@ class TestReopen:
         del once
         twice = StorageNode.open("n1", tmp_path, clock=clock())
         assert twice.get("row", "U1")[0] == b"v"
+
+    def test_compact_after_reopen_does_not_eat_its_inputs(self, tmp_path):
+        """Run files are named from a generation that keeps growing across
+        restarts. Named from counters that restart at 0, the second
+        compaction wrote its output onto one of its own inputs and then
+        deleted it: every key came back ``None``."""
+        node = StorageNode("n1", clock=clock(), data_dir=tmp_path)
+        node.put("a", "U1", b"1")
+        node.flush()
+        node.put("b", "U1", b"2")
+        node.flush()
+        node.compact()
+        node.close()
+
+        node = StorageNode.open("n1", tmp_path, clock=clock())
+        node.put("c", "U1", b"3")
+        node.flush()
+        node.compact()
+        node.close()
+
+        node = StorageNode.open("n1", tmp_path, clock=clock())
+        assert [node.get(row, "U1")[0] for row in "abc"] == [b"1", b"2", b"3"]
+        assert node.sstable_count == 1
+
+    def test_runs_reopen_in_generation_order(self, tmp_path: Path):
+        """Not in file-timestamp order: the newest write wins even when
+        its run's file looks the oldest."""
+        node = StorageNode("n1", clock=clock(), data_dir=tmp_path,
+                           compaction_threshold=100)
+        for version in range(12):  # past 9 -> 10, where names once mis-sorted
+            node.put("row", "U1", f"v{version}".encode())
+            node.flush()
+        node.close()
+        runs = sorted(tmp_path.glob("*.sst"))
+        assert len(runs) == 12
+        for age, run in enumerate(runs):
+            os.utime(run, ns=(10**18 - age, 10**18 - age))
+
+        reopened = StorageNode.open("n1", tmp_path, clock=clock())
+        assert reopened.get("row", "U1")[0] == b"v11"
+
+    def test_reopen_that_dies_before_writing_loses_nothing(self, tmp_path):
+        """``open`` continues the log in place: no moment at which the
+        acknowledged writes exist only in the new process's memory."""
+        node = StorageNode("n1", clock=clock(), data_dir=tmp_path,
+                           memtable_flush_bytes=1 << 30)
+        node.put("precious", "U1", b"acked")
+        node.close()
+        log_file = tmp_path / "n1.commitlog"
+        logged = log_file.read_bytes()
+        assert logged
+
+        doomed = StorageNode.open("n1", tmp_path, clock=clock())
+        assert log_file.read_bytes() == logged  # untouched by the reopen
+        del doomed  # dies without a single write
+
+        survivor = StorageNode.open("n1", tmp_path, clock=clock())
+        assert survivor.get("precious", "U1")[0] == b"acked"
+
+    def test_torn_log_tail_is_ignored(self, tmp_path: Path):
+        node = StorageNode("n1", clock=clock(), data_dir=tmp_path,
+                           memtable_flush_bytes=1 << 30)
+        node.put("whole", "U1", b"acked")
+        node.close()
+        torn = encode_record(Cell("torn", "U1", b"never-acked", 9.0))
+        with (tmp_path / "n1.commitlog").open("ab") as handle:
+            handle.write(torn[:len(torn) // 2])
+
+        reopened = StorageNode.open("n1", tmp_path, clock=clock())
+        assert reopened.get("whole", "U1")[0] == b"acked"
+        assert reopened.get("torn", "U1")[0] is None
+        reopened.put("after", "U1", b"acked-too")
+        reopened.close()
+        again = StorageNode.open("n1", tmp_path, clock=clock())
+        assert again.get("after", "U1")[0] == b"acked-too"
+
+    def test_half_written_run_is_discarded(self, tmp_path: Path):
+        """A flush that died before its rename leaves ``*.sst.tmp``; the
+        cells are still in the log, so the file is dropped."""
+        node = StorageNode("n1", clock=clock(), data_dir=tmp_path,
+                           memtable_flush_bytes=1 << 30)
+        node.put("row", "U1", b"v")
+        node.close()
+        whole = tmp_path / "whole.sst"
+        SSTable([Cell("ghost", "U1", b"boo", 0.0)], generation=7, path=whole)
+        half = tmp_path / "n1-00000007.sst.tmp"
+        half.write_bytes(whole.read_bytes()[:-5])
+        whole.unlink()
+
+        reopened = StorageNode.open("n1", tmp_path, clock=clock())
+        assert not half.exists()
+        assert reopened.sstable_count == 0
+        assert reopened.get("row", "U1")[0] == b"v"
+        assert reopened.get("ghost", "U1")[0] is None
+
+    def test_crash_between_run_rename_and_log_truncate(self, tmp_path):
+        """The flushed cells are then in the newest run *and* the log."""
+        node = StorageNode("n1", clock=clock(), data_dir=tmp_path,
+                           memtable_flush_bytes=1 << 30)
+        node.put("row", "U1", b"old")
+        node.flush()
+        node.put("row", "U1", b"new")
+        node.delete("gone", "U1")
+        logged = (tmp_path / "n1.commitlog").read_bytes()
+        node.flush()
+        node.close()
+        (tmp_path / "n1.commitlog").write_bytes(logged)  # truncate undone
+
+        reopened = StorageNode.open("n1", tmp_path, clock=clock())
+        assert reopened.get("row", "U1")[0] == b"new"
+        assert reopened.get("gone", "U1")[0] is None
+
+    def test_crash_while_compaction_deletes_its_inputs(self, tmp_path):
+        """Inputs go oldest first, so what is left beside the merged run
+        is the newest ones: a purged tombstone must not let the value it
+        deleted come back."""
+        node = StorageNode("n1", clock=clock(), data_dir=tmp_path,
+                           compaction_threshold=100)
+        node.put("kept", "U1", b"v1")
+        node.put("deleted", "U1", b"doomed")
+        node.flush()
+        node.delete("deleted", "U1")
+        node.put("kept", "U1", b"v2")
+        node.flush()
+        newest_input = node._sstables[-1].path
+        saved = newest_input.read_bytes()
+        node.compact()
+        node.close()
+        newest_input.write_bytes(saved)  # its delete never happened
+
+        reopened = StorageNode.open("n1", tmp_path, clock=clock())
+        assert reopened.sstable_count == 2
+        assert reopened.get("kept", "U1")[0] == b"v2"
+        assert reopened.get("deleted", "U1")[0] is None
+        reopened.put("more", "U1", b"x")
+        reopened.flush()
+        reopened.compact()
+        assert reopened.get("kept", "U1")[0] == b"v2"
+        assert reopened.get("deleted", "U1")[0] is None
 
     def test_empty_directory_opens_empty(self, tmp_path: Path):
         node = StorageNode.open("fresh", tmp_path, clock=clock())

@@ -1,9 +1,13 @@
 """SSTables: immutability, bloom gating, persistence, compaction merge."""
 
+from array import array
 from pathlib import Path
 
+import pytest
+
+from repro.errors import StoreError
 from repro.kvstore.cells import Cell
-from repro.kvstore.sstable import SSTable, merge_sstables
+from repro.kvstore.sstable import SSTable, key_hashes, merge_sstables
 
 
 class TestSSTable:
@@ -38,6 +42,17 @@ class TestSSTable:
     def test_size_bytes_positive(self):
         assert SSTable([Cell("r", "c", b"v" * 100, 1.0)]).size_bytes > 100
 
+    def test_sorted_unique_input_equals_shuffled_input(self):
+        cells = [Cell(f"r{i:02d}", "c", b"v", 1.0) for i in range(30)]
+        shuffled = cells[::-1] + [Cell("r05", "c", b"old", 0.5)]
+        assert SSTable(cells).cells() == SSTable(shuffled).cells() == cells
+
+    def test_given_hashes_require_sorted_unique_cells(self):
+        cells = [Cell("b", "c", b"v", 1.0), Cell("a", "c", b"v", 1.0)]
+        hashes = array("Q", key_hashes("b", "c") + key_hashes("a", "c"))
+        with pytest.raises(ValueError):
+            SSTable(cells, hashes=hashes)
+
     def test_generations_increase(self):
         t1 = SSTable([Cell("a", "c", b"", 1.0)])
         t2 = SSTable([Cell("a", "c", b"", 1.0)])
@@ -54,6 +69,38 @@ class TestPersistence:
         assert loaded.get("r1", "c").value == bytes(range(256))
         assert loaded.get("r1", "c").ttl == 5.0
         assert loaded.get("r2", "c").is_tombstone
+
+    def test_roundtrip_is_exact_and_keeps_generation(self, tmp_path: Path):
+        path = tmp_path / "run.sst"
+        cells = [Cell("clé-行", "U1", bytes(range(256)), 1.5, ttl=30),
+                 Cell("r1", "U1", b"", 2.0, ttl=0.25),
+                 Cell("r2", "U1", None, 3.0)]
+        written = SSTable(cells, generation=41, path=path)
+        loaded = SSTable.load(path)
+        assert loaded.cells() == written.cells() == cells
+        assert loaded.generation == 41
+        assert loaded.size_bytes == written.size_bytes
+        assert all(loaded.might_contain(c.row, c.column) for c in cells)
+
+    def test_written_through_a_temp_file(self, tmp_path: Path):
+        SSTable([Cell("r", "c", b"v", 1.0)], path=tmp_path / "run.sst")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.sst"]
+
+    @pytest.mark.parametrize("damage", ["cut", "flip", "not-a-run"])
+    def test_damaged_file_is_refused(self, tmp_path: Path, damage: str):
+        path = tmp_path / "run.sst"
+        SSTable([Cell(f"r{i}", "c", b"v" * 20, 1.0) for i in range(5)],
+                path=path)
+        data = bytearray(path.read_bytes())
+        if damage == "cut":
+            data = data[:-7]
+        elif damage == "flip":
+            data[len(data) // 2] ^= 0xFF
+        else:
+            data = bytearray(b'{"row":"r0"}\n')
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreError):
+            SSTable.load(path)
 
     def test_delete_file(self, tmp_path: Path):
         path = tmp_path / "run.sst"
@@ -94,6 +141,17 @@ class TestMergeSSTables:
         delete = SSTable([Cell("r", "c", None, 2.0)])
         merged = merge_sstables([delete], now=3.0, drop_tombstones=False)
         assert merged.get("r", "c").is_tombstone
+
+    def test_carried_hashes_fill_the_same_filter_as_rehashing(self):
+        runs = [SSTable([Cell(f"r{i}", "c", b"v", float(g), ttl=5.0 + i)
+                         for i in range(g, 60, 2)] +
+                        [Cell(f"dead{g}", "c", None, float(g))])
+                for g in range(4)]
+        merged = merge_sstables(runs, now=30.0, generation=9)
+        rebuilt = SSTable(merged.cells())
+        assert 0 < len(merged) < 60 and merged.generation == 9
+        assert merged._hashes == rebuilt._hashes
+        assert merged._bloom._bits == rebuilt._bloom._bits
 
     def test_merge_shrinks_redundant_runs(self):
         runs = [SSTable([Cell("r", "c", f"v{i}".encode(), float(i))])
