@@ -5,8 +5,8 @@ virtual-clock determinism gate cannot cover — it runs real threads, so
 its bugs are schedules, not states. This module instruments a runtime
 *before* it starts: every engine lock is wrapped in a
 :class:`TrackedLock`, and the shared state the workers/flusher/timer
-threads touch (slates, counters, latency, the processing table) is
-shimmed to report each access to a :class:`LockMonitor`.
+threads touch (slates, counters, the worker records) is shimmed to
+report each access to a :class:`LockMonitor`.
 
 Two detectors run over the recording:
 
@@ -271,48 +271,29 @@ class TrackedLock:
         self.release()
 
 
-class _MonitoredCounters:
-    """Attribute proxy over an EventCounter, reporting field accesses."""
+class _MonitoredFields:
+    """Attribute proxy over a shared record (the EventCounter, a worker
+    record), reporting each field access as ``<name>.<field>``."""
 
-    __slots__ = ("_target", "_monitor")
+    __slots__ = ("_target", "_monitor", "_name")
 
-    def __init__(self, target: Any, monitor: LockMonitor) -> None:
+    def __init__(self, target: Any, monitor: LockMonitor,
+                 name: str) -> None:
         object.__setattr__(self, "_target", target)
         object.__setattr__(self, "_monitor", monitor)
+        object.__setattr__(self, "_name", name)
 
-    def __getattr__(self, name: str) -> Any:
-        value = getattr(object.__getattribute__(self, "_target"), name)
+    # The three slots resolve by normal lookup; __getattr__ only sees
+    # the target's fields.
+    def __getattr__(self, field: str) -> Any:
+        value = getattr(self._target, field)
         if not callable(value):
-            object.__getattribute__(self, "_monitor").record_access(
-                f"counters.{name}", "read")
+            self._monitor.record_access(f"{self._name}.{field}", "read")
         return value
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        object.__getattribute__(self, "_monitor").record_access(
-            f"counters.{name}", "write")
-        setattr(object.__getattribute__(self, "_target"), name, value)
-
-
-class _MonitoredList(list):
-    """The worker ``_processing`` table with per-slot access recording."""
-
-    def __init__(self, items: List[Any], monitor: LockMonitor,
-                 name: str) -> None:
-        super().__init__(items)
-        self._monitor = monitor
-        self._name = name
-
-    def __getitem__(self, index):  # type: ignore[no-untyped-def]
-        self._monitor.record_access(f"{self._name}[{index}]", "read")
-        return super().__getitem__(index)
-
-    def __setitem__(self, index, value):  # type: ignore[no-untyped-def]
-        self._monitor.record_access(f"{self._name}[{index}]", "write")
-        super().__setitem__(index, value)
-
-    def __iter__(self):  # type: ignore[no-untyped-def]
-        self._monitor.record_access(self._name, "read")
-        return super().__iter__()
+    def __setattr__(self, field: str, value: Any) -> None:
+        self._monitor.record_access(f"{self._name}.{field}", "write")
+        setattr(self._target, field, value)
 
 
 def instrument_local_muppet(runtime: Any,
@@ -320,62 +301,45 @@ def instrument_local_muppet(runtime: Any,
                             ) -> LockMonitor:
     """Swap a LocalMuppet's locks and shared state for tracked shims.
 
-    Must run before ``runtime.start()`` — worker threads capture lock
-    references at loop entry. Returns the monitor (a fresh one if none
+    Must run before ``runtime.start()`` — each worker thread is handed
+    its worker record at start. Returns the monitor (a fresh one if none
     was given). The instrumented runtime behaves identically, slower.
     """
     if getattr(runtime, "_running", False):
         raise AnalysisError(
             "instrument_local_muppet must run before runtime.start(); "
-            "worker threads bind the original locks once started")
+            "worker threads bind the original records once started")
     mon = monitor if monitor is not None else LockMonitor()
 
-    # 1. The seven engine locks (conditions rebuilt over tracked locks).
+    # 1. The engine locks: dispatch (with the drain condition and every
+    #    worker's own condition rebuilt over it), manager, timer.
     dispatch = TrackedLock("dispatch", mon)
     runtime._dispatch_lock = dispatch
-    runtime._work_available = threading.Condition(dispatch)
+    runtime._drained = threading.Condition(dispatch)
     runtime._manager_lock = TrackedLock("manager", mon)
-    runtime._slate_locks_guard = TrackedLock("slate_locks_guard", mon)
-    runtime._latency_lock = TrackedLock("latency", mon)
-    runtime._counter_lock = TrackedLock("counter", mon)
-    runtime._idle = threading.Condition(TrackedLock("idle", mon))
     runtime._timer_cond = threading.Condition(TrackedLock("timer", mon))
 
-    # 2. Per-slate locks: the factory now mints tracked locks (one
-    #    group, distinct instances per key).
-    def _tracked_slate_lock(slate_key: Any) -> TrackedLock:
-        with runtime._slate_locks_guard:
-            lock = runtime._slate_locks.get(slate_key)
-            if lock is None:
-                lock = TrackedLock(
-                    f"slate[{slate_key.updater}/{slate_key.key}]",
-                    mon, group="slate")
-                runtime._slate_locks[slate_key] = lock
-            return lock
+    # 2. The slate stripes: one order-graph group, a lock per stripe.
+    runtime._slate_stripes = tuple(
+        TrackedLock(f"slate[{stripe}]", mon, group="slate")
+        for stripe in range(len(runtime._slate_stripes)))
 
-    runtime._slate_locks.clear()
-    runtime._slate_lock = _tracked_slate_lock
-
-    # 3. Shared state: counters, the processing table, latency.
-    runtime.counters = _MonitoredCounters(runtime.counters, mon)
-    runtime._processing = _MonitoredList(runtime._processing, mon,
-                                         "processing")
-    latency_record = runtime.latency.record
-
-    def _tracked_latency_record(value: float) -> None:
-        mon.record_access("latency", "write")
-        latency_record(value)
-
-    runtime.latency.record = _tracked_latency_record
+    # 3. Shared state: the counters and the worker records (queue,
+    #    current, parked) the dispatcher and the pool threads read and
+    #    write. Latency samples are appended unlocked (atomic append).
+    runtime.counters = _MonitoredFields(runtime.counters, mon, "counters")
+    for index, worker in enumerate(runtime._workers):
+        worker.cond = threading.Condition(dispatch)
+        runtime._workers[index] = _MonitoredFields(
+            worker, mon, f"worker[{index}]")
 
     # 4. Slate field accesses. Writes happen inside updater.update() /
     #    on_timer() (under the per-slate lock); the flusher's encode is
     #    a read of the same fields. Recording both lets the lockset
     #    algorithm see whether any one lock covers slate mutation.
-    for op_name, instance in runtime._instances.items():
-        if not isinstance(instance, Updater):
-            continue
-        _shim_updater(instance, op_name, mon)
+    for op_name, route in runtime._route_of.items():
+        if isinstance(route.instance, Updater):
+            _shim_updater(route.instance, op_name, mon)
 
     manager = runtime.manager
 

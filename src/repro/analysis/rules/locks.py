@@ -1,9 +1,8 @@
 """MUP008: canonical lock order in the threaded engine.
 
-:class:`repro.muppet.local.LocalMuppet` synchronizes with seven locks
-(dispatch, per-slate, manager, slate-lock registry guard, timer, latency,
-counter, plus the idle condition). Deadlock freedom rests on every
-thread acquiring nested locks in one global order. This rule computes,
+:class:`repro.muppet.local.LocalMuppet` synchronizes with four locks
+(dispatch, the slate stripes, manager, timer). Deadlock freedom rests on
+every thread acquiring nested locks in one global order. This rule computes,
 per method, which locks the method acquires (transitively through
 ``self.`` calls within the module) and checks every nested acquisition
 against the canonical order below. Acquiring a lower-ranked lock while
@@ -12,14 +11,11 @@ rank is a self-deadlock (the locks are non-reentrant).
 
 Canonical order (acquire top-to-bottom, document changes in DESIGN.md)::
 
-    1. _dispatch_lock / _work_available   (same underlying lock)
-    2. per-slate locks (via _slate_lock)
+    1. _dispatch_lock / _drained   (same underlying lock, as is every
+       worker's ``cond``)
+    2. slate stripes (via _slate_lock; one at a time)
     3. _manager_lock
-    4. _slate_locks_guard
-    5. _timer_cond
-    6. _latency_lock
-    7. _counter_lock
-    8. _idle
+    4. _timer_cond
 
 The dynamic lock-order-graph check in :mod:`repro.analysis.races`
 verifies the same property at runtime; this rule catches inversions at
@@ -35,25 +31,17 @@ from repro.analysis.lint import Finding, LintRule, register_rule
 from repro.analysis.rules.base import dotted_name
 
 #: lock attribute -> rank. Aliases share a rank; nesting equal ranks is
-#: flagged (non-reentrant self-deadlock) except for the per-slate rank,
-#: where distinct keys are distinct locks by construction.
+#: flagged (non-reentrant self-deadlock), the slate rank included: two
+#: keys may share a stripe, so a thread holds one slate lock at a time.
 CANONICAL_LOCK_ORDER: Dict[str, int] = {
     "_dispatch_lock": 1,
-    "_work_available": 1,
+    "_drained": 1,
     "<slate>": 2,
     "_manager_lock": 3,
-    "_slate_locks_guard": 4,
-    "_timer_cond": 5,
-    "_latency_lock": 6,
-    "_counter_lock": 7,
-    "_idle": 8,
+    "_timer_cond": 4,
 }
 
-#: self-methods whose *call* implies acquiring a lock not visible as a
-#: lexical ``with`` at the call site.
-_IMPLIED_BY_CALL = {
-    "_slate_lock": "_slate_locks_guard",
-}
+_ORDER_TEXT = "dispatch < slate < manager < timer"
 
 
 def _lock_name(expr: ast.expr) -> Optional[str]:
@@ -69,7 +57,7 @@ def _lock_name(expr: ast.expr) -> Optional[str]:
     attr = name.split(".")[-1]
     if attr in CANONICAL_LOCK_ORDER:
         return attr
-    if "slate_lock" in attr and attr != "_slate_locks_guard":
+    if "slate_lock" in attr:
         return "<slate>"
     return None
 
@@ -81,8 +69,7 @@ class LockOrderRule(LintRule):
     code = "MUP008"
     name = "lock-order"
     description = ("nested lock acquisition in muppet/local.py violating "
-                   "the canonical order (dispatch < slate < manager < "
-                   "guard < timer < latency < counter < idle)")
+                   f"the canonical order ({_ORDER_TEXT})")
     include = (r"^repro/muppet/local\.py$",)
 
     def check(self, tree: ast.Module, relpath: str,
@@ -128,8 +115,6 @@ class LockOrderRule(LintRule):
                         method = callee.split(".", 1)[1]
                         if method in methods:
                             callees.add(method)
-                        if method in _IMPLIED_BY_CALL:
-                            acquired.add(_IMPLIED_BY_CALL[method])
             direct[name] = acquired
             calls[name] = callees
         summaries = {name: set(locks) for name, locks in direct.items()}
@@ -176,10 +161,6 @@ class LockOrderRule(LintRule):
                         self._check_acquisition(
                             lock, node, held, relpath, findings,
                             via=f"call to self.{method}()")
-                    if method in _IMPLIED_BY_CALL:
-                        self._check_acquisition(
-                            _IMPLIED_BY_CALL[method], node, held, relpath,
-                            findings, via=f"call to self.{method}()")
             # Recurse into nested control flow.
             for child_body in _inner_bodies(stmt):
                 self._check_body(child_body, held, methods, summaries,
@@ -192,15 +173,13 @@ class LockOrderRule(LintRule):
         rank = CANONICAL_LOCK_ORDER[lock]
         for held_lock, held_line in held:
             held_rank = CANONICAL_LOCK_ORDER[held_lock]
-            same_slate = lock == "<slate>" and held_lock == "<slate>"
-            if held_rank > rank or (held_rank == rank and not same_slate):
+            if held_rank >= rank:
                 how = f" ({via})" if via else ""
                 findings.append(self.finding(
                     relpath, node,
                     f"acquires {lock} (rank {rank}){how} while holding "
                     f"{held_lock} (rank {held_rank}, line {held_line}); "
-                    "canonical order is dispatch < slate < manager < "
-                    "guard < timer < latency < counter < idle"))
+                    f"canonical order is {_ORDER_TEXT}"))
 
 
 def _inner_bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:

@@ -11,13 +11,20 @@ Faithful details:
 
 * one shared operator instance per function ("each map and update function
   is constructed only once and shared by all threads");
-* one central slate cache/manager, with per-slate locks so that the up to
-  two threads the dispatcher may send one key to never corrupt a slate;
+* one central slate cache/manager, with striped slate locks so that the up
+  to two threads the dispatcher may send one key to never corrupt a slate;
 * primary/secondary two-choice dispatch with queue locking;
 * bounded queues with drop / divert / block-the-source overflow handling;
 * a background I/O thread that periodically flushes dirty slates to the
   key-value store;
 * timer support for windowed applications (hot topics, Example 5).
+
+Four locks, acquired in the order dispatch < slate stripe < manager < timer
+(lint rule MUP008). The dispatch lock guards the worker records, the
+in-flight count, the counters and the watermark; a delivery takes it to be
+enqueued, once more for everything its operator call emits, and once when
+its worker completes it and polls the next item. A parked worker waits on
+its own condition over that lock and is woken alone, by its enqueuer.
 """
 
 from __future__ import annotations
@@ -27,22 +34,26 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.application import Application
 from repro.core.event import Event, EventCounter
-from repro.core.operators import Context, Mapper, Operator, TimerRequest, Updater
-from repro.core.slate import Slate, SlateKey
+from repro.core.operators import Context, Operator, TimerRequest
+from repro.core.slate import SlateKey
 from repro.errors import (ConfigurationError, EngineStoppedError, StoreError,
                           WorkflowError)
 from repro.kvstore.api import ConsistencyLevel
 from repro.kvstore.cluster import ReplicatedKVStore
 from repro.metrics import LatencyRecorder
-from repro.muppet.dispatch import TwoChoiceDispatcher
+from repro.muppet.dispatch import KeyFn, TwoChoiceDispatcher
 from repro.muppet.queues import BoundedQueue, OverflowPolicy
 from repro.obs import MetricsRegistry
 from repro.shedding.thinning import Thinner, ThinningPolicy
 from repro.slates.manager import FlushPolicy, SlateManager
+
+#: Slate locks are a fixed array indexed by ``hash((updater, key))``: nothing
+#: to register or leak, and two slates sharing a stripe merely take turns.
+SLATE_LOCK_STRIPES = 256
 
 
 @dataclass
@@ -85,18 +96,37 @@ class LocalConfig:
                 f"{self.thin_queue_fraction!r}")
 
 
-class _WorkItem:
-    """One queued delivery: an event (or timer) for one function."""
+class _Route(NamedTuple):
+    """One subscriber of a stream, compiled from the workflow once."""
 
-    __slots__ = ("event", "dest_fn", "birth", "is_timer", "timer_payload")
+    name: str
+    instance: Operator
+    is_map: bool
+    publishes: Tuple[str, ...]
+    thinnable: bool
 
-    def __init__(self, event: Event, dest_fn: str, birth: float,
-                 is_timer: bool = False, timer_payload: Any = None) -> None:
-        self.event = event
-        self.dest_fn = dest_fn
-        self.birth = birth
-        self.is_timer = is_timer
-        self.timer_payload = timer_payload
+
+class _WorkItem(NamedTuple):
+    """One queued delivery: an event (or a fired timer) for one function."""
+
+    event: Event
+    route: _Route
+    birth: float
+    timer: Optional[TimerRequest] = None
+
+
+class _Worker:
+    """One pool thread's record, guarded by the dispatch lock: its queue,
+    the (key, function) it is executing (the dispatcher's affinity), the
+    condition over that lock it parks on, and whether it is parked."""
+
+    __slots__ = ("queue", "current", "cond", "parked")
+
+    def __init__(self, capacity: int, lock: Any) -> None:
+        self.queue: BoundedQueue[_WorkItem] = BoundedQueue(capacity)
+        self.current: Optional[KeyFn] = None
+        self.cond = threading.Condition(lock)
+        self.parked = False
 
 
 class LocalMuppet:
@@ -123,8 +153,7 @@ class LocalMuppet:
                  store: Optional[ReplicatedKVStore] = None) -> None:
         app.validate()
         self.app = app
-        self.config = config or LocalConfig()
-        cfg = self.config
+        cfg = self.config = config or LocalConfig()
         self.store = store if store is not None else ReplicatedKVStore(
             node_names=[f"kv{i}" for i in range(cfg.kv_nodes)],
             replication_factor=cfg.kv_replication,
@@ -142,39 +171,48 @@ class LocalMuppet:
         self.latency = LatencyRecorder()
         self.dispatcher = TwoChoiceDispatcher(cfg.num_threads,
                                               cfg.dispatch_factor)
-        self._instances: Dict[str, Operator] = {
-            spec.name: spec.instantiate() for spec in app.operators()
+        # The workflow, compiled once: operator -> route record, and
+        # stream -> its subscribers' routes in operator-name order.
+        self._streams = app.streams
+        self._route_of: Dict[str, _Route] = {
+            spec.name: _Route(spec.name, spec.instantiate(),
+                              spec.kind == "map", spec.publishes,
+                              spec.declares_thinnable())
+            for spec in app.operators()
         }
-        self._queues: List[BoundedQueue[_WorkItem]] = [
-            BoundedQueue(cfg.queue_capacity) for _ in range(cfg.num_threads)
-        ]
-        self._processing: List[Optional[Tuple[str, str]]] = (
-            [None] * cfg.num_threads)
+        self._routes: Dict[str, Tuple[_Route, ...]] = {
+            sid: tuple(self._route_of[spec.name]
+                       for spec in app.subscribers_of(sid))
+            for sid in app.streams.sids()
+        }
+        self._source_routes = {sid: self._routes[sid]
+                               for sid in app.streams.external_sids()}
         self._dispatch_lock = threading.Lock()
-        self._work_available = threading.Condition(self._dispatch_lock)
+        self._workers: List[_Worker] = [
+            _Worker(cfg.queue_capacity, self._dispatch_lock)
+            for _ in range(cfg.num_threads)
+        ]
+        #: Deliveries queued or executing; drain() waits on ``_drained``
+        #: (a condition over the dispatch lock) for it to reach zero.
+        self._inflight = 0
+        self._drained = threading.Condition(self._dispatch_lock)
         self._manager_lock = threading.Lock()
-        self._slate_locks: Dict[SlateKey, threading.Lock] = {}
-        self._slate_locks_guard = threading.Lock()
-        self._latency_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        #: Thinning state (None when disabled). The thinner's RNG and
-        #: decision counters are not atomic, so draws serialize on a
-        #: dedicated lock (leaf: taken with no other lock held).
+        self._slate_stripes: Tuple[Any, ...] = tuple(
+            threading.Lock() for _ in range(SLATE_LOCK_STRIPES))
+        #: None when thinning is off. Its RNG and decision counters are
+        #: not atomic: draws hold the dispatch lock.
         self._thinner = (Thinner(cfg.thinning, seed=cfg.thin_seed)
                          if cfg.thinning is not None else None)
-        self._thinnable = {s.name for s in app.thinnable_updaters()}
-        self._thin_lock = threading.Lock()
-        self._inflight = 0
-        self._idle = threading.Condition(threading.Lock())
         self._timers: List[Tuple[float, int, TimerRequest, float]] = []
         self._timer_seq = itertools.count()
-        self._timer_cond = threading.Condition()
-        #: Event-time watermark: the max source timestamp ingested so far.
-        #: Timers fire when the watermark passes their ``at_ts``.
+        self._timer_cond = threading.Condition(threading.Lock())
+        #: Event-time watermark: the max source timestamp ingested so far
+        #: (dispatch lock). Timers fire when it passes their ``at_ts``.
         self._watermark = float("-inf")
         self._threads: List[threading.Thread] = []
         self._running = False
-        self._stopped = False
+        #: Set by stop(); the flusher sleeps on it, so stop() never waits.
+        self._stopping = threading.Event()
         #: Operator invocations that raised; the event is logged as failed
         #: and the worker moves on (user code must not kill the engine).
         self.operator_errors = 0
@@ -189,23 +227,22 @@ class LocalMuppet:
         keep mutating their existing counters with zero added cost.
         """
         reg = self.metrics
+        queues = [worker.queue for worker in self._workers]
         reg.register_group("counters", self.counters.snapshot)
         reg.register_view("dispatch", self.dispatcher.stats)
         reg.register_view("slates", self.manager.stats)
         reg.register_group("queues", lambda: {
-            "depth": sum(len(q) for q in self._queues),
-            "peak": max((q.stats.peak_depth for q in self._queues),
-                        default=0),
-            "rejected": sum(q.stats.rejected for q in self._queues),
+            "depth": sum(len(q) for q in queues),
+            "peak": max(q.stats.peak_depth for q in queues),
+            "rejected": sum(q.stats.rejected for q in queues),
         })
         reg.register_group("kv", lambda: {
             f"{name}.{key}": value
             for name, stats in self.store.stats_by_node().items()
             for key, value in stats.items()
         })
-        reg.register_group("errors", lambda: {
-            "operator_errors": self.operator_errors,
-        })
+        reg.register_group(
+            "errors", lambda: {"operator_errors": self.operator_errors})
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """One flat, sorted name->value reading of every registered stat."""
@@ -216,32 +253,29 @@ class LocalMuppet:
         """Spin up worker, timer, and background-flush threads."""
         if self._running:
             return self
-        if self._stopped:
+        if self._stopping.is_set():
             raise EngineStoppedError("LocalMuppet cannot be restarted")
         self._running = True
-        for i in range(self.config.num_threads):
-            thread = threading.Thread(target=self._worker_loop, args=(i,),
-                                      name=f"muppet-worker-{i}", daemon=True)
+        loops = [(self._worker_loop, (worker,), f"muppet-worker-{i}")
+                 for i, worker in enumerate(self._workers)]
+        loops.append((self._flusher_loop, (), "muppet-flusher"))
+        loops.append((self._timer_loop, (), "muppet-timer"))
+        for target, args, name in loops:
+            thread = threading.Thread(target=target, args=args, name=name,
+                                      daemon=True)
             thread.start()
             self._threads.append(thread)
-        flusher = threading.Thread(target=self._flusher_loop,
-                                   name="muppet-flusher", daemon=True)
-        flusher.start()
-        self._threads.append(flusher)
-        timer = threading.Thread(target=self._timer_loop,
-                                 name="muppet-timer", daemon=True)
-        timer.start()
-        self._threads.append(timer)
         return self
 
     def stop(self) -> None:
         """Stop all threads and flush remaining dirty slates."""
         if not self._running:
             return
-        self._running = False
-        self._stopped = True
-        with self._work_available:
-            self._work_available.notify_all()
+        with self._dispatch_lock:
+            self._running = False
+            for worker in self._workers:
+                worker.cond.notify()
+        self._stopping.set()
         with self._timer_cond:
             self._timer_cond.notify_all()
         for thread in self._threads:
@@ -273,90 +307,85 @@ class LocalMuppet:
         """
         if not self._running:
             raise EngineStoppedError("runtime is not running")
-        spec = self.app.streams.spec(event.sid)
-        if not spec.external:
+        routes = self._source_routes.get(event.sid)
+        if routes is None:
+            self._streams.spec(event.sid)  # unknown stream: raises
             raise WorkflowError(
-                f"ingest targets external streams only, got {event.sid!r}"
-            )
-        stamped = self.app.streams.stamp(event)
-        with self._counter_lock:
-            self.counters.published += 1
-        with self._timer_cond:
-            if stamped.ts > self._watermark:
-                self._watermark = stamped.ts
-                self._timer_cond.notify_all()
+                f"ingest targets external streams only, got {event.sid!r}")
+        stamped = self._streams.stamp(event)
         birth = time.monotonic()  # noqa: MUP001 -- wall-clock latency birthstamp (threaded engine)
-        ok = True
-        for sub in self.app.subscribers_of(stamped.sid):
-            item = _WorkItem(stamped, sub.name, birth)
-            ok = self._dispatch(item, from_source=block,
-                                timeout=timeout) and ok
-        return ok
+        items = [_WorkItem(stamped, route, birth) for route in routes]
+        with self._dispatch_lock:
+            self.counters.published += 1
+            advanced = stamped.ts > self._watermark
+            if advanced:
+                self._watermark = stamped.ts
+            declined = self._place(items)
+        if advanced and self._timers:  # else nothing waits for the watermark
+            with self._timer_cond:
+                self._timer_cond.notify_all()
+        # A list, not a generator: every declined item gets its handling.
+        return not declined or all(
+            [self._overflow(item, block, timeout) for item in declined])
 
     def ingest_many(self, events, block: bool = True) -> int:
         """Feed a sequence of events; returns how many were accepted."""
-        accepted = 0
-        for event in events:
-            if self.ingest(event, block=block):
-                accepted += 1
-        return accepted
+        return sum(self.ingest(event, block=block) for event in events)
 
     # -- dispatch -----------------------------------------------------------------
-    def _dispatch(self, item: _WorkItem, from_source: bool = False,
-                  timeout: float = 30.0, allow_divert: bool = True) -> bool:
-        deadline = time.monotonic() + timeout  # noqa: MUP001 -- real throttling deadline (threaded engine)
-        while True:
-            with self._dispatch_lock:
-                lengths = [len(q) for q in self._queues]
-                index = self.dispatcher.choose(
-                    item.event.key, item.dest_fn, lengths, self._processing)
-                if self._queues[index].offer(item):
-                    self._inflight_add(1)
-                    self._work_available.notify_all()
-                    return True
-            # Queue full: apply the overflow policy (Section 4.3).
-            policy = self.config.overflow
-            if policy.kind == "drop" or not allow_divert:
-                with self._counter_lock:
-                    self.counters.dropped_overflow += 1
-                return False
-            if policy.kind == "divert":
-                return self._divert(item)
-            # throttle: block the source until space frees up.
-            if not from_source or time.monotonic() >= deadline:  # noqa: MUP001 -- real throttling deadline (threaded engine)
-                with self._counter_lock:
-                    self.counters.dropped_overflow += 1
-                return False
-            with self._counter_lock:
-                self.counters.throttled += 1
-            time.sleep(self.config.throttle_poll_s)  # noqa: MUP001 -- source backpressure needs real waiting (threaded engine)
+    def _place(self, items: Iterable[_WorkItem]) -> List[_WorkItem]:
+        """Offer each item to the queue two-choice dispatch picks, waking
+        its worker if parked. The caller holds the dispatch lock and hands
+        the returned declined items to :meth:`_overflow` after releasing."""
+        declined: List[_WorkItem] = []
+        workers = self._workers
+        for item in items:
+            worker = self.dispatcher.choose_workers(
+                item.event.key, item.route.name, workers)
+            if worker.queue.offer(item):
+                self._inflight += 1
+                if worker.parked:
+                    worker.parked = False
+                    worker.cond.notify()
+            else:
+                declined.append(item)
+        return declined
 
-    def _divert(self, item: _WorkItem) -> bool:
-        sid = self.config.overflow.overflow_sid
-        assert sid is not None
-        with self._counter_lock:
-            self.counters.diverted_overflow_stream += 1
-        # Pin the original replay-stable (origin, oseq) across the
-        # re-stamp: for a source event, provenance falls back to
-        # (sid, seq), which stamping onto the overflow stream would
-        # otherwise rewrite — the diverted copy must keep one identity.
-        origin, oseq = item.event.provenance()
-        diverted = self.app.streams.stamp(item.event.with_stream(sid))
-        diverted = diverted.with_provenance(origin, oseq)
-        delivered = False
-        for sub in self.app.subscribers_of(sid):
+    def _overflow(self, item: _WorkItem, from_source: bool = False,
+                  timeout: float = 30.0, allow_divert: bool = True) -> bool:
+        """Apply the overflow policy to an item its queue declined. Runs
+        with no lock held: throttling sleeps, diverting dispatches."""
+        policy = self.config.overflow
+        if policy.kind == "divert" and allow_divert:
+            # Pin the replay-stable (origin, oseq) across the re-stamp: a
+            # source event's provenance falls back to (sid, seq), which
+            # stamping onto the overflow stream would otherwise rewrite.
+            origin, oseq = item.event.provenance()
+            diverted = self._streams.stamp(
+                item.event.with_stream(policy.overflow_sid))
+            diverted = diverted.with_provenance(origin, oseq)
+            items = [_WorkItem(diverted, route, item.birth)
+                     for route in self._routes[diverted.sid]]
+            with self._dispatch_lock:
+                self.counters.diverted_overflow_stream += 1
+                declined = self._place(items)
             # A diverted event that overflows again is dropped — degraded
             # service must not recurse into further diversion.
-            delivered = self._dispatch(
-                _WorkItem(diverted, sub.name, item.birth),
-                allow_divert=False) or delivered
-        return delivered
-
-    def _inflight_add(self, delta: int) -> None:
-        with self._idle:
-            self._inflight += delta
-            if self._inflight == 0:
-                self._idle.notify_all()
+            for again in declined:
+                self._overflow(again, allow_divert=False)
+            return len(declined) < len(items)
+        if policy.kind == "throttle" and allow_divert and from_source:
+            deadline = time.monotonic() + timeout  # noqa: MUP001 -- real throttling deadline (threaded engine)
+            while time.monotonic() < deadline:  # noqa: MUP001 -- real throttling deadline (threaded engine)
+                with self._dispatch_lock:
+                    self.counters.throttled += 1
+                time.sleep(self.config.throttle_poll_s)  # noqa: MUP001 -- source backpressure needs real waiting (threaded engine)
+                with self._dispatch_lock:
+                    if not self._place((item,)):
+                        return True
+        with self._dispatch_lock:
+            self.counters.dropped_overflow += 1
+        return False
 
     def drain(self, timeout: float = 60.0, flush_timers: bool = True) -> bool:
         """Block until every queued/in-flight event has been processed.
@@ -368,83 +397,76 @@ class LocalMuppet:
         """
         deadline = time.monotonic() + timeout  # noqa: MUP001 -- real drain deadline (threaded engine)
         while True:
-            if not self._wait_idle(deadline):
-                return False
-            if not flush_timers:
-                return True
+            with self._drained:
+                while self._inflight > 0:
+                    remaining = deadline - time.monotonic()  # noqa: MUP001 -- real drain deadline (threaded engine)
+                    if remaining <= 0:
+                        return False
+                    self._drained.wait(min(remaining, 0.1))
             with self._timer_cond:
-                if not self._timers:
+                if not flush_timers or not self._timers:
                     return True
                 _, __, timer, birth = heapq.heappop(self._timers)
             self._fire_timer(timer, birth)
 
-    def _wait_idle(self, deadline: float) -> bool:
-        with self._idle:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()  # noqa: MUP001 -- real drain deadline (threaded engine)
-                if remaining <= 0:
-                    return False
-                self._idle.wait(min(remaining, 0.1))
-        return True
-
     # -- workers ----------------------------------------------------------------
-    def _worker_loop(self, index: int) -> None:
-        queue = self._queues[index]
+    def _worker_loop(self, worker: _Worker) -> None:
+        item, thinned, error = None, False, None
         while True:
-            with self._work_available:
-                item = queue.poll()
+            # One hold: account for the delivery just made, take the next.
+            with self._dispatch_lock:
+                if item is not None:
+                    if error is not None:
+                        self.operator_errors += 1
+                        self.last_error = error
+                    else:
+                        self.counters.processed += 1
+                        if thinned:
+                            self.counters.thinned += 1
+                    self._inflight -= 1
+                    if not self._inflight:
+                        self._drained.notify_all()
+                item = worker.queue.poll()
                 while item is None:
+                    worker.current = None
                     if not self._running:
                         return
-                    self._work_available.wait(0.1)
-                    item = queue.poll()
-                self._processing[index] = (item.event.key, item.dest_fn)
+                    worker.parked = True
+                    worker.cond.wait()
+                    item = worker.queue.poll()
+                worker.current = (item.event.key, item.route.name)
             try:
-                self._process(item)
+                thinned = self._process(item)
+                error = None
             except Exception as exc:
                 # A failing map/update costs one event, not the worker.
-                # last_error shares the counter lock so a status() reader
-                # never sees the count bumped without its exception.
-                with self._counter_lock:
-                    self.operator_errors += 1
-                    self.last_error = exc
-            finally:
-                with self._dispatch_lock:
-                    self._processing[index] = None
-                self._inflight_add(-1)
+                error = exc
 
-    def _process(self, item: _WorkItem) -> None:
-        spec = self.app.operator(item.dest_fn)
-        instance = self._instances[spec.name]
-        event = item.event
-        ctx = Context(spec.name, event.ts, spec.publishes, event.key)
-        if spec.kind == "map":
-            assert isinstance(instance, Mapper)
+    def _process(self, item: _WorkItem) -> bool:
+        """Run one delivery; True when thinning skipped the update."""
+        event, route, birth, timer = item
+        instance = route.instance
+        ctx = Context(route.name, event.ts, route.publishes, event.key)
+        if route.is_map:
             instance.map(ctx, event)
         else:
-            assert isinstance(instance, Updater)
-            weight = 1.0
-            if (self._thinner is not None and not item.is_timer
-                    and spec.name in self._thinnable
-                    and self._queue_pressure()
-                    >= self.config.thin_queue_fraction):
-                with self._thin_lock:
-                    keep, weight = self._thinner.decide(event.key)
-                if not keep:
-                    # Thinned: the slate read and update are skipped;
-                    # kept siblings apply with weight 1/p, keeping the
-                    # counters unbiased (see repro.shedding.thinning).
-                    with self._counter_lock:
-                        self.counters.thinned += 1
-                        self.counters.processed += 1
-                    return
-            slate_lock = self._slate_lock(SlateKey(spec.name, event.key))
-            with slate_lock:
+            keep, weight = True, 1.0
+            if (route.thinnable and self._thinner is not None
+                    and timer is None):
+                cfg = self.config
+                with self._dispatch_lock:
+                    worst = max(len(worker.queue) for worker in self._workers)
+                    if worst >= cfg.thin_queue_fraction * cfg.queue_capacity:
+                        keep, weight = self._thinner.decide(event.key)
+            if not keep:
+                # Thinned: no slate read, no update; kept siblings apply
+                # with weight 1/p (see repro.shedding.thinning).
+                return True
+            with self._slate_lock(route.name, event.key):
                 with self._manager_lock:
                     slate = self.manager.get(instance, event.key)
-                if item.is_timer:
-                    instance.on_timer(ctx, event.key, slate,
-                                      item.timer_payload)
+                if timer is not None:
+                    instance.on_timer(ctx, event.key, slate, timer.payload)
                 elif weight != 1.0:
                     instance.update_weighted(ctx, event, slate, weight)
                 else:
@@ -452,86 +474,73 @@ class LocalMuppet:
                 slate.touch(event.ts)
                 with self._manager_lock:
                     self.manager.note_update(slate)
-            if self.config.record_latency and not item.is_timer:
-                with self._latency_lock:
-                    self.latency.record(time.monotonic() - item.birth)  # noqa: MUP001 -- wall-clock latency measurement (threaded engine)
-        with self._counter_lock:
-            self.counters.processed += 1
-        for out in ctx.emitted:
-            stamped = self.app.streams.stamp(out, from_operator=True)
-            with self._counter_lock:
-                self.counters.published += 1
-            for sub in self.app.subscribers_of(stamped.sid):
-                self._dispatch(_WorkItem(stamped, sub.name, item.birth))
-        for timer in ctx.timers:
-            self._schedule_timer(timer, item.birth)
+            if self.config.record_latency and timer is None:
+                self.latency.record(time.monotonic() - birth)  # noqa: MUP001 -- wall-clock latency measurement (threaded engine)
+        if ctx.emitted:
+            outs: List[_WorkItem] = []
+            for out in ctx.emitted:
+                stamped = self._streams.stamp(out, from_operator=True)
+                for sub in self._routes[stamped.sid]:
+                    outs.append(_WorkItem(stamped, sub, birth))
+            with self._dispatch_lock:
+                self.counters.published += len(ctx.emitted)
+                declined = self._place(outs)
+            for late in declined:
+                self._overflow(late)
+        if ctx.timers:
+            # Event-time timers: each fires when the watermark (the max
+            # ingested source timestamp) passes its ``at_ts``.
+            with self._timer_cond:
+                for request in ctx.timers:
+                    heapq.heappush(self._timers, (
+                        request.at_ts, next(self._timer_seq), request, birth))
+                self._timer_cond.notify_all()
+        return False
 
-    def _queue_pressure(self) -> float:
-        """Worst queue depth fraction right now (thinning signal)."""
-        cap = self.config.queue_capacity or 1
-        with self._dispatch_lock:
-            worst = max((len(q) for q in self._queues), default=0)
-        return worst / cap
-
-    def _slate_lock(self, slate_key: SlateKey) -> threading.Lock:
-        with self._slate_locks_guard:
-            lock = self._slate_locks.get(slate_key)
-            if lock is None:
-                lock = threading.Lock()
-                self._slate_locks[slate_key] = lock
-            return lock
+    def _slate_lock(self, updater: str, key: str) -> Any:
+        """The stripe guarding slate ``S(updater, key)``."""
+        return self._slate_stripes[hash((updater, key)) % SLATE_LOCK_STRIPES]
 
     # -- timers -------------------------------------------------------------------
-    def _schedule_timer(self, timer: TimerRequest, birth: float) -> None:
-        """Register an event-time timer (fires when the watermark — the
-        max ingested source timestamp — passes its ``at_ts``)."""
-        with self._timer_cond:
-            heapq.heappush(self._timers,
-                           (timer.at_ts, next(self._timer_seq), timer, birth))
-            self._timer_cond.notify_all()
-
     def _fire_timer(self, timer: TimerRequest, birth: float) -> None:
-        timer_event = Event(sid=f"!timer:{timer.updater}",
-                            ts=timer.at_ts, key=timer.key)
-        item = _WorkItem(timer_event, timer.updater, birth,
-                         is_timer=True, timer_payload=timer.payload)
-        self._dispatch(item)
+        fired = Event(f"!timer:{timer.updater}", timer.at_ts, timer.key)
+        item = _WorkItem(fired, self._route_of[timer.updater], birth, timer)
+        with self._dispatch_lock:
+            declined = self._place((item,))
+        if declined:
+            self._overflow(item)
 
     def _timer_loop(self) -> None:
         while True:
-            fired: Optional[Tuple[TimerRequest, float]] = None
             with self._timer_cond:
                 if not self._running:
                     return
-                if self._timers and self._timers[0][0] <= self._watermark:
-                    _, __, timer, birth = heapq.heappop(self._timers)
-                    fired = (timer, birth)
-                else:
+                # The watermark is read without its lock (one float, only
+                # ever raised): ingest() notifies after raising it.
+                if not self._timers or self._timers[0][0] > self._watermark:
                     self._timer_cond.wait(0.05)
-            if fired is not None:
-                self._fire_timer(*fired)
+                    continue
+                _, __, timer, birth = heapq.heappop(self._timers)
+            self._fire_timer(timer, birth)
 
     # -- background flush ---------------------------------------------------------
     def _flusher_loop(self) -> None:
         """The Muppet 2.0 background kv-store I/O thread (Section 4.5).
 
-        Each slate is encoded under its own lock (then the manager
-        lock, the canonical order) so a worker running ``update()`` on
-        the same slate can never mutate its fields mid-encode — the
-        manager lock alone does not cover field mutation, which happens
-        under per-slate locks in :meth:`_process`. Keys are flushed in
-        sorted order so the kv write sequence is key-deterministic.
+        Each slate is encoded under its own lock (then the manager lock,
+        the canonical order) so a worker running ``update()`` on it can
+        never mutate its fields mid-encode — field mutation happens under
+        slate locks in :meth:`_process`, not the manager lock. Keys are
+        flushed in sorted order: the kv write sequence is key-deterministic.
         """
-        while self._running:
-            time.sleep(self.config.flusher_period_s)  # noqa: MUP001 -- real I/O pacing (threaded engine)
+        while not self._stopping.wait(self.config.flusher_period_s):
             with self._manager_lock:
                 if not self.manager.due():
                     continue
                 self.manager.mark_interval_flushed()
-                dirty = self.manager.dirty_keys()
-            dirty.sort(key=lambda sk: (sk.updater, sk.key))
+                dirty = sorted(self.manager.dirty_keys())
             for slate_key in dirty:
-                with self._slate_lock(slate_key):
+                with self._slate_lock(slate_key.updater, slate_key.key):
                     with self._manager_lock:
                         self.manager.flush_one(slate_key)
 
@@ -543,12 +552,9 @@ class LocalMuppet:
         Snapshots the slate under its lock so a concurrent ``update()``
         can never be observed mid-mutation.
         """
-        slate_key = SlateKey(updater, key)
-        with self._slate_lock(slate_key):
-            with self._manager_lock:
-                slate = self.manager.cache.peek(slate_key)
-                if slate is not None:
-                    return slate.as_dict()
+        cached = self._peek(updater, key)
+        if cached is not None:
+            return cached
         try:
             result = self.store.read(key, updater)
         except StoreError:
@@ -560,30 +566,24 @@ class LocalMuppet:
     def read_slates_of(self, updater: str) -> Dict[str, Dict[str, Any]]:
         """All cached slates of one updater, in sorted key order."""
         with self._manager_lock:
-            keys = [slate_key for slate_key in self.manager.cache.resident()
-                    if slate_key.updater == updater]
-        keys.sort(key=lambda sk: sk.key)
-        found: Dict[str, Dict[str, Any]] = {}
-        for slate_key in keys:
-            with self._slate_lock(slate_key):
-                with self._manager_lock:
-                    slate = self.manager.cache.peek(slate_key)
-                    if slate is not None:
-                        found[slate_key.key] = slate.as_dict()
-        return found
+            keys = sorted(slate_key.key
+                          for slate_key in self.manager.cache.resident()
+                          if slate_key.updater == updater)
+        found = ((key, self._peek(updater, key)) for key in keys)
+        return {key: fields for key, fields in found if fields is not None}
+
+    def _peek(self, updater: str, key: str) -> Optional[Dict[str, Any]]:
+        with self._slate_lock(updater, key):
+            with self._manager_lock:
+                slate = self.manager.cache.peek(SlateKey(updater, key))
+                return None if slate is None else slate.as_dict()
 
     def status(self) -> Dict[str, Any]:
-        """Basic status: queue depths and counters (Section 4.5's HTTP
-        status endpoint exposes "the event count of the largest event
-        queues")."""
+        """Queue depths and counters (Section 4.5's HTTP status endpoint
+        exposes "the event count of the largest event queues")."""
         with self._dispatch_lock:
-            depths = [len(q) for q in self._queues]
-        with self._counter_lock:
+            depths = [len(worker.queue) for worker in self._workers]
             counters = self.counters.snapshot()
-        return {
-            "queues": depths,
-            "largest_queue": max(depths) if depths else 0,
-            "counters": counters,
-            "threads": self.config.num_threads,
-            "running": self._running,
-        }
+        return {"queues": depths, "largest_queue": max(depths),
+                "counters": counters, "threads": self.config.num_threads,
+                "running": self._running}

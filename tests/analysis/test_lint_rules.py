@@ -39,7 +39,7 @@ _MIN_FINDINGS = {
     "MUP005": 1,
     "MUP006": 3,  # two field writes + object.__setattr__
     "MUP007": 2,  # bare except, except: pass
-    "MUP008": 2,  # slate-under-manager, latency-under-counter
+    "MUP008": 2,  # slate-under-manager, dispatch-under-timer
     "MUP009": 4,  # two dict literals, dataclasses.replace, aliased replace
     "MUP010": 4,  # .values(), set(...), time.time, .items()
 }

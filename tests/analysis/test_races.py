@@ -161,9 +161,63 @@ class TestInstrumentation:
         assert monitor.ordering_cycles() == []
         assert "no data races, no lock-order cycles" in monitor.report()
 
-    def test_smoke_run_observes_slate_and_counter_state(self):
+    def test_smoke_run_observes_slate_counter_and_worker_state(self):
         monitor = race_smoke_run(events=200, threads=2, keys=4)
         states = set(monitor._lockset)
         assert any(s.startswith("slate:U1/") for s in states)
-        assert any(s.startswith("counters.") for s in states)
-        assert "latency" in states
+        assert {"counters.published", "counters.processed"} <= states
+        for index in range(2):
+            assert {f"worker[{index}].current", f"worker[{index}].queue",
+                    f"worker[{index}].parked"} <= states
+        # Everything the dispatch lock guards is only ever touched
+        # under it; slates are touched under their stripe.
+        for state, lockset in monitor._lockset.items():
+            if state.startswith(("counters.", "worker[")):
+                assert "dispatch" in lockset, state
+            if state.startswith("slate:"):
+                assert any(name.startswith("slate[") for name in lockset)
+
+    def test_instrumented_engine_tracks_the_four_locks_and_the_stripes(self):
+        from repro.muppet.local import (SLATE_LOCK_STRIPES, LocalConfig,
+                                        LocalMuppet)
+        from tests.conftest import build_count_app
+
+        runtime = LocalMuppet(build_count_app(), LocalConfig(num_threads=3))
+        instrument_local_muppet(runtime)
+        dispatch = runtime._dispatch_lock
+        assert isinstance(dispatch, TrackedLock)
+        assert runtime._drained._lock is dispatch
+        assert all(worker.cond._lock is dispatch
+                   for worker in runtime._workers)
+        assert isinstance(runtime._manager_lock, TrackedLock)
+        assert isinstance(runtime._timer_cond._lock, TrackedLock)
+        stripes = runtime._slate_stripes
+        assert len(stripes) == SLATE_LOCK_STRIPES
+        assert {lock.group for lock in stripes} == {"slate"}
+        assert len({lock.name for lock in stripes}) == SLATE_LOCK_STRIPES
+
+    def test_lockset_catches_a_forgotten_dispatch_lock(self):
+        """Seeded mutant: a delivery path that bumps a counter without
+        the dispatch lock. Workers on two threads write it bare while
+        everyone else holds the lock — the candidate set empties."""
+        from repro.core import Event
+        from repro.muppet.local import LocalConfig, LocalMuppet
+        from tests.conftest import build_count_app
+
+        class ForgotTheLock(LocalMuppet):
+            def _process(self, item):
+                self.counters.published += 0  # mutant: no dispatch lock
+                return super()._process(item)
+
+        runtime = ForgotTheLock(build_count_app(),
+                                LocalConfig(num_threads=4))
+        monitor = instrument_local_muppet(runtime)
+        with runtime:
+            for i in range(400):
+                runtime.ingest(Event("S1", ts=i * 0.001, key=f"k{i % 8}"))
+            assert runtime.drain()
+            monitor.stop_recording()
+        raced = [race.state for race in monitor.races()]
+        assert raced == ["counters.published"]
+        assert "holding [<none>]" in monitor.races()[0].format()
+        assert monitor.ordering_cycles() == []
