@@ -75,7 +75,9 @@ def test_e3_throughput_and_memory(benchmark, experiment):
 def test_e3_wallclock_real_threads(benchmark, experiment):
     """E3c: the same comparison on *real threads* — LocalMuppet1 pays
     genuine per-event frame serialization through its conductor pipes;
-    LocalMuppet (2.0) shares one in-process instance and cache."""
+    LocalMuppet (2.0) shares one in-process instance and cache. Both are
+    layouts of one engine (same queues, locks, flusher), so the gap is
+    the four Section 4.5 differences alone."""
     import time
 
     from repro.muppet.local import LocalConfig, LocalMuppet

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Muppet 1.0 versus 2.0 on real threads (Section 4.5).
 
-Runs the retailer application on both real-thread runtimes:
+Runs the retailer application on both worker layouts of the real-thread
+engine:
 
 * ``LocalMuppet1`` — worker-per-function threads; every event (and every
   slate, both directions) crosses a genuine framed conductor pipe;
@@ -9,8 +10,10 @@ Runs the retailer application on both real-thread runtimes:
 * ``LocalMuppet``  — the 2.0 redesign: a thread pool, shared operator
   instances, one central cache, two-choice dispatch, zero in-machine IPC.
 
-Both produce identical slates; the run prints the throughput gap and the
-measured IPC traffic that 2.0 eliminated.
+Everything else — queues, locks, wake-ups, flusher — is the same code, so
+the gap is those differences alone. Both produce identical slates; the
+run prints the throughput gap and the measured IPC traffic that 2.0
+eliminated.
 
 Run:  python examples/muppet1_vs_muppet2.py
 """

@@ -1,6 +1,7 @@
 """Dynamic lockset race detection for the threaded engine.
 
-:class:`repro.muppet.local.LocalMuppet` is the one component the
+:class:`repro.muppet.local.ThreadedEngine` (``LocalMuppet`` and
+``LocalMuppet1`` are its two worker layouts) is the one component the
 virtual-clock determinism gate cannot cover — it runs real threads, so
 its bugs are schedules, not states. This module instruments a runtime
 *before* it starts: every engine lock is wrapped in a
@@ -43,7 +44,6 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.operators import Updater
 from repro.errors import AnalysisError
 
 __all__ = [
@@ -273,21 +273,24 @@ class TrackedLock:
 
 class _MonitoredFields:
     """Attribute proxy over a shared record (the EventCounter, a worker
-    record), reporting each field access as ``<name>.<field>``."""
+    record), reporting each field access as ``<name>.<field>``. With
+    ``only``, the other fields are write-once and read through unreported."""
 
-    __slots__ = ("_target", "_monitor", "_name")
+    __slots__ = ("_target", "_monitor", "_name", "_only")
 
-    def __init__(self, target: Any, monitor: LockMonitor,
-                 name: str) -> None:
+    def __init__(self, target: Any, monitor: LockMonitor, name: str,
+                 only: Optional[Tuple[str, ...]] = None) -> None:
         object.__setattr__(self, "_target", target)
         object.__setattr__(self, "_monitor", monitor)
         object.__setattr__(self, "_name", name)
+        object.__setattr__(self, "_only", only)
 
-    # The three slots resolve by normal lookup; __getattr__ only sees
+    # The four slots resolve by normal lookup; __getattr__ only sees
     # the target's fields.
     def __getattr__(self, field: str) -> Any:
         value = getattr(self._target, field)
-        if not callable(value):
+        if not callable(value) and (self._only is None
+                                    or field in self._only):
             self._monitor.record_access(f"{self._name}.{field}", "read")
         return value
 
@@ -299,7 +302,8 @@ class _MonitoredFields:
 def instrument_local_muppet(runtime: Any,
                             monitor: Optional[LockMonitor] = None
                             ) -> LockMonitor:
-    """Swap a LocalMuppet's locks and shared state for tracked shims.
+    """Swap a threaded engine's locks and shared state for tracked shims
+    (either worker layout).
 
     Must run before ``runtime.start()`` — each worker thread is handed
     its worker record at start. Returns the monitor (a fresh one if none
@@ -326,22 +330,38 @@ def instrument_local_muppet(runtime: Any,
 
     # 3. Shared state: the counters and the worker records (queue,
     #    current, parked) the dispatcher and the pool threads read and
-    #    write. Latency samples are appended unlocked (atomic append).
+    #    write; a record's other fields (its manager, a 1.0 worker's
+    #    pipe) are set once and read with no lock. Latency samples are
+    #    appended unlocked (atomic append).
     runtime.counters = _MonitoredFields(runtime.counters, mon, "counters")
     for index, worker in enumerate(runtime._workers):
         worker.cond = threading.Condition(dispatch)
         runtime._workers[index] = _MonitoredFields(
-            worker, mon, f"worker[{index}]")
+            worker, mon, f"worker[{index}]",
+            only=("queue", "current", "cond", "parked"))
 
-    # 4. Slate field accesses. Writes happen inside updater.update() /
-    #    on_timer() (under the per-slate lock); the flusher's encode is
-    #    a read of the same fields. Recording both lets the lockset
-    #    algorithm see whether any one lock covers slate mutation.
-    for op_name, route in runtime._route_of.items():
-        if isinstance(route.instance, Updater):
-            _shim_updater(route.instance, op_name, mon)
+    # 4. Slate field accesses. Writes happen inside the operator call
+    #    the layout's _invoke() makes (under the slate's stripe); the
+    #    flusher's encode is a read of the same fields. Recording both
+    #    lets the lockset algorithm see whether any one lock covers slate
+    #    mutation.
+    invoke = runtime._invoke
 
-    manager = runtime.manager
+    def _tracked_invoke(worker: Any, item: Any, ctx: Any, slate: Any,
+                        weight: float) -> None:
+        if slate is not None:
+            mon.record_access(
+                f"slate:{item.route.name}/{item.event.key}", "write")
+        invoke(worker, item, ctx, slate, weight)
+
+    runtime._invoke = _tracked_invoke
+    for manager in runtime._managers:
+        _track_flushes(manager, mon)
+    return mon
+
+
+def _track_flushes(manager: Any, mon: LockMonitor) -> None:
+    """Record a slate read for every slate a flush call encodes."""
 
     def _record_dirty_reads() -> None:
         for slate_key in manager.dirty_keys():
@@ -370,32 +390,14 @@ def instrument_local_muppet(runtime: Any,
     manager.flush_due = _tracked_flush_due
     manager.flush_all_dirty = _tracked_flush_all_dirty
     manager.flush_one = _tracked_flush_one
-    return mon
-
-
-def _shim_updater(instance: Any, op_name: str, mon: LockMonitor) -> None:
-    """Record a slate write around ``update``/``on_timer`` calls."""
-    update = instance.update
-    on_timer = instance.on_timer
-
-    def _tracked_update(ctx: Any, event: Any, slate: Any) -> None:
-        mon.record_access(f"slate:{op_name}/{event.key}", "write")
-        update(ctx, event, slate)
-
-    def _tracked_on_timer(ctx: Any, key: Any, slate: Any,
-                          payload: Any) -> None:
-        mon.record_access(f"slate:{op_name}/{key}", "write")
-        on_timer(ctx, key, slate, payload)
-
-    instance.update = _tracked_update
-    instance.on_timer = _tracked_on_timer
 
 
 # -- the CI smoke run ---------------------------------------------------------
 def race_smoke_run(events: int = 2000, threads: int = 4, keys: int = 16,
                    flush_every_s: float = 0.02,
                    build: Optional[Callable[[], Any]] = None) -> LockMonitor:
-    """Run an instrumented LocalMuppet under churn; return the monitor.
+    """Run both worker layouts, instrumented, under churn; return the
+    monitor they share.
 
     The workload is tuned to exercise every lock pair: many keys (slate
     lock contention), a short flush interval (flusher vs. worker), and
@@ -403,8 +405,9 @@ def race_smoke_run(events: int = 2000, threads: int = 4, keys: int = 16,
     workers. CI asserts the result is race- and cycle-free.
     """
     from repro.core.application import Application
-    from repro.core.operators import Mapper
+    from repro.core.operators import Mapper, Updater
     from repro.muppet.local import LocalConfig, LocalMuppet
+    from repro.muppet.local1 import Local1Config, LocalMuppet1
     from repro.slates.manager import FlushPolicy
 
     if build is None:
@@ -429,15 +432,21 @@ def race_smoke_run(events: int = 2000, threads: int = 4, keys: int = 16,
 
     from repro.core.event import Event
 
-    config = LocalConfig(num_threads=threads,
-                         flush_policy=FlushPolicy.every(flush_every_s),
-                         flusher_period_s=flush_every_s / 2)
-    runtime = LocalMuppet(build(), config)
-    monitor = instrument_local_muppet(runtime)
-    with runtime:
-        for i in range(events):
-            runtime.ingest(Event("S1", ts=i * 0.001, key=f"k{i % keys}",
-                                 value=i))
-        runtime.drain()
+    flushing = dict(flush_policy=FlushPolicy.every(flush_every_s),
+                    flusher_period_s=flush_every_s / 2)
+    pool = LocalMuppet(build(), LocalConfig(num_threads=threads, **flushing))
+    per_function = LocalMuppet1(build(), Local1Config(
+        workers_per_function=max(1, threads // 2), **flushing))
+    monitor = LockMonitor()
+    for runtime in (pool, per_function):
+        instrument_local_muppet(runtime, monitor)
+    # Both stay up until recording stops: stop()'s final flush runs once
+    # the workers are joined, holding no stripe.
+    with pool, per_function:
+        for runtime in (pool, per_function):
+            for i in range(events):
+                runtime.ingest(Event("S1", ts=i * 0.001, key=f"k{i % keys}",
+                                     value=i))
+            runtime.drain()
         monitor.stop_recording()
     return monitor

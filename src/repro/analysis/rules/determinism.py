@@ -19,9 +19,10 @@ enters this codebase, at the line that introduces it:
 * **MUP003** — iteration over ``set(...)``/``.values()``/``.keys()``/
   ``.items()`` inside ordering-sensitive sinks (functions whose name
   marks them as flush/report/snapshot/dump paths) without a ``sorted``
-  wrapper. Set order is salted per process; dict order is insertion
-  order, which in threaded code is arrival order — both leak schedule
-  nondeterminism into reports and flush sequences.
+  wrapper, directly or through a local name assigned one of them. Set
+  order is salted per process (or, for objects, address order); dict
+  order is insertion order, which in threaded code is arrival order —
+  both leak schedule nondeterminism into reports and flush sequences.
 """
 
 from __future__ import annotations
@@ -177,6 +178,10 @@ class UnorderedIterationRule(LintRule):
                     iters.extend(gen.iter for gen in node.generators)
                 for it in iters:
                     reason = self._unordered(it)
+                    if reason is None and isinstance(it, ast.Name):
+                        value = self._latest_assignment(func, it)
+                        if value is not None:
+                            reason = self._unordered(value)
                     if reason is not None:
                         findings.append(self.finding(
                             relpath, it,
@@ -186,8 +191,23 @@ class UnorderedIterationRule(LintRule):
         return findings
 
     @staticmethod
-    def _unordered(node: ast.expr) -> Optional[str]:
+    def _latest_assignment(func: ast.AST, name: ast.Name
+                           ) -> Optional[ast.expr]:
+        """What ``name`` was last assigned in ``func`` above its use."""
+        assigned = [node for node in ast.walk(func)
+                    if isinstance(node, ast.Assign)
+                    and node.lineno < name.lineno
+                    and any(isinstance(target, ast.Name)
+                            and target.id == name.id
+                            for target in node.targets)]
+        return (max(assigned, key=lambda node: node.lineno).value
+                if assigned else None)
+
+    @classmethod
+    def _unordered(cls, node: ast.expr) -> Optional[str]:
         """Name the unordered collection, or ``None`` if ordered."""
+        if isinstance(node, ast.IfExp):
+            return cls._unordered(node.body) or cls._unordered(node.orelse)
         if isinstance(node, (ast.Set, ast.SetComp)):
             return "a set"
         if isinstance(node, ast.Call):

@@ -125,12 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     races = tool.add_parser("races",
                             help="lockset race + lock-order-cycle "
-                                 "detection over an instrumented "
-                                 "LocalMuppet smoke run")
+                                 "detection over an instrumented smoke "
+                                 "run of both threaded worker layouts")
     races.add_argument("--events", type=int, default=2000,
                        help="events to ingest (default: 2000)")
     races.add_argument("--threads", type=int, default=4,
-                       help="worker threads (default: 4)")
+                       help="worker threads per layout (default: 4)")
     races.add_argument("--keys", type=int, default=16,
                        help="distinct keys (default: 16)")
 
@@ -229,6 +229,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"engine={args.engine}; ingested {accepted} events; "
           f"drained={drained}")
     print(json.dumps(counters, indent=2))
+    if runtime.operator_errors:
+        print(f"operator errors: {runtime.operator_errors} "
+              f"(last: {runtime.last_error!r})")
     if runtime.latency.samples:
         summary = runtime.latency.summary()
         print(f"latency: p50={summary.p50 * 1e3:.2f} ms  "

@@ -2,8 +2,9 @@
 
 The cluster engines (Muppet 1.0 worker processes, Muppet 2.0 thread
 pools) live in :mod:`repro.sim.runtime`, which runs them on a simulated
-cluster; :class:`LocalMuppet` here is the real-thread single-machine
-Muppet 2.0 runtime used by examples and wall-clock benchmarks.
+cluster; :class:`LocalMuppet` and :class:`LocalMuppet1` here are the 2.0
+and 1.0 worker layouts of the one real-thread single-machine engine
+(:mod:`repro.muppet.local`) used by examples and wall-clock benchmarks.
 
 Section 5's "ongoing extensions" are implemented as opt-in modules:
 :mod:`repro.muppet.replay` (event replay after failures),

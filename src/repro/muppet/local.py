@@ -1,30 +1,30 @@
-"""LocalMuppet: a real-thread, single-machine Muppet 2.0 runtime.
+"""The real-thread, single-machine Muppet engine and its 2.0 worker layout.
 
 Where :mod:`repro.sim` reproduces cluster-scale behaviour under a virtual
-clock, this module is Muppet 2.0 on one actual machine, with actual
-threads — "we start up many threads of execution in a dedicated thread
-pool per machine. Each thread in this thread pool is now a worker, capable
-of running any map or update function" (Section 4.5). It powers the
-runnable examples and the wall-clock pytest benchmarks.
+clock, this module is Muppet on one actual machine, with actual threads.
+It powers the runnable examples and the wall-clock pytest benchmarks.
 
-Faithful details:
+:class:`ThreadedEngine` is the one delivery path: compiled routes, bounded
+queues with drop / divert / block-the-source overflow handling, a
+background I/O thread that periodically flushes dirty slates to the
+key-value store, and watermark timers for windowed applications (hot
+topics, Example 5). A worker layout adds the pool and how an operator runs.
 
-* one shared operator instance per function ("each map and update function
-  is constructed only once and shared by all threads");
-* one central slate cache/manager, with striped slate locks so that the up
-  to two threads the dispatcher may send one key to never corrupt a slate;
-* primary/secondary two-choice dispatch with queue locking;
-* bounded queues with drop / divert / block-the-source overflow handling;
-* a background I/O thread that periodically flushes dirty slates to the
-  key-value store;
-* timer support for windowed applications (hot topics, Example 5).
+:class:`LocalMuppet` is the Muppet 2.0 layout — "we start up many threads
+of execution in a dedicated thread pool per machine. Each thread in this
+thread pool is now a worker, capable of running any map or update
+function" (Section 4.5): one operator instance per function ("constructed
+only once and shared by all threads"), one central slate manager,
+primary/secondary two-choice dispatch, the operator called directly.
+:class:`repro.muppet.local1.LocalMuppet1` is the 1.0 layout.
 
 Four locks, acquired in the order dispatch < slate stripe < manager < timer
-(lint rule MUP008). The dispatch lock guards the worker records, the
-in-flight count, the counters and the watermark; a delivery takes it to be
-enqueued, once more for everything its operator call emits, and once when
-its worker completes it and polls the next item. A parked worker waits on
-its own condition over that lock and is woken alone, by its enqueuer.
+(lint rule MUP008), in either layout. The dispatch lock guards the worker
+records, the in-flight count, the counters and the watermark; a delivery
+takes it to be enqueued, once more for everything its operator call emits,
+and once when its worker completes it and polls the next item. A parked
+worker waits on its own condition over that lock and is woken alone, by
+its enqueuer. Every slate manager is entered under the one manager lock.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 from repro.core.application import Application
 from repro.core.event import Event, EventCounter
 from repro.core.operators import Context, Operator, TimerRequest
-from repro.core.slate import SlateKey
+from repro.core.slate import Slate, SlateKey
 from repro.errors import (ConfigurationError, EngineStoppedError, StoreError,
                           WorkflowError)
 from repro.kvstore.api import ConsistencyLevel
@@ -49,22 +49,20 @@ from repro.muppet.dispatch import KeyFn, TwoChoiceDispatcher
 from repro.muppet.queues import BoundedQueue, OverflowPolicy
 from repro.obs import MetricsRegistry
 from repro.shedding.thinning import Thinner, ThinningPolicy
-from repro.slates.manager import FlushPolicy, SlateManager
+from repro.slates.manager import (FlushPolicy, SlateManager,
+                                  SlateManagerStats)
 
 #: Slate locks are a fixed array indexed by ``hash((updater, key))``: nothing
 #: to register or leak, and two slates sharing a stripe merely take turns.
 SLATE_LOCK_STRIPES = 256
 
 
-@dataclass
-class LocalConfig:
-    """Knobs for the local thread runtime."""
+@dataclass(kw_only=True)
+class ThreadedConfig:
+    """The knobs both worker layouts honour, declared once."""
 
-    num_threads: int = 4
     queue_capacity: int = 10_000
     overflow: OverflowPolicy = field(default_factory=OverflowPolicy.drop)
-    dispatch_factor: float = 2.0
-    cache_slates: int = 100_000
     flush_policy: FlushPolicy = field(
         default_factory=lambda: FlushPolicy.every(0.5))
     consistency: ConsistencyLevel = ConsistencyLevel.ONE
@@ -86,14 +84,25 @@ class LocalConfig:
     thin_queue_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.num_threads < 1:
-            raise ConfigurationError("num_threads must be >= 1")
         if self.throttle_poll_s <= 0:
             raise ConfigurationError("throttle_poll_s must be positive")
         if not 0.0 < self.thin_queue_fraction <= 1.0:
             raise ConfigurationError(
                 "thin_queue_fraction must be in (0, 1], got "
                 f"{self.thin_queue_fraction!r}")
+
+
+@dataclass
+class LocalConfig(ThreadedConfig):
+    """Knobs for the 2.0 thread pool."""
+
+    num_threads: int = 4
+    cache_slates: int = 100_000
+
+    def __post_init__(self) -> None:
+        if self.num_threads < 1:
+            raise ConfigurationError("num_threads must be >= 1")
+        super().__post_init__()
 
 
 class _Route(NamedTuple):
@@ -116,61 +125,47 @@ class _WorkItem(NamedTuple):
 
 
 class _Worker:
-    """One pool thread's record, guarded by the dispatch lock: its queue,
-    the (key, function) it is executing (the dispatcher's affinity), the
-    condition over that lock it parks on, and whether it is parked."""
+    """One pool thread's record. The dispatch lock guards its queue, the
+    (key, function) it is executing (the dispatcher's affinity), the
+    condition over that lock it parks on, and whether it is parked; the
+    slate manager it reads and writes is set once."""
 
-    __slots__ = ("queue", "current", "cond", "parked")
+    __slots__ = ("queue", "current", "cond", "parked", "manager")
 
-    def __init__(self, capacity: int, lock: Any) -> None:
+    def __init__(self, capacity: int, lock: Any,
+                 manager: SlateManager) -> None:
         self.queue: BoundedQueue[_WorkItem] = BoundedQueue(capacity)
         self.current: Optional[KeyFn] = None
         self.cond = threading.Condition(lock)
         self.parked = False
+        self.manager = manager
 
 
-class LocalMuppet:
+class ThreadedEngine:
     """Run one MapUpdate application on local threads.
 
-    Typical use::
-
-        runtime = LocalMuppet(app, LocalConfig(num_threads=4))
-        runtime.start()
-        for event in events:
-            runtime.ingest(event)
-        runtime.drain()
-        counts = runtime.read_slate("U1", "walmart")
-        runtime.stop()
-
-    Or as a context manager (start/stop automatic)::
-
-        with LocalMuppet(app) as runtime:
-            ...
+    A subclass is a worker layout. Its ``_build_pool()`` returns the worker
+    records (over ``self._dispatch_lock``, each with the slate manager it
+    uses) and the object whose ``choose_workers(key, function, workers)``
+    places a delivery; its ``_invoke(worker, item, ctx, slate, weight)``
+    runs the operator — ``map`` when ``slate`` is None, else ``on_timer`` /
+    ``update_weighted`` / ``update`` — leaving outputs and timers in ``ctx``;
+    its ``config_type`` is the :class:`ThreadedConfig` built when none is given.
     """
 
     def __init__(self, app: Application,
-                 config: Optional[LocalConfig] = None,
+                 config: Optional[ThreadedConfig] = None,
                  store: Optional[ReplicatedKVStore] = None) -> None:
         app.validate()
         self.app = app
-        cfg = self.config = config or LocalConfig()
+        cfg = self.config = config or self.config_type()
         self.store = store if store is not None else ReplicatedKVStore(
             node_names=[f"kv{i}" for i in range(cfg.kv_nodes)],
             replication_factor=cfg.kv_replication,
             clock=time.monotonic,  # noqa: MUP001 -- threaded engine: real kv timestamps/TTLs by design
         )
-        self.manager = SlateManager(
-            store=self.store,
-            cache_capacity=cfg.cache_slates,
-            flush_policy=cfg.flush_policy,
-            clock=time.monotonic,  # noqa: MUP001 -- threaded engine: real flush intervals by design
-            consistency=cfg.consistency,
-            max_slate_bytes=cfg.max_slate_bytes,
-        )
         self.counters = EventCounter()
         self.latency = LatencyRecorder()
-        self.dispatcher = TwoChoiceDispatcher(cfg.num_threads,
-                                              cfg.dispatch_factor)
         # The workflow, compiled once: operator -> route record, and
         # stream -> its subscribers' routes in operator-name order.
         self._streams = app.streams
@@ -188,10 +183,11 @@ class LocalMuppet:
         self._source_routes = {sid: self._routes[sid]
                                for sid in app.streams.external_sids()}
         self._dispatch_lock = threading.Lock()
-        self._workers: List[_Worker] = [
-            _Worker(cfg.queue_capacity, self._dispatch_lock)
-            for _ in range(cfg.num_threads)
-        ]
+        self._workers, self.dispatcher = self._build_pool()
+        #: Every slate manager the workers use (one shared, or one each),
+        #: in worker order: what the flusher, stop() and the reads visit.
+        self._managers: List[SlateManager] = list(dict.fromkeys(
+            worker.manager for worker in self._workers))
         #: Deliveries queued or executing; drain() waits on ``_drained``
         #: (a condition over the dispatch lock) for it to reach zero.
         self._inflight = 0
@@ -230,7 +226,10 @@ class LocalMuppet:
         queues = [worker.queue for worker in self._workers]
         reg.register_group("counters", self.counters.snapshot)
         reg.register_view("dispatch", self.dispatcher.stats)
-        reg.register_view("slates", self.manager.stats)
+        reg.register_group("slates", lambda: {
+            name: sum(getattr(manager.stats, name)
+                      for manager in self._managers)
+            for name in SlateManagerStats.__slots__})
         reg.register_group("queues", lambda: {
             "depth": sum(len(q) for q in queues),
             "peak": max(q.stats.peak_depth for q in queues),
@@ -248,13 +247,20 @@ class LocalMuppet:
         """One flat, sorted name->value reading of every registered stat."""
         return self.metrics.snapshot()
 
+    def _new_manager(self, cache_capacity: int) -> SlateManager:
+        cfg = self.config
+        return SlateManager(
+            self.store, cache_capacity, flush_policy=cfg.flush_policy,
+            clock=time.monotonic,  # noqa: MUP001 -- threaded engine: real flush intervals by design
+            consistency=cfg.consistency, max_slate_bytes=cfg.max_slate_bytes)
+
     # -- lifecycle ------------------------------------------------------------
-    def start(self) -> "LocalMuppet":
+    def start(self) -> "ThreadedEngine":
         """Spin up worker, timer, and background-flush threads."""
         if self._running:
             return self
         if self._stopping.is_set():
-            raise EngineStoppedError("LocalMuppet cannot be restarted")
+            raise EngineStoppedError("a stopped engine cannot be restarted")
         self._running = True
         loops = [(self._worker_loop, (worker,), f"muppet-worker-{i}")
                  for i, worker in enumerate(self._workers)]
@@ -281,9 +287,10 @@ class LocalMuppet:
         for thread in self._threads:
             thread.join(timeout=5.0)
         with self._manager_lock:
-            self.manager.flush_all_dirty()
+            for manager in self._managers:
+                manager.flush_all_dirty()
 
-    def __enter__(self) -> "LocalMuppet":
+    def __enter__(self) -> "ThreadedEngine":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
@@ -436,44 +443,39 @@ class LocalMuppet:
                     item = worker.queue.poll()
                 worker.current = (item.event.key, item.route.name)
             try:
-                thinned = self._process(item)
+                thinned = self._process(worker, item)
                 error = None
             except Exception as exc:
                 # A failing map/update costs one event, not the worker.
                 error = exc
 
-    def _process(self, item: _WorkItem) -> bool:
+    def _process(self, worker: _Worker, item: _WorkItem) -> bool:
         """Run one delivery; True when thinning skipped the update."""
         event, route, birth, timer = item
-        instance = route.instance
         ctx = Context(route.name, event.ts, route.publishes, event.key)
         if route.is_map:
-            instance.map(ctx, event)
+            self._invoke(worker, item, ctx, None, 1.0)
         else:
             keep, weight = True, 1.0
             if (route.thinnable and self._thinner is not None
                     and timer is None):
                 cfg = self.config
                 with self._dispatch_lock:
-                    worst = max(len(worker.queue) for worker in self._workers)
+                    worst = max(len(other.queue) for other in self._workers)
                     if worst >= cfg.thin_queue_fraction * cfg.queue_capacity:
                         keep, weight = self._thinner.decide(event.key)
             if not keep:
                 # Thinned: no slate read, no update; kept siblings apply
                 # with weight 1/p (see repro.shedding.thinning).
                 return True
+            manager = worker.manager
             with self._slate_lock(route.name, event.key):
                 with self._manager_lock:
-                    slate = self.manager.get(instance, event.key)
-                if timer is not None:
-                    instance.on_timer(ctx, event.key, slate, timer.payload)
-                elif weight != 1.0:
-                    instance.update_weighted(ctx, event, slate, weight)
-                else:
-                    instance.update(ctx, event, slate)
+                    slate = manager.get(route.instance, event.key)
+                self._invoke(worker, item, ctx, slate, weight)
                 slate.touch(event.ts)
                 with self._manager_lock:
-                    self.manager.note_update(slate)
+                    manager.note_update(slate)
             if self.config.record_latency and timer is None:
                 self.latency.record(time.monotonic() - birth)  # noqa: MUP001 -- wall-clock latency measurement (threaded engine)
         if ctx.emitted:
@@ -525,7 +527,7 @@ class LocalMuppet:
 
     # -- background flush ---------------------------------------------------------
     def _flusher_loop(self) -> None:
-        """The Muppet 2.0 background kv-store I/O thread (Section 4.5).
+        """The background kv-store I/O thread (Section 4.5).
 
         Each slate is encoded under its own lock (then the manager lock,
         the canonical order) so a worker running ``update()`` on it can
@@ -534,15 +536,16 @@ class LocalMuppet:
         flushed in sorted order: the kv write sequence is key-deterministic.
         """
         while not self._stopping.wait(self.config.flusher_period_s):
-            with self._manager_lock:
-                if not self.manager.due():
-                    continue
-                self.manager.mark_interval_flushed()
-                dirty = sorted(self.manager.dirty_keys())
-            for slate_key in dirty:
-                with self._slate_lock(slate_key.updater, slate_key.key):
-                    with self._manager_lock:
-                        self.manager.flush_one(slate_key)
+            for manager in self._managers:
+                with self._manager_lock:
+                    if not manager.due():
+                        continue
+                    manager.mark_interval_flushed()
+                    dirty = sorted(manager.dirty_keys())
+                for slate_key in dirty:
+                    with self._slate_lock(slate_key.updater, slate_key.key):
+                        with self._manager_lock:
+                            manager.flush_one(slate_key)
 
     # -- reads -------------------------------------------------------------------
     def read_slate(self, updater: str, key: str) -> Optional[Dict[str, Any]]:
@@ -561,22 +564,27 @@ class LocalMuppet:
             return None
         if result.value is None:
             return None
-        return self.manager.codec.decode(result.value)
+        return self._managers[0].codec.decode(result.value)
 
     def read_slates_of(self, updater: str) -> Dict[str, Dict[str, Any]]:
         """All cached slates of one updater, in sorted key order."""
         with self._manager_lock:
             keys = sorted(slate_key.key
-                          for slate_key in self.manager.cache.resident()
+                          for manager in self._managers
+                          for slate_key in manager.cache.resident()
                           if slate_key.updater == updater)
         found = ((key, self._peek(updater, key)) for key in keys)
         return {key: fields for key, fields in found if fields is not None}
 
     def _peek(self, updater: str, key: str) -> Optional[Dict[str, Any]]:
+        slate_key = SlateKey(updater, key)
         with self._slate_lock(updater, key):
             with self._manager_lock:
-                slate = self.manager.cache.peek(SlateKey(updater, key))
-                return None if slate is None else slate.as_dict()
+                for manager in self._managers:
+                    slate = manager.cache.peek(slate_key)
+                    if slate is not None:
+                        return slate.as_dict()
+        return None
 
     def status(self) -> Dict[str, Any]:
         """Queue depths and counters (Section 4.5's HTTP status endpoint
@@ -585,5 +593,41 @@ class LocalMuppet:
             depths = [len(worker.queue) for worker in self._workers]
             counters = self.counters.snapshot()
         return {"queues": depths, "largest_queue": max(depths),
-                "counters": counters, "threads": self.config.num_threads,
+                "counters": counters, "threads": len(depths),
                 "running": self._running}
+
+
+class LocalMuppet(ThreadedEngine):
+    """The Muppet 2.0 layout: a pool of workers that each run any function,
+    over one shared operator instance per function and one slate manager
+    (``manager``), placed by two-choice dispatch. Typical use (``start()``
+    and ``stop()`` do what the ``with`` block does)::
+
+        with LocalMuppet(app, LocalConfig(num_threads=4)) as runtime:
+            for event in events:
+                runtime.ingest(event)
+            runtime.drain()
+            counts = runtime.read_slate("U1", "walmart")
+    """
+
+    config_type = LocalConfig
+
+    def _build_pool(self) -> Tuple[List[_Worker], TwoChoiceDispatcher]:
+        cfg = self.config
+        self.manager = self._new_manager(cfg.cache_slates)
+        workers = [_Worker(cfg.queue_capacity, self._dispatch_lock,
+                           self.manager) for _ in range(cfg.num_threads)]
+        return workers, TwoChoiceDispatcher(cfg.num_threads)
+
+    def _invoke(self, worker: _Worker, item: _WorkItem, ctx: Context,
+                slate: Optional[Slate], weight: float) -> None:
+        event, route, _, timer = item
+        instance = route.instance
+        if slate is None:
+            instance.map(ctx, event)
+        elif timer is not None:
+            instance.on_timer(ctx, event.key, slate, timer.payload)
+        elif weight != 1.0:
+            instance.update_weighted(ctx, event, slate, weight)
+        else:
+            instance.update(ctx, event, slate)

@@ -1,84 +1,74 @@
-"""LocalMuppet1: a real-thread Muppet **1.0** runtime (Section 4.5).
+"""LocalMuppet1: the Muppet **1.0** worker layout on real threads (§4.5).
 
-Where :class:`~repro.muppet.local.LocalMuppet` is the 2.0 thread-pool
-design, this runtime reproduces the 1.0 architecture on one machine, for
-wall-clock comparison (bench E3c):
+The delivery path is :class:`~repro.muppet.local.ThreadedEngine`'s, shared
+with the 2.0 :class:`~repro.muppet.local.LocalMuppet`; this module is only
+what Section 4.5 says 2.0 changed, so the wall-clock gap between the two
+(bench E3c) is these four things and nothing else:
 
-* each worker is bound to **one** map or update function (a thread
-  standing in for the conductor/task-processor process pair);
-* every event round-trips through a real framed
+* each worker is bound to **one** map or update function and loads its own
+  operator copy (a thread standing in for the conductor/task-processor
+  process pair);
+* every delivery round-trips through a real framed
   :class:`~repro.muppet.conductor.Conductor` pipe — the event in, the
-  slate in and back for updaters, the outputs back — so the §4.5 IPC
-  waste is paid in actual serialization work;
+  slate in and back for updaters, the outputs back — so the IPC waste is
+  paid in actual serialization work;
 * each worker owns a **private** slate manager (the fragmented caches);
-* routing hashes ``<key, destination function>`` to the single owning
-  worker — no two-choice, no shared cache.
-
-The public surface mirrors :class:`LocalMuppet` (``ingest`` / ``drain``
-/ ``read_slate`` / ``stop``) so tests and benches can swap engines.
+* ``<key, destination function>`` hashes to the single owning worker.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.hashring import HashRing, route_key
-from repro.core.application import Application
-from repro.core.event import Event, EventCounter
-from repro.core.operators import Context, Mapper, Operator, Updater
-from repro.core.slate import SlateKey
-from repro.errors import (ConfigurationError, EngineStoppedError,
-                          WorkflowError)
-from repro.kvstore.cluster import ReplicatedKVStore
-from repro.metrics import LatencyRecorder
+from repro.core.application import OperatorSpec
+from repro.core.event import Event
+from repro.core.operators import Context, Mapper, TimerRequest
+from repro.core.slate import Slate, SlateKey
+from repro.errors import ConfigurationError
 from repro.muppet.conductor import Conductor, PipeStats, TaskProcessor
-from repro.muppet.queues import BoundedQueue
-from repro.slates.manager import FlushPolicy, SlateManager
+from repro.muppet.dispatch import DispatchStats
+from repro.muppet.local import (ThreadedConfig, ThreadedEngine, _Worker,
+                                _WorkItem)
+from repro.muppet.queues import OverflowPolicy
+from repro.slates.manager import SlateManager
 
 
 @dataclass
-class Local1Config:
-    """Knobs for the 1.0-style runtime."""
+class Local1Config(ThreadedConfig):
+    """Knobs for the 1.0 layout. A full queue blocks the source by
+    default, as 1.0's senders did; operators never block (Section 5)."""
 
     workers_per_function: int = 2
-    queue_capacity: int = 10_000
+    #: Split evenly over the workers' private caches.
     cache_slates_total: int = 100_000
-    flush_policy: FlushPolicy = field(
-        default_factory=lambda: FlushPolicy.every(0.5))
-    kv_nodes: int = 1
-    kv_replication: int = 1
-    flusher_period_s: float = 0.1
-    record_latency: bool = True
-    #: How long senders/workers sleep between queue polls (the 1.0
-    #: design busy-waits instead of using a shared condition).
-    poll_interval_s: float = 0.0005
+    overflow: OverflowPolicy = field(default_factory=OverflowPolicy.throttle,
+                                     kw_only=True)
 
     def __post_init__(self) -> None:
         if self.workers_per_function < 1:
             raise ConfigurationError("workers_per_function must be >= 1")
-        if self.poll_interval_s <= 0:
-            raise ConfigurationError("poll_interval_s must be positive")
+        super().__post_init__()
 
 
-class _Worker1:
-    """One 1.0 worker: a bound function, a queue, a private cache, and a
-    conductor pipe to "its" task processor."""
+class _Worker1(_Worker):
+    """One 1.0 worker: a bound function with its own operator copy, a
+    private slate manager, and a conductor pipe to "its" task processor."""
 
-    def __init__(self, wid: str, spec_name: str, kind: str,
-                 operator: Operator, queue_capacity: int,
-                 manager: SlateManager, publishes: Tuple[str, ...]) -> None:
+    __slots__ = ("wid", "function", "operator", "publishes", "conductor",
+                 "timers")
+
+    def __init__(self, wid: str, spec: OperatorSpec, capacity: int,
+                 lock: Any, manager: SlateManager) -> None:
+        super().__init__(capacity, lock, manager)
         self.wid = wid
-        self.function = spec_name
-        self.kind = kind
-        self.operator = operator
-        self.queue: BoundedQueue = BoundedQueue(queue_capacity)
-        self.manager = manager
-        self.publishes = publishes
+        self.function = spec.name
+        self.operator = spec.instantiate()
+        self.publishes = spec.publishes
         self.conductor = Conductor(TaskProcessor(self._run_operator))
-        self._pending_ctx: Optional[Context] = None
+        #: Timers the last operator call set: they return beside the pipe.
+        self.timers: List[TimerRequest] = []
 
     def _run_operator(self, event_dict: Dict[str, Any],
                       slate_dict: Optional[Dict[str, Any]]):
@@ -86,332 +76,87 @@ class _Worker1:
         event = Event(event_dict["sid"], event_dict["ts"],
                       event_dict["key"], event_dict["value"])
         ctx = Context(self.function, event.ts, self.publishes, event.key)
-        if self.kind == "map":
-            assert isinstance(self.operator, Mapper)
-            self.operator.map(ctx, event)
-            new_slate = None
+        operator = self.operator
+        new_slate = None
+        if isinstance(operator, Mapper):
+            operator.map(ctx, event)
         else:
-            assert isinstance(self.operator, Updater)
-            from repro.core.slate import Slate
-
             slate = Slate(SlateKey(self.function, event.key),
-                          slate_dict
-                          or self.operator.init_slate(event.key),
-                          ttl=self.operator.slate_ttl,
-                          created_ts=event.ts)
+                          slate_dict or operator.init_slate(event.key),
+                          ttl=operator.slate_ttl, created_ts=event.ts)
             if event_dict.get("__timer__"):
-                self.operator.on_timer(ctx, event.key, slate,
-                                       event_dict.get("__payload__"))
+                operator.on_timer(ctx, event.key, slate,
+                                  event_dict.get("__payload__"))
+            elif "__weight__" in event_dict:
+                operator.update_weighted(ctx, event, slate,
+                                         event_dict["__weight__"])
             else:
-                self.operator.update(ctx, event, slate)
+                operator.update(ctx, event, slate)
             new_slate = slate.as_dict()
-        outputs = [{"sid": e.sid, "ts": e.ts, "key": e.key,
-                    "value": e.value} for e in ctx.emitted]
-        self._pending_ctx = ctx
-        return outputs, new_slate
+        self.timers = ctx.timers
+        return [{"sid": e.sid, "ts": e.ts, "key": e.key, "value": e.value}
+                for e in ctx.emitted], new_slate
 
 
-class LocalMuppet1:
+class _OwnerDispatch:
+    """1.0 placement: ``<key, function>`` hashes onto the function's own
+    ring of workers, to exactly one owner (Section 4.1)."""
+
+    def __init__(self, rings: Dict[str, HashRing[int]]) -> None:
+        self._rings = rings
+        self.stats = DispatchStats()
+
+    def choose_workers(self, key: str, function: str,
+                       workers: Sequence[_Worker1]) -> _Worker1:
+        self.stats.dispatched += 1
+        self.stats.to_primary += 1
+        self.stats.queue_locks += 1
+        return workers[self._rings[function].lookup(route_key(key, function))]
+
+
+class LocalMuppet1(ThreadedEngine):
     """Run one MapUpdate application 1.0-style on local threads."""
 
-    def __init__(self, app: Application,
-                 config: Optional[Local1Config] = None,
-                 store: Optional[ReplicatedKVStore] = None) -> None:
-        app.validate()
-        self.app = app
-        self.config = config or Local1Config()
+    config_type = Local1Config
+
+    def _build_pool(self) -> Tuple[List[_Worker1], _OwnerDispatch]:
         cfg = self.config
-        self.store = store if store is not None else ReplicatedKVStore(
-            node_names=[f"kv{i}" for i in range(cfg.kv_nodes)],
-            replication_factor=cfg.kv_replication,
-            clock=time.monotonic,  # noqa: MUP001 -- threaded 1.0 engine is wall-clock by design
-        )
-        self.counters = EventCounter()
-        self.latency = LatencyRecorder()
-        self._counter_lock = threading.Lock()
-        self._latency_lock = threading.Lock()
-        self._inflight = 0
-        self._idle = threading.Condition(threading.Lock())
-        self._running = False
-        self._stopped = False
-        self._threads: List[threading.Thread] = []
-        # Event-time timers (watermark-driven, like LocalMuppet).
-        import itertools as _itertools
-
-        self._timers: List[Tuple[float, int, Any, float]] = []
-        self._timer_seq = _itertools.count()
-        self._timer_cond = threading.Condition()
-        self._watermark = float("-inf")
-
-        specs = app.operators()
-        per_worker_cache = max(
-            1, cfg.cache_slates_total
-            // max(1, len(specs) * cfg.workers_per_function))
-        self._workers: Dict[str, _Worker1] = {}
-        self._rings: Dict[str, HashRing[str]] = {}
+        specs = self.app.operators()
+        per_worker_cache = max(1, cfg.cache_slates_total
+                               // (len(specs) * cfg.workers_per_function))
+        workers: List[_Worker1] = []
+        rings: Dict[str, HashRing[int]] = {}
         for spec in specs:
-            ring: HashRing[str] = HashRing()
+            ring = rings[spec.name] = HashRing()
             for index in range(cfg.workers_per_function):
-                wid = f"{spec.name}#{index}"
-                # Each 1.0 worker loads its own operator copy.
-                worker = _Worker1(
-                    wid=wid, spec_name=spec.name, kind=spec.kind,
-                    operator=spec.instantiate(),
-                    queue_capacity=cfg.queue_capacity,
-                    manager=SlateManager(
-                        self.store, cache_capacity=per_worker_cache,
-                        flush_policy=cfg.flush_policy,
-                        clock=time.monotonic),  # noqa: MUP001 -- threaded 1.0 engine is wall-clock by design
-                    publishes=spec.publishes)
-                self._workers[wid] = worker
-                ring.add(wid)
-            self._rings[spec.name] = ring
+                ring.add(len(workers))
+                workers.append(_Worker1(
+                    f"{spec.name}#{index}", spec, cfg.queue_capacity,
+                    self._dispatch_lock,
+                    self._new_manager(per_worker_cache)))
+        return workers, _OwnerDispatch(rings)
 
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> "LocalMuppet1":
-        """Spin up one thread per worker plus the background flusher."""
-        if self._running:
-            return self
-        if self._stopped:
-            raise EngineStoppedError("LocalMuppet1 cannot be restarted")
-        self._running = True
-        for worker in self._workers.values():
-            thread = threading.Thread(target=self._worker_loop,
-                                      args=(worker,),
-                                      name=f"muppet1-{worker.wid}",
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        flusher = threading.Thread(target=self._flusher_loop,
-                                   name="muppet1-flusher", daemon=True)
-        flusher.start()
-        self._threads.append(flusher)
-        timer = threading.Thread(target=self._timer_loop,
-                                 name="muppet1-timer", daemon=True)
-        timer.start()
-        self._threads.append(timer)
-        return self
-
-    def stop(self) -> None:
-        """Stop workers and flush every private cache."""
-        if not self._running:
-            return
-        self._running = False
-        self._stopped = True
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        for worker in self._workers.values():
-            worker.manager.flush_all_dirty()
-
-    def __enter__(self) -> "LocalMuppet1":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- data path -----------------------------------------------------------
-    def ingest(self, event: Event) -> bool:
-        """Feed one external event (blocking when queues are full)."""
-        if not self._running:
-            raise EngineStoppedError("runtime is not running")
-        spec = self.app.streams.spec(event.sid)
-        if not spec.external:
-            raise WorkflowError("ingest targets external streams only")
-        stamped = self.app.streams.stamp(event)
-        with self._counter_lock:
-            self.counters.published += 1
-        with self._timer_cond:
-            if stamped.ts > self._watermark:
-                self._watermark = stamped.ts
-                self._timer_cond.notify_all()
-        birth = time.monotonic()  # noqa: MUP001 -- real ingest timestamp for latency measurement
-        ok = True
-        for sub in self.app.subscribers_of(stamped.sid):
-            ok = self._route(stamped, sub.name, birth) and ok
-        return ok
-
-    def ingest_many(self, events) -> int:
-        """Feed many events; returns the number accepted."""
-        return sum(1 for event in events if self.ingest(event))
-
-    def _route(self, event: Event, function: str, birth: float,
-               is_timer: bool = False, payload: Any = None) -> bool:
-        """Hash <key, function> to the one owning worker (Section 4.1)."""
-        wid = self._rings[function].lookup(route_key(event.key, function))
-        worker = self._workers[wid]
-        deadline = time.monotonic() + 30.0  # noqa: MUP001 -- real backpressure deadline (threaded engine)
-        while True:
-            if worker.queue.offer((event, birth, is_timer, payload)):
-                self._inflight_add(1)
-                return True
-            if time.monotonic() > deadline:  # noqa: MUP001 -- real backpressure deadline (threaded engine)
-                with self._counter_lock:
-                    self.counters.dropped_overflow += 1
-                return False
-            # 1.0-style backpressure: sender waits.
-            time.sleep(self.config.poll_interval_s)  # noqa: MUP001 -- real I/O pacing (threaded engine)
-
-    def _inflight_add(self, delta: int) -> None:
-        with self._idle:
-            self._inflight += delta
-            if self._inflight == 0:
-                self._idle.notify_all()
-
-    def drain(self, timeout: float = 60.0, flush_timers: bool = True
-              ) -> bool:
-        """Wait until all queued/in-flight events are processed; with
-        ``flush_timers`` (default), pending timers fire in timestamp
-        order once the queues empty (end-of-stream semantics)."""
-        import heapq
-
-        deadline = time.monotonic() + timeout  # noqa: MUP001 -- real drain deadline (threaded engine)
-        while True:
-            if not self._wait_idle(deadline):
-                return False
-            if not flush_timers:
-                return True
-            with self._timer_cond:
-                if not self._timers:
-                    return True
-                _, __, timer, birth = heapq.heappop(self._timers)
-            self._fire_timer(timer, birth)
-
-    def _wait_idle(self, deadline: float) -> bool:
-        with self._idle:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()  # noqa: MUP001 -- real drain deadline (threaded engine)
-                if remaining <= 0:
-                    return False
-                self._idle.wait(min(remaining, 0.1))
-        return True
-
-    def _worker_loop(self, worker: _Worker1) -> None:
-        while True:
-            item = worker.queue.poll()
-            if item is None:
-                if not self._running:
-                    return
-                time.sleep(self.config.poll_interval_s)  # noqa: MUP001 -- real queue-poll pacing (threaded engine)
-                continue
-            try:
-                self._process(worker, *item)
-            except Exception:
-                with self._counter_lock:
-                    self.counters.lost_failure += 1
-            finally:
-                self._inflight_add(-1)
-
-    def _process(self, worker: _Worker1, event: Event, birth: float,
-                 is_timer: bool = False, payload: Any = None) -> None:
-        """The conductor's job: slate fetch, pipe round-trip, routing."""
-        slate_dict: Optional[Dict[str, Any]] = None
-        slate = None
-        if worker.kind == "update":
-            assert isinstance(worker.operator, Updater)
-            slate = worker.manager.get(worker.operator, event.key)
-            slate_dict = slate.as_dict()
-        flags = ({"__timer__": True, "__payload__": payload}
-                 if is_timer else None)
+    def _invoke(self, worker: _Worker1, item: _WorkItem, ctx: Context,
+                slate: Optional[Slate], weight: float) -> None:
+        # The conductor's job: event and slate out, outputs and slate back.
+        flags = None
+        if item.timer is not None:
+            flags = {"__timer__": True, "__payload__": item.timer.payload}
+        elif weight != 1.0:
+            flags = {"__weight__": weight}
         outputs, new_slate = worker.conductor.process_event(
-            event, slate_dict, flags=flags)
-        if worker.kind == "update" and new_slate is not None:
-            assert slate is not None
+            item.event, None if slate is None else slate.as_dict(),
+            flags=flags)
+        if new_slate is not None:
             slate.replace(new_slate)
-            slate.touch(event.ts)
-            worker.manager.note_update(slate)
-            if self.config.record_latency and not is_timer:
-                with self._latency_lock:
-                    self.latency.record(time.monotonic() - birth)  # noqa: MUP001 -- real end-to-end latency sample
-        with self._counter_lock:
-            self.counters.processed += 1
-        for output in outputs:
-            out_event = self.app.streams.stamp(
-                Event(output["sid"], output["ts"], output["key"],
-                      output["value"]), from_operator=True)
-            with self._counter_lock:
-                self.counters.published += 1
-            for sub in self.app.subscribers_of(out_event.sid):
-                self._route(out_event, sub.name, birth)
-        pending = worker._pending_ctx
-        if pending is not None:
-            for timer in pending.timers:
-                self._schedule_timer(timer, birth)
-            pending.timers.clear()
-
-    # -- timers --------------------------------------------------------------
-    def _schedule_timer(self, timer, birth: float) -> None:
-        import heapq
-
-        with self._timer_cond:
-            heapq.heappush(self._timers,
-                           (timer.at_ts, next(self._timer_seq), timer,
-                            birth))
-            self._timer_cond.notify_all()
-
-    def _fire_timer(self, timer, birth: float) -> None:
-        timer_event = Event(sid=f"!timer:{timer.updater}",
-                            ts=timer.at_ts, key=timer.key)
-        self._route(timer_event, timer.updater, birth, is_timer=True,
-                    payload=timer.payload)
-
-    def _timer_loop(self) -> None:
-        import heapq
-
-        while True:
-            fired = None
-            with self._timer_cond:
-                if not self._running:
-                    return
-                if self._timers and self._timers[0][0] <= self._watermark:
-                    _, __, timer, birth = heapq.heappop(self._timers)
-                    fired = (timer, birth)
-                else:
-                    self._timer_cond.wait(0.05)
-            if fired is not None:
-                self._fire_timer(*fired)
-
-    def _flusher_loop(self) -> None:
-        while self._running:
-            time.sleep(self.config.flusher_period_s)  # noqa: MUP001 -- real I/O pacing (threaded engine)
-            for _, worker in sorted(self._workers.items()):
-                worker.manager.flush_due()
-
-    # -- reads --------------------------------------------------------------
-    def read_slate(self, updater: str, key: str
-                   ) -> Optional[Dict[str, Any]]:
-        """Read a slate from its owning worker's cache, else the store."""
-        wid = self._rings[updater].lookup(route_key(key, updater))
-        worker = self._workers[wid]
-        slate = worker.manager.cache.peek(SlateKey(updater, key))
-        if slate is not None:
-            return slate.as_dict()
-        try:
-            result = self.store.read(key, updater)
-        except Exception:
-            return None
-        if result.value is None:
-            return None
-        return worker.manager.codec.decode(result.value)
-
-    def read_slates_of(self, updater: str) -> Dict[str, Dict[str, Any]]:
-        """All cached slates of one updater across its workers."""
-        found: Dict[str, Dict[str, Any]] = {}
-        for _, worker in sorted(self._workers.items()):
-            if worker.function != updater:
-                continue
-            for slate_key in worker.manager.cache.resident():
-                slate = worker.manager.cache.peek(slate_key)
-                if slate is not None:
-                    found[slate_key.key] = slate.as_dict()
-        return found
+        ctx.emitted.extend(Event(out["sid"], out["ts"], out["key"],
+                                 out["value"]) for out in outputs)
+        ctx.timers.extend(worker.timers)
 
     def ipc_stats(self) -> PipeStats:
         """Aggregate conductor-pipe traffic (the §4.5 waste, measured)."""
         total = PipeStats()
-        for worker in self._workers.values():
-            stats = worker.conductor.stats
-            total.frames_to_task += stats.frames_to_task
-            total.bytes_to_task += stats.bytes_to_task
-            total.frames_to_conductor += stats.frames_to_conductor
-            total.bytes_to_conductor += stats.bytes_to_conductor
+        for worker in self._workers:
+            for name, value in vars(worker.conductor.stats).items():
+                setattr(total, name, getattr(total, name) + value)
         return total

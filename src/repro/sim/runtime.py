@@ -86,6 +86,14 @@ ENGINE_MUPPET2 = "muppet2"
 #: the hashring memo discipline: bounded table, cleared when full).
 _MEMO_MAX = 65_536
 
+#: Resident size of one loaded copy of the application code (MB); the
+#: Muppet 1.0 memory penalty is one copy per worker process.
+OPERATOR_CODE_MB = 64.0
+
+#: How often a paused source looks at its throttle again, and the throttle
+#: monitor at the queues (simulated seconds).
+THROTTLE_CHECK_S = 0.01
+
 
 @dataclass
 class SimConfig:
@@ -100,14 +108,12 @@ class SimConfig:
     engine: str = ENGINE_MUPPET2
     queue_capacity: int = 5_000
     overflow: OverflowPolicy = field(default_factory=OverflowPolicy.drop)
-    dispatch_factor: float = 2.0
     costs: CostModel = field(default_factory=CostModel)
     cache_slates_per_machine: int = 100_000
     flush_policy: FlushPolicy = field(default_factory=lambda: FlushPolicy.every(1.0))
     consistency: ConsistencyLevel = ConsistencyLevel.ONE
     kv_replication: int = 3
     kv_memtable_flush_bytes: int = 4 * 1024 * 1024
-    kv_compaction_threshold: int = 8
     #: Muppet 1.0: worker processes per function per machine.
     workers_per_function_per_machine: int = 1
     #: Muppet 1.0: per-function overrides of the above (e.g. Figure 2's
@@ -120,13 +126,9 @@ class SimConfig:
     #: Muppet 2.0: worker threads per machine (default: the core count,
     #: "as large as the parallelization of the application code allows").
     threads_per_machine: Optional[int] = None
-    #: Resident size of one loaded copy of the application code (MB); the
-    #: Muppet 1.0 memory penalty is one copy per worker process.
-    operator_code_mb: float = 64.0
     #: Updater names at which end-to-end latency is recorded (None = all).
     latency_sinks: Optional[Set[str]] = None
     throttle: Optional[SourceThrottle] = None
-    throttle_check_s: float = 0.01
     retry_delay_s: float = 0.01
     flusher_period_s: float = 0.1
     max_slate_bytes: Optional[int] = None
@@ -176,12 +178,6 @@ class SimConfig:
     #: retries transient store errors with exponential backoff and then
     #: degrades (counted) instead of raising into operator code.
     kv_retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: On machine recovery, flush every survivor's dirty slates before
-    #: the ring re-admits the machine, so keys that move back are
-    #: re-hydrated from fresh kv-store state (same barrier as
-    #: :meth:`SimRuntime.schedule_add_machine`). Disabling widens the
-    #: divergence window to the full flush interval.
-    recovery_rebalance_flush: bool = True
     #: Data-plane batching: coalesce up to this many events per
     #: (source machine, destination machine) link into one network
     #: envelope, paying the per-message latency once and the payload
@@ -454,28 +450,9 @@ class SimReport:
         lines = [f"engine={self.engine}",
                  f"duration_s={self.duration_s!r}",
                  f"steps={self.steps}"]
-        if self.metrics:
-            for family in self.REPORT_FAMILIES:
-                for name, value in sorted(
-                        self.metrics.get(family, {}).items()):
-                    lines.append(f"{family}.{name}={value!r}")
-            return "\n".join(lines)
-        # Legacy path for reports constructed without a registry
-        # snapshot (hand-built SimReports in tests/tools).
-        for name, value in sorted(self.counters.snapshot().items()):
-            lines.append(f"counters.{name}={value!r}")
-        for name, value in sorted(self.robustness.as_dict().items()):
-            lines.append(f"robustness.{name}={value!r}")
-        for name, value in sorted(self.master_stats.items()):
-            lines.append(f"master.{name}={value!r}")
-        for name, value in sorted(self.dispatch_stats.items()):
-            lines.append(f"dispatch.{name}={value!r}")
-        for name, value in sorted(self.dataplane.as_dict().items()):
-            lines.append(f"dataplane.{name}={value!r}")
-        for name, value in sorted(asdict(self.replay).items()):
-            lines.append(f"replay.{name}={value!r}")
-        for name, value in sorted(self.shedding.as_dict().items()):
-            lines.append(f"overload.{name}={value!r}")
+        for family in self.REPORT_FAMILIES:
+            for name, value in sorted(self.metrics.get(family, {}).items()):
+                lines.append(f"{family}.{name}={value!r}")
         return "\n".join(lines)
 
 
@@ -526,8 +503,6 @@ class SimRuntime:
             self.fault_schedule = failures
         else:
             self.fault_schedule = FaultSchedule.from_kill_list(failures)
-        #: Legacy view of the schedule's crash events.
-        self.failures = self.fault_schedule.kill_list()
         injector = FaultInjector(self.fault_schedule)
         #: Interval-rule injector; None when no rule exists so the
         #: per-message hot path stays untouched for fault-free runs.
@@ -563,7 +538,6 @@ class SimRuntime:
             clock=self.sim.clock,
             device_overrides={m.name: m.storage for m in cluster.machines},
             memtable_flush_bytes=self.config.kv_memtable_flush_bytes,
-            compaction_threshold=self.config.kv_compaction_threshold,
             tracer=self._trace,
         )
         from repro.muppet.replay import ReplayJournal
@@ -635,11 +609,15 @@ class SimRuntime:
         #: Elastic joins in admission order — shrink retires LIFO.
         self._join_order: List[str] = []
         self._elastic_seq = itertools.count(1)
-        #: Machines whose queue/slate probes are registered (joins at
-        #: runtime register theirs exactly once).
-        self._probed_machines: Set[str] = set()
+        #: Machines whose queue/slate probes are registered: the seed
+        #: machines' by _register_metrics (in its family order), a
+        #: runtime join's exactly once by _construct_machine.
+        self._probed_machines: Set[str] = set(self.cluster.names())
         self.machines: Dict[str, _Machine] = {}
-        self._build_machines()
+        #: Muppet 1.0 only: worker id -> worker, in construction order.
+        self._worker_by_id: Dict[str, _Worker] = {}
+        for spec in self.cluster.machines:
+            self._construct_machine(spec.name, spec.cores)
         self._build_rings()
         self._register_metrics()
         self._is_muppet2 = self.config.engine == ENGINE_MUPPET2
@@ -668,67 +646,13 @@ class SimRuntime:
             owner=owner,
         )
 
-    def _build_machines(self) -> None:
-        cfg = self.config
-        for spec in self.cluster.machines:
-            machine = _Machine(spec.name, spec.cores)
-            if cfg.engine == ENGINE_MUPPET2:
-                threads = cfg.threads_per_machine or spec.cores
-                machine.central_mgr = self._new_manager(
-                    cfg.cache_slates_per_machine, owner=spec.name)
-                if cfg.two_choice:
-                    machine.dispatcher = TwoChoiceDispatcher(
-                        threads, cfg.dispatch_factor,
-                        memoize=cfg.memoize_routing)
-                else:
-                    machine.dispatcher = SingleChoiceDispatcher(
-                        threads, memoize=cfg.memoize_routing)
-                machine.shared_instances = {
-                    s.name: s.instantiate() for s in self.app.operators()
-                }
-                for i in range(threads):
-                    machine.workers.append(_Worker(
-                        wid=f"{spec.name}/t{i}", machine=machine, index=i,
-                        function=None, queue_capacity=cfg.queue_capacity,
-                        mgr=machine.central_mgr))
-            else:
-                # Muppet 1.0: worker process pairs per function.
-                overrides = cfg.workers_per_function or {}
-                total_workers = sum(
-                    overrides.get(s.name,
-                                  cfg.workers_per_function_per_machine)
-                    for s in self.app.operators())
-                per_worker_cache = max(
-                    1, cfg.cache_slates_per_machine // max(1, total_workers))
-                index = 0
-                for op_spec in self.app.operators():
-                    worker_count = overrides.get(
-                        op_spec.name, cfg.workers_per_function_per_machine)
-                    for j in range(worker_count):
-                        worker = _Worker(
-                            wid=f"{spec.name}/{op_spec.name}#{j}",
-                            machine=machine, index=index,
-                            function=op_spec.name,
-                            queue_capacity=cfg.queue_capacity,
-                            mgr=self._new_manager(per_worker_cache,
-                                                  owner=spec.name))
-                        # Each 1.0 worker loads its own copy of the code.
-                        machine.shared_instances[worker.wid] = (
-                            op_spec.instantiate())
-                        machine.workers.append(worker)
-                        index += 1
-            self.machines[spec.name] = machine
-
     def _build_rings(self) -> None:
         memoize = self.config.memoize_routing
-        if self.config.engine == ENGINE_MUPPET2:
-            self._machine_ring: HashRing[str] = HashRing(
-                self.cluster.names(), memoize=memoize)
-            self._function_rings: Dict[str, HashRing[str]] = {}
-        else:
-            self._machine_ring = HashRing(self.cluster.names(),
-                                          memoize=memoize)
-            self._function_rings = {}
+        self._machine_ring: HashRing[str] = HashRing(
+            self.cluster.names(), memoize=memoize)
+        #: Muppet 1.0 only: function -> ring of its workers' ids.
+        self._function_rings: Dict[str, HashRing[str]] = {}
+        if self.config.engine != ENGINE_MUPPET2:
             for op_spec in self.app.operators():
                 workers = [
                     w.wid
@@ -738,11 +662,6 @@ class SimRuntime:
                 ]
                 self._function_rings[op_spec.name] = HashRing(
                     workers, memoize=memoize)
-            self._worker_by_id: Dict[str, _Worker] = {
-                w.wid: w
-                for machine in self.machines.values()
-                for w in machine.workers
-            }
 
     def _register_metrics(self) -> None:
         """Attach every stats object to the registry as a live view.
@@ -770,7 +689,6 @@ class SimRuntime:
                            else ReplayStats()))
         reg.register_group("overload", self._overload_stats)
         for name, machine in self.machines.items():
-            self._probed_machines.add(name)
             reg.register_group(f"queues.{name}",
                                self._make_queue_probe(machine))
             reg.register_group(f"slates.{name}",
@@ -1203,7 +1121,7 @@ class SimRuntime:
         journal = self.replay_journal
         trace = self._trace
         throttle = cfg.throttle
-        throttle_check_s = max(0.0, cfg.throttle_check_s)
+        throttle_check_s = THROTTLE_CHECK_S
 
         # One boolean cell per optional feature.
         tracing = trace is not None
@@ -1925,13 +1843,8 @@ class SimRuntime:
             for machine in self.machines.values():  # noqa: MUP003 -- single-threaded DES; machine insertion order is deterministic
                 if not machine.alive:
                     continue
-                managers = ({machine.central_mgr}
-                            if machine.central_mgr is not None
-                            else {w.mgr for w in machine.workers})
                 io = 0.0
-                for mgr in managers:
-                    if mgr is None:
-                        continue
+                for mgr in self._managers_of(machine):
                     mgr.flush_due()
                     io += mgr.take_pending_io()
                 node = self.store.nodes.get(machine.name)
@@ -2019,7 +1932,7 @@ class SimRuntime:
     def _schedule_throttle_monitor(self) -> None:
         throttle = self.config.throttle
         assert throttle is not None
-        period = self.config.throttle_check_s
+        period = THROTTLE_CHECK_S
 
         def tick(sim: Simulator) -> None:
             worst = max((m.queue_depth_fraction()
@@ -2147,24 +2060,21 @@ class SimRuntime:
 
     def _construct_machine(self, name: str, cores: int) -> "_Machine":
         """Build a machine (workers, dispatcher, manager) *without* ring
-        membership — the caller admits it to the ring, either at once
-        (legacy join) or at migration cutover. New machines get no
-        co-located kv node: the store ring is fixed at construction,
-        matching the paper's separately managed Cassandra cluster.
+        membership — the caller admits it to the ring: the seed machines
+        at construction, a join at once (legacy join) or at migration
+        cutover. Joining machines get no co-located kv node: the store
+        ring is fixed at construction, matching the paper's separately
+        managed Cassandra cluster.
         """
-        from repro.cluster.topology import MachineSpec
-
-        spec = MachineSpec(name, cores=cores)
-        machine = _Machine(spec.name, spec.cores)
+        machine = _Machine(name, cores)
         cfg = self.config
         if cfg.engine == ENGINE_MUPPET2:
-            threads = cfg.threads_per_machine or spec.cores
+            threads = cfg.threads_per_machine or cores
             machine.central_mgr = self._new_manager(
-                cfg.cache_slates_per_machine, owner=spec.name)
+                cfg.cache_slates_per_machine, owner=name)
             if cfg.two_choice:
                 machine.dispatcher = TwoChoiceDispatcher(
-                    threads, cfg.dispatch_factor,
-                    memoize=cfg.memoize_routing)
+                    threads, memoize=cfg.memoize_routing)
             else:
                 machine.dispatcher = SingleChoiceDispatcher(
                     threads, memoize=cfg.memoize_routing)
@@ -2173,11 +2083,12 @@ class SimRuntime:
             }
             for i in range(threads):
                 machine.workers.append(_Worker(
-                    wid=f"{spec.name}/t{i}", machine=machine,
+                    wid=f"{name}/t{i}", machine=machine,
                     index=i, function=None,
                     queue_capacity=cfg.queue_capacity,
                     mgr=machine.central_mgr))
         else:
+            # Muppet 1.0: worker process pairs per function.
             overrides = cfg.workers_per_function or {}
             total = sum(
                 overrides.get(s.name,
@@ -2192,18 +2103,19 @@ class SimRuntime:
                     cfg.workers_per_function_per_machine)
                 for j in range(count):
                     worker = _Worker(
-                        wid=f"{spec.name}/{op_spec.name}#{j}",
+                        wid=f"{name}/{op_spec.name}#{j}",
                         machine=machine, index=index,
                         function=op_spec.name,
                         queue_capacity=cfg.queue_capacity,
                         mgr=self._new_manager(per_worker_cache,
-                                              owner=spec.name))
+                                              owner=name))
+                    # Each 1.0 worker loads its own copy of the code.
                     machine.shared_instances[worker.wid] = (
                         op_spec.instantiate())
                     machine.workers.append(worker)
                     self._worker_by_id[worker.wid] = worker
                     index += 1
-        self.machines[spec.name] = machine
+        self.machines[name] = machine
         if ((self._autoscaler is not None or self._migration is not None)
                 and name not in self._probed_machines):
             # Elastic machines get queue/slate probes like seed machines;
@@ -2529,13 +2441,8 @@ class SimRuntime:
         for machine in self.machines.values():  # noqa: MUP003, MUP010 -- single-threaded DES; machine insertion order is deterministic
             if not machine.alive:
                 continue
-            managers = ({machine.central_mgr}
-                        if machine.central_mgr is not None
-                        else {w.mgr for w in machine.workers})
             io = 0.0
-            for mgr in managers:
-                if mgr is None:
-                    continue
+            for mgr in self._managers_of(machine):
                 mgr.flush_all_dirty()
                 io += mgr.take_pending_io()
             if io > 0:
@@ -2619,8 +2526,10 @@ class SimRuntime:
                     return  # crashed again before the broadcast landed
                 self.master.report_recovery(machine_name)
                 self._known_failed.discard(machine_name)
-                if self.config.recovery_rebalance_flush:
-                    self._rebalance_flush()
+                # Survivors flush before the ring re-admits the machine,
+                # so keys that move back re-hydrate from fresh kv state
+                # (the barrier schedule_add_machine also takes).
+                self._rebalance_flush()
                 self._machine_ring.restore(machine_name)
                 for ring in self._function_rings.values():  # noqa: MUP010 -- built once at construction; per-ring restores commute
                     for worker in machine.workers:
@@ -2655,6 +2564,8 @@ class SimRuntime:
         return up
 
     def _managers_of(self, machine: _Machine) -> List[SlateManager]:
+        """The machine's slate managers, in worker order (never a set:
+        what iterates them writes to the kv-store)."""
         if machine.central_mgr is not None:
             return [machine.central_mgr]
         return [w.mgr for w in machine.workers]
@@ -2671,11 +2582,7 @@ class SimRuntime:
         slate_key = SlateKey(updater, key)
         best = None
         for machine in self.machines.values():
-            managers = ([machine.central_mgr] if machine.central_mgr
-                        else [w.mgr for w in machine.workers])
-            for mgr in managers:
-                if mgr is None:
-                    continue
+            for mgr in self._managers_of(machine):
                 slate = mgr.cache.peek(slate_key)
                 if slate is not None and (
                         best is None
@@ -2710,11 +2617,7 @@ class SimRuntime:
         """
         found: Dict[str, Tuple[float, Dict[str, Any]]] = {}
         for machine in self.machines.values():
-            managers = ([machine.central_mgr] if machine.central_mgr
-                        else [w.mgr for w in machine.workers])
-            for mgr in managers:
-                if mgr is None:
-                    continue
+            for mgr in self._managers_of(machine):
                 for slate_key in mgr.cache.resident():
                     if slate_key.updater != updater:
                         continue
@@ -2745,11 +2648,11 @@ class SimRuntime:
         total = 0.0
         for machine in self.machines.values():
             if self.config.engine == ENGINE_MUPPET2:
-                total += self.config.operator_code_mb
+                total += OPERATOR_CODE_MB
                 if machine.central_mgr is not None:
                     total += machine.central_mgr.cache.total_bytes() / 1e6
             else:
-                total += self.config.operator_code_mb * len(machine.workers)
+                total += OPERATOR_CODE_MB * len(machine.workers)
                 total += sum(w.mgr.cache.total_bytes()
                              for w in machine.workers) / 1e6
         return total / max(1, len(self.machines))

@@ -34,7 +34,7 @@ _SCOPE = {
 _MIN_FINDINGS = {
     "MUP001": 4,  # ctor default, time.time, time.sleep, datetime.now
     "MUP002": 2,  # unseeded Random(), random.uniform
-    "MUP003": 3,  # .values(), .keys(), .items()
+    "MUP003": 4,  # .values(), .keys(), .items(), a set behind a local
     "MUP004": 2,  # store.write, store.put_many
     "MUP005": 1,
     "MUP006": 3,  # two field writes + object.__setattr__

@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.races import (LockMonitor, TrackedLock,
                                   instrument_local_muppet, race_smoke_run)
 from repro.errors import AnalysisError
+from tests.conftest import PER_FUNCTION, POOL
 
 
 def _run_threads(*targets):
@@ -177,12 +178,12 @@ class TestInstrumentation:
             if state.startswith("slate:"):
                 assert any(name.startswith("slate[") for name in lockset)
 
-    def test_instrumented_engine_tracks_the_four_locks_and_the_stripes(self):
-        from repro.muppet.local import (SLATE_LOCK_STRIPES, LocalConfig,
-                                        LocalMuppet)
+    def test_instrumented_engine_tracks_the_four_locks_and_the_stripes(
+            self, layout=POOL):
+        from repro.muppet.local import SLATE_LOCK_STRIPES
         from tests.conftest import build_count_app
 
-        runtime = LocalMuppet(build_count_app(), LocalConfig(num_threads=3))
+        runtime = layout.build(build_count_app(), 3)
         instrument_local_muppet(runtime)
         dispatch = runtime._dispatch_lock
         assert isinstance(dispatch, TrackedLock)
@@ -196,21 +197,19 @@ class TestInstrumentation:
         assert {lock.group for lock in stripes} == {"slate"}
         assert len({lock.name for lock in stripes}) == SLATE_LOCK_STRIPES
 
-    def test_lockset_catches_a_forgotten_dispatch_lock(self):
+    def test_lockset_catches_a_forgotten_dispatch_lock(self, layout=POOL):
         """Seeded mutant: a delivery path that bumps a counter without
         the dispatch lock. Workers on two threads write it bare while
         everyone else holds the lock — the candidate set empties."""
         from repro.core import Event
-        from repro.muppet.local import LocalConfig, LocalMuppet
         from tests.conftest import build_count_app
 
-        class ForgotTheLock(LocalMuppet):
-            def _process(self, item):
+        class ForgotTheLock(layout.engine):
+            def _process(self, worker, item):
                 self.counters.published += 0  # mutant: no dispatch lock
-                return super()._process(item)
+                return super()._process(worker, item)
 
-        runtime = ForgotTheLock(build_count_app(),
-                                LocalConfig(num_threads=4))
+        runtime = ForgotTheLock(build_count_app(), layout.config(4))
         monitor = instrument_local_muppet(runtime)
         with runtime:
             for i in range(400):
@@ -221,3 +220,8 @@ class TestInstrumentation:
         assert raced == ["counters.published"]
         assert "holding [<none>]" in monitor.races()[0].format()
         assert monitor.ordering_cycles() == []
+
+    def test_the_per_function_layout_is_instrumented_alike(self):
+        self.test_instrumented_engine_tracks_the_four_locks_and_the_stripes(
+            PER_FUNCTION)
+        self.test_lockset_catches_a_forgotten_dispatch_lock(PER_FUNCTION)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from typing import List
+from typing import Callable, List, NamedTuple
 
 import pytest
 
 from repro.core import Application, Event, Mapper, Updater
+from repro.muppet.local import LocalConfig, LocalMuppet, ThreadedEngine
+from repro.muppet.local1 import Local1Config, LocalMuppet1
 
 
 class EchoMapper(Mapper):
@@ -87,6 +89,32 @@ def make_events(count: int, sid: str = "S1", keys: int = 5,
     """``count`` events on ``sid`` cycling over ``keys`` distinct keys."""
     return [Event(sid, ts=i * spacing, key=f"k{i % keys}", value=i)
             for i in range(count)]
+
+
+class Layout(NamedTuple):
+    """One worker layout of the threaded engine: its class, and its config
+    from a worker count (threads, or workers per function) plus keywords."""
+
+    name: str
+    engine: type
+    config: Callable[..., object]
+
+    def build(self, app: Application, workers: int = 2,
+              **config) -> ThreadedEngine:
+        return self.engine(app, self.config(workers, **config))
+
+
+POOL = Layout(
+    "pool", LocalMuppet,
+    lambda workers, **kw: LocalConfig(num_threads=workers, **kw))
+PER_FUNCTION = Layout(
+    "per-function", LocalMuppet1,
+    lambda workers, **kw: Local1Config(workers_per_function=workers, **kw))
+#: A test class of what the shared delivery path promises sets ``layout =
+#: POOL`` and has a ``...PerFunction`` subclass that sets the other; a
+#: test function is parametrized over both.
+LAYOUTS = pytest.mark.parametrize("layout", (POOL, PER_FUNCTION),
+                                  ids=lambda layout: layout.name)
 
 
 @pytest.fixture

@@ -62,7 +62,7 @@ class TestArchitecture10:
             runtime.ingest_many(make_events(60, keys=1))
             assert runtime.drain()
             holders = [
-                worker.wid for worker in runtime._workers.values()
+                worker.wid for worker in runtime._workers
                 if worker.function == "U1"
                 and len(worker.manager.cache)]
             assert len(holders) == 1
@@ -82,11 +82,31 @@ class TestArchitecture10:
         config = Local1Config(workers_per_function=2,
                               cache_slates_total=8)
         with LocalMuppet1(build_count_app(), config) as runtime:
-            updater_workers = [w for w in runtime._workers.values()
+            updater_workers = [w for w in runtime._workers
                                if w.function == "U1"]
             # 8 total slots / (2 functions x 2 workers) = 2 per worker.
             assert all(w.manager.cache.capacity == 2
                        for w in updater_workers)
+
+    def test_status_and_metrics_sum_over_the_private_pools(self):
+        with LocalMuppet1(build_count_app(),
+                          Local1Config(workers_per_function=2)) as runtime:
+            names = {thread.name for thread in runtime._threads}
+            runtime.ingest_many(make_events(40, keys=8))
+            assert runtime.drain()
+            status = runtime.status()
+            snapshot = runtime.metrics_snapshot()
+        assert names == {"muppet-worker-0", "muppet-worker-1",
+                         "muppet-worker-2", "muppet-worker-3",
+                         "muppet-flusher", "muppet-timer"}
+        assert status["threads"] == 4 and status["queues"] == [0] * 4
+        assert status["counters"]["processed"] == 80
+        assert snapshot["dispatch.dispatched"] == 80
+        assert snapshot["slates.initialized"] == 8  # over both U1 caches
+        assert snapshot["errors.operator_errors"] == 0
+
+    def test_full_queue_blocks_the_source_by_default(self):
+        assert Local1Config().overflow.kind == "throttle"
 
     def test_restart_rejected(self):
         runtime = LocalMuppet1(build_count_app()).start()

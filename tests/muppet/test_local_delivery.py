@@ -1,7 +1,11 @@
-"""LocalMuppet's per-delivery path: what folding the bookkeeping into
-the dispatch-lock holds, the striped slate locks, the targeted wake-ups
-and the event-paced flusher must not break."""
+"""The threaded engine's per-delivery path: what folding the bookkeeping
+into the dispatch-lock holds, the striped slate locks, the targeted
+wake-ups and the event-paced flusher must not break. What the path
+promises whatever the worker layout runs on both (``self.layout``, and
+the ``...PerFunction`` twin of the class); what depends on two-choice
+dispatch or the shared cache runs on ``LocalMuppet``."""
 
+import sys
 import threading
 import time
 
@@ -12,8 +16,10 @@ from repro.core.reference import ReferenceExecutor
 from repro.muppet.local import LocalConfig, LocalMuppet
 from repro.muppet.queues import OverflowPolicy
 from repro.shedding.thinning import ThinnableCounter, ThinningPolicy
+from repro.slates.codec import DEFAULT_CODEC
 from repro.slates.manager import FlushPolicy
-from tests.conftest import CountingUpdater, build_count_app, make_events
+from tests.conftest import (LAYOUTS, PER_FUNCTION, POOL, CountingUpdater,
+                            build_count_app, make_events)
 
 _LOCK_TYPE = type(threading.Lock())
 
@@ -63,10 +69,12 @@ class TestSlateLockPopulation:
 
 
 class TestStop:
+    layout = POOL
+
     def test_stop_does_not_wait_out_the_flusher_period(self):
-        config = LocalConfig(num_threads=2, flusher_period_s=5.0,
-                             flush_policy=FlushPolicy.every(3600.0))
-        runtime = LocalMuppet(build_count_app(), config).start()
+        runtime = self.layout.build(
+            build_count_app(), flusher_period_s=5.0,
+            flush_policy=FlushPolicy.every(3600.0)).start()
         runtime.ingest_many(make_events(50, keys=5))
         assert runtime.drain()
         assert runtime.store.read("k0", "U1").value is None  # still dirty
@@ -76,6 +84,10 @@ class TestStop:
         assert all(not thread.is_alive() for thread in runtime._threads)
         for key in ("k0", "k1", "k2", "k3", "k4"):
             assert runtime.store.read(key, "U1").value is not None
+
+
+class TestStopPerFunction(TestStop):
+    layout = PER_FUNCTION
 
 
 class Bounce(Updater):
@@ -105,11 +117,12 @@ def build_cycle_app(deliveries):
 
 
 class TestDrainAccounting:
+    layout = POOL
+
     def test_drained_means_nothing_in_flight_and_all_counted(self):
         deliveries = []
         hops = 5
-        with LocalMuppet(build_cycle_app(deliveries),
-                         LocalConfig(num_threads=4)) as runtime:
+        with self.layout.build(build_cycle_app(deliveries), 3) as runtime:
             sent = 0
             for _ in range(3):
                 for i in range(200):
@@ -129,9 +142,8 @@ class TestDrainAccounting:
     def test_hot_key_matches_reference_and_dispatch_adds_up(self):
         events = [Event("S1", i * 0.001, "hot", i) for i in range(20_000)]
         want = ReferenceExecutor(build_count_app()).run(events)
-        with LocalMuppet(build_count_app(),
-                         LocalConfig(num_threads=4,
-                                     queue_capacity=100_000)) as runtime:
+        with self.layout.build(build_count_app(), 4,
+                               queue_capacity=100_000) as runtime:
             runtime.ingest_many(events)
             assert runtime.drain()
             assert (runtime.read_slate("U1", "hot")["count"]
@@ -140,6 +152,10 @@ class TestDrainAccounting:
             assert stats.dispatched == 40_000
             assert stats.to_primary + stats.to_secondary == stats.dispatched
             assert runtime.counters.snapshot()["processed"] == 40_000
+
+
+class TestDrainAccountingPerFunction(TestDrainAccounting):
+    layout = PER_FUNCTION
 
 
 class Burst(Mapper):
@@ -151,6 +167,8 @@ class Burst(Mapper):
 
 
 class TestThinnedAccounting:
+    layout = POOL
+
     def test_thinned_delivery_is_processed_exactly_once(self):
         app = Application("thin")
         app.add_stream("S1", external=True)
@@ -158,12 +176,13 @@ class TestThinnedAccounting:
         app.add_mapper("M1", Burst, subscribes=["S1"], publishes=["S2"],
                        config={"fanout": 20})
         app.add_updater("U1", ThinnableCounter, subscribes=["S2"])
-        # One worker: while it runs the i-th of the 20 updates, 19 - i
-        # are still queued, so every update but the last sees pressure.
-        config = LocalConfig(
-            num_threads=1, queue_capacity=100, thin_queue_fraction=0.01,
-            thinning=ThinningPolicy(keep_rates={"default": 0.5}))
-        with LocalMuppet(app, config) as runtime:
+        # One worker (for U1): while it runs the i-th of the 20 updates,
+        # 19 - i are still queued, so every update but the last sees
+        # pressure.
+        with self.layout.build(
+                app, 1, queue_capacity=100, thin_queue_fraction=0.01,
+                thinning=ThinningPolicy(keep_rates={"default": 0.5}),
+        ) as runtime:
             runtime.ingest(Event("S1", 0.0, "k"))
             assert runtime.drain()
             snap = runtime.counters.snapshot()
@@ -173,6 +192,10 @@ class TestThinnedAccounting:
             assert snap["processed"] == 21  # the map + 20 deliveries
             assert runtime.read_slate("U1", "k")["count"] == (
                 2.0 * thinner.kept + 1.0)
+
+
+class TestThinnedAccountingPerFunction(TestThinnedAccounting):
+    layout = PER_FUNCTION
 
 
 class Gate(Updater):
@@ -197,7 +220,9 @@ def _snapshot(published, processed, dropped=0, diverted=0):
 #: policy -> (counters, dispatcher decisions) recorded from the engine
 #: before its delivery path was rebuilt: 1 worker, capacity 4, 10 items
 #: offered while the worker is busy — 4 fit, 6 overflow (and a diverted
-#: item finds the same full queue, so it is dropped after all).
+#: item finds the same full queue, so it is dropped after all). With a
+#: worker per function the overflow stream's updater has a queue of its
+#: own: it serves diverted items as fast as its worker takes them.
 OVERFLOW_EXPECTED = {
     "drop": (_snapshot(11, 5, dropped=6), 11),
     "divert": (_snapshot(11, 5, dropped=6, diverted=6), 17),
@@ -212,9 +237,26 @@ POLICIES = {
 
 @pytest.mark.parametrize("kind", sorted(POLICIES))
 class TestOverflowAccounting:
-    def config(self, kind):
-        return LocalConfig(num_threads=1, queue_capacity=4,
-                           overflow=POLICIES[kind])
+    layout = POOL
+
+    def build(self, app, kind):
+        return self.layout.build(app, 1, queue_capacity=4,
+                                 overflow=POLICIES[kind])
+
+    def check(self, kind, runtime):
+        """The recorded counters, less what the overflow updater served;
+        returns how many diverted items that was."""
+        served = (runtime.read_slate("U_cheap", "k") or {"count": 0})["count"]
+        if self.layout is PER_FUNCTION and kind == "divert":
+            assert 1 <= served <= 6
+        else:
+            assert served == 0
+        want, dispatched = OVERFLOW_EXPECTED[kind]
+        assert runtime.counters.snapshot() == dict(
+            want, processed=want["processed"] + served,
+            dropped_overflow=want["dropped_overflow"] - served)
+        assert runtime.dispatcher.stats.dispatched == dispatched
+        return served
 
     def test_source_overflow(self, kind):
         entered, release = threading.Event(), threading.Event()
@@ -224,7 +266,7 @@ class TestOverflowAccounting:
         app.add_updater("U1", Gate, subscribes=["S1"],
                         config={"entered": entered, "release": release})
         app.add_updater("U_cheap", CountingUpdater, subscribes=["S_over"])
-        with LocalMuppet(app, self.config(kind)) as runtime:
+        with self.build(app, kind) as runtime:
             try:
                 runtime.ingest(Event("S1", 0.0, "k"))
                 assert entered.wait(5.0)
@@ -234,10 +276,9 @@ class TestOverflowAccounting:
             finally:
                 release.set()
             assert runtime.drain()
-            assert accepted == [True] * 4 + [False] * 6
-            want, dispatched = OVERFLOW_EXPECTED[kind]
-            assert runtime.counters.snapshot() == want
-            assert runtime.dispatcher.stats.dispatched == dispatched
+            served = self.check(kind, runtime)
+            assert accepted[:4] == [True] * 4
+            assert accepted.count(True) == 4 + served
             assert runtime.read_slate("U1", "k")["count"] == 5
 
     def test_operator_emits_more_than_the_queue_holds(self, kind):
@@ -249,26 +290,28 @@ class TestOverflowAccounting:
                        config={"fanout": 10})
         app.add_updater("U1", CountingUpdater, subscribes=["S2"])
         app.add_updater("U_cheap", CountingUpdater, subscribes=["S_over"])
-        with LocalMuppet(app, self.config(kind)) as runtime:
+        with self.build(app, kind) as runtime:
             assert runtime.ingest(Event("S1", 0.0, "k"))
             assert runtime.drain()
-            want, dispatched = OVERFLOW_EXPECTED[kind]
-            assert runtime.counters.snapshot() == want
-            assert runtime.dispatcher.stats.dispatched == dispatched
+            self.check(kind, runtime)
             assert runtime.read_slate("U1", "k")["count"] == 4
-            assert runtime.read_slate("U_cheap", "k") is None
+
+
+class TestOverflowAccountingPerFunction(TestOverflowAccounting):
+    layout = PER_FUNCTION
 
 
 class TestThrottledSource:
+    layout = POOL
+
     def test_blocked_source_waits_and_loses_nothing(self):
         entered, release = threading.Event(), threading.Event()
         app = Application("gate")
         app.add_stream("S1", external=True)
         app.add_updater("U1", Gate, subscribes=["S1"],
                         config={"entered": entered, "release": release})
-        config = LocalConfig(num_threads=1, queue_capacity=4,
-                             overflow=OverflowPolicy.throttle())
-        with LocalMuppet(app, config) as runtime:
+        with self.layout.build(app, 1, queue_capacity=4,
+                          overflow=OverflowPolicy.throttle()) as runtime:
             runtime.ingest(Event("S1", 0.0, "k"))
             assert entered.wait(5.0)
             threading.Timer(0.05, release.set).start()
@@ -281,6 +324,10 @@ class TestThrottledSource:
             assert snap["processed"] == 11
 
 
+class TestThrottledSourcePerFunction(TestThrottledSource):
+    layout = PER_FUNCTION
+
+
 class Exploding(Mapper):
     def map(self, ctx, event):
         if event.value % 2:
@@ -289,6 +336,8 @@ class Exploding(Mapper):
 
 
 class TestOperatorErrors:
+    layout = POOL
+
     def test_count_and_exception_move_together(self):
         app = Application("explosive")
         app.add_stream("S1", external=True)
@@ -297,7 +346,7 @@ class TestOperatorErrors:
         app.add_updater("U1", CountingUpdater, subscribes=["S2"])
         torn = []
         done = threading.Event()
-        with LocalMuppet(app, LocalConfig(num_threads=2)) as runtime:
+        with self.layout.build(app) as runtime:
 
             def watch():
                 while not done.is_set():
@@ -323,11 +372,16 @@ class TestOperatorErrors:
             snap = runtime.counters.snapshot()
             # A delivery that raised is an error, not a processed event.
             assert snap["processed"] == 200 + 200
+            assert snap["lost_failure"] == 0
             assert runtime._inflight == 0
             # Both workers survived and still take work.
             runtime.ingest(Event("S1", 1000.0, "k0", 1000))
             assert runtime.drain()
             assert all(thread.is_alive() for thread in runtime._threads)
+
+
+class TestOperatorErrorsPerFunction(TestOperatorErrors):
+    layout = PER_FUNCTION
 
 
 class WindowCount(Updater):
@@ -356,6 +410,8 @@ class _CountingCondition(threading.Condition):
 
 
 class TestTimers:
+    layout = POOL
+
     def build(self, fired):
         app = Application("window")
         app.add_stream("S1", external=True)
@@ -365,8 +421,7 @@ class TestTimers:
 
     def test_watermark_fires_a_pending_timer_without_drain(self):
         fired = threading.Event()
-        with LocalMuppet(self.build(fired),
-                         LocalConfig(num_threads=2)) as runtime:
+        with self.layout.build(self.build(fired)) as runtime:
             runtime.ingest(Event("S1", 0.0, "k"))
             runtime.ingest(Event("S1", 0.5, "k"))
             assert runtime.drain(flush_timers=False)
@@ -380,12 +435,16 @@ class TestTimers:
             assert runtime.read_slate("U1", "other")["closed_at"] == 1
 
     def test_ingest_leaves_the_timer_condition_alone_without_timers(self):
-        runtime = LocalMuppet(build_count_app(), LocalConfig(num_threads=2))
+        runtime = self.layout.build(build_count_app())
         runtime._timer_cond = _CountingCondition(threading.Lock())
         with runtime:
             runtime.ingest_many(make_events(100))
             assert runtime.drain()
             assert runtime._timer_cond.notified == 0
+
+
+class TestTimersPerFunction(TestTimers):
+    layout = PER_FUNCTION
 
 
 class TestWakeUps:
@@ -433,5 +492,37 @@ def test_stress_short_switch_interval_loses_no_update():
             counts = runtime.read_slates_of("U1")
             assert sum(s["count"] for s in counts.values()) == 3_000
             assert runtime._inflight == 0
+    finally:
+        sys.setswitchinterval(previous)
+
+
+@LAYOUTS
+def test_store_is_current_after_stop_under_a_racing_flusher(layout):
+    """A flusher ticking every half millisecond against workers updating
+    the same slates: a flush that encoded one version of a slate and
+    cleared the dirty flag of the next would leave the store behind the
+    cache after drain() + stop()."""
+    app = Application("flushed")
+    app.add_stream("S1", external=True)
+    app.add_updater("U1", CountingUpdater, subscribes=["S1"])
+    keys = [f"k{i}" for i in range(50)]
+    events = [Event("S1", i * 0.001, keys[i % 50]) for i in range(20_000)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            runtime = layout.build(app, queue_capacity=len(events),
+                                   flush_policy=FlushPolicy.every(0.001),
+                                   flusher_period_s=0.0005).start()
+            try:
+                assert runtime.ingest_many(events) == len(events)
+                assert runtime.drain(timeout=60.0)
+                cached = {key: runtime.read_slate("U1", key) for key in keys}
+            finally:
+                runtime.stop()
+            stored = {key: DEFAULT_CODEC.decode(
+                runtime.store.read(key, "U1").value) for key in keys}
+            assert stored == cached
+            assert {slate["count"] for slate in stored.values()} == {400}
     finally:
         sys.setswitchinterval(previous)

@@ -1,4 +1,5 @@
-"""LocalMuppet robustness: failing operators, TTLs, slate-size caps."""
+"""Threaded-engine robustness: failing operators (either worker layout),
+TTLs, store sharing."""
 
 import time
 
@@ -6,7 +7,7 @@ import time
 from repro.core import Application, Event, Mapper, Updater
 from repro.muppet.local import LocalConfig, LocalMuppet
 from repro.slates.manager import FlushPolicy
-from tests.conftest import CountingUpdater, EchoMapper
+from tests.conftest import PER_FUNCTION, POOL, CountingUpdater, EchoMapper
 
 
 class ExplodingMapper(Mapper):
@@ -24,6 +25,8 @@ class ExplodingMapper(Mapper):
 
 
 class TestOperatorErrorContainment:
+    layout = POOL
+
     def build(self):
         app = Application("explosive")
         app.add_stream("S1", external=True)
@@ -34,8 +37,7 @@ class TestOperatorErrorContainment:
         return app.validate()
 
     def test_failing_operator_does_not_kill_workers(self):
-        with LocalMuppet(self.build(),
-                         LocalConfig(num_threads=2)) as runtime:
+        with self.layout.build(self.build()) as runtime:
             for i in range(30):
                 runtime.ingest(Event("S1", float(i), "k"))
             assert runtime.drain()
@@ -45,12 +47,15 @@ class TestOperatorErrorContainment:
             assert runtime.read_slate("U1", "k")["count"] == 20
 
     def test_engine_still_responsive_after_many_errors(self):
-        with LocalMuppet(self.build(),
-                         LocalConfig(num_threads=1)) as runtime:
+        with self.layout.build(self.build(), 1) as runtime:
             for i in range(99):
                 runtime.ingest(Event("S1", float(i), "k"))
             assert runtime.drain(timeout=30.0)
             assert runtime.status()["running"]
+
+
+class TestOperatorErrorContainmentPerFunction(TestOperatorErrorContainment):
+    layout = PER_FUNCTION
 
 
 class TestSlateTTLOnLocalRuntime:

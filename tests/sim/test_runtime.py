@@ -146,6 +146,32 @@ class TestDeterminism:
 
         assert once() == once()
 
+    def test_muppet1_kv_write_order_does_not_follow_addresses(self):
+        """Many private managers per machine, flushed often into small
+        memtables: their flush order is the kv write order, so it must
+        be worker order, not the order a set of objects iterates in."""
+        from repro.core import Event
+        from repro.slates.manager import FlushPolicy
+
+        events = [Event("S1", i * 0.0005, f"k{i % 97}", i)
+                  for i in range(6_000)]
+
+        def once():
+            runtime = SimRuntime(
+                build_two_stage_app(), ClusterSpec.uniform(2, cores=4),
+                SimConfig(engine=ENGINE_MUPPET1,
+                          workers_per_function_per_machine=3,
+                          flush_policy=FlushPolicy.every(0.05),
+                          kv_memtable_flush_bytes=2048),
+                [from_trace("S1", events)])
+            report = runtime.run(5.0)
+            return report.kv_stats, report.device_stats, report.metrics
+
+        first = once()
+        moved = [object() for _ in range(100_000)]  # shifts later addresses
+        assert once() == first
+        del moved
+
 
 class TestTimersInSim:
     def test_windowed_app_fires_timers(self):
