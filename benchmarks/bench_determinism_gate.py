@@ -29,36 +29,12 @@ from typing import Any, Dict, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.apps.counting import count_app
 from repro.cluster import ClusterSpec
-from repro.core.application import Application
-from repro.core.operators import Mapper, Updater
 from repro.faults import FaultSchedule
 from repro.sim import SimConfig, SimRuntime
 from repro.sim.sources import constant_rate
 from repro.slates.manager import FlushPolicy
-
-
-class _Echo(Mapper):
-    def map(self, ctx, event):
-        ctx.publish("S2", event.key, event.value)
-
-
-class _Count(Updater):
-    def init_slate(self, key):
-        return {"count": 0}
-
-    def update(self, ctx, event, slate):
-        slate["count"] += 1
-
-
-def _count_app() -> Application:
-    """S1 -> M1(echo) -> S2 -> U1(count), as in the E6 chaos benches."""
-    app = Application("determinism-gate")
-    app.add_stream("S1", external=True)
-    app.add_stream("S2")
-    app.add_mapper("M1", _Echo, subscribes=["S1"], publishes=["S2"])
-    app.add_updater("U1", _Count, subscribes=["S2"])
-    return app.validate()
 
 
 def run_e6d(observed: bool = False) -> Tuple[str, str]:
@@ -79,7 +55,7 @@ def run_e6d(observed: bool = False) -> Tuple[str, str]:
     )
     chaos = FaultSchedule(seed=7).crash(1.05, "m001", recover_at=2.0)
     runtime = SimRuntime(
-        _count_app(), ClusterSpec.uniform(4, cores=4), config, [source], failures=chaos
+        count_app("determinism-gate"), ClusterSpec.uniform(4, cores=4), config, [source], failures=chaos
     )
     report = runtime.run(6.0)
     slates = json.dumps(runtime.slates_of("U1"), sort_keys=True)

@@ -16,7 +16,7 @@ import time
 
 
 from repro.cluster import ClusterSpec
-from repro.metrics import PAPER_TWEETS_PER_SECOND
+from repro.obs import PAPER_TWEETS_PER_SECOND
 from repro.sim import SimConfig, SimRuntime, constant_rate
 from repro.workloads.zipf import zipf_key_fn
 from tests.conftest import build_count_app

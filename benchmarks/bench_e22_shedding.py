@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.analysis.scenarios import (E22_POLICIES, build_e22_app,
                                       e22_overload_run, e22_source_events)
 from repro.core.reference import ReferenceExecutor
-from repro.metrics import PAPER_LATENCY_BOUND_S
+from repro.obs import PAPER_LATENCY_BOUND_S
 from repro.shedding.measure import (loss_summary, measure_counter_error)
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from repro.cluster import ClusterSpec
 from repro.core import Application
-from repro.metrics import (PAPER_CHECKINS_PER_SECOND, PAPER_LATENCY_BOUND_S,
-                           PAPER_TWEETS_PER_SECOND)
+from repro.obs import (PAPER_CHECKINS_PER_SECOND, PAPER_LATENCY_BOUND_S,
+                       PAPER_TWEETS_PER_SECOND)
 from repro.sim import SimConfig, SimRuntime, from_trace, poisson_rate
 from repro.workloads import CheckinGenerator, TweetGenerator
 from repro.apps.hot_topics import MinuteCounter, TopicMapper

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.baselines.mapreduce import MapReduceCosts
 from repro.cluster import ClusterSpec
 from repro.faults import FaultSchedule
-from repro.metrics import format_ms
+from repro.obs import format_ms
 from repro.sim import SimConfig, SimRuntime, constant_rate
 from repro.slates.manager import FlushPolicy
 from tests.conftest import build_count_app

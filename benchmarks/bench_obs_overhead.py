@@ -35,10 +35,9 @@ from typing import Any, Dict, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.apps.counting import count_app
 from repro.cluster import ClusterSpec
-from repro.core.application import Application
 from repro.core.event import Event
-from repro.core.operators import Mapper, Updater
 from repro.sim import SimConfig, SimRuntime
 from repro.sim.sources import Source
 
@@ -49,35 +48,6 @@ MAX_OVERHEAD = 0.02
 
 #: Timing repeats; min is reported (least-noise estimator).
 REPEATS = 3
-
-
-class _Echo(Mapper):
-    def map(self, ctx, event):
-        ctx.publish(self.config["output_sid"], event.key, event.value)
-
-
-class _Count(Updater):
-    def init_slate(self, key):
-        return {"count": 0}
-
-    def update(self, ctx, event, slate):
-        slate["count"] += 1
-
-
-def _chain_app() -> Application:
-    """S1 -> M1 -> S2 -> M2 -> S3 -> U1: the perf gate's E1 pipeline,
-    reused so the overhead number is measured on the same workload the
-    committed BENCH_PERF.json baseline tracks."""
-    app = Application("obs-overhead-chain")
-    app.add_stream("S1", external=True)
-    app.add_stream("S2")
-    app.add_stream("S3")
-    app.add_mapper("M1", _Echo, subscribes=["S1"], publishes=["S2"],
-                   config={"output_sid": "S2"})
-    app.add_mapper("M2", _Echo, subscribes=["S2"], publishes=["S3"],
-                   config={"output_sid": "S3"})
-    app.add_updater("U1", _Count, subscribes=["S3"])
-    return app.validate()
 
 
 def _events(n: int, spacing: float, keys: int):
@@ -96,11 +66,14 @@ def _timed(fn) -> Tuple[Any, float]:
 
 
 def _run(traced: bool) -> Tuple[str, str, int]:
-    """One E1-style run; returns (counter_report, slates, span count)."""
+    """One run of the perf gate's E1 chain (S1 -> M1 -> S2 -> M2 -> S3
+    -> U1), so the overhead is measured on the workload the committed
+    BENCH_PERF.json baseline tracks; returns (counter_report, slates,
+    span count)."""
     n, spacing, keys, machines = 30_000, 0.00002, 200, 4
     config = SimConfig(trace=traced, trace_capacity=4_000_000,
                        timeline=traced)
-    runtime = SimRuntime(_chain_app(),
+    runtime = SimRuntime(count_app("obs-overhead-chain", hops=2),
                          ClusterSpec.uniform(machines, cores=4), config,
                          [Source("S1", iter(_events(n, spacing, keys)))])
     report = runtime.run(n * spacing + 5.0)

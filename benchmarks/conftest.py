@@ -52,7 +52,7 @@ class ExperimentReport:
 
     def table(self, headers, rows) -> None:
         """Append an aligned table."""
-        from repro.metrics import format_table
+        from repro.obs import format_table
 
         self._lines.append(format_table(headers, rows))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.apps import build_retailer_app
 from repro.cluster import ClusterSpec
-from repro.metrics import PAPER_TWEETS_PER_SECOND, format_table
+from repro.obs import PAPER_TWEETS_PER_SECOND, format_table
 from repro.sim import SimConfig, SimRuntime, from_trace
 from repro.workloads import CheckinGenerator
 

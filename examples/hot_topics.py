@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.apps import build_hot_topics_app
 from repro.core import ReferenceExecutor
-from repro.metrics import format_table
+from repro.obs import format_table
 from repro.workloads import TopicBurst, TweetGenerator
 
 DAY = 86_400.0

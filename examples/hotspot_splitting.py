@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.apps import build_retailer_app, build_split_app
 from repro.cluster import ClusterSpec
-from repro.metrics import format_table
+from repro.obs import format_table
 from repro.sim import ENGINE_MUPPET1, SimConfig, SimRuntime, from_trace
 from repro.workloads import CheckinGenerator
 

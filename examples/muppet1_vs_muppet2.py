@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 
 from repro.apps import build_retailer_app
-from repro.metrics import format_table
+from repro.obs import format_table
 from repro.muppet import (Local1Config, LocalConfig, LocalMuppet,
                           LocalMuppet1)
 from repro.workloads import CheckinGenerator

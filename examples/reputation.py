@@ -13,7 +13,7 @@ Run:  python examples/reputation.py
 from __future__ import annotations
 
 from repro.apps import build_reputation_app
-from repro.metrics import format_table
+from repro.obs import format_table
 from repro.muppet import LocalConfig, LocalMuppet
 from repro.workloads import TweetGenerator
 

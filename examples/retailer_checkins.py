@@ -12,7 +12,7 @@ Run:  python examples/retailer_checkins.py
 from __future__ import annotations
 
 from repro.apps import build_retailer_app
-from repro.metrics import format_table
+from repro.obs import format_table
 from repro.muppet import LocalConfig, LocalMuppet
 from repro.workloads import CheckinGenerator
 

@@ -71,44 +71,14 @@ def _cluster(count: int, cores: int) -> Any:
 
 def build_mc_pipeline_app() -> Any:
     """S1 → M1(echo) → S2 → U1(count): the two-hop checked workflow."""
-    from repro.core.application import Application
-    from repro.core.operators import Mapper, Updater
-
-    class _Echo(Mapper):
-        def map(self, ctx: Any, event: Any) -> None:
-            ctx.publish("S2", event.key, event.value)
-
-    class _Count(Updater):
-        def init_slate(self, key: str) -> dict:
-            return {"count": 0}
-
-        def update(self, ctx: Any, event: Any, slate: Any) -> None:
-            slate["count"] += 1
-
-    app = Application("mc-pipeline")
-    app.add_stream("S1", external=True)
-    app.add_stream("S2")
-    app.add_mapper("M1", _Echo, subscribes=["S1"], publishes=["S2"])
-    app.add_updater("U1", _Count, subscribes=["S2"])
-    return app.validate()
+    from repro.apps.counting import count_app
+    return count_app("mc-pipeline")
 
 
 def build_mc_counter_app() -> Any:
     """S1 → U1(count): the one-hop workflow (two-choice model)."""
-    from repro.core.application import Application
-    from repro.core.operators import Updater
-
-    class _Count(Updater):
-        def init_slate(self, key: str) -> dict:
-            return {"count": 0}
-
-        def update(self, ctx: Any, event: Any, slate: Any) -> None:
-            slate["count"] += 1
-
-    app = Application("mc-counter")
-    app.add_stream("S1", external=True)
-    app.add_updater("U1", _Count, subscribes=["S1"])
-    return app.validate()
+    from repro.apps.counting import count_app
+    return count_app("mc-counter", hops=0)
 
 
 def _events(sid: str, spec: List[Tuple[float, str]]) -> List[Any]:
@@ -203,7 +173,7 @@ class McModel:
 
     def make_runtime(self, schedule: FaultSchedule) -> Any:
         """A fresh runtime wired for this model and one fault schedule."""
-        from repro.sim.runtime import SimRuntime
+        from repro.sim import SimRuntime
         from repro.sim.sources import from_trace
 
         config = self.build_config()
@@ -228,7 +198,7 @@ class McModel:
 
 
 def _base_config(**overrides: Any) -> Any:
-    from repro.sim.runtime import SimConfig
+    from repro.sim import SimConfig
     from repro.slates.manager import FlushPolicy
 
     defaults: Dict[str, Any] = dict(

@@ -42,7 +42,7 @@ from __future__ import annotations
 import threading
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import AnalysisError
 
@@ -394,8 +394,7 @@ def _track_flushes(manager: Any, mon: LockMonitor) -> None:
 
 # -- the CI smoke run ---------------------------------------------------------
 def race_smoke_run(events: int = 2000, threads: int = 4, keys: int = 16,
-                   flush_every_s: float = 0.02,
-                   build: Optional[Callable[[], Any]] = None) -> LockMonitor:
+                   flush_every_s: float = 0.02) -> LockMonitor:
     """Run both worker layouts, instrumented, under churn; return the
     monitor they share.
 
@@ -404,38 +403,17 @@ def race_smoke_run(events: int = 2000, threads: int = 4, keys: int = 16,
     enough events that the two-choice dispatcher routes one key to two
     workers. CI asserts the result is race- and cycle-free.
     """
-    from repro.core.application import Application
-    from repro.core.operators import Mapper, Updater
+    from repro.apps.counting import count_app
+    from repro.core.event import Event
     from repro.muppet.local import LocalConfig, LocalMuppet
     from repro.muppet.local1 import Local1Config, LocalMuppet1
     from repro.slates.manager import FlushPolicy
 
-    if build is None:
-        class _Echo(Mapper):
-            def map(self, ctx: Any, event: Any) -> None:
-                ctx.publish("S2", event.key, event.value)
-
-        class _Count(Updater):
-            def init_slate(self, key: str) -> Dict[str, Any]:
-                return {"count": 0}
-
-            def update(self, ctx: Any, event: Any, slate: Any) -> None:
-                slate["count"] += 1
-
-        def build() -> Any:
-            app = Application("race-smoke")
-            app.add_stream("S1", external=True)
-            app.add_stream("S2")
-            app.add_mapper("M1", _Echo, subscribes=["S1"], publishes=["S2"])
-            app.add_updater("U1", _Count, subscribes=["S2"])
-            return app.validate()
-
-    from repro.core.event import Event
-
     flushing = dict(flush_policy=FlushPolicy.every(flush_every_s),
                     flusher_period_s=flush_every_s / 2)
-    pool = LocalMuppet(build(), LocalConfig(num_threads=threads, **flushing))
-    per_function = LocalMuppet1(build(), Local1Config(
+    pool = LocalMuppet(count_app("race-smoke"),
+                       LocalConfig(num_threads=threads, **flushing))
+    per_function = LocalMuppet1(count_app("race-smoke"), Local1Config(
         workers_per_function=max(1, threads // 2), **flushing))
     monitor = LockMonitor()
     for runtime in (pool, per_function):

@@ -58,7 +58,7 @@ class WallClockRule(LintRule):
                    "engine code; simulated components must use the clock "
                    "seam, threaded sites need '# noqa: MUP001 -- reason'")
     include = (r"^repro/(sim|core|slates|kvstore|cluster|muppet|faults|"
-               r"baselines|obs)/",)
+               r"elastic|shedding|baselines|obs)/",)
 
     def check(self, tree: ast.Module, relpath: str,
               source_lines: List[str]) -> List[Finding]:

@@ -14,9 +14,15 @@ assumption at the source line that introduces them:
   layer itself.
 * **Wall-clock branches** — a handler that reads ``time.time()`` (or
   kin) branches on host time, which the controlled scheduler cannot
-  replay. MUP001 already flags wall-clock in ``repro.sim``; this rule
-  extends the scope to ``repro.elastic``, where the migration and
-  autoscaler protocols live.
+  replay. MUP001 flags wall-clock wherever engine code lives; this
+  rule repeats the check for handlers so a suppressed MUP001 cannot
+  hide one.
+
+The scope follows the code: the migration and autoscaler protocols
+(``repro.elastic``), the recovery broadcast and heartbeat sweep
+(``repro.faults``), the overload monitors (``repro.shedding``), the
+checkpoint epoch and replay glue (``repro/muppet/replay.py``), and the
+runtime that sequences them (``repro.sim``).
 
 A *protocol-phase handler* is named like one: ``_phase_*``,
 ``_handle_*``, ``on_*``, or any function whose name mentions a
@@ -49,11 +55,13 @@ class ProtocolPhaseDeterminismRule(LintRule):
 
     code = "MUP010"
     name = "protocol-phase-determinism"
-    description = ("protocol-phase handlers in repro.elastic/repro.sim "
-                   "must not iterate unordered dicts/sets or branch on "
-                   "wall clock; the model checker replays them as pure "
-                   "functions of runtime state")
-    include = (r"^repro/(elastic|sim)/",)
+    description = ("protocol-phase handlers in repro.sim/elastic/faults/"
+                   "shedding and muppet/replay.py must not iterate "
+                   "unordered dicts/sets or branch on wall clock; the "
+                   "model checker replays them as pure functions of "
+                   "runtime state")
+    include = (r"^repro/(elastic|sim|faults|shedding)/",
+               r"^repro/muppet/replay\.py$")
 
     def check(self, tree: ast.Module, relpath: str,
               source_lines: List[str]) -> List[Finding]:

@@ -46,26 +46,9 @@ __all__ = [
 
 def build_e6d_app() -> Any:
     """S1 → M1(echo) → S2 → U1(count), as in the E6 chaos benches."""
-    from repro.core.application import Application
-    from repro.core.operators import Mapper, Updater
+    from repro.apps.counting import count_app
 
-    class _Echo(Mapper):
-        def map(self, ctx: Any, event: Any) -> None:
-            ctx.publish("S2", event.key, event.value)
-
-    class _Count(Updater):
-        def init_slate(self, key: str) -> dict:
-            return {"count": 0}
-
-        def update(self, ctx: Any, event: Any, slate: Any) -> None:
-            slate["count"] += 1
-
-    app = Application("e6d-chaos")
-    app.add_stream("S1", external=True)
-    app.add_stream("S2")
-    app.add_mapper("M1", _Echo, subscribes=["S1"], publishes=["S2"])
-    app.add_updater("U1", _Count, subscribes=["S2"])
-    return app.validate()
+    return count_app("e6d-chaos")
 
 
 def e6d_chaos_run(delivery: str = "effectively-once",
@@ -178,21 +161,15 @@ def build_e22_app() -> Any:
     is the paper's "slightly degraded service": a cheap counter on the
     overflow stream that records what the primary path shed.
     """
+    from repro.apps.counting import Count
     from repro.core.application import Application
-    from repro.core.operators import Updater
     from repro.shedding.thinning import ThinnableCounter
 
     class _HotCount(ThinnableCounter):
         cost_factor = E22_COST_FACTOR
 
-    class _DegradedCount(Updater):
+    class _DegradedCount(Count):
         cost_factor = 0.1
-
-        def init_slate(self, key: str) -> dict:
-            return {"count": 0}
-
-        def update(self, ctx: Any, event: Any, slate: Any) -> None:
-            slate["count"] += 1
 
     app = Application("e22-overload")
     app.add_stream("S1", external=True)
@@ -261,7 +238,7 @@ def e22_overload_run(policy: str = "thin", overload: float = 5.0,
     measurement both need final, settled state.
     """
     from repro.cluster import ClusterSpec
-    from repro.metrics import PAPER_LATENCY_BOUND_S
+    from repro.obs import PAPER_LATENCY_BOUND_S
     from repro.muppet.queues import OverflowPolicy, SourceThrottle
     from repro.shedding.controller import SheddingConfig
     from repro.sim import SimConfig, SimRuntime
@@ -419,22 +396,12 @@ def e24_expected_events(
 
 def build_e24_diurnal_app() -> Any:
     """S1 → U1: a deliberately expensive counter (5 ms per update)."""
-    from repro.core.application import Application
-    from repro.core.operators import Updater
+    from repro.apps.counting import Count, count_app
 
-    class _CostlyCount(Updater):
+    class _CostlyCount(Count):
         cost_factor = 20.0  # 20 x 250 us base = 5 ms per update
 
-        def init_slate(self, key: str) -> dict:
-            return {"count": 0}
-
-        def update(self, ctx: Any, event: Any, slate: Any) -> None:
-            slate["count"] += 1
-
-    app = Application("e24-diurnal")
-    app.add_stream("S1", external=True)
-    app.add_updater("U1", _CostlyCount, subscribes=["S1"])
-    return app.validate()
+    return count_app("e24-diurnal", hops=0, updater=_CostlyCount)
 
 
 def e24_elasticity_run(

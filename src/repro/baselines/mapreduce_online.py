@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from repro.baselines.mapreduce import MapFunction, MapReduceCosts
 from repro.core.event import Event
 from repro.errors import ConfigurationError
-from repro.metrics import LatencyRecorder
+from repro.obs import LatencyRecorder
 
 #: fold(key2, new_values, carried_state_or_None) -> new_state
 IncrementalReduce = Callable[[Any, List[Any], Optional[Any]], Any]

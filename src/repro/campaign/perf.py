@@ -21,10 +21,9 @@ import json
 import time
 from typing import Any, Callable, Dict, List, Mapping, Tuple
 
+from repro.apps.counting import Count, count_app
 from repro.cluster import ClusterSpec
-from repro.core.application import Application
 from repro.core.event import Event
-from repro.core.operators import Context, Mapper, Updater
 from repro.errors import ConfigurationError
 from repro.kvstore.cluster import ReplicatedKVStore
 from repro.sim import SimConfig, SimRuntime
@@ -41,48 +40,6 @@ E23_BASELINE_EXACT_WALL_S = 3.6863
 
 #: Timing repeats per measured run; min is reported (least-noise).
 REPEATS = 3
-
-
-class _Echo(Mapper):
-    def map(self, ctx: Context, event: Event) -> None:
-        ctx.publish(self.config["output_sid"], event.key, event.value)
-
-
-class _Count(Updater):
-    def init_slate(self, key: str) -> Dict[str, Any]:
-        return {"count": 0}
-
-    def update(self, ctx: Context, event: Event, slate: Any) -> None:
-        slate["count"] += 1
-
-
-def _chain_app() -> Application:
-    """S1 -> M1 -> S2 -> M2 -> S3 -> U1: two cheap map hops per event,
-    so the data plane (not operator CPU) dominates — the E1 scenario."""
-    app = Application("perf-gate-chain")
-    app.add_stream("S1", external=True)
-    app.add_stream("S2")
-    app.add_stream("S3")
-    app.add_mapper(
-        "M1", _Echo, subscribes=["S1"], publishes=["S2"], config={"output_sid": "S2"}
-    )
-    app.add_mapper(
-        "M2", _Echo, subscribes=["S2"], publishes=["S3"], config={"output_sid": "S3"}
-    )
-    app.add_updater("U1", _Count, subscribes=["S3"])
-    return app.validate()
-
-
-def _count_app() -> Application:
-    """S1 -> M1 -> S2 -> U1: the minimal end-to-end pipeline (E2)."""
-    app = Application("perf-gate-count")
-    app.add_stream("S1", external=True)
-    app.add_stream("S2")
-    app.add_mapper(
-        "M1", _Echo, subscribes=["S1"], publishes=["S2"], config={"output_sid": "S2"}
-    )
-    app.add_updater("U1", _Count, subscribes=["S2"])
-    return app.validate()
 
 
 def _events(n: int, spacing: float, keys: int) -> List[Event]:
@@ -117,7 +74,7 @@ def scenario_e1_scaling() -> Dict[str, Any]:
             coalesce_slate_flushes=batch,
         )
         runtime = SimRuntime(
-            _chain_app(),
+            count_app("perf-gate-chain", hops=2),
             ClusterSpec.uniform(machines, cores=4),
             cfg,
             [Source("S1", iter(_events(n, spacing, keys)))],
@@ -162,7 +119,7 @@ def scenario_e2_latency() -> Dict[str, Any]:
     def run() -> Any:
         cfg = SimConfig(batch_max_events=64, batch_linger_s=0.002)
         runtime = SimRuntime(
-            _count_app(),
+            count_app("perf-gate-count"),
             ClusterSpec.uniform(machines, cores=4),
             cfg,
             [Source("S1", iter(_events(n, spacing, keys)))],
@@ -198,7 +155,7 @@ def scenario_e9_flush() -> Dict[str, Any]:
             flush_policy=FlushPolicy.every(0.05),
             clock=clock,
         )
-        updater = _Count(name="U1")
+        updater = Count(name="U1")
         for i in range(updates):
             slate = manager.get(updater, f"k{i % keys}")
             slate["count"] += 1
@@ -233,7 +190,7 @@ def scenario_e23_fastforward() -> Dict[str, Any]:
 
     def run() -> Tuple[Any, Any]:
         runtime = SimRuntime(
-            _chain_app(),
+            count_app("perf-gate-chain", hops=2),
             ClusterSpec.uniform(machines, cores=4),
             SimConfig(),
             [Source("S1", iter(_events(n, spacing, keys)))],

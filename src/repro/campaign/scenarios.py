@@ -18,50 +18,22 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping
 
+from repro.apps.counting import Count, count_app
 from repro.cluster import ClusterSpec
-from repro.core.application import Application
-from repro.core.event import Event
-from repro.core.operators import Context, Mapper, Updater
 from repro.errors import ConfigurationError
 from repro.faults import FaultSchedule
+from repro.obs import PAPER_LATENCY_BOUND_S
 from repro.sim import SimConfig, SimRuntime, constant_rate
 from repro.slates.manager import FlushPolicy
 
-#: The paper's §5 end-to-end latency requirement (seconds).
-LATENCY_BUDGET_S = 2.0
 
-
-class _Echo(Mapper):
-    def map(self, ctx: Context, event: Event) -> None:
-        ctx.publish(self.config["output_sid"], event.key, event.value)
-
-
-class _Count(Updater):
-    def init_slate(self, key: str) -> Dict[str, Any]:
-        return {"count": 0}
-
-    def update(self, ctx: Context, event: Event, slate: Any) -> None:
-        slate["count"] += 1
-
-
-class _CostlyCount(_Count):
+class _CostlyCount(Count):
     """A counting updater with meaningful per-event CPU (NLP-ish work),
     so machine counts saturate at realistic rates: 20x the base update
     cost = 5 ms of simulated service time per event, ~800 ev/s of
     updater capacity per 4-core machine."""
 
     cost_factor = 20.0
-
-
-def _count_app(costly: bool) -> Application:
-    app = Application("campaign-count")
-    app.add_stream("S1", external=True)
-    app.add_stream("S2")
-    app.add_mapper(
-        "M1", _Echo, subscribes=["S1"], publishes=["S2"], config={"output_sid": "S2"}
-    )
-    app.add_updater("U1", _CostlyCount if costly else _Count, subscribes=["S2"])
-    return app.validate()
 
 
 def capacity_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
@@ -81,7 +53,7 @@ def capacity_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "S1", rate_per_s=rate, duration_s=duration, key_fn=lambda i: f"k{i % keys}"
     )
     runtime = SimRuntime(
-        _count_app(costly=True),
+        count_app("campaign-count", updater=_CostlyCount),
         ClusterSpec.uniform(machines, cores=4),
         SimConfig(),
         [source],
@@ -91,7 +63,7 @@ def capacity_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     offered = int(rate * duration)
     lost = report.counters.lost_total()
     p99_s = report.latency.p99 if report.latency is not None else float("inf")
-    meets = bool(p99_s < LATENCY_BUDGET_S and lost == 0 and counted == offered)
+    meets = bool(p99_s < PAPER_LATENCY_BOUND_S and lost == 0 and counted == offered)
     return {
         "offered": offered,
         "counted": counted,
@@ -145,7 +117,7 @@ def delivery_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "S1", rate_per_s=rate, duration_s=duration, key_fn=lambda i: f"k{i % 64}"
     )
     runtime = SimRuntime(
-        _count_app(costly=False),
+        count_app("campaign-count"),
         ClusterSpec.uniform(4, cores=4),
         config,
         [source],

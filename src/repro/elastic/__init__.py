@@ -5,7 +5,8 @@ signals (worst queue fraction, p99-over-budget, dirty backlog) and
 grows or shrinks the cluster at runtime; membership changes hand slates
 to their new owners through the incremental, crash-safe migration
 protocol in :mod:`repro.elastic.migration` instead of the legacy
-flush-barrier + full-rehydration path.
+flush-barrier + full-rehydration path. :mod:`repro.elastic.controller`
+is what executes either kind of change on the simulated engine.
 """
 
 from repro.elastic.autoscaler import (Autoscaler, AutoscalerConfig,

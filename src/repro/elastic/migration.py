@@ -38,20 +38,27 @@ effectively-once delivery. A master crash merely pauses coordination:
 the phase ledger survives, and the current phase re-drives after
 ``master_resume_s``.
 
-The coordinator drives the protocol against the sim runtime through a
-narrow set of runtime hooks (see ``SimRuntime``); it owns no engine
-state of its own beyond the in-flight migration.
+The coordinator drives the protocol against the sim runtime and owns no
+engine state beyond the in-flight migration. Of the runtime's internals
+it uses four: the machine ring (to plan), the forced batch flush and the
+ring-change primitive (to cut over), and the failure declaration (for a
+receiver found dead at ack). What the engine does around a cutover or a
+completion is the :class:`~repro.elastic.controller.ElasticController`'s
+business, reached through its two hooks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple)
 
+from repro.cluster.hashring import route_key
 from repro.core.slate import SlateKey
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.elastic.controller import ElasticController
     from repro.faults.schedule import FaultEvent
 
 #: The migration phases, in protocol order. Fault triggers
@@ -188,19 +195,23 @@ class MigrationCoordinator:
     """Drives the five-phase handoff protocol on the sim runtime.
 
     One migration is in flight at a time; concurrent requests queue in
-    the runtime. The coordinator is the *master's* logic — phase
+    the elastic controller. The coordinator is the *master's* logic — phase
     transitions are journaled in the master's migration ledger, and a
     simulated master crash pauses (never corrupts) the protocol.
     """
 
     def __init__(self, runtime: Any, config: MigrationConfig,
-                 triggers: Optional[List["FaultEvent"]] = None) -> None:
+                 elastic: "ElasticController",
+                 kill: Callable[[str], None]) -> None:
         self.rt = runtime
         self.config = config
+        self.elastic = elastic
+        self._kill = kill
         self.counters = MigrationCounters()
         self.active: Optional[MigrationState] = None
         #: Deterministic one-shot crash triggers (FaultSchedule DSL).
-        self._triggers: List["FaultEvent"] = list(triggers or [])
+        self._triggers: List["FaultEvent"] = (
+            runtime.fault_schedule.migration_triggers())
         self._consumed: set = set()
         self._master_down_until = 0.0
 
@@ -256,11 +267,8 @@ class MigrationCoordinator:
                 continue
             if kind == "retire" and donor_name != machine:
                 continue
-            mgr = rt._central_manager(donor_name)
-            if mgr is None:
-                continue
-            for slate_key in mgr.cache.resident():
-                rk = rt.route_key_of(slate_key)
+            for slate_key in donor.central_mgr.cache.resident():
+                rk = route_key(slate_key.key, slate_key.updater)
                 if rt._machine_ring.lookup(rk) != donor_name:
                     continue  # stale orphan copy; the owner's copy moves
                 new_owner = shadow.lookup(rk)
@@ -344,7 +352,7 @@ class MigrationCoordinator:
             donors = mig.donors() or [mig.machine]
             victim = donors[0]
         if rt.machines[victim].alive:
-            rt._kill_machine_now(victim)
+            self._kill(victim)
 
     def _abort(self, mig: MigrationState, reason: str) -> None:
         """Abandon a pre-cutover migration; the donor still owns all keys.
@@ -364,7 +372,7 @@ class MigrationCoordinator:
         self.counters.aborted += 1
         self._span(now, phase="abort", mig=mig, reason=reason)
         self.active = None
-        rt._migration_finished(mig, completed=False)
+        self.elastic.finished(mig, completed=False)
 
     def _transfer_delay(self, nbytes: int) -> float:
         network = self.rt.cluster.network
@@ -429,11 +437,9 @@ class MigrationCoordinator:
         planning are skipped — the store already holds their freshest
         flushed state and the receiver rehydrates them lazily.
         """
-        mgr = self.rt._central_manager(stream.donor)
+        mgr = self.rt.machines[stream.donor].central_mgr
         moved = 0
         nbytes = 0
-        if mgr is None:
-            return 0, 0
         for slate_key in stream.keys:
             slate = mgr.cache.peek(slate_key)
             if slate is None:
@@ -463,12 +469,10 @@ class MigrationCoordinator:
                            lambda _sim: self._phase_cutover(mig)):
             return
         now = rt.sim.now()
-        rt._flush_all_batches()
-        if self.config.full_rehydration:
-            moved = self._full_rehydration_cutover(mig)
-            final_bytes = 0
-        else:
-            final_bytes = 0
+        rt._flush_batches()
+        moved = final_bytes = 0
+        full = self.config.full_rehydration
+        if not full:
             for stream in mig.streams:
                 changed, nbytes = self._export_changed(stream, full=False)
                 final_bytes += nbytes
@@ -476,10 +480,22 @@ class MigrationCoordinator:
                 self.counters.cutover_bytes += nbytes
             moved = self._install_and_drop(mig)
         mig.final_bytes = final_bytes
-        rt._apply_migration_ring_change(mig)
-        for stream in mig.streams:
-            self._emit_handoffs(now, mig, stream)
-        rt._reroute_queued_after_ring_change()
+
+        def flipped() -> None:
+            nonlocal moved
+            if full:
+                moved = self._drop_flushed_copies(mig)
+            # readdress() already counts into journal stats; mirror into
+            # the migration family so bench E24 sees it.
+            self.counters.journal_readdressed += self.elastic.cutover(mig)
+            # Handoff spans come *after* the ``ring_change`` span, so the
+            # invariant checker's new ring epoch sees them as its
+            # opening ownership facts.
+            self._emit_handoffs(now, mig)
+
+        # The ablation cuts over behind the cluster-wide flush barrier.
+        rt._change_ring(mig.kind, rt.machines[mig.machine], flush=full,
+                        before_reroute=flipped)
         self._span(now, phase="cutover", mig=mig, slates=moved,
                    bytes=final_bytes)
         delay = self._transfer_delay(final_bytes)
@@ -497,42 +513,38 @@ class MigrationCoordinator:
         now = rt.sim.now()
         moved = 0
         for stream in mig.streams:
-            receiver_mgr = rt._central_manager(stream.receiver)
-            donor_mgr = rt._central_manager(stream.donor)
+            receiver_mgr = rt.machines[stream.receiver].central_mgr
+            donor_mgr = rt.machines[stream.donor].central_mgr
             for slate_key in stream.keys:
                 staged = stream.staged.get(slate_key)
-                if staged is not None and receiver_mgr is not None:
+                if staged is not None:
                     receiver_mgr.import_blob(
                         slate_key, staged.blob, ttl=staged.ttl,
                         last_update_ts=staged.last_update_ts, now=now)
                     moved += 1
-                if donor_mgr is not None:
-                    donor_mgr.drop(slate_key)
+                donor_mgr.drop(slate_key)
             stream.staged.clear()
         self.counters.handoff_slates += moved
         return moved
 
-    def _full_rehydration_cutover(self, mig: MigrationState) -> int:
+    def _drop_flushed_copies(self, mig: MigrationState) -> int:
         """Ablation cutover: cluster-wide flush barrier, drop, lazy reads.
 
         This is the paper's Section 4.3 re-admission strategy applied to
-        a planned change: every dirty slate in the cluster flushes, the
-        donor drops its (now clean) moving copies, and the receiver
-        pays a cold kv read per slate on first touch. The network bytes
+        a planned change: every dirty slate in the cluster has just
+        flushed (the ring change took the barrier), the donor drops its
+        (now clean) moving copies, and the receiver pays a cold kv read
+        per slate on first touch. The network bytes
         the strategy moves for the moving set are counted so bench E24
         can compare them against the incremental stream: each barrier
         write fans out to every kv replica, and the receiver's cold
         read adds one more transfer — against the incremental handoff's
         single donor→receiver copy per (version of a) slate.
         """
-        rt = self.rt
-        rt._rebalance_flush()
-        replicas = getattr(rt.store, "replication_factor", 1)
+        replicas = getattr(self.rt.store, "replication_factor", 1)
         moved = 0
         for stream in mig.streams:
-            donor_mgr = rt._central_manager(stream.donor)
-            if donor_mgr is None:
-                continue
+            donor_mgr = self.rt.machines[stream.donor].central_mgr
             for slate_key in stream.keys:
                 slate = donor_mgr.cache.peek(slate_key)
                 if slate is None:
@@ -545,18 +557,16 @@ class MigrationCoordinator:
             stream.staged.clear()
         return moved
 
-    def _emit_handoffs(self, now: float, mig: MigrationState,
-                       stream: HandoffStream) -> None:
-        """Per-slate ownership-transfer spans, emitted *after* the
-        ``ring_change`` span so the invariant checker's new ring epoch
-        sees them as its opening ownership facts."""
+    def _emit_handoffs(self, now: float, mig: MigrationState) -> None:
+        """Per-slate ownership-transfer spans."""
         tracer = self.rt.tracer
         if tracer is None:
             return
-        for slate_key in stream.keys:
-            tracer.emit(now, "handoff", updater=slate_key.updater,
-                        key=slate_key.key, src=stream.donor,
-                        machine=stream.receiver, epoch=mig.epoch)
+        for stream in mig.streams:
+            for slate_key in stream.keys:
+                tracer.emit(now, "handoff", updater=slate_key.updater,
+                            key=slate_key.key, src=stream.donor,
+                            machine=stream.receiver, epoch=mig.epoch)
 
     def _phase_ack(self, mig: MigrationState) -> None:
         rt = self.rt
@@ -572,9 +582,7 @@ class MigrationCoordinator:
                 # the handed-off keys deterministically.
                 rt._declare_machine_failed(receiver)
                 continue
-            mgr = rt._central_manager(receiver)
-            if mgr is not None:
-                mgr.flush_all_dirty()
+            machine.central_mgr.flush_all_dirty()
         self._span(now, phase="ack", mig=mig)
         delay = self._transfer_delay(_CONTROL_MSG_BYTES)
         rt.sim.schedule_in(delay, lambda _sim: self._phase_release(mig))
@@ -592,4 +600,4 @@ class MigrationCoordinator:
         self.counters.completed += 1
         self._span(now, phase="release", mig=mig)
         self.active = None
-        rt._migration_finished(mig, completed=True)
+        self.elastic.finished(mig, completed=True)

@@ -7,11 +7,14 @@ seeded :class:`FaultSchedule` that injects crashes, crash-then-recover
 cycles, network partitions, gray (slow-node) failures, probabilistic
 message drop/delay, kv-node outages, and migration-phase-triggered
 participant crashes (:meth:`FaultSchedule.at_migration`) into
-:class:`repro.sim.runtime.SimRuntime`, and the :class:`FaultInjector`
-that realizes the schedule deterministically inside the discrete-event
-simulator.
+:class:`repro.sim.runtime.SimRuntime`, and the two objects that realize
+the schedule deterministically inside the discrete-event simulator:
+the :class:`FaultInjector` (interval rules, asked per message) and
+:class:`repro.faults.driver.FaultDriver` (crash, recovery and kv-outage
+state changes, the heartbeat sweep, the recovery broadcast).
 """
 
+from repro.faults.driver import RobustnessCounters
 from repro.faults.injector import FaultInjector, FaultInjectorStats
 from repro.faults.lattice import (CrashSite, FaultLattice, MigrationSite,
                                   describe_schedule)
@@ -28,5 +31,6 @@ __all__ = [
     "FaultLattice",
     "FaultSchedule",
     "MigrationSite",
+    "RobustnessCounters",
     "describe_schedule",
 ]

@@ -44,10 +44,9 @@ from repro.errors import (ConfigurationError, EngineStoppedError, StoreError,
                           WorkflowError)
 from repro.kvstore.api import ConsistencyLevel
 from repro.kvstore.cluster import ReplicatedKVStore
-from repro.metrics import LatencyRecorder
 from repro.muppet.dispatch import KeyFn, TwoChoiceDispatcher
 from repro.muppet.queues import BoundedQueue, OverflowPolicy
-from repro.obs import MetricsRegistry
+from repro.obs import LatencyRecorder, MetricsRegistry
 from repro.shedding.thinning import Thinner, ThinningPolicy
 from repro.slates.manager import (FlushPolicy, SlateManager,
                                   SlateManagerStats)

@@ -24,15 +24,25 @@ watermarks — has been flushed. Replayed events whose sequence ids fall
 at or below a slate's persisted watermark are skipped (counted in
 :attr:`ReplayStats.deduped`), so replays become idempotent and counting
 applications recover exact totals. Bench E6e compares all three modes.
+:class:`EffectivelyOnce` is that mode's engine-side half: the dedup
+check, the replay pins and the checkpoint-epoch barrier.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
+                    Optional, Tuple)
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.event import Event
+    from repro.core.slate import Slate
+    from repro.sim.des import Simulator
+    from repro.sim.runtime import SimRuntime, _Envelope, _Machine, _Worker
 
 
 @dataclass(slots=True)
@@ -196,3 +206,107 @@ class ReplayJournal:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class EffectivelyOnce:
+    """Effectively-once delivery on the simulated engine.
+
+    Built only for that mode. It owns the epoch-pruned journal and what
+    makes replaying from it idempotent: the watermark check a replayed
+    event takes before it re-applies, the pins that keep a queued
+    replay ahead of fresh same-key events, and the periodic
+    flush-then-prune barrier. ``pin_replays`` says whether delivery may
+    spill a key to a second worker (the 2.0 two-choice dispatcher), so
+    that queued replays must pin it; with one owning worker per key
+    (1.0) there is nothing to pin.
+    """
+
+    def __init__(self, rt: "SimRuntime", pin_replays: bool) -> None:
+        self.rt = rt
+        self.journal = ReplayJournal.epoch_pruned()
+        self.pin_replays = pin_replays
+        #: Replayed events that applied (their effects died in a crash).
+        self.reapplied = 0
+        #: Journal entries dropped at checkpoint epochs.
+        self.epoch_pruned = 0
+        #: Runtime-local identities for timer firings (see
+        #: ``SimRuntime._schedule_timer``).
+        self.timer_ids = itertools.count(1)
+        #: Recent checkpoint-barrier times; epoch k prunes journal
+        #: entries recorded before tick[k-2] (two periods of slack for
+        #: effects still in flight or queued at the barrier).
+        self._epoch_ticks: Deque[float] = deque(maxlen=3)
+
+    def skips(self, machine: "_Machine", fn: str, event: "Event",
+              slate: "Slate") -> bool:
+        """Check one replayed event against the slate's watermark; True
+        when its effect is already there."""
+        origin, oseq = event.provenance()
+        skip = oseq <= slate.watermark(origin)
+        if skip:
+            # The slate already durably contains this event's effect
+            # (the watermark persisted with the fields that include
+            # it): skip the re-application. The slate read was still
+            # paid for — dedup is not free.
+            self.journal.stats.deduped += 1
+        else:
+            self.reapplied += 1
+        trace = self.rt.tracer
+        if trace is not None:
+            trace.emit(self.rt.sim.now(), "dedup", machine=machine.name,
+                       op=fn, key=event.key, origin=origin, oseq=oseq,
+                       decision="skip" if skip else "reapply")
+        return skip
+
+    def pin(self, machine: "_Machine", worker: "_Worker",
+            envelope: "_Envelope") -> None:
+        """Count one more queued replay for its (key, fn) on ``worker``
+        (see ``_Machine.replay_pins``)."""
+        pin_key = (envelope.event.key, envelope.dest_fn)
+        pin = machine.replay_pins.get(pin_key)
+        if pin is None:
+            machine.replay_pins[pin_key] = [worker, 1]
+        else:
+            pin[1] += 1
+
+    def unpin(self, machine: "_Machine", item: Tuple[str, str]) -> None:
+        """A queued replay for ``item`` starts executing. After the last
+        one, the dispatcher's processing-affinity rule covers the rest
+        of the window (``worker.current == item`` until ``_finish``)."""
+        pin = machine.replay_pins.get(item)
+        if pin is not None:
+            pin[1] -= 1
+            if pin[1] <= 0:
+                del machine.replay_pins[item]
+
+    def schedule(self) -> None:
+        """Arm the periodic checkpoint-epoch barrier."""
+        def tick(sim: "Simulator") -> None:
+            self.checkpoint(sim.now())
+
+        self.rt.sim.every(self.rt.config.checkpoint_epoch_s, tick)
+
+    def checkpoint(self, now: float) -> None:
+        """One coordinated flush-then-prune barrier.
+
+        Reuses the rebalance flush barrier: every live machine's dirty
+        slates — watermarks embedded in the same blob — go to the
+        kv-store, buffered batches are forced onto the wire first so
+        nothing sits in a coalescing buffer across the barrier. The
+        master counts the epoch; then journal entries recorded before
+        the barrier *two epochs ago* are pruned. The two-epoch lag
+        covers effects still in flight or queued at a barrier: an entry
+        sent before tick[k-2] has been applied (or replayed) and
+        flushed by tick[k-1], provided delivery + queueing latency stays
+        under one epoch period. A backlog deeper than one period is the
+        residual hazard — a pruned entry can no longer be replayed,
+        degrading that event to at-most-once.
+        """
+        rt = self.rt
+        rt._flush_batches()
+        rt._rebalance_flush()
+        rt.master.coordinate_epoch()
+        self._epoch_ticks.append(now)
+        if len(self._epoch_ticks) == 3:
+            self.epoch_pruned += self.journal.prune_before(
+                self._epoch_ticks[0])

@@ -15,8 +15,23 @@ Three cooperating pieces, all engine-agnostic:
 * :class:`TimelineRecorder` (:mod:`repro.obs.timeline`) — per-machine
   queue-depth / dirty-slate and per-updater latency timeseries sampled
   on the existing flusher tick (zero extra simulator events).
+
+:mod:`repro.obs.latency` holds what every engine records the paper's §5
+quantities with: exact-sample latency recorders and percentiles,
+throughput, the §5 targets, and the benchmark table formatters.
 """
 
+from repro.obs.latency import (
+    PAPER_CHECKINS_PER_SECOND,
+    PAPER_LATENCY_BOUND_S,
+    PAPER_TWEETS_PER_SECOND,
+    LatencyRecorder,
+    LatencySummary,
+    ThroughputReport,
+    format_ms,
+    format_table,
+    percentile,
+)
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_S,
     Counter,
@@ -41,11 +56,20 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlTracer",
+    "LatencyRecorder",
+    "LatencySummary",
     "MetricsRegistry",
+    "PAPER_CHECKINS_PER_SECOND",
+    "PAPER_LATENCY_BOUND_S",
+    "PAPER_TWEETS_PER_SECOND",
     "RingTracer",
     "Span",
+    "ThroughputReport",
     "TimelineRecorder",
     "Tracer",
+    "format_ms",
+    "format_table",
+    "percentile",
     "read_jsonl",
     "reconstruct_chain",
     "spans_for",

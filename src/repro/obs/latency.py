@@ -9,8 +9,8 @@ those quantities so benchmarks can print paper-versus-measured tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 
 def percentile(samples: Sequence[float], fraction: float) -> float:
@@ -112,87 +112,17 @@ class LatencyRecorder:
         return self
 
 
-@dataclass(slots=True)
-class RobustnessCounters:
-    """Failure-injection and recovery accounting for one simulated run.
-
-    Aggregated into :class:`repro.sim.runtime.SimReport` from the fault
-    injector, the master, the slate managers, and the kv-store, so chaos
-    tests can assert on one object (and print it byte-identically across
-    seeded runs — see ``SimReport.counter_report``).
-    """
-
-    #: Machines revived through the master's recovery broadcast.
-    recoveries: int = 0
-    #: Slates a revived machine's manager refetched from the kv-store.
-    rehydrated_slates: int = 0
-    #: Slate-manager kv operations retried after a transient StoreError.
-    kv_retries: int = 0
-    #: Simulated seconds spent in retry exponential backoff.
-    kv_backoff_s: float = 0.0
-    #: Reads/writes that degraded (fail-open) after exhausting retries.
-    fail_open_reads: int = 0
-    fail_open_writes: int = 0
-    #: Simulated seconds of extra service/network time from gray (slow
-    #: node) failures.
-    gray_slow_s: float = 0.0
-    #: Messages dropped by injected drop rules / lost crossing an
-    #: injected network partition.
-    dropped_injected: int = 0
-    lost_partition: int = 0
-    #: Messages delayed by injected delay rules, and the total extra time.
-    delayed_injected: int = 0
-    injected_delay_s: float = 0.0
-    #: Hinted-handoff accounting: hints buffered for down kv nodes,
-    #: hints delivered on rejoin, hints evicted by the bounded buffers,
-    #: and hints still pending at report time.
-    hints_stored: int = 0
-    hints_delivered: int = 0
-    hints_evicted: int = 0
-    hints_pending: int = 0
-    #: Effectively-once accounting: replayed events skipped by a slate's
-    #: persisted dedup watermark, replayed events that applied (their
-    #: effects were lost with the crash), checkpoint-epoch barriers run,
-    #: and journal entries pruned at those barriers. All zero unless
-    #: ``SimConfig.delivery_semantics == "effectively-once"``.
-    replay_deduped: int = 0
-    replay_reapplied: int = 0
-    checkpoint_epochs: int = 0
-    epoch_pruned: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict snapshot (insertion-ordered, deterministic)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass(slots=True)
-class DataPlaneCounters:
-    """Event-coalescing accounting for one simulated run.
-
-    Filled by :class:`repro.sim.runtime.SimRuntime` when data-plane
-    batching is on (``SimConfig.batch_max_events > 0``); all-zero
-    otherwise. Printed under ``dataplane.*`` in
-    ``SimReport.counter_report`` — the batching-determinism tests
-    exclude these lines (batching legitimately changes how many
-    envelopes fly) while asserting everything else is identical.
-    """
-
-    #: Coalesced envelopes shipped (one network message each).
-    batches_sent: int = 0
-    #: Events carried inside those envelopes.
-    batched_events: int = 0
-    #: Flushes triggered by the linger timer expiring.
-    linger_flushes: int = 0
-    #: Flushes triggered by a buffer reaching ``batch_max_events``.
-    size_flushes: int = 0
-    #: Flushes forced by ring changes or machine failure handling.
-    forced_flushes: int = 0
-    #: Largest single batch shipped.
-    max_batch_events: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict snapshot (insertion-ordered, deterministic)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+def worst_recent_p99(recorders: Mapping[str, LatencyRecorder],
+                     window: int) -> float:
+    """Worst per-updater p99 over each updater's trailing ``window``
+    samples — the latency signal the overload controller and the
+    autoscaler both watch."""
+    worst = 0.0
+    for recorder in recorders.values():  # noqa: MUP003 -- max() is order-independent
+        samples = recorder.samples
+        if samples:
+            worst = max(worst, percentile(samples[-window:], 0.99))
+    return worst
 
 
 def format_ms(seconds: Optional[float], digits: int = 2) -> str:

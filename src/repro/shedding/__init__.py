@@ -9,13 +9,16 @@ unbiased via inverse-probability weighting (Horvitz-Thompson
 estimation) — a kept event with keep-probability ``p`` applies with
 weight ``1/p``, so the expected counter value equals the exact count.
 
-Three pieces:
+Four pieces:
 
 * :mod:`repro.shedding.thinning` — the thinnability contract and the
   seeded per-key-class thinning decision engine;
 * :mod:`repro.shedding.controller` — the adaptive backpressure
   controller that walks each machine through pressure tiers
   (normal → thin → overflow-stream → source-throttle) with hysteresis;
+* :mod:`repro.shedding.overload` — what carries those decisions out
+  on the simulated engine (monitor ticks, the thinning and proactive-
+  divert calls, the ``overload`` metrics family);
 * :mod:`repro.shedding.measure` — ground-truth error measurement
   against the reference executor (max/mean relative counter error and
   per-policy data-loss accounting).

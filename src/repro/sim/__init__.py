@@ -7,10 +7,11 @@ Muppet 1.0-vs-2.0, hotspots, failures, SSD-vs-HDD).
 """
 
 from repro.sim.clock import VirtualClock
+from repro.sim.config import ENGINE_MUPPET1, ENGINE_MUPPET2, SimConfig
 from repro.sim.costs import CostModel
 from repro.sim.des import Simulator
-from repro.sim.runtime import (ENGINE_MUPPET1, ENGINE_MUPPET2, SimConfig,
-                               SimReport, SimRuntime, create_runtime)
+from repro.sim.report import SimReport
+from repro.sim.runtime import SimRuntime, create_runtime
 from repro.sim.sources import (Source, constant_rate, from_trace,
                                poisson_rate, spiky_rate)
 

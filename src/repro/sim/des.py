@@ -19,6 +19,7 @@ byte-identical across the representation change.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from typing import Callable, List, Optional, Tuple
@@ -160,6 +161,21 @@ class Simulator:
             self._heap,
             (at, priority, next(self._seq), action, handle, None))
         return handle
+
+    def every(self, period: float, body: Action) -> None:
+        """Run ``body`` every ``period`` seconds, first one period from
+        now — the one spelling of a periodic background tick. The
+        re-armed entry keeps the body's name: the model checker labels
+        control-plane heap entries by ``__qualname__`` (``ctl:tick``,
+        ``ctl:sweep``), so what a body is called is part of that
+        contract.
+        """
+        @functools.wraps(body)
+        def rearm(sim: "Simulator") -> None:
+            body(sim)
+            sim.schedule_in(period, rearm)
+
+        self.schedule_in(period, rearm)
 
     def run_until(self, t_end: float) -> None:
         """Process events up to and including time ``t_end``."""

@@ -26,267 +26,68 @@ the shared hash ring; in-flight and queued events on the dead machine are
 lost and counted. Queue overflow follows Sections 4.3/5: drop, divert to an
 overflow stream, or source-throttle.
 
-Beyond the paper (which leaves recovery "until operator intervention"),
-``failures`` also accepts a :class:`repro.faults.FaultSchedule`: a seeded
-chaos schedule of crashes, crash-then-recover cycles, network partitions,
-gray slow-node failures, probabilistic message drop/delay, and kv-node
-outages. Recovery is a full path — master recovery broadcast, ring
-re-admission behind a rebalance barrier, lazy slate re-hydration from the
-replicated kv-store, and hinted-handoff drain to the revived kv node —
-with every step counted in :class:`repro.metrics.RobustnessCounters`.
+This module is what every run executes — hash to a machine, enqueue,
+dispatch, slate cache, background flush (Sections 4.1-4.5) — plus the one
+procedure by which ring membership ever changes
+(:meth:`SimRuntime._change_ring`). Each extension is one object that lives
+beside its policy and that the per-event path reaches through a
+construction-time boolean cell: link batching (:mod:`repro.sim.dataplane`),
+effectively-once delivery (:mod:`repro.muppet.replay`), overload control
+(:mod:`repro.shedding.overload`), elastic membership
+(:mod:`repro.elastic.controller`) and crash / recovery
+(:mod:`repro.faults.driver`). That last one goes beyond the paper, which
+leaves recovery "until operator intervention": ``failures`` also accepts a
+:class:`repro.faults.FaultSchedule`, a seeded chaos schedule of crashes,
+crash-then-recover cycles, network partitions, gray slow-node failures,
+probabilistic message drop/delay, and kv-node outages. Recovery is a full
+path — master recovery broadcast, ring re-admission behind a rebalance
+barrier, lazy slate re-hydration from the replicated kv-store, and
+hinted-handoff drain to the revived kv node — with every step counted in
+:class:`repro.faults.RobustnessCounters`.
 """
 
 from __future__ import annotations
 
 import gc
-import itertools
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from heapq import heappush
-from typing import (Any, Deque, Dict, Iterable, List, Optional, Set, Tuple,
-                    Union)
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Set, Tuple, Union)
 
-from repro.cluster.hashring import HashRing, route_key
 from repro.cluster.topology import ClusterSpec, NetworkSpec
 from repro.core.application import Application, OperatorSpec
 from repro.core.event import Event, EventCounter, derive_origin
 from repro.core.operators import Context, Operator, TimerRequest
-from repro.core.slate import Slate, SlateKey, _json_size_fast
-from repro.elastic import (Autoscaler, AutoscalerConfig, MigrationConfig,
-                           MigrationCoordinator, MigrationState,
-                           ScaleDecision)
-from repro.errors import ConfigurationError, SimulationError
+from repro.core.slate import SlateKey, _json_size_fast
+from repro.elastic.controller import ElasticController
+from repro.errors import SimulationError, StoreError, WorkerFailedError
+from repro.faults.driver import FaultDriver
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
-from repro.kvstore.api import ConsistencyLevel
 from repro.kvstore.cluster import ReplicatedKVStore
-from repro.metrics import (DataPlaneCounters, LatencyRecorder,
-                           LatencySummary, RobustnessCounters,
-                           ThroughputReport, percentile)
+from repro.muppet.conductor import IPCAccountant
 from repro.muppet.dispatch import SingleChoiceDispatcher, TwoChoiceDispatcher
 from repro.muppet.master import Master
-from repro.obs import MetricsRegistry, RingTracer, TimelineRecorder, Tracer
-from repro.muppet.conductor import IPCAccountant
-from repro.muppet.queues import BoundedQueue, OverflowPolicy, SourceThrottle
-from repro.muppet.replay import ReplayStats
-from repro.shedding.controller import (TIER_OVERFLOW, TIER_THIN,
-                                       TIER_THROTTLE, BackpressureController,
-                                       PressureSignals, SheddingConfig,
-                                       SheddingCounters)
-from repro.shedding.thinning import Thinner
-from repro.sim.costs import CostModel
-from repro.sim.des import ScheduledEvent, Simulator
+from repro.muppet.queues import BoundedQueue
+from repro.muppet.replay import EffectivelyOnce, ReplayJournal
+from repro.obs import (LatencyRecorder, MetricsRegistry, RingTracer,
+                       TimelineRecorder, Tracer)
+from repro.shedding.controller import TIER_OVERFLOW, TIER_THIN
+from repro.shedding.overload import THROTTLE_CHECK_S, OverloadControl
+from repro.sim.config import ENGINE_MUPPET2, SimConfig
+from repro.sim.dataplane import DataPlaneCounters, LinkBatcher
+from repro.sim.des import Simulator
+from repro.sim.membership import MachineRing, WorkerRings
+from repro.sim.report import (SimReport, build_report, register_machine_probes,
+                              register_metrics)
 from repro.sim.sources import Source
-from repro.slates.manager import FlushPolicy, RetryPolicy, SlateManager
-
-ENGINE_MUPPET1 = "muppet1"
-ENGINE_MUPPET2 = "muppet2"
+from repro.slates.codec import DEFAULT_CODEC, split_watermarks
+from repro.slates.manager import SlateManager
 
 #: Wholesale-clear bound for the per-event path's memo tables (mirrors
 #: the hashring memo discipline: bounded table, cleared when full).
 _MEMO_MAX = 65_536
-
-#: Resident size of one loaded copy of the application code (MB); the
-#: Muppet 1.0 memory penalty is one copy per worker process.
-OPERATOR_CODE_MB = 64.0
-
-#: How often a paused source looks at its throttle again, and the throttle
-#: monitor at the queues (simulated seconds).
-THROTTLE_CHECK_S = 0.01
-
-
-@dataclass
-class SimConfig:
-    """Tunable knobs of a simulated Muppet deployment.
-
-    Attributes mirror the paper's configuration surface: engine version,
-    queue limits and overflow policy, slate cache size and flush interval,
-    kv-store consistency/replication, and the Muppet 1.0 worker layout
-    versus the Muppet 2.0 thread pool.
-    """
-
-    engine: str = ENGINE_MUPPET2
-    queue_capacity: int = 5_000
-    overflow: OverflowPolicy = field(default_factory=OverflowPolicy.drop)
-    costs: CostModel = field(default_factory=CostModel)
-    cache_slates_per_machine: int = 100_000
-    flush_policy: FlushPolicy = field(default_factory=lambda: FlushPolicy.every(1.0))
-    consistency: ConsistencyLevel = ConsistencyLevel.ONE
-    kv_replication: int = 3
-    kv_memtable_flush_bytes: int = 4 * 1024 * 1024
-    #: Muppet 1.0: worker processes per function per machine.
-    workers_per_function_per_machine: int = 1
-    #: Muppet 1.0: per-function overrides of the above (e.g. Figure 2's
-    #: three mappers and two updaters: ``{"M1": 3, "U1": 2}``).
-    workers_per_function: Optional[Dict[str, int]] = None
-    #: Muppet 2.0: use the primary/secondary two-choice dispatcher
-    #: (Section 4.5). False falls back to single-owner hashing — the
-    #: ablation knob for bench E4.
-    two_choice: bool = True
-    #: Muppet 2.0: worker threads per machine (default: the core count,
-    #: "as large as the parallelization of the application code allows").
-    threads_per_machine: Optional[int] = None
-    #: Updater names at which end-to-end latency is recorded (None = all).
-    latency_sinks: Optional[Set[str]] = None
-    throttle: Optional[SourceThrottle] = None
-    retry_delay_s: float = 0.01
-    flusher_period_s: float = 0.1
-    max_slate_bytes: Optional[int] = None
-    #: Kill the co-located kv node when a machine fails (the paper keeps
-    #: Cassandra on a separate cluster, so the default is False).
-    kill_kv_on_machine_failure: bool = False
-    #: Event replay horizon in seconds — the Section 4.3 future-work
-    #: extension (see :mod:`repro.muppet.replay`). ``None`` disables
-    #: replay (the paper's production behaviour: lost and logged).
-    #: Setting it implies ``delivery_semantics="at-least-once"``.
-    replay_horizon_s: Optional[float] = None
-    #: What the engine promises about each event's effect on slates:
-    #:
-    #: * ``"at-most-once"`` — the paper's production behaviour: events
-    #:   lost to failures stay lost (bounded under-count).
-    #: * ``"at-least-once"`` — sender-side replay journal with a time
-    #:   horizon (``replay_horizon_s``); crashes can replay events the
-    #:   dead machine already processed (bounded over-count).
-    #: * ``"effectively-once"`` — at-least-once replay made idempotent:
-    #:   every event carries replay-stable provenance, every slate keeps
-    #:   per-upstream dedup watermarks persisted atomically with its
-    #:   fields, and the journal is pruned at coordinated checkpoint
-    #:   epochs (``checkpoint_epoch_s``) instead of by time. Crash plus
-    #:   recover yields exact counts for deterministic workflows.
-    delivery_semantics: str = "at-most-once"
-    #: Master-side liveness sweep period (opt-in failure detection).
-    #: The engine's built-in detection is sender-side (Section 4.3): a
-    #: dead machine is only noticed when someone sends to it. A crash
-    #: during a *quiet window* — no traffic addressed to the victim
-    #: before it recovers — is therefore never declared, its journaled
-    #: events are never replayed, and dirty slate state that died with
-    #: its caches silently degrades exactness (the model checker's
-    #: ``epoch`` counterexample). With a period set, the master sweeps
-    #: machine liveness every ``heartbeat_s`` seconds and declares any
-    #: down, undeclared machine failed — exclusion, broadcast, journal
-    #: replay — exactly as sender-side detection would. ``None`` (the
-    #: default) keeps the paper's behaviour and adds no simulator
-    #: events, so prior runs stay byte-identical.
-    heartbeat_s: Optional[float] = None
-    #: Period of the effectively-once checkpoint barrier: flush every
-    #: dirty slate (with its watermarks) cluster-wide, then prune every
-    #: journal entry old enough that its effect is durably covered.
-    #: Soundness needs delivery + queueing latency under one period.
-    checkpoint_epoch_s: float = 1.0
-    #: Retry/backoff/fail-open policy for slate-manager kv operations
-    #: (see :class:`repro.slates.manager.RetryPolicy`). The default
-    #: retries transient store errors with exponential backoff and then
-    #: degrades (counted) instead of raising into operator code.
-    kv_retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Data-plane batching: coalesce up to this many events per
-    #: (source machine, destination machine) link into one network
-    #: envelope, paying the per-message latency once and the payload
-    #: bandwidth for the combined bytes. 0 (the default) disables
-    #: batching — every event ships alone, the pre-batching behaviour.
-    batch_max_events: int = 0
-    #: How long a partially-filled batch may linger before it is
-    #: shipped anyway. Only meaningful with ``batch_max_events > 0``;
-    #: 0 coalesces only events sent at the same simulated instant.
-    batch_linger_s: float = 0.0
-    #: Memoize routing-hash lookups (machine ring, function rings, and
-    #: the per-machine dispatchers). On by default; off recomputes every
-    #: blake2b digest per event — the perf-gate/determinism ablation.
-    memoize_routing: bool = True
-    #: Group dirty slates into multi-cell kv batch writes per flush
-    #: cycle. On by default; off writes one kv cell per slate.
-    coalesce_slate_flushes: bool = True
-    #: Opt-in structured event tracing (see :mod:`repro.obs.trace`).
-    #: Off by default: the engine then holds no tracer at all and every
-    #: emission site is one ``is not None`` check — the measured-zero-
-    #: overhead no-op path gated by ``bench_obs_overhead.py``. On, spans
-    #: land in an in-memory ring (or a sink passed to ``SimRuntime``).
-    trace: bool = False
-    #: Ring capacity for the default in-memory trace sink.
-    trace_capacity: int = 65_536
-    #: Record per-machine queue/dirty-slate and per-updater latency
-    #: timeseries, sampled on the existing flusher tick (no extra
-    #: simulator events — ``counter_report`` stays byte-identical).
-    timeline: bool = False
-    #: Overload-control subsystem (see :mod:`repro.shedding`): adaptive
-    #: backpressure tiers plus probabilistic thinning of thinnable
-    #: updaters. ``None`` (the default) disables the whole subsystem —
-    #: the engine then behaves byte-identically to pre-shedding builds.
-    shedding: Optional[SheddingConfig] = None
-    #: Accepted, selects nothing: there is one per-event path (see
-    #: :meth:`SimRuntime._compile_handlers`) and both values build it.
-    #: Kept for ``bench/``, which passes it, until the next benchmark PR
-    #: drops the argument.
-    fastforward: bool = False
-    #: Elastic autoscaling policy (see :mod:`repro.elastic.autoscaler`):
-    #: EWMA-smoothed queue/p99/dirty-backlog signals drive planned
-    #: grow/shrink decisions at runtime. ``None`` (the default) leaves
-    #: membership fully static/manual — prior runs are untouched.
-    autoscale: Optional[AutoscalerConfig] = None
-    #: Crash-safe live slate migration (see
-    #: :mod:`repro.elastic.migration`): planned membership changes
-    #: stream each moving slate's changelog donor→receiver and cut over
-    #: behind a per-migration epoch barrier instead of the legacy
-    #: cluster-wide flush + lazy rehydration. ``None`` (the default)
-    #: keeps the legacy flush-barrier join path.
-    migration: Optional[MigrationConfig] = None
-
-    def __post_init__(self) -> None:
-        if self.engine not in (ENGINE_MUPPET1, ENGINE_MUPPET2):
-            raise ConfigurationError(
-                f"engine must be {ENGINE_MUPPET1!r} or {ENGINE_MUPPET2!r}"
-            )
-        if self.batch_max_events < 0:
-            raise ConfigurationError(
-                "batch_max_events must be >= 0 (0 disables batching), "
-                f"got {self.batch_max_events}")
-        if self.batch_linger_s < 0:
-            raise ConfigurationError(
-                "batch_linger_s must be >= 0.0 seconds, "
-                f"got {self.batch_linger_s!r}")
-        if self.trace_capacity < 1:
-            raise ConfigurationError(
-                f"trace_capacity must be >= 1, got {self.trace_capacity}")
-        if self.overflow.kind == "throttle" and self.throttle is None:
-            self.throttle = SourceThrottle()
-        if self.shedding is not None and self.throttle is None:
-            # The shedding controller's throttle tier drives a
-            # SourceThrottle directly via pause()/resume() (no watermark
-            # monitor); it still needs one to exist.
-            self.throttle = SourceThrottle()
-        if self.delivery_semantics not in (
-                "at-most-once", "at-least-once", "effectively-once"):
-            raise ConfigurationError(
-                "delivery_semantics must be at-most-once, at-least-once "
-                f"or effectively-once, got {self.delivery_semantics!r}")
-        if self.checkpoint_epoch_s <= 0:
-            raise ConfigurationError(
-                "checkpoint_epoch_s must be > 0 seconds, "
-                f"got {self.checkpoint_epoch_s!r}")
-        if self.heartbeat_s is not None and self.heartbeat_s <= 0:
-            raise ConfigurationError(
-                "heartbeat_s must be > 0 seconds (or None to disable "
-                f"the liveness sweep), got {self.heartbeat_s!r}")
-        if self.delivery_semantics == "effectively-once":
-            if self.replay_horizon_s is not None:
-                raise ConfigurationError(
-                    "effectively-once prunes its journal at checkpoint "
-                    "epochs; replay_horizon_s must stay None (a time "
-                    "horizon could drop entries still needed for exact "
-                    "recovery)")
-        elif self.replay_horizon_s is not None:
-            # Legacy spelling: a bare horizon always meant "replay on".
-            self.delivery_semantics = "at-least-once"
-        elif self.delivery_semantics == "at-least-once":
-            self.replay_horizon_s = 0.25
-        if self.migration is not None and self.engine != ENGINE_MUPPET2:
-            raise ConfigurationError(
-                "live slate migration requires the muppet2 engine (one "
-                "central slate manager per machine to stream from), "
-                f"got engine={self.engine!r}")
-        if self.autoscale is not None and self.engine != ENGINE_MUPPET2:
-            raise ConfigurationError(
-                "elastic autoscaling requires the muppet2 engine, "
-                f"got engine={self.engine!r}")
 
 
 @dataclass(slots=True)
@@ -369,91 +170,13 @@ class _Machine:
             worst = max(worst, len(worker.queue) / cap)
         return worst
 
-
-@dataclass
-class SimReport:
-    """Everything a benchmark needs from one simulated run."""
-
-    engine: str
-    duration_s: float
-    counters: EventCounter
-    latency: Optional[LatencySummary]
-    latency_by_updater: Dict[str, LatencySummary]
-    throughput: ThroughputReport
-    dispatch_stats: Dict[str, Any]
-    master_stats: Dict[str, int]
-    queue_peak_depth: int
-    slate_contention_events: int
-    max_workers_per_slate: int
-    failure_detection_s: Optional[float]
-    throttle_paused_s: float
-    memory_mb_per_machine: float
-    kv_stats: Dict[str, Dict[str, int]]
-    device_stats: Dict[str, Dict[str, float]]
-    steps: int
-    robustness: RobustnessCounters = field(
-        default_factory=RobustnessCounters)
-    dataplane: DataPlaneCounters = field(
-        default_factory=DataPlaneCounters)
-    #: Replay-journal accounting (all zero when replay is off).
-    replay: ReplayStats = field(default_factory=ReplayStats)
-    #: Overload-control accounting (all zero when shedding is off).
-    shedding: SheddingCounters = field(default_factory=SheddingCounters)
-    #: Ground-truth counter-error summary versus the reference executor
-    #: (filled via :func:`repro.shedding.measure.attach_error_report`;
-    #: None when no error measurement was taken).
-    shedding_error: Optional[Dict[str, Any]] = None
-    #: Full :class:`repro.obs.MetricsRegistry` family snapshot taken at
-    #: report time: the six counter_report families plus the new
-    #: observability families (queues, slates, kv, latency histograms).
-    metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: Timeline samples (``SimConfig.timeline``); None when disabled.
-    timeline_data: Optional[Dict[str, Any]] = None
-
-    #: counter_report's families, in their historical print order.
-    REPORT_FAMILIES = ("counters", "robustness", "master", "dispatch",
-                       "dataplane", "replay", "overload")
-
-    def events_per_second(self) -> float:
-        """Processed updater/mapper deliveries per simulated second."""
-        return self.throughput.events_per_second
-
-    def timeline(self) -> Dict[str, Any]:
-        """Per-machine and per-updater timeseries sampled during the run.
-
-        Shape: ``{"machines": {name: [{"t", "queue_depth", "queue_peak",
-        "dirty_slates", "alive"}, ...]}, "updaters": {name: [{"t",
-        "count", "mean", "p50", "p95", "p99", "max"}, ...]}}`` — empty
-        series when ``SimConfig.timeline`` was off.
-        """
-        if self.timeline_data is None:
-            return {"machines": {}, "updaters": {}}
-        return self.timeline_data
-
-    def counter_report(self) -> str:
-        """A deterministic, line-oriented dump of every counter.
-
-        Two runs of the same seeded :class:`~repro.faults.FaultSchedule`
-        over the same workload must produce *byte-identical* output from
-        this method — the chaos-determinism contract tests assert on it.
-        Floats are rendered with ``repr`` (shortest round-trip form), so
-        any numeric drift shows up as a diff.
-
-        The body is generated from the :class:`~repro.obs.
-        MetricsRegistry` family snapshot captured at report time; the
-        families and their keys mirror the pre-registry sections
-        exactly, so the output is byte-identical across the refactor.
-        Only the six historical families print — the registry's new
-        families (queues, slates, kv, latency) are read via
-        :attr:`metrics` instead, so existing seeded gates stay stable.
-        """
-        lines = [f"engine={self.engine}",
-                 f"duration_s={self.duration_s!r}",
-                 f"steps={self.steps}"]
-        for family in self.REPORT_FAMILIES:
-            for name, value in sorted(self.metrics.get(family, {}).items()):
-                lines.append(f"{family}.{name}={value!r}")
-        return "\n".join(lines)
+    def occupy_device(self, now: float, io_s: float) -> float:
+        """Queue ``io_s`` seconds of kv I/O behind whatever the
+        machine's storage device is already doing; returns when it is
+        done."""
+        done = max(now, self.device_busy_until) + io_s
+        self.device_busy_until = done
+        return done
 
 
 class SimRuntime:
@@ -497,7 +220,7 @@ class SimRuntime:
         self._timeline = (TimelineRecorder() if self.config.timeline
                           else None)
         #: The observability registry: every stats object below is
-        #: registered as a live view (see :meth:`_register_metrics`).
+        #: registered as a live view (see :func:`register_metrics`).
         self.metrics = MetricsRegistry()
         if isinstance(failures, FaultSchedule):
             self.fault_schedule = failures
@@ -507,29 +230,15 @@ class SimRuntime:
         #: Interval-rule injector; None when no rule exists so the
         #: per-message hot path stays untouched for fault-free runs.
         self._injector = injector if injector.has_rules() else None
-        self._recoveries = 0
         self.sim = Simulator()
         self.counters = EventCounter()
         self.master = Master()
         self.latency: Dict[str, LatencyRecorder] = {}
         self._known_failed: Set[str] = set()
-        self._failure_time: Optional[float] = None
         self._detection_time: Optional[float] = None
         self._contention_events = 0
         self._max_workers_per_slate = 1
         self._processing_counts: Dict[Tuple[str, str], int] = {}
-        #: Data-plane batching state, keyed by (source machine or None
-        #: for M0/source sends, destination machine) — one buffer and at
-        #: most one linger timer per link.
-        self._batching = self.config.batch_max_events > 0
-        self._batch_buffers: Dict[Tuple[Optional[str], str],
-                                  List[_Envelope]] = {}
-        self._batch_extra: Dict[Tuple[Optional[str], str], float] = {}
-        self._batch_timers: Dict[Tuple[Optional[str], str],
-                                 ScheduledEvent] = {}
-        self._batch_last_arrival: Dict[Tuple[Optional[str], str],
-                                       float] = {}
-        self.dataplane = DataPlaneCounters()
         self._subs_cache: Dict[str, List[OperatorSpec]] = {}
 
         self.store = ReplicatedKVStore(
@@ -540,87 +249,45 @@ class SimRuntime:
             memtable_flush_bytes=self.config.kv_memtable_flush_bytes,
             tracer=self._trace,
         )
-        from repro.muppet.replay import ReplayJournal
-
+        # The optional features, each one object beside its policy. A
+        # feature that is off is None (or holds no controller), which
+        # _compile_handlers turns into one untaken branch.
+        self._batcher = (LinkBatcher(self)
+                         if self.config.batch_max_events > 0 else None)
+        self.dataplane = (self._batcher.counters if self._batcher is not None
+                          else DataPlaneCounters())
         semantics = self.config.delivery_semantics
+        self._eo: Optional[EffectivelyOnce] = None
+        self.replay_journal: Optional[ReplayJournal] = None
         if semantics == "effectively-once":
-            self.replay_journal: Optional[ReplayJournal] = (
-                ReplayJournal.epoch_pruned())
+            self._eo = EffectivelyOnce(
+                self, pin_replays=self.config.engine == ENGINE_MUPPET2)
+            self.replay_journal = self._eo.journal
         elif semantics == "at-least-once":
             self.replay_journal = ReplayJournal(self.config.replay_horizon_s)
-        else:
-            self.replay_journal = None
-        #: Effectively-once state: dedup on, per-origin ids on derived
-        #: events, and the checkpoint-epoch barrier.
-        self._dedup = semantics == "effectively-once"
-        self._replay_reapplied = 0
-        self._epoch_pruned = 0
-        self._timer_ids = itertools.count(1)
-        #: Recent checkpoint-barrier times; epoch k prunes journal
-        #: entries recorded before tick[k-2] (two periods of slack for
-        #: effects still in flight or queued at the barrier).
-        self._epoch_ticks: Deque[float] = deque(maxlen=3)
         self.counters_replayed = 0
-        #: Overload-control state: controller + thinner exist only when
-        #: ``SimConfig.shedding`` is set, so the disabled hot paths cost
-        #: one ``is not None`` test each (same discipline as tracing).
-        shed_cfg = self.config.shedding
-        if shed_cfg is not None:
-            if shed_cfg.overflow_sid is not None:
-                # Validate eagerly: a typo'd overflow stream should fail
-                # at construction, not mid-overload.
-                app.streams.spec(shed_cfg.overflow_sid)
-            self._shed: Optional[BackpressureController] = (
-                BackpressureController(shed_cfg))
-            self._thinner: Optional[Thinner] = Thinner(
-                shed_cfg.thinning, seed=shed_cfg.seed)
-            self._thinnable: Set[str] = {
-                s.name for s in app.thinnable_updaters()}
-        else:
-            self._shed = None
-            self._thinner = None
-            self._thinnable = set()
-        #: Shedding accounting; an all-zero stand-in when shedding is
-        #: off so the ``overload`` metrics family stays present (and
-        #: deterministic) in every report.
-        self.shedding = (self._shed.counters if self._shed is not None
-                         else SheddingCounters())
-        #: Per-machine overflow outcome counts (satellite of the
-        #: ``overload`` family): ``{machine: {outcome: count}}``.
-        self._overflow_outcomes: Dict[str, Dict[str, int]] = {}
+        self._overload = OverloadControl(self)
+        self._faults = FaultDriver(self)
         #: Elastic scaling: the autoscaler decides, the migration
         #: coordinator executes. Both are None when unconfigured, so
         #: every previously-working configuration runs byte-identically
         #: (no extra simulator events, no new metrics family).
-        auto_cfg = self.config.autoscale
-        self._autoscaler = (Autoscaler(auto_cfg)
-                            if auto_cfg is not None else None)
-        mig_cfg = self.config.migration
-        if mig_cfg is not None:
-            self._migration: Optional[MigrationCoordinator] = (
-                MigrationCoordinator(
-                    self, mig_cfg,
-                    self.fault_schedule.migration_triggers()))
-        else:
-            self._migration = None
-        #: Scale requests queued behind the (single) in-flight
-        #: migration, as (kind, machine) pairs.
-        self._pending_scale: Deque[Tuple[str, str]] = deque()
-        #: Elastic joins in admission order — shrink retires LIFO.
-        self._join_order: List[str] = []
-        self._elastic_seq = itertools.count(1)
-        #: Machines whose queue/slate probes are registered: the seed
-        #: machines' by _register_metrics (in its family order), a
-        #: runtime join's exactly once by _construct_machine.
-        self._probed_machines: Set[str] = set(self.cluster.names())
+        self._elastic = ElasticController(self, self._faults.kill)
+        self._autoscaler = self._elastic.autoscaler
+        self._migration = self._elastic.migration
+        self._elastic_stats = self._elastic.stats
         self.machines: Dict[str, _Machine] = {}
-        #: Muppet 1.0 only: worker id -> worker, in construction order.
-        self._worker_by_id: Dict[str, _Worker] = {}
         for spec in self.cluster.machines:
             self._construct_machine(spec.name, spec.cores)
-        self._build_rings()
-        self._register_metrics()
-        self._is_muppet2 = self.config.engine == ENGINE_MUPPET2
+        memoize = self.config.memoize_routing
+        #: Who runs ``<key, function>``, for this engine's layout.
+        self._membership: Union[MachineRing, WorkerRings] = (
+            MachineRing(self.machines, memoize)
+            if self.config.engine == ENGINE_MUPPET2
+            else WorkerRings(self.machines,
+                             [s.name for s in self.app.operators()], memoize))
+        self._machine_ring = self._membership.ring
+        register_metrics(self)
         self._op_specs: Dict[str, OperatorSpec] = {
             s.name: s for s in self.app.operators()}
         self._compile_handlers()
@@ -646,141 +313,71 @@ class SimRuntime:
             owner=owner,
         )
 
-    def _build_rings(self) -> None:
-        memoize = self.config.memoize_routing
-        self._machine_ring: HashRing[str] = HashRing(
-            self.cluster.names(), memoize=memoize)
-        #: Muppet 1.0 only: function -> ring of its workers' ids.
-        self._function_rings: Dict[str, HashRing[str]] = {}
-        if self.config.engine != ENGINE_MUPPET2:
-            for op_spec in self.app.operators():
-                workers = [
-                    w.wid
-                    for machine in self.machines.values()
-                    for w in machine.workers
-                    if w.function == op_spec.name
-                ]
-                self._function_rings[op_spec.name] = HashRing(
-                    workers, memoize=memoize)
-
-    def _register_metrics(self) -> None:
-        """Attach every stats object to the registry as a live view.
-
-        The first six families mirror ``SimReport.counter_report``'s
-        historical sections exactly (same keys, same values), which is
-        what keeps that report byte-identical across the registry
-        refactor; the remaining families (queues, slates, kv, latency)
-        are new observability surface read via ``SimReport.metrics`` or
-        the CLI ``--metrics-out`` sink.
+    def _construct_machine(self, name: str, cores: int) -> "_Machine":
+        """Build a machine (workers, dispatcher, manager) *without* ring
+        membership — the caller admits it to the ring: the seed machines
+        at construction, a join at once (legacy join) or at migration
+        cutover. Joining machines get no co-located kv node: the store
+        ring is fixed at construction, matching the paper's separately
+        managed Cassandra cluster.
         """
-        from repro.muppet.replay import ReplayStats
-
-        reg = self.metrics
-        reg.register_group("counters", self.counters.snapshot)
-        reg.register_group(
-            "robustness", lambda: self._robustness_counters().as_dict())
-        reg.register_group("master", self.master.stats.as_dict)
-        reg.register_group("dispatch", self._dispatch_stats)
-        reg.register_group("dataplane", self.dataplane.as_dict)
-        reg.register_group(
-            "replay",
-            lambda: asdict(self.replay_journal.stats
-                           if self.replay_journal is not None
-                           else ReplayStats()))
-        reg.register_group("overload", self._overload_stats)
-        for name, machine in self.machines.items():
-            reg.register_group(f"queues.{name}",
-                               self._make_queue_probe(machine))
-            reg.register_group(f"slates.{name}",
-                               self._make_slate_probe(machine))
-        reg.register_group("kv", self._kv_probe)
-        if self._autoscaler is not None or self._migration is not None:
-            # Registered only when the subsystem is on: the family's
-            # presence in metrics snapshots must not perturb runs that
-            # never asked for elasticity.
-            reg.register_group("elastic", self._elastic_stats)
-
-    #: Overflow outcomes reported per machine under ``overload.queue.*``
-    #: (zero-filled so the key set is load-independent).
-    _OVERFLOW_OUTCOMES = ("dropped", "diverted", "diverted_proactive",
-                          "throttle_retries")
-
-    def _overload_stats(self) -> Dict[str, Any]:
-        """The ``overload`` metrics family: shedding counters, source-
-        throttle duty cycle, per-machine tier and overflow outcomes."""
-        stats: Dict[str, Any] = self.shedding.as_dict()
-        throttle = self.config.throttle
-        now = self.sim.now()
-        stats["throttle_pauses"] = (throttle.pause_count
-                                    if throttle is not None else 0)
-        stats["throttle_duty"] = (throttle.duty_cycle(now)
-                                  if throttle is not None else 0.0)
-        for name in sorted(self.machines):
-            outcomes = self._overflow_outcomes.get(name, {})
-            for outcome in self._OVERFLOW_OUTCOMES:
-                stats[f"queue.{name}.{outcome}"] = outcomes.get(outcome, 0)
-            stats[f"tier.{name}"] = (self._shed.tier_of(name)
-                                     if self._shed is not None else 0)
-        return stats
-
-    def _note_overflow(self, machine_name: str, outcome: str) -> None:
-        outcomes = self._overflow_outcomes.get(machine_name)
-        if outcomes is None:
-            outcomes = self._overflow_outcomes[machine_name] = {}
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
-
-    def _make_queue_probe(self, machine: "_Machine"):
-        def probe() -> Dict[str, int]:
-            return {
-                "depth": sum(len(w.queue) for w in machine.workers),
-                "peak": max((w.queue.stats.peak_depth
-                             for w in machine.workers), default=0),
-                "rejected": sum(w.queue.stats.rejected
-                                for w in machine.workers),
+        machine = _Machine(name, cores)
+        cfg = self.config
+        if cfg.engine == ENGINE_MUPPET2:
+            threads = cfg.threads_per_machine or cores
+            machine.central_mgr = self._new_manager(
+                cfg.cache_slates_per_machine, owner=name)
+            if cfg.two_choice:
+                machine.dispatcher = TwoChoiceDispatcher(
+                    threads, memoize=cfg.memoize_routing)
+            else:
+                machine.dispatcher = SingleChoiceDispatcher(
+                    threads, memoize=cfg.memoize_routing)
+            machine.shared_instances = {
+                s.name: s.instantiate() for s in self.app.operators()
             }
-        return probe
-
-    def _make_slate_probe(self, machine: "_Machine"):
-        def probe() -> Dict[str, int]:
-            managers = self._managers_of(machine)
-            stats: Dict[str, int] = {
-                "dirty": sum(m.cache.dirty_count() for m in managers),
-                "resident": sum(len(m.cache) for m in managers),
-            }
-            for field_name in ("kv_reads", "kv_writes", "batch_flushes",
-                               "rehydrated"):
-                stats[field_name] = sum(getattr(m.stats, field_name)
-                                        for m in managers)
-            for field_name in ("hits", "misses", "evictions",
-                               "dirty_evictions"):
-                stats[f"cache_{field_name}"] = sum(
-                    m.cache.stats.as_dict()[field_name] for m in managers)
-            return stats
-        return probe
-
-    def _kv_probe(self) -> Dict[str, int]:
-        flat: Dict[str, int] = {
-            "hints_stored": self.store.hints_stored,
-            "hints_delivered": self.store.hints_delivered,
-            "hints_pending": self.store.pending_hints(),
-        }
-        for node_name, stats in self.store.stats_by_node().items():
-            for key, value in stats.items():
-                flat[f"{node_name}.{key}"] = value
-        for node_name, node in self.store.nodes.items():
-            for key, value in node.observable_state().items():
-                flat[f"{node_name}.{key}"] = value
-        return flat
-
-    def _dispatch_stats(self) -> Dict[str, Any]:
-        """Cluster-wide dispatcher counters (summed across machines)."""
-        dispatch: Dict[str, Any] = {}
-        for machine in self.machines.values():
-            if machine.dispatcher is not None:
-                stats = machine.dispatcher.stats
-                for key, value in stats.as_dict().items():
-                    dispatch[key] = dispatch.get(key, 0) + value
-        return dispatch
+            for i in range(threads):
+                machine.workers.append(_Worker(
+                    wid=f"{name}/t{i}", machine=machine,
+                    index=i, function=None,
+                    queue_capacity=cfg.queue_capacity,
+                    mgr=machine.central_mgr))
+        else:
+            # Muppet 1.0: worker process pairs per function.
+            overrides = cfg.workers_per_function or {}
+            total = sum(
+                overrides.get(s.name,
+                              cfg.workers_per_function_per_machine)
+                for s in self.app.operators())
+            per_worker_cache = max(
+                1, cfg.cache_slates_per_machine // max(1, total))
+            index = 0
+            for op_spec in self.app.operators():
+                count = overrides.get(
+                    op_spec.name,
+                    cfg.workers_per_function_per_machine)
+                for j in range(count):
+                    worker = _Worker(
+                        wid=f"{name}/{op_spec.name}#{j}",
+                        machine=machine, index=index,
+                        function=op_spec.name,
+                        queue_capacity=cfg.queue_capacity,
+                        mgr=self._new_manager(per_worker_cache,
+                                              owner=name))
+                    # Each 1.0 worker loads its own copy of the code.
+                    machine.shared_instances[worker.wid] = (
+                        op_spec.instantiate())
+                    machine.workers.append(worker)
+                    index += 1
+        self.machines[name] = machine
+        if ((self._autoscaler is not None or self._migration is not None)
+                and name not in self.cluster.names()):
+            # Elastic machines get queue/slate probes like seed machines
+            # (whose probes register_metrics adds, in its family order);
+            # legacy joins skip this to keep non-elastic metrics snapshots
+            # identical to the seed.
+            register_machine_probes(self, machine)
+        return machine
 
     # -- top-level run -------------------------------------------------------
     def run(self, duration_s: float) -> SimReport:
@@ -814,39 +411,16 @@ class SimRuntime:
         """Schedule sources, faults and background ticks; run the loop."""
         for source in self.sources:
             self._start_source(source)
-        for fault in self.fault_schedule.point_events():
-            if fault.kind == "crash":
-                self.sim.schedule(fault.at, self._make_failure(fault.machine),
-                                  priority=-1)
-            elif fault.kind == "recover":
-                self.sim.schedule(fault.at,
-                                  self._make_recovery(fault.machine),
-                                  priority=-1)
-            elif fault.kind == "kv_outage":
-                self.sim.schedule(fault.at, self._make_kv_down(fault.machine),
-                                  priority=-1)
-                self.sim.schedule(fault.until,
-                                  self._make_kv_up(fault.machine),
-                                  priority=-1)
+        self._faults.schedule_points()
         self._schedule_flusher()
         if self.config.heartbeat_s is not None:
-            self._schedule_heartbeat()
-        if self._dedup:
-            self._schedule_epochs()
-        if self._shed is not None:
-            # The backpressure controller owns the throttle (tier 3
-            # pauses sources); the classic watermark monitor would fight
-            # it, so only one of the two runs.
-            self._schedule_shedding_monitor()
-        elif self.config.throttle is not None:
-            self._schedule_throttle_monitor()
-        if self._autoscaler is not None:
-            self._schedule_autoscaler()
+            self.sim.every(self.config.heartbeat_s, self._faults.sweep)
+        if self._eo is not None:
+            self._eo.schedule()
+        self._overload.schedule_monitor()
+        self._elastic.schedule()
         self.sim.run_until(duration_s)
-        if self._shed is not None:
-            self._shed.finish(self.sim.now())
-        if self.config.throttle is not None:
-            self.config.throttle.finish(self.sim.now())
+        self._overload.finish(self.sim.now())
 
     def _subscribers_of(self, sid: str) -> List[OperatorSpec]:
         """Per-sid subscriber lists, cached (the workflow is immutable
@@ -857,120 +431,14 @@ class SimRuntime:
             subs = self._subs_cache[sid] = list(self.app.subscribers_of(sid))
         return subs
 
-    # -- data-plane batching ---------------------------------------------------
-    def _batch_enqueue(self, envelope: _Envelope,
-                       from_machine: Optional[str], machine: _Machine,
-                       extra_delay: float) -> None:
-        """Buffer one event on its (source, destination) link.
-
-        The buffer ships when it reaches ``batch_max_events`` or when
-        the per-link linger timer expires, whichever comes first.
-        """
-        key = (from_machine, machine.name)
-        buf = self._batch_buffers.get(key)
-        if buf is None:
-            buf = self._batch_buffers[key] = []
-        buf.append(envelope)
-        self.dataplane.batched_events += 1
-        if extra_delay > self._batch_extra.get(key, 0.0):
-            self._batch_extra[key] = extra_delay
-        if len(buf) >= self.config.batch_max_events:
-            self.dataplane.size_flushes += 1
-            self._flush_batch(key, trigger="size")
-            return
-        if key not in self._batch_timers:
-            self._batch_timers[key] = self.sim.schedule_cancellable(
-                self.config.batch_linger_s,
-                lambda sim: self._linger_expired(key))
-
-    def _linger_expired(self, key: Tuple[Optional[str], str]) -> None:
-        self._batch_timers.pop(key, None)
-        if self._batch_buffers.get(key):
-            self.dataplane.linger_flushes += 1
-            self._flush_batch(key, trigger="linger")
-
-    def _flush_batch(self, key: Tuple[Optional[str], str],
-                     trigger: str = "forced") -> None:
-        """Ship one link's buffer as a single coalesced envelope.
-
-        One per-message network latency is paid for the whole batch,
-        plus bandwidth for the combined payload bytes; the fault
-        injector decides one fate for the envelope (a dropped batch
-        loses every event in it, like a dropped TCP connection). An
-        arrival-time clamp keeps the link FIFO: a later, smaller batch
-        must not overtake an earlier, larger one mid-flight.
-        """
-        timer = self._batch_timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        envelopes = self._batch_buffers.pop(key, None)
-        extra = self._batch_extra.pop(key, 0.0)
-        if not envelopes:
-            return
-        from_name, dest_name = key
-        machine = self.machines[dest_name]
-        if not machine.alive:
-            for env in envelopes:
-                self._handle_dead_destination(machine, env)
-            return
-        total_bytes = sum(e.event.size_bytes() for e in envelopes)
-        delay = extra + self.cluster.network.transfer_time(
-            total_bytes, same_machine=False)
-        if self._injector is not None:
-            delivered, delay = self._injector.message_fate(
-                from_name, dest_name, self.sim.now(), delay)
-            if not delivered:
-                return
-        arrival = max(self.sim.now() + delay,
-                      self._batch_last_arrival.get(key, 0.0))
-        self._batch_last_arrival[key] = arrival
-        self.dataplane.batches_sent += 1
-        if len(envelopes) > self.dataplane.max_batch_events:
-            self.dataplane.max_batch_events = len(envelopes)
-        if self._trace is not None:
-            self._trace.emit(self.sim.now(), "batch_flush",
-                             src=from_name, dst=dest_name,
-                             events=len(envelopes), trigger=trigger)
-
-        def deliver_all(sim: Simulator) -> None:
-            for env in envelopes:
-                # A heap-dispatched _deliver returns the started event's
-                # finish as its tail; mid-batch it is scheduled at once,
-                # so sequence numbers are consumed in the same order.
-                tail = self._deliver(machine, env)
-                if tail is not None:
-                    sim.schedule_call(tail[0], tail[1], *tail[2])
-
-        self.sim.schedule(arrival, deliver_all)
-
-    def _flush_all_batches(self) -> None:
-        """Force every buffered batch onto the wire (ring changes)."""
-        if not self._batching:
-            return
-        for key in list(self._batch_buffers.keys()):
-            if self._batch_buffers.get(key):
-                self.dataplane.forced_flushes += 1
-                self._flush_batch(key)
-
-    def _flush_batches_to(self, dest_name: str) -> None:
-        """Force batches headed for one machine (it just died)."""
-        if not self._batching:
-            return
-        for key in [k for k in self._batch_buffers if k[1] == dest_name]:
-            if self._batch_buffers.get(key):
-                self.dataplane.forced_flushes += 1
-                self._flush_batch(key)
-
+    # -- routing and sender-side failure detection --------------------------------
     def _destination_machine(self, envelope: _Envelope) -> Optional[_Machine]:
-        key = route_key(envelope.event.key, envelope.dest_fn)
+        """The machine owning the envelope's ``<key, function>`` now, or
+        None when every candidate is excluded (the event is then lost)."""
         try:
-            if self.config.engine == ENGINE_MUPPET2:
-                name = self._machine_ring.lookup(key)
-                return self.machines[name]
-            ring = self._function_rings[envelope.dest_fn]
-            wid = ring.lookup(key)
-            return self._worker_by_id[wid].machine
-        except Exception:
+            return self._membership.owner(envelope.event.key,
+                                          envelope.dest_fn)
+        except WorkerFailedError:
             return None
 
     def _handle_dead_destination(self, machine: _Machine,
@@ -1004,15 +472,12 @@ class SimRuntime:
         now = self.sim.now()
         self._known_failed.add(machine_name)
         self.master.report_failure(machine_name)
-        self._machine_ring.exclude(machine_name)
-        for ring in self._function_rings.values():  # noqa: MUP010 -- built once at construction; per-ring excludes commute
-            for worker in machine.workers:
-                ring.exclude(worker.wid)
-        if self._trace is not None:
-            self._trace.emit(now, "ring_change",
-                             change="exclude", machine=machine_name)
-        if self._detection_time is None and self._failure_time is not None:
-            self._detection_time = now - self._failure_time
+        # Only the dead machine's keys move, and its queues died with
+        # it: nothing queued elsewhere changes owner.
+        self._change_ring("exclude", machine, reroute=False)
+        failed_at = self._faults.first_failure_at
+        if self._detection_time is None and failed_at is not None:
+            self._detection_time = now - failed_at
         if self.replay_journal is not None:
             # Section 4.3 future work, implemented: re-send the
             # horizon's worth of events that targeted the dead
@@ -1022,29 +487,30 @@ class SimRuntime:
             # from them) against their dedup watermarks.
             for lost in self.replay_journal.take_for(machine_name, now):
                 self.counters_replayed += 1
-                if self._dedup:
+                if self._eo is not None:
                     lost.replayed = True
                 self._send(lost, None)
 
     def _overflow(self, machine: _Machine, worker: _Worker,
                   envelope: _Envelope) -> None:
         policy = self.config.overflow
+        note_overflow = self._overload.note_overflow
         if policy.kind == "drop" or envelope.diverted:
             self.counters.dropped_overflow += 1
-            self._note_overflow(machine.name, "dropped")
+            note_overflow(machine.name, "dropped")
             if self._trace is not None:
                 self._trace_envelope("shed", machine, envelope,
                                      outcome="drop")
             return
         if policy.kind == "divert":
             assert policy.overflow_sid is not None
-            self._note_overflow(machine.name, "diverted")
+            note_overflow(machine.name, "diverted")
             self._divert(machine, envelope, policy.overflow_sid)
             return
         # throttle: hold the event and retry; the throttle monitor pauses
         # the sources meanwhile, so the queue drains.
         self.counters.throttled += 1
-        self._note_overflow(machine.name, "throttle_retries")
+        note_overflow(machine.name, "throttle_retries")
         if self._trace is not None:
             self._trace_envelope("shed", machine, envelope,
                                  outcome="throttle_retry")
@@ -1090,9 +556,10 @@ class SimRuntime:
         their stats bookkeeping replicated operation for operation.
         Every optional feature is one construction-time boolean cell
         (``tracing``, ``dedup``, ``batching``, ``shedding``, ``muppet1``
-        ...) guarding a call into that feature's cold method, so a
-        disabled feature costs one untaken branch and an enabled one
-        runs the same code every other configuration runs. Float
+        ...) guarding a call into that feature's own object — a bound
+        method held in another cell — so a disabled feature costs one
+        untaken branch and an enabled one runs the same code every
+        other configuration runs. Float
         service-time and delay expressions keep one fixed operand order
         throughout: reports are compared byte for byte.
 
@@ -1115,6 +582,9 @@ class SimRuntime:
         pcounts = self._processing_counts
         latency = self.latency
         ring = self._machine_ring
+        eo = self._eo
+        batcher = self._batcher
+        overload = self._overload
         injector = self._injector
         streams = self.app.streams
         ops = self._op_specs
@@ -1123,15 +593,23 @@ class SimRuntime:
         throttle = cfg.throttle
         throttle_check_s = THROTTLE_CHECK_S
 
-        # One boolean cell per optional feature.
+        # One boolean cell per optional feature, and beside it the bound
+        # methods of the object that implements the feature.
         tracing = trace is not None
-        dedup = self._dedup
+        dedup = eo is not None
+        dedup_skips = eo.skips if eo is not None else None
+        pin_replay = eo.pin if eo is not None else None
+        unpin_replay = eo.unpin if eo is not None else None
         at_least_once = journal is not None and not dedup
-        batching = self._batching
-        shedding = self._shed is not None
-        thinnable = self._thinnable
-        muppet2 = self._is_muppet2
+        batching = batcher is not None
+        batch_enqueue = batcher.enqueue if batcher is not None else None
+        shedding = overload.controller is not None
+        thinnable = overload.thinnable
+        thin = overload.thin
+        divert_proactively = overload.divert_proactively
+        muppet2 = cfg.engine == ENGINE_MUPPET2
         muppet1 = not muppet2
+        hashed_worker = self._membership.worker
         two_choice = muppet2 and cfg.two_choice
         memoize = muppet2 and cfg.memoize_routing
 
@@ -1180,7 +658,7 @@ class SimRuntime:
         handle_dead = self._handle_dead_destination
         overflow = self._overflow
         schedule_timer = self._schedule_timer
-        batch_enqueue = self._batch_enqueue
+        charge_device = self._charge_device
         trace_envelope = self._trace_envelope
 
         def _send(envelope: _Envelope, from_machine: Optional[str],
@@ -1322,7 +800,7 @@ class SimRuntime:
             worker.current = item
             if (dedup and machine.replay_pins and envelope.replayed
                     and not envelope.is_timer):
-                rt._unpin_replay(machine, item)
+                unpin_replay(machine, item)
             count = pcounts.get(item, 0) + 1
             pcounts[item] = count
             if count > rt._max_workers_per_slate:
@@ -1364,7 +842,7 @@ class SimRuntime:
                 if (shedding and not envelope.is_timer
                         and machine.pressure_tier >= TIER_THIN
                         and fn in thinnable):
-                    weight = rt._thin(machine, fn, event)
+                    weight = thin(machine, fn, event)
                     skipped = weight is None
                 if not skipped:
                     mgr = worker.mgr
@@ -1387,10 +865,10 @@ class SimRuntime:
                     else:
                         slate = mgr.get(instance, key)
                     if mgr.pending_io_s > 0.0:
-                        service += rt._charge_device(machine, mgr)
+                        service += charge_device(machine, mgr)
                     if (dedup and envelope.replayed
                             and not envelope.is_timer):
-                        skipped = rt._dedup_skips(machine, fn, event, slate)
+                        skipped = dedup_skips(machine, fn, event, slate)
                 if not skipped:
                     if envelope.is_timer:
                         instance.on_timer(ctx, key, slate,
@@ -1419,7 +897,7 @@ class SimRuntime:
                     if write_through:
                         mgr._flush_slate(slate)
                     if mgr.pending_io_s > 0.0:
-                        service += rt._charge_device(machine, mgr)
+                        service += charge_device(machine, mgr)
                     # Slate.estimated_bytes, inlined with its per-version
                     # cache discipline; the non-counter shape falls back
                     # to the method (which recomputes and caches alike).
@@ -1481,7 +959,7 @@ class SimRuntime:
                 if machine.replay_pins:
                     pin = machine.replay_pins.get(item)
             if (shedding and machine.pressure_tier >= TIER_OVERFLOW
-                    and rt._divert_proactively(machine, envelope)):
+                    and divert_proactively(machine, envelope)):
                 return None
             workers = machine.workers
             if pin is not None:
@@ -1491,8 +969,8 @@ class SimRuntime:
                 # rule.
                 worker = pin[0]
             elif not muppet2:
-                worker = rt._muppet1_worker(machine, envelope)
-                if worker is None:
+                worker = hashed_worker(key, fn)
+                if worker.machine is not machine:
                     # The ring moved this key (failure broadcast raced
                     # the send); re-route from scratch.
                     _send(envelope, machine.name)
@@ -1558,7 +1036,7 @@ class SimRuntime:
                 qstats.peak_depth = depth
             if (dedup and muppet2 and envelope.replayed
                     and not envelope.is_timer):
-                rt._pin_replay(machine, worker, envelope)
+                pin_replay(machine, worker, envelope)
             if tracing:
                 trace_envelope("enqueue", machine, envelope,
                                worker=worker.index, depth=depth)
@@ -1675,107 +1153,12 @@ class SimRuntime:
         self._finish = _finish
         self._start_source = _start_source
 
-    # -- cold feature hooks of the per-event path -------------------------------
-    def _muppet1_worker(self, machine: _Machine,
-                        envelope: _Envelope) -> Optional[_Worker]:
-        """Muppet 1.0 routing: ``<key, function>`` hashes straight to the
-        one owning worker; None when a failure broadcast moved the key
-        between send and deliver."""
-        ring = self._function_rings[envelope.dest_fn]
-        wid = ring.lookup(route_key(envelope.event.key, envelope.dest_fn))
-        worker = self._worker_by_id[wid]
-        return worker if worker.machine is machine else None
-
+    # -- cold helpers of the per-event path ------------------------------------------
     def _charge_device(self, machine: _Machine, mgr: SlateManager) -> float:
         """Queue the manager's accrued synchronous kv I/O behind the
         machine's storage device; returns the wait it adds."""
-        io_s = mgr.take_pending_io()
         now = self.sim.now()
-        done = max(now, machine.device_busy_until) + io_s
-        machine.device_busy_until = done
-        return done - now
-
-    def _pin_replay(self, machine: _Machine, worker: _Worker,
-                    envelope: _Envelope) -> None:
-        """Count one more queued replay for its (key, fn) on ``worker``
-        (see ``_Machine.replay_pins``)."""
-        pin_key = (envelope.event.key, envelope.dest_fn)
-        pin = machine.replay_pins.get(pin_key)
-        if pin is None:
-            machine.replay_pins[pin_key] = [worker, 1]
-        else:
-            pin[1] += 1
-
-    def _unpin_replay(self, machine: _Machine,
-                      item: Tuple[str, str]) -> None:
-        """A queued replay for ``item`` starts executing. After the last
-        one, the dispatcher's processing-affinity rule covers the rest
-        of the window (``worker.current == item`` until ``_finish``)."""
-        pin = machine.replay_pins.get(item)
-        if pin is not None:
-            pin[1] -= 1
-            if pin[1] <= 0:
-                del machine.replay_pins[item]
-
-    def _dedup_skips(self, machine: _Machine, fn: str, event: Event,
-                     slate: Slate) -> bool:
-        """Effectively-once check of one replayed event against the
-        slate's watermark; True when its effect is already there."""
-        origin, oseq = event.provenance()
-        skip = oseq <= slate.watermark(origin)
-        if skip:
-            # The slate already durably contains this event's effect
-            # (the watermark persisted with the fields that include
-            # it): skip the re-application. The slate read was still
-            # paid for — dedup is not free.
-            self.replay_journal.stats.deduped += 1
-        else:
-            self._replay_reapplied += 1
-        if self._trace is not None:
-            self._trace.emit(self.sim.now(), "dedup", machine=machine.name,
-                             op=fn, key=event.key, origin=origin, oseq=oseq,
-                             decision="skip" if skip else "reapply")
-        return skip
-
-    def _thin(self, machine: _Machine, fn: str,
-              event: Event) -> Optional[float]:
-        """Thinning decision for one update of a thinnable updater under
-        pressure: the inverse-probability weight to apply it with, or
-        None when it is thinned away."""
-        keep, weight = self._thinner.decide(event.key)
-        if not keep:
-            # Thinned: skip the slate read and the update entirely —
-            # that saved work is the whole point. Kept siblings carry
-            # weight 1/p, so the counter stays unbiased (see
-            # repro.shedding.thinning).
-            self.counters.thinned += 1
-            self.shedding.thinned += 1
-            if self._trace is not None:
-                origin, oseq = event.provenance()
-                self._trace.emit(self.sim.now(), "shed",
-                                 machine=machine.name, op=fn, key=event.key,
-                                 outcome="thin", origin=origin, oseq=oseq)
-            return None
-        if weight > 1.0:
-            self.shedding.kept_weighted += 1
-            self.shedding.weight_applied += weight
-        return weight
-
-    def _divert_proactively(self, machine: _Machine,
-                            envelope: _Envelope) -> bool:
-        """Overflow tier: shed an arrival to the degraded stream *before*
-        the queues fill, instead of waiting for hard queue-full
-        rejections. True when the envelope was diverted."""
-        shed_cfg = self._shed.config
-        if (envelope.is_timer or envelope.diverted
-                or shed_cfg.overflow_sid is None
-                or machine.queue_depth_fraction() < shed_cfg.divert_fraction):
-            return False
-        self.shedding.diverted_proactive += 1
-        self._note_overflow(machine.name, "diverted_proactive")
-        self._divert(machine, envelope, shed_cfg.overflow_sid,
-                     proactive=True)
-        return True
+        return machine.occupy_device(now, mgr.take_pending_io()) - now
 
     def _trace_envelope(self, kind: str, machine: _Machine,
                         envelope: _Envelope, **fields: Any) -> None:
@@ -1817,23 +1200,21 @@ class SimRuntime:
         fire_at = max(self.sim.now() + 1e-9, timer.at_ts)
         timer_event = Event(sid=f"!timer:{timer.updater}", ts=timer.at_ts,
                             key=timer.key)
-        if self._dedup:
+        if self._eo is not None:
             # Each firing gets a unique runtime-local identity. Timer
             # invocations are never journaled or deduped themselves
             # (re-applying an update re-derives its timers), but their
             # *outputs* inherit provenance from this event — without a
             # unique oseq, outputs of distinct firings would collide.
             timer_event = timer_event.with_provenance(
-                f"!timer:{timer.updater}", next(self._timer_ids))
+                f"!timer:{timer.updater}", next(self._eo.timer_ids))
         timer_env = _Envelope(timer_event, envelope.birth_ts, timer.updater,
                               is_timer=True, timer_payload=timer.payload)
         self.sim.schedule_call(fire_at, self._send,
                                timer_env, machine.name)
 
-    # -- background processes ----------------------------------------------------
+    # -- the background flusher ---------------------------------------------------
     def _schedule_flusher(self) -> None:
-        period = self.config.flusher_period_s
-
         def tick(sim: Simulator) -> None:
             if self._timeline is not None:
                 # Piggyback timeline sampling on this pre-existing tick:
@@ -1851,11 +1232,9 @@ class SimRuntime:
                 if node is not None:
                     io += node.take_background_cost()
                 if io > 0:
-                    machine.device_busy_until = (
-                        max(sim.now(), machine.device_busy_until) + io)
-            sim.schedule_in(period, tick)
+                    machine.occupy_device(sim.now(), io)
 
-        self.sim.schedule_in(period, tick)
+        self.sim.every(self.config.flusher_period_s, tick)
 
     def _sample_timeline(self, now: float) -> None:
         """Record one timeline sample (read-only over engine state)."""
@@ -1873,129 +1252,95 @@ class SimRuntime:
         for name, recorder in self.latency.items():
             timeline.sample_updater(now, name, recorder.samples)
 
-    def _schedule_heartbeat(self) -> None:
-        """Master-side liveness sweep (see ``SimConfig.heartbeat_s``).
+    # -- the ring-change primitive ------------------------------------------------
+    def _change_ring(self, change: str, machine: _Machine, *,
+                     flush: bool = False, reroute: bool = True,
+                     before_reroute: Optional[Callable[[], None]] = None
+                     ) -> None:
+        """The one way ring membership moves.
 
-        Each sweep declares any machine that is down but not yet known
-        failed — same exclusion + broadcast + journal replay as the
-        sender-side path, so a crash in a quiet traffic window still
-        triggers replay before its journal entries age out. Retired
-        machines are the planned-removal case and are skipped.
+        ``change`` is ``"exclude"`` (the Section 4.3 failure broadcast),
+        ``"restore"`` (the recovery broadcast), ``"join"`` or
+        ``"retire"`` (planned membership, legacy or at a migration's
+        cutover). The steps always run in this order, at one simulated
+        instant:
+
+        1. ``flush`` — the rebalance barrier: every dirty slate goes to
+           the kv-store first, so no key moves while its freshest state
+           is only in a cache.
+        2. The membership object applies the change to its rings.
+        3. The ``ring_change`` span opens the new ring epoch.
+        4. ``before_reroute`` — what must see the new ring but precede
+           re-delivery (a migration re-addresses the journal and emits
+           its handoff spans here).
+        5. ``reroute`` — queued envelopes whose key changed owner move
+           to the new owner.
         """
-        period = self.config.heartbeat_s
-        assert period is not None
+        if flush:
+            self._rebalance_flush()
+        getattr(self._membership, change)(machine)
+        if self._trace is not None:
+            self._trace.emit(self.sim.now(), "ring_change",
+                             change=change, machine=machine.name)
+        if before_reroute is not None:
+            before_reroute()
+        if reroute:
+            self._reroute_queued()
 
-        def sweep(sim: Simulator) -> None:
-            for name in sorted(self.machines):
-                machine = self.machines[name]
-                if not machine.alive and not machine.retired \
-                        and name not in self._known_failed:
-                    self._declare_machine_failed(name)
-            sim.schedule_in(period, sweep)
+    def _flush_batches(self) -> None:
+        """Force every buffered batch onto the wire (nothing to do with
+        batching off)."""
+        if self._batcher is not None:
+            self._batcher.flush_all()
 
-        self.sim.schedule_in(period, sweep)
+    def _rebalance_flush(self) -> None:
+        """Flush every dirty slate cluster-wide before a ring change, so
+        no key moves while its freshest state is only in a cache."""
+        for machine in self.machines.values():  # noqa: MUP003, MUP010 -- single-threaded DES; machine insertion order is deterministic
+            if not machine.alive:
+                continue
+            io = 0.0
+            for mgr in self._managers_of(machine):
+                mgr.flush_all_dirty()
+                io += mgr.take_pending_io()
+            if io > 0:
+                machine.occupy_device(self.sim.now(), io)
 
-    def _schedule_epochs(self) -> None:
-        """Periodic checkpoint-epoch barrier (effectively-once only)."""
-        period = self.config.checkpoint_epoch_s
+    def _reroute_queued(self) -> None:
+        """Move queued events whose keys changed owner to the new owner.
 
-        def tick(sim: Simulator) -> None:
-            self._run_checkpoint_epoch(sim.now())
-            sim.schedule_in(period, tick)
-
-        self.sim.schedule_in(period, tick)
-
-    def _run_checkpoint_epoch(self, now: float) -> None:
-        """One coordinated flush-then-prune barrier.
-
-        Reuses the rebalance flush barrier: every live machine's dirty
-        slates — watermarks embedded in the same blob — go to the
-        kv-store, buffered batches are forced onto the wire first so
-        nothing sits in a coalescing buffer across the barrier. The
-        master counts the epoch; then journal entries recorded before
-        the barrier *two epochs ago* are pruned. The two-epoch lag
-        covers effects still in flight or queued at a barrier: an entry
-        sent before tick[k-2] has been applied (or replayed) and
-        flushed by tick[k-1], provided delivery + queueing latency stays
-        under one epoch period. A backlog deeper than one period is the
-        residual hazard — a pruned entry can no longer be replayed,
-        degrading that event to at-most-once.
+        Without this, a deep backlog queued at the old owner would keep
+        updating its orphaned cache copy while fresh events hit the new
+        owner — divergence far beyond the in-flight window under load.
         """
-        self._flush_all_batches()
-        self._rebalance_flush()
-        self.master.coordinate_epoch()
-        self._epoch_ticks.append(now)
-        if len(self._epoch_ticks) == 3:
-            cutoff = self._epoch_ticks[0]
-            self._epoch_pruned += self.replay_journal.prune_before(cutoff)
-
-    def _schedule_throttle_monitor(self) -> None:
-        throttle = self.config.throttle
-        assert throttle is not None
-        period = THROTTLE_CHECK_S
-
-        def tick(sim: Simulator) -> None:
-            worst = max((m.queue_depth_fraction()
-                         for m in self.machines.values() if m.alive),
-                        default=0.0)
-            throttle.observe(worst, sim.now())
-            sim.schedule_in(period, tick)
-
-        self.sim.schedule_in(period, tick)
-
-    def _updater_p99(self, window: int) -> float:
-        """Worst per-updater p99 over each updater's trailing samples."""
-        worst = 0.0
-        for recorder in self.latency.values():  # noqa: MUP003 -- max() is order-independent
-            samples = recorder.samples
-            if samples:
-                worst = max(worst, percentile(samples[-window:], 0.99))
-        return worst
-
-    def _schedule_shedding_monitor(self) -> None:
-        """The backpressure controller's observation tick.
-
-        Each period, every live machine's pressure signals feed the
-        controller; the resulting tier lands on ``machine.pressure_tier``
-        for the per-event hot paths to read. Any machine at the throttle
-        tier pauses the sources (Section 5 source throttling — never
-        mid-workflow, which can deadlock).
-        """
-        shed = self._shed
-        assert shed is not None
-        cfg = shed.config
-        period = cfg.check_period_s
-
-        def tick(sim: Simulator) -> None:
-            p99 = (self._updater_p99(cfg.p99_window)
-                   if cfg.p99_budget_s is not None else 0.0)
-            throttle_wanted = False
-            for name in sorted(self.machines):
-                machine = self.machines[name]
-                if not machine.alive:
-                    continue
-                dirty = 0
-                if cfg.dirty_slates_high is not None:
-                    dirty = sum(m.cache.dirty_count()
-                                for m in self._managers_of(machine))
-                tier = shed.observe(
-                    name,
-                    PressureSignals(
-                        queue_fraction=machine.queue_depth_fraction(),
-                        dirty_slates=dirty, p99_s=p99),
-                    sim.now())
-                machine.pressure_tier = tier
-                if tier >= TIER_THROTTLE:
-                    throttle_wanted = True
-            throttle = self.config.throttle
-            if throttle is not None:
-                if throttle_wanted:
-                    throttle.pause(sim.now())
-                else:
-                    throttle.resume(sim.now())
-            sim.schedule_in(period, tick)
-
-        self.sim.schedule_in(period, tick)
+        # Batched events are part of that backlog too: push them onto
+        # the wire now so nothing lingers addressed to the old owner.
+        self._flush_batches()
+        hashed_worker = self._membership.worker
+        eo = self._eo
+        for machine in list(self.machines.values()):
+            if not machine.alive:
+                continue
+            # Pins are rebuilt below from the envelopes that stay; moved
+            # replays re-pin at their new owner on re-delivery.
+            machine.replay_pins.clear()
+            for worker in machine.workers:
+                kept: List[_Envelope] = []
+                for envelope in worker.queue.drain():
+                    moved = self._destination_machine(envelope) is not machine
+                    if not moved:
+                        hashed = hashed_worker(envelope.event.key,
+                                               envelope.dest_fn)
+                        moved = hashed is not None and hashed is not worker
+                    if moved:
+                        self._send(envelope, machine.name)
+                    else:
+                        kept.append(envelope)
+                for envelope in kept:
+                    worker.queue.offer(envelope)
+                    if (eo is not None and eo.pin_replays
+                            and envelope.replayed and not envelope.is_timer):
+                        eo.pin(machine, worker, envelope)
 
     # -- elastic membership (Section 5 "Changing the Number of Machines
     # on the Fly", implemented as an extension) --------------------------------
@@ -2028,15 +1373,7 @@ class SimRuntime:
         same in-flight bound.
         """
         def join(sim: Simulator) -> None:
-            if self._migration is not None:
-                existing = self.machines.get(name)
-                if existing is not None and not existing.retired:
-                    return
-                if existing is None:
-                    self._construct_machine(name, cores)
-                self._request_scale("join", name, cores=cores)
-                return
-            self._legacy_join(name, cores)
+            self._elastic.join(name, cores)
 
         self.sim.schedule(at, join, priority=-1)
 
@@ -2051,517 +1388,9 @@ class SimRuntime:
         failure: nothing is lost, nothing replays.
         """
         def leave(sim: Simulator) -> None:
-            if self._migration is not None:
-                self._request_scale("retire", name)
-            else:
-                self._retire_legacy(name)
+            self._elastic.retire(name)
 
         self.sim.schedule(at, leave, priority=-1)
-
-    def _construct_machine(self, name: str, cores: int) -> "_Machine":
-        """Build a machine (workers, dispatcher, manager) *without* ring
-        membership — the caller admits it to the ring: the seed machines
-        at construction, a join at once (legacy join) or at migration
-        cutover. Joining machines get no co-located kv node: the store
-        ring is fixed at construction, matching the paper's separately
-        managed Cassandra cluster.
-        """
-        machine = _Machine(name, cores)
-        cfg = self.config
-        if cfg.engine == ENGINE_MUPPET2:
-            threads = cfg.threads_per_machine or cores
-            machine.central_mgr = self._new_manager(
-                cfg.cache_slates_per_machine, owner=name)
-            if cfg.two_choice:
-                machine.dispatcher = TwoChoiceDispatcher(
-                    threads, memoize=cfg.memoize_routing)
-            else:
-                machine.dispatcher = SingleChoiceDispatcher(
-                    threads, memoize=cfg.memoize_routing)
-            machine.shared_instances = {
-                s.name: s.instantiate() for s in self.app.operators()
-            }
-            for i in range(threads):
-                machine.workers.append(_Worker(
-                    wid=f"{name}/t{i}", machine=machine,
-                    index=i, function=None,
-                    queue_capacity=cfg.queue_capacity,
-                    mgr=machine.central_mgr))
-        else:
-            # Muppet 1.0: worker process pairs per function.
-            overrides = cfg.workers_per_function or {}
-            total = sum(
-                overrides.get(s.name,
-                              cfg.workers_per_function_per_machine)
-                for s in self.app.operators())
-            per_worker_cache = max(
-                1, cfg.cache_slates_per_machine // max(1, total))
-            index = 0
-            for op_spec in self.app.operators():
-                count = overrides.get(
-                    op_spec.name,
-                    cfg.workers_per_function_per_machine)
-                for j in range(count):
-                    worker = _Worker(
-                        wid=f"{name}/{op_spec.name}#{j}",
-                        machine=machine, index=index,
-                        function=op_spec.name,
-                        queue_capacity=cfg.queue_capacity,
-                        mgr=self._new_manager(per_worker_cache,
-                                              owner=name))
-                    # Each 1.0 worker loads its own copy of the code.
-                    machine.shared_instances[worker.wid] = (
-                        op_spec.instantiate())
-                    machine.workers.append(worker)
-                    self._worker_by_id[worker.wid] = worker
-                    index += 1
-        self.machines[name] = machine
-        if ((self._autoscaler is not None or self._migration is not None)
-                and name not in self._probed_machines):
-            # Elastic machines get queue/slate probes like seed machines;
-            # legacy joins skip this to keep non-elastic metrics snapshots
-            # identical to the seed.
-            self._probed_machines.add(name)
-            self.metrics.register_group(f"queues.{name}",
-                                        self._make_queue_probe(machine))
-            self.metrics.register_group(f"slates.{name}",
-                                        self._make_slate_probe(machine))
-        return machine
-
-    def _legacy_join(self, name: str, cores: int) -> None:
-        """Flush-barrier join: the original Section 4.3 re-admission."""
-        existing = self.machines.get(name)
-        if existing is not None and not existing.retired:
-            return
-        self._rebalance_flush()
-        machine = (existing if existing is not None
-                   else self._construct_machine(name, cores))
-        machine.retired = False
-        if self.config.engine == ENGINE_MUPPET2:
-            self._machine_ring.add(name)
-        else:
-            for worker in machine.workers:
-                if worker.function is not None:
-                    self._function_rings[worker.function].add(worker.wid)
-        self._join_order.append(name)
-        if self._trace is not None:
-            self._trace.emit(self.sim.now(), "ring_change",
-                             change="join", machine=name)
-        self._reroute_queued_after_ring_change()
-
-    def _retire_legacy(self, name: str) -> None:
-        """Flush-barrier retirement (no migration configured)."""
-        machine = self.machines.get(name)
-        if (machine is None or machine.retired or not machine.alive
-                or (self.config.engine == ENGINE_MUPPET2
-                    and name not in self._machine_ring.members)):
-            return
-        self._rebalance_flush()
-        if self.config.engine == ENGINE_MUPPET2:
-            self._machine_ring.remove(name)
-        else:
-            for worker in machine.workers:
-                if worker.function is not None:
-                    self._function_rings[worker.function].remove(worker.wid)
-        machine.retired = True
-        if self._trace is not None:
-            self._trace.emit(self.sim.now(), "ring_change",
-                             change="retire", machine=name)
-        self._reroute_queued_after_ring_change()
-        self._drop_retired_copies(name)
-
-    # -- elastic scaling (autoscaler + live migration) ---------------------
-    def _elastic_stats(self) -> Dict[str, Any]:
-        """The ``elastic`` metrics family: cluster size, autoscaler
-        decisions, and migration handoff accounting."""
-        live = (self._machine_ring.live_members
-                if self.config.engine == ENGINE_MUPPET2
-                else {n for n, m in self.machines.items()
-                      if m.alive and not m.retired})
-        stats: Dict[str, Any] = {
-            "machines_live": len(live),
-            "machines_retired": sum(
-                1 for m in self.machines.values() if m.retired),
-            "pending_requests": len(self._pending_scale),
-        }
-        if self._autoscaler is not None:
-            for key, value in self._autoscaler.counters.as_dict().items():
-                stats[f"autoscaler.{key}"] = value
-            stats["autoscaler.queue_ewma"] = self._autoscaler.smoothed_queue
-        if self._migration is not None:
-            for key, value in self._migration.counters.as_dict().items():
-                stats[f"migration.{key}"] = value
-        return stats
-
-    def _central_manager(self, name: str) -> Optional[SlateManager]:
-        """A machine's central slate manager (None for unknown names)."""
-        machine = self.machines.get(name)
-        return None if machine is None else machine.central_mgr
-
-    def route_key_of(self, slate_key: SlateKey) -> str:
-        """The ring routing key a slate's events hash under."""
-        return route_key(slate_key.key, slate_key.updater)
-
-    def _kill_machine_now(self, name: str) -> None:
-        """Crash a machine at the current instant (migration chaos)."""
-        self._make_failure(name)(self.sim)
-
-    def _drop_retired_copies(self, name: str) -> None:
-        """Flush-and-drop every cache copy a retired machine still holds,
-        and cold-start its dispatcher so a later re-admission is
-        indistinguishable from a fresh join."""
-        machine = self.machines.get(name)
-        if machine is None or not machine.alive:
-            return
-        io = 0.0
-        for mgr in self._managers_of(machine):
-            mgr.flush_all_dirty()
-            io += mgr.take_pending_io()
-            for slate_key in list(mgr.cache.resident()):
-                mgr.drop(slate_key)
-        if io > 0:
-            machine.device_busy_until = (
-                max(self.sim.now(), machine.device_busy_until) + io)
-        if machine.dispatcher is not None:
-            machine.dispatcher.reset()
-
-    def _request_scale(self, kind: str, name: str, cores: int = 4) -> None:
-        """Route one join/retire request to the configured mechanism.
-
-        With migration configured, requests serialize: one handoff is in
-        flight at a time and the rest queue (FIFO), which keeps every
-        ownership change attributable to exactly one migration epoch.
-        """
-        if self._migration is None:
-            if kind == "join":
-                self._legacy_join(name, cores)
-            else:
-                self._retire_legacy(name)
-            return
-        if self._migration.active is not None:
-            self._pending_scale.append((kind, name))
-            return
-        self._start_migration(kind, name)
-
-    def _start_migration(self, kind: str, name: str) -> None:
-        migration = self._migration
-        assert migration is not None
-        machine = self.machines.get(name)
-        if machine is None or not machine.alive:
-            return
-        if kind == "join":
-            if name in self._machine_ring.members:
-                return
-        else:
-            if machine.retired or name not in self._machine_ring.live_members:
-                return  # failed machines heal via replay, not migration
-        migration.begin(kind, name)
-
-    def _drain_scale_queue(self) -> None:
-        migration = self._migration
-        if migration is None:
-            return
-        while self._pending_scale and migration.active is None:
-            kind, name = self._pending_scale.popleft()
-            self._start_migration(kind, name)
-
-    def _apply_migration_ring_change(self, mig: "MigrationState") -> None:
-        """The coordinator's cutover hook: flip the ring, re-address the
-        journal, clean up a retiring donor. Runs at one simulated
-        instant inside the cutover phase."""
-        machine = self.machines[mig.machine]
-        if mig.kind == "join":
-            machine.retired = False
-            self._machine_ring.add(mig.machine)
-            self._join_order.append(mig.machine)
-            change = "join"
-        else:
-            machine.retired = True
-            self._machine_ring.remove(mig.machine)
-            change = "retire"
-        if self._trace is not None:
-            self._trace.emit(self.sim.now(), "ring_change",
-                             change=change, machine=mig.machine)
-        journal = self.replay_journal
-        donors = set(mig.donors())
-        if journal is not None and donors:
-            def resolve(dest: str, payload: Any) -> Optional[str]:
-                if dest not in donors:
-                    return None
-                target = self._destination_machine(payload)
-                return None if target is None else target.name
-            changed = journal.readdress(resolve)
-            if self._migration is not None:
-                # readdress() already counts into journal stats; mirror
-                # into the migration family so bench E24 sees it.
-                self._migration.counters.journal_readdressed += changed
-        if mig.kind == "retire":
-            self._drop_retired_copies(mig.machine)
-
-    def _migration_finished(self, mig: "MigrationState",
-                            completed: bool) -> None:
-        """The coordinator's completion/abort hook."""
-        if mig.kind == "join" and not completed:
-            machine = self.machines.get(mig.machine)
-            if (machine is not None
-                    and mig.machine not in self._machine_ring.members):
-                # The joiner never entered the ring; park it as a
-                # re-admission candidate for the next scale-up.
-                machine.retired = True
-        self._drain_scale_queue()
-
-    def _schedule_autoscaler(self) -> None:
-        """The autoscaler's observation tick (mirrors the shedding
-        monitor): sample cluster health each period, execute any
-        resulting decision through the scaling machinery."""
-        scaler = self._autoscaler
-        assert scaler is not None
-        cfg = scaler.config
-        period = cfg.check_period_s
-
-        def tick(sim: Simulator) -> None:
-            live = sorted(self._machine_ring.live_members)
-            alive = [self.machines[n] for n in live
-                     if self.machines[n].alive]
-            worst = max((m.queue_depth_fraction() for m in alive),
-                        default=0.0)
-            p99 = (self._updater_p99(256)
-                   if cfg.p99_budget_s is not None else None)
-            dirty = 0
-            if cfg.dirty_backlog_high is not None:
-                dirty = max(
-                    (sum(mg.cache.dirty_count()
-                         for mg in self._managers_of(m)) for m in alive),
-                    default=0)
-            decision = scaler.observe(
-                sim.now(), worst_queue_fraction=worst, p99_s=p99,
-                dirty_backlog=dirty, live_machines=len(live))
-            if decision is not None:
-                self._execute_scale_decision(decision)
-            sim.schedule_in(period, tick)
-
-        self.sim.schedule_in(period, tick)
-
-    def _execute_scale_decision(self, decision: ScaleDecision) -> None:
-        scaler = self._autoscaler
-        assert scaler is not None
-        if self._migration is not None and (
-                self._migration.active is not None or self._pending_scale):
-            # A handoff is in flight (or queued): don't pile decisions on
-            # top — the EWMA will re-fire if pressure persists.
-            scaler.counters.blocked_migration += 1
-            return
-        cores = scaler.config.cores
-        if decision.direction == "grow":
-            for _ in range(decision.count):
-                name = self._next_join_candidate()
-                if name not in self.machines:
-                    self._construct_machine(name, cores)
-                self._request_scale("join", name, cores=cores)
-        else:
-            for _ in range(decision.count):
-                name = self._pick_retire_victim()
-                if name is None:
-                    return
-                self._request_scale("retire", name)
-
-    def _claimed_for_scaling(self) -> Set[str]:
-        claimed = {n for _, n in self._pending_scale}
-        if self._migration is not None and self._migration.active is not None:
-            claimed.add(self._migration.active.machine)
-        return claimed
-
-    def _next_join_candidate(self) -> str:
-        """Pick the next machine to admit: retired machines re-admit
-        first (their probes and workers already exist), then fresh
-        ``e###`` names from the elastic sequence."""
-        claimed = self._claimed_for_scaling()
-        for name in sorted(self.machines):
-            machine = self.machines[name]
-            if machine.retired and machine.alive and name not in claimed:
-                return name
-        while True:
-            name = f"e{next(self._elastic_seq):03d}"
-            if name not in self.machines:
-                return name
-
-    def _pick_retire_victim(self) -> Optional[str]:
-        """Pick the machine to retire: last joined leaves first (LIFO —
-        elastic machines drain before seed machines), falling back to
-        the lexicographically last live member."""
-        claimed = self._claimed_for_scaling()
-        live = self._machine_ring.live_members
-        for name in reversed(self._join_order):
-            if name in live and name not in claimed:
-                return name
-        candidates = sorted(n for n in live if n not in claimed)
-        if len(candidates) <= 1:
-            return None
-        return candidates[-1]
-
-    def _reroute_queued_after_ring_change(self) -> None:
-        """Move queued events whose keys changed owner to the new owner.
-
-        Without this, a deep backlog queued at the old owner would keep
-        updating its orphaned cache copy while fresh events hit the new
-        owner — divergence far beyond the in-flight window under load.
-        """
-        # Batched events are part of that backlog too: push them onto
-        # the wire now so nothing lingers addressed to the old owner.
-        self._flush_all_batches()
-        for machine in list(self.machines.values()):
-            if not machine.alive:
-                continue
-            # Pins are rebuilt below from the envelopes that stay; moved
-            # replays re-pin at their new owner on re-delivery.
-            machine.replay_pins.clear()
-            for worker in machine.workers:
-                kept: List[_Envelope] = []
-                for envelope in worker.queue.drain():
-                    target = self._destination_machine(envelope)
-                    moved = target is None or target is not machine
-                    if not moved and self.config.engine == ENGINE_MUPPET1:
-                        ring = self._function_rings[envelope.dest_fn]
-                        wid = ring.lookup(route_key(envelope.event.key,
-                                                    envelope.dest_fn))
-                        moved = wid != worker.wid
-                    if moved:
-                        self._send(envelope, machine.name)
-                    else:
-                        kept.append(envelope)
-                for envelope in kept:
-                    worker.queue.offer(envelope)
-                    if (self._is_muppet2 and self._dedup
-                            and envelope.replayed and not envelope.is_timer):
-                        self._pin_replay(machine, worker, envelope)
-
-    def _rebalance_flush(self) -> None:
-        """Flush every dirty slate cluster-wide before a ring change, so
-        no key moves while its freshest state is only in a cache."""
-        for machine in self.machines.values():  # noqa: MUP003, MUP010 -- single-threaded DES; machine insertion order is deterministic
-            if not machine.alive:
-                continue
-            io = 0.0
-            for mgr in self._managers_of(machine):
-                mgr.flush_all_dirty()
-                io += mgr.take_pending_io()
-            if io > 0:
-                machine.device_busy_until = (
-                    max(self.sim.now(), machine.device_busy_until) + io)
-
-    # -- failures ---------------------------------------------------------------
-    def _make_failure(self, machine_name: str):
-        def kill(sim: Simulator) -> None:
-            machine = self.machines.get(machine_name)
-            if machine is None:
-                raise ConfigurationError(
-                    "crash fault targets unknown machine "
-                    f"{machine_name!r}; cluster has "
-                    f"{sorted(self.machines)}")
-            if not machine.alive:
-                return
-            machine.alive = False
-            if self._failure_time is None:
-                self._failure_time = sim.now()
-            # Events still buffered for this machine are as dead as its
-            # queues: flush them now so they are counted lost (and the
-            # failure broadcast fires) instead of lingering.
-            self._flush_batches_to(machine_name)
-            machine.replay_pins.clear()
-            for worker in machine.workers:
-                lost = worker.queue.drain()
-                self.counters.lost_failure += len(lost)
-                if worker.mgr is not machine.central_mgr:
-                    worker.mgr.crash()
-            if machine.central_mgr is not None:
-                machine.central_mgr.crash()
-            if self.config.kill_kv_on_machine_failure \
-                    and machine_name in self.store.nodes:
-                # Elastic machines (joined after boot) host workers only;
-                # kv membership is fixed at the seed spec.
-                self.store.mark_down(machine_name)
-
-        return kill
-
-    def _make_recovery(self, machine_name: str):
-        """The full machine-recovery path — the Section 4.3 gap closed.
-
-        The paper excludes a dead machine from the ring "until operator
-        intervention" and leaves recovery as future work. Here the
-        revived machine (1) restarts its workers with cold caches,
-        (2) brings its co-located kv node back, draining hinted handoff,
-        (3) reports to the master, which broadcasts recovery exactly as
-        it broadcasts failure (one report hop + one broadcast hop), and
-        (4) rejoins the shared hash ring behind the same rebalance
-        barrier as elastic joins: survivors flush dirty slates first, so
-        keys that move back re-hydrate from fresh kv-store state through
-        the ordinary Section 4.2 cache-miss path.
-        """
-
-        def revive(sim: Simulator) -> None:
-            machine = self.machines.get(machine_name)
-            if machine is None or machine.alive:
-                return
-            machine.alive = True
-            # Workers still mid-service when the machine died have their
-            # _finish callbacks pending; count them as busy so the core
-            # ledger stays consistent whichever order things resolve.
-            busy = sum(1 for w in machine.workers if w.busy)
-            machine.free_cores = machine.cores - busy
-            machine.waiting.clear()
-            for worker in machine.workers:
-                if not worker.busy:
-                    worker.waiting = False
-            for mgr in self._managers_of(machine):
-                mgr.revive()
-            if self.config.kill_kv_on_machine_failure:
-                node = self.store.nodes.get(machine_name)
-                if node is not None and node.is_down:
-                    self.store.mark_up(machine_name)
-            self._recoveries += 1
-            latency = self.cluster.network.latency_s
-
-            def broadcast(sim2: Simulator) -> None:
-                if not machine.alive:
-                    return  # crashed again before the broadcast landed
-                self.master.report_recovery(machine_name)
-                self._known_failed.discard(machine_name)
-                # Survivors flush before the ring re-admits the machine,
-                # so keys that move back re-hydrate from fresh kv state
-                # (the barrier schedule_add_machine also takes).
-                self._rebalance_flush()
-                self._machine_ring.restore(machine_name)
-                for ring in self._function_rings.values():  # noqa: MUP010 -- built once at construction; per-ring restores commute
-                    for worker in machine.workers:
-                        ring.restore(worker.wid)
-                if self._trace is not None:
-                    self._trace.emit(sim2.now(), "ring_change",
-                                     change="restore", machine=machine_name)
-                self._reroute_queued_after_ring_change()
-
-            # Report to master (one hop) + broadcast to workers (one
-            # hop) — symmetric to failure reporting.
-            self.sim.schedule_in(2 * latency, broadcast, priority=-1)
-
-        return revive
-
-    def _make_kv_down(self, machine_name: str):
-        """A transient outage of one co-located kv node (machine up)."""
-
-        def down(sim: Simulator) -> None:
-            node = self.store.nodes.get(machine_name)
-            if node is not None and not node.is_down:
-                self.store.mark_down(machine_name)
-
-        return down
-
-    def _make_kv_up(self, machine_name: str):
-        def up(sim: Simulator) -> None:
-            node = self.store.nodes.get(machine_name)
-            if node is not None and node.is_down:
-                self.store.mark_up(machine_name)
-
-        return up
 
     def _managers_of(self, machine: _Machine) -> List[SlateManager]:
         """The machine's slate managers, in worker order (never a set:
@@ -2592,12 +1421,10 @@ class SimRuntime:
             return best.as_dict()
         try:
             result = self.store.read(key, updater)
-        except Exception:
+        except StoreError:
             return None
         if result.value is None:
             return None
-        from repro.slates.codec import DEFAULT_CODEC, split_watermarks
-
         fields, _ = split_watermarks(DEFAULT_CODEC.decode(result.value))
         return fields
 
@@ -2628,9 +1455,7 @@ class SimRuntime:
                     if known is None or slate.last_update_ts > known[0]:
                         found[slate_key.key] = (slate.last_update_ts,
                                                 slate.as_dict())
-        if read_through and self.store is not None:
-            from repro.slates.codec import DEFAULT_CODEC, split_watermarks
-
+        if read_through:
             for row, cell in self.store.column_cells(updater).items():
                 known = found.get(row)
                 if known is not None and known[0] >= cell.write_ts:
@@ -2639,106 +1464,10 @@ class SimRuntime:
                 found[row] = (cell.write_ts, fields)
         return {key: contents for key, (_, contents) in found.items()}
 
-    def memory_mb_per_machine(self) -> float:
-        """Average resident MB per machine: code copies + slate caches.
-
-        Muppet 1.0 loads the code once per worker process; 2.0 loads it
-        once per machine (Section 4.5's first limitation).
-        """
-        total = 0.0
-        for machine in self.machines.values():
-            if self.config.engine == ENGINE_MUPPET2:
-                total += OPERATOR_CODE_MB
-                if machine.central_mgr is not None:
-                    total += machine.central_mgr.cache.total_bytes() / 1e6
-            else:
-                total += OPERATOR_CODE_MB * len(machine.workers)
-                total += sum(w.mgr.cache.total_bytes()
-                             for w in machine.workers) / 1e6
-        return total / max(1, len(self.machines))
-
-    def _robustness_counters(self) -> RobustnessCounters:
-        """Aggregate recovery/retry/chaos accounting for the report."""
-        rc = RobustnessCounters(recoveries=self._recoveries)
-        for machine in self.machines.values():
-            for mgr in self._managers_of(machine):
-                rc.rehydrated_slates += mgr.stats.rehydrated
-                rc.kv_retries += mgr.stats.kv_retries
-                rc.kv_backoff_s += mgr.stats.kv_backoff_s
-                rc.fail_open_reads += mgr.stats.fail_open_reads
-                rc.fail_open_writes += mgr.stats.fail_open_writes
-        if self._injector is not None:
-            stats = self._injector.stats
-            rc.gray_slow_s = stats.gray_slow_s
-            rc.dropped_injected = stats.dropped_messages
-            rc.lost_partition = stats.lost_partition
-            rc.delayed_injected = stats.delayed_messages
-            rc.injected_delay_s = stats.injected_delay_s
-        rc.hints_stored = self.store.hints_stored
-        rc.hints_delivered = self.store.hints_delivered
-        rc.hints_evicted = self.store.hints_evicted
-        rc.hints_pending = self.store.pending_hints()
-        if self.replay_journal is not None:
-            rc.replay_deduped = self.replay_journal.stats.deduped
-        rc.replay_reapplied = self._replay_reapplied
-        rc.checkpoint_epochs = self.master.stats.checkpoint_epochs
-        rc.epoch_pruned = self._epoch_pruned
-        return rc
-
     def _report(self, duration_s: float) -> SimReport:
-        all_latencies = LatencyRecorder()
-        by_updater: Dict[str, LatencySummary] = {}
-        for name, recorder in self.latency.items():  # noqa: MUP003 -- single-threaded DES; operator insertion order is deterministic
-            if len(recorder):
-                by_updater[name] = recorder.summary()
-                all_latencies.extend(recorder.samples)
-                histogram = self.metrics.histogram(f"latency.{name}")
-                if histogram.count == 0:
-                    recorder.fill_histogram(histogram)
-        dispatch = self._dispatch_stats()
-        queue_peak = 0
-        for machine in self.machines.values():  # noqa: MUP003 -- max() is order-independent
-            for worker in machine.workers:
-                queue_peak = max(queue_peak, worker.queue.stats.peak_depth)
-        return SimReport(
-            engine=self.config.engine,
-            duration_s=duration_s,
-            counters=self.counters,
-            latency=(all_latencies.summary() if len(all_latencies) else None),
-            latency_by_updater=by_updater,
-            throughput=ThroughputReport(self.counters.processed, duration_s),
-            dispatch_stats=dispatch,
-            master_stats=asdict(self.master.stats),
-            queue_peak_depth=queue_peak,
-            slate_contention_events=self._contention_events,
-            max_workers_per_slate=self._max_workers_per_slate,
-            failure_detection_s=self._detection_time,
-            throttle_paused_s=(self.config.throttle.paused_time_s
-                               if self.config.throttle else 0.0),
-            memory_mb_per_machine=self.memory_mb_per_machine(),
-            kv_stats=self.store.stats_by_node(),
-            device_stats={name: node.device.stats.as_dict()
-                          for name, node in sorted(self.store.nodes.items())},
-            steps=self.sim.steps,
-            robustness=self._robustness_counters(),
-            dataplane=self.dataplane,
-            replay=(ReplayStats(**asdict(self.replay_journal.stats))
-                    if self.replay_journal is not None else ReplayStats()),
-            shedding=self.shedding,
-            metrics=self.metrics.family_snapshot(),
-            timeline_data=(self._timeline.as_dict()
-                           if self._timeline is not None else None),
-        )
+        return build_report(self, duration_s)
 
 
-def create_runtime(
-    app: Application,
-    cluster: ClusterSpec,
-    config: Optional[SimConfig] = None,
-    sources: Iterable[Source] = (),
-    failures: Union[Iterable[Tuple[float, str]], FaultSchedule] = (),
-    tracer: Optional[Tracer] = None,
-) -> SimRuntime:
-    """Build a :class:`SimRuntime` — the constructor under the name
-    ``bench/`` imports. There is nothing to choose between any more."""
-    return SimRuntime(app, cluster, config, sources, failures, tracer)
+#: The constructor under the name ``bench/`` imports. There is nothing to
+#: choose between any more.
+create_runtime = SimRuntime

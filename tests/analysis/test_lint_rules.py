@@ -112,6 +112,34 @@ def test_rule_scoping_by_path():
     assert not any(f.code == "MUP004" for f in in_manager)
 
 
+#: Where this round's protocol code moved: (rule, fixture, virtual path,
+#: minimum findings). The rules' include patterns must follow it there.
+_MOVED_SCOPES = [
+    ("MUP010", "mup010_faults_bad", "repro/faults/driver.py", 2),
+    ("MUP010", "mup010_shedding_bad", "repro/shedding/overload.py", 2),
+    ("MUP010", "mup010_replay_bad", "repro/muppet/replay.py", 2),
+    ("MUP001", "mup001_bad", "repro/elastic/controller.py", 4),
+    ("MUP001", "mup001_bad", "repro/shedding/overload.py", 4),
+]
+
+
+@pytest.mark.parametrize("code,fixture,relpath,minimum", _MOVED_SCOPES)
+def test_rule_scope_follows_the_moved_code(code, fixture, relpath, minimum):
+    source = (FIXTURES / f"{fixture}.txt").read_text()
+    rules = [r for r in iter_rules() if r.code == code]
+    findings = lint_source(source, relpath, rules=rules)
+    assert len(findings) >= minimum
+    assert {f.code for f in findings} == {code}
+
+
+def test_mup010_stays_out_of_the_threaded_engine():
+    # muppet/ is in scope for replay.py only: local.py's handlers run
+    # under real threads, which the model checker does not replay.
+    source = (FIXTURES / "mup010_replay_bad.txt").read_text()
+    rules = [r for r in iter_rules() if r.code == "MUP010"]
+    assert lint_source(source, "repro/muppet/local.py", rules=rules) == []
+
+
 def test_mup001_out_of_scope_for_workloads():
     # Workload generators are allowed wall-clock (not in MUP001 scope).
     source = "import time\n\nstamp = time.time()\n"

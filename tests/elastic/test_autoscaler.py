@@ -133,3 +133,28 @@ class TestAutoscalerPolicy:
         for i in range(5):
             observe(scaler, float(i), queue=0.0)
         assert scaler.counters.observations == 5
+
+
+def test_autoscaler_without_migration_admits_what_it_builds():
+    """With ``SimConfig.migration`` unset the autoscaler grows through
+    the flush-barrier join. The machines it builds must enter the ring
+    (they used to be built and then left outside it forever)."""
+    from repro.analysis.scenarios import build_e24_diurnal_app
+    from repro.cluster import ClusterSpec
+    from repro.sim import SimConfig, SimRuntime
+    from repro.sim.sources import spiky_rate
+
+    config = SimConfig(
+        queue_capacity=2_000,
+        autoscale=AutoscalerConfig(
+            min_machines=2, max_machines=4, check_period_s=0.25,
+            scale_up_queue=0.5, cooldown_s=0.5, cores=1))
+    source = spiky_rate("S1", [(250.0, 0.5), (1400.0, 2.0)],
+                        key_fn=lambda i: f"k{i % 64}")
+    runtime = SimRuntime(build_e24_diurnal_app(),
+                         ClusterSpec.uniform(2, cores=1), config, [source])
+    report = runtime.run(6.0)
+    elastic = report.metrics["elastic"]
+    assert elastic["autoscaler.scale_ups"] >= 1
+    assert elastic["machines_live"] == 2 + elastic["autoscaler.scale_ups"]
+    assert set(runtime.machines) == runtime._machine_ring.live_members

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.metrics import LatencyRecorder, percentile
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import (Counter, Gauge, Histogram, LatencyRecorder,
+                       MetricsRegistry, percentile)
 
 
 class TestInstruments:

@@ -73,6 +73,52 @@ class TestMachineFailure:
         report = runtime.run(4.0)
         assert report.counters.lost_failure > 0
 
+    @pytest.mark.parametrize("engine", [ENGINE_MUPPET1, ENGINE_MUPPET2])
+    def test_no_live_owner_is_data_loss(self, engine):
+        """Every machine dead and declared: the ring has no live member
+        left, and what is still sent is lost — and counted as lost."""
+        runtime = SimRuntime(build_count_app(),
+                             ClusterSpec.uniform(2, cores=4),
+                             SimConfig(engine=engine), [source()],
+                             failures=[(0.3, "m000"), (0.3, "m001")])
+        report = runtime.run(3.0)
+        assert runtime._known_failed == {"m000", "m001"}
+        assert report.counters.processed < 400
+        # Each source event is lost once: queued at the crash, sent to a
+        # dead machine, or sent when no owner was left.
+        sent_to_nobody = 400 - report.counters.processed
+        assert report.counters.lost_failure >= sent_to_nobody > 0
+        assert runtime.slate("U1", "never-seen") is None
+
+    def test_a_routing_bug_is_not_booked_as_data_loss(self):
+        """Only the ring's documented "no live member" error means a
+        lost event; any other exception on the routing path is a bug
+        and must surface, not inflate ``lost_failure``."""
+        runtime = SimRuntime(build_count_app(),
+                             ClusterSpec.uniform(2, cores=4),
+                             SimConfig(), [source()])
+
+        def broken_lookup(routing_key):
+            raise RuntimeError("routing bug")
+
+        runtime._machine_ring.lookup = broken_lookup
+        with pytest.raises(RuntimeError, match="routing bug"):
+            runtime.run(1.0)
+        assert runtime.counters.lost_failure == 0
+
+    def test_a_store_bug_is_not_answered_as_no_such_slate(self):
+        runtime = SimRuntime(build_count_app(),
+                             ClusterSpec.uniform(2, cores=4),
+                             SimConfig(), [source()])
+        runtime.run(3.0)
+
+        def broken_read(row, column, **kwargs):
+            raise RuntimeError("store bug")
+
+        runtime.store.read = broken_read
+        with pytest.raises(RuntimeError, match="store bug"):
+            runtime.slate("U1", "not-cached")
+
 
 class TestOverflowPolicies:
     def overloaded_config(self, **kwargs):

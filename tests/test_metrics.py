@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import (PAPER_LATENCY_BOUND_S, PAPER_TWEETS_PER_SECOND,
-                           LatencyRecorder, RobustnessCounters,
-                           ThroughputReport, format_ms, format_table,
-                           percentile)
+from repro.faults import RobustnessCounters
+from repro.obs import (PAPER_LATENCY_BOUND_S, PAPER_TWEETS_PER_SECOND,
+                       LatencyRecorder, ThroughputReport, format_ms,
+                       format_table, percentile)
 
 
 class TestPercentile:
