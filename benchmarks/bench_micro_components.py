@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.apps.counting import count_app, count_events
 from repro.cluster.hashring import HashRing, route_key
 from repro.core import ReferenceExecutor
 from repro.core.event import Event
@@ -26,7 +27,6 @@ from repro.kvstore.sstable import SSTable
 from repro.muppet.dispatch import DispatchStats, TwoChoiceDispatcher
 from repro.slates.cache import SlateCache
 from repro.slates.codec import CompressedJsonCodec, JsonCodec
-from tests.conftest import build_count_app, make_events
 
 
 def test_micro_hashring_lookup(benchmark):
@@ -232,10 +232,10 @@ def test_micro_stats_counter_inc_slotted(benchmark):
 
 
 def test_micro_reference_executor_throughput(benchmark):
-    events = make_events(1000, keys=32)
+    events = count_events(1000, keys=32)
 
     def run():
-        return ReferenceExecutor(build_count_app()).run(list(events))
+        return ReferenceExecutor(count_app("micro")).run(list(events))
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.counters.processed == 2000

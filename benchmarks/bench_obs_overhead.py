@@ -35,9 +35,8 @@ from typing import Any, Dict, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.apps.counting import count_app
+from repro.apps.counting import count_app, count_events
 from repro.cluster import ClusterSpec
-from repro.core.event import Event
 from repro.sim import SimConfig, SimRuntime
 from repro.sim.sources import Source
 
@@ -48,11 +47,6 @@ MAX_OVERHEAD = 0.02
 
 #: Timing repeats; min is reported (least-noise estimator).
 REPEATS = 3
-
-
-def _events(n: int, spacing: float, keys: int):
-    return [Event("S1", ts=i * spacing, key=f"k{i % keys}", value=i)
-            for i in range(n)]
 
 
 def _timed(fn) -> Tuple[Any, float]:
@@ -75,7 +69,7 @@ def _run(traced: bool) -> Tuple[str, str, int]:
                        timeline=traced)
     runtime = SimRuntime(count_app("obs-overhead-chain", hops=2),
                          ClusterSpec.uniform(machines, cores=4), config,
-                         [Source("S1", iter(_events(n, spacing, keys)))])
+                         [Source("S1", iter(count_events(n, keys, spacing)))])
     report = runtime.run(n * spacing + 5.0)
     slates = json.dumps(runtime.slates_of("U1"), sort_keys=True)
     spans = len(runtime.tracer.spans()) if traced else 0

@@ -127,7 +127,7 @@ def profile_hot_path(results_dir: Path) -> None:
     import io
     import pstats
 
-    from repro.campaign.perf import _chain_app, _events
+    from repro.apps.counting import count_app, count_events
     from repro.cluster import ClusterSpec
     from repro.sim import SimConfig, SimRuntime
     from repro.sim.sources import Source
@@ -135,10 +135,10 @@ def profile_hot_path(results_dir: Path) -> None:
     n, spacing, keys, machines = 30_000, 0.00002, 200, 4
     horizon = n * spacing + 5.0
     runtime = SimRuntime(
-        _chain_app(),
+        count_app("perf-gate-chain", hops=2),
         ClusterSpec.uniform(machines, cores=4),
         SimConfig(),
-        [Source("S1", iter(_events(n, spacing, keys)))],
+        [Source("S1", iter(count_events(n, keys, spacing)))],
     )
     profiler = cProfile.Profile()
     profiler.enable()

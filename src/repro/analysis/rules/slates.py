@@ -37,8 +37,11 @@ class SlateWriteBypassRule(LintRule):
                    "slates/manager.py; slate persistence must go through "
                    "the flush path so watermarks stay atomic with fields")
     include = (r"^repro/",)
+    # Campaign cells are experiments, not engine code: the E8/E10/E19
+    # ones measure the store itself, writing raw cells to a bare node or
+    # cluster with no slate involved.
     exclude = (r"^repro/slates/manager\.py$", r"^repro/kvstore/",
-               r"^repro/analysis/")
+               r"^repro/analysis/", r"^repro/campaign/")
 
     def check(self, tree: ast.Module, relpath: str,
               source_lines: List[str]) -> List[Finding]:

@@ -8,7 +8,7 @@ artifact and must not change; application names appear in none.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Type
+from typing import Any, Dict, List, Type
 
 from repro.core.application import Application
 from repro.core.event import Event
@@ -51,3 +51,10 @@ def count_app(name: str, hops: int = 1,
                        config={"output_sid": f"S{hop + 1}"})
     app.add_updater("U1", updater, subscribes=[f"S{hops + 1}"])
     return app.validate()
+
+
+def count_events(count: int, keys: int, spacing: float = 0.01) -> List[Event]:
+    """``count`` events on ``S1``, ``spacing`` seconds apart, cycling
+    over ``keys`` keys ``k0``, ``k1``… and numbered in their value."""
+    return [Event("S1", ts=i * spacing, key=f"k{i % keys}", value=i)
+            for i in range(count)]

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.campaign import artifact as art
-from repro.campaign.runner import Runner, verify_rows, write_outputs
+from repro.campaign.runner import Runner, render_artifact, verify_rows, write_outputs
 from repro.campaign.spec import CampaignSpec, spec_from_toml
 from repro.campaign.specs import SPECS, get_spec
 from repro.errors import ConfigurationError
@@ -95,15 +95,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    from repro.campaign.runner import summarize_rows
-
     spec = _load_spec(args)
     root = Path.cwd()
-    payload = art.load_artifact(spec.committed_path(root))
     md_path = spec.markdown_path(root)
-    md_path.parent.mkdir(parents=True, exist_ok=True)
-    summary = summarize_rows(spec, payload["cells"])
-    md_path.write_text(art.render_markdown(spec, payload, summary))
+    render_artifact(spec, spec.committed_path(root), md_path)
     print(f"wrote {md_path}")
     return 0
 

@@ -16,16 +16,14 @@ tolerance checks still read them.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
-from typing import Any, Callable, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple
 
-from repro.apps.counting import Count, count_app
+from repro.apps.counting import count_app, count_events
+from repro.campaign.e9_flush import drive
 from repro.cluster import ClusterSpec
-from repro.core.event import Event
 from repro.errors import ConfigurationError
-from repro.kvstore.cluster import ReplicatedKVStore
 from repro.sim import SimConfig, SimRuntime
 from repro.sim.sources import Source
 from repro.slates.manager import FlushPolicy, SlateManager
@@ -40,10 +38,6 @@ E23_BASELINE_EXACT_WALL_S = 3.6863
 
 #: Timing repeats per measured run; min is reported (least-noise).
 REPEATS = 3
-
-
-def _events(n: int, spacing: float, keys: int) -> List[Event]:
-    return [Event("S1", ts=i * spacing, key=f"k{i % keys}", value=i) for i in range(n)]
 
 
 def _timed(fn: Callable[[], Any]) -> Tuple[Any, float, float]:
@@ -77,7 +71,7 @@ def scenario_e1_scaling() -> Dict[str, Any]:
             count_app("perf-gate-chain", hops=2),
             ClusterSpec.uniform(machines, cores=4),
             cfg,
-            [Source("S1", iter(_events(n, spacing, keys)))],
+            [Source("S1", iter(count_events(n, keys, spacing)))],
         )
         report = runtime.run(horizon)
         return report, runtime.slates_of("U1")
@@ -122,7 +116,7 @@ def scenario_e2_latency() -> Dict[str, Any]:
             count_app("perf-gate-count"),
             ClusterSpec.uniform(machines, cores=4),
             cfg,
-            [Source("S1", iter(_events(n, spacing, keys)))],
+            [Source("S1", iter(count_events(n, keys, spacing)))],
         )
         return runtime.run(horizon)
 
@@ -144,24 +138,8 @@ def scenario_e9_flush() -> Dict[str, Any]:
     updates, keys = 20_000, 500
 
     def run() -> SlateManager:
-        ticks = itertools.count()
-        clock = lambda: next(ticks) * 0.001
-        store = ReplicatedKVStore(
-            ["n0", "n1", "n2", "n3"], replication_factor=3, clock=clock
-        )
-        manager = SlateManager(
-            store,
-            cache_capacity=keys * 2,
-            flush_policy=FlushPolicy.every(0.05),
-            clock=clock,
-        )
-        updater = Count(name="U1")
-        for i in range(updates):
-            slate = manager.get(updater, f"k{i % keys}")
-            slate["count"] += 1
-            slate.touch(clock())
-            manager.note_update(slate)
-            manager.flush_due()
+        nodes = ["n0", "n1", "n2", "n3"]
+        manager = drive(FlushPolicy.every(0.05), updates, keys, nodes, 3)
         manager.flush_all_dirty()
         return manager
 
@@ -193,7 +171,7 @@ def scenario_e23_fastforward() -> Dict[str, Any]:
             count_app("perf-gate-chain", hops=2),
             ClusterSpec.uniform(machines, cores=4),
             SimConfig(),
-            [Source("S1", iter(_events(n, spacing, keys)))],
+            [Source("S1", iter(count_events(n, keys, spacing)))],
         )
         return runtime.run(horizon), runtime.ff_summary()
 

@@ -113,16 +113,18 @@ class Runner:
 
 
 def verify_rows(spec: CampaignSpec, rows: List[art.Row]) -> List[str]:
-    """Run the spec's assertion hook; failed cells always fail verify."""
+    """Failed cells fail verify; the spec's assertion hook judges the
+    rows only when every cell ran, so a hook may index any cell of the
+    grid it was given without asking whether it is there."""
     failures = [
         f"cell {row['cell']} {row['params']!r} failed: {row.get('error')}"
         for row in rows
         if row["status"] != art.STATUS_OK
     ]
-    if spec.verify is not None:
-        verify: VerifyFn = resolve_ref(spec.verify)
-        failures.extend(verify(rows))
-    return failures
+    if failures or spec.verify is None:
+        return failures
+    verify: VerifyFn = resolve_ref(spec.verify)
+    return verify(rows)
 
 
 def summarize_rows(spec: CampaignSpec, rows: List[art.Row]) -> List[str]:
@@ -131,6 +133,18 @@ def summarize_rows(spec: CampaignSpec, rows: List[art.Row]) -> List[str]:
         return []
     summarize: SummarizeFn = resolve_ref(spec.summarize)
     return summarize(rows)
+
+
+def render_artifact(spec: CampaignSpec, json_path: Path, md_path: Path) -> None:
+    """Render the markdown table from the JSON artifact on disk.
+
+    ``run`` and ``render`` both come through here: the key-sorted
+    payload is the table's one column order, whichever order the cells
+    built their metric dicts in and whichever rows were resumed."""
+    payload = art.load_artifact(json_path)
+    summary = summarize_rows(spec, payload["cells"])
+    md_path.parent.mkdir(parents=True, exist_ok=True)
+    md_path.write_text(art.render_markdown(spec, payload, summary))
 
 
 def write_outputs(
@@ -142,6 +156,4 @@ def write_outputs(
     """Write the JSON artifact and (optionally) the markdown table."""
     art.write_artifact(json_path, result.payload)
     if md_path is not None:
-        md_path.parent.mkdir(parents=True, exist_ok=True)
-        summary = summarize_rows(spec, result.rows)
-        md_path.write_text(art.render_markdown(spec, result.payload, summary))
+        render_artifact(spec, json_path, md_path)

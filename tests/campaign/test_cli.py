@@ -103,6 +103,23 @@ class TestRender:
         assert main(["campaign", "render", "toy"]) == 0
         assert "## Summary" in md_path.read_text()
 
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_run_and_render_write_the_same_markdown(
+        self, toy_registered, capsys, resume
+    ):
+        """One column order, whether the rows are fresh (the cell's own
+        key order), reloaded (key-sorted JSON) or a mix of both."""
+        run = ["campaign", "run", "toy", "--update"]
+        if resume:
+            assert main(run + ["--smoke"]) == 0  # 1 of 4 cells to carry over
+            run.append("--resume")
+        assert main(run) == 0
+        md_path = toy_registered / "campaigns" / "results" / "toy.md"
+        written_by_run = md_path.read_text()
+        assert "| seed_echo | sum |" in written_by_run
+        assert main(["campaign", "render", "toy"]) == 0
+        assert md_path.read_text() == written_by_run
+
 
 TOY_TOML = """
 name = "toy-toml"

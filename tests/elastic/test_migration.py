@@ -94,7 +94,7 @@ class TestFaultFreeMigration:
         assert mc.completed == 1 and mc.aborted == 0
         assert mc.snapshot_slates > 0 and mc.snapshot_bytes > 0
         assert mc.handoff_slates > 0
-        assert mc.incremental_bytes > 0
+        assert mc.incremental_bytes > 0 and mc.full_barrier_bytes == 0
         assert mc.journal_readdressed > 0
         assert runtime.machines["m001"].retired
 
@@ -117,6 +117,7 @@ class TestFaultFreeMigration:
         mc_full = full._migration.counters
         assert mc_full.completed == 1
         assert mc_full.full_barrier_slates > 0
+        assert mc_full.full_barrier_bytes > 0 and mc_full.incremental_bytes == 0
         # The tentpole claim: the incremental handoff moves strictly
         # fewer bytes than a full flush-barrier rehydration.
         assert mc_inc.incremental_bytes < mc_full.full_barrier_bytes
