@@ -92,13 +92,9 @@ def check(current: Scenarios, baseline: Scenarios) -> int:
             f"  ok   {name}: {now['sim_events_per_s']:.0f} sim ev/s, "
             f"{now['wall_s']:.3f}s wall"
         )
+    # Slate identity with batching on is `verify_perf`'s: a run that
+    # breaks it never gets this far.
     e1 = current["e1_scaling"]
-    if not e1["slates_identical"]:
-        print(
-            "  FAIL e1_scaling: batched final slates differ from "
-            "unbatched — determinism broken"
-        )
-        failures += 1
     if e1["speedup_cpu"] < MIN_E1_CPU_SPEEDUP:
         print(
             "  FAIL e1_scaling: batching CPU speedup "
@@ -127,22 +123,13 @@ def profile_hot_path(results_dir: Path) -> None:
     import io
     import pstats
 
-    from repro.apps.counting import count_app, count_events
-    from repro.cluster import ClusterSpec
-    from repro.sim import SimConfig, SimRuntime
-    from repro.sim.sources import Source
+    from repro.campaign.perf import CHAIN_HORIZON_S, chain_runtime
+    from repro.sim import SimConfig
 
-    n, spacing, keys, machines = 30_000, 0.00002, 200, 4
-    horizon = n * spacing + 5.0
-    runtime = SimRuntime(
-        count_app("perf-gate-chain", hops=2),
-        ClusterSpec.uniform(machines, cores=4),
-        SimConfig(),
-        [Source("S1", iter(count_events(n, keys, spacing)))],
-    )
+    runtime = chain_runtime(SimConfig())
     profiler = cProfile.Profile()
     profiler.enable()
-    runtime.run(horizon)
+    runtime.run(CHAIN_HORIZON_S)
     profiler.disable()
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.campaign import artifact as art
+from repro.campaign.grid import expand_grid
 from repro.campaign.runner import Runner, render_artifact, verify_rows, write_outputs
 from repro.campaign.spec import CampaignSpec, spec_from_toml
 from repro.campaign.specs import SPECS, get_spec
@@ -53,18 +54,15 @@ def _run_paths(
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    for name in sorted(SPECS):
-        spec = SPECS[name]
-        cells = 1
-        for values in spec.grid.values():
-            cells *= len(values)
+    for name, spec in sorted(SPECS.items()):
+        cells = len(expand_grid(name, spec.grid))
         smoke = ""
         if spec.smoke_grid is not None:
-            smoke_cells = 1
-            for values in spec.smoke_grid.values():
-                smoke_cells *= len(values)
-            smoke = f" (smoke: {smoke_cells})"
-        print(f"{name}: {cells} cells{smoke}")
+            smoke = f" (smoke: {len(expand_grid(name, spec.smoke_grid))})"
+        # Cells that time themselves want the machine to themselves:
+        # CI reads this tag and runs those campaigns with one worker.
+        timed = " [wall-clock]" if spec.volatile_metrics else ""
+        print(f"{name}: {cells} cells{smoke}{timed}")
         print(f"  {spec.description}")
         print(f"  artifact: {spec.committed_path(Path('.'))}")
     return 0

@@ -9,7 +9,7 @@ write volume (and its I/O) versus how much slate state a crash loses.
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Mapping
+from typing import Any, List, Mapping, Tuple
 
 from repro.apps.counting import Count
 from repro.campaign.claims import Metrics, Row, by_param, e_row, failed
@@ -60,21 +60,30 @@ def flush_cell(params: Mapping[str, Any], seed: int) -> Metrics:
 
 
 def verify_flush(rows: List[Row]) -> List[str]:
-    """E9: a monotone trade-off across the spectrum at 10,000 updates.
-    E9b: what write-through's per-update I/O costs the device."""
+    """E9: a monotone trade-off across the spectrum, at either length of
+    stream. E9b: what per-update I/O costs the device - device time falls
+    only once the interval is long enough for hot-slate overwrites to
+    coalesce (at 1 ms per clock reading, every-0.1s barely does)."""
     cells = by_param(rows, "policy", "updates")
-    sweep = [cells[policy, 10_000] for policy in POLICIES]
-    writes = [cell["kv_writes"] for cell in sweep]
-    losses = [cell["dirty_slates_lost"] for cell in sweep]
+    claims: List[Tuple[bool, str]] = []
+    for updates in (10_000, 5_000):
+        sweep = [cells[policy, updates] for policy in POLICIES]
+        writes = [cell["kv_writes"] for cell in sweep]
+        losses = [cell["dirty_slates_lost"] for cell in sweep]
+        at = f" at {updates} updates"
+        claims += [
+            (writes[0] == updates, "write-through should write every update" + at),
+            (writes == sorted(writes, reverse=True), "kv writes not monotone" + at),
+            (losses[0] == 0, "write-through lost state" + at),
+            (losses[-1] == KEYS, "on-evict should lose all 50 dirty slates" + at),
+            (losses == sorted(losses), "crash loss not monotone" + at),
+        ]
     busy = {policy: cells[policy, 5_000]["device_busy_s"] for policy in POLICIES}
-    return failed(
-        (writes[0] == 10_000, "write-through should write every update"),
-        (writes == sorted(writes, reverse=True), "kv writes not monotone"),
-        (losses[0] == 0, "write-through lost state"),
-        (losses[-1] == KEYS, "on-evict should lose all 50 dirty slates"),
-        (losses == sorted(losses), "crash loss not monotone"),
-        (busy["every-1s"] < busy["write-through"], "coalescing saved no device time"),
+    eager = min(busy["write-through"], busy["every-0.1s"])
+    claims.append(
+        (busy["on-evict"] < busy["every-1s"] < eager, "coalescing saved no device time")
     )
+    return failed(*claims)
 
 
 SPECS = (

@@ -52,13 +52,28 @@ def _timed(fn: Callable[[], Any]) -> Tuple[Any, float, float]:
     return result, min(walls), min(cpus)
 
 
+#: The chain workload E1, E23 and the gate's ``--profile`` share: 30k
+#: events at 50k ev/s over 200 keys through two hops.
+CHAIN_EVENTS, CHAIN_SPACING_S, CHAIN_KEYS, CHAIN_MACHINES = 30_000, 0.00002, 200, 4
+CHAIN_HORIZON_S = CHAIN_EVENTS * CHAIN_SPACING_S + 5.0
+
+
+def chain_runtime(config: SimConfig) -> SimRuntime:
+    """The chain workload on 4 machines, ready to ``run(CHAIN_HORIZON_S)``."""
+    events = count_events(CHAIN_EVENTS, CHAIN_KEYS, CHAIN_SPACING_S)
+    return SimRuntime(
+        count_app("perf-gate-chain", hops=2),
+        ClusterSpec.uniform(CHAIN_MACHINES, cores=4),
+        config,
+        [Source("S1", iter(events))],
+    )
+
+
 # -- scenarios ---------------------------------------------------------------
 def scenario_e1_scaling() -> Dict[str, Any]:
     """Chain pipeline at 50k ev/s on 4 machines, the batched data plane
     off (no event coalescing, no routing memos, per-slate flushes — the
     pre-optimization behaviour) versus on (all three)."""
-    n, spacing, keys, machines = 30_000, 0.00002, 200, 4
-    horizon = n * spacing + 5.0
 
     def run(batch: bool) -> Tuple[Any, Any]:
         cfg = SimConfig(
@@ -67,13 +82,8 @@ def scenario_e1_scaling() -> Dict[str, Any]:
             memoize_routing=batch,
             coalesce_slate_flushes=batch,
         )
-        runtime = SimRuntime(
-            count_app("perf-gate-chain", hops=2),
-            ClusterSpec.uniform(machines, cores=4),
-            cfg,
-            [Source("S1", iter(count_events(n, keys, spacing)))],
-        )
-        report = runtime.run(horizon)
+        runtime = chain_runtime(cfg)
+        report = runtime.run(CHAIN_HORIZON_S)
         return report, runtime.slates_of("U1")
 
     (rep_off, slates_off), wall_off, cpu_off = _timed(lambda: run(False))
@@ -82,8 +92,8 @@ def scenario_e1_scaling() -> Dict[str, Any]:
     dump_on = json.dumps(slates_on, sort_keys=True)
     identical = dump_off == dump_on
     return {
-        "events": n,
-        "machines": machines,
+        "events": CHAIN_EVENTS,
+        "machines": CHAIN_MACHINES,
         "sim_events_per_s": round(rep_on.events_per_second(), 3),
         "sim_events_per_s_unbatched": round(rep_off.events_per_second(), 3),
         "steps_unbatched": rep_off.steps,
@@ -163,22 +173,15 @@ def scenario_e23_fastforward() -> Dict[str, Any]:
     number E1 reported as ``wall_s_unbatched`` back then); identity with
     that stepper is pinned by ``tests/sim/golden_reports.json``, and
     ``steps`` / ``inlined_steps`` here are deterministic."""
-    n, spacing, keys, machines = 30_000, 0.00002, 200, 4
-    horizon = n * spacing + 5.0
 
     def run() -> Tuple[Any, Any]:
-        runtime = SimRuntime(
-            count_app("perf-gate-chain", hops=2),
-            ClusterSpec.uniform(machines, cores=4),
-            SimConfig(),
-            [Source("S1", iter(count_events(n, keys, spacing)))],
-        )
-        return runtime.run(horizon), runtime.ff_summary()
+        runtime = chain_runtime(SimConfig())
+        return runtime.run(CHAIN_HORIZON_S), runtime.ff_summary()
 
     (report, ff), wall, cpu = _timed(run)
     return {
-        "events": n,
-        "machines": machines,
+        "events": CHAIN_EVENTS,
+        "machines": CHAIN_MACHINES,
         "sim_events_per_s": round(report.events_per_second(), 3),
         "steps": report.steps,
         "inlined_steps": ff["inlined_steps"],

@@ -83,12 +83,7 @@ class Runner:
             }
         pending = [cell for cell in cells if cell.cell not in carried]
         fresh = {row["cell"]: row for row in self._execute(pending)}
-        rows: List[art.Row] = []
-        for cell in cells:
-            if cell.cell in fresh:
-                rows.append(fresh[cell.cell])
-            else:
-                rows.append(carried[cell.cell])
+        rows = [fresh.get(cell.cell) or carried[cell.cell] for cell in cells]
         payload = art.build_payload(spec, rows)
         _, failed = art.split_errors(rows)
         return RunResult(

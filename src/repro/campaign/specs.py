@@ -13,9 +13,28 @@ from TOML.
 
 from __future__ import annotations
 
-from importlib import import_module
 from typing import Any, Dict, List
 
+from repro.campaign import (
+    e1_scaling,
+    e2_latency,
+    e3_muppet1_vs_2,
+    e4_hotspot,
+    e5_key_splitting,
+    e6_failures,
+    e7_overflow,
+    e8_ssd,
+    e9_flush,
+    e10_ttl,
+    e11_slate_size,
+    e12_baselines,
+    e13_reads,
+    e14_extensions,
+    e17_profiles_spikes,
+    e19_consistency,
+    e22_shedding,
+    f2_routing,
+)
 from repro.campaign.perf import VOLATILE_METRICS
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigurationError
@@ -71,16 +90,13 @@ def verify_capacity(rows: List[Row]) -> List[str]:
                     f"rate {rate}: meets_budget not monotone — {first_met} "
                     f"machines pass but {machines} fail"
                 )
-    top_rate = max(by_rate) if by_rate else None
-    if top_rate is not None:
-        smallest = min(
-            by_rate[top_rate], key=lambda row: int(row["params"]["machines"])
+    top_rate = max(by_rate)
+    smallest = min(by_rate[top_rate], key=lambda row: int(row["params"]["machines"]))
+    if smallest["metrics"]["meets_budget"]:
+        failures.append(
+            f"rate {top_rate}: even {smallest['params']['machines']} "
+            "machines meet the budget — the grid does not span the knee"
         )
-        if smallest["metrics"]["meets_budget"]:
-            failures.append(
-                f"rate {top_rate}: even {smallest['params']['machines']} "
-                "machines meet the budget — the grid does not span the knee"
-            )
     return failures
 
 
@@ -292,29 +308,6 @@ ELASTICITY = CampaignSpec(
     verify="repro.campaign.specs:verify_elasticity",
 )
 
-#: One module per experiment group of DESIGN.md SS3, each exporting the
-#: ``SPECS`` of its tables; named here as a spec names its hooks.
-_E_ROW_MODULES = (
-    "f2_routing",
-    "e1_scaling",
-    "e2_latency",
-    "e3_muppet1_vs_2",
-    "e4_hotspot",
-    "e5_key_splitting",
-    "e6_failures",
-    "e7_overflow",
-    "e8_ssd",
-    "e9_flush",
-    "e10_ttl",
-    "e11_slate_size",
-    "e12_baselines",
-    "e13_reads",
-    "e14_extensions",
-    "e17_profiles_spikes",
-    "e19_consistency",
-    "e22_shedding",
-)
-
 SPECS: Dict[str, CampaignSpec] = {
     spec.name: spec
     for spec in (
@@ -322,11 +315,26 @@ SPECS: Dict[str, CampaignSpec] = {
         CAPACITY,
         DELIVERY_MATRIX,
         ELASTICITY,
-        *(
-            spec
-            for module in _E_ROW_MODULES
-            for spec in import_module(f"repro.campaign.{module}").SPECS
-        ),
+        # One module per experiment group of DESIGN.md SS3, each
+        # exporting the ``SPECS`` of its tables.
+        *f2_routing.SPECS,
+        *e1_scaling.SPECS,
+        *e2_latency.SPECS,
+        *e3_muppet1_vs_2.SPECS,
+        *e4_hotspot.SPECS,
+        *e5_key_splitting.SPECS,
+        *e6_failures.SPECS,
+        *e7_overflow.SPECS,
+        *e8_ssd.SPECS,
+        *e9_flush.SPECS,
+        *e10_ttl.SPECS,
+        *e11_slate_size.SPECS,
+        *e12_baselines.SPECS,
+        *e13_reads.SPECS,
+        *e14_extensions.SPECS,
+        *e17_profiles_spikes.SPECS,
+        *e19_consistency.SPECS,
+        *e22_shedding.SPECS,
     )
 }
 

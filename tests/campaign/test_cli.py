@@ -23,9 +23,10 @@ class TestList:
     def test_lists_shipped_campaigns(self, capsys):
         assert main(["campaign", "list"]) == 0
         out = capsys.readouterr().out
-        assert "capacity: 24 cells (smoke: 6)" in out
-        assert "delivery_matrix: 9 cells (smoke: 6)" in out
-        assert "perf_baseline: 4 cells" in out
+        assert "capacity: 24 cells (smoke: 6)\n" in out
+        assert "delivery_matrix: 9 cells (smoke: 6)\n" in out
+        # The tag CI reads to run self-timing campaigns one cell at a time.
+        assert "perf_baseline: 4 cells [wall-clock]\n" in out
         assert "BENCH_PERF.json" in out
 
 

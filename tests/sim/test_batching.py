@@ -125,14 +125,21 @@ class TestBatchingCounters:
 
         The count app crosses two machine-to-machine links (S1→M1 and
         S2→U1), so worst case is two lingers; the 1 ms slack covers the
-        envelope's larger bandwidth term.
+        envelope's larger bandwidth term.  The lower bound is E2c's
+        other half: p99 grows with the linger (0 -> 2 -> 10 ms; strictly,
+        since no batch here fills before its linger expires), so batching
+        that silently stopped lingering fails here.
         """
         linger = 0.01
         _, rep_off = run_with(SimConfig(batch_max_events=0))
+        _, rep_short = run_with(SimConfig(batch_max_events=1000,
+                                          batch_linger_s=0.002))
         _, rep_on = run_with(SimConfig(batch_max_events=1000,
                                        batch_linger_s=linger))
         assert rep_on.latency.maximum <= (rep_off.latency.maximum
                                           + 2 * linger + 1e-3)
+        assert rep_short.latency.p99 > rep_off.latency.p99
+        assert rep_on.latency.p99 > rep_short.latency.p99
 
 
 class TestBatchingUnderFaults:
