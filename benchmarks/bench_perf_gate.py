@@ -19,7 +19,7 @@ Usage::
 
 ``--check`` fails (exit 1) when a scenario's simulated throughput drops
 more than 10% below the committed baseline, or its wall-clock exceeds it
-by more than 25%, or E1's batching CPU speedup falls under 1.1x, or
+by more than 25%, or E1's event batching costs CPU (under 0.8x), or
 E23's run on the compiled hot path is slower than the 3.0x floor over
 the pinned exact-stepper baseline. The simulated-throughput check is
 effectively exact (the simulator is deterministic); the wall checks
@@ -47,7 +47,11 @@ BASELINE_PATH = REPO_ROOT / "BENCH_PERF.json"
 #: --check tolerances.
 SIM_THROUGHPUT_TOLERANCE = 0.10  # simulated ev/s may drop at most 10%
 WALL_TOLERANCE = 0.25  # wall-clock may grow at most 25%
-MIN_E1_CPU_SPEEDUP = 1.1  # batching must stay a CPU win
+#: Event batching alone saves a third of the DES steps (gated exactly by
+#: ``verify_perf``) at about even CPU: 0.9-1.2x over ten runs once the
+#: routing memos stopped being part of the comparison. The floor sits
+#: under that for shared-runner noise; it catches batching turning costly.
+MIN_E1_CPU_SPEEDUP = 0.8
 MIN_E23_SPEEDUP = 3.0  # compiled path vs the pinned exact-stepper wall
 
 Scenarios = Dict[str, Dict[str, Any]]

@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Deque, Dict, Iterable, List, Optional, Set, Tuple,
                     Union)
 
+from repro.core.operators import TIMER_SID_PREFIX
 from repro.errors import AnalysisError
 from repro.obs.trace import Span, Tracer, read_jsonl, reconstruct_chain
 
@@ -281,7 +282,7 @@ class InvariantChecker:
             else:
                 continue
             origin = span.get("origin")
-            if isinstance(origin, str) and origin.startswith("!timer:"):
+            if isinstance(origin, str) and origin.startswith(TIMER_SID_PREFIX):
                 continue
             key = (origin, span.get("oseq"), fn)
             group = groups.get(key)

@@ -347,12 +347,11 @@ def instrument_local_muppet(runtime: Any,
     #    mutation.
     invoke = runtime._invoke
 
-    def _tracked_invoke(worker: Any, item: Any, ctx: Any, slate: Any,
-                        weight: float) -> None:
+    def _tracked_invoke(worker: Any, item: Any, ctx: Any, slate: Any) -> None:
         if slate is not None:
             mon.record_access(
                 f"slate:{item.route.name}/{item.event.key}", "write")
-        invoke(worker, item, ctx, slate, weight)
+        invoke(worker, item, ctx, slate)
 
     runtime._invoke = _tracked_invoke
     for manager in runtime._managers:

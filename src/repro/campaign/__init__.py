@@ -21,7 +21,6 @@ from repro.campaign.spec import (
     CampaignSpec,
     resolve_ref,
     spec_from_dict,
-    spec_from_toml,
 )
 from repro.campaign.specs import SPECS, get_spec
 
@@ -40,6 +39,5 @@ __all__ = [
     "render_markdown",
     "resolve_ref",
     "spec_from_dict",
-    "spec_from_toml",
     "write_artifact",
 ]

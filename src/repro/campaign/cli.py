@@ -19,26 +19,12 @@ from typing import Optional, Tuple
 from repro.campaign import artifact as art
 from repro.campaign.grid import expand_grid
 from repro.campaign.runner import Runner, render_artifact, verify_rows, write_outputs
-from repro.campaign.spec import CampaignSpec, spec_from_toml
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.specs import SPECS, get_spec
 from repro.errors import ConfigurationError
 
 #: Default scratch directory for non-committed runs (gitignored).
 SCRATCH_DIR = Path("campaigns") / "scratch"
-
-
-def _load_spec(args: argparse.Namespace) -> CampaignSpec:
-    if getattr(args, "spec", None):
-        spec = spec_from_toml(args.spec)
-        if args.name and args.name != spec.name:
-            raise ConfigurationError(
-                f"--spec {args.spec} defines campaign {spec.name!r}, "
-                f"not {args.name!r}"
-            )
-        return spec
-    if not args.name:
-        raise ConfigurationError("name a campaign or pass --spec TOML")
-    return get_spec(args.name)
 
 
 def _run_paths(
@@ -69,7 +55,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
+    spec = get_spec(args.name)
     json_path, md_path = _run_paths(spec, args.update, args.out)
     resume_from = None
     if args.resume and json_path.exists():
@@ -93,7 +79,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
+    spec = get_spec(args.name)
     root = Path.cwd()
     md_path = spec.markdown_path(root)
     render_artifact(spec, spec.committed_path(root), md_path)
@@ -102,7 +88,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
+    spec = get_spec(args.name)
     root = Path.cwd()
     committed_path = spec.committed_path(root)
     fresh_dir = Path(args.fresh) if args.fresh is not None else SCRATCH_DIR
@@ -148,13 +134,7 @@ def add_campaign_parser(sub: argparse._SubParsersAction) -> None:
         "run",
         help="expand a campaign grid and run it across local workers",
     )
-    run.add_argument("name", nargs="?", help="a shipped campaign name")
-    run.add_argument(
-        "--spec",
-        metavar="TOML",
-        default=None,
-        help="load the campaign from a TOML spec instead",
-    )
+    run.add_argument("name", help="a shipped campaign name")
     run.add_argument(
         "--workers",
         type=int,
@@ -189,8 +169,7 @@ def add_campaign_parser(sub: argparse._SubParsersAction) -> None:
         "render",
         help="re-render the markdown table from the committed JSON artifact",
     )
-    render.add_argument("name", nargs="?")
-    render.add_argument("--spec", metavar="TOML", default=None)
+    render.add_argument("name")
     render.set_defaults(campaign_fn=cmd_render)
 
     check = tool.add_parser(
@@ -198,8 +177,7 @@ def add_campaign_parser(sub: argparse._SubParsersAction) -> None:
         help="diff a fresh artifact against the committed one cell for "
         "cell (volatile metrics excluded)",
     )
-    check.add_argument("name", nargs="?")
-    check.add_argument("--spec", metavar="TOML", default=None)
+    check.add_argument("name")
     check.add_argument(
         "--fresh",
         metavar="DIR",

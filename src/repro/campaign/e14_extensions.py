@@ -88,10 +88,12 @@ def elastic_cell(params: Mapping[str, Any], seed: int) -> Metrics:
         workers = runtime.machines["m_new"].workers
         joined = sum(worker.queue.stats.accepted for worker in workers)
     else:
-        config = SimConfig(
-            replay_horizon_s=0.5 if scenario == "crash-replay" else None,
-            flush_policy=FlushPolicy.write_through(),
+        replay = (
+            {"delivery_semantics": "at-least-once", "replay_horizon_s": 0.5}
+            if scenario == "crash-replay"
+            else {}
         )
+        config = SimConfig(flush_policy=FlushPolicy.write_through(), **replay)
         cluster = ClusterSpec.uniform(4, cores=4)
         failures = [(1.0, "m001")]
         runtime, report = run_counting(source, cluster, config, 10.0, failures)

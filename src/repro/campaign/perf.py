@@ -71,16 +71,14 @@ def chain_runtime(config: SimConfig) -> SimRuntime:
 
 # -- scenarios ---------------------------------------------------------------
 def scenario_e1_scaling() -> Dict[str, Any]:
-    """Chain pipeline at 50k ev/s on 4 machines, the batched data plane
-    off (no event coalescing, no routing memos, per-slate flushes — the
-    pre-optimization behaviour) versus on (all three)."""
+    """Chain pipeline at 50k ev/s on 4 machines, event batching off
+    (every event ships alone) versus on."""
 
     def run(batch: bool) -> Tuple[Any, Any]:
-        cfg = SimConfig(
-            batch_max_events=64 if batch else 0,
-            batch_linger_s=0.005 if batch else 0.0,
-            memoize_routing=batch,
-            coalesce_slate_flushes=batch,
+        cfg = (
+            SimConfig(batch_max_events=64, batch_linger_s=0.005)
+            if batch
+            else SimConfig()
         )
         runtime = chain_runtime(cfg)
         report = runtime.run(CHAIN_HORIZON_S)

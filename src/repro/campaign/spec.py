@@ -5,13 +5,12 @@ parameter grid (machines × rate × delivery semantics × fault schedule ×
 ...), a scenario callable that runs one grid cell and returns a flat
 metrics dict, and an artifact contract (one committed JSON file plus a
 rendered markdown table per campaign). Specs are plain data — a Python
-:class:`CampaignSpec` or a TOML file with the same fields — so the
-runner, the CI determinism gate, and the docs all read the same source
-of truth.
+:class:`CampaignSpec` — so the runner, the CI determinism gate, and the
+docs all read the same source of truth.
 
 Scenario, verify, and summarize hooks are referenced as importable
 ``"module:callable"`` strings rather than function objects: that keeps a
-spec serializable (TOML-able) and lets worker *processes* import the
+spec serializable and lets worker *processes* import the
 scenario themselves instead of pickling closures.
 """
 
@@ -168,7 +167,7 @@ class CampaignSpec:
 
 
 def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
-    """Build a spec from plain data (a parsed TOML table or a dict)."""
+    """Build a spec from plain data (a dict)."""
     known = {
         "name",
         "description",
@@ -205,15 +204,3 @@ def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
     )
 
 
-def spec_from_toml(path: Union[str, Path]) -> CampaignSpec:
-    """Load a spec from a TOML file (needs Python 3.11+ ``tomllib``)."""
-    try:
-        import tomllib
-    except ImportError as exc:  # pragma: no cover - version-dependent
-        raise ConfigurationError(
-            "TOML campaign specs need Python 3.11+ (tomllib); "
-            "define the spec as a Python dict instead"
-        ) from exc
-    with open(path, "rb") as handle:
-        data = tomllib.load(handle)
-    return spec_from_dict(data)

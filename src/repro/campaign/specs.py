@@ -7,8 +7,7 @@ p99 < 2 s), ``delivery_matrix`` commits the E6e exactness matrix
 (delivery semantics x crash schedule), ``elasticity`` the E24 diurnal
 swing — and one campaign per paper-vs-measured table of DESIGN.md SS3,
 collected from the ``f*``/``e*`` modules beside this one. Each spec is
-plain data plus ``module:callable`` hooks, so the same definitions load
-from TOML.
+plain data plus ``module:callable`` hooks.
 """
 
 from __future__ import annotations
@@ -342,8 +341,5 @@ SPECS: Dict[str, CampaignSpec] = {
 def get_spec(name: str) -> CampaignSpec:
     spec = SPECS.get(name)
     if spec is None:
-        raise ConfigurationError(
-            f"unknown campaign {name!r}; have {sorted(SPECS)} "
-            "(or pass a TOML spec via --spec)"
-        )
+        raise ConfigurationError(f"unknown campaign {name!r}; have {sorted(SPECS)}")
     return spec

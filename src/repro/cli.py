@@ -81,13 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--delivery",
                           choices=["at-most-once", "at-least-once",
                                    "effectively-once"],
-                          default="at-most-once",
+                          default=None,
                           help="delivery semantics (default: the paper's "
                                "at-most-once)")
     simulate.add_argument("--replay-horizon", type=float, default=None,
                           metavar="SECONDS",
-                          help="at-least-once replay horizon (implies "
-                               "--delivery at-least-once)")
+                          help="at-least-once replay horizon (alone, "
+                               "implies --delivery at-least-once)")
     simulate.add_argument("--checkpoint-epoch", type=float, default=1.0,
                           metavar="SECONDS",
                           help="effectively-once checkpoint barrier "
@@ -265,10 +265,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from repro.obs import JsonlTracer
 
         tracer = JsonlTracer(args.trace_out)
+    delivery = args.delivery or (
+        "at-most-once" if args.replay_horizon is None else "at-least-once")
     runtime = SimRuntime(
         app, ClusterSpec.uniform(args.machines, cores=args.cores),
         SimConfig(engine=args.engine,
-                  delivery_semantics=args.delivery,
+                  delivery_semantics=delivery,
                   replay_horizon_s=args.replay_horizon,
                   checkpoint_epoch_s=args.checkpoint_epoch,
                   trace=tracer is not None,

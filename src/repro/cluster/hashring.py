@@ -47,7 +47,7 @@ class HashRing(Generic[M]):
     Routing lookups are memoized: the per-event hot path hashes each
     distinct routing key once (blake2b) and then serves placements from a
     bounded memo table, invalidated wholesale on any membership or
-    exclusion change — the memoized and unmemoized rings are
+    exclusion change — a warm ring and a freshly built one are
     indistinguishable through every join/fail/revive sequence (the
     determinism tests assert exactly this).
 
@@ -56,12 +56,9 @@ class HashRing(Generic[M]):
         replicas: Virtual points per member. More points smooth the load
             distribution at the cost of memory; 64 keeps the max/min arc
             ratio within a few percent for tens of members.
-        memoize: Cache lookup/preference-list results (on by default;
-            the ablation knob for the determinism tests).
     """
 
-    def __init__(self, members: Iterable[M] = (), replicas: int = 64,
-                 memoize: bool = True) -> None:
+    def __init__(self, members: Iterable[M] = (), replicas: int = 64) -> None:
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
         self._replicas = replicas
@@ -69,17 +66,15 @@ class HashRing(Generic[M]):
         self._keys: List[int] = []
         self._members: Set[M] = set()
         self._excluded: Set[M] = set()
-        self._memoize = memoize
         self._lookup_memo: Dict[str, M] = {}
         self._pref_memo: Dict[Tuple[str, int, bool], List[M]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_invalidations = 0
         #: Monotone membership/liveness revision. Bumps on every add,
-        #: remove, exclude and restore — independent of ``memoize`` —
-        #: so callers layering their own routing caches on top (the
-        #: fast-forward runtime's destination memo) can detect ring
-        #: changes with one integer compare per event.
+        #: remove, exclude and restore, so callers layering their own
+        #: routing caches on top (the simulator's destination memo) can
+        #: detect ring changes with one integer compare per event.
         self.generation = 0
         for member in members:
             self.add(member)
@@ -142,12 +137,10 @@ class HashRing(Generic[M]):
         positions depend only on member identity, so the preview's
         placements are exactly what the live ring will serve after the
         same add/remove is applied for real. Exclusion marks carry over
-        (a failed machine must not become a migration receiver);
-        memoization is off since each preview serves one planning pass.
+        (a failed machine must not become a migration receiver).
         """
         removed = set(remove)
-        shadow: "HashRing[M]" = HashRing(replicas=self._replicas,
-                                         memoize=False)
+        shadow: "HashRing[M]" = HashRing(replicas=self._replicas)
         for member in sorted(self._members, key=repr):
             if member not in removed:
                 shadow.add(member)
@@ -179,18 +172,16 @@ class HashRing(Generic[M]):
             WorkerFailedError: When every member is excluded (no live
                 member can own anything).
         """
-        if self._memoize:
-            cached = self._lookup_memo.get(routing_key)
-            if cached is not None:
-                self.memo_hits += 1
-                return cached
+        cached = self._lookup_memo.get(routing_key)
+        if cached is not None:
+            self.memo_hits += 1
+            return cached
         for member in self._walk(routing_key):
             if member not in self._excluded:
-                if self._memoize:
-                    self.memo_misses += 1
-                    if len(self._lookup_memo) >= MEMO_MAX_ENTRIES:
-                        self._lookup_memo.clear()
-                    self._lookup_memo[routing_key] = member
+                self.memo_misses += 1
+                if len(self._lookup_memo) >= MEMO_MAX_ENTRIES:
+                    self._lookup_memo.clear()
+                self._lookup_memo[routing_key] = member
                 return member
         raise WorkerFailedError(
             "hash ring has no live members to route to"
@@ -212,11 +203,10 @@ class HashRing(Generic[M]):
                 substitute).
         """
         memo_key = (routing_key, count, include_excluded)
-        if self._memoize:
-            cached_list = self._pref_memo.get(memo_key)
-            if cached_list is not None:
-                self.memo_hits += 1
-                return list(cached_list)
+        cached_list = self._pref_memo.get(memo_key)
+        if cached_list is not None:
+            self.memo_hits += 1
+            return list(cached_list)
         result: List[M] = []
         seen: Set[M] = set()
         for member in self._walk(routing_key):
@@ -228,11 +218,10 @@ class HashRing(Generic[M]):
             result.append(member)
             if len(result) >= count:
                 break
-        if self._memoize:
-            self.memo_misses += 1
-            if len(self._pref_memo) >= MEMO_MAX_ENTRIES:
-                self._pref_memo.clear()
-            self._pref_memo[memo_key] = list(result)
+        self.memo_misses += 1
+        if len(self._pref_memo) >= MEMO_MAX_ENTRIES:
+            self._pref_memo.clear()
+        self._pref_memo[memo_key] = list(result)
         return result
 
     def _walk(self, routing_key: str):
@@ -243,13 +232,6 @@ class HashRing(Generic[M]):
         n = len(self._points)
         for offset in range(n):
             yield self._points[(start + offset) % n][1]
-
-    def load_distribution(self, keys: Iterable[str]) -> Dict[M, int]:
-        """Count how many of ``keys`` each live member owns (diagnostics)."""
-        counts: Dict[M, int] = {m: 0 for m in self.live_members}
-        for key in keys:
-            counts[self.lookup(key)] += 1
-        return counts
 
 
 def route_key(event_key: str, destination: str) -> str:

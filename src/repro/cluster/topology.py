@@ -25,8 +25,6 @@ class MachineSpec:
         cores: CPU cores; bounds the worker-thread pool in Muppet 2.0
             ("the number may be as large as the number of CPU cores
             available on a machine", Section 4.5).
-        memory_mb: Main memory available for slate caches and queues —
-            the "memory-heavy" part of the paper's hardware note.
         storage: ``"ssd"`` or ``"hdd"`` — the device backing the kv-store
             node co-located on this machine (Section 4.2 runs Cassandra
             on SSDs).
@@ -34,14 +32,11 @@ class MachineSpec:
 
     name: str
     cores: int = 8
-    memory_mb: int = 16_384
     storage: str = "ssd"
 
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ConfigurationError(f"{self.name}: cores must be >= 1")
-        if self.memory_mb < 1:
-            raise ConfigurationError(f"{self.name}: memory must be positive")
         if self.storage not in ("ssd", "hdd"):
             raise ConfigurationError(
                 f"{self.name}: storage must be 'ssd' or 'hdd', "
@@ -85,13 +80,11 @@ class ClusterSpec:
             raise ConfigurationError(f"duplicate machine names in {names}")
 
     @classmethod
-    def uniform(cls, count: int, cores: int = 8, memory_mb: int = 16_384,
-                storage: str = "ssd",
+    def uniform(cls, count: int, cores: int = 8, storage: str = "ssd",
                 network: Optional[NetworkSpec] = None) -> "ClusterSpec":
         """Build a homogeneous cluster of ``count`` identical machines."""
         machines = [
-            MachineSpec(f"m{i:03d}", cores=cores, memory_mb=memory_mb,
-                        storage=storage)
+            MachineSpec(f"m{i:03d}", cores=cores, storage=storage)
             for i in range(count)
         ]
         return cls(machines, network or NetworkSpec())

@@ -41,6 +41,11 @@ from repro.errors import TimestampError, WorkflowError
 #: granularity, large enough to totally order loop iterations.
 MIN_TS_INCREMENT = 1e-6
 
+#: Prefix for the synthetic stream on which timer callbacks are ordered.
+#: "!" sorts before every alphanumeric stream ID, so a timer at timestamp T
+#: deterministically fires before ordinary events at T.
+TIMER_SID_PREFIX = "!timer:"
+
 
 @dataclass(frozen=True, slots=True)
 class TimerRequest:
@@ -50,6 +55,10 @@ class TimerRequest:
     key: Key
     at_ts: Timestamp
     payload: Any = None
+
+    def fired(self) -> Event:
+        """The synthetic event an engine delivers when this timer fires."""
+        return Event(TIMER_SID_PREFIX + self.updater, self.at_ts, self.key)
 
 
 class Context:

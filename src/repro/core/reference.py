@@ -25,16 +25,11 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.application import Application, OperatorSpec
 from repro.core.event import Event, EventCounter, Key, Timestamp
-from repro.core.operators import (Context, Mapper, Operator, TimerRequest,
-                                  Updater)
+from repro.core.operators import (TIMER_SID_PREFIX, Context, Mapper, Operator,
+                                  TimerRequest, Updater)
 from repro.core.slate import Slate, SlateKey
 from repro.errors import SimulationError, WorkflowError
 from repro.muppet.queues import BoundedQueue, QueueStats
-
-#: Prefix for the synthetic stream on which timer callbacks are ordered.
-#: "!" sorts before every alphanumeric stream ID, so a timer at timestamp T
-#: deterministically fires before ordinary events at T.
-TIMER_SID_PREFIX = "!timer:"
 
 
 @dataclass

@@ -114,6 +114,19 @@ class StreamRegistry:
         # publication seq is the tie-break, not the replay identity.
         return event.with_seq(next(self._seq[event.sid]))
 
+    def divert(self, event: Event, overflow_sid: str) -> Event:
+        """``event`` re-stamped onto the degraded overflow stream.
+
+        The copy pins the original's replay-stable ``(origin, oseq)``
+        across the re-stamp: a source event's provenance falls back to
+        ``(sid, seq)``, which stamping onto a new stream would otherwise
+        rewrite. One event therefore carries one identity whether it
+        travels the normal or the degraded path.
+        """
+        origin, oseq = event.provenance()
+        return self.stamp(
+            event.with_stream(overflow_sid)).with_provenance(origin, oseq)
+
 
 def merge_by_timestamp(*event_lists: Iterable[Event]) -> List[Event]:
     """Merge several event sequences into global timestamp order.

@@ -3,12 +3,12 @@
 Muppet's hash ring reacts to *failures* (Section 4.3: route around a
 dead machine, re-admit it behind a flush barrier), but the paper's
 production deployments were resized by hand. ROADMAP item 3 asks for the
-missing half: a policy that watches the same health signals the overload
-controller already smooths — worst queue fraction, p99-over-budget,
-dirty backlog — and *planfully* adds or removes machines at runtime.
+missing half: a policy that watches the health signal the overload
+controller already smooths — the worst queue fraction — and *planfully*
+adds or removes machines at runtime.
 
 The policy mirrors :class:`repro.shedding.controller.BackpressureController`:
-EWMA-smoothed signals, immediate escalation (scale up the moment
+an EWMA-smoothed signal, immediate escalation (scale up the moment
 pressure crosses the threshold), and deliberate de-escalation (scale
 down only after the calm signal has held for ``hold_s`` and any
 cooldown from the previous decision has expired). The asymmetry is the
@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import Ewma
+from repro.obs.registry import QUEUE_EWMA_ALPHA, Ewma
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,12 @@ class AutoscalerConfig:
     Attributes:
         min_machines: Never shrink below this many live machines.
         max_machines: Never grow above this many live machines.
-        check_period_s: How often the runtime samples the signals.
-        ewma_alpha: Smoothing factor for the worst-queue-fraction EWMA
-            (same role as the shedding controller's alpha).
+        check_period_s: How often the runtime samples the signal.
         scale_up_queue: Smoothed worst queue fraction at or above which
             the cluster grows.
         scale_down_queue: Smoothed worst queue fraction at or below
             which the cluster is a shrink candidate; must sit strictly
             below ``scale_up_queue`` (hysteresis band).
-        p99_budget_s: Optional p99 end-to-end latency budget; exceeding
-            it escalates to grow even when queues look shallow. Shrink
-            additionally requires p99 at or under half the budget.
-        dirty_backlog_high: Optional per-machine dirty-slate backlog
-            that escalates to grow (flush pressure).
         cooldown_s: Minimum time between two scaling decisions.
         hold_s: How long the calm signal must hold before a shrink.
         grow_step: Machines added per scale-up decision.
@@ -59,11 +52,8 @@ class AutoscalerConfig:
     min_machines: int = 2
     max_machines: int = 16
     check_period_s: float = 0.25
-    ewma_alpha: float = 0.4
     scale_up_queue: float = 0.60
     scale_down_queue: float = 0.15
-    p99_budget_s: Optional[float] = None
-    dirty_backlog_high: Optional[int] = None
     cooldown_s: float = 1.0
     hold_s: float = 1.0
     grow_step: int = 1
@@ -82,9 +72,6 @@ class AutoscalerConfig:
             raise ConfigurationError(
                 "check_period_s must be positive, got "
                 f"{self.check_period_s!r}")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigurationError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}")
         if not 0.0 < self.scale_up_queue <= 1.0:
             raise ConfigurationError(
                 "scale_up_queue must be in (0, 1], got "
@@ -95,14 +82,6 @@ class AutoscalerConfig:
                 f">= 0 and strictly below scale_up_queue "
                 f"({self.scale_up_queue!r}) — the hysteresis band is "
                 "what prevents grow/shrink flapping")
-        if self.p99_budget_s is not None and self.p99_budget_s <= 0:
-            raise ConfigurationError(
-                f"p99_budget_s must be positive, got {self.p99_budget_s!r}")
-        if (self.dirty_backlog_high is not None
-                and self.dirty_backlog_high <= 0):
-            raise ConfigurationError(
-                "dirty_backlog_high must be positive, got "
-                f"{self.dirty_backlog_high!r}")
         if self.cooldown_s < 0:
             raise ConfigurationError(
                 f"cooldown_s must be >= 0, got {self.cooldown_s!r}")
@@ -148,7 +127,7 @@ class Autoscaler:
     """EWMA-smoothed scale-up/scale-down state machine.
 
     Pure policy: :meth:`observe` folds one sample of the cluster health
-    signals and returns a :class:`ScaleDecision` when action is due, or
+    signal and returns a :class:`ScaleDecision` when action is due, or
     ``None``. The caller (the sim runtime's autoscaler tick) is
     responsible for victim selection and for actually executing the
     membership change.
@@ -157,7 +136,7 @@ class Autoscaler:
     def __init__(self, config: AutoscalerConfig) -> None:
         self.config = config
         self.counters = AutoscalerCounters()
-        self._queue_ewma = Ewma("elastic.queue_ewma", config.ewma_alpha)
+        self._queue_ewma = Ewma("elastic.queue_ewma", QUEUE_EWMA_ALPHA)
         #: Start of the current uninterrupted calm stretch, or None.
         self._calm_since: Optional[float] = None
         self._cooldown_until = 0.0
@@ -172,8 +151,6 @@ class Autoscaler:
         now: float,
         *,
         worst_queue_fraction: float,
-        p99_s: Optional[float],
-        dirty_backlog: int,
         live_machines: int,
     ) -> Optional[ScaleDecision]:
         """Fold one sample; return a decision when one is due.
@@ -186,15 +163,7 @@ class Autoscaler:
         self.counters.observations += 1
         smoothed = self._queue_ewma.observe(worst_queue_fraction)
 
-        over = smoothed >= cfg.scale_up_queue
-        if (cfg.p99_budget_s is not None and p99_s is not None
-                and p99_s > cfg.p99_budget_s):
-            over = True
-        if (cfg.dirty_backlog_high is not None
-                and dirty_backlog > cfg.dirty_backlog_high):
-            over = True
-
-        if over:
+        if smoothed >= cfg.scale_up_queue:
             self._calm_since = None
             if now < self._cooldown_until:
                 self.counters.blocked_cooldown += 1
@@ -207,12 +176,7 @@ class Autoscaler:
             count = min(cfg.grow_step, cfg.max_machines - live_machines)
             return ScaleDecision("grow", count)
 
-        calm = smoothed <= cfg.scale_down_queue
-        if calm and cfg.p99_budget_s is not None and p99_s is not None:
-            calm = p99_s <= cfg.p99_budget_s * 0.5
-        if calm and cfg.dirty_backlog_high is not None:
-            calm = dirty_backlog <= cfg.dirty_backlog_high // 2
-        if not calm:
+        if smoothed > cfg.scale_down_queue:
             self._calm_since = None
             return None
 

@@ -21,7 +21,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
 
 from repro.elastic.autoscaler import Autoscaler, ScaleDecision
 from repro.elastic.migration import MigrationCoordinator, MigrationState
-from repro.obs.latency import worst_recent_p99
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.sim.des import Simulator
@@ -172,7 +171,6 @@ class ElasticController:
         if scaler is None:
             return
         rt = self.rt
-        cfg = scaler.config
 
         def tick(sim: "Simulator") -> None:
             live = sorted(rt._machine_ring.live_members)
@@ -180,21 +178,13 @@ class ElasticController:
                      if rt.machines[n].alive]
             worst = max((m.queue_depth_fraction() for m in alive),
                         default=0.0)
-            p99 = (worst_recent_p99(rt.latency, 256)
-                   if cfg.p99_budget_s is not None else None)
-            dirty = 0
-            if cfg.dirty_backlog_high is not None:
-                dirty = max(
-                    (sum(mg.cache.dirty_count()
-                         for mg in rt._managers_of(m)) for m in alive),
-                    default=0)
             decision = scaler.observe(
-                sim.now(), worst_queue_fraction=worst, p99_s=p99,
-                dirty_backlog=dirty, live_machines=len(live))
+                sim.now(), worst_queue_fraction=worst,
+                live_machines=len(live))
             if decision is not None:
                 self._execute(scaler, decision)
 
-        rt.sim.every(cfg.check_period_s, tick)
+        rt.sim.every(scaler.config.check_period_s, tick)
 
     def _execute(self, scaler: Autoscaler, decision: ScaleDecision) -> None:
         if self.migration is not None and (

@@ -36,7 +36,7 @@ journal hold keeps them replayable until the receiver's ack — so
 replay-after-crash neither loses nor duplicates updates under
 effectively-once delivery. A master crash merely pauses coordination:
 the phase ledger survives, and the current phase re-drives after
-``master_resume_s``.
+``MASTER_RESUME_S``.
 
 The coordinator drives the protocol against the sim runtime and owns no
 engine state beyond the in-flight migration. Of the runtime's internals
@@ -73,47 +73,35 @@ MIGRATION_TARGETS: Tuple[str, ...] = ("donor", "receiver", "master")
 #: Nominal wire size of a control message (ack, phase record).
 _CONTROL_MSG_BYTES = 64
 
+#: Delta-stream rounds before forcing cutover.
+MAX_DELTA_ROUNDS = 3
+#: Cut over once a round re-exports at most this many changed slates.
+DELTA_THRESHOLD = 8
+#: How long coordination pauses after a master crash before re-driving
+#: the current phase from the ledger.
+MASTER_RESUME_S = 0.25
+
 
 @dataclass(frozen=True)
 class MigrationConfig:
     """Tuning knobs for the live-handoff protocol.
 
     Attributes:
-        max_delta_rounds: Delta-stream rounds before forcing cutover.
-        delta_threshold: Cut over once a round re-exports at most this
-            many changed slates.
         delta_round_s: Minimum spacing between delta rounds.
-        master_resume_s: How long coordination pauses after a master
-            crash before re-driving the current phase from the ledger.
         full_rehydration: Ablation knob (bench E24): replace the
             incremental handoff with the legacy flush-barrier + lazy
             kv rehydration, keeping the same phase ledger so the two
             strategies are comparable run-for-run.
     """
 
-    max_delta_rounds: int = 3
-    delta_threshold: int = 8
     delta_round_s: float = 0.05
-    master_resume_s: float = 0.25
     full_rehydration: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_delta_rounds < 1:
-            raise ConfigurationError(
-                "max_delta_rounds must be >= 1, got "
-                f"{self.max_delta_rounds!r}")
-        if self.delta_threshold < 0:
-            raise ConfigurationError(
-                "delta_threshold must be >= 0, got "
-                f"{self.delta_threshold!r}")
         if self.delta_round_s <= 0:
             raise ConfigurationError(
                 f"delta_round_s must be positive, got "
                 f"{self.delta_round_s!r}")
-        if self.master_resume_s <= 0:
-            raise ConfigurationError(
-                "master_resume_s must be positive, got "
-                f"{self.master_resume_s!r}")
 
 
 @dataclass(slots=True)
@@ -341,7 +329,7 @@ class MigrationCoordinator:
         if target == "master":
             self._master_down_until = max(
                 self._master_down_until,
-                now + self.config.master_resume_s)
+                now + MASTER_RESUME_S)
             return
         if trigger.machine is not None:
             victim = trigger.machine
@@ -422,8 +410,7 @@ class MigrationCoordinator:
                            donor=stream.donor, receiver=stream.receiver,
                            slates=moved, bytes=nbytes, round=mig.rounds)
         delay = max(self._transfer_delay(total), self.config.delta_round_s)
-        if (changed <= self.config.delta_threshold
-                or mig.rounds >= self.config.max_delta_rounds):
+        if changed <= DELTA_THRESHOLD or mig.rounds >= MAX_DELTA_ROUNDS:
             rt.sim.schedule_in(delay, lambda _sim: self._phase_cutover(mig))
         else:
             rt.sim.schedule_in(delay, lambda _sim: self._phase_delta(mig))

@@ -15,7 +15,6 @@ from repro.kvstore.cluster import ReplicatedKVStore
 from repro.kvstore.commitlog import CommitLog
 from repro.kvstore.device import (HDD_PROFILE, SSD_PROFILE, DeviceProfile,
                                   DeviceStats, StorageDevice, profile_for)
-from repro.kvstore.keyspace import ColumnFamilyView, KeyspaceCatalog
 from repro.kvstore.memtable import Memtable
 from repro.kvstore.node import NodeStats, StorageNode
 from repro.kvstore.sstable import SSTable, merge_sstables
@@ -24,13 +23,11 @@ __all__ = [
     "BloomFilter",
     "Cell",
     "CellKey",
-    "ColumnFamilyView",
     "CommitLog",
     "ConsistencyLevel",
     "DeviceProfile",
     "DeviceStats",
     "HDD_PROFILE",
-    "KeyspaceCatalog",
     "Memtable",
     "NodeStats",
     "ReadResult",

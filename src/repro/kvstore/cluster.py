@@ -390,11 +390,6 @@ class ReplicatedKVStore:
         return sum(node.flush() for _, node in sorted(self.nodes.items())
                    if not node.is_down)
 
-    def compact_all(self) -> float:
-        """Compact every node; returns total background cost."""
-        return sum(node.compact() for _, node in sorted(self.nodes.items())
-                   if not node.is_down)
-
     def column_cells(self, column: str) -> Dict[str, "Cell"]:
         """Newest live cell per row for one column across live nodes.
 

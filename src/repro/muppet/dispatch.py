@@ -51,14 +51,10 @@ class TwoChoiceDispatcher:
         significant_factor: The secondary is chosen when
             ``primary_len >= significant_factor * (secondary_len + 1)`` —
             our concrete reading of "significantly shorter".
-        memoize: Cache the (primary, secondary) pair per (key, function)
-            — on by default; the ablation knob for the perf gate and the
-            determinism tests.
     """
 
     def __init__(self, num_threads: int,
-                 significant_factor: float = 2.0,
-                 memoize: bool = True) -> None:
+                 significant_factor: float = 2.0) -> None:
         if num_threads < 1:
             raise ConfigurationError("num_threads must be >= 1")
         if significant_factor < 1.0:
@@ -66,7 +62,6 @@ class TwoChoiceDispatcher:
         self.num_threads = num_threads
         self.significant_factor = significant_factor
         self.stats = DispatchStats()
-        self._memoize = memoize
         self._memo: Dict[KeyFn, Tuple[int, int]] = {}
 
     def reset(self) -> None:
@@ -85,21 +80,19 @@ class TwoChoiceDispatcher:
         """
         if self.num_threads == 1:
             return 0, 0
-        if self._memoize:
-            memo_key = (key, function)
-            pair = self._memo.get(memo_key)
-            if pair is not None:
-                self.stats.memo_hits += 1
-                return pair
+        memo_key = (key, function)
+        pair = self._memo.get(memo_key)
+        if pair is not None:
+            self.stats.memo_hits += 1
+            return pair
         primary = stable_hash64(f"p\x00{function}\x00{key}") % self.num_threads
         secondary = stable_hash64(f"s\x00{function}\x00{key}") % self.num_threads
         if secondary == primary:
             secondary = (secondary + 1) % self.num_threads
-        if self._memoize:
-            self.stats.memo_misses += 1
-            if len(self._memo) >= MEMO_MAX_ENTRIES:
-                self._memo.clear()
-            self._memo[memo_key] = (primary, secondary)
+        self.stats.memo_misses += 1
+        if len(self._memo) >= MEMO_MAX_ENTRIES:
+            self._memo.clear()
+        self._memo[memo_key] = (primary, secondary)
         return primary, secondary
 
     def choose(
@@ -194,12 +187,11 @@ class SingleChoiceDispatcher:
     explicit baseline for bench E4.
     """
 
-    def __init__(self, num_threads: int, memoize: bool = True) -> None:
+    def __init__(self, num_threads: int) -> None:
         if num_threads < 1:
             raise ConfigurationError("num_threads must be >= 1")
         self.num_threads = num_threads
         self.stats = DispatchStats()
-        self._memoize = memoize
         self._memo: Dict[KeyFn, int] = {}
 
     def reset(self) -> None:
@@ -217,18 +209,16 @@ class SingleChoiceDispatcher:
         self.stats.dispatched += 1
         self.stats.queue_locks += 1
         self.stats.to_primary += 1
-        if self._memoize:
-            memo_key = (key, function)
-            thread = self._memo.get(memo_key)
-            if thread is not None:
-                self.stats.memo_hits += 1
-                return thread
+        memo_key = (key, function)
+        thread = self._memo.get(memo_key)
+        if thread is not None:
+            self.stats.memo_hits += 1
+            return thread
         thread = stable_hash64(f"p\x00{function}\x00{key}") % self.num_threads
-        if self._memoize:
-            self.stats.memo_misses += 1
-            if len(self._memo) >= MEMO_MAX_ENTRIES:
-                self._memo.clear()
-            self._memo[memo_key] = thread
+        self.stats.memo_misses += 1
+        if len(self._memo) >= MEMO_MAX_ENTRIES:
+            self._memo.clear()
+        self._memo[memo_key] = thread
         return thread
 
     def choose_workers(self, key: str, function: str, workers: Sequence):  # hot-path

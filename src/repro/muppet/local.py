@@ -42,18 +42,24 @@ from repro.core.operators import Context, Operator, TimerRequest
 from repro.core.slate import Slate, SlateKey
 from repro.errors import (ConfigurationError, EngineStoppedError, StoreError,
                           WorkflowError)
-from repro.kvstore.api import ConsistencyLevel
 from repro.kvstore.cluster import ReplicatedKVStore
 from repro.muppet.dispatch import KeyFn, TwoChoiceDispatcher
 from repro.muppet.queues import BoundedQueue, OverflowPolicy
 from repro.obs import LatencyRecorder, MetricsRegistry
-from repro.shedding.thinning import Thinner, ThinningPolicy
 from repro.slates.manager import (FlushPolicy, SlateManager,
                                   SlateManagerStats)
 
 #: Slate locks are a fixed array indexed by ``hash((updater, key))``: nothing
 #: to register or leak, and two slates sharing a stripe merely take turns.
 SLATE_LOCK_STRIPES = 256
+
+#: Slates a machine keeps resident: one cache in the 2.0 layout, split
+#: evenly over the workers' private caches in the 1.0 layout.
+CACHE_SLATES = 100_000
+
+#: How long a throttled source sleeps between retries when its target
+#: queue is full (the block-the-source overflow policy).
+THROTTLE_POLL_S = 0.001
 
 
 @dataclass(kw_only=True)
@@ -64,31 +70,16 @@ class ThreadedConfig:
     overflow: OverflowPolicy = field(default_factory=OverflowPolicy.drop)
     flush_policy: FlushPolicy = field(
         default_factory=lambda: FlushPolicy.every(0.5))
-    consistency: ConsistencyLevel = ConsistencyLevel.ONE
-    kv_nodes: int = 1
-    kv_replication: int = 1
     flusher_period_s: float = 0.1
     record_latency: bool = True
     max_slate_bytes: Optional[int] = None
-    #: How long a throttled source sleeps between retries when its
-    #: target queue is full (the block-the-source overflow policy).
-    throttle_poll_s: float = 0.001
-    #: Probabilistic thinning of thinnable updaters under queue
-    #: pressure (see :mod:`repro.shedding`); ``None`` disables.
-    thinning: Optional[ThinningPolicy] = None
-    #: Seed for the thinning RNG.
-    thin_seed: int = 0
-    #: Thinning engages while the worst queue's depth fraction is at or
-    #: above this threshold.
-    thin_queue_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.throttle_poll_s <= 0:
-            raise ConfigurationError("throttle_poll_s must be positive")
-        if not 0.0 < self.thin_queue_fraction <= 1.0:
+        if self.flusher_period_s <= 0:
+            # Event.wait(0) returns at once: the flusher would spin.
             raise ConfigurationError(
-                "thin_queue_fraction must be in (0, 1], got "
-                f"{self.thin_queue_fraction!r}")
+                "flusher_period_s must be > 0 seconds, got "
+                f"{self.flusher_period_s!r}")
 
 
 @dataclass
@@ -96,7 +87,6 @@ class LocalConfig(ThreadedConfig):
     """Knobs for the 2.0 thread pool."""
 
     num_threads: int = 4
-    cache_slates: int = 100_000
 
     def __post_init__(self) -> None:
         if self.num_threads < 1:
@@ -111,7 +101,6 @@ class _Route(NamedTuple):
     instance: Operator
     is_map: bool
     publishes: Tuple[str, ...]
-    thinnable: bool
 
 
 class _WorkItem(NamedTuple):
@@ -146,10 +135,11 @@ class ThreadedEngine:
     A subclass is a worker layout. Its ``_build_pool()`` returns the worker
     records (over ``self._dispatch_lock``, each with the slate manager it
     uses) and the object whose ``choose_workers(key, function, workers)``
-    places a delivery; its ``_invoke(worker, item, ctx, slate, weight)``
-    runs the operator — ``map`` when ``slate`` is None, else ``on_timer`` /
-    ``update_weighted`` / ``update`` — leaving outputs and timers in ``ctx``;
-    its ``config_type`` is the :class:`ThreadedConfig` built when none is given.
+    places a delivery; its ``_invoke(worker, item, ctx, slate)`` runs the
+    operator — ``map`` when ``slate`` is None, else ``on_timer`` /
+    ``update`` — leaving outputs and timers in ``ctx``; its ``config_type``
+    is the :class:`ThreadedConfig` built when none is given. ``store``
+    defaults to one unreplicated in-process node.
     """
 
     def __init__(self, app: Application,
@@ -157,10 +147,9 @@ class ThreadedEngine:
                  store: Optional[ReplicatedKVStore] = None) -> None:
         app.validate()
         self.app = app
-        cfg = self.config = config or self.config_type()
+        self.config = config or self.config_type()
         self.store = store if store is not None else ReplicatedKVStore(
-            node_names=[f"kv{i}" for i in range(cfg.kv_nodes)],
-            replication_factor=cfg.kv_replication,
+            node_names=["kv0"], replication_factor=1,
             clock=time.monotonic,  # noqa: MUP001 -- threaded engine: real kv timestamps/TTLs by design
         )
         self.counters = EventCounter()
@@ -170,8 +159,7 @@ class ThreadedEngine:
         self._streams = app.streams
         self._route_of: Dict[str, _Route] = {
             spec.name: _Route(spec.name, spec.instantiate(),
-                              spec.kind == "map", spec.publishes,
-                              spec.declares_thinnable())
+                              spec.kind == "map", spec.publishes)
             for spec in app.operators()
         }
         self._routes: Dict[str, Tuple[_Route, ...]] = {
@@ -194,10 +182,6 @@ class ThreadedEngine:
         self._manager_lock = threading.Lock()
         self._slate_stripes: Tuple[Any, ...] = tuple(
             threading.Lock() for _ in range(SLATE_LOCK_STRIPES))
-        #: None when thinning is off. Its RNG and decision counters are
-        #: not atomic: draws hold the dispatch lock.
-        self._thinner = (Thinner(cfg.thinning, seed=cfg.thin_seed)
-                         if cfg.thinning is not None else None)
         self._timers: List[Tuple[float, int, TimerRequest, float]] = []
         self._timer_seq = itertools.count()
         self._timer_cond = threading.Condition(threading.Lock())
@@ -251,7 +235,7 @@ class ThreadedEngine:
         return SlateManager(
             self.store, cache_capacity, flush_policy=cfg.flush_policy,
             clock=time.monotonic,  # noqa: MUP001 -- threaded engine: real flush intervals by design
-            consistency=cfg.consistency, max_slate_bytes=cfg.max_slate_bytes)
+            max_slate_bytes=cfg.max_slate_bytes)
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> "ThreadedEngine":
@@ -363,13 +347,7 @@ class ThreadedEngine:
         with no lock held: throttling sleeps, diverting dispatches."""
         policy = self.config.overflow
         if policy.kind == "divert" and allow_divert:
-            # Pin the replay-stable (origin, oseq) across the re-stamp: a
-            # source event's provenance falls back to (sid, seq), which
-            # stamping onto the overflow stream would otherwise rewrite.
-            origin, oseq = item.event.provenance()
-            diverted = self._streams.stamp(
-                item.event.with_stream(policy.overflow_sid))
-            diverted = diverted.with_provenance(origin, oseq)
+            diverted = self._streams.divert(item.event, policy.overflow_sid)
             items = [_WorkItem(diverted, route, item.birth)
                      for route in self._routes[diverted.sid]]
             with self._dispatch_lock:
@@ -385,7 +363,7 @@ class ThreadedEngine:
             while time.monotonic() < deadline:  # noqa: MUP001 -- real throttling deadline (threaded engine)
                 with self._dispatch_lock:
                     self.counters.throttled += 1
-                time.sleep(self.config.throttle_poll_s)  # noqa: MUP001 -- source backpressure needs real waiting (threaded engine)
+                time.sleep(THROTTLE_POLL_S)  # noqa: MUP001 -- source backpressure needs real waiting (threaded engine)
                 with self._dispatch_lock:
                     if not self._place((item,)):
                         return True
@@ -417,7 +395,7 @@ class ThreadedEngine:
 
     # -- workers ----------------------------------------------------------------
     def _worker_loop(self, worker: _Worker) -> None:
-        item, thinned, error = None, False, None
+        item, error = None, None
         while True:
             # One hold: account for the delivery just made, take the next.
             with self._dispatch_lock:
@@ -427,8 +405,6 @@ class ThreadedEngine:
                         self.last_error = error
                     else:
                         self.counters.processed += 1
-                        if thinned:
-                            self.counters.thinned += 1
                     self._inflight -= 1
                     if not self._inflight:
                         self._drained.notify_all()
@@ -442,36 +418,24 @@ class ThreadedEngine:
                     item = worker.queue.poll()
                 worker.current = (item.event.key, item.route.name)
             try:
-                thinned = self._process(worker, item)
+                self._process(worker, item)
                 error = None
             except Exception as exc:
                 # A failing map/update costs one event, not the worker.
                 error = exc
 
-    def _process(self, worker: _Worker, item: _WorkItem) -> bool:
-        """Run one delivery; True when thinning skipped the update."""
+    def _process(self, worker: _Worker, item: _WorkItem) -> None:
+        """Run one delivery."""
         event, route, birth, timer = item
         ctx = Context(route.name, event.ts, route.publishes, event.key)
         if route.is_map:
-            self._invoke(worker, item, ctx, None, 1.0)
+            self._invoke(worker, item, ctx, None)
         else:
-            keep, weight = True, 1.0
-            if (route.thinnable and self._thinner is not None
-                    and timer is None):
-                cfg = self.config
-                with self._dispatch_lock:
-                    worst = max(len(other.queue) for other in self._workers)
-                    if worst >= cfg.thin_queue_fraction * cfg.queue_capacity:
-                        keep, weight = self._thinner.decide(event.key)
-            if not keep:
-                # Thinned: no slate read, no update; kept siblings apply
-                # with weight 1/p (see repro.shedding.thinning).
-                return True
             manager = worker.manager
             with self._slate_lock(route.name, event.key):
                 with self._manager_lock:
                     slate = manager.get(route.instance, event.key)
-                self._invoke(worker, item, ctx, slate, weight)
+                self._invoke(worker, item, ctx, slate)
                 slate.touch(event.ts)
                 with self._manager_lock:
                     manager.note_update(slate)
@@ -496,7 +460,6 @@ class ThreadedEngine:
                     heapq.heappush(self._timers, (
                         request.at_ts, next(self._timer_seq), request, birth))
                 self._timer_cond.notify_all()
-        return False
 
     def _slate_lock(self, updater: str, key: str) -> Any:
         """The stripe guarding slate ``S(updater, key)``."""
@@ -504,8 +467,8 @@ class ThreadedEngine:
 
     # -- timers -------------------------------------------------------------------
     def _fire_timer(self, timer: TimerRequest, birth: float) -> None:
-        fired = Event(f"!timer:{timer.updater}", timer.at_ts, timer.key)
-        item = _WorkItem(fired, self._route_of[timer.updater], birth, timer)
+        item = _WorkItem(timer.fired(), self._route_of[timer.updater], birth,
+                         timer)
         with self._dispatch_lock:
             declined = self._place((item,))
         if declined:
@@ -613,20 +576,18 @@ class LocalMuppet(ThreadedEngine):
 
     def _build_pool(self) -> Tuple[List[_Worker], TwoChoiceDispatcher]:
         cfg = self.config
-        self.manager = self._new_manager(cfg.cache_slates)
+        self.manager = self._new_manager(CACHE_SLATES)
         workers = [_Worker(cfg.queue_capacity, self._dispatch_lock,
                            self.manager) for _ in range(cfg.num_threads)]
         return workers, TwoChoiceDispatcher(cfg.num_threads)
 
     def _invoke(self, worker: _Worker, item: _WorkItem, ctx: Context,
-                slate: Optional[Slate], weight: float) -> None:
+                slate: Optional[Slate]) -> None:
         event, route, _, timer = item
         instance = route.instance
         if slate is None:
             instance.map(ctx, event)
         elif timer is not None:
             instance.on_timer(ctx, event.key, slate, timer.payload)
-        elif weight != 1.0:
-            instance.update_weighted(ctx, event, slate, weight)
         else:
             instance.update(ctx, event, slate)

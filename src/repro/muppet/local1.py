@@ -29,8 +29,8 @@ from repro.core.slate import Slate, SlateKey
 from repro.errors import ConfigurationError
 from repro.muppet.conductor import Conductor, PipeStats, TaskProcessor
 from repro.muppet.dispatch import DispatchStats
-from repro.muppet.local import (ThreadedConfig, ThreadedEngine, _Worker,
-                                _WorkItem)
+from repro.muppet.local import (CACHE_SLATES, ThreadedConfig, ThreadedEngine,
+                                _Worker, _WorkItem)
 from repro.muppet.queues import OverflowPolicy
 from repro.slates.manager import SlateManager
 
@@ -41,8 +41,6 @@ class Local1Config(ThreadedConfig):
     default, as 1.0's senders did; operators never block (Section 5)."""
 
     workers_per_function: int = 2
-    #: Split evenly over the workers' private caches.
-    cache_slates_total: int = 100_000
     overflow: OverflowPolicy = field(default_factory=OverflowPolicy.throttle,
                                      kw_only=True)
 
@@ -87,9 +85,6 @@ class _Worker1(_Worker):
             if event_dict.get("__timer__"):
                 operator.on_timer(ctx, event.key, slate,
                                   event_dict.get("__payload__"))
-            elif "__weight__" in event_dict:
-                operator.update_weighted(ctx, event, slate,
-                                         event_dict["__weight__"])
             else:
                 operator.update(ctx, event, slate)
             new_slate = slate.as_dict()
@@ -122,7 +117,7 @@ class LocalMuppet1(ThreadedEngine):
     def _build_pool(self) -> Tuple[List[_Worker1], _OwnerDispatch]:
         cfg = self.config
         specs = self.app.operators()
-        per_worker_cache = max(1, cfg.cache_slates_total
+        per_worker_cache = max(1, CACHE_SLATES
                                // (len(specs) * cfg.workers_per_function))
         workers: List[_Worker1] = []
         rings: Dict[str, HashRing[int]] = {}
@@ -137,13 +132,11 @@ class LocalMuppet1(ThreadedEngine):
         return workers, _OwnerDispatch(rings)
 
     def _invoke(self, worker: _Worker1, item: _WorkItem, ctx: Context,
-                slate: Optional[Slate], weight: float) -> None:
+                slate: Optional[Slate]) -> None:
         # The conductor's job: event and slate out, outputs and slate back.
         flags = None
         if item.timer is not None:
             flags = {"__timer__": True, "__payload__": item.timer.payload}
-        elif weight != 1.0:
-            flags = {"__weight__": weight}
         outputs, new_slate = worker.conductor.process_event(
             item.event, None if slate is None else slate.as_dict(),
             flags=flags)

@@ -12,7 +12,7 @@ machine from then on.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 from repro.errors import ConfigurationError
 
@@ -167,16 +167,6 @@ class Master:
         record["reason"] = reason
         self.stats.migrations_aborted += 1
 
-    def migration_phase(self, epoch: int) -> Optional[str]:
-        """Last journaled phase for ``epoch`` (resume point), or None."""
-        record = self._migrations.get(epoch)
-        return None if record is None else record.get("phase")
-
     def failed_machines(self) -> Set[str]:
         """Machines currently known dead."""
         return set(self._failed)
-
-    def forget(self, machine: str) -> None:
-        """Clear a machine's failed status silently (operator override;
-        prefer :meth:`report_recovery`, which notifies the cluster)."""
-        self._failed.discard(machine)

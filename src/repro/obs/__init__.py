@@ -2,9 +2,9 @@
 
 Three cooperating pieces, all engine-agnostic:
 
-* :class:`MetricsRegistry` (:mod:`repro.obs.registry`) — counters,
-  lazy gauges, and fixed-bucket latency histograms; engines register
-  their existing stats objects as live views, so one snapshot reads the
+* :class:`MetricsRegistry` (:mod:`repro.obs.registry`) — fixed-bucket
+  latency histograms plus live views: engines register their existing
+  stats objects (or dict-producing callables), so one snapshot reads the
   whole system and ``counter_report()`` is generated from the registry's
   family snapshot byte-identically to the pre-registry output.
 * :class:`Tracer` sinks (:mod:`repro.obs.trace`) — opt-in structured
@@ -34,8 +34,6 @@ from repro.obs.latency import (
 )
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_S,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -51,9 +49,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
     "DEFAULT_LATENCY_BUCKETS_S",
-    "Gauge",
     "Histogram",
     "JsonlTracer",
     "LatencyRecorder",

@@ -115,8 +115,7 @@ class LatencyRecorder:
 def worst_recent_p99(recorders: Mapping[str, LatencyRecorder],
                      window: int) -> float:
     """Worst per-updater p99 over each updater's trailing ``window``
-    samples — the latency signal the overload controller and the
-    autoscaler both watch."""
+    samples — the latency signal the overload controller watches."""
     worst = 0.0
     for recorder in recorders.values():  # noqa: MUP003 -- max() is order-independent
         samples = recorder.samples

@@ -1,4 +1,4 @@
-"""MetricsRegistry: counters, gauges, and fixed-bucket histograms.
+"""MetricsRegistry: live views, groups, and fixed-bucket histograms.
 
 The paper's operators were tuned in production by watching queue depths,
 slate-flush backlogs, and per-function latencies (Sections 5-6: two-choice
@@ -8,12 +8,11 @@ for those quantities: every engine attaches one :class:`MetricsRegistry`
 and registers its live counter objects as *views*, so a snapshot reads the
 whole system without any hot-path bookkeeping beyond what already exists.
 
-Three instrument kinds:
+Two kinds of entry:
 
-* :class:`Counter` — a monotone count the owner increments explicitly.
-* :class:`Gauge` — a lazy callable sampled only at snapshot time; views
-  over existing stats dataclasses are gauges, so registering them costs
-  the hot path nothing.
+* views and groups — an existing stats object, or a dict-producing
+  callable, sampled only at snapshot time, so registering them costs the
+  hot path nothing.
 * :class:`Histogram` — fixed bucket boundaries with linear-interpolated
   p50/p95/p99 summaries; bucket counts (not raw samples) are retained, so
   memory stays O(buckets) regardless of event volume.
@@ -35,34 +34,6 @@ DEFAULT_LATENCY_BUCKETS_S = (
     1.0, 2.0, 5.0, 10.0, 30.0,
 )
 # fmt: on
-
-
-class Counter:
-    """A monotone counter owned by the registry."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (default 1) to the counter."""
-        self.value += amount
-
-
-class Gauge:
-    """A lazily sampled value: ``fn`` runs only at snapshot time."""
-
-    __slots__ = ("name", "fn")
-
-    def __init__(self, name: str, fn: Callable[[], Any]) -> None:
-        self.name = name
-        self.fn = fn
-
-    def read(self) -> Any:
-        """Sample the gauge now."""
-        return self.fn()
 
 
 class Histogram:
@@ -149,6 +120,11 @@ class Histogram:
         }
 
 
+#: The smoothing both load controllers (overload tiers, autoscaler) apply
+#: to the worst-queue-fraction signal.
+QUEUE_EWMA_ALPHA = 0.4
+
+
 class Ewma:
     """Exponentially weighted moving average of a scalar signal.
 
@@ -198,7 +174,7 @@ def _numeric_fields(obj: Any) -> Dict[str, Any]:
 
 
 class MetricsRegistry:
-    """A namespace of counters, gauges, histograms, and object views.
+    """A namespace of histograms, object views and groups.
 
     Names are dotted paths (``"robustness.kv_retries"``); the first
     segment is the *family*, which :meth:`family_snapshot` groups by —
@@ -208,31 +184,11 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         #: (prefix, fn) pairs contributing whole dicts at snapshot time.
         self._groups: List[Any] = []
 
     # -- registration ------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter ``name``."""
-        counter = self._counters.get(name)
-        if counter is None:
-            self._check_free(name)
-            counter = self._counters[name] = Counter(name)
-        return counter
-
-    def gauge(self, name: str, fn: Callable[[], Any]) -> Gauge:
-        """Register a lazy gauge; re-registering replaces the callable."""
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            self._check_free(name)
-            gauge = self._gauges[name] = Gauge(name, fn)
-        else:
-            gauge.fn = fn
-        return gauge
-
     def histogram(
         self,
         name: str,
@@ -241,12 +197,11 @@ class MetricsRegistry:
         """Get or create the histogram ``name``."""
         histogram = self._histograms.get(name)
         if histogram is None:
-            self._check_free(name)
             histogram = self._histograms[name] = Histogram(name, buckets)
         return histogram
 
     def register_view(self, prefix: str, obj: Any) -> None:
-        """Expose a live stats object's numeric fields as gauges.
+        """Expose a live stats object's numeric fields.
 
         The object is read at snapshot time, so the owner keeps mutating
         its fields exactly as before — the registry is a *view*, not a
@@ -258,25 +213,15 @@ class MetricsRegistry:
         """Expose a whole dict-producing callable under ``prefix``."""
         self._groups.append((prefix, fn))
 
-    def _check_free(self, name: str) -> None:
-        if name in self._counters or name in self._gauges or name in self._histograms:
-            raise ConfigurationError(
-                f"metric {name!r} already registered as another kind"
-            )
-
     # -- reading -----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """One flat, deterministically ordered name->value mapping.
 
         Histograms expand to ``<name>.count/.mean/.p50/.p95/.p99/.max``.
         Group and view entries are sampled now; conflicting names resolve
-        last-registered-wins (views layered over explicit instruments).
+        last-registered-wins (views layered over histograms).
         """
         flat: Dict[str, Any] = {}
-        for name, counter in self._counters.items():  # noqa: MUP003 -- flat is sorted before return
-            flat[name] = counter.value
-        for name, gauge in self._gauges.items():  # noqa: MUP003 -- flat is sorted before return
-            flat[name] = gauge.read()
         for name, histogram in self._histograms.items():  # noqa: MUP003 -- flat is sorted before return
             for stat, value in histogram.summary().items():  # noqa: MUP003 -- flat is sorted before return
                 flat[f"{name}.{stat}"] = value

@@ -1,9 +1,9 @@
 """Adaptive backpressure: per-machine pressure tiers with hysteresis.
 
 The controller reads the same signals the observability layer already
-exposes — worst worker-queue depth fraction, dirty-slate backlog, and
-the recent updater p99 — smooths the queue signal with an EWMA, and
-walks each machine through four pressure tiers:
+exposes — worst worker-queue depth fraction and the recent updater p99
+— smooths the queue signal with an EWMA, and walks each machine through
+four pressure tiers:
 
 ====  ==========  ==================================================
 tier  name        engine behaviour
@@ -17,7 +17,7 @@ tier  name        engine behaviour
 
 Escalation is immediate (overload is urgent: a machine may jump
 several tiers in one observation); de-escalation steps down one tier
-at a time and only after ``hold_s`` seconds in the current tier with
+at a time and only after ``HOLD_S`` seconds in the current tier with
 the smoothed signal below the tier's exit threshold — the hysteresis
 that keeps the controller from flapping around a threshold. Per-tier
 transition counts and residence times are accounted in
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import Ewma
+from repro.obs.registry import QUEUE_EWMA_ALPHA, Ewma
 from repro.shedding.thinning import ThinningPolicy
 
 TIER_NORMAL = 0
@@ -42,6 +42,17 @@ TIER_THROTTLE = 3
 #: Tier names in tier order (index == tier number).
 TIER_NAMES = ("normal", "thin", "overflow", "throttle")
 
+#: Controller sampling period (simulated seconds).
+CHECK_PERIOD_S = 0.02
+#: Minimum residence time in a tier before de-escalating.
+HOLD_S = 0.25
+#: The thin tier's hysteresis band: the first response is cheap and
+#: reversible, so it engages early and only the lossy tiers are tuned.
+THIN_ENTER = 0.35
+THIN_EXIT = 0.15
+#: Trailing latency samples per updater used for the p99 signal.
+P99_WINDOW = 256
+
 
 @dataclass
 class SheddingConfig:
@@ -50,22 +61,14 @@ class SheddingConfig:
     Thresholds are worst worker-queue depth fractions (0..1) on the
     EWMA-smoothed signal; each tier has an *enter* threshold (escalate
     at or above) and an *exit* threshold (de-escalate at or below,
-    after ``hold_s`` in tier). ``None`` for the optional signals
-    disables them.
+    after ``HOLD_S`` in tier). ``None`` for the optional latency signal
+    disables it.
     """
 
     #: Per-key-class keep rates applied at tier >= thin.
     thinning: ThinningPolicy = field(default_factory=ThinningPolicy)
     #: Seed for the thinning RNG (replay-exactness contract).
     seed: int = 0
-    #: Controller sampling period (simulated seconds).
-    check_period_s: float = 0.02
-    #: Minimum residence time in a tier before de-escalating.
-    hold_s: float = 0.25
-    #: EWMA smoothing factor for the queue-fraction signal.
-    ewma_alpha: float = 0.4
-    thin_enter: float = 0.35
-    thin_exit: float = 0.15
     overflow_enter: float = 0.70
     overflow_exit: float = 0.40
     throttle_enter: float = 0.92
@@ -80,43 +83,25 @@ class SheddingConfig:
     #: Escalate to at least ``thin`` while the recent updater p99
     #: exceeds this budget (None disables the latency signal).
     p99_budget_s: Optional[float] = None
-    #: Trailing latency samples per updater used for the p99 signal.
-    p99_window: int = 256
-    #: Escalate to at least ``thin`` while a machine's dirty-slate
-    #: backlog exceeds this count (None disables the signal).
-    dirty_slates_high: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.check_period_s <= 0:
-            raise ConfigurationError(
-                f"check_period_s must be > 0, got {self.check_period_s!r}")
-        if self.hold_s < 0:
-            raise ConfigurationError(
-                f"hold_s must be >= 0, got {self.hold_s!r}")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigurationError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}")
-        pairs = (("thin", self.thin_enter, self.thin_exit),
-                 ("overflow", self.overflow_enter, self.overflow_exit),
+        pairs = (("overflow", self.overflow_enter, self.overflow_exit),
                  ("throttle", self.throttle_enter, self.throttle_exit))
         for name, enter, exit_ in pairs:
             if not 0.0 < exit_ < enter <= 1.0:
                 raise ConfigurationError(
                     f"{name} tier needs 0 < exit ({exit_!r}) < enter "
                     f"({enter!r}) <= 1 (hysteresis band)")
-        if self.thin_enter >= self.overflow_enter or \
+        if THIN_ENTER >= self.overflow_enter or \
                 self.overflow_enter >= self.throttle_enter:
             raise ConfigurationError(
                 "tier enter thresholds must ascend: thin < overflow "
-                f"< throttle, got {self.thin_enter!r} / "
+                f"< throttle, got {THIN_ENTER!r} / "
                 f"{self.overflow_enter!r} / {self.throttle_enter!r}")
         if not 0.0 < self.divert_fraction <= 1.0:
             raise ConfigurationError(
                 f"divert_fraction must be in (0, 1], got "
                 f"{self.divert_fraction!r}")
-        if self.p99_window < 1:
-            raise ConfigurationError(
-                f"p99_window must be >= 1, got {self.p99_window}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +110,6 @@ class PressureSignals:
 
     #: Worst worker-queue depth fraction on the machine (0..1).
     queue_fraction: float
-    #: Dirty slates awaiting flush on the machine's managers.
-    dirty_slates: int = 0
     #: Recent cluster-wide worst updater p99 (seconds).
     p99_s: float = 0.0
 
@@ -174,10 +157,10 @@ class _MachinePressure:
 
     __slots__ = ("tier", "entered_at", "ewma")
 
-    def __init__(self, alpha: float, name: str) -> None:
+    def __init__(self, name: str) -> None:
         self.tier = TIER_NORMAL
         self.entered_at = 0.0
-        self.ewma = Ewma(f"overload.{name}.queue_ewma", alpha)
+        self.ewma = Ewma(f"overload.{name}.queue_ewma", QUEUE_EWMA_ALPHA)
 
 
 class BackpressureController:
@@ -207,11 +190,9 @@ class BackpressureController:
     def observe(self, machine: str, signals: PressureSignals,
                 now: float) -> int:
         """Fold one observation; returns the machine's (new) tier."""
-        cfg = self.config
         state = self._machines.get(machine)
         if state is None:
-            state = self._machines[machine] = _MachinePressure(
-                cfg.ewma_alpha, machine)
+            state = self._machines[machine] = _MachinePressure(machine)
             state.entered_at = now
         state.ewma.observe(signals.queue_fraction)
         smoothed = state.ewma.value
@@ -221,7 +202,7 @@ class BackpressureController:
         if target > tier:
             # Escalation is immediate — overload is urgent.
             self._transition(state, target, now)
-        elif target < tier and now - state.entered_at >= cfg.hold_s \
+        elif target < tier and now - state.entered_at >= HOLD_S \
                 and smoothed <= self._exit_threshold(tier):
             # De-escalate one tier at a time, after the dwell, and only
             # once the smoothed signal cleared the tier's exit band.
@@ -243,16 +224,13 @@ class BackpressureController:
             return TIER_THROTTLE
         if smoothed >= cfg.overflow_enter:
             return TIER_OVERFLOW
-        if smoothed >= cfg.thin_enter:
+        if smoothed >= THIN_ENTER:
             return TIER_THIN
-        # Secondary signals can force the first (cheap, reversible)
+        # The latency signal can force the first (cheap, reversible)
         # tier even while queues still look shallow: a slow updater
-        # (p99 over budget) or a flush backlog both predict queue
-        # growth before the queues themselves show it.
+        # (p99 over budget) predicts queue growth before the queues
+        # themselves show it.
         if cfg.p99_budget_s is not None and signals.p99_s > cfg.p99_budget_s:
-            return TIER_THIN
-        if cfg.dirty_slates_high is not None and \
-                signals.dirty_slates > cfg.dirty_slates_high:
             return TIER_THIN
         return TIER_NORMAL
 
@@ -262,7 +240,7 @@ class BackpressureController:
             return cfg.throttle_exit
         if tier == TIER_OVERFLOW:
             return cfg.overflow_exit
-        return cfg.thin_exit
+        return THIN_EXIT
 
     def _transition(self, state: _MachinePressure, tier: int,
                     now: float) -> None:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Optional, Set
 
 from repro.obs.latency import worst_recent_p99
-from repro.shedding.controller import (TIER_THROTTLE, BackpressureController,
+from repro.shedding.controller import (CHECK_PERIOD_S, P99_WINDOW,
+                                       TIER_THROTTLE, BackpressureController,
                                        PressureSignals, SheddingCounters)
 from repro.shedding.thinning import Thinner
 
@@ -170,22 +171,18 @@ class OverloadControl:
         cfg = shed.config
 
         def tick(sim: "Simulator") -> None:
-            p99 = (worst_recent_p99(rt.latency, cfg.p99_window)
+            p99 = (worst_recent_p99(rt.latency, P99_WINDOW)
                    if cfg.p99_budget_s is not None else 0.0)
             throttle_wanted = False
             for name in sorted(rt.machines):
                 machine = rt.machines[name]
                 if not machine.alive:
                     continue
-                dirty = 0
-                if cfg.dirty_slates_high is not None:
-                    dirty = sum(m.cache.dirty_count()
-                                for m in rt._managers_of(machine))
                 tier = shed.observe(
                     name,
                     PressureSignals(
                         queue_fraction=machine.queue_depth_fraction(),
-                        dirty_slates=dirty, p99_s=p99),
+                        p99_s=p99),
                     sim.now())
                 machine.pressure_tier = tier
                 if tier >= TIER_THROTTLE:
@@ -197,7 +194,7 @@ class OverloadControl:
                 else:
                     throttle.resume(sim.now())
 
-        rt.sim.every(cfg.check_period_s, tick)
+        rt.sim.every(CHECK_PERIOD_S, tick)
 
     def finish(self, now: float) -> None:
         """Close the open tier-residence and pause intervals (end of

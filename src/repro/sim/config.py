@@ -9,11 +9,10 @@ from typing import Dict, Optional, Set
 
 from repro.elastic import AutoscalerConfig, MigrationConfig
 from repro.errors import ConfigurationError
-from repro.kvstore.api import ConsistencyLevel
 from repro.muppet.queues import OverflowPolicy, SourceThrottle
 from repro.shedding.controller import SheddingConfig
 from repro.sim.costs import CostModel
-from repro.slates.manager import FlushPolicy, RetryPolicy
+from repro.slates.manager import FlushPolicy
 
 ENGINE_MUPPET1 = "muppet1"
 ENGINE_MUPPET2 = "muppet2"
@@ -25,8 +24,10 @@ class SimConfig:
 
     Attributes mirror the paper's configuration surface: engine version,
     queue limits and overflow policy, slate cache size and flush interval,
-    kv-store consistency/replication, and the Muppet 1.0 worker layout
-    versus the Muppet 2.0 thread pool.
+    and the Muppet 1.0 worker layout versus the Muppet 2.0 thread pool.
+    A value or pair of values the engine would ignore raises
+    :class:`~repro.errors.ConfigurationError` here, and nothing a caller
+    set is rewritten.
     """
 
     engine: str = ENGINE_MUPPET2
@@ -35,8 +36,6 @@ class SimConfig:
     costs: CostModel = field(default_factory=CostModel)
     cache_slates_per_machine: int = 100_000
     flush_policy: FlushPolicy = field(default_factory=lambda: FlushPolicy.every(1.0))
-    consistency: ConsistencyLevel = ConsistencyLevel.ONE
-    kv_replication: int = 3
     kv_memtable_flush_bytes: int = 4 * 1024 * 1024
     #: Muppet 1.0: worker processes per function per machine.
     workers_per_function_per_machine: int = 1
@@ -62,7 +61,8 @@ class SimConfig:
     #: Event replay horizon in seconds — the Section 4.3 future-work
     #: extension (see :mod:`repro.muppet.replay`). ``None`` disables
     #: replay (the paper's production behaviour: lost and logged).
-    #: Setting it implies ``delivery_semantics="at-least-once"``.
+    #: Only ``delivery_semantics="at-least-once"`` takes one (0.25 s
+    #: when left unset).
     replay_horizon_s: Optional[float] = None
     #: What the engine promises about each event's effect on slates:
     #:
@@ -97,11 +97,6 @@ class SimConfig:
     #: journal entry old enough that its effect is durably covered.
     #: Soundness needs delivery + queueing latency under one period.
     checkpoint_epoch_s: float = 1.0
-    #: Retry/backoff/fail-open policy for slate-manager kv operations
-    #: (see :class:`repro.slates.manager.RetryPolicy`). The default
-    #: retries transient store errors with exponential backoff and then
-    #: degrades (counted) instead of raising into operator code.
-    kv_retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Data-plane batching: coalesce up to this many events per
     #: (source machine, destination machine) link into one network
     #: envelope, paying the per-message latency once and the payload
@@ -109,16 +104,9 @@ class SimConfig:
     #: batching — every event ships alone, the pre-batching behaviour.
     batch_max_events: int = 0
     #: How long a partially-filled batch may linger before it is
-    #: shipped anyway. Only meaningful with ``batch_max_events > 0``;
-    #: 0 coalesces only events sent at the same simulated instant.
+    #: shipped anyway; needs ``batch_max_events > 0``. 0 coalesces only
+    #: events sent at the same simulated instant.
     batch_linger_s: float = 0.0
-    #: Memoize routing-hash lookups (machine ring, function rings, and
-    #: the per-machine dispatchers). On by default; off recomputes every
-    #: blake2b digest per event — the perf-gate/determinism ablation.
-    memoize_routing: bool = True
-    #: Group dirty slates into multi-cell kv batch writes per flush
-    #: cycle. On by default; off writes one kv cell per slate.
-    coalesce_slate_flushes: bool = True
     #: Opt-in structured event tracing (see :mod:`repro.obs.trace`).
     #: Off by default: the engine then holds no tracer at all and every
     #: emission site is one ``is not None`` check — the measured-zero-
@@ -167,6 +155,34 @@ class SimConfig:
             raise ConfigurationError(
                 "batch_linger_s must be >= 0.0 seconds, "
                 f"got {self.batch_linger_s!r}")
+        if self.batch_linger_s > 0 and self.batch_max_events == 0:
+            raise ConfigurationError(
+                f"batch_linger_s={self.batch_linger_s!r} does nothing "
+                "with batching off; set batch_max_events > 0")
+        # A zero period re-arms at the same simulated instant: run()
+        # would never advance the clock past it.
+        if self.flusher_period_s <= 0:
+            raise ConfigurationError(
+                "flusher_period_s must be > 0 seconds, "
+                f"got {self.flusher_period_s!r}")
+        if self.retry_delay_s <= 0:
+            raise ConfigurationError(
+                "retry_delay_s must be > 0 seconds, "
+                f"got {self.retry_delay_s!r}")
+        if self.threads_per_machine is not None:
+            if self.threads_per_machine < 1:
+                raise ConfigurationError(
+                    "threads_per_machine must be >= 1 (or None for the "
+                    f"core count), got {self.threads_per_machine}")
+            if self.engine != ENGINE_MUPPET2:
+                raise ConfigurationError(
+                    "threads_per_machine sizes the muppet2 thread pool; "
+                    "muppet1 takes workers_per_function[_per_machine]")
+        if (self.workers_per_function is not None
+                and self.engine != ENGINE_MUPPET1):
+            raise ConfigurationError(
+                "workers_per_function lays out muppet1 worker processes; "
+                "muppet2 takes threads_per_machine")
         if self.trace_capacity < 1:
             raise ConfigurationError(
                 f"trace_capacity must be >= 1, got {self.trace_capacity}")
@@ -190,18 +206,16 @@ class SimConfig:
             raise ConfigurationError(
                 "heartbeat_s must be > 0 seconds (or None to disable "
                 f"the liveness sweep), got {self.heartbeat_s!r}")
-        if self.delivery_semantics == "effectively-once":
-            if self.replay_horizon_s is not None:
-                raise ConfigurationError(
-                    "effectively-once prunes its journal at checkpoint "
-                    "epochs; replay_horizon_s must stay None (a time "
-                    "horizon could drop entries still needed for exact "
-                    "recovery)")
+        if self.delivery_semantics == "at-least-once":
+            if self.replay_horizon_s is None:
+                self.replay_horizon_s = 0.25
         elif self.replay_horizon_s is not None:
-            # Legacy spelling: a bare horizon always meant "replay on".
-            self.delivery_semantics = "at-least-once"
-        elif self.delivery_semantics == "at-least-once":
-            self.replay_horizon_s = 0.25
+            raise ConfigurationError(
+                "replay_horizon_s belongs to delivery_semantics="
+                f"'at-least-once', got {self.delivery_semantics!r}: "
+                "at-most-once keeps no journal, and effectively-once "
+                "prunes its journal at checkpoint epochs (a time horizon "
+                "could drop entries still needed for exact recovery)")
         if self.migration is not None and self.engine != ENGINE_MUPPET2:
             raise ConfigurationError(
                 "live slate migration requires the muppet2 engine (one "

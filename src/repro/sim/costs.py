@@ -58,10 +58,6 @@ class CostModel:
             if value < 0:
                 raise ConfigurationError(f"cost {name} must be >= 0")
 
-    def map_time(self, cost_factor: float = 1.0) -> float:
-        """Service time of one map invocation."""
-        return self.map_service_s * cost_factor
-
     def update_time(self, cost_factor: float = 1.0,
                     slate_bytes: int = 0) -> float:
         """Service time of one update invocation on a slate of given size."""

@@ -25,10 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 class MachineRing:
     """Muppet 2.0: one ring of machines; any thread runs any function."""
 
-    def __init__(self, machines: Dict[str, "_Machine"],
-                 memoize: bool) -> None:
+    def __init__(self, machines: Dict[str, "_Machine"]) -> None:
         self._machines = machines
-        self.ring: HashRing[str] = HashRing(machines, memoize=memoize)
+        self.ring: HashRing[str] = HashRing(machines)
 
     def owner(self, key: str, fn: str) -> "_Machine":
         """The live machine owning ``<key, fn>``; raises
@@ -64,10 +63,10 @@ class WorkerRings:
     """
 
     def __init__(self, machines: Dict[str, "_Machine"],
-                 functions: Iterable[str], memoize: bool) -> None:
-        self.ring: HashRing[str] = HashRing(machines, memoize=memoize)
+                 functions: Iterable[str]) -> None:
+        self.ring: HashRing[str] = HashRing(machines)
         self._rings: Dict[str, HashRing[str]] = {
-            fn: HashRing(memoize=memoize) for fn in functions}
+            fn: HashRing() for fn in functions}
         self._workers: Dict[str, "_Worker"] = {}
         for machine in machines.values():
             self.join(machine)

@@ -89,6 +89,10 @@ from repro.slates.manager import SlateManager
 #: the hashring memo discipline: bounded table, cleared when full).
 _MEMO_MAX = 65_536
 
+#: Replicas per slate cell in the simulated store (slate reads and
+#: writes go at ``ConsistencyLevel.ONE``, :class:`SlateManager`'s default).
+KV_REPLICATION = 3
+
 
 @dataclass(slots=True)
 class _Envelope:
@@ -243,7 +247,7 @@ class SimRuntime:
 
         self.store = ReplicatedKVStore(
             node_names=cluster.names(),
-            replication_factor=self.config.kv_replication,
+            replication_factor=KV_REPLICATION,
             clock=self.sim.clock,
             device_overrides={m.name: m.storage for m in cluster.machines},
             memtable_flush_bytes=self.config.kv_memtable_flush_bytes,
@@ -279,13 +283,12 @@ class SimRuntime:
         self.machines: Dict[str, _Machine] = {}
         for spec in self.cluster.machines:
             self._construct_machine(spec.name, spec.cores)
-        memoize = self.config.memoize_routing
         #: Who runs ``<key, function>``, for this engine's layout.
         self._membership: Union[MachineRing, WorkerRings] = (
-            MachineRing(self.machines, memoize)
+            MachineRing(self.machines)
             if self.config.engine == ENGINE_MUPPET2
             else WorkerRings(self.machines,
-                             [s.name for s in self.app.operators()], memoize))
+                             [s.name for s in self.app.operators()]))
         self._machine_ring = self._membership.ring
         register_metrics(self)
         self._op_specs: Dict[str, OperatorSpec] = {
@@ -305,10 +308,7 @@ class SimRuntime:
             cache_capacity=max(1, capacity),
             flush_policy=self.config.flush_policy,
             clock=self.sim.clock,
-            consistency=self.config.consistency,
             max_slate_bytes=self.config.max_slate_bytes,
-            retry=self.config.kv_retry,
-            coalesce_flushes=self.config.coalesce_slate_flushes,
             tracer=self._trace,
             owner=owner,
         )
@@ -324,15 +324,13 @@ class SimRuntime:
         machine = _Machine(name, cores)
         cfg = self.config
         if cfg.engine == ENGINE_MUPPET2:
-            threads = cfg.threads_per_machine or cores
+            threads = (cores if cfg.threads_per_machine is None
+                       else cfg.threads_per_machine)
             machine.central_mgr = self._new_manager(
                 cfg.cache_slates_per_machine, owner=name)
-            if cfg.two_choice:
-                machine.dispatcher = TwoChoiceDispatcher(
-                    threads, memoize=cfg.memoize_routing)
-            else:
-                machine.dispatcher = SingleChoiceDispatcher(
-                    threads, memoize=cfg.memoize_routing)
+            machine.dispatcher = (TwoChoiceDispatcher(threads)
+                                  if cfg.two_choice
+                                  else SingleChoiceDispatcher(threads))
             machine.shared_instances = {
                 s.name: s.instantiate() for s in self.app.operators()
             }
@@ -521,21 +519,15 @@ class SimRuntime:
                 overflow_sid: str, proactive: bool = False) -> None:
         """Re-address one envelope to the degraded overflow stream.
 
-        The diverted copy pins the original's replay-stable
-        ``(origin, oseq)`` across the re-stamp — for a source event the
-        provenance fallback is ``(sid, seq)``, which re-stamping onto a
-        new stream would otherwise rewrite. One event therefore carries
-        one identity whether it travels the normal or the degraded path,
-        so the effectively-once audit, dedup watermarks, and
-        ``ReplayStats`` account for diverted-then-reingested events
-        instead of double-counting them. The ``replayed`` flag survives
-        diversion for the same reason.
+        The diverted copy keeps the original's ``(origin, oseq)`` (see
+        :meth:`StreamRegistry.divert`), so the effectively-once audit,
+        dedup watermarks, and ``ReplayStats`` account for
+        diverted-then-reingested events instead of double-counting
+        them. The ``replayed`` flag survives diversion for the same
+        reason.
         """
         self.counters.diverted_overflow_stream += 1
-        origin, oseq = envelope.event.provenance()
-        stamped = self.app.streams.stamp(
-            envelope.event.with_stream(overflow_sid))
-        stamped = stamped.with_provenance(origin, oseq)
+        stamped = self.app.streams.divert(envelope.event, overflow_sid)
         if self._trace is not None:
             self._trace_envelope("shed", machine, envelope,
                                  outcome="divert", proactive=proactive)
@@ -611,7 +603,6 @@ class SimRuntime:
         muppet1 = not muppet2
         hashed_worker = self._membership.worker
         two_choice = muppet2 and cfg.two_choice
-        memoize = muppet2 and cfg.memoize_routing
 
         lock_s = costs.dispatch_lock_s * (2 if muppet2 else 1)
         switch_s = costs.context_switch_s
@@ -646,9 +637,9 @@ class SimRuntime:
         tuple_new = tuple.__new__
         obj_new = object.__new__
 
-        # (key, fn) -> _Machine, valid for one ring generation. Pure
-        # given the generation, but the memoize_routing ablation still
-        # means "recompute every hash", so it is honoured here too.
+        # (key, fn) -> _Machine, valid for one ring generation. 2.0 only:
+        # a planned 1.0 join or retirement moves worker-ring points
+        # without touching ``ring``, so its generation would not show it.
         dest_memo: Dict[Tuple[str, str], _Machine] = {}
         ring_gen = [ring.generation]
         #: (key, fn) -> SlateKey: pure value identity, only bounded.
@@ -664,7 +655,7 @@ class SimRuntime:
         def _send(envelope: _Envelope, from_machine: Optional[str],
                   extra_delay: float = 0.0) -> None:  # hot-path
             event = envelope.event
-            if memoize:
+            if muppet2:
                 if ring_gen[0] != ring.generation:
                     dest_memo.clear()
                     ring_gen[0] = ring.generation
@@ -1198,8 +1189,7 @@ class SimRuntime:
     def _schedule_timer(self, machine: _Machine, envelope: _Envelope,
                         timer: TimerRequest) -> None:
         fire_at = max(self.sim.now() + 1e-9, timer.at_ts)
-        timer_event = Event(sid=f"!timer:{timer.updater}", ts=timer.at_ts,
-                            key=timer.key)
+        timer_event = timer.fired()
         if self._eo is not None:
             # Each firing gets a unique runtime-local identity. Timer
             # invocations are never journaled or deduped themselves
@@ -1207,7 +1197,7 @@ class SimRuntime:
             # *outputs* inherit provenance from this event — without a
             # unique oseq, outputs of distinct firings would collide.
             timer_event = timer_event.with_provenance(
-                f"!timer:{timer.updater}", next(self._eo.timer_ids))
+                timer_event.sid, next(self._eo.timer_ids))
         timer_env = _Envelope(timer_event, envelope.birth_ts, timer.updater,
                               is_timer=True, timer_payload=timer.payload)
         self.sim.schedule_call(fire_at, self._send,

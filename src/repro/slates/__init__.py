@@ -3,7 +3,7 @@
 from repro.slates.cache import CacheStats, SlateCache, fragmented_capacity
 from repro.slates.codec import (DEFAULT_CODEC, CompressedJsonCodec,
                                 JsonCodec, SlateCodec)
-from repro.slates.manager import (FlushPolicy, RetryPolicy, SlateManager,
+from repro.slates.manager import (FlushPolicy, SlateManager,
                                   SlateManagerStats)
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "DEFAULT_CODEC",
     "FlushPolicy",
     "JsonCodec",
-    "RetryPolicy",
     "SlateCache",
     "SlateCodec",
     "SlateManager",

@@ -15,7 +15,7 @@ evicted from cache'."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.core.operators import Updater
@@ -76,49 +76,17 @@ class FlushPolicy:
         return cls(kind="on_evict")
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry/backoff behaviour for the manager's kv operations.
-
-    A transient store error (e.g. a :class:`~repro.errors.QuorumError`
-    during a kv-node outage) is retried up to ``max_attempts`` times
-    with exponential backoff; the backoff time is charged as simulated
-    I/O wait and counted. When retries are exhausted:
-
-    * ``fail_open=True`` (default): the operation *degrades* instead of
-      raising — a failed read behaves as a cache miss (the slate
-      re-initializes), a failed write leaves the slate dirty for the
-      next flush cycle to retry. Both are counted, so degradation is
-      observable; no :class:`~repro.errors.StoreError` ever escapes to
-      operator code.
-    * ``fail_open=False``: the final error propagates (fail-closed).
-
-    Attributes:
-        max_attempts: Total tries including the first (>= 1).
-        base_delay_s: Backoff before the first retry.
-        multiplier: Backoff growth factor per retry (>= 1).
-        max_delay_s: Backoff ceiling.
-        fail_open: Degrade instead of raising after the last attempt.
-    """
-
-    max_attempts: int = 4
-    base_delay_s: float = 0.002
-    multiplier: float = 2.0
-    max_delay_s: float = 0.25
-    fail_open: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ConfigurationError("backoff delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ConfigurationError("multiplier must be >= 1")
-
-    @classmethod
-    def none(cls, fail_open: bool = False) -> "RetryPolicy":
-        """No retries; optionally still fail open on the first error."""
-        return cls(max_attempts=1, fail_open=fail_open)
+#: Retry/backoff for the manager's kv operations. A transient store error
+#: (e.g. a :class:`~repro.errors.QuorumError` during a kv-node outage) is
+#: tried ``KV_MAX_ATTEMPTS`` times in all, the wait doubling from
+#: ``KV_BASE_DELAY_S``; the backoff time is charged as simulated I/O wait
+#: and counted. When the attempts are exhausted the operation *degrades*
+#: instead of raising — a failed read behaves as a cache miss (the slate
+#: re-initializes), a failed write leaves the slate dirty for the next
+#: flush cycle to retry. Both are counted, so degradation is observable;
+#: no :class:`~repro.errors.StoreError` ever escapes to operator code.
+KV_MAX_ATTEMPTS = 4
+KV_BASE_DELAY_S = 0.002
 
 
 @dataclass(slots=True)
@@ -160,12 +128,6 @@ class SlateManager:
         consistency: Consistency level for kv reads/writes.
         max_slate_bytes: Optional hard cap on slate size (Section 5's
             "keep slates small" advice, enforced).
-        retry: Retry/backoff/fail-open policy for kv operations (see
-            :class:`RetryPolicy`).
-        coalesce_flushes: Group dirty slates into multi-cell
-            :meth:`ReplicatedKVStore.write_batch` calls per flush cycle
-            (on by default; the perf-gate ablation knob — off flushes
-            one kv write per slate, the pre-batching behaviour).
         tracer: Optional :class:`repro.obs.Tracer`; when set the manager
             emits ``slate_read``/``slate_flush`` spans. Strictly
             passive — never consulted except behind ``is not None``.
@@ -184,8 +146,6 @@ class SlateManager:
         clock: Callable[[], float] = lambda: 0.0,
         consistency: ConsistencyLevel = ConsistencyLevel.ONE,
         max_slate_bytes: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-        coalesce_flushes: bool = True,
         tracer: Optional["Tracer"] = None,
         owner: Optional[str] = None,
     ) -> None:
@@ -195,8 +155,6 @@ class SlateManager:
         self.clock = clock
         self.consistency = consistency
         self.max_slate_bytes = max_slate_bytes
-        self.retry = retry or RetryPolicy()
-        self.coalesce_flushes = coalesce_flushes
         self.tracer = tracer
         self.owner = owner
         #: Extra kwargs stamped onto every slate span (empty when the
@@ -245,8 +203,6 @@ class SlateManager:
             result = self._kv_call(
                 lambda: self.store.read(row, column, self.consistency))
         except StoreError:
-            if not self.retry.fail_open:
-                raise
             # Fail-open degradation: treat the unreachable store as a
             # miss; the slate re-initializes and later flushes heal it.
             self.stats.fail_open_reads += 1
@@ -279,27 +235,26 @@ class SlateManager:
         return slate
 
     def _kv_call(self, op):
-        """Run one kv operation under the retry/backoff policy.
+        """Run one kv operation under the retry/backoff constants.
 
         Backoff is virtual: each retry charges its delay to
         ``pending_io_s`` (the engine's background I/O accounting) and to
         the backoff counter; the final failure propagates to the caller,
-        which applies the fail-open decision.
+        which degrades (fails open).
         """
-        delay = self.retry.base_delay_s
+        delay = KV_BASE_DELAY_S
         attempt = 1
         while True:
             try:
                 return op()
             except StoreError:
-                if attempt >= self.retry.max_attempts:
+                if attempt >= KV_MAX_ATTEMPTS:
                     raise
                 attempt += 1
                 self.stats.kv_retries += 1
                 self.stats.kv_backoff_s += delay
                 self.pending_io_s += delay
-                delay = min(delay * self.retry.multiplier,
-                            self.retry.max_delay_s)
+                delay *= 2.0
 
     # -- write-back ------------------------------------------------------------
     def note_update(self, slate: Slate) -> None:
@@ -380,7 +335,7 @@ class SlateManager:
             for slate in dirty:
                 slate.mark_clean()
             return len(dirty)
-        if not self.coalesce_flushes or len(dirty) == 1:
+        if len(dirty) == 1:
             flushed = 0
             for slate in dirty:
                 self._flush_slate(slate)
@@ -433,8 +388,6 @@ class SlateManager:
                 lambda: self.store.write(row, column, blob, ttl=slate.ttl,
                                          consistency=self.consistency))
         except StoreError:
-            if not self.retry.fail_open:
-                raise
             # Fail-open degradation: the slate stays dirty so the next
             # flush cycle retries it once the store heals. (A dirty slate
             # evicted while the store is down is lost — the same bounded

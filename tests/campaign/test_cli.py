@@ -1,7 +1,6 @@
 """``python -m repro campaign`` end to end, against the toy campaign."""
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -120,34 +119,3 @@ class TestRender:
         assert "| seed_echo | sum |" in written_by_run
         assert main(["campaign", "render", "toy"]) == 0
         assert md_path.read_text() == written_by_run
-
-
-TOY_TOML = """
-name = "toy-toml"
-description = "toy campaign loaded from TOML"
-scenario = "tests.campaign.toy:toy_cell"
-seed = 7
-
-[grid]
-a = [1, 2]
-b = [3, 4]
-
-[fixed]
-c = 5
-"""
-
-
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs tomllib")
-class TestTomlSpec:
-    def test_run_from_toml_spec(self, toy_registered, capsys):
-        spec_path = toy_registered / "toy.toml"
-        spec_path.write_text(TOY_TOML)
-        assert main(["campaign", "run", "--spec", str(spec_path)]) == 0
-        assert (toy_registered / "campaigns" / "scratch" / "toy-toml.json").exists()
-
-    def test_name_mismatch_rejected(self, toy_registered, capsys):
-        spec_path = toy_registered / "toy.toml"
-        spec_path.write_text(TOY_TOML)
-        code = main(["campaign", "run", "other", "--spec", str(spec_path)])
-        assert code == 2
-        assert "defines campaign" in capsys.readouterr().err

@@ -1,11 +1,10 @@
-"""Spec validation, hook resolution, and TOML loading."""
+"""Spec validation and hook resolution."""
 
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.campaign.spec import resolve_ref, spec_from_dict, spec_from_toml
+from repro.campaign.spec import resolve_ref, spec_from_dict
 from repro.errors import ConfigurationError
 from tests.campaign.toy import toy_cell, toy_spec
 
@@ -99,38 +98,3 @@ class TestSpecFromDict:
     def test_missing_required_key_rejected(self):
         with pytest.raises(ConfigurationError, match="missing 'scenario'"):
             spec_from_dict({"name": "x", "description": "d", "grid": {"a": [1]}})
-
-
-TOY_TOML = """
-name = "toy"
-description = "toy campaign loaded from TOML"
-scenario = "tests.campaign.toy:toy_cell"
-seed = 7
-volatile_metrics = ["seed_echo"]
-
-[grid]
-a = [1, 2]
-b = [3, 4]
-
-[fixed]
-c = 5
-"""
-
-
-class TestSpecFromToml:
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs tomllib")
-    def test_loads_toml(self, tmp_path):
-        path = tmp_path / "toy.toml"
-        path.write_text(TOY_TOML)
-        spec = spec_from_toml(path)
-        assert spec.name == "toy"
-        assert spec.grid == {"a": [1, 2], "b": [3, 4]}
-        assert spec.fixed == {"c": 5}
-        assert spec.seed == 7
-
-    @pytest.mark.skipif(sys.version_info >= (3, 11), reason="tomllib present")
-    def test_gated_below_311(self, tmp_path):
-        path = tmp_path / "toy.toml"
-        path.write_text(TOY_TOML)
-        with pytest.raises(ConfigurationError, match="3.11"):
-            spec_from_toml(path)

@@ -16,10 +16,6 @@ class TestMachineSpec:
         with pytest.raises(ConfigurationError):
             MachineSpec("m0", cores=0)
 
-    def test_invalid_memory(self):
-        with pytest.raises(ConfigurationError):
-            MachineSpec("m0", memory_mb=0)
-
     def test_invalid_storage(self):
         with pytest.raises(ConfigurationError):
             MachineSpec("m0", storage="tape")

@@ -120,10 +120,11 @@ class TestAppendixAppEndToEnd:
         from repro.slates.manager import FlushPolicy
 
         events, truth = CheckinGenerator(seed=113).take_with_truth(300)
-        config = LocalConfig(num_threads=2, cache_slates=1,
+        config = LocalConfig(num_threads=2,
                              flush_policy=FlushPolicy.write_through())
         with LocalMuppet(build_appendix_app(), config) as runtime:
             runtime.ingest_many(events)
             assert runtime.drain()
-            walmart = runtime.read_slate("U1", "Walmart")
+            stored = runtime.store.read("Walmart", "U1").value
+            walmart = runtime.manager.codec.decode(stored)
         assert slate_bytes(walmart) == str(truth["Walmart"]).encode()

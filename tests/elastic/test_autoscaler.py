@@ -1,14 +1,15 @@
-"""Autoscaler policy: EWMA signals, hysteresis, cooldown, bounds."""
+"""Autoscaler policy: EWMA signal, hysteresis, cooldown, bounds."""
 
 import pytest
 
 from repro.elastic import Autoscaler, AutoscalerConfig, ScaleDecision
+from repro.elastic import autoscaler as autoscaler_module
 from repro.errors import ConfigurationError
 
 
-def observe(scaler, now, queue, p99=None, dirty=0, live=4):
-    return scaler.observe(now, worst_queue_fraction=queue, p99_s=p99,
-                          dirty_backlog=dirty, live_machines=live)
+def observe(scaler, now, queue, live=4):
+    return scaler.observe(now, worst_queue_fraction=queue,
+                          live_machines=live)
 
 
 class TestAutoscalerConfig:
@@ -21,15 +22,11 @@ class TestAutoscalerConfig:
         {"min_machines": 0},
         {"max_machines": 1, "min_machines": 2},
         {"check_period_s": 0.0},
-        {"ewma_alpha": 0.0},
-        {"ewma_alpha": 1.5},
         {"scale_up_queue": 0.0},
         {"scale_up_queue": 1.5},
         {"scale_down_queue": -0.1},
         # No hysteresis band: down threshold at/above up threshold.
         {"scale_down_queue": 0.6, "scale_up_queue": 0.6},
-        {"p99_budget_s": 0.0},
-        {"dirty_backlog_high": 0},
         {"cooldown_s": -1.0},
         {"hold_s": -1.0},
         {"grow_step": 0},
@@ -42,8 +39,13 @@ class TestAutoscalerConfig:
 
 
 class TestAutoscalerPolicy:
+    @pytest.fixture(autouse=True)
+    def unsmoothed(self, monkeypatch):
+        """Alpha 1: the EWMA is the raw signal, so each decision is a
+        pure function of the sample."""
+        monkeypatch.setattr(autoscaler_module, "QUEUE_EWMA_ALPHA", 1.0)
+
     def cfg(self, **kwargs):
-        kwargs.setdefault("ewma_alpha", 1.0)  # unsmoothed: direct signal
         kwargs.setdefault("cooldown_s", 1.0)
         kwargs.setdefault("hold_s", 1.0)
         return AutoscalerConfig(**kwargs)
@@ -71,16 +73,6 @@ class TestAutoscalerPolicy:
         assert observe(scaler, 0.0, queue=0.9, live=4) \
             == ScaleDecision("grow", 2)
 
-    def test_p99_over_budget_escalates(self):
-        scaler = Autoscaler(self.cfg(p99_budget_s=0.1))
-        assert observe(scaler, 0.0, queue=0.0, p99=0.5) \
-            == ScaleDecision("grow", 1)
-
-    def test_dirty_backlog_escalates(self):
-        scaler = Autoscaler(self.cfg(dirty_backlog_high=100))
-        assert observe(scaler, 0.0, queue=0.0, dirty=500) \
-            == ScaleDecision("grow", 1)
-
     def test_shrink_requires_hold(self):
         scaler = Autoscaler(self.cfg(hold_s=1.0, cooldown_s=0.0))
         assert observe(scaler, 0.0, queue=0.0) is None   # calm starts
@@ -104,18 +96,9 @@ class TestAutoscalerPolicy:
         assert observe(scaler, 1.0, queue=0.0, live=2) is None
         assert scaler.counters.blocked_bounds == 1
 
-    def test_shrink_needs_p99_headroom(self):
-        scaler = Autoscaler(self.cfg(p99_budget_s=0.1, hold_s=0.0,
-                                     cooldown_s=0.0))
-        observe(scaler, 0.0, queue=0.0, p99=0.08)
-        # Under budget but above budget/2: not calm enough to shrink.
-        assert observe(scaler, 1.0, queue=0.0, p99=0.08) is None
-        observe(scaler, 2.0, queue=0.0, p99=0.01)
-        assert observe(scaler, 3.0, queue=0.0, p99=0.01) \
-            == ScaleDecision("shrink", 1)
-
-    def test_ewma_smooths_a_spike(self):
-        scaler = Autoscaler(AutoscalerConfig(ewma_alpha=0.2))
+    def test_ewma_smooths_a_spike(self, monkeypatch):
+        monkeypatch.undo()  # the shipped smoothing, not the fixture's
+        scaler = Autoscaler(AutoscalerConfig())
         # One spiky sample after a calm history does not trip the
         # threshold; sustained pressure does.
         observe(scaler, 0.0, queue=0.0)

@@ -53,12 +53,7 @@ class TestKnobValidation:
         with pytest.raises(ConfigurationError, match="muppet2"):
             SimConfig(engine="muppet1", autoscale=AutoscalerConfig())
 
-    @pytest.mark.parametrize("kwargs", [
-        {"max_delta_rounds": 0},
-        {"delta_threshold": -1},
-        {"delta_round_s": 0.0},
-        {"master_resume_s": 0.0},
-    ])
+    @pytest.mark.parametrize("kwargs", [{"delta_round_s": 0.0}])
     def test_invalid_migration_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             MigrationConfig(**kwargs)

@@ -130,26 +130,33 @@ class TestSingleChoice:
 
 
 class TestMemoization:
-    """The candidate memo caches pure hashes — identical routing with it
-    on or off, and hits only ever skip digests, never change answers."""
+    """A memo is a cache, not a policy: a warm dispatcher answers like a
+    freshly built (cold) one, before and after the ``reset()`` a retiring
+    machine applies — hits only ever skip digests, never change answers."""
 
     def test_two_choice_memo_matches_cold(self):
-        memo = TwoChoiceDispatcher(num_threads=8, memoize=True)
-        cold = TwoChoiceDispatcher(num_threads=8, memoize=False)
+        warm = TwoChoiceDispatcher(num_threads=8)
         for i in range(300):
+            if i == 150:
+                warm.reset()
             key = f"k{i % 100}"
-            assert memo.candidates(key, "U1") == cold.candidates(key, "U1")
+            cold = TwoChoiceDispatcher(num_threads=8)
+            assert warm.candidates(key, "U1") == cold.candidates(key, "U1")
+        assert warm.stats.memo_hits == 100
 
     def test_single_choice_memo_matches_cold(self):
-        memo = SingleChoiceDispatcher(num_threads=8, memoize=True)
-        cold = SingleChoiceDispatcher(num_threads=8, memoize=False)
+        warm = SingleChoiceDispatcher(num_threads=8)
         for i in range(300):
+            if i == 150:
+                warm.reset()
             key = f"k{i % 100}"
-            assert (memo.choose(key, "U1", [0] * 8, idle(8))
+            cold = SingleChoiceDispatcher(num_threads=8)
+            assert (warm.choose(key, "U1", [0] * 8, idle(8))
                     == cold.choose(key, "U1", [0] * 8, idle(8)))
+        assert warm.stats.memo_hits == 100
 
     def test_memo_counters(self):
-        dispatcher = TwoChoiceDispatcher(num_threads=8, memoize=True)
+        dispatcher = TwoChoiceDispatcher(num_threads=8)
         for _ in range(3):
             for i in range(50):
                 dispatcher.candidates(f"k{i}", "U1")
@@ -157,16 +164,18 @@ class TestMemoization:
         assert dispatcher.stats.memo_hits == 100
 
     def test_unmemoized_counts_nothing(self):
-        dispatcher = TwoChoiceDispatcher(num_threads=8, memoize=False)
+        """One thread has one candidate: nothing is hashed, so nothing is
+        memoized or counted."""
+        dispatcher = TwoChoiceDispatcher(num_threads=1)
         for _ in range(3):
-            dispatcher.candidates("k", "U1")
+            assert dispatcher.candidates("k", "U1") == (0, 0)
         assert dispatcher.stats.memo_hits == 0
         assert dispatcher.stats.memo_misses == 0
 
     def test_memo_distinguishes_functions(self):
-        dispatcher = TwoChoiceDispatcher(num_threads=8, memoize=True)
+        dispatcher = TwoChoiceDispatcher(num_threads=8)
         pair_u1 = dispatcher.candidates("k", "U1")
         pair_u2 = dispatcher.candidates("k", "U2")
-        cold = TwoChoiceDispatcher(num_threads=8, memoize=False)
+        cold = TwoChoiceDispatcher(num_threads=8)
         assert pair_u1 == cold.candidates("k", "U1")
         assert pair_u2 == cold.candidates("k", "U2")

@@ -5,8 +5,10 @@ import threading
 import pytest
 
 from repro.core import Application, Event
-from repro.errors import EngineStoppedError, WorkflowError
+from repro.errors import (ConfigurationError, EngineStoppedError,
+                          WorkflowError)
 from repro.muppet.local import LocalConfig, LocalMuppet
+from repro.muppet.local1 import Local1Config
 from repro.muppet.queues import OverflowPolicy
 from repro.slates.manager import FlushPolicy
 from tests.conftest import (CountingUpdater, EchoMapper, build_count_app,
@@ -66,6 +68,11 @@ class TestBasicExecution:
 
 
 class TestLifecycle:
+    @pytest.mark.parametrize("config", [LocalConfig, Local1Config])
+    def test_flusher_period_that_would_spin_rejected(self, config):
+        with pytest.raises(ConfigurationError, match="flusher_period_s"):
+            config(flusher_period_s=0.0)
+
     def test_ingest_before_start_rejected(self, count_app):
         runtime = LocalMuppet(count_app)
         with pytest.raises(EngineStoppedError):

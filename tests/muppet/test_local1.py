@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Event
 from repro.errors import EngineStoppedError
-from repro.muppet.local import LocalConfig, LocalMuppet
+from repro.muppet.local import CACHE_SLATES, LocalConfig, LocalMuppet
 from repro.muppet.local1 import Local1Config, LocalMuppet1
 from repro.workloads import CheckinGenerator
 from repro.apps import build_retailer_app
@@ -79,13 +79,12 @@ class TestArchitecture10:
         assert stats.total_bytes > 100 * 40  # real serialized frames
 
     def test_fragmented_caches_per_worker(self):
-        config = Local1Config(workers_per_function=2,
-                              cache_slates_total=8)
+        config = Local1Config(workers_per_function=2)
         with LocalMuppet1(build_count_app(), config) as runtime:
             updater_workers = [w for w in runtime._workers
                                if w.function == "U1"]
-            # 8 total slots / (2 functions x 2 workers) = 2 per worker.
-            assert all(w.manager.cache.capacity == 2
+            # The machine's slots / (2 functions x 2 workers).
+            assert all(w.manager.cache.capacity == CACHE_SLATES // 4
                        for w in updater_workers)
 
     def test_status_and_metrics_sum_over_the_private_pools(self):

@@ -13,9 +13,9 @@ import pytest
 
 from repro.core import Application, Event, Mapper, Updater
 from repro.core.reference import ReferenceExecutor
+from repro.muppet import local as local_module
 from repro.muppet.local import LocalConfig, LocalMuppet
 from repro.muppet.queues import OverflowPolicy
-from repro.shedding.thinning import ThinnableCounter, ThinningPolicy
 from repro.slates.codec import DEFAULT_CODEC
 from repro.slates.manager import FlushPolicy
 from tests.conftest import (LAYOUTS, PER_FUNCTION, POOL, CountingUpdater,
@@ -50,13 +50,14 @@ def _locks_held_by(runtime):
 
 
 class TestSlateLockPopulation:
-    def test_distinct_keys_leave_no_locks_behind(self):
+    def test_distinct_keys_leave_no_locks_behind(self, monkeypatch):
         """10 000 keys through a 100-slate cache: the slates are evicted,
         and no per-key lock may outlive them."""
         app = Application("churn")
         app.add_stream("S1", external=True)
         app.add_updater("U1", CountingUpdater, subscribes=["S1"])
-        config = LocalConfig(num_threads=2, cache_slates=100)
+        monkeypatch.setattr(local_module, "CACHE_SLATES", 100)
+        config = LocalConfig(num_threads=2)
         with LocalMuppet(app, config) as runtime:
             before = _locks_held_by(runtime)
             for i in range(10_000):
@@ -164,38 +165,6 @@ class Burst(Mapper):
     def map(self, ctx, event):
         for i in range(self.config["fanout"]):
             ctx.publish("S2", event.key, i)
-
-
-class TestThinnedAccounting:
-    layout = POOL
-
-    def test_thinned_delivery_is_processed_exactly_once(self):
-        app = Application("thin")
-        app.add_stream("S1", external=True)
-        app.add_stream("S2")
-        app.add_mapper("M1", Burst, subscribes=["S1"], publishes=["S2"],
-                       config={"fanout": 20})
-        app.add_updater("U1", ThinnableCounter, subscribes=["S2"])
-        # One worker (for U1): while it runs the i-th of the 20 updates,
-        # 19 - i are still queued, so every update but the last sees
-        # pressure.
-        with self.layout.build(
-                app, 1, queue_capacity=100, thin_queue_fraction=0.01,
-                thinning=ThinningPolicy(keep_rates={"default": 0.5}),
-        ) as runtime:
-            runtime.ingest(Event("S1", 0.0, "k"))
-            assert runtime.drain()
-            snap = runtime.counters.snapshot()
-            thinner = runtime._thinner
-            assert thinner.decisions == 19
-            assert snap["thinned"] == thinner.skipped > 0
-            assert snap["processed"] == 21  # the map + 20 deliveries
-            assert runtime.read_slate("U1", "k")["count"] == (
-                2.0 * thinner.kept + 1.0)
-
-
-class TestThinnedAccountingPerFunction(TestThinnedAccounting):
-    layout = PER_FUNCTION
 
 
 class Gate(Updater):

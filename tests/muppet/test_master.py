@@ -32,9 +32,10 @@ class TestMaster:
         assert master.failed_machines() == {"a", "b"}
 
     def test_forget_restores(self):
+        """A recovery report is how the master forgets a failure."""
         master = Master()
         master.report_failure("a")
-        master.forget("a")
+        master.report_recovery("a")
         assert master.failed_machines() == set()
         assert master.report_failure("a")  # news again
 

@@ -53,7 +53,10 @@ class TestReplayInSim:
                                key_fn=lambda i: f"k{i % 64}")
         runtime = SimRuntime(
             build_count_app(), ClusterSpec.uniform(4, cores=4),
-            SimConfig(replay_horizon_s=replay_horizon,
+            SimConfig(delivery_semantics=("at-most-once"
+                                          if replay_horizon is None
+                                          else "at-least-once"),
+                      replay_horizon_s=replay_horizon,
                       flush_policy=FlushPolicy.write_through()),
             [source], failures=[(1.0, "m001")])
         report = runtime.run(10.0)

@@ -1,28 +1,15 @@
-"""MetricsRegistry: counters, gauges, histograms, views, snapshots."""
+"""MetricsRegistry: histograms, views, groups, snapshots."""
 
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import (Counter, Gauge, Histogram, LatencyRecorder,
-                       MetricsRegistry, percentile)
+from repro.obs import (Histogram, LatencyRecorder, MetricsRegistry,
+                       percentile)
 
 
 class TestInstruments:
-    def test_counter_increments(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(5)
-        assert counter.value == 6
-
-    def test_gauge_samples_lazily(self):
-        box = {"v": 1}
-        gauge = Gauge("g", lambda: box["v"])
-        assert gauge.read() == 1
-        box["v"] = 7
-        assert gauge.read() == 7
-
     def test_histogram_percentiles_bracket_exact(self):
         histogram = Histogram("h")
         samples = [0.0015 * (i % 40 + 1) for i in range(1000)]
@@ -64,21 +51,12 @@ class TestInstruments:
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
         assert reg.histogram("h") is reg.histogram("h")
-
-    def test_kind_collision_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ConfigurationError):
-            reg.histogram("x")
-        with pytest.raises(ConfigurationError):
-            reg.gauge("x", lambda: 0)
 
     def test_snapshot_flat_sorted_and_expanded(self):
         reg = MetricsRegistry()
-        reg.counter("b.two").inc(2)
-        reg.gauge("a.one", lambda: 1)
+        reg.register_group("b", lambda: {"two": 2})
+        reg.register_group("a", lambda: {"one": 1})
         reg.histogram("z.lat").observe(0.5)
         snap = reg.snapshot()
         assert list(snap) == sorted(snap)
@@ -107,7 +85,7 @@ class TestRegistry:
 
     def test_family_snapshot_groups_by_first_segment(self):
         reg = MetricsRegistry()
-        reg.counter("counters.processed").inc(10)
+        reg.register_group("counters", lambda: {"processed": 10})
         reg.register_group("robustness", lambda: {"kv_retries": 1})
         families = reg.family_snapshot()
         assert families["counters"] == {"processed": 10}
@@ -115,8 +93,8 @@ class TestRegistry:
 
     def test_to_json_round_trips(self):
         reg = MetricsRegistry()
-        reg.counter("a").inc()
-        assert json.loads(reg.to_json()) == {"a": 1}
+        reg.register_group("a", lambda: {"b": 1})
+        assert json.loads(reg.to_json()) == {"a.b": 1}
 
     def test_latency_recorder_bridge(self):
         recorder = LatencyRecorder()

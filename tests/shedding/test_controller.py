@@ -1,23 +1,24 @@
-"""BackpressureController: tiers, hysteresis, secondary signals."""
+"""BackpressureController: tiers, hysteresis, the latency signal."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.shedding.controller import (TIER_NAMES, TIER_NORMAL,
+from repro.shedding import controller as controller_module
+from repro.shedding.controller import (HOLD_S, THIN_ENTER, THIN_EXIT,
+                                       TIER_NAMES, TIER_NORMAL,
                                        TIER_OVERFLOW, TIER_THIN,
                                        TIER_THROTTLE,
                                        BackpressureController,
                                        PressureSignals, SheddingConfig)
 
 
-def make_config(**overrides):
-    """An alpha-1 config: the EWMA tracks the raw signal exactly, so
-    tier decisions in these tests are a pure function of the inputs."""
-    kwargs = dict(ewma_alpha=1.0, hold_s=0.25)
-    kwargs.update(overrides)
-    return SheddingConfig(**kwargs)
+@pytest.fixture(autouse=True)
+def unsmoothed(monkeypatch):
+    """Alpha 1: the EWMA tracks the raw signal exactly, so tier
+    decisions in these tests are a pure function of the inputs."""
+    monkeypatch.setattr(controller_module, "QUEUE_EWMA_ALPHA", 1.0)
 
 
 def sig(queue_fraction, **kwargs):
@@ -29,17 +30,15 @@ class TestSheddingConfigValidation:
         SheddingConfig()
 
     @pytest.mark.parametrize("kwargs", [
-        {"check_period_s": 0.0},
-        {"hold_s": -0.1},
-        {"ewma_alpha": 0.0},
-        {"ewma_alpha": 1.5},
-        {"thin_enter": 0.15, "thin_exit": 0.15},       # no band
         {"overflow_exit": 0.9},                        # exit above enter
-        {"thin_enter": 0.8},                           # not ascending
+        {"throttle_exit": 0.95},                       # exit above enter
+        {"overflow_exit": 0.0},                        # band must clear 0
+        {"throttle_exit": -0.1},                       # band must clear 0
+        {"throttle_enter": 1.05},                      # a fraction, <= 1
+        {"overflow_enter": THIN_ENTER, "overflow_exit": 0.2},  # not ascending
         {"overflow_enter": 0.95},                      # not ascending
         {"divert_fraction": 0.0},
         {"divert_fraction": 1.2},
-        {"p99_window": 0},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -48,30 +47,31 @@ class TestSheddingConfigValidation:
 
 class TestTierTransitions:
     def test_unobserved_machine_is_normal(self):
-        controller = BackpressureController(make_config())
+        controller = BackpressureController(SheddingConfig())
         assert controller.tier_of("m000") == TIER_NORMAL
         assert controller.smoothed("m000") == 0.0
 
     def test_escalation_is_immediate_and_can_jump_tiers(self):
-        controller = BackpressureController(make_config())
+        controller = BackpressureController(SheddingConfig())
         tier = controller.observe("m000", sig(0.95), now=0.0)
         assert tier == TIER_THROTTLE
         # One transition, not three: the machine jumped straight there.
         assert controller.counters.escalations == 1
 
     def test_tier_thresholds_map_to_tiers(self):
-        cfg = make_config()
-        cases = [(cfg.thin_enter - 0.01, TIER_NORMAL),
-                 (cfg.thin_enter, TIER_THIN),
+        cfg = SheddingConfig()
+        cases = [(THIN_ENTER - 0.01, TIER_NORMAL),
+                 (THIN_ENTER, TIER_THIN),
                  (cfg.overflow_enter, TIER_OVERFLOW),
                  (cfg.throttle_enter, TIER_THROTTLE)]
         for i, (fraction, expected) in enumerate(cases):
-            controller = BackpressureController(make_config())
+            controller = BackpressureController(SheddingConfig())
             assert controller.observe(f"m{i}", sig(fraction), 0.0) \
                 == expected
 
     def test_deescalation_needs_hold_time(self):
-        controller = BackpressureController(make_config(hold_s=0.25))
+        assert HOLD_S == 0.25
+        controller = BackpressureController(SheddingConfig())
         controller.observe("m000", sig(0.80), now=0.0)   # -> overflow
         # Signal cleared, but the dwell has not elapsed yet.
         assert controller.observe("m000", sig(0.0), 0.1) == TIER_OVERFLOW
@@ -85,10 +85,10 @@ class TestTierTransitions:
     def test_hysteresis_band_holds_the_tier(self):
         """A signal between exit and enter neither escalates nor
         de-escalates — the anti-flap contract."""
-        cfg = make_config()
+        cfg = SheddingConfig()
         controller = BackpressureController(cfg)
-        controller.observe("m000", sig(cfg.thin_enter), now=0.0)
-        between = (cfg.thin_exit + cfg.thin_enter) / 2
+        controller.observe("m000", sig(THIN_ENTER), now=0.0)
+        between = (THIN_EXIT + THIN_ENTER) / 2
         for i in range(1, 20):
             # Long dwell each step: only the exit threshold holds it.
             assert controller.observe("m000", sig(between),
@@ -97,21 +97,21 @@ class TestTierTransitions:
         assert controller.counters.deescalations == 0
 
     def test_machines_are_independent(self):
-        controller = BackpressureController(make_config())
+        controller = BackpressureController(SheddingConfig())
         controller.observe("m000", sig(0.95), 0.0)
         controller.observe("m001", sig(0.0), 0.0)
         assert controller.tier_of("m000") == TIER_THROTTLE
         assert controller.tier_of("m001") == TIER_NORMAL
 
-    def test_ewma_smooths_a_spike(self):
+    def test_ewma_smooths_a_spike(self, monkeypatch):
         """After a calm baseline (the EWMA seeds on its first
         observation), one spike does not clear the enter threshold, but
         sustained pressure does."""
-        controller = BackpressureController(
-            make_config(ewma_alpha=0.2))
+        monkeypatch.undo()  # the shipped smoothing (alpha 0.4)
+        controller = BackpressureController(SheddingConfig())
         assert controller.observe("m000", sig(0.0), 0.0) == TIER_NORMAL
-        # One spike: smoothed only reaches alpha * 1.0 = 0.2 < enter.
-        assert controller.observe("m000", sig(1.0), 0.02) == TIER_NORMAL
+        # One spike: smoothed only reaches alpha * 0.8 = 0.32 < enter.
+        assert controller.observe("m000", sig(0.8), 0.02) == TIER_NORMAL
         # Sustained moderate pressure converges the EWMA onto 0.5.
         for i in range(2, 12):
             controller.observe("m000", sig(0.5), i * 0.02)
@@ -121,34 +121,24 @@ class TestTierTransitions:
 class TestSecondarySignals:
     def test_p99_over_budget_forces_thin(self):
         controller = BackpressureController(
-            make_config(p99_budget_s=2.0))
+            SheddingConfig(p99_budget_s=2.0))
         tier = controller.observe("m000", sig(0.0, p99_s=3.0), 0.0)
         assert tier == TIER_THIN
 
     def test_p99_signal_disabled_by_default(self):
-        controller = BackpressureController(make_config())
+        controller = BackpressureController(SheddingConfig())
         assert controller.observe("m000", sig(0.0, p99_s=99.0), 0.0) \
             == TIER_NORMAL
 
-    def test_dirty_backlog_forces_thin(self):
-        controller = BackpressureController(
-            make_config(dirty_slates_high=100))
-        assert controller.observe("m000", sig(0.0, dirty_slates=100),
-                                  0.0) == TIER_NORMAL
-        assert controller.observe("m000", sig(0.0, dirty_slates=101),
-                                  1.0) == TIER_THIN
-
     def test_secondary_signals_never_exceed_thin(self):
-        controller = BackpressureController(
-            make_config(p99_budget_s=0.1, dirty_slates_high=1))
-        tier = controller.observe(
-            "m000", sig(0.0, p99_s=50.0, dirty_slates=9999), 0.0)
+        controller = BackpressureController(SheddingConfig(p99_budget_s=0.1))
+        tier = controller.observe("m000", sig(0.0, p99_s=50.0), 0.0)
         assert tier == TIER_THIN
 
 
 class TestCounters:
     def test_residence_times_partition_the_run(self):
-        controller = BackpressureController(make_config())
+        controller = BackpressureController(SheddingConfig())
         controller.observe("m000", sig(0.5), now=0.0)   # thin at t=0
         controller.observe("m000", sig(0.95), now=2.0)  # throttle at t=2
         controller.observe("m001", sig(0.0), now=0.0)   # normal all run
@@ -162,14 +152,14 @@ class TestCounters:
         assert total == pytest.approx(2 * 5.0)  # machines x elapsed
 
     def test_finish_is_idempotent(self):
-        controller = BackpressureController(make_config())
+        controller = BackpressureController(SheddingConfig())
         controller.observe("m000", sig(0.0), 0.0)
         controller.finish(5.0)
         controller.finish(5.0)
         assert controller.counters.time_normal_s == pytest.approx(5.0)
 
     def test_as_dict_is_insertion_ordered_and_complete(self):
-        counters = BackpressureController(make_config()).counters
+        counters = BackpressureController(SheddingConfig()).counters
         keys = list(counters.as_dict())
         assert keys == ["thinned", "kept_weighted", "weight_applied",
                         "diverted_proactive", "escalations",

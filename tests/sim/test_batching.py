@@ -46,6 +46,37 @@ class TestConfigValidation:
                            match="batch_linger_s must be >= 0"):
             SimConfig(batch_linger_s=-0.001)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"flusher_period_s": 0.0},
+        {"retry_delay_s": 0.0},
+        {"threads_per_machine": 0},
+    ])
+    def test_hanging_values_rejected(self, kwargs):
+        """A zero period re-arms at one simulated instant forever; zero
+        threads used to mean "the core count"."""
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("ignored, kwargs", [
+        ("batch_linger_s", {"batch_linger_s": 0.5}),
+        ("workers_per_function", {"workers_per_function": {"M1": 3}}),
+        ("threads_per_machine",
+         {"engine": "muppet1", "threads_per_machine": 2}),
+        ("replay_horizon_s", {"replay_horizon_s": 0.5}),
+        ("replay_horizon_s", {"replay_horizon_s": 0.5,
+                              "delivery_semantics": "at-most-once"}),
+    ])
+    def test_ignored_pairs_rejected(self, ignored, kwargs):
+        with pytest.raises(ConfigurationError, match=ignored):
+            SimConfig(**kwargs)
+
+    def test_nothing_the_caller_set_is_rewritten(self):
+        kwargs = dict(delivery_semantics="at-least-once",
+                      replay_horizon_s=0.5, threads_per_machine=2,
+                      batch_max_events=8, batch_linger_s=0.5)
+        cfg = SimConfig(**kwargs)
+        assert {name: getattr(cfg, name) for name in kwargs} == kwargs
+
     def test_zero_disables_batching(self):
         cfg = SimConfig(batch_max_events=0, batch_linger_s=0.0)
         _, report = run_with(cfg)
@@ -78,17 +109,6 @@ class TestBatchingDeterminism:
         _, rep_a = run_with(SimConfig(**cfg))
         _, rep_b = run_with(SimConfig(**cfg))
         assert rep_a.counter_report() == rep_b.counter_report()
-
-    def test_memoized_routing_matches_unmemoized(self):
-        """Routing memos are a cache, not a policy change: placements,
-        slates, and every non-memo counter agree with the cold path."""
-        memo = SimConfig(memoize_routing=True)
-        cold = SimConfig(memoize_routing=False)
-        rt_memo, rep_memo = run_with(memo)
-        rt_cold, rep_cold = run_with(cold)
-        assert (json.dumps(rt_memo.slates_of("U1"), sort_keys=True)
-                == json.dumps(rt_cold.slates_of("U1"), sort_keys=True))
-        assert stable_lines(rep_memo) == stable_lines(rep_cold)
 
 
 class TestBatchingCounters:

@@ -20,10 +20,6 @@ class TestCostModel:
         with pytest.raises(ConfigurationError):
             CostModel(map_service_s=-1.0)
 
-    def test_map_time_scales_with_cost_factor(self):
-        costs = CostModel(map_service_s=100e-6)
-        assert costs.map_time(2.0) == pytest.approx(200e-6)
-
     def test_update_time_includes_slate_bytes(self):
         costs = CostModel(update_service_s=100e-6,
                           slate_byte_cost_s=1e-9)

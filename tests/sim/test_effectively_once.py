@@ -59,10 +59,6 @@ class TestConfigSurface:
         assert runtime.config.delivery_semantics == "at-most-once"
         assert runtime.replay_journal is None
 
-    def test_bare_horizon_upgrades_to_at_least_once(self):
-        config = SimConfig(replay_horizon_s=0.5)
-        assert config.delivery_semantics == "at-least-once"
-
     def test_at_least_once_defaults_its_horizon(self):
         config = SimConfig(delivery_semantics="at-least-once")
         assert config.replay_horizon_s == 0.25

@@ -127,13 +127,6 @@ def muppet2_single_choice():
                 _trace(2_000, 16, 0.0002), 5.0)
 
 
-def muppet2_memoize_off():
-    return _run(chain_app(),
-                SimConfig(memoize_routing=False,
-                          coalesce_slate_flushes=False),
-                _trace(2_000, 64, 0.0002), 5.0)
-
-
 def muppet2_write_through_sinks():
     return _run(build_two_stage_app(),
                 SimConfig(flush_policy=FlushPolicy.write_through(),
@@ -169,7 +162,8 @@ def trace_on_chaos():
 
 def at_least_once_crash():
     return _run(build_count_app(),
-                SimConfig(replay_horizon_s=0.5, queue_capacity=100_000),
+                SimConfig(delivery_semantics="at-least-once",
+                          replay_horizon_s=0.5, queue_capacity=100_000),
                 _steady(), 4.0, failures=_crash())
 
 
@@ -322,7 +316,7 @@ def small_queue_drop():
 
 SCENARIOS = {fn.__name__: fn for fn in (
     muppet2_dense, muppet2_quiescent_gaps, muppet2_single_choice,
-    muppet2_memoize_off, muppet2_write_through_sinks,
+    muppet2_write_through_sinks,
     muppet1_workers_per_function, muppet1_crash_recover, trace_on_chaos,
     at_least_once_crash, effectively_once_batching_crash,
     effectively_once_two_stage_traced, batching_only, shedding_e22_thin,

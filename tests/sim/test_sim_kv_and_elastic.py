@@ -10,12 +10,16 @@ from repro.slates.manager import FlushPolicy
 from tests.conftest import build_count_app
 
 
-def run(config, machines=3, rate=1000.0, duration=1.0, failures=()):
+def run(config, machines=3, rate=1000.0, duration=1.0, failures=(),
+        consistency=None):
     source = constant_rate("S1", rate_per_s=rate, duration_s=duration,
                            key_fn=lambda i: f"k{i % 32}")
     runtime = SimRuntime(build_count_app(),
                          ClusterSpec.uniform(machines, cores=4), config,
                          [source], failures=failures)
+    if consistency is not None:  # the engine's own level is ONE
+        for machine in runtime.machines.values():
+            machine.central_mgr.consistency = consistency
     report = runtime.run(duration + 10.0)
     counted = sum(v["count"] for v in runtime.slates_of("U1").values())
     return runtime, report, counted
@@ -26,18 +30,16 @@ class TestConsistencyInEngines:
                                        ConsistencyLevel.QUORUM,
                                        ConsistencyLevel.ALL])
     def test_all_levels_count_correctly(self, level):
-        config = SimConfig(consistency=level,
-                           flush_policy=FlushPolicy.write_through())
-        _, report, counted = run(config)
+        config = SimConfig(flush_policy=FlushPolicy.write_through())
+        _, report, counted = run(config, consistency=level)
         assert counted == 1000
         assert report.counters.lost_total() == 0
 
     def test_stronger_levels_cost_more_io(self):
         """ALL waits on the slowest of three replicas: more sync cost."""
         def kv_busy(level):
-            config = SimConfig(consistency=level,
-                               flush_policy=FlushPolicy.write_through())
-            runtime, _, __ = run(config)
+            config = SimConfig(flush_policy=FlushPolicy.write_through())
+            runtime, _, __ = run(config, consistency=level)
             return sum(node.device.stats.busy_time_s
                        for node in runtime.store.nodes.values())
 
@@ -50,7 +52,6 @@ class TestKvNodeFailure:
         """kill_kv_on_machine_failure: the dead machine takes its kv
         node with it; rf=3 keeps slates readable."""
         config = SimConfig(kill_kv_on_machine_failure=True,
-                           kv_replication=3,
                            flush_policy=FlushPolicy.write_through())
         runtime, report, counted = run(config, machines=4,
                                        failures=[(0.5, "m001")])

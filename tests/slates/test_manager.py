@@ -8,7 +8,7 @@ from repro.core.operators import Updater
 from repro.errors import (ConfigurationError, SlateTooLargeError,
                           StoreError)
 from repro.kvstore.cluster import ReplicatedKVStore
-from repro.slates.manager import FlushPolicy, RetryPolicy, SlateManager
+from repro.slates.manager import KV_MAX_ATTEMPTS, FlushPolicy, SlateManager
 
 
 class CountUpdater(Updater):
@@ -225,24 +225,14 @@ class FlakyStore:
         return self._store.write(*args, **kwargs)
 
 
-def make_flaky_env(fail_n, retry=None, flush_policy=None):
+def make_flaky_env(fail_n, flush_policy=None):
     manager, updater, clock = make_env(
         flush_policy=flush_policy or FlushPolicy.write_through())
     manager.store = FlakyStore(manager.store, fail_n)
-    if retry is not None:
-        manager.retry = retry
     return manager, updater, clock
 
 
 class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(base_delay_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(multiplier=0.5)
-
     def test_transient_error_retried_with_backoff(self):
         manager, updater, clock = make_flaky_env(fail_n=2)
         slate = manager.get(updater, "k")  # read: 2 failures, then ok
@@ -253,22 +243,14 @@ class TestRetryPolicy:
         assert manager.pending_io_s >= 0.006
         assert manager.stats.fail_open_reads == 0
 
-    def test_backoff_capped_at_max_delay(self):
-        retry = RetryPolicy(max_attempts=6, base_delay_s=0.1,
-                            multiplier=10.0, max_delay_s=0.2,
-                            fail_open=True)
-        manager, updater, clock = make_flaky_env(fail_n=5, retry=retry)
-        manager.get(updater, "k")
-        # Delays: 0.1, then capped at 0.2 for the remaining retries.
-        assert manager.stats.kv_backoff_s == pytest.approx(
-            0.1 + 0.2 + 0.2 + 0.2 + 0.2)
-
     def test_fail_open_read_degrades_to_miss(self):
         manager, updater, clock = make_flaky_env(fail_n=100)
         slate = manager.get(updater, "k")  # every attempt fails
         assert slate["count"] == 0  # initialized, not raised
         assert manager.stats.fail_open_reads == 1
-        assert manager.stats.kv_retries == manager.retry.max_attempts - 1
+        assert manager.stats.kv_retries == KV_MAX_ATTEMPTS - 1
+        # Every wait doubled: 0.002 + 0.004 + 0.008.
+        assert manager.stats.kv_backoff_s == pytest.approx(0.014)
 
     def test_fail_open_write_leaves_slate_dirty(self):
         manager, updater, clock = make_flaky_env(fail_n=0)
@@ -283,12 +265,6 @@ class TestRetryPolicy:
         assert manager.flush_all_dirty() == 1
         assert not slate.dirty
         assert manager.stats.kv_writes == 1
-
-    def test_fail_closed_propagates(self):
-        manager, updater, clock = make_flaky_env(
-            fail_n=100, retry=RetryPolicy.none(fail_open=False))
-        with pytest.raises(StoreError):
-            manager.get(updater, "k")
 
     def test_revive_counts_rehydrated_fetches(self):
         manager, updater, clock = make_env(
