@@ -1,11 +1,11 @@
 """MUP009: per-event allocation in ``# hot-path`` functions.
 
-The fast-forward overhaul (E23) lives or dies on per-event allocation
-discipline: at ~210k steps per E1 run, one extra dict literal or a
-``dataclasses.replace`` (which re-runs ``__init__`` and validation) per
-event is a measurable wall-clock regression. Functions on the per-event
-path are marked with a ``# hot-path`` comment on their signature; inside
-them this rule flags
+The compiled per-event path (E23; ``bench``'s ``sim_chain`` measures
+it) lives or dies on per-event allocation discipline: at ~210k steps
+per E1 run, one extra dict literal or a ``dataclasses.replace`` (which
+re-runs ``__init__`` and validation) per event is a measurable
+wall-clock regression. Functions on the per-event path are marked with
+a ``# hot-path`` comment on their signature; inside them this rule flags
 
 * ``dataclasses.replace(...)`` calls — replace re-allocates through the
   constructor; hot code should build the new record directly (the Event

@@ -4,8 +4,8 @@ The invariant checker needs a trace worth checking: long enough to
 cross a failure, a recovery, and replay, yet fully retained (a ring
 that dropped its head makes FIFO/coverage checks report phantom
 violations). This module re-creates the repo's E6d chaos scenario —
-the same one the CI determinism gate replays — with tracing on and a
-ring sized so nothing is dropped.
+the one the ``e6d_crash_recover`` campaign commits — with tracing on and
+a ring sized so nothing is dropped.
 
 E6d: S1 → M1(echo) → S2 → U1(count), 2000 events/s for 3 s over 64
 keys on a 4-machine cluster; m001 crashes at t=1.05 s and recovers at

@@ -2,16 +2,13 @@
 
 Each module assembles one of the workflows from Sections 2-5: retailer
 checkin counting (Examples 1/4, Figures 1(b), 3, 4), hot-topic detection
-(Examples 2/5, Figure 1(c)), user reputation (Example 3), top-ten URLs and
-HTTP request counters (Section 2), and hotspot key splitting (Example 6).
+(Examples 2/5, Figure 1(c)), user reputation (Example 3), top-ten URLs
+(Section 2), and hotspot key splitting (Example 6).
 """
 
 from repro.apps.hot_topics import (HotTopicDetector, MinuteCounter,
                                    TopicMapper, build_hot_topics_app,
                                    minute_of_day, topic_minute_key)
-from repro.apps.http_counters import (RequestLogMapper, SectionCounter,
-                                      build_http_counters_app,
-                                      generate_request_events)
 from repro.apps.appendix_a import build_appendix_app
 from repro.apps.profiles import (ProfileMapper, UserProfileUpdater,
                                  VenueProfileUpdater, build_profiles_app,
@@ -41,11 +38,9 @@ __all__ = [
     "MinuteCounter",
     "PartialCounter",
     "RETAILER_PATTERNS",
-    "RequestLogMapper",
     "ReputationMapper",
     "ReputationUpdater",
     "RetailerMapper",
-    "SectionCounter",
     "SplittingRetailerMapper",
     "TopUrls",
     "TopicMapper",
@@ -54,12 +49,10 @@ __all__ = [
     "UrlMapper",
     "base_key",
     "build_hot_topics_app",
-    "build_http_counters_app",
     "build_reputation_app",
     "build_retailer_app",
     "build_split_app",
     "build_top_urls_app",
-    "generate_request_events",
     "match_retailer",
     "minute_of_day",
     "split_key",

@@ -17,11 +17,7 @@ from repro.campaign.artifact import (
 )
 from repro.campaign.grid import Cell, cell_id, cell_seed, expand_grid
 from repro.campaign.runner import Runner, RunResult
-from repro.campaign.spec import (
-    CampaignSpec,
-    resolve_ref,
-    spec_from_dict,
-)
+from repro.campaign.spec import CampaignSpec, resolve_ref
 from repro.campaign.specs import SPECS, get_spec
 
 __all__ = [
@@ -38,6 +34,5 @@ __all__ = [
     "load_artifact",
     "render_markdown",
     "resolve_ref",
-    "spec_from_dict",
     "write_artifact",
 ]

@@ -7,11 +7,11 @@ over the finished rows. Most cells drive the counting pipeline on a
 simulated cluster and report latency in milliseconds; most hooks compare
 two cells of a sweep. Those habits live here.
 
-The cells keep the literal seeds, rates and durations of the pytest
-scripts they replace (``benchmarks/bench_e*.py`` up to PR 18), so the
-runner's hash-derived per-cell seed goes unused — as in
-:mod:`repro.campaign.perf`, and for the same reason: the numbers stay
-comparable with everything quoted before.
+The cells keep the literal seeds, rates and durations of the one-shot
+pytest scripts they replaced at PR 19, so the runner's hash-derived
+per-cell seed goes unused — as in :mod:`repro.campaign.perf`, and for
+the same reason: the numbers stay comparable with everything quoted
+before.
 """
 
 from __future__ import annotations

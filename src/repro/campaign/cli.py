@@ -5,9 +5,8 @@ the docs assume is the repo root):
 
 * committed artifacts: ``campaigns/results/<name>.json`` + ``.md``
   (``perf_baseline`` overrides its JSON home to ``BENCH_PERF.json``);
-* scratch runs (no ``--update``): ``campaigns/scratch/`` by default,
-  ``--out DIR`` to redirect (CI uses ``benchmarks/results/...`` so the
-  fresh artifact uploads with the other gate outputs).
+* scratch runs (no ``--update``): ``campaigns/scratch/`` by default
+  (gitignored; CI uploads it), ``--out DIR`` to redirect.
 """
 
 from __future__ import annotations

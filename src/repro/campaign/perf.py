@@ -1,40 +1,46 @@
-"""Perf-gate scenarios as campaign cells.
+"""The ``perf_baseline`` campaign: timed scenarios and their tolerances.
 
-These are the four canonical scenarios the perf gate has always run
-(E1-style scaling, E2-style latency, E9-style flush pressure, E23
-compiled hot path), relocated from ``benchmarks/bench_perf_gate.py`` so
-the ``perf_baseline`` campaign regenerates ``BENCH_PERF.json`` through
-the runner and the gate script becomes a thin wrapper over the same
-cells.
-
-Each scenario mixes deterministic simulated metrics (throughput, steps,
-identity checks — byte-identical everywhere) with wall/CPU timings that
-are machine-dependent by nature; the campaign spec lists the latter as
-``volatile_metrics`` so ``campaign check`` ignores them while the gate's
-tolerance checks still read them.
+Four cells — the E1 chain with event batching off and on, the E2 count
+pipeline under a linger, E9-style flush pressure on the slate manager,
+and the chain with tracing off versus on — whose committed artifact is
+``BENCH_PERF.json``. Each mixes deterministic simulated metrics
+(throughput, steps, identity checks: byte-identical everywhere, so
+``campaign check`` compares them exactly) with wall and CPU timings the
+spec lists as ``volatile_metrics``. What a byte-diff cannot say about
+the timings, :func:`verify_perf` does: a wall ceiling against the
+committed rows, a CPU floor on batching and the tracing-off budget.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, Mapping, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from repro.apps.counting import count_app, count_events
+from repro.campaign.artifact import Row, load_artifact, split_errors
+from repro.campaign.claims import by_param
 from repro.campaign.e9_flush import drive
+from repro.campaign.spec import CampaignSpec
 from repro.cluster import ClusterSpec
 from repro.errors import ConfigurationError
+from repro.obs import PAPER_LATENCY_BOUND_S
 from repro.sim import SimConfig, SimRuntime
 from repro.sim.sources import Source
 from repro.slates.manager import FlushPolicy, SlateManager
 
-#: E23 baseline: the committed wall of the E1 workload on the original
-#: exact stepper on the reference machine, pinned so the compiled path's
-#: speedup is measured against a fixed yardstick — the stepper itself
-#: no longer exists to be remeasured. The issue that introduced E23
-#: targeted 5x; the honest measured speedup on this workload is 3-4x
-#: (see EXPERIMENTS.md E23 for the CPython floor analysis).
-E23_BASELINE_EXACT_WALL_S = 3.6863
+#: A fresh ``wall_s`` may exceed the committed row's by at most this
+#: share; it assumes comparable hardware, so re-record the baseline
+#: (``campaign run perf_baseline --workers 1 --update``) when the
+#: reference machine changes.
+WALL_TOLERANCE = 0.25
+#: Event batching alone saves a third of the DES steps (checked exactly
+#: below) at about even CPU: 0.9-1.2x over ten runs. The floor sits under
+#: that for shared-runner noise; it catches batching turning costly.
+MIN_E1_CPU_SPEEDUP = 0.8
+#: The tracing-off budget, as a share of the untraced wall.
+MAX_TRACING_OFF_OVERHEAD = 0.02
 
 #: Timing repeats per measured run; min is reported (least-noise).
 REPEATS = 3
@@ -52,8 +58,8 @@ def _timed(fn: Callable[[], Any]) -> Tuple[Any, float, float]:
     return result, min(walls), min(cpus)
 
 
-#: The chain workload E1, E23 and the gate's ``--profile`` share: 30k
-#: events at 50k ev/s over 200 keys through two hops.
+#: The chain workload E1 and the tracing cell share: 30k events at 50k
+#: ev/s over 200 keys through two hops.
 CHAIN_EVENTS, CHAIN_SPACING_S, CHAIN_KEYS, CHAIN_MACHINES = 30_000, 0.00002, 200, 4
 CHAIN_HORIZON_S = CHAIN_EVENTS * CHAIN_SPACING_S + 5.0
 
@@ -164,29 +170,53 @@ def scenario_e9_flush() -> Dict[str, Any]:
     }
 
 
-def scenario_e23_fastforward() -> Dict[str, Any]:
-    """The E1 chain workload at default configuration on the compiled
-    per-event path. The speedup figure is its wall against the pinned
-    committed wall of the exact stepper this path replaced (the same
-    number E1 reported as ``wall_s_unbatched`` back then); identity with
-    that stepper is pinned by ``tests/sim/golden_reports.json``, and
-    ``steps`` / ``inlined_steps`` here are deterministic."""
+def _guard_cost_ns() -> float:
+    """Per-evaluation cost of the ``x is not None`` no-op guard."""
+    tracer = None
+    iterations = 2_000_000
+    best = float("inf")
+    for _ in range(REPEATS):
+        hits = 0
+        start = time.perf_counter()
+        for _ in range(iterations):
+            if tracer is not None:
+                hits += 1
+        best = min(best, time.perf_counter() - start)
+        assert hits == 0
+    return best / iterations * 1e9
 
-    def run() -> Tuple[Any, Any]:
-        runtime = chain_runtime(SimConfig())
-        return runtime.run(CHAIN_HORIZON_S), runtime.ff_summary()
 
-    (report, ff), wall, cpu = _timed(run)
+def scenario_obs_overhead() -> Dict[str, Any]:
+    """The chain workload with observability off, then with the ring
+    tracer and timeline sampling on. Tracing is passive: the counter
+    report and final slates must not move. With ``SimConfig.trace`` off
+    every emission site is one ``tracer is not None`` check, so the cost
+    of the off path is modelled, not differenced: the guard's measured
+    cost times the sites a traced run passes (its span count), over the
+    untraced wall. The traced wall is reported for context only -
+    same-process wall noise alone exceeds the 2% budget."""
+
+    def run(traced: bool) -> Tuple[str, str, int]:
+        config = SimConfig(trace=traced, trace_capacity=4_000_000, timeline=traced)
+        runtime = chain_runtime(config)
+        report = runtime.run(CHAIN_HORIZON_S)
+        slates = json.dumps(runtime.slates_of("U1"), sort_keys=True)
+        spans = len(runtime.tracer.spans()) if traced else 0
+        return report.counter_report(), slates, spans
+
+    (report_off, slates_off, _), wall_off, _ = _timed(lambda: run(False))
+    (report_on, slates_on, spans), wall_on, _ = _timed(lambda: run(True))
+    guard_ns = _guard_cost_ns()
     return {
         "events": CHAIN_EVENTS,
         "machines": CHAIN_MACHINES,
-        "sim_events_per_s": round(report.events_per_second(), 3),
-        "steps": report.steps,
-        "inlined_steps": ff["inlined_steps"],
-        "baseline_exact_wall_s": E23_BASELINE_EXACT_WALL_S,
-        "wall_s": round(wall, 4),
-        "cpu_s": round(cpu, 4),
-        "speedup_vs_baseline": round(E23_BASELINE_EXACT_WALL_S / wall, 3),
+        "spans_emitted": spans,
+        "report_byte_identical": report_off == report_on,
+        "slates_byte_identical": slates_off == slates_on,
+        "guard_ns_per_check": round(guard_ns, 2),
+        "tracing_off_overhead": round(guard_ns * 1e-9 * spans / wall_off, 6),
+        "wall_s": round(wall_off, 4),
+        "wall_s_traced": round(wall_on, 4),
     }
 
 
@@ -194,18 +224,20 @@ SCENARIOS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "e1_scaling": scenario_e1_scaling,
     "e2_latency": scenario_e2_latency,
     "e9_flush": scenario_e9_flush,
-    "e23_fastforward": scenario_e23_fastforward,
+    "obs_overhead": scenario_obs_overhead,
 }
 
 #: Machine-dependent metrics: excluded from determinism comparison.
 VOLATILE_METRICS: Tuple[str, ...] = (
     "wall_s",
     "wall_s_unbatched",
+    "wall_s_traced",
     "cpu_s",
     "cpu_s_unbatched",
     "speedup_wall",
     "speedup_cpu",
-    "speedup_vs_baseline",
+    "guard_ns_per_check",
+    "tracing_off_overhead",
 )
 
 
@@ -225,14 +257,100 @@ def perf_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     return scenario()
 
 
-def scenarios_from_artifact(payload: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Map a ``perf_baseline`` campaign artifact to the gate's historic
-    ``{scenario_name: metrics}`` shape (the campaign artifact schema is
-    the on-disk source of truth; this is the read adapter the gate's
-    tolerance checks consume)."""
-    scenarios: Dict[str, Dict[str, Any]] = {}
-    for row in payload["cells"]:
-        if row["status"] != "ok":
+def verify_perf(rows: List[Row]) -> List[str]:
+    """The perf cells' claims: each cell's ``wall_s`` within
+    ``WALL_TOLERANCE`` of its row in the committed ``BENCH_PERF.json``
+    (read under the working directory - the repo root, as everywhere in
+    :mod:`repro.campaign.cli`); E1c, batching leaves the slates alone,
+    saves DES steps and does not cost CPU; E2c, the linger stays far
+    inside the 2 s bound; tracing on changes no result, and off costs
+    under its budget.
+
+    The ceiling reads the artifact as committed, so ``run --update`` on
+    a machine more than 25% slower reports it once, against the baseline
+    it then replaces.
+    """
+    baseline = PERF_BASELINE.committed_path(Path.cwd())
+    committed = by_param(load_artifact(baseline)["cells"], "scenario")
+    failures: List[str] = []
+    for row in rows:
+        name = row["params"]["scenario"]
+        metrics = row["metrics"]
+        if name not in committed:
+            failures.append(
+                f"{name}: no committed row in {baseline.name} to hold "
+                "wall_s against (re-record with --update)"
+            )
             continue
-        scenarios[str(row["params"]["scenario"])] = dict(row["metrics"])
-    return scenarios
+        ceiling = committed[name]["wall_s"] * (1.0 + WALL_TOLERANCE)
+        if metrics["wall_s"] > ceiling:
+            failures.append(
+                f"{name}: wall_s {metrics['wall_s']:.3f} > {ceiling:.3f} "
+                f"(committed {committed[name]['wall_s']:.3f} + "
+                f"{WALL_TOLERANCE:.0%})"
+            )
+        if name == "e1_scaling":
+            if not metrics["slates_identical"]:
+                failures.append("e1_scaling: batched slates differ from unbatched")
+            if metrics["steps_batched"] >= metrics["steps_unbatched"]:
+                failures.append("e1_scaling: coalescing saved no DES steps")
+            if metrics["speedup_cpu"] < MIN_E1_CPU_SPEEDUP:
+                failures.append(
+                    f"e1_scaling: speedup_cpu {metrics['speedup_cpu']:.2f}x "
+                    f"< {MIN_E1_CPU_SPEEDUP}x - batching costs CPU"
+                )
+        if name == "e2_latency":
+            if metrics["p99_latency_ms"] >= PAPER_LATENCY_BOUND_S * 1e3:
+                failures.append("e2_latency: the linger pushed p99 past the 2 s bound")
+        if name == "obs_overhead":
+            for identity in ("report_byte_identical", "slates_byte_identical"):
+                if not metrics[identity]:
+                    failures.append(f"obs_overhead: tracing on, {identity} is False")
+            if metrics["tracing_off_overhead"] >= MAX_TRACING_OFF_OVERHEAD:
+                failures.append(
+                    f"obs_overhead: tracing_off_overhead "
+                    f"{metrics['tracing_off_overhead']:.4f} >= "
+                    f"{MAX_TRACING_OFF_OVERHEAD} budget"
+                )
+    return failures
+
+
+def summarize_perf(rows: List[Row]) -> List[str]:
+    lines: List[str] = []
+    for row in split_errors(rows)[0]:
+        name = row["params"]["scenario"]
+        metrics = row["metrics"]
+        if name == "e1_scaling":
+            lines.append(
+                f"- E1 batching: {metrics['speedup_wall']}x wall / "
+                f"{metrics['speedup_cpu']}x CPU, slates identical: "
+                f"{metrics['slates_identical']}"
+            )
+        if name == "obs_overhead":
+            lines.append(
+                f"- Tracing off: {metrics['tracing_off_overhead']:.4%} of the "
+                f"untraced wall ({metrics['spans_emitted']} guard checks at "
+                f"{metrics['guard_ns_per_check']} ns each; budget "
+                f"{MAX_TRACING_OFF_OVERHEAD:.0%}), report identical with "
+                f"tracing on: {metrics['report_byte_identical']}"
+            )
+    return lines
+
+
+PERF_BASELINE = CampaignSpec(
+    name="perf_baseline",
+    description=(
+        "Timed scenarios (E1 chain with batching off/on, E2 latency "
+        "under a linger, E9 flush pressure, tracing off/on) whose "
+        "committed artifact, BENCH_PERF.json, is the baseline their "
+        "wall ceiling is judged against."
+    ),
+    scenario="repro.campaign.perf:perf_cell",
+    grid={"scenario": list(SCENARIOS)},
+    volatile_metrics=VOLATILE_METRICS,
+    artifact="BENCH_PERF.json",
+    verify="repro.campaign.perf:verify_perf",
+    summarize="repro.campaign.perf:summarize_perf",
+)
+
+SPECS = (PERF_BASELINE,)

@@ -5,7 +5,7 @@ parameter grid (machines × rate × delivery semantics × fault schedule ×
 ...), a scenario callable that runs one grid cell and returns a flat
 metrics dict, and an artifact contract (one committed JSON file plus a
 rendered markdown table per campaign). Specs are plain data — a Python
-:class:`CampaignSpec` — so the runner, the CI determinism gate, and the
+:class:`CampaignSpec` — so the runner, the CI campaign job, and the
 docs all read the same source of truth.
 
 Scenario, verify, and summarize hooks are referenced as importable
@@ -164,43 +164,3 @@ class CampaignSpec:
     def markdown_path(self, root: Path) -> Path:
         """Where the rendered markdown table lives."""
         return root / "campaigns" / "results" / f"{self.name}.md"
-
-
-def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
-    """Build a spec from plain data (a dict)."""
-    known = {
-        "name",
-        "description",
-        "scenario",
-        "grid",
-        "fixed",
-        "seed",
-        "volatile_metrics",
-        "smoke_grid",
-        "artifact",
-        "verify",
-        "summarize",
-    }
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(f"unknown campaign spec keys: {unknown}")
-    for required in ("name", "description", "scenario", "grid"):
-        if required not in data:
-            raise ConfigurationError(f"campaign spec is missing {required!r}")
-    return CampaignSpec(
-        name=str(data["name"]),
-        description=str(data["description"]),
-        scenario=str(data["scenario"]),
-        grid=dict(data["grid"]),
-        fixed=dict(data.get("fixed", {})),
-        seed=int(data.get("seed", 0)),
-        volatile_metrics=tuple(data.get("volatile_metrics", ())),
-        smoke_grid=(
-            dict(data["smoke_grid"]) if data.get("smoke_grid") is not None else None
-        ),
-        artifact=data.get("artifact"),
-        verify=data.get("verify"),
-        summarize=data.get("summarize"),
-    )
-
-

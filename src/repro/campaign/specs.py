@@ -1,11 +1,11 @@
 """The shipped campaigns.
 
-Four grids of their own — ``perf_baseline`` regenerates
-``BENCH_PERF.json`` through the runner, ``capacity`` commits the
-ROADMAP's capacity-planning curve (machines needed for a rate at
-p99 < 2 s), ``delivery_matrix`` commits the E6e exactness matrix
-(delivery semantics x crash schedule), ``elasticity`` the E24 diurnal
-swing — and one campaign per paper-vs-measured table of DESIGN.md SS3,
+Three grids defined here — ``capacity`` commits the ROADMAP's
+capacity-planning curve (machines needed for a rate at p99 < 2 s),
+``delivery_matrix`` the E6e exactness matrix (delivery semantics x
+crash schedule), ``elasticity`` the E24 diurnal swing — the timed
+``perf_baseline`` (``BENCH_PERF.json``) from :mod:`repro.campaign.perf`,
+and one campaign per paper-vs-measured table of DESIGN.md SS3,
 collected from the ``f*``/``e*`` modules beside this one. Each spec is
 plain data plus ``module:callable`` hooks.
 """
@@ -33,11 +33,10 @@ from repro.campaign import (
     e19_consistency,
     e22_shedding,
     f2_routing,
+    perf,
 )
-from repro.campaign.perf import VOLATILE_METRICS
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigurationError
-from repro.obs import PAPER_LATENCY_BOUND_S
 
 Row = Dict[str, Any]
 
@@ -157,46 +156,6 @@ def verify_delivery(rows: List[Row]) -> List[str]:
     return failures
 
 
-def verify_perf(rows: List[Row]) -> List[str]:
-    """The perf scenarios' deterministic claims, E1c's and E2c's among
-    them (the tolerance-based wall gates stay in ``bench_perf_gate.py
-    --check``)."""
-    failures: List[str] = []
-    for row in rows:
-        name = row["params"]["scenario"]
-        metrics = row["metrics"]
-        if name == "e1_scaling":
-            if not metrics["slates_identical"]:
-                failures.append("e1_scaling: batched slates differ from unbatched")
-            if metrics["steps_batched"] >= metrics["steps_unbatched"]:
-                failures.append("e1_scaling: coalescing saved no DES steps")
-        if name == "e2_latency":
-            if metrics["p99_latency_ms"] >= PAPER_LATENCY_BOUND_S * 1e3:
-                failures.append("e2_latency: the linger pushed p99 past the 2 s bound")
-    return failures
-
-
-def summarize_perf(rows: List[Row]) -> List[str]:
-    lines: List[str] = []
-    for row in _ok_rows(rows):
-        name = row["params"]["scenario"]
-        metrics = row["metrics"]
-        if name == "e1_scaling":
-            lines.append(
-                f"- E1 batching: {metrics['speedup_wall']}x wall / "
-                f"{metrics['speedup_cpu']}x CPU, slates identical: "
-                f"{metrics['slates_identical']}"
-            )
-        if name == "e23_fastforward":
-            lines.append(
-                f"- E23 compiled hot path: {metrics['speedup_vs_baseline']}x "
-                f"vs the pinned {metrics['baseline_exact_wall_s']} s exact-"
-                f"stepper baseline, {metrics['inlined_steps']} of "
-                f"{metrics['steps']} steps inline"
-            )
-    return lines
-
-
 def verify_elasticity(rows: List[Row]) -> List[str]:
     """The E24 claims, judged on the committed matrix: both handoff
     modes ride the swing 2 -> 16 -> 2 with exact effectively-once
@@ -241,22 +200,6 @@ def verify_elasticity(rows: List[Row]) -> List[str]:
         )
     return failures
 
-
-PERF_BASELINE = CampaignSpec(
-    name="perf_baseline",
-    description=(
-        "The perf gate's four canonical scenarios (E1 scaling, E2 "
-        "latency, E9 flush, E23 fast-forwarding) run through the "
-        "campaign runner; the committed artifact IS the gate baseline "
-        "(BENCH_PERF.json)."
-    ),
-    scenario="repro.campaign.perf:perf_cell",
-    grid={"scenario": ["e1_scaling", "e2_latency", "e9_flush", "e23_fastforward"]},
-    volatile_metrics=VOLATILE_METRICS,
-    artifact="BENCH_PERF.json",
-    verify="repro.campaign.specs:verify_perf",
-    summarize="repro.campaign.specs:summarize_perf",
-)
 
 CAPACITY = CampaignSpec(
     name="capacity",
@@ -310,7 +253,7 @@ ELASTICITY = CampaignSpec(
 SPECS: Dict[str, CampaignSpec] = {
     spec.name: spec
     for spec in (
-        PERF_BASELINE,
+        *perf.SPECS,
         CAPACITY,
         DELIVERY_MATRIX,
         ELASTICITY,

@@ -109,8 +109,8 @@ class SimConfig:
     batch_linger_s: float = 0.0
     #: Opt-in structured event tracing (see :mod:`repro.obs.trace`).
     #: Off by default: the engine then holds no tracer at all and every
-    #: emission site is one ``is not None`` check — the measured-zero-
-    #: overhead no-op path gated by ``bench_obs_overhead.py``. On, spans
+    #: emission site is one ``is not None`` check — the no-op path the
+    #: ``obs_overhead`` cell of ``perf_baseline`` budgets at 2%. On, spans
     #: land in an in-memory ring (or a sink passed to ``SimRuntime``).
     trace: bool = False
     #: Ring capacity for the default in-memory trace sink.

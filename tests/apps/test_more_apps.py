@@ -1,16 +1,13 @@
-"""Top-ten URLs, HTTP counters, and key splitting (Sections 2, 5, Ex 6)."""
+"""Top-ten URLs and key splitting (Sections 2, 5, Ex 6)."""
 
-import json
 from collections import Counter
 
 import pytest
 
-from repro.apps.http_counters import (build_http_counters_app,
-                                      generate_request_events)
 from repro.apps.key_splitting import base_key, build_split_app, split_key
 from repro.apps.retailer_count import build_retailer_app
 from repro.apps.top_urls import LEADERBOARD_KEY, build_top_urls_app
-from repro.core import Event, ReferenceExecutor
+from repro.core import ReferenceExecutor
 from repro.workloads import CheckinGenerator, TweetGenerator
 from repro.workloads.tweets import parse_tweet
 
@@ -50,29 +47,6 @@ class TestTopUrls:
         result = ReferenceExecutor(build_top_urls_app()).run(events)
         assert all(e.key == LEADERBOARD_KEY
                    for e in result.events_on("S3"))
-
-
-class TestHttpCounters:
-    def test_counts_by_section(self):
-        events = list(generate_request_events(rate_per_s=100,
-                                              duration_s=5.0, seed=3))
-        truth = Counter()
-        for event in events:
-            path = json.loads(event.value)["path"]
-            truth[path.strip("/").split("/", 1)[0]] += 1
-        result = ReferenceExecutor(build_http_counters_app()).run(events)
-        got = {k: s["total"] for k, s in result.slates_of("U1").items()}
-        assert got == dict(truth)
-
-    def test_per_minute_buckets_roll_over(self):
-        events = [Event("S1", ts, f"r{i}",
-                        json.dumps({"path": "/home/x"}))
-                  for i, ts in enumerate([0.0, 1.0, 61.0, 62.0, 63.0])]
-        result = ReferenceExecutor(build_http_counters_app()).run(events)
-        slate = result.slate("U1", "home")
-        assert slate["total"] == 5
-        assert slate["last_minute_count"] == 2   # minute 0 had 2
-        assert slate["minute_count"] == 3        # minute 1 has 3
 
 
 class TestKeySplitting:

@@ -3,10 +3,10 @@
 Parametrised over ``SPECS``, so a campaign is covered by being
 registered: its artifact exists, was produced by the shipped spec,
 satisfies the spec's claims, and renders to the committed markdown. The
-campaigns that replaced the ``benchmarks/bench_e*`` scripts also re-run
-the first cell of their (smoke) grid here; the four older ones are
-heavier and are re-run by CI's ``campaign`` job and by ``tests/elastic``,
-``tests/sim/test_effectively_once.py`` and the perf gate.
+E-row campaigns also re-run the first cell of their (smoke) grid here;
+the four older ones are heavier and are re-run by CI's ``campaign`` job
+and by ``tests/elastic`` and ``tests/sim/test_effectively_once.py``
+(``perf_baseline``'s tolerances are judged in ``test_perf.py``).
 """
 
 from pathlib import Path
@@ -24,7 +24,9 @@ RERUN_BY_CI_ONLY = {"perf_baseline", "capacity", "delivery_matrix", "elasticity"
 
 
 @pytest.fixture(params=sorted(SPECS))
-def spec(request):
+def spec(request, monkeypatch):
+    # perf_baseline's verify hook reads BENCH_PERF.json under the cwd.
+    monkeypatch.chdir(ROOT)
     return SPECS[request.param]
 
 

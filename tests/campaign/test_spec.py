@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.spec import resolve_ref, spec_from_dict
+from repro.campaign.spec import resolve_ref
 from repro.errors import ConfigurationError
 from tests.campaign.toy import toy_cell, toy_spec
 
@@ -73,28 +73,3 @@ class TestSpecValidation:
         spec = toy_spec(artifact="BENCH_TOY.json")
         assert spec.committed_path(root) == root / "BENCH_TOY.json"
         assert spec.markdown_path(root) == root / "campaigns" / "results" / "toy.md"
-
-
-class TestSpecFromDict:
-    def test_round_trip(self):
-        spec = spec_from_dict(
-            {
-                "name": "toy",
-                "description": "d",
-                "scenario": "tests.campaign.toy:toy_cell",
-                "grid": {"a": [1], "b": [2]},
-                "fixed": {"c": 5},
-                "seed": 7,
-                "volatile_metrics": ["wall_s"],
-            }
-        )
-        assert spec.name == "toy"
-        assert spec.volatile_metrics == ("wall_s",)
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown campaign spec"):
-            spec_from_dict({"name": "x", "bogus": 1})
-
-    def test_missing_required_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="missing 'scenario'"):
-            spec_from_dict({"name": "x", "description": "d", "grid": {"a": [1]}})

@@ -111,7 +111,7 @@ FACTORIES = {cls: factories(cls) for cls in CONFIG_CLASSES}
 
 def scanned_files() -> List[Path]:
     files: List[Path] = []
-    for top in ("src/repro", "examples", "bench", "benchmarks"):
+    for top in ("src/repro", "examples", "bench"):
         files += [path for path in sorted((ROOT / top).rglob("*.py"))
                   if "tests" not in path.parts]
     return files
