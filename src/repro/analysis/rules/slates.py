@@ -3,8 +3,8 @@
 Effectively-once delivery persists each slate's dedup watermarks inside
 the same kv blob as its fields (``WATERMARK_FIELD``), encoded once per
 flush — that atomicity is what makes replayed-event dedup sound after a
-crash. A direct ``KVStore.write``/``write_batch``/``put_many`` from
-engine code bypasses :class:`repro.slates.manager.SlateManager` and can
+crash. A direct ``KVStore.write``/``write_batch``/``put_many``/``apply``
+from engine code bypasses :class:`repro.slates.manager.SlateManager` and can
 persist fields without their watermarks (or vice versa), silently
 breaking exactness. All slate persistence must go through the manager's
 flush path; the kv package itself and the manager are the only writers.
@@ -20,7 +20,7 @@ from repro.analysis.lint import Finding, LintRule, register_rule
 from repro.analysis.rules.base import dotted_name
 
 #: Mutating kv-store entry points.
-_WRITE_METHODS = ("write", "write_batch", "put_many", "put")
+_WRITE_METHODS = ("write", "write_batch", "put_many", "put", "apply")
 
 #: Receiver names that denote a kv store/node (as opposed to a file
 #: handle or buffer, whose ``.write`` is not a kv write).
@@ -33,7 +33,7 @@ class SlateWriteBypassRule(LintRule):
 
     code = "MUP004"
     name = "slate-write-bypass"
-    description = ("KVStore write/write_batch/put_many outside "
+    description = ("KVStore write/write_batch/put_many/apply outside "
                    "slates/manager.py; slate persistence must go through "
                    "the flush path so watermarks stay atomic with fields")
     include = (r"^repro/",)

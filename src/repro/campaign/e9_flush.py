@@ -29,10 +29,18 @@ def drive(
     policy: FlushPolicy, updates: int, keys: int, nodes: List[str], replication: int
 ) -> SlateManager:
     """Apply a hot-key update stream under one flush policy, at 1 ms of
-    virtual time per clock reading."""
-    ticks = itertools.count()
-    clock = lambda: next(ticks) * 0.001
-    store = ReplicatedKVStore(nodes, replication_factor=replication, clock=clock)
+    virtual time per clock reading by the driver or the manager (the store
+    reads the time without advancing it: how often is its own business)."""
+    ticks = itertools.count(1)
+    now = [0.0]
+
+    def clock() -> float:
+        now[0] = next(ticks) * 0.001
+        return now[0]
+
+    store = ReplicatedKVStore(
+        nodes, replication_factor=replication, clock=lambda: now[0]
+    )
     manager = SlateManager(
         store, cache_capacity=keys * 2, flush_policy=policy, clock=clock
     )

@@ -38,13 +38,15 @@ class ConsistencyLevel(enum.Enum):
 
 @dataclass(frozen=True)
 class WriteResult:
-    """Outcome of a replicated write.
+    """Outcome of a replicated write, single-cell or batch.
 
     Attributes:
-        acks: Replicas that acknowledged.
+        acks: Replicas that acknowledged (a batch: the fewest of any
+            replica-set group).
         replicas: Replica node names attempted.
         cost_s: Simulated service time of the slowest acknowledging
-            replica (the coordinator waits for the quorum).
+            replica — the coordinator waits for the quorum (a batch:
+            summed over its groups).
     """
 
     acks: int
@@ -53,32 +55,14 @@ class WriteResult:
 
 
 @dataclass(frozen=True)
-class BatchWriteResult:
-    """Outcome of a replicated multi-cell batch write.
-
-    Attributes:
-        writes: Cells written (one per dirty slate flushed).
-        groups: Distinct replica sets the batch coalesced into — each
-            group cost one multi-cell write per live replica.
-        acks_min: The smallest per-group acknowledgement count (every
-            group independently met the consistency level).
-        cost_s: Total simulated coordinator wait across groups.
-    """
-
-    writes: int
-    groups: int
-    acks_min: int
-    cost_s: float
-
-
-@dataclass(frozen=True)
 class ReadResult:
     """Outcome of a replicated read.
 
     Attributes:
-        value: The newest value across answering replicas; None if the
-            row/column is absent (or TTL-expired) everywhere.
-        write_ts: Timestamp of the winning version (0.0 when absent).
+        value: The value of the newest cell across answering replicas;
+            None if that cell is a tombstone or TTL-expired, or no
+            replica has one.
+        write_ts: Timestamp of the winning version (0.0 when no value).
         replicas_asked: Replica node names consulted.
         cost_s: Simulated service time of the slowest consulted replica.
     """

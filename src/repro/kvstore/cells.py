@@ -10,8 +10,9 @@ TTL.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 #: Address of a cell within a column family: ``(row, column)``.
 CellKey = Tuple[str, str]
@@ -69,3 +70,22 @@ class Cell:
     def supersedes(self, other: "Cell") -> bool:
         """Last-write-wins: newer write timestamp wins; ties keep self."""
         return self.write_ts >= other.write_ts
+
+
+def newest_by(cells: Iterable[Cell], attr: str) -> Dict[Any, Cell]:
+    """Last-write-wins reduce: per value of ``attr`` (``"row"``, ``"column"``
+    or ``"key"``), the cell that :meth:`Cell.supersedes` the others (on a
+    tie, the later in ``cells``).
+
+    Every place that reconciles versions — runs within a node, replicas
+    within a cluster — goes through here, tombstones and expired cells
+    included: dropping those first would let an older value win.
+    """
+    group_of = operator.attrgetter(attr)
+    newest: Dict[Any, Cell] = {}
+    for cell in cells:
+        group = group_of(cell)
+        held = newest.get(group)
+        if held is None or cell.supersedes(held):
+            newest[group] = cell
+    return newest

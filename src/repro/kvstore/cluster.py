@@ -8,24 +8,25 @@ writes succeed once :class:`ConsistencyLevel` replicas acknowledge —
 ONE / QUORUM / ALL, exactly the three options the paper exposes to Muppet
 applications.
 
-Divergent replica versions reconcile by last-write-wins on the cell's write
-timestamp; reads at QUORUM/ALL perform read repair, writing the winning
-version back to stale replicas. Writes that miss a down replica leave a
-*hint* with the coordinator (hinted handoff, as Cassandra does); the hints
-are delivered when the replica returns via :meth:`ReplicatedKVStore.mark_up`.
+A mutation is one :class:`~repro.kvstore.cells.Cell`, stamped once by the
+coordinator: every live replica applies it, a down replica's *hint* holds
+it (hinted handoff, as Cassandra does; delivered by
+:meth:`ReplicatedKVStore.mark_up`) and read repair writes it back, timestamp
+and TTL included. Replicas reconcile by last-write-wins on the cell — a
+tombstone or an expired cell wins like any other.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.cluster.hashring import HashRing
 from repro.errors import ConfigurationError, QuorumError, StoreError
-from repro.kvstore.cells import Cell
-from repro.kvstore.api import (BatchWriteResult, ConsistencyLevel,
-                               ReadResult, WriteResult)
+from repro.kvstore.cells import Cell, newest_by
+from repro.kvstore.api import ConsistencyLevel, ReadResult, WriteResult
 from repro.kvstore.device import StorageDevice, profile_for
 from repro.kvstore.node import StorageNode
 
@@ -106,21 +107,14 @@ class ReplicatedKVStore:
         """
         kwargs.pop("data_dir", None)  # the reopen path owns placement
         store = cls(node_names, data_dir=None, **kwargs)
-        clock = kwargs.get("clock", store.clock)
-        flush_bytes = kwargs.get("memtable_flush_bytes", 4 * 1024 * 1024)
-        compaction = kwargs.get("compaction_threshold", 8)
-        device_kind = kwargs.get("device_kind", "ssd")
-        overrides = kwargs.get("device_overrides") or {}
         for name in node_names:
             node_dir = Path(data_dir) / name
             node_dir.mkdir(parents=True, exist_ok=True)
-            kind = overrides.get(name, device_kind)
+            fresh = store.nodes[name]  # built in memory: holds the settings
             store.nodes[name] = StorageNode.open(
-                name, node_dir,
-                device=StorageDevice(profile_for(kind)),
-                clock=clock,
-                memtable_flush_bytes=flush_bytes,
-                compaction_threshold=compaction)
+                name, node_dir, device=fresh.device, clock=fresh.clock,
+                memtable_flush_bytes=fresh.memtable_flush_bytes,
+                compaction_threshold=fresh.compaction_threshold)
         return store
 
     # -- membership / failures ------------------------------------------------
@@ -137,11 +131,7 @@ class ReplicatedKVStore:
         self._ring.restore(name)
         for hint in self._hints.pop(name, ()):
             try:
-                if hint.is_tombstone:
-                    node.delete(hint.row, hint.column)
-                else:
-                    node.put(hint.row, hint.column, hint.value,
-                             ttl=hint.ttl)
+                node.apply([hint])
                 self.hints_delivered += 1
             except StoreError:
                 break
@@ -193,93 +183,76 @@ class ReplicatedKVStore:
         consistency: ConsistencyLevel = ConsistencyLevel.ONE,
     ) -> WriteResult:
         """Replicated write; raises :class:`QuorumError` on too few acks."""
-        replicas = self.replicas_for(row)
+        return self._replicate([Cell(row, column, value, self.clock(), ttl)],
+                               self.replicas_for(row), consistency)
+
+    def write_batch(
+        self,
+        writes: List[Tuple[str, str, bytes, Optional[float]]],
+        consistency: ConsistencyLevel = ConsistencyLevel.ONE,
+    ) -> WriteResult:
+        """Replicated multi-cell write: ``[(row, column, value, ttl)...]``.
+
+        Cells are stamped together and grouped by natural replica set;
+        each group is replicated as one multi-cell :meth:`write`. Every
+        group must independently reach the consistency level; the first
+        that cannot raises :class:`QuorumError` (cells of already-written
+        groups stay written — last-write-wins makes the caller's per-cell
+        retry idempotent). The result sums costs and reports fewest acks.
+        """
+        now = self.clock()
+        groups: Dict[Tuple[str, ...], List[Cell]] = {}
+        for row, column, value, ttl in writes:
+            groups.setdefault(tuple(self.replicas_for(row)), []).append(
+                Cell(row, column, value, now, ttl))
+        results = [self._replicate(cells, replica_set, consistency)
+                   for replica_set, cells in groups.items()]
+        return WriteResult(
+            acks=min((result.acks for result in results), default=0),
+            replicas=list(dict.fromkeys(
+                name for replica_set in groups for name in replica_set)),
+            cost_s=sum((result.cost_s for result in results), 0.0))
+
+    def delete(self, row: str, column: str,
+               consistency: ConsistencyLevel = ConsistencyLevel.ONE) -> int:
+        """Replicated tombstone write; returns acknowledgement count."""
+        return self._replicate([Cell(row, column, None, self.clock())],
+                               self.replicas_for(row), consistency).acks
+
+    def _replicate(self, cells: List[Cell], replicas: Sequence[str],
+                   consistency: ConsistencyLevel) -> WriteResult:
+        """The one write path: a live replica applies the stamped cells in
+        one call, a down one gets the same cells as its hints. Too few acks
+        for ``consistency`` raise (what was applied or hinted stays)."""
         required = consistency.required_acks(self.replication_factor)
         acks = 0
         worst_cost = 0.0
         for name in replicas:
             node = self.nodes[name]
             if node.is_down:
-                self._store_hint(name, Cell(row, column, value,
-                                            self.clock(), ttl))
+                for cell in cells:
+                    self._store_hint(name, cell)
                 continue
             try:
-                cost = node.put(row, column, value, ttl=ttl)
+                cost = node.apply(cells)
             except StoreError:
                 continue
             acks += 1
             worst_cost = max(worst_cost, cost)
         if acks < required:
             raise QuorumError(
-                f"write {row!r}/{column!r}: {acks} acks < required "
-                f"{required} ({consistency.value})"
+                f"write of {len(cells)} cell(s), first {cells[0].key}, to "
+                f"{list(replicas)}: {acks} acks < required {required} "
+                f"({consistency.value})"
             )
         if self.tracer is not None:
-            self.tracer.emit(self.clock(), "kv_write", row=row,
-                             column=column, replicas=list(replicas),
-                             acks=acks)
-        return WriteResult(acks=acks, replicas=replicas, cost_s=worst_cost)
-
-    def write_batch(
-        self,
-        writes: List[Tuple[str, str, bytes, Optional[float]]],
-        consistency: ConsistencyLevel = ConsistencyLevel.ONE,
-    ) -> BatchWriteResult:
-        """Replicated multi-cell write: ``[(row, column, value, ttl)...]``.
-
-        Cells are grouped by their natural replica set; each live replica
-        of a group receives one coalesced :meth:`StorageNode.put_many`
-        call instead of one put per cell. Down replicas get one hint per
-        cell, exactly as :meth:`write` would leave. Every group must
-        independently reach the consistency level's acknowledgement
-        count; the first group that cannot raises :class:`QuorumError`
-        (cells of already-written groups stay written — last-write-wins
-        makes the caller's per-cell retry idempotent).
-        """
-        if not writes:
-            return BatchWriteResult(writes=0, groups=0, acks_min=0,
-                                    cost_s=0.0)
-        required = consistency.required_acks(self.replication_factor)
-        groups: Dict[Tuple[str, ...], List[Tuple[str, str, bytes,
-                                                 Optional[float]]]] = {}
-        for write in writes:
-            replica_set = tuple(self.replicas_for(write[0]))
-            groups.setdefault(replica_set, []).append(write)
-        total_cost = 0.0
-        acks_min: Optional[int] = None
-        for replica_set, cells in groups.items():
-            acks = 0
-            worst_cost = 0.0
-            for name in replica_set:
-                node = self.nodes[name]
-                if node.is_down:
-                    now = self.clock()
-                    for row, column, value, ttl in cells:
-                        self._store_hint(name, Cell(row, column, value,
-                                                    now, ttl))
-                    continue
-                try:
-                    cost = node.put_many(cells)
-                except StoreError:
-                    continue
-                acks += 1
-                worst_cost = max(worst_cost, cost)
-            if acks < required:
-                raise QuorumError(
-                    f"batch write of {len(cells)} cells to "
-                    f"{list(replica_set)}: {acks} acks < required "
-                    f"{required} ({consistency.value})"
-                )
-            total_cost += worst_cost
-            acks_min = acks if acks_min is None else min(acks_min, acks)
-            if self.tracer is not None:
-                now = self.clock()
-                for row, column, _value, _ttl in cells:
-                    self.tracer.emit(now, "kv_write", row=row,
-                                     column=column,
-                                     replicas=list(replica_set), acks=acks)
-        return BatchWriteResult(writes=len(writes), groups=len(groups),
-                                acks_min=acks_min or 0, cost_s=total_cost)
+            now = self.clock()
+            for cell in cells:
+                self.tracer.emit(now, "kv_write", row=cell.row,
+                                 column=cell.column, replicas=list(replicas),
+                                 acks=acks)
+        return WriteResult(acks=acks, replicas=list(replicas),
+                           cost_s=worst_cost)
 
     def read(
         self,
@@ -287,102 +260,50 @@ class ReplicatedKVStore:
         column: str,
         consistency: ConsistencyLevel = ConsistencyLevel.ONE,
     ) -> ReadResult:
-        """Replicated read with last-write-wins and read repair."""
+        """Replicated read: last-write-wins over cells, then read repair.
+
+        With more than one answer the winning cell is applied, unchanged,
+        to every live replica it supersedes, the ones the consistency
+        level skipped too (Cassandra's GLOBAL read repair: how a node that
+        missed writes and lost its hints converges). A tombstone or
+        expired winner still wins and repairs; the read reports no value.
+        """
         replicas = self.replicas_for(row)
         required = consistency.required_acks(self.replication_factor)
-        asked: List[str] = []
-        answers: List[tuple] = []  # (name, value, write_ts, cost)
+        held: Dict[str, Optional[Cell]] = {}
         worst_cost = 0.0
         for name in replicas:
             node = self.nodes[name]
             if node.is_down:
                 continue
-            cell = node._memtable.get(row, column)
-            value, cost = node.get(row, column)
-            write_ts = cell.write_ts if cell is not None else 0.0
-            if value is not None and cell is None:
-                # Value came from an SSTable; approximate its version with
-                # the newest run's knowledge by re-deriving from tables.
-                write_ts = self._sstable_write_ts(node, row, column)
-            asked.append(name)
-            answers.append((name, value, write_ts, cost))
+            held[name], cost = node.lookup(row, column)
             worst_cost = max(worst_cost, cost)
-            if len(asked) >= required:
+            if len(held) >= required:
                 break
-        if len(asked) < required:
+        if len(held) < required:
             raise QuorumError(
-                f"read {row!r}/{column!r}: {len(asked)} replies < required "
+                f"read {row!r}/{column!r}: {len(held)} replies < required "
                 f"{required} ({consistency.value})"
             )
-        winner_value: Optional[bytes] = None
-        winner_ts = 0.0
-        for _, value, write_ts, _ in answers:
-            if value is not None and write_ts >= winner_ts:
-                winner_value, winner_ts = value, write_ts
-        if winner_value is not None and len(answers) > 1:
-            self._read_repair(row, column, winner_value, winner_ts, answers)
-        return ReadResult(value=winner_value, write_ts=winner_ts,
-                          replicas_asked=asked, cost_s=worst_cost)
-
-    @staticmethod
-    def _sstable_write_ts(node: StorageNode, row: str, column: str) -> float:
-        for table in reversed(node._sstables):
-            cell = table.get(row, column)
-            if cell is not None:
-                return cell.write_ts
-        return 0.0
-
-    def _read_repair(self, row: str, column: str, value: bytes,
-                     write_ts: float, answers: List[tuple]) -> None:
-        """Push the winning version to stale replicas (global repair).
-
-        Both the replicas that answered with older data and any live
-        replicas the consistency level skipped are checked and healed —
-        Cassandra's GLOBAL read-repair decision, which is what lets a
-        node that missed writes (and whose hints were lost) converge.
-        """
-        answered = {name: replica_value
-                    for name, replica_value, _, __ in answers}
-        for name in self.replicas_for(row):
-            node = self.nodes[name]
-            if node.is_down:
-                continue
-            if name in answered:
-                current = answered[name]
-            else:
+        winner = newest_by(filter(None, held.values()), "key").get(
+            (row, column))
+        if winner is not None and len(held) > 1:
+            for name in replicas:
+                node = self.nodes[name]
+                if node.is_down:
+                    continue
                 try:
-                    current, _ = node.get(row, column)
+                    mine = (held[name] if name in held
+                            else node.lookup(row, column)[0])
+                    if mine != winner and (mine is None
+                                           or winner.supersedes(mine)):
+                        node.apply([winner])
                 except StoreError:
                     continue
-            if current == value:
-                continue
-            try:
-                node.put(row, column, value)
-            except StoreError:
-                continue
-
-    def delete(self, row: str, column: str,
-               consistency: ConsistencyLevel = ConsistencyLevel.ONE) -> int:
-        """Replicated tombstone write; returns acknowledgement count."""
-        replicas = self.replicas_for(row)
-        required = consistency.required_acks(self.replication_factor)
-        acks = 0
-        for name in replicas:
-            node = self.nodes[name]
-            if node.is_down:
-                self._store_hint(name, Cell(row, column, None,
-                                            self.clock()))
-                continue
-            try:
-                node.delete(row, column)
-                acks += 1
-            except StoreError:
-                continue
-        if acks < required:
-            raise QuorumError(
-                f"delete {row!r}/{column!r}: {acks} acks < {required}"
-            )
-        return acks
+        if winner is None or not winner.live(self.clock()):
+            return ReadResult(None, 0.0, list(held), worst_cost)
+        return ReadResult(winner.value, winner.write_ts, list(held),
+                          worst_cost)
 
     # -- maintenance / introspection ----------------------------------------------
     def flush_all(self) -> float:
@@ -400,15 +321,10 @@ class ReplicatedKVStore:
         dropped from every cache — e.g. by a full-rehydration cutover
         whose keys saw no later traffic.
         """
-        newest: Dict[str, Cell] = {}
-        for _, node in sorted(self.nodes.items()):
-            if node.is_down:
-                continue
-            for row, cell in node.column_cells(column).items():
-                existing = newest.get(row)
-                if existing is None or cell.supersedes(existing):
-                    newest[row] = cell
-        return newest
+        return newest_by(
+            (cell for _, node in sorted(self.nodes.items())
+             if not node.is_down
+             for cell in node.column_cells(column).values()), "row")
 
     def total_cells(self) -> int:
         """Cells across all nodes (replicas counted separately)."""

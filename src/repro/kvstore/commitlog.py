@@ -22,7 +22,7 @@ crash is told from an acknowledged one.
 
 **What "durable" means here.** The log keeps one file handle open;
 ``append`` encodes into it and the node calls :meth:`CommitLog.flush` once
-per ``put`` (once per ``put_many`` batch) before acknowledging, which hands
+per ``apply`` (one cell or a batch) before acknowledging, which hands
 the bytes to the operating system. There is no ``fsync``: acknowledged
 writes survive the death of the process, not of the machine.
 

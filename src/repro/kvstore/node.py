@@ -1,10 +1,10 @@
 """A single LSM storage node — our from-scratch Cassandra stand-in.
 
-Write path: append to the commit log (sequential I/O; a durable log is
-flushed to the operating system once per ``put`` or ``put_many`` batch,
-before the write is acknowledged), then buffer in the memtable; when the
-memtable exceeds its threshold, flush it as a new SSTable (sequential I/O)
-and truncate the log. When the SSTable count reaches the
+Write path (:meth:`StorageNode.apply`, the only one): append to the commit
+log (sequential I/O; a durable log is flushed to the operating system once
+per call, before the write is acknowledged), then buffer in the memtable;
+when the memtable exceeds its threshold, flush it as a new SSTable
+(sequential I/O) and truncate the log. When the SSTable count reaches the
 compaction threshold, merge all runs into one, purging TTL-expired cells and
 tombstones. Read path: memtable first (free), then SSTables newest-first,
 charging one random read per file actually probed; bloom filters skip files
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import StoreError
-from repro.kvstore.cells import Cell
+from repro.kvstore.cells import Cell, newest_by
 from repro.kvstore.commitlog import CommitLog
 from repro.kvstore.device import StorageDevice
 from repro.kvstore.memtable import Memtable
@@ -109,75 +109,68 @@ class StorageNode:
     def put(self, row: str, column: str, value: bytes,
             ttl: Optional[float] = None) -> float:
         """Write one cell; returns the foreground I/O time in seconds."""
-        self._check_up()
-        if ttl is not None and not isinstance(ttl, (int, float)):
-            raise StoreError(
-                f"ttl must be a number of seconds or None, got {ttl!r}"
-            )
-        cell = Cell(row, column, value, write_ts=self.clock(), ttl=ttl)
-        return self._apply(cell)
+        return self.apply([Cell(row, column, value, self.clock(), ttl)])
 
     def put_many(
         self,
         cells: List[Tuple[str, str, bytes, Optional[float]]],
     ) -> float:
-        """Write a multi-cell batch ``[(row, column, value, ttl), ...]``.
+        """Write a multi-cell batch ``[(row, column, value, ttl), ...]``,
+        all stamped with one reading of the clock — the coalesced-flush
+        path of the slate managers. Returns the foreground I/O time."""
+        now = self.clock()
+        return self.apply([Cell(row, column, value, now, ttl)
+                           for row, column, value, ttl in cells])
 
-        All cells share one commit-log append chain and one sequential-
-        write charge for the combined bytes, and the memtable flush
-        threshold is checked once at the end — the coalesced-flush path
-        of the slate managers. Returns the foreground I/O time.
+    def delete(self, row: str, column: str) -> float:
+        """Write a tombstone; returns the foreground I/O time."""
+        return self.apply([Cell(row, column, None, self.clock())])
+
+    def apply(self, cells: List[Cell]) -> float:
+        """Write cells as stamped — the node's one write path, for its own
+        ``put`` / ``put_many`` / ``delete`` and for the coordinator's
+        replicas, hints and read repairs alike.
+
+        The cells share one commit-log append chain, one log flush, one
+        sequential-write charge for the combined bytes and one memtable
+        flush-threshold check. Returns the foreground I/O time.
         """
         self._check_up()
-        now = self.clock()
-        total_bytes = 0
-        for row, column, value, ttl in cells:
+        for cell in cells:
+            ttl = cell.ttl
             if ttl is not None and not isinstance(ttl, (int, float)):
                 raise StoreError(
                     f"ttl must be a number of seconds or None, got {ttl!r}"
                 )
-            cell = Cell(row, column, value, write_ts=now, ttl=ttl)
-            self.stats.puts += 1
+        total_bytes = 0
+        for cell in cells:
             total_bytes += self._log.append(cell)
-            self._memtable.put(cell)
         self._log.flush()
         cost = self.device.charge_sequential_write(total_bytes)
-        if self._memtable.size_bytes >= self.memtable_flush_bytes:
-            self.flush()
-        return cost
-
-    def delete(self, row: str, column: str) -> float:
-        """Write a tombstone; returns the foreground I/O time."""
-        self._check_up()
-        self.stats.deletes += 1
-        cell = Cell(row, column, None, write_ts=self.clock())
-        return self._apply(cell)
-
-    def _apply(self, cell: Cell) -> float:
-        self.stats.puts += 1
-        size = self._log.append(cell)
-        self._log.flush()
-        cost = self.device.charge_sequential_write(size)
-        self._memtable.put(cell)
+        stats = self.stats
+        for cell in cells:
+            stats.puts += 1
+            if cell.value is None:
+                stats.deletes += 1
+            self._memtable.put(cell)
         if self._memtable.size_bytes >= self.memtable_flush_bytes:
             self.flush()
         return cost
 
     # -- read path ----------------------------------------------------------
-    def get(self, row: str, column: str) -> Tuple[Optional[bytes], float]:
-        """Read the live value for (row, column).
+    def lookup(self, row: str, column: str) -> Tuple[Optional[Cell], float]:
+        """The newest cell for (row, column) and the simulated read time.
 
-        Returns:
-            ``(value, cost_s)`` where value is None when absent, deleted,
-            or TTL-expired, and cost_s is the simulated read time.
+        The cell may be a tombstone or TTL-expired — replicas reconcile on
+        it; :meth:`get` is the view that hides those — or ``None`` when
+        the node has no version at all.
         """
         self._check_up()
         self.stats.gets += 1
-        now = self.clock()
         cell = self._memtable.get(row, column)
         if cell is not None:
             self.stats.memtable_hits += 1
-            return (cell.value if cell.live(now) else None), 0.0
+            return cell, 0.0
 
         cost = 0.0
         if not self._sstables:
@@ -193,30 +186,37 @@ class StorageNode:
             probe_size = found.size_bytes() if found is not None else 64
             cost += self.device.charge_random_read(probe_size)
             if found is not None:
-                return (found.value if found.live(now) else None), cost
+                return found, cost
         return None, cost
+
+    def get(self, row: str, column: str) -> Tuple[Optional[bytes], float]:
+        """Read the live value for (row, column).
+
+        Returns:
+            ``(value, cost_s)`` where value is None when absent, deleted,
+            or TTL-expired, and cost_s is the simulated read time.
+        """
+        cell, cost = self.lookup(row, column)
+        now = self.clock()  # hit or miss: E8's clock advances per reading
+        if cell is None or not cell.live(now):
+            return None, cost
+        return cell.value, cost
 
     def scan_row(self, row: str) -> Tuple[Dict[str, bytes], float]:
         """All live columns of a row (the bulk-read path of Section 5)."""
         self._check_up()
         now = self.clock()
-        newest: Dict[str, Cell] = {}
+        cells: List[Cell] = []
         cost = 0.0
         for table in self._sstables:
             for cell in table.scan_row(row):
                 cost += self.device.charge_random_read(cell.size_bytes())
-                existing = newest.get(cell.column)
-                if existing is None or cell.supersedes(existing):
-                    newest[cell.column] = cell
-        for key, cell in list(self._memtable._cells.items()):
-            if key[0] != row:
-                continue
-            existing = newest.get(cell.column)
-            if existing is None or cell.supersedes(existing):
-                newest[cell.column] = cell
-        live = {c.column: c.value for c in newest.values()
-                if c.live(now) and c.value is not None}
-        return live, cost
+                cells.append(cell)
+        cells.extend(cell for cell in list(self._memtable._cells.values())
+                     if cell.row == row)
+        newest = newest_by(cells, "column")
+        return {column: cell.value for column, cell in newest.items()
+                if cell.live(now)}, cost
 
     def column_cells(self, column: str) -> Dict[str, Cell]:
         """Newest live cell per row for one column (offline inspection).
@@ -226,22 +226,11 @@ class StorageNode:
         read-through path, not a store operation the workload pays for.
         """
         now = self.clock()
-        newest: Dict[str, Cell] = {}
-        for table in self._sstables:
-            for cell in table.cells():
-                if cell.column != column:
-                    continue
-                existing = newest.get(cell.row)
-                if existing is None or cell.supersedes(existing):
-                    newest[cell.row] = cell
-        for (row, col), cell in self._memtable._cells.items():
-            if col != column:
-                continue
-            existing = newest.get(row)
-            if existing is None or cell.supersedes(existing):
-                newest[row] = cell
-        return {row: cell for row, cell in newest.items()
-                if cell.live(now) and cell.value is not None}
+        cells = [cell for table in self._sstables for cell in table.cells()]
+        cells.extend(self._memtable._cells.values())
+        newest = newest_by(
+            (cell for cell in cells if cell.column == column), "row")
+        return {row: cell for row, cell in newest.items() if cell.live(now)}
 
     # -- maintenance -------------------------------------------------------------
     def flush(self) -> float:
@@ -333,8 +322,7 @@ class StorageNode:
         if node._sstables:
             node._next_generation = node._sstables[-1].generation + 1
         node._log = CommitLog.open(data_dir / f"{name}.commitlog")
-        for cell in node._log.replay():
-            node._memtable.put(cell)
+        node.recover()
         return node
 
     def close(self) -> None:

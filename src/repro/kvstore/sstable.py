@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import StoreError
 from repro.kvstore.bloom import BloomFilter, hash_pair
-from repro.kvstore.cells import Cell, CellKey
+from repro.kvstore.cells import Cell, CellKey, newest_by
 from repro.kvstore.commitlog import encode_record, read_records
 
 _sstable_ids = itertools.count(1)
@@ -86,11 +86,7 @@ class SSTable:
             raise ValueError("hashes must be one pair per cell, of cells "
                              "that are sorted and unique")
         if not ready:
-            newest: Dict[CellKey, Cell] = {}
-            for key, cell in zip(keys, cells):
-                existing = newest.get(key)
-                if existing is None or cell.supersedes(existing):
-                    newest[key] = cell
+            newest = newest_by(cells, "key")
             keys = sorted(newest)
             cells = [newest[key] for key in keys]
         #: Sorted by key and searched by bisection: no index beside the

@@ -322,60 +322,33 @@ class SlateManager:
     def flush_all_dirty(self) -> int:
         """Flush every dirty resident slate; returns the flushed count.
 
-        Dirty slates are grouped into one coalesced
+        Two or more dirty slates go as one coalesced
         :meth:`ReplicatedKVStore.write_batch` (multi-cell writes per
         replica set) instead of one kv write per slate. If the batch
-        fails after retries, the per-slate path takes over so the
-        retry/fail-open semantics per slate match :meth:`_flush_slate`.
+        fails, the per-slate path takes over: each slate gets its own
+        retry cycle and fail-open accounting (a partial batch is harmless
+        — last-write-wins makes re-writes idempotent).
         """
         dirty = list(self.cache.dirty_slates())
-        if not dirty:
-            return 0
-        if self.store is None:
-            for slate in dirty:
-                slate.mark_clean()
-            return len(dirty)
-        if len(dirty) == 1:
-            flushed = 0
-            for slate in dirty:
-                self._flush_slate(slate)
-                if not slate.dirty:
-                    flushed += 1
-            return flushed
-        writes = []
-        for slate in dirty:
-            row, column = slate.slate_key.row_column()
-            writes.append((row, column, slate.encoded_with(self.codec),
-                           slate.ttl))
-        try:
-            result = self.store.write_batch(writes,
-                                            consistency=self.consistency)
-        except StoreError:
-            # Degrade to the per-slate path: each slate gets its own
-            # retry cycle and fail-open accounting (a partial batch is
-            # harmless — last-write-wins makes re-writes idempotent).
-            flushed = 0
-            for slate in dirty:
-                self._flush_slate(slate)
-                if not slate.dirty:
-                    flushed += 1
-            return flushed
-        self.pending_io_s += result.cost_s
-        self.stats.kv_writes += len(dirty)
-        self.stats.batch_flushes += 1
-        self.stats.batched_writes += len(dirty)
-        if self.tracer is not None:
-            now = self.clock()
+        if self.store is not None and len(dirty) > 1:
+            writes = []
             for slate in dirty:
                 row, column = slate.slate_key.row_column()
-                self.tracer.emit(now, "slate_flush",
-                                 updater=slate.slate_key.updater,
-                                 key=slate.slate_key.key,
-                                 row=row, column=column, batched=True,
-                                 **self._span_tags)
+                writes.append((row, column, slate.encoded_with(self.codec),
+                               slate.ttl))
+            try:
+                result = self.store.write_batch(writes,
+                                                consistency=self.consistency)
+            except StoreError:
+                result = None  # degrade to the per-slate path below
+            if result is not None:
+                self.stats.batch_flushes += 1
+                self.stats.batched_writes += len(dirty)
+                self._written(dirty, result.cost_s, batched=True)
+                return len(dirty)
         for slate in dirty:
-            slate.mark_clean()
-        return len(dirty)
+            self._flush_slate(slate)
+        return sum(not slate.dirty for slate in dirty)
 
     def _flush_slate(self, slate: Slate) -> None:
         if self.store is None:
@@ -394,15 +367,24 @@ class SlateManager:
             # exposure as a crash between flushes.)
             self.stats.fail_open_writes += 1
             return
-        self.pending_io_s += result.cost_s
-        self.stats.kv_writes += 1
+        self._written([slate], result.cost_s, batched=False)
+
+    def _written(self, slates: List[Slate], cost_s: float,
+                 batched: bool) -> None:
+        """The store acknowledged ``slates``: account, trace, mark clean."""
+        self.pending_io_s += cost_s
+        self.stats.kv_writes += len(slates)
         if self.tracer is not None:
-            self.tracer.emit(self.clock(), "slate_flush",
-                             updater=slate.slate_key.updater,
-                             key=slate.slate_key.key,
-                             row=row, column=column, batched=False,
-                             **self._span_tags)
-        slate.mark_clean()
+            now = self.clock()
+            for slate in slates:
+                row, column = slate.slate_key.row_column()
+                self.tracer.emit(now, "slate_flush",
+                                 updater=slate.slate_key.updater,
+                                 key=slate.slate_key.key,
+                                 row=row, column=column, batched=batched,
+                                 **self._span_tags)
+        for slate in slates:
+            slate.mark_clean()
 
     def _evicted(self, slate: Slate) -> None:
         """Cache eviction hook: persist dirty victims (all policies)."""

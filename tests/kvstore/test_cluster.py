@@ -196,3 +196,83 @@ class TestColumnCells:
         store.mark_down("n0")
         after = set(store.column_cells("U1"))
         assert after < before  # rf=1: the down node's rows disappear
+
+
+def make_timed_store(nodes=3, rf=3):
+    """A store on a clock the test sets: ``now[0] = t``."""
+    now = [0.0]
+    store = ReplicatedKVStore([f"n{i}" for i in range(nodes)],
+                              replication_factor=rf, clock=lambda: now[0])
+    return store, now
+
+
+class TestRepairCarriesTheCell:
+    """Read repair reconciles and writes back *cells*: a tombstone wins
+    like any other version, and the winner keeps its timestamp and TTL."""
+
+    @pytest.mark.parametrize("level", [ConsistencyLevel.ALL,
+                                       ConsistencyLevel.QUORUM])
+    def test_missed_delete_is_not_resurrected(self, level):
+        store, now = make_timed_store()
+        replicas = store.replicas_for("r")
+        victim = replicas[0]  # first in preference: every read asks it
+        now[0] = 1.0
+        store.write("r", "c", b"v", consistency=ConsistencyLevel.ALL)
+        store.mark_down(victim)
+        now[0] = 2.0
+        store.delete("r", "c", ConsistencyLevel.QUORUM)
+        store._hints.clear()  # the hint is lost: only repair can heal
+        store.mark_up(victim)
+        now[0] = 3.0
+        assert store.nodes[victim].get("r", "c")[0] == b"v"  # really stale
+        assert store.read("r", "c", level).value is None
+        for name in replicas:
+            cell, _ = store.nodes[name].lookup("r", "c")
+            assert cell.is_tombstone and cell.write_ts == 2.0, name
+
+    def test_repair_keeps_write_ts_and_ttl(self):
+        store, now = make_timed_store()
+        replicas = store.replicas_for("r")
+        victim = replicas[2]
+        store.mark_down(victim)
+        store.write("r", "c", b"v", ttl=10,
+                    consistency=ConsistencyLevel.QUORUM)  # at t=0
+        store._hints.clear()
+        store.mark_up(victim)
+        now[0] = 2.0
+        assert store.read("r", "c", ConsistencyLevel.ALL).value == b"v"
+        now[0] = 50.0
+        for name in replicas:
+            assert store.nodes[name].get("r", "c")[0] is None, name
+        assert store.read("r", "c").value is None
+        repaired, _ = store.nodes[victim].lookup("r", "c")
+        assert (repaired.write_ts, repaired.ttl) == (0.0, 10)
+
+    def test_repair_leaves_a_newer_skipped_replica_alone(self):
+        """QUORUM asks two of three; the third may hold a newer write
+        (made while the other two were down). Repair must not clobber it."""
+        store, now = make_timed_store()
+        first, second, third = store.replicas_for("r")
+        now[0] = 1.0
+        store.write("r", "c", b"old", consistency=ConsistencyLevel.ALL)
+        store.mark_down(first)
+        store.mark_down(second)
+        now[0] = 2.0
+        store.write("r", "c", b"new")  # ONE: only `third` takes it
+        store._hints.clear()
+        store.mark_up(first)
+        store.mark_up(second)
+        now[0] = 3.0
+        assert store.read("r", "c", ConsistencyLevel.QUORUM).value == b"old"
+        assert store.nodes[third].get("r", "c")[0] == b"new"
+        assert store.read("r", "c", ConsistencyLevel.ALL).value == b"new"
+
+    def test_batch_and_single_writes_share_one_result_type(self):
+        store = make_store()
+        single = store.write("r", "c", b"v", consistency=ConsistencyLevel.ALL)
+        batch = store.write_batch([("r", "c", b"v", None),
+                                   ("r2", "c", b"v", None)],
+                                  consistency=ConsistencyLevel.ALL)
+        assert type(batch) is type(single)
+        assert batch.acks == 3 and batch.cost_s >= single.cost_s
+        assert store.write_batch([]).acks == 0

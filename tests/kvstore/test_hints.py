@@ -113,3 +113,23 @@ class TestHintedHandoff:
         store.mark_down(before[0])
         after = store.replicas_for("row")
         assert after == before
+
+    def test_delivered_hint_keeps_write_ts_and_ttl(self):
+        """Handoff delivers the cell the coordinator stamped, not a fresh
+        write: the TTL still counts from the original write time."""
+        now = [0.0]
+        store = ReplicatedKVStore(["n0", "n1", "n2"], replication_factor=3,
+                                  clock=lambda: now[0])
+        victim = store.replicas_for("row")[0]
+        store.mark_down(victim)
+        now[0] = 1.0
+        store.write("row", "col", b"v", ttl=10,
+                    consistency=ConsistencyLevel.QUORUM)
+        now[0] = 5.0
+        store.mark_up(victim)
+        assert store.hints_delivered == 1
+        assert store.nodes[victim].get("row", "col")[0] == b"v"
+        now[0] = 12.0  # 11 s after the write, 7 s after the delivery
+        assert store.nodes[victim].get("row", "col")[0] is None
+        delivered, _ = store.nodes[victim].lookup("row", "col")
+        assert (delivered.write_ts, delivered.ttl) == (1.0, 10)

@@ -14,7 +14,8 @@ nothing, and nobody reads prose the way a test does. So, syntactically
   ``*``, ``{a,b}``), an absolute path and a bare file name are not
   checked;
 * every ``python -m repro ...`` line of a fenced block parses against
-  the real argparse tree.
+  the real argparse tree;
+* CHANGES.md stays wrapped at 100 columns (it was 113 kB in 18 lines).
 """
 
 import re
@@ -90,6 +91,16 @@ def test_repro_commands_parse(doc, capsys):
         except SystemExit:
             bad.append(f"{line}  [{capsys.readouterr().err.splitlines()[-1]}]")
     assert not bad, f"{doc} shows commands the CLI rejects: {bad}"
+
+
+def test_changes_md_is_wrapped():
+    """A line may run over only where it cannot be broken: a table row,
+    or a single token (a URL, a test id, an ``a/b/c`` list of names)."""
+    long = [number for number, line in
+            enumerate(doc_text("CHANGES.md").splitlines(), 1)
+            if len(line) > 100 and not line.startswith("|")
+            and len(line.split()) > 1]
+    assert not long, f"CHANGES.md lines over 100 characters: {long}"
 
 
 def test_the_scan_sees_what_it_should():
