@@ -40,6 +40,7 @@ import struct
 import zlib
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from sys import intern
 from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import StoreError
@@ -81,6 +82,8 @@ def decode_records(data: bytes) -> Tuple[List[Cell], int]:
     Returns:
         ``(cells, end)`` — the cells of every whole record and the offset
         just past the last of them (``len(data)`` when nothing is torn).
+        Column names are interned: a reopened store holds one ``str`` per
+        column, not one per cell.
     """
     cells: List[Cell] = []
     offset = 0
@@ -100,7 +103,7 @@ def decode_records(data: bytes) -> Tuple[List[Cell], int]:
             break
         cells.append(Cell(
             data[row_at:column_at].decode("utf-8", "surrogatepass"),
-            data[column_at:value_at].decode("utf-8", "surrogatepass"),
+            intern(data[column_at:value_at].decode("utf-8", "surrogatepass")),
             None if flags & _TOMBSTONE else data[value_at:crc_at],
             write_ts,
             ttl if flags & _HAS_TTL else None))

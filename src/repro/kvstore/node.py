@@ -4,11 +4,13 @@ Write path (:meth:`StorageNode.apply`, the only one): append to the commit
 log (sequential I/O; a durable log is flushed to the operating system once
 per call, before the write is acknowledged), then buffer in the memtable;
 when the memtable exceeds its threshold, flush it as a new SSTable
-(sequential I/O) and truncate the log. When the SSTable count reaches the
-compaction threshold, merge all runs into one, purging TTL-expired cells and
-tombstones. Read path: memtable first (free), then SSTables newest-first,
-charging one random read per file actually probed; bloom filters skip files
-that cannot hold the row.
+(sequential I/O) and truncate the log, then compact by one size-tiered
+policy (:meth:`StorageNode._compact_due`): merge every run once the newer
+ones hold half the oldest one's bytes, else merge the newest few while
+they are of similar size. Only the merge of every run purges TTL-expired
+cells and tombstones. Read path: memtable first (free), then SSTables
+newest-first, charging one random read per file actually probed; bloom
+filters skip files that cannot hold the row.
 
 This reproduces the economics the paper relies on in Section 4.2:
 overwrites of hot slates are absorbed in memory, flushes and compactions
@@ -33,6 +35,12 @@ from repro.kvstore.commitlog import CommitLog
 from repro.kvstore.device import StorageDevice
 from repro.kvstore.memtable import Memtable
 from repro.kvstore.sstable import SSTable, key_hashes, merge_sstables
+
+#: Space rule of :meth:`StorageNode._compact_due`: newer runs may hold this
+#: fraction of the oldest run's bytes before everything is merged. Runs
+#: live in memory, so this caps RSS: over 200 000 ``store_churn`` operations
+#: 0.5 peaks 8 % above merge-everything (166 vs 154 MiB), no cap 15 % (177).
+SPACE_CAP = 0.5
 
 
 @dataclass(slots=True)
@@ -66,8 +74,8 @@ class StorageNode:
             runtime, virtual clock for the simulator. Drives TTL expiry.
         memtable_flush_bytes: Flush threshold; larger values buffer more
             overwrites (the paper delays flushing "as long as possible").
-        compaction_threshold: Number of SSTables that triggers a full
-            (size-tiered, single-tier) compaction.
+        compaction_threshold: The merge width *T*: no merge below *T*
+            runs, and a partial merge takes the newest *T*.
         data_dir: Directory for persistent SSTables and commit log;
             ``None`` keeps everything in memory (costs still charged).
 
@@ -247,8 +255,26 @@ class StorageNode:
         self.stats.bytes_flushed += table.size_bytes
         self._memtable.clear()
         self._log.truncate()
-        if len(self._sstables) >= self.compaction_threshold:
-            cost += self.compact()
+        return cost + self._compact_due()
+
+    def _compact_due(self) -> float:
+        """The compaction policy, decided after every flush once there are
+        *T* (``compaction_threshold``) runs. **Space rule**: if the runs
+        newer than the oldest together hold :data:`SPACE_CAP` of its
+        bytes, merge every run — the one merge that purges, so garbage
+        goes after a bounded amount of newer data. **Size rule**:
+        otherwise, while the newest *T* runs are within a factor *T* of
+        each other in size, merge those *T* into one."""
+        width = self.compaction_threshold
+        cost = 0.0
+        while len(self._sstables) >= width:
+            sizes = [table.size_bytes for table in self._sstables]
+            if sum(sizes[1:]) >= SPACE_CAP * sizes[0]:
+                return cost + self.compact()
+            newest = sizes[-width:]
+            if max(newest) > width * min(newest):
+                break
+            cost += self._merge_newest(width)
         return cost
 
     def compact(self) -> float:
@@ -256,26 +282,35 @@ class StorageNode:
 
         Returns the background I/O time (read inputs + write output).
         """
-        if len(self._sstables) <= 1:
+        return self._merge_newest(len(self._sstables))
+
+    def _merge_newest(self, count: int) -> float:
+        """Merge the ``count`` newest runs into one that takes their place
+        (and the next generation), so runs stay in age order. Purges only
+        when that is every run: a tombstone or expired cell dropped from a
+        partial merge would uncover an older version in an older run."""
+        if count <= 1:
             return 0.0
-        now = self.clock()
-        input_bytes = sum(t.size_bytes for t in self._sstables)
-        input_cells = sum(len(t) for t in self._sstables)
+        kept, inputs = self._sstables[:-count], self._sstables[-count:]
+        purge = not kept
+        input_bytes = sum(t.size_bytes for t in inputs)
         cost = self.device.charge_sequential_read(input_bytes)
         generation, path = self._next_run()
-        merged = merge_sstables(self._sstables, now=now, path=path,
-                                generation=generation)
+        merged = merge_sstables(inputs, now=self.clock(), purge=purge,
+                                path=path, generation=generation)
         cost += self.device.charge_sequential_write(merged.size_bytes)
-        self.stats.ttl_purged_cells += input_cells - len(merged)
+        if purge:
+            self.stats.ttl_purged_cells += (sum(len(t) for t in inputs)
+                                            - len(merged))
         # Oldest first: whatever a crash leaves behind is the merged run
         # plus the newest inputs, which still read the same.
-        for table in self._sstables:
+        for table in inputs:
             table.delete_file()
         if len(merged):
-            self._sstables = [merged]
+            kept.append(merged)
         else:
             merged.delete_file()  # nothing survived: leave no empty run
-            self._sstables = []
+        self._sstables = kept
         self.stats.compactions += 1
         self.stats.bytes_compacted += input_bytes
         self.pending_background_s += cost

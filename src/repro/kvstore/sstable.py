@@ -197,20 +197,21 @@ class SSTable:
 
 
 def merge_sstables(tables: List[SSTable], now: float,
-                   drop_tombstones: bool = True,
+                   purge: bool = True,
                    path: Optional[Path] = None,
                    generation: int = 0) -> SSTable:
-    """Size-tiered compaction: merge runs into one, purging garbage.
-
-    Keeps, per ``(row, column)``, only the newest cell; drops cells whose
-    TTL has expired by ``now`` (the store-side garbage collection of
-    Section 4.2) and, optionally, tombstones (safe when merging *all* runs
-    of the store, as our compaction does).
+    """Merge the runs it is given into one: per ``(row, column)``, only
+    the newest cell. Which runs to merge is the node's policy
+    (:mod:`repro.kvstore.node`), not decided here.
 
     Args:
         tables: Runs to merge (any order).
         now: Current time, for TTL expiry decisions.
-        drop_tombstones: Purge delete markers from the output.
+        purge: The merge includes the store's oldest run, so nothing
+            older can be uncovered: drop tombstones and cells whose TTL
+            has expired by ``now`` (the store-side garbage collection of
+            Section 4.2). A partial merge must keep both — either is
+            what hides an older version of its key in an older run.
         path: Optional file for the merged run.
         generation: The merged run's generation (auto-assigned when 0).
 
@@ -233,10 +234,8 @@ def merge_sstables(tables: List[SSTable], now: float,
     hashes = array("Q")
     for key in sorted(newest):
         cell = newest[key]
-        if cell.expired(now):
-            continue  # TTL GC happens here, at compaction.
-        if drop_tombstones and cell.is_tombstone:
-            continue
+        if purge and (cell.is_tombstone or cell.expired(now)):
+            continue  # TTL and tombstone GC happen here, at compaction.
         survivors.append(cell)
         hashes.extend(pairs[key])
     return SSTable(survivors, generation=generation, path=path,

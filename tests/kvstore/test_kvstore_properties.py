@@ -1,8 +1,6 @@
 """Property-based tests: the LSM node must behave like a map, the
 replicated store like a last-write-wins register."""
 
-import itertools
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,28 +15,61 @@ values = st.binary(min_size=0, max_size=64)
 
 #: A workload: a list of (op, row, column, value) tuples.
 operations = st.lists(
-    st.tuples(st.sampled_from(["put", "delete", "flush", "compact"]),
+    st.tuples(st.sampled_from(["put", "put_ttl", "delete", "flush", "compact",
+                               "advance"]),
               rows, columns, values),
     min_size=0, max_size=80)
 
+#: What "put_ttl" writes with, and what "advance" moves the clock by
+#: (every op moves it by one second, so timestamps order the writes).
+TTL_S = 3.0
+ADVANCE_S = 5.0
+
 
 def run_node(ops, **node_kwargs):
-    counter = itertools.count()
-    node = StorageNode("n", clock=lambda: float(next(counter)),
-                       **node_kwargs)
-    model = {}
+    """Run ``ops``; returns the node and the model: for every key an op
+    named, the value a read must return now (None: deleted or expired)."""
+    now = [0.0]
+    node = StorageNode("n", clock=lambda: now[0], **node_kwargs)
+    written = {}  # key -> (value, expiry time or None)
     for op, row, column, value in ops:
+        now[0] += 1.0
+        written.setdefault((row, column), (None, None))
         if op == "put":
             node.put(row, column, value)
-            model[(row, column)] = value
+            written[(row, column)] = (value, None)
+        elif op == "put_ttl":
+            node.put(row, column, value, ttl=TTL_S)
+            written[(row, column)] = (value, now[0] + TTL_S)
         elif op == "delete":
             node.delete(row, column)
-            model.pop((row, column), None)
+            written[(row, column)] = (None, None)
         elif op == "flush":
             node.flush()
-        else:
+        elif op == "compact":
             node.compact()
+        else:
+            now[0] += ADVANCE_S
+    model = {key: None if expiry is not None and now[0] > expiry else value
+             for key, (value, expiry) in written.items()}
     return node, model
+
+
+def assert_reads_match(node, model):
+    for (row, column), expected in model.items():
+        assert node.get(row, column)[0] == expected, (row, column)
+    assert node.get("never", "written")[0] is None
+
+
+BIG = b"x" * 200  # a base run the two small runs after it stay well under
+#: A partial merge that dropped the tombstone would uncover the value.
+DELETE_THEN_PARTIAL_MERGE = [
+    ("put", "a", "U1", BIG), ("delete", "a", "U1", b""),
+    ("put", "b", "U1", b"")]
+#: ... and one that dropped the expired cell, the older immortal version.
+EXPIRE_THEN_PARTIAL_MERGE = [
+    ("put", "a", "U1", BIG), ("put_ttl", "a", "U1", b""),
+    ("advance", "a", "U1", b""), ("put", "b", "U1", b"")]
 
 
 class TestNodeActsLikeAMap:
@@ -46,21 +77,19 @@ class TestNodeActsLikeAMap:
     @given(operations)
     def test_reads_match_model(self, ops):
         node, model = run_node(ops)
-        for (row, column), expected in model.items():
-            assert node.get(row, column)[0] == expected
-        # Deleted/absent keys read as None.
-        for op, row, column, _ in ops:
-            if (row, column) not in model:
-                assert node.get(row, column)[0] is None
+        assert_reads_match(node, model)
 
-    @settings(max_examples=30, deadline=None)
-    @given(operations)
-    def test_aggressive_flushing_changes_nothing(self, ops):
-        """Tiny memtable (flush per write) must be semantically invisible."""
+    @settings(max_examples=60, deadline=None)
+    @given(operations, st.integers(min_value=2, max_value=4))
+    @example(DELETE_THEN_PARTIAL_MERGE, 2)
+    @example(EXPIRE_THEN_PARTIAL_MERGE, 2)
+    def test_aggressive_flushing_changes_nothing(self, ops, width):
+        """Tiny memtable (flush per write, so merges of both kinds all the
+        time) must be semantically invisible: deleted, expired and
+        never-written keys included."""
         node, model = run_node(ops, memtable_flush_bytes=1,
-                               compaction_threshold=3)
-        for (row, column), expected in model.items():
-            assert node.get(row, column)[0] == expected
+                               compaction_threshold=width)
+        assert_reads_match(node, model)
 
     @settings(max_examples=30, deadline=None)
     @given(operations)
@@ -68,8 +97,7 @@ class TestNodeActsLikeAMap:
         node, model = run_node(ops)
         node.crash()
         node.recover()
-        for (row, column), expected in model.items():
-            assert node.get(row, column)[0] == expected
+        assert_reads_match(node, model)
 
 
 # -- the replicated store ----------------------------------------------------
@@ -107,6 +135,13 @@ RESURRECTED_DELETE = [
 REPAIR_DROPPED_TTL = [
     ("down", "n0"), ("write", ("a", b"x", 5), QUORUM), ("lose_hints",),
     ("up", "n0"), ("read",), ("advance", 10.0), ("read",)]
+#: At width 2 the tombstones' run and the one after it are merged beside
+#: the older, larger run that holds the value: that merge must keep them.
+FLUSH_ALL = [("flush", name) for name in NODES]
+PARTIAL_MERGE_KEEPS_TOMBSTONE = [
+    ("batch", [("a", b"x", None), ("b", b"x", None)], ALL), *FLUSH_ALL,
+    ("delete", "a", ALL), *FLUSH_ALL,
+    ("write", ("b", b"y", None), ALL), *FLUSH_ALL, ("read",)]
 
 
 class TestClusterActsLikeALastWriteWinsRegister:
@@ -116,21 +151,27 @@ class TestClusterActsLikeALastWriteWinsRegister:
 
     A mutation that raised QuorumError may still have reached a replica,
     so one newer than the newest acknowledged may be what is read.
-    Compaction purges tombstones and expired cells, which is only safe
+    A full merge purges tombstones and expired cells, which is only safe
     once every replica has them (Cassandra's ``gc_grace`` assumption):
     the sequence compacts only while no hint is pending or was lost
-    since the last full read.
+    since the last full read. Partial merges purge nothing and may run at
+    any time: one variant flushes into them (``compaction_threshold=2``).
     """
 
     @settings(max_examples=60, deadline=None)
-    @given(cluster_ops)
-    @example(RESURRECTED_DELETE)
-    @example(REPAIR_DROPPED_TTL)
-    def test_reads_at_all_return_the_newest_acknowledged(self, ops):
+    @given(cluster_ops, st.sampled_from([1000, 2]))
+    @example(RESURRECTED_DELETE, 1000)
+    @example(REPAIR_DROPPED_TTL, 2)
+    @example(PARTIAL_MERGE_KEEPS_TOMBSTONE, 2)
+    def test_reads_at_all_return_the_newest_acknowledged(self, ops, width):
         now = [0.0]
         store = ReplicatedKVStore(NODES, replication_factor=3,
                                   clock=lambda: now[0],
-                                  compaction_threshold=1000)
+                                  compaction_threshold=width)
+        # At width 2 a flush may merge. A base run far larger than the
+        # sequence can write keeps those merges partial: they never purge.
+        store.write("base", "c", b"." * 4096, consistency=ALL)
+        store.flush_all()
         history = {"a": [], "b": []}  # key -> [(ts, value, ttl, acked)]
         diverged = False
 

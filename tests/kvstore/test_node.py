@@ -1,13 +1,14 @@
 """StorageNode: LSM read/write paths, flush, compaction, crash recovery."""
 
 import itertools
+import math
 import random
 from pathlib import Path
 
 import pytest
 
 from repro.errors import StoreError
-from repro.kvstore.node import StorageNode
+from repro.kvstore.node import SPACE_CAP, StorageNode
 
 
 def make_clock(step: float = 1.0):
@@ -79,11 +80,89 @@ class TestFlushAndCompaction:
         assert node.stats.flushes >= 1
 
     def test_compaction_threshold_collapses_runs(self):
+        """Ten equal flushes at T = 4: the fourth meets the space rule (a
+        full merge), later ones sit beside the merged run until they are
+        four of a size or hold half its bytes."""
         node = make_node(memtable_flush_bytes=1, compaction_threshold=4)
         for i in range(10):
             node.put(f"r{i}", "c", b"v")
-        assert node.sstable_count < 4
+        assert node.sstable_count < node.stats.flushes == 10
         assert node.stats.compactions >= 1
+        assert node.total_cells() == 10
+
+    def test_partial_merge_takes_the_newest_runs_and_keeps_garbage(self):
+        node = make_node(memtable_flush_bytes=1, compaction_threshold=3)
+        node.put_many([(f"base{i}", "c", b"v" * 50, None) for i in range(20)])
+        node.put("base0", "c", b"soon gone", ttl=0.5)
+        node.delete("base1", "c")
+        assert node.sstable_count == 3  # too small for the space rule
+        before = node.stats.as_dict()
+        node.put("r", "c", b"v")  # the three small runs are of a size
+        assert node.sstable_count == 2
+        assert node.stats.compactions == before["compactions"] + 1
+        assert node.stats.ttl_purged_cells == before["ttl_purged_cells"]
+        assert node.stats.bytes_compacted - before["bytes_compacted"] == \
+            node._sstables[-1].size_bytes
+        assert node._sstables[-1].generation > node._sstables[0].generation
+        assert node.lookup("base1", "c")[0].is_tombstone
+        assert node.get("base0", "c")[0] is None
+        node.compact()  # the full merge is the one that purges
+        assert node.lookup("base1", "c")[0] is None
+        assert node.total_cells() == 19
+
+    @pytest.mark.parametrize("garbage", ["deleted", "expired"])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_garbage_is_reclaimed_within_the_space_rules_bound(self, width,
+                                                               garbage):
+        """A base run that is half garbage, then steady overwrites of the
+        live keys: the full merge comes once the newer runs hold
+        ``SPACE_CAP`` of the base's bytes (and are T runs), so within
+        ``base * SPACE_CAP / smallest flush + T`` flushes."""
+        now = [0.0]
+        node = StorageNode("n", clock=lambda: now[0],
+                           memtable_flush_bytes=1 << 30,
+                           compaction_threshold=width)
+        live = [f"live{i:03d}" for i in range(100)]
+        node.put_many([(row, "c", b"v" * 100, None) for row in live])
+        node.put_many([(f"dead{i:03d}", "c", b"v" * 100, 5.0)
+                       for i in range(100)])
+        node.flush()
+        if garbage == "deleted":
+            for i in range(100):
+                node.delete(f"dead{i:03d}", "c")
+        now[0] = 10.0  # the TTLs have lapsed either way
+        node.flush()
+        base = node.stored_bytes()
+        flush_bytes = 10 * node.lookup("live000", "c")[0].size_bytes()
+        bound = int(base * SPACE_CAP / flush_bytes) + width
+        purged = node.stats.ttl_purged_cells
+        flushes = 0
+        while node.stats.ttl_purged_cells == purged:
+            rows = [live[(10 * flushes + i) % 100] for i in range(10)]
+            node.put_many([(row, "c", b"w" * 100, None) for row in rows])
+            node.flush()
+            flushes += 1
+            assert flushes <= bound
+        assert node.sstable_count == 1
+        assert node.total_cells() == len(live)
+        assert all(node.get(row, "c")[0] for row in live)
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_run_count_stays_logarithmic(self, width):
+        """The space rule keeps the newer runs under half the base, a
+        third of the store; the size rule sorts them into tiers a factor
+        T apart, from one flush up, of at most T - 1 runs each."""
+        rng = random.Random(width)
+        node = make_node(memtable_flush_bytes=2048,
+                         compaction_threshold=width)
+        most = 0
+        for _ in range(10_000):
+            node.put(f"row{rng.randrange(3000)}", "c",
+                     rng.randbytes(rng.randrange(20, 200)))
+            most = max(most, node.sstable_count)
+        tiers = 1 + int(math.log(node.stored_bytes() / 3 / 2048, width))
+        assert node.stats.flushes > 600
+        assert width <= most <= 1 + (width - 1) * tiers
 
     def test_compaction_purges_ttl_garbage(self):
         clock = make_clock(10.0)  # big steps so TTLs lapse quickly
@@ -202,20 +281,39 @@ class TestCostModelPinned:
     @pytest.mark.parametrize("durable", [True, False])
     def test_counters_equal_the_json_lines_store(self, tmp_path, durable):
         node = self.seeded_run(tmp_path if durable else None)
-        assert node.stats.as_dict() == {
+        stats = node.stats.as_dict()
+        assert {name: stats[name] for name in (
+            "puts", "gets", "deletes", "memtable_hits", "flushes",
+            "bytes_flushed")} == {
             "puts": 1302, "gets": 624, "deletes": 77, "memtable_hits": 34,
-            "sstables_probed": 254, "bloom_skips": 597, "flushes": 27,
-            "compactions": 13, "bytes_flushed": 113567,
-            "bytes_compacted": 308338, "ttl_purged_cells": 960}
-        device = node.device.stats.as_dict()
-        assert device.pop("busy_time_s") == pytest.approx(0.029797544)
-        assert device == {
-            "random_reads": 254, "random_writes": 0,
-            "sequential_bytes_read": 308338,
-            "sequential_bytes_written": 766773}
+            "flushes": 27, "bytes_flushed": 113567}
         assert node.absorbed_overwrites == 112
         assert node._log.size_bytes == 7927
-        assert node.stored_bytes() == 21907
+        node.close()
+
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_counters_that_follow_the_compaction_policy(self, tmp_path,
+                                                        durable):
+        """Not the file format: these count which runs are merged and
+        probed, so they follow the compaction policy — the space and size
+        rules of PR 23 (at the merge-everything-at-the-third-run policy
+        before it: 13 merges of 308338 bytes, 960 purged, 254 probes, 597
+        skips, 766773 bytes written, 0.029797544 s, 21907 bytes stored)."""
+        node = self.seeded_run(tmp_path if durable else None)
+        stats = node.stats.as_dict()
+        assert {name: stats[name] for name in (
+            "compactions", "bytes_compacted", "ttl_purged_cells",
+            "sstables_probed", "bloom_skips")} == {
+            "compactions": 10, "bytes_compacted": 244751,
+            "ttl_purged_cells": 876, "sstables_probed": 260,
+            "bloom_skips": 679}
+        device = node.device.stats.as_dict()
+        assert device.pop("busy_time_s") == pytest.approx(0.029923176)
+        assert device == {
+            "random_reads": 260, "random_writes": 0,
+            "sequential_bytes_read": 244751,
+            "sequential_bytes_written": 711157}
+        assert node.stored_bytes() == 29862
         node.close()
 
     def test_durable_run_reopens_to_the_same_answers(self, tmp_path: Path):

@@ -4,6 +4,9 @@ import itertools
 import os
 from pathlib import Path
 
+import pytest
+
+from repro.errors import StoreError
 from repro.kvstore.cells import Cell
 from repro.kvstore.commitlog import encode_record
 from repro.kvstore.node import StorageNode
@@ -209,6 +212,97 @@ class TestReopen:
         reopened.compact()
         assert reopened.get("kept", "U1")[0] == b"v2"
         assert reopened.get("deleted", "U1")[0] is None
+
+    @pytest.mark.parametrize("step", ["tmp", 0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [3, 4])
+    def test_crash_at_every_step_of_a_merge(self, tmp_path, monkeypatch,
+                                            count, step):
+        """A merge of the newest three runs of four (partial: keeps
+        garbage) or of all four (full: purges) dies with its output still
+        ``*.tmp``, or renamed with ``step`` of its inputs unlinked (all
+        of them: the node object is abandoned). The directory reopens to
+        the answers of a twin whose merge finished."""
+        now = [0.0]
+
+        def build(data_dir):
+            node = StorageNode("n1", clock=lambda: now[0], data_dir=data_dir,
+                               compaction_threshold=100)
+            for row in ("live", "deleted", "expired", "over"):
+                node.put(row, "U1", row.encode() * 40)
+            node.flush()
+            node.delete("deleted", "U1")
+            node.flush()
+            node.put("expired", "U1", b"briefly", ttl=5.0)
+            node.flush()
+            node.put("over", "U1", b"written")
+            node.flush()
+            node.put("logged", "U1", b"unflushed")
+            return node
+
+        def answers(node):
+            return {row: node.get(row, "U1")[0] for row in
+                    ("live", "deleted", "expired", "over", "logged", "never")}
+
+        twin = build(tmp_path / "twin")
+        node = build(tmp_path / "crashed")
+        now[0] = 10.0  # the TTL has lapsed
+        twin._merge_newest(count)
+        expected = answers(twin)
+        assert expected == {"live": b"live" * 40, "deleted": None,
+                            "expired": None, "over": b"written",
+                            "logged": b"unflushed", "never": None}
+
+        inputs = [table.path for table in node._sstables[-count:]]
+        unlinked = []
+
+        def unlink(path, missing_ok=False):
+            if len(unlinked) == step:
+                raise OSError("injected")
+            unlinked.append(path)
+            os.unlink(path)
+
+        def replace(temp, path):
+            raise OSError("injected")
+
+        with monkeypatch.context() as patch:
+            if step == "tmp":
+                patch.setattr(os, "replace", replace)
+            else:
+                patch.setattr(Path, "unlink", unlink)
+            if step == "tmp" or step < count:
+                with pytest.raises(StoreError):
+                    node._merge_newest(count)
+            else:
+                node._merge_newest(count)
+        # Oldest first, so what is left is the newest inputs.
+        assert unlinked == inputs[:len(unlinked)]
+        assert bool(list((tmp_path / "crashed").glob("*.tmp"))) == \
+            (step == "tmp")
+        node.close()
+
+        reopened = StorageNode.open("n1", tmp_path / "crashed",
+                                    clock=lambda: now[0])
+        assert answers(reopened) == expected
+        assert not list((tmp_path / "crashed").glob("*.tmp"))
+        reopened.compact()  # takes the leftover inputs with it
+        assert len(list((tmp_path / "crashed").glob("*.sst"))) == 1
+        assert answers(reopened) == expected
+
+    def test_reopened_cells_share_one_column_string(self, tmp_path: Path):
+        """One ``str`` per column name in the reopened store, runs and
+        replayed log alike, not one per cell."""
+        node = StorageNode("n1", clock=clock(), data_dir=tmp_path)
+        for i in range(50):
+            node.put(f"row{i}", "ProfileUpdater", b"v")
+        node.flush()
+        node.put("logged", "ProfileUpdater", b"v")
+        node.close()
+
+        reopened = StorageNode.open("n1", tmp_path, clock=clock())
+        loaded = reopened._sstables[0].cells() + \
+            list(reopened._memtable._cells.values())
+        assert len(loaded) == 51
+        assert len({id(cell.column) for cell in loaded}) == 1
 
     def test_empty_directory_opens_empty(self, tmp_path: Path):
         node = StorageNode.open("fresh", tmp_path, clock=clock())

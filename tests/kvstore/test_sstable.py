@@ -139,7 +139,7 @@ class TestMergeSSTables:
 
     def test_tombstones_kept_when_requested(self):
         delete = SSTable([Cell("r", "c", None, 2.0)])
-        merged = merge_sstables([delete], now=3.0, drop_tombstones=False)
+        merged = merge_sstables([delete], now=3.0, purge=False)
         assert merged.get("r", "c").is_tombstone
 
     def test_carried_hashes_fill_the_same_filter_as_rehashing(self):
