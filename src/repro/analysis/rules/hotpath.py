@@ -1,4 +1,4 @@
-"""MUP009: per-event allocation in ``# hot-path`` functions.
+"""MUP009: per-event allocation and JSON in ``# hot-path`` functions.
 
 The compiled per-event path (E23; ``bench``'s ``sim_chain`` measures
 it) lives or dies on per-event allocation discipline: at ~210k steps
@@ -9,10 +9,12 @@ a ``# hot-path`` comment on their signature; inside them this rule flags
 
 * ``dataclasses.replace(...)`` calls — replace re-allocates through the
   constructor; hot code should build the new record directly (the Event
-  NamedTuple stamps via ``tuple.__new__``), and
+  NamedTuple stamps via ``tuple.__new__``),
 * dict literals (``{...}``, including ``{}``) — each one is a fresh
   allocation per event; hoist it to setup code, reuse a preallocated
-  mapping, or keep the state in slots/locals.
+  mapping, or keep the state in slots/locals, and
+* ``json.dumps`` / ``json.loads`` calls — serializing per event to learn
+  a size is what ``_json_size_fast`` and ``charged_size`` compute instead.
 
 Cold code is untouched: the rule only looks inside marked functions,
 and a justified allocation suppresses with
@@ -22,13 +24,27 @@ and a justified allocation suppresses with
 from __future__ import annotations
 
 import ast
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.lint import Finding, LintRule, register_rule
 from repro.analysis.rules.base import canonical_name, import_aliases
 
 #: The marker engines put on per-event functions' signature lines.
 _MARKER = "# hot-path"
+
+_DICT_MESSAGE = ("dict literal allocates on every event in a # hot-path "
+                 "function; hoist it to setup code or reuse a preallocated "
+                 "mapping")
+_JSON_MESSAGE = ("the JSON codec runs per event in a # hot-path function; "
+                 "compute the size (see _json_size_fast, charged_size) or "
+                 "move it off the per-event path")
+#: Flagged calls (canonical names) and what each finding says.
+_CALL_MESSAGES = {
+    "dataclasses.replace": (
+        "dataclasses.replace re-runs the constructor per event in a "
+        "# hot-path function; build the new record directly (e.g. "
+        "tuple.__new__ stamping)"),
+    "json.dumps": _JSON_MESSAGE, "json.loads": _JSON_MESSAGE}
 
 
 def _is_hot(node: ast.AST, source_lines: List[str]) -> bool:
@@ -51,10 +67,10 @@ class HotPathAllocationRule(LintRule):
 
     code = "MUP009"
     name = "hot-path-allocation"
-    description = ("dataclasses.replace or dict literal inside a "
-                   "'# hot-path' function; both allocate per event — "
-                   "hoist, reuse, or build the record directly")
-    include = (r"^repro/(sim|muppet)/",)
+    description = ("dataclasses.replace, dict literal or json.dumps/loads "
+                   "inside a '# hot-path' function; each costs per event — "
+                   "hoist, reuse, build the record directly or do arithmetic")
+    include = (r"^repro/(sim|muppet|core|kvstore)/",)
 
     def check(self, tree: ast.Module, relpath: str,
               source_lines: List[str]) -> List[Finding]:
@@ -70,26 +86,15 @@ class HotPathAllocationRule(LintRule):
                 continue
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Dict):
-                    where = (sub.lineno, sub.col_offset)
-                    if where in seen:
-                        continue
-                    seen.add(where)
-                    findings.append(self.finding(
-                        relpath, sub,
-                        "dict literal allocates on every event in a "
-                        "# hot-path function; hoist it to setup code or "
-                        "reuse a preallocated mapping"))
+                    message: Optional[str] = _DICT_MESSAGE
                 elif isinstance(sub, ast.Call):
-                    name = canonical_name(sub.func, aliases)
-                    if name != "dataclasses.replace":
-                        continue
-                    where = (sub.lineno, sub.col_offset)
-                    if where in seen:
-                        continue
-                    seen.add(where)
-                    findings.append(self.finding(
-                        relpath, sub,
-                        "dataclasses.replace re-runs the constructor per "
-                        "event in a # hot-path function; build the new "
-                        "record directly (e.g. tuple.__new__ stamping)"))
+                    message = _CALL_MESSAGES.get(
+                        canonical_name(sub.func, aliases) or "")
+                else:
+                    continue
+                where = (sub.lineno, sub.col_offset)
+                if message is None or where in seen:
+                    continue
+                seen.add(where)
+                findings.append(self.finding(relpath, sub, message))
         return findings

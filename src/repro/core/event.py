@@ -149,8 +149,8 @@ def order_key(event: Event) -> Tuple[Timestamp, str, int]:
 
 #: Sequence-id stride between consecutive parent events on a derived
 #: origin stream. One operator invocation may emit up to this many
-#: outputs (events + timers) before derived ids would collide with the
-#: next parent's — far beyond any MapUpdate workflow in practice.
+#: events before derived ids would collide with the next parent's — far
+#: beyond any MapUpdate workflow in practice; the simulator raises past it.
 ORIGIN_SEQ_STRIDE = 1 << 20
 
 

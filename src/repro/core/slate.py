@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isfinite
 from typing import (Any, Callable, Dict, Iterator, NamedTuple, Optional,
                     Tuple)
 
@@ -38,18 +39,19 @@ TTL_FOREVER: Optional[float] = None
 
 def _json_size_fast(data: Dict[str, Any]) -> int:  # hot-path
     """Exact byte length of ``json.dumps(data, separators=(",", ":"))``
-    for flat ``{plain-ASCII str: int}`` dicts, or ``-1`` when ``data``
-    falls outside that shape (the caller then serializes for real).
+    for flat ``{plain-ASCII str: int or finite float}`` dicts, or ``-1``
+    when ``data`` falls outside that shape (the caller then serializes
+    for real).
 
-    Counter-style slates — the overwhelmingly common case on the update
-    hot path — are exactly this shape, and their JSON length is pure
-    arithmetic: ``{`` ``}`` plus per entry ``"key":value`` plus commas.
-    The guards are strict so the fast and slow paths always agree:
-    keys must be ASCII and printable with no ``"`` or ``\\`` (the only
-    printable-ASCII characters ``json.dumps`` escapes), and values must
-    be exactly ``int`` (``bool`` is an ``int`` subclass but serializes
-    as ``true``/``false``, so ``type`` identity is required, not
-    ``isinstance``).
+    Counter and score slates — the common case on the update hot path —
+    are this shape, and their JSON length is pure arithmetic: ``{`` ``}``
+    plus per entry ``"key":repr(value)`` plus commas. The guards are
+    strict so the fast and slow paths always agree: keys must be ASCII
+    and printable with no ``"`` or ``\\`` (the only printable-ASCII
+    characters ``json.dumps`` escapes); values must be exactly ``int``
+    or ``float`` (``bool`` serializes as ``true``/``false``, so ``type``
+    identity, not ``isinstance``), a float finite (JSON spells ``nan``
+    and ``inf`` as ``NaN`` and ``Infinity``).
     """
     n = len(data)
     if n == 0:
@@ -57,11 +59,13 @@ def _json_size_fast(data: Dict[str, Any]) -> int:  # hot-path
     # Braces (2) + per-entry quotes and colon (3n) + commas (n - 1).
     size = 4 * n + 1
     for k, v in data.items():
-        if (type(k) is not str or type(v) is not int
+        if (type(k) is not str
+                or (type(v) is not int
+                    and (type(v) is not float or not isfinite(v)))
                 or not k.isascii() or not k.isprintable()
                 or '"' in k or "\\" in k):
             return -1
-        size += len(k) + len(str(v))
+        size += len(k) + len(repr(v))
     return size
 
 #: Reserved blob key holding a slate's per-upstream dedup watermarks

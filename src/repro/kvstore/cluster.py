@@ -27,6 +27,7 @@ from repro.cluster.hashring import HashRing
 from repro.errors import ConfigurationError, QuorumError, StoreError
 from repro.kvstore.cells import Cell, newest_by
 from repro.kvstore.api import ConsistencyLevel, ReadResult, WriteResult
+from repro.kvstore.commitlog import charged_size
 from repro.kvstore.device import StorageDevice, profile_for
 from repro.kvstore.node import StorageNode
 
@@ -222,9 +223,11 @@ class ReplicatedKVStore:
     def _replicate(self, cells: List[Cell], replicas: Sequence[str],
                    consistency: ConsistencyLevel) -> WriteResult:
         """The one write path: a live replica applies the stamped cells in
-        one call, a down one gets the same cells as its hints. Too few acks
-        for ``consistency`` raise (what was applied or hinted stays)."""
+        one call, a down one gets the same cells as its hints; each cell is
+        priced (:func:`charged_size`) once for every replica's log. Too few
+        acks for ``consistency`` raise (what was applied or hinted stays)."""
         required = consistency.required_acks(self.replication_factor)
+        sizes = [charged_size(cell) for cell in cells]
         acks = 0
         worst_cost = 0.0
         for name in replicas:
@@ -234,7 +237,7 @@ class ReplicatedKVStore:
                     self._store_hint(name, cell)
                 continue
             try:
-                cost = node.apply(cells)
+                cost = node.apply(cells, _sizes=sizes)
             except StoreError:
                 continue
             acks += 1

@@ -155,7 +155,7 @@ def _json_number_len(number: Union[int, float, None]) -> int:
     return len(int.__repr__(number))
 
 
-def charged_size(cell: Cell) -> int:
+def charged_size(cell: Cell) -> int:  # hot-path
     """Length of the JSON line (newline included) that ``json.dumps`` with
     compact separators writes for ``cell`` with its value decoded as
     latin-1 — the log's former format, and still the unit the device is
@@ -241,11 +241,13 @@ class CommitLog:
         """Total charged bytes appended since the last truncation."""
         return self._bytes
 
-    def append(self, cell: Cell) -> int:
+    def append(self, cell: Cell,
+               _size: Optional[int] = None) -> int:  # hot-path
         """Append one mutation; returns its charged size in bytes
-        (:func:`charged_size`). A durable log buffers the record in its
+        (:func:`charged_size`, or ``_size`` when the caller already
+        priced the cell). A durable log buffers the record in its
         handle: call :meth:`flush` before acknowledging the write."""
-        size = charged_size(cell)
+        size = charged_size(cell) if _size is None else _size
         self._bytes += size
         if self._handle is not None:
             try:

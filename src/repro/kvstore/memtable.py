@@ -35,7 +35,7 @@ class Memtable:
         #: Total writes accepted since the last flush.
         self.writes = 0
 
-    def put(self, cell: Cell) -> None:
+    def put(self, cell: Cell) -> None:  # hot-path
         """Insert or overwrite the cell for ``(cell.row, cell.column)``."""
         previous = self._cells.get(cell.key)
         if previous is not None:

@@ -26,6 +26,7 @@ matching Muppet 2.0's dedicated background kv-store thread (Section 4.5).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -134,14 +135,16 @@ class StorageNode:
         """Write a tombstone; returns the foreground I/O time."""
         return self.apply([Cell(row, column, None, self.clock())])
 
-    def apply(self, cells: List[Cell]) -> float:
+    def apply(self, cells: List[Cell],
+              _sizes: Optional[List[int]] = None) -> float:
         """Write cells as stamped — the node's one write path, for its own
         ``put`` / ``put_many`` / ``delete`` and for the coordinator's
         replicas, hints and read repairs alike.
 
         The cells share one commit-log append chain, one log flush, one
         sequential-write charge for the combined bytes and one memtable
-        flush-threshold check. Returns the foreground I/O time.
+        flush-threshold check (``_sizes``: the coordinator's charged sizes,
+        priced once for every replica). Returns the foreground I/O time.
         """
         self._check_up()
         for cell in cells:
@@ -151,8 +154,8 @@ class StorageNode:
                     f"ttl must be a number of seconds or None, got {ttl!r}"
                 )
         total_bytes = 0
-        for cell in cells:
-            total_bytes += self._log.append(cell)
+        for cell, size in zip(cells, _sizes or repeat(None)):
+            total_bytes += self._log.append(cell, _size=size)
         self._log.flush()
         cost = self.device.charge_sequential_write(total_bytes)
         stats = self.stats

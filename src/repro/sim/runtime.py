@@ -57,7 +57,8 @@ from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
 
 from repro.cluster.topology import ClusterSpec, NetworkSpec
 from repro.core.application import Application, OperatorSpec
-from repro.core.event import Event, EventCounter, derive_origin
+from repro.core.event import (ORIGIN_SEQ_STRIDE, Event, EventCounter,
+                              derive_origin)
 from repro.core.operators import Context, Operator, TimerRequest
 from repro.core.slate import SlateKey, _json_size_fast
 from repro.elastic.controller import ElasticController
@@ -637,9 +638,10 @@ class SimRuntime:
         tuple_new = tuple.__new__
         obj_new = object.__new__
 
-        # (key, fn) -> _Machine, valid for one ring generation. 2.0 only:
-        # a planned 1.0 join or retirement moves worker-ring points
-        # without touching ``ring``, so its generation would not show it.
+        # (key, fn) -> _Machine, valid for one ring generation; _send and
+        # _deliver's effectively-once re-check share it. 2.0 only: a
+        # planned 1.0 join or retirement moves worker-ring points without
+        # touching ``ring``, so its generation would not show it.
         dest_memo: Dict[Tuple[str, str], _Machine] = {}
         ring_gen = [ring.generation]
         #: (key, fn) -> SlateKey: pure value identity, only bounded.
@@ -652,6 +654,16 @@ class SimRuntime:
         charge_device = self._charge_device
         trace_envelope = self._trace_envelope
 
+        def memo_miss(item: Tuple[str, str],
+                      envelope: _Envelope) -> Optional[_Machine]:
+            """Ask the ring for ``item``'s owner; memoize a live one."""
+            machine = destination_machine(envelope)
+            if machine is not None:
+                if len(dest_memo) >= _MEMO_MAX:
+                    dest_memo.clear()
+                dest_memo[item] = machine
+            return machine
+
         def _send(envelope: _Envelope, from_machine: Optional[str],
                   extra_delay: float = 0.0) -> None:  # hot-path
             event = envelope.event
@@ -659,13 +671,8 @@ class SimRuntime:
                 if ring_gen[0] != ring.generation:
                     dest_memo.clear()
                     ring_gen[0] = ring.generation
-                machine = dest_memo.get((event.key, envelope.dest_fn))
-                if machine is None:
-                    machine = destination_machine(envelope)
-                    if machine is not None:
-                        if len(dest_memo) >= _MEMO_MAX:
-                            dest_memo.clear()
-                        dest_memo[(event.key, envelope.dest_fn)] = machine
+                item = (event.key, envelope.dest_fn)
+                machine = dest_memo.get(item) or memo_miss(item, envelope)
             else:
                 machine = destination_machine(envelope)
             if machine is None:
@@ -942,8 +949,15 @@ class SimRuntime:
                 # ring moved its key would update the old owner's
                 # orphaned cache copy and lose the last-write-wins race.
                 # Exactness cannot absorb that, so late arrivals
-                # re-route to the current owner.
-                target = destination_machine(envelope)
+                # re-route to the current owner — asked of _send's memo,
+                # under the same generation compare.
+                if muppet2:
+                    if ring_gen[0] != ring.generation:
+                        dest_memo.clear()
+                        ring_gen[0] = ring.generation
+                    target = dest_memo.get(item) or memo_miss(item, envelope)
+                else:
+                    target = destination_machine(envelope)
                 if target is not None and target is not machine:
                     _send(envelope, machine.name)
                     return None
@@ -1065,27 +1079,35 @@ class SimRuntime:
                 birth = envelope.birth_ts
                 replayed = envelope.replayed
                 from_name = machine.name
+                if dedup:
+                    # Replay-stable identity (origin, base + i) for output
+                    # i, derived from the *input* event's provenance, not
+                    # the registry's seq (which keeps counting across
+                    # replays): a replay re-derives it and downstream
+                    # watermarks see the duplicate. Past the stride, ids
+                    # would reuse the next parent's and skip real updates.
+                    if len(outputs) > ORIGIN_SEQ_STRIDE:
+                        raise SimulationError(
+                            f"{fn} emitted {len(outputs)} events in one call;"
+                            f" at most {ORIGIN_SEQ_STRIDE} get distinct ids")
+                    origin, base = derive_origin(envelope.event, fn, 0)
                 ordinal = 0
                 for out in outputs:
                     info = stream_info.get(out[0])
                     if info is None or info[2]:
                         stamped = streams.stamp(out, from_operator=True)
                         info = stream_info[stamped.sid]
+                        if dedup:
+                            stamped = stamped.with_provenance(
+                                origin, base + ordinal)
+                    elif dedup:
+                        stamped = tuple_new(
+                            Event, (out[0], out[1], out[2], out[3],
+                                    next(info[0]), origin, base + ordinal))
                     else:
                         stamped = tuple_new(
                             Event, (out[0], out[1], out[2], out[3],
                                     next(info[0]), out[5], out[6]))
-                    if dedup:
-                        # Replay-stable identity: derived from the
-                        # *input* event's provenance, not from the
-                        # stream registry's publication seq (which keeps
-                        # counting across replays). A deterministic
-                        # operator re-derives the same (origin, oseq) on
-                        # replay, so downstream watermarks recognize the
-                        # duplicate.
-                        origin, oseq = derive_origin(envelope.event, fn,
-                                                     ordinal)
-                        stamped = stamped.with_provenance(origin, oseq)
                     if tracing:
                         rt._trace_publish(envelope, stamped, ordinal)
                     counters.published += 1

@@ -132,6 +132,30 @@ def test_rule_scope_follows_the_moved_code(code, fixture, relpath, minimum):
     assert {f.code for f in findings} == {code}
 
 
+#: Where ``# hot-path`` functions live: the engines and the per-event
+#: helpers they call in the slate and store layers.
+_HOT_PATH_SCOPES = ["repro/sim/runtime.py", "repro/muppet/dispatch.py",
+                    "repro/core/slate.py", "repro/kvstore/commitlog.py"]
+
+
+@pytest.mark.parametrize("relpath", _HOT_PATH_SCOPES)
+def test_mup009_flags_json_codec_calls_in_hot_paths(relpath):
+    rules = [r for r in iter_rules() if r.code == "MUP009"]
+    bad = (FIXTURES / "mup009_json_bad.txt").read_text()
+    findings = lint_source(bad, relpath, rules=rules)
+    # json.dumps, the aliased dumps and json.loads; not the cold one.
+    assert [f.line for f in findings] == [8, 13, 14]
+    assert all("JSON codec" in f.message for f in findings)
+    suppressed = (FIXTURES / "mup009_json_suppressed.txt").read_text()
+    assert lint_source(suppressed, relpath, rules=rules) == []
+
+
+def test_mup009_scope_stops_at_the_hot_layers():
+    rules = [r for r in iter_rules() if r.code == "MUP009"]
+    bad = (FIXTURES / "mup009_json_bad.txt").read_text()
+    assert lint_source(bad, "repro/slates/codec.py", rules=rules) == []
+
+
 def test_mup010_stays_out_of_the_threaded_engine():
     # muppet/ is in scope for replay.py only: local.py's handlers run
     # under real threads, which the model checker does not replay.

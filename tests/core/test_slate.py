@@ -1,8 +1,13 @@
 """Slates: mapping behaviour, dirty tracking, TTL, size caps."""
 
-import pytest
+import json
+import math
 
-from repro.core.slate import Slate, SlateKey, TTL_FOREVER
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.slate import Slate, SlateKey, TTL_FOREVER, _json_size_fast
 from repro.errors import SlateTooLargeError
 
 
@@ -122,6 +127,52 @@ class TestSizing:
 
     def test_check_size_passes_under_cap(self):
         make_slate(data={"c": 1}).check_size(max_slate_bytes=1_000)
+
+
+def compact_json_size(data) -> int:
+    return len(json.dumps(data, separators=(",", ":")))
+
+
+#: Keys: printable ASCII (``"`` and ``\\`` included), control and
+#: non-ASCII characters, the empty string.
+SIZE_KEYS = st.one_of(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+            max_size=6),
+    st.text(max_size=4),
+    st.sampled_from(["", 'q"uote', "back\\slash", "tab\tkey", "\x7f", "é"]))
+SIZE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 5e-324, 1e300, math.nan, math.inf,
+                     -math.inf]))
+SIZE_VALUES = st.one_of(
+    st.integers(), st.booleans(), st.text(max_size=4), st.none(),
+    SIZE_FLOATS, st.lists(st.integers() | SIZE_FLOATS, max_size=3))
+
+
+class TestSizeArithmetic:
+    """``_json_size_fast`` prices a slate without serializing it; it
+    must equal ``json.dumps`` to the byte or decline with -1."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(SIZE_KEYS, SIZE_VALUES, max_size=6))
+    @example({"score": math.nan})
+    @example({"score": math.inf, "tweets": 2})
+    def test_fast_size_is_exact_or_declines(self, data):
+        slow = compact_json_size(data)
+        fast = _json_size_fast(data)
+        assert fast in (-1, slow)
+        if any(type(v) is float and not math.isfinite(v)
+               for v in data.values()):
+            assert fast == -1  # JSON spells them NaN / Infinity
+        assert make_slate(data=data).estimated_bytes() == slow
+
+    @pytest.mark.parametrize("data", [
+        {}, {"count": 0}, {"count": -12, "n": 10**30},
+        {"score": 0.1 + 0.2, "tweets": 3, "endorsements_received": 0},
+        {"a": -0.0, "b": 1e16, "c": 5e-324, "d": 1e300, "e": -2.5e-7},
+    ])
+    def test_ints_and_finite_floats_take_the_fast_path(self, data):
+        assert _json_size_fast(data) == compact_json_size(data)
 
 
 class TestDedupWatermarks:

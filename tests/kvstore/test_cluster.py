@@ -5,8 +5,10 @@ import itertools
 import pytest
 
 from repro.errors import ConfigurationError, QuorumError
+from repro.kvstore import cluster, commitlog
 from repro.kvstore.api import ConsistencyLevel
 from repro.kvstore.cluster import ReplicatedKVStore
+from repro.kvstore.node import StorageNode
 
 
 def make_clock():
@@ -276,3 +278,66 @@ class TestRepairCarriesTheCell:
         assert type(batch) is type(single)
         assert batch.acks == 3 and batch.cost_s >= single.cost_s
         assert store.write_batch([]).acks == 0
+
+
+def assert_charged_as_lone_nodes(store: ReplicatedKVStore) -> None:
+    """Every node's commit log and device read what a lone node applying
+    the cells that node logged records on its own."""
+    for name, node in store.nodes.items():
+        lone = StorageNode("lone")
+        lone.apply(list(node._log.replay()))
+        assert node._log.size_bytes == lone._log.size_bytes, name
+        assert (node.device.stats.sequential_bytes_written
+                == lone.device.stats.sequential_bytes_written), name
+
+
+def count_charged_size(monkeypatch) -> list:
+    """Record every ``charged_size`` call, the coordinator's and the
+    commit log's; returns the list the calls append their cell to."""
+    calls = []
+    real = commitlog.charged_size
+
+    def counting(cell):
+        calls.append(cell)
+        return real(cell)
+
+    monkeypatch.setattr(cluster, "charged_size", counting)
+    monkeypatch.setattr(commitlog, "charged_size", counting)
+    return calls
+
+
+class TestReplicasChargedOnce:
+    """The coordinator prices a cell once for all its replicas; each
+    replica's log and device must still be charged as before."""
+
+    @pytest.mark.parametrize("rf", [1, 2, 3])
+    def test_writes_deletes_and_repairs_charge_as_a_lone_node(self, rf):
+        store = make_store(nodes=4, rf=rf)
+        store.write("r1", "c", b"v1", ttl=30, consistency=ConsistencyLevel.ALL)
+        store.write_batch([("r2", "c", b'q"\\\x00\xff\n', None),
+                           ("r3", "U1", b"x" * 40, 2.5),
+                           ("r1", "c", b"v2", None)],
+                          consistency=ConsistencyLevel.ALL)
+        store.delete("r2", "c", ConsistencyLevel.ALL)
+        if rf > 1:
+            stale = store.replicas_for("r4")[-1]
+            store.mark_down(stale)
+            store.write("r4", "c", b"fresh")
+            store._hints.clear()  # only read repair can heal `stale`
+            store.mark_up(stale)
+            assert store.read("r4", "c", ConsistencyLevel.ALL).value == b"fresh"
+            assert store.nodes[stale].get("r4", "c")[0] == b"fresh"
+        assert_charged_as_lone_nodes(store)
+
+    @pytest.mark.parametrize("rf", [1, 2, 3])
+    def test_charged_size_runs_once_per_cell_per_write(self, rf,
+                                                       monkeypatch):
+        store = make_store(nodes=4, rf=rf)
+        calls = count_charged_size(monkeypatch)
+        store.write("r1", "c", b"v", consistency=ConsistencyLevel.ALL)
+        assert len(calls) == 1
+        store.write_batch([(f"r{i}", "c", b"v", None) for i in range(5)],
+                          consistency=ConsistencyLevel.ALL)
+        assert len(calls) == 6
+        store.delete("r1", "c", ConsistencyLevel.ALL)
+        assert len(calls) == 7

@@ -2,9 +2,13 @@
 
 import itertools
 
+import pytest
 
+from repro.errors import QuorumError
 from repro.kvstore.api import ConsistencyLevel
 from repro.kvstore.cluster import ReplicatedKVStore
+from tests.kvstore.test_cluster import (assert_charged_as_lone_nodes,
+                                        count_charged_size)
 
 
 def make_store(nodes=3, rf=3):
@@ -133,3 +137,47 @@ class TestHintedHandoff:
         assert store.nodes[victim].get("row", "col")[0] is None
         delivered, _ = store.nodes[victim].lookup("row", "col")
         assert (delivered.write_ts, delivered.ttl) == (1.0, 10)
+
+
+class TestHintsChargedAsBefore:
+    """The coordinator prices a cell once; a delivered hint prices its
+    own cell, and the rejoined node's log and device read as if it had
+    applied the cells alone."""
+
+    @staticmethod
+    def outage(store):
+        """Miss a write, a batch and a delete on the replica first in
+        line for ``row``; at rf 1 the writes fail but stay hinted."""
+        victim = store.replicas_for("row")[0]
+        store.write("row", "old", b"v0", ttl=30,
+                    consistency=ConsistencyLevel.ALL)
+        store.mark_down(victim)
+        for mutate in (
+                lambda: store.write("row", "col", b'q"\\\x00\xff'),
+                lambda: store.write_batch([("row", "a", b"x" * 40, 2.5),
+                                           ("row", "b", b"y", None)]),
+                lambda: store.delete("row", "old")):
+            try:
+                mutate()
+            except QuorumError:
+                assert store.replication_factor == 1
+        return victim
+
+    @pytest.mark.parametrize("rf", [1, 2, 3])
+    def test_delivered_hints_charge_as_a_lone_node(self, rf):
+        store = make_store(rf=rf)
+        victim = self.outage(store)
+        store.mark_up(victim)
+        assert store.hints_delivered == 4
+        assert store.nodes[victim].get("row", "col")[0] == b'q"\\\x00\xff'
+        assert_charged_as_lone_nodes(store)
+
+    @pytest.mark.parametrize("rf", [1, 2, 3])
+    def test_cells_priced_once_per_write_and_once_per_hint(self, rf,
+                                                           monkeypatch):
+        store = make_store(rf=rf)
+        calls = count_charged_size(monkeypatch)
+        victim = self.outage(store)
+        assert len(calls) == 5  # five cells written, whatever the rf
+        store.mark_up(victim)
+        assert len(calls) == 9  # and four hints delivered

@@ -15,12 +15,14 @@ The acceptance criteria of the third delivery mode:
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.errors import ConfigurationError
+from repro.core import Application, Mapper
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FaultSchedule
 from repro.muppet.queues import OverflowPolicy, SourceThrottle
 from repro.sim import SimConfig, SimRuntime, constant_rate
+from repro.sim import runtime as runtime_module
 from repro.slates.manager import FlushPolicy
-from tests.conftest import build_count_app
+from tests.conftest import CountingUpdater, build_count_app
 
 RATE, DURATION, FLUSH, KEYS = 2000.0, 3.0, 0.2, 64
 
@@ -152,6 +154,82 @@ class TestDeterminism:
         runtime_b, report_b = run_sim(crash_schedule(), **batching, **EXACT)
         assert report_a.counter_report() == report_b.counter_report()
         assert runtime_a.slates_of("U1") == runtime_b.slates_of("U1")
+
+
+class TestOwnershipRecheckAcrossRingChanges:
+    """``_deliver``'s effectively-once ownership re-check answers from the
+    per-generation owner memo ``_send`` keeps. Under two-choice dispatch,
+    a machine joining mid-stream or crashing and recovering must leave
+    the counts exact and the runs byte-identical, with the machine ring
+    asked less than once per delivery."""
+
+    @staticmethod
+    def run_two_choice(kind):
+        config = SimConfig(delivery_semantics="effectively-once",
+                           checkpoint_epoch_s=0.5, two_choice=True,
+                           flush_policy=FlushPolicy.every(FLUSH),
+                           queue_capacity=100_000)
+        source = constant_rate("S1", rate_per_s=RATE, duration_s=DURATION,
+                               key_fn=lambda i: f"k{i % KEYS}")
+        schedule = crash_schedule() if kind == "crash" else FaultSchedule()
+        runtime = SimRuntime(build_count_app(),
+                             ClusterSpec.uniform(4, cores=4), config,
+                             [source], failures=schedule)
+        if kind == "join":
+            runtime.schedule_add_machine(1.05, "e901")
+        return runtime, runtime.run(6.0)
+
+    @pytest.mark.parametrize("kind", ["join", "crash"])
+    def test_exact_byte_identical_and_memoized(self, kind):
+        runtime, report = self.run_two_choice(kind)
+        assert total_counted(runtime) == int(RATE * DURATION)
+        rerun, rereport = self.run_two_choice(kind)
+        assert report.counter_report() == rereport.counter_report()
+        assert runtime.slates_of("U1") == rerun.slates_of("U1")
+        ring = runtime._machine_ring
+        deliveries = sum(worker.queue.stats.offered
+                         for machine in runtime.machines.values()
+                         for worker in machine.workers)
+        assert (ring.memo_hits + ring.memo_misses) / deliveries < 1
+
+
+class FanOutMapper(Mapper):
+    """Publishes ``config["fanout"]`` copies of every event."""
+
+    def map(self, ctx, event):
+        for _ in range(self.config["fanout"]):
+            ctx.publish("S2", event.key, event.value)
+
+
+class TestDerivedIdCollision:
+    """Output ``i`` of an invocation is ``parent_oseq * stride + i``: an
+    invocation emitting more than the stride would reuse the next
+    parent's ids, so the simulator refuses instead."""
+
+    @staticmethod
+    def run_fanout(fanout):
+        app = Application("fanout")
+        app.add_stream("S1", external=True)
+        app.add_stream("S2")
+        app.add_mapper("M1", FanOutMapper, subscribes=["S1"],
+                       publishes=["S2"], config={"fanout": fanout})
+        app.add_updater("U1", CountingUpdater, subscribes=["S2"])
+        source = constant_rate("S1", rate_per_s=100.0, duration_s=0.05,
+                               key_fn=lambda i: f"k{i % 4}")
+        runtime = SimRuntime(app.validate(), ClusterSpec.uniform(2, cores=2),
+                             SimConfig(**EXACT), [source])
+        runtime.run(1.0)
+        return runtime
+
+    def test_over_emitting_mapper_raises(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "ORIGIN_SEQ_STRIDE", 8)
+        with pytest.raises(SimulationError, match="M1 emitted 9 events in one call"):
+            self.run_fanout(9)
+
+    def test_up_to_the_stride_is_fine(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "ORIGIN_SEQ_STRIDE", 8)
+        runtime = self.run_fanout(8)
+        assert total_counted(runtime) == 8 * 5
 
 
 class TestEpochCheckpoints:
