@@ -40,6 +40,7 @@ Typical use (also wired as ``python -m repro analyze races``)::
 from __future__ import annotations
 
 import threading
+import time
 import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
@@ -90,8 +91,7 @@ class LockMonitor:
 
     Thread-safe via one internal (untracked) lock. Recording stops at
     :meth:`stop_recording` — call it before engine teardown so
-    post-join cleanup (``stop()`` flushing without worker locks) is not
-    misread as racy.
+    post-join cleanup (``stop()``'s final flush) is not recorded.
     """
 
     #: Max distinct access samples kept per state (enough to show the
@@ -341,10 +341,10 @@ def instrument_local_muppet(runtime: Any,
             only=("queue", "current", "cond", "parked"))
 
     # 4. Slate field accesses. Writes happen inside the operator call
-    #    the layout's _invoke() makes (under the slate's stripe); the
-    #    flusher's encode is a read of the same fields. Recording both
-    #    lets the lockset algorithm see whether any one lock covers slate
-    #    mutation.
+    #    the layout's _invoke() makes (under the slate's stripe); every
+    #    flush encodes through its manager's snapshot(), a read of the
+    #    same fields. Recording both lets the lockset algorithm see
+    #    whether any one lock covers slate mutation.
     invoke = runtime._invoke
 
     def _tracked_invoke(worker: Any, item: Any, ctx: Any, slate: Any) -> None:
@@ -355,40 +355,20 @@ def instrument_local_muppet(runtime: Any,
 
     runtime._invoke = _tracked_invoke
     for manager in runtime._managers:
-        _track_flushes(manager, mon)
+        _track_snapshots(manager, mon)
     return mon
 
 
-def _track_flushes(manager: Any, mon: LockMonitor) -> None:
-    """Record a slate read for every slate a flush call encodes."""
+def _track_snapshots(manager: Any, mon: LockMonitor) -> None:
+    """Record a slate read wherever a flush encodes a slate."""
+    snapshot = manager.snapshot
 
-    def _record_dirty_reads() -> None:
-        for slate_key in manager.dirty_keys():
-            mon.record_access(
-                f"slate:{slate_key.updater}/{slate_key.key}", "read")
-
-    flush_due = manager.flush_due
-
-    def _tracked_flush_due() -> int:
-        _record_dirty_reads()
-        return flush_due()
-
-    flush_all_dirty = manager.flush_all_dirty
-
-    def _tracked_flush_all_dirty() -> int:
-        _record_dirty_reads()
-        return flush_all_dirty()
-
-    flush_one = manager.flush_one
-
-    def _tracked_flush_one(slate_key: Any) -> bool:
+    def _tracked_snapshot(slate: Any) -> Any:
         mon.record_access(
-            f"slate:{slate_key.updater}/{slate_key.key}", "read")
-        return flush_one(slate_key)
+            f"slate:{slate.slate_key.updater}/{slate.slate_key.key}", "read")
+        return snapshot(slate)
 
-    manager.flush_due = _tracked_flush_due
-    manager.flush_all_dirty = _tracked_flush_all_dirty
-    manager.flush_one = _tracked_flush_one
+    manager.snapshot = _tracked_snapshot
 
 
 # -- the CI smoke run ---------------------------------------------------------
@@ -417,13 +397,26 @@ def race_smoke_run(events: int = 2000, threads: int = 4, keys: int = 16,
     monitor = LockMonitor()
     for runtime in (pool, per_function):
         instrument_local_muppet(runtime, monitor)
-    # Both stay up until recording stops: stop()'s final flush runs once
-    # the workers are joined, holding no stripe.
+    # Both stay up until recording stops, and until their flushers wrote
+    # what the run left dirty: the flusher's encodes are recorded too.
     with pool, per_function:
         for runtime in (pool, per_function):
             for i in range(events):
                 runtime.ingest(Event("S1", ts=i * 0.001, key=f"k{i % keys}",
                                      value=i))
             runtime.drain()
+        _await_flushed((pool, per_function))
         monitor.stop_recording()
     return monitor
+
+
+def _await_flushed(runtimes: Any, timeout_s: float = 5.0) -> bool:
+    """Wait until no manager of ``runtimes`` holds a dirty slate (their
+    flushers caught up); False if ``timeout_s`` passed first."""
+    deadline = time.monotonic() + timeout_s
+    while any(manager.cache.dirty_count() for runtime in runtimes
+              for manager in runtime._managers):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True

@@ -144,33 +144,41 @@ class TwoChoiceDispatcher:
         materializing full ``queue_lengths``/``processing`` lists (one
         allocation and O(threads) attribute chases per event), only the
         two candidate workers are inspected directly. ``workers`` must
-        expose ``queue`` (sized) and ``current``. Decisions and stats
-        updates are identical to :meth:`choose` by construction — the
-        determinism tests assert the equivalence.
+        expose ``current`` and a ``queue`` that is a
+        :class:`~repro.muppet.queues.BoundedQueue`, whose length is read
+        as ``len(queue._items)``. The :meth:`candidates` memo hit is
+        served inline. Decisions and stats updates are identical to
+        :meth:`choose` by construction, which the dispatch property tests
+        assert.
         """
-        primary, secondary = self.candidates(key, function)
+        item = (key, function)
         stats = self.stats
         stats.dispatched += 1
-        if primary == secondary:
+        if self.num_threads == 1:
             stats.queue_locks += 1
-            worker = workers[primary]
-            if worker.current == (key, function):
+            worker = workers[0]
+            if worker.current == item:
                 stats.affinity_hits += 1
             stats.to_primary += 1
             return worker
+        pair = self._memo.get(item)
+        if pair is None:
+            pair = self.candidates(key, function)
+        else:
+            stats.memo_hits += 1
         stats.queue_locks += 2
-        item = (key, function)
-        first = workers[primary]
+        first = workers[pair[0]]
         if first.current == item:
             stats.to_primary += 1
             stats.affinity_hits += 1
             return first
-        second = workers[secondary]
+        second = workers[pair[1]]
         if second.current == item:
             stats.to_secondary += 1
             stats.affinity_hits += 1
             return second
-        if len(first.queue) >= self.significant_factor * (len(second.queue) + 1):
+        if (len(first.queue._items)
+                >= self.significant_factor * (len(second.queue._items) + 1)):
             stats.to_secondary += 1
             stats.spills += 1
             return second

@@ -2,7 +2,6 @@
 
 Where :mod:`repro.sim` reproduces cluster-scale behaviour under a virtual
 clock, this module is Muppet on one actual machine, with actual threads.
-It powers the runnable examples and the wall-clock pytest benchmarks.
 
 :class:`ThreadedEngine` is the one delivery path: compiled routes, bounded
 queues with drop / divert / block-the-source overflow handling, a
@@ -40,18 +39,21 @@ from repro.core.application import Application
 from repro.core.event import Event, EventCounter
 from repro.core.operators import Context, Operator, TimerRequest
 from repro.core.slate import Slate, SlateKey
-from repro.errors import (ConfigurationError, EngineStoppedError, StoreError,
-                          WorkflowError)
+from repro.errors import (ConfigurationError, EngineStoppedError, SlateError,
+                          StoreError, WorkflowError)
 from repro.kvstore.cluster import ReplicatedKVStore
 from repro.muppet.dispatch import KeyFn, TwoChoiceDispatcher
 from repro.muppet.queues import BoundedQueue, OverflowPolicy
 from repro.obs import LatencyRecorder, MetricsRegistry
 from repro.slates.manager import (FlushPolicy, SlateManager,
-                                  SlateManagerStats)
+                                  SlateManagerStats, Snapshot)
 
 #: Slate locks are a fixed array indexed by ``hash((updater, key))``: nothing
 #: to register or leak, and two slates sharing a stripe merely take turns.
 SLATE_LOCK_STRIPES = 256
+
+#: Dirty slates per flusher kv batch: one manager-lock hold, well under 1 ms.
+FLUSH_CHUNK = 64
 
 #: Slates a machine keeps resident: one cache in the 2.0 layout, split
 #: evenly over the workers' private caches in the 1.0 layout.
@@ -60,6 +62,8 @@ CACHE_SLATES = 100_000
 #: How long a throttled source sleeps between retries when its target
 #: queue is full (the block-the-source overflow policy).
 THROTTLE_POLL_S = 0.001
+
+_tuple_new, _object_new = tuple.__new__, object.__new__  # no __init__ frame
 
 
 @dataclass(kw_only=True)
@@ -120,8 +124,7 @@ class _Worker:
 
     __slots__ = ("queue", "current", "cond", "parked", "manager")
 
-    def __init__(self, capacity: int, lock: Any,
-                 manager: SlateManager) -> None:
+    def __init__(self, capacity: int, lock: Any, manager: SlateManager) -> None:
         self.queue: BoundedQueue[_WorkItem] = BoundedQueue(capacity)
         self.current: Optional[KeyFn] = None
         self.cond = threading.Condition(lock)
@@ -154,21 +157,21 @@ class ThreadedEngine:
         )
         self.counters = EventCounter()
         self.latency = LatencyRecorder()
-        # The workflow, compiled once: operator -> route record, and
-        # stream -> its subscribers' routes in operator-name order.
-        self._streams = app.streams
-        self._route_of: Dict[str, _Route] = {
-            spec.name: _Route(spec.name, spec.instantiate(),
-                              spec.kind == "map", spec.publishes)
-            for spec in app.operators()
-        }
-        self._routes: Dict[str, Tuple[_Route, ...]] = {
-            sid: tuple(self._route_of[spec.name]
-                       for spec in app.subscribers_of(sid))
-            for sid in app.streams.sids()
-        }
-        self._source_routes = {sid: self._routes[sid]
-                               for sid in app.streams.external_sids()}
+        # The workflow, compiled once: operator -> route record, and sid ->
+        # (sequencer, subscriber routes in operator-name order, external?),
+        # through which stamping is inlined; an unknown sid, or an operator
+        # publishing into an external stream, raises in the checked stamp().
+        streams = self._streams = app.streams
+        self._route_of: Dict[str, _Route] = {spec.name: _Route(
+            spec.name, spec.instantiate(), spec.kind == "map", spec.publishes)
+            for spec in app.operators()}
+        self._stream_info: Dict[str, Tuple[Any, Tuple[_Route, ...], bool]] = {
+            sid: (streams._seq[sid], tuple(self._route_of[spec.name] for spec
+                                           in app.subscribers_of(sid)),
+                  streams.spec(sid).external) for sid in streams.sids()}
+        self._note_updates = (  # note_update() has work: a cap, write-through
+            self.config.max_slate_bytes is not None
+            or self.config.flush_policy.kind == "write_through")
         self._dispatch_lock = threading.Lock()
         self._workers, self.dispatcher = self._build_pool()
         #: Every slate manager the workers use (one shared, or one each),
@@ -195,6 +198,9 @@ class ThreadedEngine:
         #: Operator invocations that raised; the event is logged as failed
         #: and the worker moves on (user code must not kill the engine).
         self.operator_errors = 0
+        #: Flushes that skipped an unencodable slate (left dirty). The
+        #: dispatch lock guards both counts and ``last_error``.
+        self.flush_errors = 0
         self.last_error: Optional[BaseException] = None
         self.metrics = MetricsRegistry()
         self._register_metrics()
@@ -223,8 +229,8 @@ class ThreadedEngine:
             for name, stats in self.store.stats_by_node().items()
             for key, value in stats.items()
         })
-        reg.register_group(
-            "errors", lambda: {"operator_errors": self.operator_errors})
+        reg.register_group("errors", lambda: {
+            "operator_errors": self.operator_errors, "flush_errors": self.flush_errors})
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """One flat, sorted name->value reading of every registered stat."""
@@ -247,11 +253,10 @@ class ThreadedEngine:
         self._running = True
         loops = [(self._worker_loop, (worker,), f"muppet-worker-{i}")
                  for i, worker in enumerate(self._workers)]
-        loops.append((self._flusher_loop, (), "muppet-flusher"))
-        loops.append((self._timer_loop, (), "muppet-timer"))
+        loops += [(self._flusher_loop, (), "muppet-flusher"),
+                  (self._timer_loop, (), "muppet-timer")]
         for target, args, name in loops:
-            thread = threading.Thread(target=target, args=args, name=name,
-                                      daemon=True)
+            thread = threading.Thread(target=target, args=args, name=name, daemon=True)
             thread.start()
             self._threads.append(thread)
         return self
@@ -269,9 +274,8 @@ class ThreadedEngine:
             self._timer_cond.notify_all()
         for thread in self._threads:
             thread.join(timeout=5.0)
-        with self._manager_lock:
-            for manager in self._managers:
-                manager.flush_all_dirty()
+        for manager in self._managers:
+            self._flush(manager)
 
     def __enter__(self) -> "ThreadedEngine":
         return self.start()
@@ -281,35 +285,34 @@ class ThreadedEngine:
 
     # -- ingestion --------------------------------------------------------------
     def ingest(self, event: Event, block: bool = True,
-               timeout: float = 30.0) -> bool:
-        """Feed one external event (the M0 role, Section 4.1).
+               timeout: float = 30.0) -> bool:  # hot-path
+        """Feed one event of an external stream (the M0 role, Section 4.1).
 
-        Args:
-            event: Must target an external stream of the application.
-            block: With the ``throttle`` overflow policy, wait for queue
-                space (source throttling); otherwise full queues follow
-                the drop/divert policy immediately.
-            timeout: Max seconds to wait when blocking.
-
-        Returns:
-            True if the event entered the system (fully or diverted);
-            False if it was dropped.
+        With the ``throttle`` overflow policy and ``block``, a full queue
+        makes the source wait up to ``timeout`` seconds for space; otherwise
+        it follows the drop/divert policy at once. Returns True if the event
+        entered the system (fully or diverted), False if it was dropped.
         """
         if not self._running:
             raise EngineStoppedError("runtime is not running")
-        routes = self._source_routes.get(event.sid)
-        if routes is None:
+        info = self._stream_info.get(event[0])
+        if info is None or not info[2]:
             self._streams.spec(event.sid)  # unknown stream: raises
             raise WorkflowError(
                 f"ingest targets external streams only, got {event.sid!r}")
-        stamped = self._streams.stamp(event)
+        # event.with_seq(...) and _WorkItem(...), one C allocation each.
+        ts = event[1]
+        stamped = _tuple_new(Event, (event[0], ts, event[2], event[3],
+                                     next(info[0]), event[5], event[6]))
         birth = time.monotonic()  # noqa: MUP001 -- wall-clock latency birthstamp (threaded engine)
-        items = [_WorkItem(stamped, route, birth) for route in routes]
+        items: List[_WorkItem] = []
+        for route in info[1]:  # a loop: a comprehension is one more frame
+            items.append(_tuple_new(_WorkItem, (stamped, route, birth, None)))
         with self._dispatch_lock:
             self.counters.published += 1
-            advanced = stamped.ts > self._watermark
+            advanced = ts > self._watermark
             if advanced:
-                self._watermark = stamped.ts
+                self._watermark = ts
             declined = self._place(items)
         if advanced and self._timers:  # else nothing waits for the watermark
             with self._timer_cond:
@@ -323,15 +326,14 @@ class ThreadedEngine:
         return sum(self.ingest(event, block=block) for event in events)
 
     # -- dispatch -----------------------------------------------------------------
-    def _place(self, items: Iterable[_WorkItem]) -> List[_WorkItem]:
+    def _place(self, items: Iterable[_WorkItem]) -> List[_WorkItem]:  # hot-path
         """Offer each item to the queue two-choice dispatch picks, waking
         its worker if parked. The caller holds the dispatch lock and hands
         the returned declined items to :meth:`_overflow` after releasing."""
         declined: List[_WorkItem] = []
-        workers = self._workers
+        workers, choose = self._workers, self.dispatcher.choose_workers
         for item in items:
-            worker = self.dispatcher.choose_workers(
-                item.event.key, item.route.name, workers)
+            worker = choose(item[0][2], item[1][0], workers)
             if worker.queue.offer(item):
                 self._inflight += 1
                 if worker.parked:
@@ -349,7 +351,7 @@ class ThreadedEngine:
         if policy.kind == "divert" and allow_divert:
             diverted = self._streams.divert(item.event, policy.overflow_sid)
             items = [_WorkItem(diverted, route, item.birth)
-                     for route in self._routes[diverted.sid]]
+                     for route in self._stream_info[diverted.sid][1]]
             with self._dispatch_lock:
                 self.counters.diverted_overflow_stream += 1
                 declined = self._place(items)
@@ -361,10 +363,9 @@ class ThreadedEngine:
         if policy.kind == "throttle" and allow_divert and from_source:
             deadline = time.monotonic() + timeout  # noqa: MUP001 -- real throttling deadline (threaded engine)
             while time.monotonic() < deadline:  # noqa: MUP001 -- real throttling deadline (threaded engine)
-                with self._dispatch_lock:
-                    self.counters.throttled += 1
                 time.sleep(THROTTLE_POLL_S)  # noqa: MUP001 -- source backpressure needs real waiting (threaded engine)
                 with self._dispatch_lock:
+                    self.counters.throttled += 1
                     if not self._place((item,)):
                         return True
         with self._dispatch_lock:
@@ -394,7 +395,8 @@ class ThreadedEngine:
             self._fire_timer(timer, birth)
 
     # -- workers ----------------------------------------------------------------
-    def _worker_loop(self, worker: _Worker) -> None:
+    def _worker_loop(self, worker: _Worker) -> None:  # hot-path
+        process, counters = self._process, self.counters  # as instrumented
         item, error = None, None
         while True:
             # One hold: account for the delivery just made, take the next.
@@ -404,7 +406,7 @@ class ThreadedEngine:
                         self.operator_errors += 1
                         self.last_error = error
                     else:
-                        self.counters.processed += 1
+                        counters.processed += 1
                     self._inflight -= 1
                     if not self._inflight:
                         self._drained.notify_all()
@@ -416,37 +418,67 @@ class ThreadedEngine:
                     worker.parked = True
                     worker.cond.wait()
                     item = worker.queue.poll()
-                worker.current = (item.event.key, item.route.name)
+                worker.current = (item[0][2], item[1][0])
             try:
-                self._process(worker, item)
+                process(worker, item)
                 error = None
             except Exception as exc:
                 # A failing map/update costs one event, not the worker.
                 error = exc
 
-    def _process(self, worker: _Worker, item: _WorkItem) -> None:
-        """Run one delivery."""
+    def _process(self, worker: _Worker, item: _WorkItem) -> None:  # hot-path
+        """Run one delivery, inlining what the simulator's compiled path
+        does: stamping, allocation, the slate-cache hit, the slate touch."""
         event, route, birth, timer = item
-        ctx = Context(route.name, event.ts, route.publishes, event.key)
-        if route.is_map:
+        ts, key = event[1], event[2]
+        ctx = _object_new(Context)  # Context(name, ts, publishes, key)
+        ctx.operator, ctx.input_ts, ctx.input_key = route[0], ts, key
+        ctx.now, ctx._output_sids = ts, route[3]
+        ctx.emitted, ctx.timers = [], []
+        if route[2]:
             self._invoke(worker, item, ctx, None)
         else:
             manager = worker.manager
-            with self._slate_lock(route.name, event.key):
+            slate_key = _tuple_new(SlateKey, (route[0], key))
+            slate_lock = self._slate_stripes[hash(slate_key) % SLATE_LOCK_STRIPES]
+            with slate_lock:
                 with self._manager_lock:
-                    slate = manager.get(route.instance, event.key)
+                    # SlateCache.get's hit; a miss or a TTL slate: get().
+                    cache = manager.cache
+                    slate = cache._slates.get(slate_key)
+                    if slate is not None and slate.ttl is None:
+                        cache._slates.move_to_end(slate_key)
+                        cache.stats.hits += 1
+                    else:
+                        slate = manager.get(route[1], key)
                 self._invoke(worker, item, ctx, slate)
-                slate.touch(event.ts)
-                with self._manager_lock:
-                    manager.note_update(slate)
+                # slate.touch(ts): version bump, then the dirty transition.
+                slate.last_update_ts = ts
+                slate._version += 1
+                if not slate._dirty:
+                    slate._dirty = True
+                    if slate._dirty_listener is not None:
+                        slate._dirty_listener(slate, True)
+                if cache._slates.get(slate_key) is not slate:
+                    # Evicted mid-update by another worker's fetch: put it
+                    # back (none refetched it: we hold its stripe) or lose it.
+                    with self._manager_lock:
+                        cache.put(slate)
+                if self._note_updates:
+                    with self._manager_lock:
+                        manager.note_update(slate)
             if self.config.record_latency and timer is None:
                 self.latency.record(time.monotonic() - birth)  # noqa: MUP001 -- wall-clock latency measurement (threaded engine)
         if ctx.emitted:
             outs: List[_WorkItem] = []
             for out in ctx.emitted:
-                stamped = self._streams.stamp(out, from_operator=True)
-                for sub in self._routes[stamped.sid]:
-                    outs.append(_WorkItem(stamped, sub, birth))
+                info = self._stream_info.get(out[0])
+                if info is None or info[2]:
+                    self._streams.stamp(out, from_operator=True)  # raises
+                stamped = _tuple_new(Event, (out[0], out[1], out[2], out[3],
+                                             next(info[0]), out[5], out[6]))
+                for sub in info[1]:
+                    outs.append(_tuple_new(_WorkItem, (stamped, sub, birth, None)))
             with self._dispatch_lock:
                 self.counters.published += len(ctx.emitted)
                 declined = self._place(outs)
@@ -467,8 +499,7 @@ class ThreadedEngine:
 
     # -- timers -------------------------------------------------------------------
     def _fire_timer(self, timer: TimerRequest, birth: float) -> None:
-        item = _WorkItem(timer.fired(), self._route_of[timer.updater], birth,
-                         timer)
+        item = _WorkItem(timer.fired(), self._route_of[timer.updater], birth, timer)
         with self._dispatch_lock:
             declined = self._place((item,))
         if declined:
@@ -489,50 +520,66 @@ class ThreadedEngine:
 
     # -- background flush ---------------------------------------------------------
     def _flusher_loop(self) -> None:
-        """The background kv-store I/O thread (Section 4.5).
-
-        Each slate is encoded under its own lock (then the manager lock,
-        the canonical order) so a worker running ``update()`` on it can
-        never mutate its fields mid-encode — field mutation happens under
-        slate locks in :meth:`_process`, not the manager lock. Keys are
-        flushed in sorted order: the kv write sequence is key-deterministic.
-        """
+        """The background kv-store I/O thread (Section 4.5): due flushes."""
         while not self._stopping.wait(self.config.flusher_period_s):
             for manager in self._managers:
                 with self._manager_lock:
-                    if not manager.due():
-                        continue
-                    manager.mark_interval_flushed()
-                    dirty = sorted(manager.dirty_keys())
-                for slate_key in dirty:
-                    with self._slate_lock(slate_key.updater, slate_key.key):
-                        with self._manager_lock:
-                            manager.flush_one(slate_key)
+                    due = manager.take_due()
+                if due:
+                    self._flush(manager)
+
+    def _flush(self, manager: SlateManager) -> None:
+        """Write ``manager``'s dirty slates (a flusher tick, or stop()) in
+        key order, :data:`FLUSH_CHUNK` at a time: encode each under its
+        stripe, then the manager lock (an unencodable one stays dirty,
+        counted); write those still resident and unchanged as one batch (no
+        older blob after an eviction's); mark each clean if still that version."""
+        with self._manager_lock:
+            keys = sorted(manager.dirty_keys())
+        errors: List[SlateError] = []
+        for start in range(0, len(keys), FLUSH_CHUNK):
+            snapshots: List[Snapshot] = []
+            for slate_key in keys[start:start + FLUSH_CHUNK]:
+                with self._slate_lock(*slate_key):
+                    with self._manager_lock:
+                        slate = manager.cache.peek(slate_key)
+                        try:
+                            if slate is not None and slate.dirty:
+                                snapshots.append(manager.snapshot(slate))
+                        except SlateError as exc:
+                            errors.append(exc)
+            with self._manager_lock:
+                written = manager.write_snapshots([
+                    snap for snap in snapshots
+                    if manager.cache.peek(snap.slate.slate_key) is snap.slate
+                    and snap.slate.version == snap.version])
+            for slate, version, _ in written:
+                with self._slate_lock(*slate.slate_key):
+                    if slate.version == version:
+                        slate.mark_clean()
+        if errors:
+            with self._dispatch_lock:
+                self.flush_errors += len(errors)
+                self.last_error = errors[-1]
 
     # -- reads -------------------------------------------------------------------
     def read_slate(self, updater: str, key: str) -> Optional[Dict[str, Any]]:
         """Read a slate's current contents from the cache (fresh), else
-        the store — the Section 4.4 slate-fetch semantics.
-
-        Snapshots the slate under its lock so a concurrent ``update()``
-        can never be observed mid-mutation.
-        """
+        the store — the Section 4.4 slate-fetch semantics. The cached slate
+        is copied under its lock: never observed mid-``update()``."""
         cached = self._peek(updater, key)
         if cached is not None:
             return cached
         try:
-            result = self.store.read(key, updater)
+            value = self.store.read(key, updater).value
         except StoreError:
             return None
-        if result.value is None:
-            return None
-        return self._managers[0].codec.decode(result.value)
+        return None if value is None else self._managers[0].codec.decode(value)
 
     def read_slates_of(self, updater: str) -> Dict[str, Dict[str, Any]]:
         """All cached slates of one updater, in sorted key order."""
         with self._manager_lock:
-            keys = sorted(slate_key.key
-                          for manager in self._managers
+            keys = sorted(slate_key.key for manager in self._managers
                           for slate_key in manager.cache.resident()
                           if slate_key.updater == updater)
         found = ((key, self._peek(updater, key)) for key in keys)

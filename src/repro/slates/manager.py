@@ -16,7 +16,7 @@ evicted from cache'."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional
 
 from repro.core.operators import Updater
 from repro.core.slate import Slate, SlateKey
@@ -108,6 +108,14 @@ class SlateManagerStats:
     #: how many dirty slates rode them (also counted in kv_writes).
     batch_flushes: int = 0
     batched_writes: int = 0
+
+
+class Snapshot(NamedTuple):
+    """What a flush writes for one slate: its blob, encoded at ``version``."""
+
+    slate: Slate
+    version: int
+    blob: bytes
 
 
 class SlateManager:
@@ -283,24 +291,20 @@ class SlateManager:
         self._last_interval_flush = now
         return self.flush_all_dirty()
 
-    def due(self) -> bool:
-        """Is an interval flush due? (Checks only; flushes nothing.)
-
-        The threaded engine's flusher uses :meth:`due` /
-        :meth:`dirty_keys` / :meth:`flush_one` instead of
+    def take_due(self) -> bool:
+        """Claim a due interval flush: True, with the interval clock
+        restarted, when one is due; the caller then flushes. The threaded
+        engine's flusher uses this with :meth:`dirty_keys` /
+        :meth:`snapshot` / :meth:`write_snapshots` instead of
         :meth:`flush_due` so it can take each slate's lock around the
-        encode — a worker mutating slate fields mid-encode would
-        otherwise tear the blob. Call :meth:`mark_interval_flushed`
-        after acting on a True return.
-        """
-        if self.flush_policy.kind != "interval":
+        encode — a worker mutating slate fields mid-encode would otherwise
+        tear the blob."""
+        now = self.clock()
+        if (self.flush_policy.kind != "interval"
+                or now - self._last_interval_flush < self.flush_policy.interval_s):
             return False
-        return (self.clock() - self._last_interval_flush
-                >= self.flush_policy.interval_s)
-
-    def mark_interval_flushed(self) -> None:
-        """Restart the interval-flush clock (pairs with :meth:`due`)."""
-        self._last_interval_flush = self.clock()
+        self._last_interval_flush = now
+        return True
 
     def dirty_keys(self) -> List[SlateKey]:
         """Keys of resident dirty slates, in first-dirtied order."""
@@ -320,22 +324,47 @@ class SlateManager:
         return not slate.dirty
 
     def flush_all_dirty(self) -> int:
-        """Flush every dirty resident slate; returns the flushed count.
+        """Flush every dirty resident slate; returns the flushed count
+        (two or more ride one coalesced batch: :meth:`write_snapshots`)."""
+        slates = list(self.cache.dirty_slates())
+        if self.store is not None:
+            slates = [snap.slate for snap in self.write_snapshots(
+                [self.snapshot(slate) for slate in slates])]
+        for slate in slates:
+            slate.mark_clean()
+        return len(slates)
 
-        Two or more dirty slates go as one coalesced
-        :meth:`ReplicatedKVStore.write_batch` (multi-cell writes per
-        replica set) instead of one kv write per slate. If the batch
-        fails, the per-slate path takes over: each slate gets its own
-        retry cycle and fail-open accounting (a partial batch is harmless
-        — last-write-wins makes re-writes idempotent).
+    def _flush_slate(self, slate: Slate) -> None:
+        if self.store is None or self.write_snapshots([self.snapshot(slate)]):
+            slate.mark_clean()
+
+    def snapshot(self, slate: Slate) -> Snapshot:
+        """``slate`` as a flush writes it now: the blob (cached per
+        version, so an unchanged slate encodes once) and that version.
+
+        Raises:
+            SlateError: The codec cannot encode the slate's fields.
         """
-        dirty = list(self.cache.dirty_slates())
-        if self.store is not None and len(dirty) > 1:
-            writes = []
-            for slate in dirty:
-                row, column = slate.slate_key.row_column()
-                writes.append((row, column, slate.encoded_with(self.codec),
-                               slate.ttl))
+        return Snapshot(slate, slate.version, slate.encoded_with(self.codec))
+
+    def write_snapshots(self, snapshots: List[Snapshot]) -> List[Snapshot]:
+        """Write snapshots to the store: every flush's one kv write path.
+
+        Two or more go as one coalesced
+        :meth:`ReplicatedKVStore.write_batch` (multi-cell writes per
+        replica set) instead of one kv write per slate. One alone, or a
+        batch the store refused, goes one write per slate, each with its
+        own retry cycle; a slate whose write still fails is counted and
+        stays dirty, so the next flush cycle retries it once the store
+        heals (fail-open; a partial batch is harmless — last-write-wins
+        makes re-writes idempotent). A dirty slate evicted while the store
+        is down is lost: the same bounded exposure as a crash between
+        flushes. Returns the snapshots the store acknowledged, accounted
+        and traced; clearing their dirty flags is the caller's.
+        """
+        if len(snapshots) > 1:
+            writes = [(*snap.slate.slate_key.row_column(), snap.blob,
+                       snap.slate.ttl) for snap in snapshots]
             try:
                 result = self.store.write_batch(writes,
                                                 consistency=self.consistency)
@@ -343,48 +372,37 @@ class SlateManager:
                 result = None  # degrade to the per-slate path below
             if result is not None:
                 self.stats.batch_flushes += 1
-                self.stats.batched_writes += len(dirty)
-                self._written(dirty, result.cost_s, batched=True)
-                return len(dirty)
-        for slate in dirty:
-            self._flush_slate(slate)
-        return sum(not slate.dirty for slate in dirty)
+                self.stats.batched_writes += len(snapshots)
+                self._written(snapshots, result.cost_s, batched=True)
+                return snapshots
+        written = []
+        for snap in snapshots:
+            row, column = snap.slate.slate_key.row_column()
+            try:
+                result = self._kv_call(lambda: self.store.write(
+                    row, column, snap.blob, ttl=snap.slate.ttl,
+                    consistency=self.consistency))
+            except StoreError:
+                self.stats.fail_open_writes += 1
+                continue
+            self._written([snap], result.cost_s, batched=False)
+            written.append(snap)
+        return written
 
-    def _flush_slate(self, slate: Slate) -> None:
-        if self.store is None:
-            slate.mark_clean()
-            return
-        row, column = slate.slate_key.row_column()
-        blob = slate.encoded_with(self.codec)
-        try:
-            result = self._kv_call(
-                lambda: self.store.write(row, column, blob, ttl=slate.ttl,
-                                         consistency=self.consistency))
-        except StoreError:
-            # Fail-open degradation: the slate stays dirty so the next
-            # flush cycle retries it once the store heals. (A dirty slate
-            # evicted while the store is down is lost — the same bounded
-            # exposure as a crash between flushes.)
-            self.stats.fail_open_writes += 1
-            return
-        self._written([slate], result.cost_s, batched=False)
-
-    def _written(self, slates: List[Slate], cost_s: float,
+    def _written(self, snapshots: List[Snapshot], cost_s: float,
                  batched: bool) -> None:
-        """The store acknowledged ``slates``: account, trace, mark clean."""
+        """The store acknowledged ``snapshots``: account and trace."""
         self.pending_io_s += cost_s
-        self.stats.kv_writes += len(slates)
+        self.stats.kv_writes += len(snapshots)
         if self.tracer is not None:
             now = self.clock()
-            for slate in slates:
-                row, column = slate.slate_key.row_column()
+            for snap in snapshots:
+                row, column = snap.slate.slate_key.row_column()
                 self.tracer.emit(now, "slate_flush",
-                                 updater=slate.slate_key.updater,
-                                 key=slate.slate_key.key,
+                                 updater=snap.slate.slate_key.updater,
+                                 key=snap.slate.slate_key.key,
                                  row=row, column=column, batched=batched,
                                  **self._span_tags)
-        for slate in slates:
-            slate.mark_clean()
 
     def _evicted(self, slate: Slate) -> None:
         """Cache eviction hook: persist dirty victims (all policies)."""

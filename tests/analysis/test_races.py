@@ -178,6 +178,53 @@ class TestInstrumentation:
             if state.startswith("slate:"):
                 assert any(name.startswith("slate[") for name in lockset)
 
+    def test_smoke_run_records_the_flushers_encodes_under_a_stripe(self):
+        """The flusher's snapshot encodes are slate reads, and each is
+        taken holding the slate's stripe (then the manager lock)."""
+        monitor = race_smoke_run(events=200, threads=2, keys=4)
+        flusher_reads = [
+            sample for state, samples in monitor._samples.items()
+            if state.startswith("slate:") for sample in samples
+            if sample.thread == "muppet-flusher" and sample.kind == "read"]
+        assert flusher_reads
+        for sample in flusher_reads:
+            assert "manager" in sample.locks
+            assert any(name.startswith("slate[") for name in sample.locks)
+
+    def test_lockset_catches_a_flusher_encoding_outside_the_stripe(self):
+        """Seeded mutant: a flusher that encodes holding only the manager
+        lock. Workers write those slates under their stripes, so no lock
+        covers every access — the detector must say so."""
+        import contextlib
+
+        from repro.analysis.races import _await_flushed
+        from repro.core import Event
+        from repro.muppet.local import LocalConfig, LocalMuppet
+        from repro.slates.manager import FlushPolicy
+        from tests.conftest import build_count_app
+
+        class EncodesOutsideTheStripe(LocalMuppet):
+            def _slate_lock(self, updater, key):
+                if threading.current_thread().name == "muppet-flusher":
+                    return contextlib.nullcontext()
+                return super()._slate_lock(updater, key)
+
+        runtime = EncodesOutsideTheStripe(build_count_app(), LocalConfig(
+            num_threads=2, flush_policy=FlushPolicy.every(0.01),
+            flusher_period_s=0.005))
+        monitor = instrument_local_muppet(runtime)
+        with runtime:
+            for i in range(200):
+                runtime.ingest(Event("S1", ts=i * 0.001, key=f"k{i % 4}"))
+            assert runtime.drain()
+            assert _await_flushed([runtime])
+            monitor.stop_recording()
+        raced = monitor.races()
+        assert raced and all(race.state.startswith("slate:U1/")
+                             for race in raced)
+        assert "read by muppet-flusher holding [manager]" in raced[0].format()
+        assert monitor.ordering_cycles() == []
+
     def test_instrumented_engine_tracks_the_four_locks_and_the_stripes(
             self, layout=POOL):
         from repro.muppet.local import SLATE_LOCK_STRIPES

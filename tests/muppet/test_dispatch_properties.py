@@ -49,6 +49,36 @@ class TestTwoChoiceProperties:
             destinations.setdefault((key, function), set()).add(choice)
         assert all(len(d) <= 2 for d in destinations.values())
 
+    @settings(max_examples=40)
+    @given(st.lists(st.tuples(keys, functions, st.integers(0, 9)),
+                    min_size=1, max_size=60),
+           st.integers(1, 6), st.integers(0, 2**32))
+    def test_choose_workers_is_choose_on_worker_records(self, items, threads,
+                                                        seed):
+        """The worker-record fast path (memo hit served inline, queue
+        lengths read off the deque) decides and counts exactly as
+        ``choose`` does on the same loads and affinities."""
+        import random
+        from types import SimpleNamespace
+
+        from repro.muppet.queues import BoundedQueue
+
+        rng = random.Random(seed)
+        plain, fast = TwoChoiceDispatcher(threads), TwoChoiceDispatcher(threads)
+        for key, function, busy in items:
+            workers = [SimpleNamespace(queue=BoundedQueue(None), current=None)
+                       for _ in range(threads)]
+            for worker in workers:
+                for _ in range(rng.randrange(12)):
+                    worker.queue.offer(None)
+                if rng.randrange(10) < busy:
+                    worker.current = rng.choice([(key, function), ("x", "U1")])
+            lengths = [len(worker.queue) for worker in workers]
+            processing = [worker.current for worker in workers]
+            want = plain.choose(key, function, lengths, processing)
+            assert fast.choose_workers(key, function, workers) is workers[want]
+        assert fast.stats == plain.stats
+
 
 class TestSingleChoiceProperties:
     @settings(max_examples=50)
