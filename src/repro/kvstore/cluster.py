@@ -30,6 +30,7 @@ from repro.kvstore.api import ConsistencyLevel, ReadResult, WriteResult
 from repro.kvstore.commitlog import charged_size
 from repro.kvstore.device import StorageDevice, profile_for
 from repro.kvstore.node import StorageNode
+from repro.kvstore.sstable import key_hashes
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.obs import Tracer
@@ -273,13 +274,14 @@ class ReplicatedKVStore:
         """
         replicas = self.replicas_for(row)
         required = consistency.required_acks(self.replication_factor)
+        hashes = key_hashes(row, column)  # one hash for every replica
         held: Dict[str, Optional[Cell]] = {}
         worst_cost = 0.0
         for name in replicas:
             node = self.nodes[name]
             if node.is_down:
                 continue
-            held[name], cost = node.lookup(row, column)
+            held[name], cost = node.lookup(row, column, hashes)
             worst_cost = max(worst_cost, cost)
             if len(held) >= required:
                 break
@@ -297,7 +299,7 @@ class ReplicatedKVStore:
                     continue
                 try:
                     mine = (held[name] if name in held
-                            else node.lookup(row, column)[0])
+                            else node.lookup(row, column, hashes)[0])
                     if mine != winner and (mine is None
                                            or winner.supersedes(mine)):
                         node.apply([winner])
@@ -328,6 +330,11 @@ class ReplicatedKVStore:
             (cell for _, node in sorted(self.nodes.items())
              if not node.is_down
              for cell in node.column_cells(column).values()), "row")
+
+    def close(self) -> None:
+        """Release every node's file handles (durable stores)."""
+        for node in self.nodes.values():
+            node.close()
 
     def total_cells(self) -> int:
         """Cells across all nodes (replicas counted separately)."""

@@ -41,15 +41,17 @@ import zlib
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from sys import intern
-from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
+from typing import (BinaryIO, Callable, Iterator, List, Optional, Tuple,
+                    Union)
 
 from repro.errors import StoreError
 from repro.kvstore.cells import Cell
 
 _HEADER = struct.Struct("<IIIBdd")
 _CRC = struct.Struct("<I")
-_TOMBSTONE = 1
-_HAS_TTL = 2
+#: The bits of a record's ``flags``.
+TOMBSTONE = 1
+HAS_TTL = 2
 _READ_CHUNK = 1 << 20
 
 
@@ -60,13 +62,13 @@ def encode_record(cell: Cell) -> bytes:
     value = cell.value
     flags = 0
     if value is None:
-        flags = _TOMBSTONE
+        flags = TOMBSTONE
         value = b""
     ttl = cell.ttl
     if ttl is None:
         ttl = 0.0
     else:
-        flags |= _HAS_TTL
+        flags |= HAS_TTL
     body = b"".join((
         _HEADER.pack(len(row), len(column), len(value), flags,
                      cell.write_ts, ttl),
@@ -74,10 +76,12 @@ def encode_record(cell: Cell) -> bytes:
     return body + _CRC.pack(zlib.crc32(body))
 
 
-def decode_records(data: bytes) -> Tuple[List[Cell], int]:
+def decode_records(data: bytes, ends: Optional[List[int]] = None,
+                   ) -> Tuple[List[Cell], int]:
     """Decode back-to-back records from the start of ``data``.
 
     Stops at the first record that is incomplete or fails its CRC.
+    ``ends``, when given, receives the offset just past each record.
 
     Returns:
         ``(cells, end)`` — the cells of every whole record and the offset
@@ -104,31 +108,44 @@ def decode_records(data: bytes) -> Tuple[List[Cell], int]:
         cells.append(Cell(
             data[row_at:column_at].decode("utf-8", "surrogatepass"),
             intern(data[column_at:value_at].decode("utf-8", "surrogatepass")),
-            None if flags & _TOMBSTONE else data[value_at:crc_at],
+            None if flags & TOMBSTONE else data[value_at:crc_at],
             write_ts,
-            ttl if flags & _HAS_TTL else None))
+            ttl if flags & HAS_TTL else None))
         offset = crc_at + _CRC.size
+        if ends is not None:
+            ends.append(offset)
     return cells, offset
 
 
-def read_records(handle: BinaryIO) -> Tuple[List[Cell], int]:
+def scan_records(handle: BinaryIO,
+                 add: Callable[[List[Cell], List[int]], None]) -> int:
     """Decode the records of an open file from its current position, a
-    chunk at a time (a run file is never held in memory whole).
+    chunk at a time (a file is never held in memory whole), handing each
+    chunk's cells to ``add`` with the file offset just past each.
 
     Returns:
-        ``(cells, leftover)`` — ``leftover`` counts the trailing bytes
-        that are no whole record: 0 for an intact file.
+        The trailing bytes that are no whole record: 0 for an intact file.
     """
-    cells: List[Cell] = []
+    base = handle.tell()
     pending = b""
     while True:
         chunk = handle.read(_READ_CHUNK)
         if not chunk:
-            return cells, len(pending)
+            return len(pending)
         pending += chunk
-        decoded, end = decode_records(pending)
-        cells.extend(decoded)
+        ends: List[int] = []
+        cells, end = decode_records(pending, ends)
+        add(cells, [base + at for at in ends])
         pending = pending[end:]
+        base += end
+
+
+def read_records(handle: BinaryIO) -> Tuple[List[Cell], int]:
+    """Every whole record of an open file from its current position
+    (:func:`scan_records`), and the count of torn bytes after them."""
+    cells: List[Cell] = []
+    leftover = scan_records(handle, lambda chunk, _ends: cells.extend(chunk))
+    return cells, leftover
 
 
 # -- the size the device is charged ---------------------------------------------
@@ -241,17 +258,19 @@ class CommitLog:
         """Total charged bytes appended since the last truncation."""
         return self._bytes
 
-    def append(self, cell: Cell,
-               _size: Optional[int] = None) -> int:  # hot-path
+    def append(self, cell: Cell, _size: Optional[int] = None,
+               _record: Optional[bytes] = None) -> int:  # hot-path
         """Append one mutation; returns its charged size in bytes
         (:func:`charged_size`, or ``_size`` when the caller already
-        priced the cell). A durable log buffers the record in its
-        handle: call :meth:`flush` before acknowledging the write."""
+        priced the cell). A durable log buffers the record (``_record``
+        when the caller already encoded it) in its handle: call
+        :meth:`flush` before acknowledging the write."""
         size = charged_size(cell) if _size is None else _size
         self._bytes += size
         if self._handle is not None:
             try:
-                self._handle.write(encode_record(cell))
+                self._handle.write(encode_record(cell) if _record is None
+                                   else _record)
             except OSError as exc:
                 raise StoreError(f"commit log append failed: {exc}") from exc
         else:

@@ -28,6 +28,9 @@ class Memtable:
 
     def __init__(self) -> None:
         self._cells: Dict[CellKey, Cell] = {}
+        #: A durable node's: each buffered cell's commit-log record, which
+        #: the flush writes as it is.
+        self._records: Dict[CellKey, bytes] = {}
         self._bytes = 0
         #: Writes that replaced an existing in-memory cell — the disk
         #: writes the memtable saved (the paper's overwrite argument).
@@ -35,13 +38,18 @@ class Memtable:
         #: Total writes accepted since the last flush.
         self.writes = 0
 
-    def put(self, cell: Cell) -> None:  # hot-path
-        """Insert or overwrite the cell for ``(cell.row, cell.column)``."""
-        previous = self._cells.get(cell.key)
+    def put(self, cell: Cell,
+            record: Optional[bytes] = None) -> None:  # hot-path
+        """Insert or overwrite the cell for ``(cell.row, cell.column)``;
+        a durable node hands over its ``record`` too."""
+        key = cell.key
+        previous = self._cells.get(key)
         if previous is not None:
             self._bytes -= previous.size_bytes()
             self.absorbed_overwrites += 1
-        self._cells[cell.key] = cell
+        self._cells[key] = cell
+        if record is not None:
+            self._records[key] = record
         self._bytes += cell.size_bytes()
         self.writes += 1
 
@@ -64,6 +72,11 @@ class Memtable:
         """All cells in ``(row, column)`` order, ready to flush."""
         return [self._cells[k] for k in sorted(self._cells)]
 
+    def records_sorted(self) -> List[bytes]:
+        """The records handed to :meth:`put`, in :meth:`cells_sorted`
+        order."""
+        return [self._records[k] for k in sorted(self._records)]
+
     def rows(self) -> Iterator[str]:
         """Distinct row keys currently buffered."""
         seen = set()
@@ -75,4 +88,5 @@ class Memtable:
     def clear(self) -> None:
         """Empty the memtable after a flush (counters persist)."""
         self._cells.clear()
+        self._records.clear()
         self._bytes = 0

@@ -13,9 +13,11 @@ newest-first, charging one random read per file actually probed; bloom
 filters skip files that cannot hold the row.
 
 This reproduces the economics the paper relies on in Section 4.2:
-overwrites of hot slates are absorbed in memory, flushes and compactions
-are streaming I/O that competes with read-serving random I/O (the SSD
-argument), and TTL garbage collection happens at compaction time.
+overwrites of hot slates are absorbed in memory, flushed rows live in files
+(a durable node keeps each run's index in memory, not its cells), flushes
+and compactions are streaming I/O that competes with read-serving random
+I/O (the SSD argument), and TTL garbage collection happens at compaction
+time.
 
 Time is externalized: the node never sleeps; every operation *returns* its
 simulated duration, and heavy background work (flush/compaction) accrues in
@@ -32,15 +34,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import StoreError
 from repro.kvstore.cells import Cell, newest_by
-from repro.kvstore.commitlog import CommitLog
+from repro.kvstore.commitlog import CommitLog, encode_record
 from repro.kvstore.device import StorageDevice
 from repro.kvstore.memtable import Memtable
 from repro.kvstore.sstable import SSTable, key_hashes, merge_sstables
 
 #: Space rule of :meth:`StorageNode._compact_due`: newer runs may hold this
-#: fraction of the oldest run's bytes before everything is merged. Runs
-#: live in memory, so this caps RSS: over 200 000 ``store_churn`` operations
-#: 0.5 peaks 8 % above merge-everything (166 vs 154 MiB), no cap 15 % (177).
+#: fraction of the oldest run's bytes before everything is merged. It
+#: rations bytes rewritten, not RSS (a durable run keeps only its index in
+#: memory): over 200 000 ``store_churn`` operations 0.5 compacts 205.8 MB,
+#: merge-everything 511.6 and no cap (which never purges) 165.2, all
+#: peaking at 94-96 MiB of RSS.
 SPACE_CAP = 0.5
 
 
@@ -153,28 +157,38 @@ class StorageNode:
                 raise StoreError(
                     f"ttl must be a number of seconds or None, got {ttl!r}"
                 )
+        # A durable node encodes each record once: the log writes it and
+        # the memtable keeps it for the flush.
+        records = (list(map(encode_record, cells))
+                   if self._data_dir is not None else repeat(None))
         total_bytes = 0
-        for cell, size in zip(cells, _sizes or repeat(None)):
-            total_bytes += self._log.append(cell, _size=size)
+        for cell, size, record in zip(cells, _sizes or repeat(None),
+                                      records):
+            total_bytes += self._log.append(cell, _size=size,
+                                            _record=record)
         self._log.flush()
         cost = self.device.charge_sequential_write(total_bytes)
         stats = self.stats
-        for cell in cells:
+        for cell, record in zip(cells, records):
             stats.puts += 1
             if cell.value is None:
                 stats.deletes += 1
-            self._memtable.put(cell)
+            self._memtable.put(cell, record)
         if self._memtable.size_bytes >= self.memtable_flush_bytes:
             self.flush()
         return cost
 
     # -- read path ----------------------------------------------------------
-    def lookup(self, row: str, column: str) -> Tuple[Optional[Cell], float]:
+    def lookup(self, row: str, column: str,
+               hashes: Optional[Tuple[int, int]] = None,
+               ) -> Tuple[Optional[Cell], float]:
         """The newest cell for (row, column) and the simulated read time.
 
         The cell may be a tombstone or TTL-expired — replicas reconcile on
         it; :meth:`get` is the view that hides those — or ``None`` when
-        the node has no version at all.
+        the node has no version at all. ``hashes`` is ``key_hashes(row,
+        column)`` when the caller (a coordinator asking several replicas)
+        has hashed the key already.
         """
         self._check_up()
         self.stats.gets += 1
@@ -186,7 +200,8 @@ class StorageNode:
         cost = 0.0
         if not self._sstables:
             return None, cost
-        hashes = key_hashes(row, column)  # one hash probes every run
+        if hashes is None:
+            hashes = key_hashes(row, column)  # one hash probes every run
         for table in reversed(self._sstables):  # newest first
             if not table.might_contain(row, column, hashes):
                 self.stats.bloom_skips += 1
@@ -249,8 +264,10 @@ class StorageNode:
         if len(self._memtable) == 0:
             return 0.0
         generation, path = self._next_run()
-        table = SSTable(self._memtable.cells_sorted(), generation=generation,
-                        path=path)
+        memtable = self._memtable
+        table = SSTable(memtable.cells_sorted(), generation=generation,
+                        path=path, records=(memtable.records_sorted()
+                                            if path is not None else None))
         self._sstables.append(table)
         cost = self.device.charge_sequential_write(table.size_bytes)
         self.pending_background_s += cost
@@ -343,6 +360,8 @@ class StorageNode:
         from SSTables, acknowledged-but-unflushed writes from the log.
         Nothing acknowledged is rewritten on the way (the log is continued
         in place), so a restart that dies at any point can be repeated.
+        A run keeps only its index in memory and opens its file at its
+        first read, so a run that fails to load leaves no handle open.
         """
         data_dir = Path(data_dir)
         # Built in memory, then pointed at the directory: constructing it
@@ -364,8 +383,11 @@ class StorageNode:
         return node
 
     def close(self) -> None:
-        """Release the commit log's file handle (durable nodes)."""
+        """Release the commit log's and the runs' file handles (durable
+        nodes); a run read after this opens its file again."""
         self._log.close()
+        for table in self._sstables:
+            table.close()
 
     # -- failure / recovery ---------------------------------------------------
     def crash(self) -> None:
@@ -375,9 +397,10 @@ class StorageNode:
 
     def recover(self) -> int:
         """Replay the commit log into a fresh memtable; returns cells."""
+        durable = self._data_dir is not None
         replayed = 0
         for cell in self._log.replay():
-            self._memtable.put(cell)
+            self._memtable.put(cell, encode_record(cell) if durable else None)
             replayed += 1
         self.is_down = False
         return replayed

@@ -7,13 +7,17 @@ disk by the store since its last file compaction, the more files will have
 to be checked for the row when it needs to be retrieved" (Section 4.2) —
 compaction (see :mod:`repro.kvstore.node`) merges runs back down.
 
-In memory a run is what its name says, a sorted table: the cells in key
-order, searched by bisection, with a bloom filter in front. There is no
-hash index beside them, so a run's memory is little more than its cells.
+Every run keeps one *index* in memory: per cell, in key order, the row and
+column (searched by bisection), the ``write_ts``, TTL and flags of its
+record header, its exact :meth:`Cell.size_bytes` and its bloom hash pair,
+with the bloom filter built from those. The cell *bodies* stay where the
+run lives. An in-memory run (simulator mode) keeps its :class:`Cell` list.
+A durable run's body *i* is record *i* of its file, read with one
+``pread`` when a probe finds its key: a durable node's memory grows with
+its keys, not its data — main memory buffers writes, flushed rows live in
+files (Section 4.2).
 
-SSTables can live purely in memory (simulator mode) or be persisted in a
-data directory (durability tests). A run file is written once and never
-edited::
+A run file is written once and never edited::
 
     file header  <8sQI  magic "MUPSST01", generation, cell count
     cells        one binary record each, in (row, column) order — the
@@ -23,7 +27,8 @@ The file is streamed once, through a large buffer, to ``<name>.tmp``,
 which is then renamed over ``<name>``: a reader finds a complete run or
 none, and a leftover ``*.tmp`` is a flush that never finished. As with
 the commit log there is no ``fsync``. The generation in the header is what
-orders runs after a restart.
+orders runs after a restart. A flush writes the records the commit log
+already encoded; a merge copies its survivors' records from its inputs.
 """
 
 from __future__ import annotations
@@ -31,32 +36,109 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from bisect import bisect_left
 import struct
 from array import array
+from bisect import bisect_left, bisect_right
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import StoreError
 from repro.kvstore.bloom import BloomFilter, hash_pair
 from repro.kvstore.cells import Cell, CellKey, newest_by
-from repro.kvstore.commitlog import encode_record, read_records
+from repro.kvstore.commitlog import (HAS_TTL, TOMBSTONE, decode_records,
+                                     encode_record, scan_records)
 
 _sstable_ids = itertools.count(1)
 
 _FILE_HEADER = struct.Struct("<8sQI")
 _MAGIC = b"MUPSST01"
-#: Records are encoded straight into a buffer of this size, so a run of
-#: any length costs this much memory to write, in a few large writes.
-_WRITE_BUFFER = 1 << 18
-
-
-_cell_key = operator.attrgetter("row", "column")
+#: A run file is written through a buffer of this size, and a merge reads
+#: each input forward through one: a run of any length costs this much
+#: memory to write or to copy from, in a few large calls.
+_BUFFER = 1 << 18
 
 
 def key_hashes(row: str, column: str) -> Tuple[int, int]:
     """The bloom hash pair of a cell key, the same for every run."""
     return hash_pair(f"{row}\x00{column}")
+
+
+class _Index:
+    """What a run keeps in memory, one entry per cell in key order (the
+    module docstring). ``offsets`` is a durable run's: where each record
+    starts in the file, then where the file ends."""
+
+    __slots__ = ("rows", "columns", "stamps", "ttls", "flags", "sizes",
+                 "hashes", "offsets")
+
+    def __init__(self) -> None:
+        self.rows: List[str] = []
+        self.columns: List[str] = []
+        self.stamps = array("d")
+        self.ttls = array("d")  # 0.0 where the flags say there is none
+        self.flags = array("B")  # the record's: TOMBSTONE | HAS_TTL
+        self.sizes = array("I")
+        self.hashes = array("Q")  # h1, h2 per entry
+        self.offsets: Optional[array] = None
+
+    def extend(self, cells: List[Cell]) -> None:
+        """Append ``cells``, hashing their keys."""
+        rows = [cell.row for cell in cells]
+        columns = [cell.column for cell in cells]
+        self.rows += rows
+        self.columns += columns
+        self.stamps.extend([cell.write_ts for cell in cells])
+        self.ttls.extend([0.0 if cell.ttl is None else cell.ttl
+                          for cell in cells])
+        self.flags.extend([(cell.value is None) * TOMBSTONE
+                           | (cell.ttl is not None) * HAS_TTL
+                           for cell in cells])
+        self.sizes.extend([cell.size_bytes() for cell in cells])
+        hashes = self.hashes
+        for row, column in zip(rows, columns):
+            hashes.extend(key_hashes(row, column))
+
+    @classmethod
+    def gather(cls, picks: List[Tuple["_Index", int]]) -> "_Index":
+        """The entries ``picks`` name, ``(index, position)`` each."""
+        out = cls()
+        out.rows = [index.rows[at] for index, at in picks]
+        out.columns = [index.columns[at] for index, at in picks]
+        out.stamps = array("d", [index.stamps[at] for index, at in picks])
+        out.ttls = array("d", [index.ttls[at] for index, at in picks])
+        out.flags = array("B", [index.flags[at] for index, at in picks])
+        out.sizes = array("I", [index.sizes[at] for index, at in picks])
+        out.hashes = array("Q", [index.hashes[2 * at + half]
+                                 for index, at in picks for half in (0, 1)])
+        return out
+
+
+class _RunFile:
+    """A durable run's read handle: opened by the first read (again after
+    :meth:`close`), released by ``close`` — or, for a run dropped
+    unclosed, when the run is."""
+
+    __slots__ = ("path", "fd")
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.fd: Optional[int] = None
+
+    def pread(self, length: int, offset: int) -> bytes:
+        """``length`` bytes from ``offset``; fewer only at the file's end."""
+        try:
+            if self.fd is None:
+                self.fd = os.open(self.path, os.O_RDONLY)
+            return os.pread(self.fd, length, offset)
+        except OSError as exc:
+            raise StoreError(f"sstable read failed: {exc}") from exc
+
+    def close(self) -> None:
+        fd, self.fd = self.fd, None
+        if fd is not None:
+            os.close(fd)
+
+    __del__ = close
 
 
 class SSTable:
@@ -66,49 +148,44 @@ class SSTable:
         cells: Cells in any order; stored sorted by ``(row, column)``.
             For duplicate keys the newest ``write_ts`` wins. Input that is
             already sorted and free of duplicates (a memtable, a merge
-            result, a loaded file) is recognised and taken as it is.
+            result) is recognised and taken as it is.
         generation: Monotonic ID; higher = newer. Auto-assigned when 0.
-        path: Optional file to persist the run to.
-        hashes: Bloom hash pairs of ``cells``, flat (``h1, h2`` per cell,
-            in order), when the caller already has them; ``cells`` must
-            then be sorted and free of duplicates.
+        path: Optional file to persist the run to; the run then keeps
+            only its index in memory and reads bodies from the file.
+        records: The binary record of each of ``cells``, which must then
+            be sorted and free of duplicates, to write instead of encoding
+            them: what the commit log wrote.
+        index: A merge's or a load's index, otherwise built here from
+            ``cells``. ``cells`` are then its entries' bodies (in memory)
+            and ``records`` the file's (a merge); neither is given when
+            ``index.offsets`` says ``path`` holds the run already (a load).
     """
 
-    def __init__(self, cells: Iterable[Cell], generation: int = 0,
+    def __init__(self, cells: Iterable[Cell] = (), generation: int = 0,
                  path: Optional[Path] = None,
-                 hashes: Optional[array] = None) -> None:
+                 records: Optional[Iterable[bytes]] = None,
+                 index: Optional[_Index] = None) -> None:
         cells = list(cells)
-        keys = [(cell.row, cell.column) for cell in cells]
-        # Strictly ascending keys: sorted, and no key twice.
-        ready = all(map(operator.lt, keys, itertools.islice(keys, 1, None)))
-        if hashes is not None and not (ready
-                                       and len(hashes) == 2 * len(cells)):
-            raise ValueError("hashes must be one pair per cell, of cells "
-                             "that are sorted and unique")
-        if not ready:
-            newest = newest_by(cells, "key")
-            keys = sorted(newest)
-            cells = [newest[key] for key in keys]
-        #: Sorted by key and searched by bisection: no index beside the
-        #: cells, so a run costs memory for little but what it stores.
-        self._cells: List[Cell] = cells
+        if index is None:
+            cells, index = _index_cells(cells, records is not None)
+        self._index = index
         self.generation = generation or next(_sstable_ids)
-        if hashes is None:
-            hashes = array("Q")
-            for row, column in keys:
-                hashes.extend(key_hashes(row, column))
-        #: ``h1, h2`` of each cell's key, in cell order; a merge hands the
-        #: survivors' pairs to the merged run.
-        self._hashes = hashes
-        self._bloom = BloomFilter(expected_items=max(1, len(cells)))
+        self._bloom = BloomFilter(expected_items=max(1, len(index.rows)))
         add_hashed = self._bloom.add_hashed
-        flat = iter(hashes)
+        flat = iter(index.hashes)
         for h1, h2 in zip(flat, flat):
             add_hashed(h1, h2)
-        self._size = sum(c.size_bytes() for c in cells)
+        self._size = sum(index.sizes)
         self._path = Path(path) if path is not None else None
+        #: The bodies, in memory; ``None`` for a durable run.
+        self._cells: Optional[List[Cell]] = cells
+        self._file: Optional[_RunFile] = None
         if self._path is not None:
-            self._persist()
+            if index.offsets is None:
+                self._persist(map(encode_record, cells) if records is None
+                              else records)
+            self._cells = None
+            self._file = _RunFile(self._path)
 
     # -- reads --------------------------------------------------------------
     def might_contain(self, row: str, column: str,
@@ -122,24 +199,26 @@ class SSTable:
 
     def get(self, row: str, column: str) -> Optional[Cell]:
         """The cell (including tombstones) or None."""
-        cells = self._cells
-        at = bisect_left(cells, (row, column), key=_cell_key)
-        if at < len(cells):
-            cell = cells[at]
-            if cell.row == row and cell.column == column:
-                return cell
+        columns = self._index.columns
+        first, end = self._row_span(row)
+        at = bisect_left(columns, column, first, end)
+        if at < end and columns[at] == column:
+            return self._body(at)
         return None
 
     def cells(self) -> List[Cell]:
         """All cells in ``(row, column)`` order."""
-        return list(self._cells)
+        if self._cells is not None:
+            return list(self._cells)
+        read = self._reader()
+        return [self._decode(read(at), at) for at in range(len(self))]
 
     def scan_row(self, row: str) -> List[Cell]:
         """All cells of one row (bulk-read path, Section 5)."""
-        return [c for c in self._cells if c.row == row]
+        return [self._body(at) for at in range(*self._row_span(row))]
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return len(self._index.rows)
 
     @property
     def size_bytes(self) -> int:
@@ -151,23 +230,85 @@ class SSTable:
         """The backing file, if persisted."""
         return self._path
 
+    def _row_span(self, row: str) -> Tuple[int, int]:
+        """The positions ``[first, end)`` of ``row``'s cells."""
+        rows = self._index.rows
+        first = bisect_left(rows, row)
+        return first, bisect_right(rows, row, first)
+
+    def _body(self, at: int) -> Cell:
+        """The cell at position ``at``: from the list, or its record."""
+        if self._cells is not None:
+            return self._cells[at]
+        offsets = self._index.offsets
+        start = offsets[at]
+        return self._decode(self._file.pread(offsets[at + 1] - start, start),
+                            at)
+
+    def _decode(self, record: bytes, at: int) -> Cell:
+        cells, _ = decode_records(record)
+        if not cells:  # cut short, or failed its CRC
+            raise StoreError(f"sstable read failed: record {at} of "
+                             f"{self._path} is damaged")
+        return cells[0]
+
+    def _reader(self) -> Callable[[int], bytes]:
+        """The record at each position, asked for in ascending order: a
+        durable run reads its file forward through one bounded buffer, an
+        in-memory run encodes its cell."""
+        if self._cells is not None:
+            cells = self._cells
+            return lambda at: encode_record(cells[at])
+        offsets, file = self._index.offsets, self._file
+        buffer, base = b"", 0  # the file's bytes from offset ``base`` on
+
+        def record(at: int) -> bytes:
+            nonlocal buffer, base
+            start, end = offsets[at], offsets[at + 1]
+            if end > base + len(buffer):
+                buffer = file.pread(max(_BUFFER, end - start), start)
+                base = start
+                if len(buffer) < end - start:
+                    raise StoreError(f"sstable read failed: {self._path} "
+                                     f"ends inside record {at}")
+            return buffer[start - base:end - base]
+
+        return record
+
     # -- persistence ----------------------------------------------------------
-    def _persist(self) -> None:
+    def _persist(self, records: Iterable[bytes]) -> None:
         assert self._path is not None
         temp = self._path.with_name(self._path.name + ".tmp")
+        end = _FILE_HEADER.size
+        offsets = array("Q", [end])
         try:
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            with temp.open("wb", buffering=_WRITE_BUFFER) as handle:
+            with temp.open("wb", buffering=_BUFFER) as handle:
                 handle.write(_FILE_HEADER.pack(_MAGIC, self.generation,
-                                               len(self._cells)))
-                handle.writelines(map(encode_record, self._cells))
+                                               len(self)))
+                for record in records:
+                    handle.write(record)
+                    end += len(record)
+                    offsets.append(end)
+            if len(offsets) != len(self) + 1:
+                raise ValueError("records must be one per cell")
             os.replace(temp, self._path)
         except OSError as exc:
             raise StoreError(f"sstable persist failed: {exc}") from exc
+        self._index.offsets = offsets
 
     @classmethod
     def load(cls, path: Path) -> "SSTable":
-        """Reconstruct an SSTable, generation included, from its file."""
+        """Reconstruct an SSTable, generation included, from its file.
+        Every record is CRC-checked; only the index is kept. Loading opens
+        no handle: a run opens its file at its first read."""
+        index = _Index()
+        offsets = array("Q", [_FILE_HEADER.size])
+
+        def add(cells: List[Cell], ends: List[int]) -> None:
+            index.extend(cells)
+            offsets.extend(ends)
+
         try:
             with Path(path).open("rb") as handle:
                 header = handle.read(_FILE_HEADER.size)
@@ -176,24 +317,46 @@ class SSTable:
                     raise StoreError(
                         f"sstable load failed: {path} is not a run file")
                 _, generation, count = _FILE_HEADER.unpack(header)
-                cells, leftover = read_records(handle)
+                leftover = scan_records(handle, add)
         except OSError as exc:
             raise StoreError(f"sstable load failed: {exc}") from exc
-        if leftover or len(cells) != count:
+        if leftover or len(index.rows) != count:
             raise StoreError(
                 f"sstable load failed: {path} is corrupt after "
-                f"{len(cells)} of {count} cells")
-        table = cls(cells, generation=generation)
-        table._path = Path(path)
-        return table
+                f"{len(index.rows)} of {count} cells")
+        index.offsets = offsets
+        return cls(generation=generation, path=path, index=index)
+
+    def close(self) -> None:
+        """Release the read handle (durable runs); a later read opens the
+        file again."""
+        if self._file is not None:
+            self._file.close()
 
     def delete_file(self) -> None:
         """Remove the backing file after compaction supersedes this run."""
         if self._path is not None:
+            self.close()
             try:
                 self._path.unlink(missing_ok=True)
             except OSError as exc:
                 raise StoreError(f"sstable delete failed: {exc}") from exc
+
+
+def _index_cells(cells: List[Cell],
+                 has_records: bool) -> Tuple[List[Cell], _Index]:
+    """``cells`` sorted, the newest per key, and their index."""
+    keys = [(cell.row, cell.column) for cell in cells]
+    # Strictly ascending keys: sorted, and no key twice.
+    if not all(map(operator.lt, keys, itertools.islice(keys, 1, None))):
+        if has_records:
+            raise ValueError("records must be of cells that are sorted and "
+                             "unique")
+        newest = newest_by(cells, "key")
+        cells = [newest[key] for key in sorted(newest)]
+    index = _Index()
+    index.extend(cells)
+    return cells, index
 
 
 def merge_sstables(tables: List[SSTable], now: float,
@@ -203,6 +366,11 @@ def merge_sstables(tables: List[SSTable], now: float,
     """Merge the runs it is given into one: per ``(row, column)``, only
     the newest cell. Which runs to merge is the node's policy
     (:mod:`repro.kvstore.node`), not decided here.
+
+    One last-write-wins and purge pass over the inputs' indexes picks the
+    survivors, for either kind of run. A durable output then copies their
+    records, reading each input forward once; an in-memory one takes
+    their cells.
 
     Args:
         tables: Runs to merge (any order).
@@ -218,25 +386,27 @@ def merge_sstables(tables: List[SSTable], now: float,
     Returns:
         The merged SSTable.
     """
-    newest: Dict[CellKey, Cell] = {}
-    pairs: Dict[CellKey, Tuple[int, int]] = {}
+    newest: Dict[CellKey, Tuple[SSTable, int]] = {}
     for table in tables:
-        flat = iter(table._hashes)
-        for cell, pair in zip(table._cells, zip(flat, flat)):
-            key = (cell.row, cell.column)
-            existing = newest.get(key)
-            if existing is None:
-                pairs[key] = pair
-                newest[key] = cell
-            elif cell.supersedes(existing):
-                newest[key] = cell
-    survivors = []
-    hashes = array("Q")
+        index = table._index
+        stamps = index.stamps
+        for at, key in enumerate(zip(index.rows, index.columns)):
+            held = newest.get(key)
+            if held is None or stamps[at] >= held[0]._index.stamps[held[1]]:
+                newest[key] = (table, at)
+    picks = []
     for key in sorted(newest):
-        cell = newest[key]
-        if purge and (cell.is_tombstone or cell.expired(now)):
+        table, at = pick = newest[key]
+        index = table._index
+        flags = index.flags[at]
+        if purge and (flags & TOMBSTONE or flags & HAS_TTL
+                      and now - index.stamps[at] > index.ttls[at]):
             continue  # TTL and tombstone GC happen here, at compaction.
-        survivors.append(cell)
-        hashes.extend(pairs[key])
-    return SSTable(survivors, generation=generation, path=path,
-                   hashes=hashes)
+        picks.append(pick)
+    merged = _Index.gather([(table._index, at) for table, at in picks])
+    if path is None:
+        return SSTable([table._body(at) for table, at in picks],
+                       generation=generation, index=merged)
+    readers = {table: table._reader() for table in tables}
+    return SSTable(generation=generation, path=path, index=merged,
+                   records=(readers[table](at) for table, at in picks))

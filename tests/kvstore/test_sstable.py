@@ -1,13 +1,13 @@
 """SSTables: immutability, bloom gating, persistence, compaction merge."""
 
-from array import array
 from pathlib import Path
 
 import pytest
 
 from repro.errors import StoreError
 from repro.kvstore.cells import Cell
-from repro.kvstore.sstable import SSTable, key_hashes, merge_sstables
+from repro.kvstore.commitlog import encode_record
+from repro.kvstore.sstable import SSTable, merge_sstables
 
 
 class TestSSTable:
@@ -47,11 +47,10 @@ class TestSSTable:
         shuffled = cells[::-1] + [Cell("r05", "c", b"old", 0.5)]
         assert SSTable(cells).cells() == SSTable(shuffled).cells() == cells
 
-    def test_given_hashes_require_sorted_unique_cells(self):
+    def test_given_records_require_sorted_unique_cells(self):
         cells = [Cell("b", "c", b"v", 1.0), Cell("a", "c", b"v", 1.0)]
-        hashes = array("Q", key_hashes("b", "c") + key_hashes("a", "c"))
         with pytest.raises(ValueError):
-            SSTable(cells, hashes=hashes)
+            SSTable(cells, records=[encode_record(cell) for cell in cells])
 
     def test_generations_increase(self):
         t1 = SSTable([Cell("a", "c", b"", 1.0)])
@@ -150,7 +149,7 @@ class TestMergeSSTables:
         merged = merge_sstables(runs, now=30.0, generation=9)
         rebuilt = SSTable(merged.cells())
         assert 0 < len(merged) < 60 and merged.generation == 9
-        assert merged._hashes == rebuilt._hashes
+        assert merged._index.hashes == rebuilt._index.hashes
         assert merged._bloom._bits == rebuilt._bloom._bits
 
     def test_merge_shrinks_redundant_runs(self):
