@@ -45,8 +45,8 @@ checks the structural guarantees the engine claims, so a chaos run can
 
 A checker needs a complete window: ring-buffer traces that *dropped*
 early spans can report spurious executes-without-enqueue or uncovered
-skips. Give chaos runs a ring capacity sized to the run (see
-``repro.analysis.scenarios``) or use a JSONL sink.
+skips, or hide real ones. :func:`check_trace` refuses a tracer whose
+ring dropped spans; size the ring to the run or use a JSONL sink.
 """
 
 from __future__ import annotations
@@ -423,7 +423,8 @@ def check_trace(trace: Union[str, Tracer, Iterable[Span]],
 
     Args:
         trace: Path to a JSONL trace file, a live :class:`Tracer`
-            (its retained spans are checked), or an iterable of spans.
+            (its retained spans are checked; raises if its ring dropped
+            any), or an iterable of spans.
         checks: Subset of invariant names to run (``fifo``,
             ``watermarks``, ``two_choice``, ``ring_ownership``, plus
             opt-in ``shed_accounting`` and ``migration``); the
@@ -438,6 +439,11 @@ def check_trace(trace: Union[str, Tracer, Iterable[Span]],
             raise AnalysisError(f"trace {trace!r} is not valid JSONL: "
                                 f"{exc}")
     elif isinstance(trace, Tracer):
+        dropped = getattr(trace, "dropped", 0)
+        if dropped:
+            raise AnalysisError(
+                f"trace ring dropped {dropped} spans; a truncated trace "
+                "cannot be invariant-checked — raise trace_capacity")
         spans = trace.spans()
     else:
         spans = list(trace)

@@ -21,13 +21,199 @@ loss, where drop loses the majority of events outright.
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.analysis.scenarios import build_e22_app, e22_overload_run, e22_source_events
+from repro.apps.counting import Count
 from repro.campaign.claims import Metrics, Row, by_param, e_row, failed, latency_of
+from repro.cluster import ClusterSpec
+from repro.core.application import Application
+from repro.core.event import Event
 from repro.core.reference import ReferenceExecutor
+from repro.errors import ConfigurationError
+from repro.muppet.queues import OverflowPolicy, SourceThrottle
 from repro.obs import PAPER_LATENCY_BOUND_S
+from repro.shedding.controller import SheddingConfig
 from repro.shedding.measure import loss_summary, measure_counter_error
+from repro.shedding.thinning import DEFAULT_CLASS, ThinnableCounter, ThinningPolicy
+from repro.sim import SimConfig, SimRuntime
+from repro.sim.costs import CostModel
+from repro.sim.report import SimReport
+from repro.sim.sources import constant_rate, from_trace
+from repro.workloads.zipf import zipf_key_fn
+
+#: The degraded-service stream events divert to under pressure.
+E22_OVERFLOW_SID = "S_OVF"
+#: Zipf key population (hot head + long tail, Section 5 hotspots).
+E22_KEYS = 64
+#: Strong skew: ranks 0..3 carry ~95% of arrivals, the 60-key tail ~5% —
+#: the regime where thinning the head pays for counting the tail exactly
+#: (the tail must fit in capacity unthinned, or the controller has no
+#: choice but the lossy tiers).
+E22_ZIPF_EXPONENT = 2.5
+#: Application cost of one hot-counter update, in multiples of the base
+#: 250 µs update service time — 5 ms/update makes a small cluster
+#: trivially saturable at modest rates.
+E22_COST_FACTOR = 20.0
+#: Overload policies E22 compares.
+E22_POLICIES = ("drop", "divert", "throttle", "thin")
+#: Graded keep rates for the four hottest Zipf ranks; every other key is
+#: counted exactly. Under stratified thinning each thinned key's relative
+#: error is deterministically below ``1 / (keep · n)``, so the hotter the
+#: key (larger ``n``), the lower the keep rate it can afford at the same
+#: error budget. With these rates the applied load at full thin is ~10%
+#: of arrivals, and every rank's error bound stays under 1% at the
+#: default 5× workload (the binding rank is ``k3``: keep 0.4 × ~280
+#: arrivals ≈ 112 expected kept > 100).
+E22_HOT_KEEP = {"hot0": 0.03, "hot1": 0.08, "hot2": 0.2, "hot3": 0.4}
+
+_E22_MACHINES = 2
+_E22_CORES = 2
+
+
+def e22_classifier(key: str) -> str:
+    """Key class for :data:`E22_HOT_KEEP`: ``hot<rank>`` for the head."""
+    rank = int(key[1:])
+    return f"hot{rank}" if rank < len(E22_HOT_KEEP) else DEFAULT_CLASS
+
+
+def e22_thinning_policy() -> ThinningPolicy:
+    """The graded head-only stratified policy E22 runs with."""
+    return ThinningPolicy(keep_rates=dict(E22_HOT_KEEP), classifier=e22_classifier)
+
+
+class _HotCount(ThinnableCounter):
+    cost_factor = E22_COST_FACTOR
+
+
+class _DegradedCount(Count):
+    cost_factor = 0.1
+
+
+def build_e22_app() -> Application:
+    """S1 → U1(thinnable hot counter); S_OVF → U_OVF(degraded counter).
+
+    ``U1`` is the deliberately expensive hotspot updater; it opts into
+    probabilistic thinning, so under pressure the engine may sample its
+    deliveries and apply the kept ones with inverse-probability weight
+    (the slate stays an unbiased estimate of the true count). ``U_OVF``
+    is the paper's "slightly degraded service": a cheap counter on the
+    overflow stream that records what the primary path shed.
+    """
+    app = Application("e22-overload")
+    app.add_stream("S1", external=True)
+    app.add_stream(E22_OVERFLOW_SID, overflow=True)
+    app.add_updater("U1", _HotCount, subscribes=["S1"])
+    app.add_updater("U_OVF", _DegradedCount, subscribes=[E22_OVERFLOW_SID])
+    return app.validate()
+
+
+def e22_base_capacity() -> float:
+    """Sustainable U1 events/s of the E22 cluster (cores / service time).
+
+    Overload multiples are relative to this, so "5×" means five times
+    what the cluster can actually apply per second at
+    ``E22_COST_FACTOR``.
+    """
+    service_s = CostModel().update_time(E22_COST_FACTOR)
+    return _E22_MACHINES * _E22_CORES / service_s
+
+
+def e22_source_events(
+    overload: float, duration_s: float = 3.0, seed: int = 11
+) -> List[Event]:
+    """The materialized E22 arrival list (shared with the reference).
+
+    The cell feeds the *same list* to the overloaded engine and to the
+    Section 3 reference executor, so the ground-truth counters the error
+    measurement compares against describe exactly this workload.
+    """
+    rate = e22_base_capacity() * overload
+    key_fn = zipf_key_fn("k", E22_KEYS, E22_ZIPF_EXPONENT, seed)
+    source = constant_rate("S1", rate_per_s=rate, duration_s=duration_s, key_fn=key_fn)
+    return list(source.events)
+
+
+def e22_overload_run(
+    policy: str = "thin",
+    overload: float = 5.0,
+    duration_s: float = 3.0,
+    seed: int = 11,
+    trace: bool = False,
+    events: Optional[List[Event]] = None,
+) -> Tuple[SimRuntime, SimReport]:
+    """Run E22 under one overload policy; returns ``(runtime, report)``.
+
+    ``"drop"``, ``"divert"`` and ``"throttle"`` are the paper's three
+    static overflow responses; ``"thin"`` is the adaptive overload-control
+    subsystem (backpressure tiers + IPW thinning + proactive diversion +
+    source throttling) layered over a lossless throttle overflow policy,
+    so nothing is ever dropped. ``overload`` is the arrival rate as a
+    multiple of cluster capacity; ``events`` a pre-materialized arrival
+    list (from :func:`e22_source_events`), generated when None. With
+    ``trace`` on, the ring holds the whole run.
+
+    The run horizon scales with the overload multiple so that every
+    policy — including the ones that defer work instead of shedding it —
+    drains completely: shed accounting and the ground-truth error
+    measurement both need final, settled state.
+    """
+    if policy not in E22_POLICIES:
+        raise ConfigurationError(
+            f"unknown E22 policy {policy!r}; expected one of {E22_POLICIES}"
+        )
+    if events is None:
+        events = e22_source_events(overload, duration_s, seed)
+    kwargs: Dict[str, Any] = {}
+    if policy == "drop":
+        kwargs["overflow"] = OverflowPolicy.drop()
+    elif policy == "divert":
+        kwargs["overflow"] = OverflowPolicy.divert(E22_OVERFLOW_SID)
+    elif policy == "throttle":
+        kwargs["overflow"] = OverflowPolicy.throttle()
+        kwargs["throttle"] = SourceThrottle()
+    else:  # thin — the full overload-control subsystem
+        kwargs["overflow"] = OverflowPolicy.throttle()
+        kwargs["shedding"] = SheddingConfig(
+            thinning=e22_thinning_policy(),
+            seed=seed,
+            overflow_sid=E22_OVERFLOW_SID,
+            p99_budget_s=PAPER_LATENCY_BOUND_S,
+            # Thinning alone absorbs the configured overloads; keep the
+            # lossy (divert) and stalling (throttle) tiers as last resorts
+            # above the startup transient's queue spike, so they engage
+            # only when thinning genuinely cannot keep up (the 10× row)
+            # and never during the ramp-up at 2×/5×.
+            overflow_enter=0.85,
+            overflow_exit=0.50,
+            throttle_enter=0.95,
+            throttle_exit=0.70,
+            divert_fraction=0.90,
+        )
+    config = SimConfig(
+        queue_capacity=200,
+        trace=trace,
+        trace_capacity=1_048_576,
+        # Overloaded throttle runs hold thousands of deferred events; the
+        # default 10 ms retry tick turns that into tens of millions of
+        # retry re-deliveries over a long drain. A coarser tick changes no
+        # outcome (the backlog drains at service rate either way), just
+        # the simulator's bookkeeping volume.
+        retry_delay_s=0.05,
+        **kwargs,
+    )
+    runtime = SimRuntime(
+        build_e22_app(),
+        ClusterSpec.uniform(_E22_MACHINES, cores=_E22_CORES),
+        config,
+        [from_trace("S1", events)],
+    )
+    # Deferred-work policies process the whole backlog at base capacity,
+    # and the source-throttle hysteresis wastes a good half of that on
+    # pause/resume dead time; give the slowest policy its full drain
+    # window plus settle margin (idle virtual time is nearly free in the
+    # DES, so the generous horizon costs the fast policies nothing).
+    horizon = duration_s * (overload * 3.5 + 1.0) + 5.0
+    return runtime, runtime.run(horizon)
 
 
 def overload_cell(params: Mapping[str, Any], seed: int) -> Metrics:

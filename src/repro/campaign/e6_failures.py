@@ -13,7 +13,7 @@ campaign.)
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping
+from typing import Any, List, Mapping, Tuple
 
 from repro.baselines.mapreduce import MapReduceCosts
 from repro.campaign.claims import (
@@ -29,7 +29,8 @@ from repro.campaign.claims import (
 )
 from repro.cluster import ClusterSpec
 from repro.faults import FaultSchedule
-from repro.sim import SimConfig, constant_rate
+from repro.sim import SimConfig, SimRuntime, constant_rate
+from repro.sim.report import SimReport
 from repro.slates.manager import FlushPolicy
 
 RATE = 2000.0
@@ -90,26 +91,34 @@ def verify_crash(rows: List[Row]) -> List[str]:
     )
 
 
-def recover_cell(params: Mapping[str, Any], seed: int) -> Metrics:
+def recover_run(faults: str, **options: Any) -> Tuple[SimRuntime, SimReport]:
     """Beyond the paper: the Section 4.3 gap ('until operator
-    intervention') closed. A chaos schedule kills a machine mid-stream
-    and revives it; the master broadcasts recovery, the ring re-admits
-    the machine, its slates re-hydrate lazily from the kv-store, and
-    hinted handoff drains to its kv node."""
+    intervention') closed. Under ``faults="crash"`` a chaos schedule
+    kills m001 mid-stream and revives it; the master broadcasts recovery,
+    the ring re-admits the machine, its slates re-hydrate lazily from the
+    kv-store, and hinted handoff drains to its kv node. ``options`` are
+    further :class:`SimConfig` fields (``analyze invariants --e6d`` turns
+    on effectively-once delivery and tracing)."""
     schedule = FaultSchedule()
-    if params["faults"] == "crash":
+    if faults == "crash":
         schedule = FaultSchedule(seed=7).crash(1.05, "m001", recover_at=2.0)
     config = SimConfig(
         flush_policy=FlushPolicy.every(0.2),
         queue_capacity=100_000,
         kill_kv_on_machine_failure=True,
+        **options,
     )
     source = constant_rate(
         "S1", rate_per_s=RATE, duration_s=3.0, key_fn=lambda i: f"k{i % 64}"
     )
-    runtime, report = run_counting(
+    return run_counting(
         source, ClusterSpec.uniform(4, cores=4), config, 6.0, failures=schedule
     )
+
+
+def recover_cell(params: Mapping[str, Any], seed: int) -> Metrics:
+    """E6d: the crash-and-recover run against its fault-free twin."""
+    runtime, report = recover_run(str(params["faults"]))
     robustness = report.robustness
     return {
         "counted": counted(runtime),

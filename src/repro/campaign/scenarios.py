@@ -1,6 +1,6 @@
 """Scenario cells for the shipped campaigns.
 
-Both scenarios report *simulated* metrics only (virtual-clock latency,
+These cells report *simulated* metrics only (virtual-clock latency,
 event counts, replay accounting) — no wall clock — so their campaign
 artifacts are byte-identical across machines, reruns, and worker
 counts. That is what lets CI re-run a reduced grid and diff it against
@@ -11,20 +11,35 @@ the committed artifact cell for cell.
 bound); ``delivery_cell`` is the E6e delivery-semantics matrix
 (at-most/at-least/effectively-once × crash schedule);
 ``elasticity_cell`` is the E24 diurnal autoscaling swing (incremental
-vs full-rehydration handoff).
+vs full-rehydration handoff), run by :func:`e24_elasticity_run`;
+:func:`e24_migration_run` is the traced single live migration that
+``analyze invariants --e24`` and the golden rows replay.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.apps.counting import Count, count_app
 from repro.cluster import ClusterSpec
+from repro.core.application import Application
+from repro.elastic import AutoscalerConfig, MigrationConfig
 from repro.errors import ConfigurationError
 from repro.faults import FaultSchedule
 from repro.obs import PAPER_LATENCY_BOUND_S
 from repro.sim import SimConfig, SimRuntime, constant_rate
+from repro.sim.des import Simulator
+from repro.sim.report import SimReport
+from repro.sim.sources import spiky_rate
 from repro.slates.manager import FlushPolicy
+
+#: The E24 diurnal workload: piecewise-constant ``(rate/s, seconds)``
+#: phases — a calm warm-up, a >11x surge, and a long cool-down. Against a
+#: 5 ms/update counter this swings demand across the autoscaler's whole
+#: 2..16 machine range (one core ≈ 200 updates/s).
+E24_DIURNAL_PHASES: List[Tuple[float, float]] = [
+    (250.0, 4.0), (2800.0, 24.0), (250.0, 32.0)
+]
 
 
 class _CostlyCount(Count):
@@ -34,6 +49,98 @@ class _CostlyCount(Count):
     updater capacity per 4-core machine."""
 
     cost_factor = 20.0
+
+
+def build_e24_diurnal_app() -> Application:
+    """S1 → U1: a deliberately expensive counter (5 ms per update)."""
+    return count_app("e24-diurnal", hops=0, updater=_CostlyCount)
+
+
+def e24_expected_events() -> int:
+    """Total events the diurnal source materializes."""
+    return sum(int(rate * seconds) for rate, seconds in E24_DIURNAL_PHASES)
+
+
+def e24_migration_run(
+    kind: str = "retire", rate_per_s: float = 2000.0, duration_s: float = 3.0
+) -> Tuple[SimRuntime, SimReport]:
+    """The traced E24 live migration; returns ``(runtime, report)``.
+
+    The E6d workload (same app, rate, keys, cluster) with a live slate
+    migration at t=1.0 s instead of a crash: ``kind="retire"`` drains
+    m001 out of the ring through the incremental-handoff protocol,
+    ``kind="join"`` admits a fresh elastic machine.
+    """
+    config = SimConfig(
+        flush_policy=FlushPolicy.every(0.2),
+        queue_capacity=100_000,
+        kill_kv_on_machine_failure=True,
+        delivery_semantics="effectively-once",
+        migration=MigrationConfig(),
+        trace=True,
+        trace_capacity=262_144,
+    )
+    source = constant_rate("S1", rate_per_s, duration_s, key_fn=lambda i: f"k{i % 64}")
+    runtime = SimRuntime(
+        count_app("e24-migration"), ClusterSpec.uniform(4, cores=4), config, [source]
+    )
+    if kind == "retire":
+        runtime.schedule_remove_machine(1.0, "m001")
+    elif kind == "join":
+        runtime.schedule_add_machine(1.0, "e901")
+    else:
+        raise ConfigurationError(
+            f"e24 migration kind {kind!r} must be 'retire' or 'join'"
+        )
+    return runtime, runtime.run(8.0)
+
+
+def e24_elasticity_run(
+    full_rehydration: bool = False, horizon_s: float = 90.0
+) -> Tuple[SimRuntime, SimReport, List[Tuple[float, int]]]:
+    """Run the E24 diurnal autoscaling scenario end to end.
+
+    A 2-machine (1 core each) seed cluster faces the
+    :data:`E24_DIURNAL_PHASES` swing under the autoscaler: queue pressure
+    grows the cluster toward 16 machines through serialized live
+    migrations, and the calm tail shrinks it back to 2. With
+    ``full_rehydration=True`` every handoff runs the flush-barrier
+    ablation instead of the incremental snapshot/delta stream.
+
+    Returns ``(runtime, report, trajectory)`` where ``trajectory`` is the
+    ``[(t, live_machines), ...]`` curve sampled every 0.25 s.
+    """
+    config = SimConfig(
+        flush_policy=FlushPolicy.every(0.2),
+        queue_capacity=10_000,
+        delivery_semantics="effectively-once",
+        autoscale=AutoscalerConfig(
+            min_machines=2,
+            max_machines=16,
+            check_period_s=0.25,
+            scale_up_queue=0.5,
+            scale_down_queue=0.1,
+            cooldown_s=0.5,
+            hold_s=1.0,
+            grow_step=2,
+            shrink_step=2,
+            cores=1,
+        ),
+        migration=MigrationConfig(full_rehydration=full_rehydration),
+    )
+    source = spiky_rate("S1", E24_DIURNAL_PHASES, key_fn=lambda i: f"k{i % 64}")
+    runtime = SimRuntime(
+        build_e24_diurnal_app(), ClusterSpec.uniform(2, cores=1), config, [source]
+    )
+    trajectory: List[Tuple[float, int]] = []
+
+    def sample(sim: Simulator) -> None:
+        trajectory.append((sim.now(), runtime._elastic_stats()["machines_live"]))
+        sim.schedule_in(0.25, sample)
+
+    runtime.sim.schedule_in(0.0, sample)
+    report = runtime.run(horizon_s)
+    return runtime, report, trajectory
 
 
 def capacity_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
@@ -148,8 +255,6 @@ def elasticity_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     ride the swing 2 -> 16 -> 2 with exact effectively-once counts and
     zero aborted migrations; the committed artifact pins the moved-byte
     totals the incremental-vs-full claim is judged on."""
-    from repro.analysis.scenarios import e24_elasticity_run, e24_expected_events
-
     handoff = str(params["handoff"])
     if handoff not in ("incremental", "full"):
         raise ConfigurationError(f"unknown handoff mode {handoff!r}")

@@ -5,8 +5,9 @@ capacity-planning curve (machines needed for a rate at p99 < 2 s),
 ``delivery_matrix`` the E6e exactness matrix (delivery semantics x
 crash schedule), ``elasticity`` the E24 diurnal swing — the timed
 ``perf_baseline`` (``BENCH_PERF.json``) from :mod:`repro.campaign.perf`,
-and one campaign per paper-vs-measured table of DESIGN.md SS3,
-collected from the ``f*``/``e*`` modules beside this one. Each spec is
+one campaign per paper-vs-measured table of DESIGN.md SS3, collected
+from the ``f*``/``e*`` modules beside this one, and the E23 feature
+matrix ``golden_features`` from :mod:`repro.campaign.golden`. Each spec is
 plain data plus ``module:callable`` hooks.
 """
 
@@ -33,6 +34,7 @@ from repro.campaign import (
     e19_consistency,
     e22_shedding,
     f2_routing,
+    golden,
     perf,
 )
 from repro.campaign.spec import CampaignSpec
@@ -277,6 +279,7 @@ SPECS: Dict[str, CampaignSpec] = {
         *e17_profiles_spikes.SPECS,
         *e19_consistency.SPECS,
         *e22_shedding.SPECS,
+        *golden.SPECS,
     )
 }
 

@@ -351,14 +351,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     checks = (None if args.checks is None
               else [c.strip() for c in args.checks.split(",")])
     if args.e6d:
-        from repro.analysis.scenarios import e6d_chaos_trace
+        from repro.campaign.e6_failures import recover_run
 
-        trace: object = e6d_chaos_trace()
+        runtime, _ = recover_run("crash",
+                                 delivery_semantics="effectively-once",
+                                 trace=True, trace_capacity=262_144)
+        trace: object = runtime.tracer
         label = "E6d chaos trace"
     elif args.e22:
-        from repro.analysis.scenarios import e22_shedding_trace
+        from repro.campaign.e22_shedding import e22_overload_run
 
-        trace = e22_shedding_trace(overload=args.overload)
+        runtime, _ = e22_overload_run(overload=args.overload, trace=True)
+        trace = runtime.tracer
         label = f"E22 overload trace ({args.overload}x)"
         if checks is None:
             # Fault-free and drained, so the opt-in shed-accounting
@@ -366,9 +370,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             checks = ["fifo", "watermarks", "two_choice",
                       "ring_ownership", "shed_accounting"]
     elif args.e24:
-        from repro.analysis.scenarios import e24_migration_trace
+        from repro.campaign.scenarios import e24_migration_run
 
-        trace = e24_migration_trace()
+        runtime, _ = e24_migration_run()
+        trace = runtime.tracer
         label = "E24 live-migration trace"
         if checks is None:
             # The trace contains a full handoff, so the opt-in

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.analysis.invariants import InvariantChecker, check_trace
-from repro.analysis.scenarios import e6d_chaos_trace
+from repro.campaign.e6_failures import recover_run
+from repro.campaign.scenarios import e24_migration_run
 from repro.errors import AnalysisError
+from repro.obs.trace import RingTracer
 
 
 def _span(kind, ts=0.0, **fields):
@@ -178,6 +180,14 @@ class TestCheckTrace:
         path.write_text("\n".join(json.dumps(s) for s in spans) + "\n")
         assert check_trace(str(path)) == []
 
+    def test_a_ring_that_dropped_spans_is_refused(self):
+        # A clean verdict on the tail of a run would be a false one.
+        tracer = RingTracer(capacity=2)
+        for oseq in (1, 2, 3):
+            tracer.emit(0.0, "source", origin="S1", oseq=oseq)
+        with pytest.raises(AnalysisError, match="dropped 1 spans"):
+            check_trace(tracer)
+
     def test_subset_of_checks(self):
         # An inversion is visible to fifo but not to two_choice.
         spans = [
@@ -194,7 +204,9 @@ class TestE6dChaosTrace:
 
     @pytest.fixture(scope="class")
     def trace(self):
-        return e6d_chaos_trace(rate_per_s=500.0, duration_s=1.5)
+        runtime, _ = recover_run("crash", delivery_semantics="effectively-once",
+                                 trace=True, trace_capacity=262_144)
+        return runtime.tracer.spans()
 
     def test_real_trace_has_no_violations(self, trace):
         violations = check_trace(trace)
@@ -309,9 +321,8 @@ class TestE24MigrationTrace:
 
     @pytest.fixture(scope="class")
     def trace(self):
-        from repro.analysis.scenarios import e24_migration_trace
-
-        return e24_migration_trace()
+        runtime, _ = e24_migration_run()
+        return runtime.tracer.spans()
 
     def test_real_trace_has_no_violations(self, trace):
         violations = check_trace(

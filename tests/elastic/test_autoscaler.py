@@ -122,7 +122,7 @@ def test_autoscaler_without_migration_admits_what_it_builds():
     """With ``SimConfig.migration`` unset the autoscaler grows through
     the flush-barrier join. The machines it builds must enter the ring
     (they used to be built and then left outside it forever)."""
-    from repro.analysis.scenarios import build_e24_diurnal_app
+    from repro.campaign.scenarios import build_e24_diurnal_app
     from repro.cluster import ClusterSpec
     from repro.sim import SimConfig, SimRuntime
     from repro.sim.sources import spiky_rate

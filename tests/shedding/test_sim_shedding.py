@@ -9,8 +9,7 @@ diverted events keep their replay-stable provenance.
 from __future__ import annotations
 
 from repro.analysis.invariants import check_trace
-from repro.analysis.scenarios import (E22_OVERFLOW_SID, e22_overload_run,
-                                      e22_shedding_trace)
+from repro.campaign.e22_shedding import E22_OVERFLOW_SID, e22_overload_run
 from repro.cluster import ClusterSpec
 from repro.shedding.controller import TIER_NAMES
 from repro.sim import SimConfig, SimRuntime, constant_rate
@@ -113,6 +112,7 @@ class TestDivertProvenance:
     def test_shed_accounting_invariant_on_thin_trace(self):
         """Reduced-scale version of the E22 invariant gate: every event
         reaches exactly one terminal under the adaptive policy."""
-        trace = e22_shedding_trace(overload=2.0, duration_s=1.0)
-        violations = check_trace(trace, checks=["shed_accounting"])
+        runtime, _ = e22_overload_run(overload=2.0, duration_s=1.0,
+                                      trace=True)
+        violations = check_trace(runtime.tracer, checks=["shed_accounting"])
         assert violations == []

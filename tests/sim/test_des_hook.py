@@ -156,11 +156,11 @@ def test_hook_on_a_chain_runtime_sees_groups_and_choose_zero_is_identity():
     combination whose loop used to bypass the hook — is offered the
     co-enabled groups, observes every executed step, and answering 0
     everywhere reproduces the unhooked report and step count."""
+    from repro.campaign.golden import chain_app
     from repro.cluster import ClusterSpec
     from repro.sim import SimConfig, create_runtime
     from repro.sim.sources import Source
     from tests.conftest import make_events
-    from tests.sim.test_golden_reports import chain_app
 
     def run(hook):
         # Two sources with identical timestamps: their steppers tie at

@@ -4,31 +4,30 @@ engine's goldens, determinism, and fallback boundaries.
 The contract under test (see :meth:`repro.sim.des.Simulator._drain`):
 running a handler's continuation inline instead of through the heap
 changes nothing observable — ``counter_report()``, the step count and
-the final slates equal what the exact stepper produced (pinned in
-``golden_reports.json``, recorded before that stepper was deleted) — and
+the final slates equal what the exact stepper produced (pinned by the
+``golden_features`` campaign, recorded before that stepper was deleted) — and
 inline advancement never jumps over a heap-scheduled fault, timer, or
 ring change. Every configuration runs the same compiled handlers, so the
 features that used to force a separate "exact" engine (tracing,
 effectively-once, batching) advance inline too.
 """
 
-import json
-
 import pytest
 
+from repro.campaign.golden import SCENARIOS, chain_app, row_of
 from repro.cluster import ClusterSpec
 from repro.sim import SimConfig, SimRuntime, create_runtime
 from repro.sim.sources import Source
 from tests.conftest import make_events
-from tests.sim import test_golden_reports as golden
+from tests.sim.test_golden_reports import COMMITTED
 
-GOLDEN = json.loads(golden.GOLDEN_PATH.read_text())
+GOLDEN = {row["params"]["row"]: row["metrics"] for row in COMMITTED["cells"]}
 
 
 def _pinned(name):
     """Run one golden scenario; assert its row; hand back the run."""
-    runtime, report, updaters = golden.SCENARIOS[name]()
-    assert golden.row_of(runtime, report, updaters) == GOLDEN[name]
+    runtime, report, updaters = SCENARIOS[name]()
+    assert row_of(runtime, report, updaters) == GOLDEN[name]
     return runtime, report
 
 
@@ -41,13 +40,13 @@ class TestIdentityWithExactGoldens:
         # SimConfig.fastforward selects nothing: both values, and both
         # constructors, build the same runtime.
         runtime = create_runtime(
-            golden.chain_app(), ClusterSpec.uniform(4, cores=4),
+            chain_app(), ClusterSpec.uniform(4, cores=4),
             SimConfig(fastforward=fastforward),
             [Source("S1", iter(make_events(4_000, keys=8,
                                            spacing=0.00002)))])
         assert type(runtime) is SimRuntime
         report = runtime.run(6.0)
-        assert golden.row_of(runtime, report) == GOLDEN["muppet2_dense"]
+        assert row_of(runtime, report) == GOLDEN["muppet2_dense"]
 
     def test_quiescent_gaps_are_inlined_not_approximated(self):
         # 50 ms spacing dwarfs per-event service time: every started
@@ -82,8 +81,8 @@ class TestFormerlyExactOnlyFeaturesAdvanceInline:
 class TestThreeRunDeterminism:
     def test_reports_identical_across_runs(self):
         def one():
-            runtime, report, _ = golden.SCENARIOS["muppet2_dense"]()
-            return (golden.row_of(runtime, report),
+            runtime, report, _ = SCENARIOS["muppet2_dense"]()
+            return (row_of(runtime, report),
                     runtime.sim.inlined_steps)
 
         first, second, third = one(), one(), one()

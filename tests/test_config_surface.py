@@ -1,8 +1,8 @@
 """Every option earns its keep.
 
 Each dataclass field of the engines' config classes must be *set* by
-something that is not a test — a campaign cell, an ``analysis`` scenario
-or mc model, the CLI, an example, a bench workload — or be listed in
+something that is not a test — a campaign cell, an mc model, the
+CLI, an example, a bench workload — or be listed in
 ``UNSET`` below with the reason it stays. A field only tests set is a
 module constant waiting to happen: it doubles the configuration space
 that tests, campaigns and the covering array must span, for nobody.
@@ -45,12 +45,6 @@ BY_NAME = {cls.__name__: cls for cls in CONFIG_CLASSES}
 
 #: Fields nothing outside ``tests/`` sets, and why each is still a field.
 UNSET = {
-    "SimConfig.threads_per_machine":
-        "Section 4.5 names the thread count as the operator's choice; the "
-        "muppet2_write_through_sinks golden row pins a 1-thread pool",
-    "SimConfig.max_slate_bytes":
-        "Section 5's slate-size cap; the muppet2_write_through_sinks "
-        "golden row runs under a 4 KB cap (E11 sets the threaded twin)",
     "ThinningPolicy.mode":
         "'bernoulli' is the plain inverse-probability-weighted estimator "
         "(arXiv:2606.16981) that tests/shedding/test_unbiased.py holds the "

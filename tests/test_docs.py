@@ -15,6 +15,7 @@ nothing, and nobody reads prose the way a test does. So, syntactically
   checked;
 * every ``python -m repro ...`` line of a fenced block parses against
   the real argparse tree;
+* EXPERIMENTS.md links every registered campaign's table;
 * CHANGES.md stays wrapped at 100 columns (it was 113 kB in 18 lines).
 """
 
@@ -25,6 +26,7 @@ from typing import Iterator, List, Tuple
 
 import pytest
 
+from repro.campaign.specs import SPECS
 from repro.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +95,13 @@ def test_repro_commands_parse(doc, capsys):
     assert not bad, f"{doc} shows commands the CLI rejects: {bad}"
 
 
+def test_every_campaign_is_linked_from_experiments():
+    linked = set(links("EXPERIMENTS.md"))
+    missing = [name for name in SPECS
+               if f"campaigns/results/{name}.md" not in linked]
+    assert not missing, f"EXPERIMENTS.md links no table of {missing}"
+
+
 def test_changes_md_is_wrapped():
     """A line may run over only where it cannot be broken: a table row,
     or a single token (a URL, a test id, an ``a/b/c`` list of names)."""
@@ -108,6 +117,6 @@ def test_the_scan_sees_what_it_should():
     known path and link are among what they extract."""
     commands = [argv for _, argv in repro_commands("README.md")]
     assert ["campaign", "list"] in commands
-    assert "tests/sim/golden_reports.json" in named_paths("README.md")
+    assert "src/repro/campaign/golden.py" in named_paths("README.md")
     assert {"bench/", "kvstore/"} <= set(named_paths("DESIGN.md"))
     assert "campaigns/results/perf_baseline.md" in links("EXPERIMENTS.md")
