@@ -25,7 +25,8 @@ from repro.errors import ConfigurationError, WorkerFailedError
 
 M = TypeVar("M", bound=Hashable)
 
-#: Bound on each ring's routing memo tables. Key spaces larger than this
+#: Bound on each routing memo table (a ring's lookup memo, the kv-store's
+#: replica sets). Key spaces larger than this
 #: (e.g. per-user keys under heavy load) flush the memo wholesale when it
 #: fills — amortized O(1) and deterministic, unlike per-entry eviction.
 MEMO_MAX_ENTRIES = 65_536
@@ -67,7 +68,6 @@ class HashRing(Generic[M]):
         self._members: Set[M] = set()
         self._excluded: Set[M] = set()
         self._lookup_memo: Dict[str, M] = {}
-        self._pref_memo: Dict[Tuple[str, int, bool], List[M]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_invalidations = 0
@@ -81,9 +81,8 @@ class HashRing(Generic[M]):
 
     def _invalidate_memo(self) -> None:
         self.generation += 1
-        if self._lookup_memo or self._pref_memo:
+        if self._lookup_memo:
             self._lookup_memo.clear()
-            self._pref_memo.clear()
             self.memo_invalidations += 1
 
     # -- membership -------------------------------------------------------
@@ -176,13 +175,19 @@ class HashRing(Generic[M]):
         if cached is not None:
             self.memo_hits += 1
             return cached
-        for member in self._walk(routing_key):
-            if member not in self._excluded:
-                self.memo_misses += 1
-                if len(self._lookup_memo) >= MEMO_MAX_ENTRIES:
-                    self._lookup_memo.clear()
-                self._lookup_memo[routing_key] = member
-                return member
+        points = self._points
+        n = len(points)
+        if n:
+            excluded = self._excluded
+            start = bisect.bisect(self._keys, stable_hash64(routing_key))
+            for offset in range(n):
+                member = points[(start + offset) % n][1]
+                if member not in excluded:
+                    self.memo_misses += 1
+                    if len(self._lookup_memo) >= MEMO_MAX_ENTRIES:
+                        self._lookup_memo.clear()
+                    self._lookup_memo[routing_key] = member
+                    return member
         raise WorkerFailedError(
             "hash ring has no live members to route to"
         )
@@ -201,37 +206,28 @@ class HashRing(Generic[M]):
                 — the *natural* replica set, which hinted handoff needs
                 (the down node's hint is addressed to it, not to some
                 substitute).
+
+        Computed afresh on every call; the kv-store keeps its own
+        per-generation memo of replica sets.
         """
-        memo_key = (routing_key, count, include_excluded)
-        cached_list = self._pref_memo.get(memo_key)
-        if cached_list is not None:
-            self.memo_hits += 1
-            return list(cached_list)
+        points = self._points
+        n = len(points)
         result: List[M] = []
+        if not n:
+            return result
+        excluded = self._excluded
         seen: Set[M] = set()
-        for member in self._walk(routing_key):
-            if member in seen:
-                continue
-            if not include_excluded and member in self._excluded:
+        start = bisect.bisect(self._keys, stable_hash64(routing_key))
+        for offset in range(n):
+            member = points[(start + offset) % n][1]
+            if member in seen or (not include_excluded
+                                  and member in excluded):
                 continue
             seen.add(member)
             result.append(member)
             if len(result) >= count:
                 break
-        self.memo_misses += 1
-        if len(self._pref_memo) >= MEMO_MAX_ENTRIES:
-            self._pref_memo.clear()
-        self._pref_memo[memo_key] = list(result)
         return result
-
-    def _walk(self, routing_key: str):
-        """Yield members clockwise from the key's point, with repeats."""
-        if not self._points:
-            return
-        start = bisect.bisect(self._keys, stable_hash64(routing_key))
-        n = len(self._points)
-        for offset in range(n):
-            yield self._points[(start + offset) % n][1]
 
 
 def route_key(event_key: str, destination: str) -> str:

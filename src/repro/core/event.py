@@ -164,6 +164,12 @@ def derive_origin(parent: Event, operator: str, ordinal: int) -> Tuple[str, int]
     Because operators are deterministic (Section 3), replaying ``parent``
     re-derives byte-identical ``(origin, oseq)`` pairs — which is what
     lets downstream dedup watermarks recognize re-derived duplicates.
+
+    The simulator's compiled per-event path
+    (``SimRuntime._compile_handlers``) derives output ids with the same
+    arithmetic, read from the parent's tuple slots; the two must change
+    together, and ``tests/sim/test_effectively_once.py`` checks that
+    every id it delivers equals this function's.
     """
     origin, oseq = parent.provenance()
     return f"{origin}>{operator}", oseq * ORIGIN_SEQ_STRIDE + ordinal

@@ -37,6 +37,27 @@ from repro.errors import SlateTooLargeError
 TTL_FOREVER: Optional[float] = None
 
 
+#: Key -> what it adds to a flat slate's JSON (its characters, two
+#: quotes and a colon), or -1 for a key :func:`_json_size_fast` must
+#: refuse. Field names repeat across slates and updates, so each is
+#: checked once; cleared wholesale when full, like the routing memos.
+_KEY_COSTS: Dict[Any, int] = {}
+_KEY_COSTS_MAX = 4096
+
+
+def _key_cost(key: Any) -> int:
+    """Memoize and return ``key``'s :data:`_KEY_COSTS` entry."""
+    if (type(key) is not str or not key.isascii() or not key.isprintable()
+            or '"' in key or "\\" in key):
+        cost = -1
+    else:
+        cost = len(key) + 3
+    if len(_KEY_COSTS) >= _KEY_COSTS_MAX:
+        _KEY_COSTS.clear()
+    _KEY_COSTS[key] = cost
+    return cost
+
+
 def _json_size_fast(data: Dict[str, Any]) -> int:  # hot-path
     """Exact byte length of ``json.dumps(data, separators=(",", ":"))``
     for flat ``{plain-ASCII str: int or finite float}`` dicts, or ``-1``
@@ -51,21 +72,24 @@ def _json_size_fast(data: Dict[str, Any]) -> int:  # hot-path
     characters ``json.dumps`` escapes); values must be exactly ``int``
     or ``float`` (``bool`` serializes as ``true``/``false``, so ``type``
     identity, not ``isinstance``), a float finite (JSON spells ``nan``
-    and ``inf`` as ``NaN`` and ``Infinity``).
+    and ``inf`` as ``NaN`` and ``Infinity``). A key's verdict and cost
+    come from :data:`_KEY_COSTS`; values are checked on every call.
     """
     n = len(data)
     if n == 0:
         return 2
-    # Braces (2) + per-entry quotes and colon (3n) + commas (n - 1).
-    size = 4 * n + 1
+    # Braces (2) + commas (n - 1); each key's cost adds its quotes and
+    # colon.
+    size = n + 1
     for k, v in data.items():
-        if (type(k) is not str
-                or (type(v) is not int
-                    and (type(v) is not float or not isfinite(v)))
-                or not k.isascii() or not k.isprintable()
-                or '"' in k or "\\" in k):
+        cost = _KEY_COSTS.get(k)
+        if cost is None:
+            cost = _key_cost(k)
+        tv = type(v)
+        if cost < 0 or (tv is not int
+                        and (tv is not float or not isfinite(v))):
             return -1
-        size += len(k) + len(repr(v))
+        size += cost + len(repr(v))
     return size
 
 #: Reserved blob key holding a slate's per-upstream dedup watermarks
@@ -180,7 +204,13 @@ class Slate:
 
     def __setitem__(self, field_name: str, value: Any) -> None:
         self._data[field_name] = value
-        self.dirty = True
+        # The dirty setter's rules, without its frame: every dirtying
+        # bumps the version, the listener hears only a transition.
+        self._version += 1
+        if not self._dirty:
+            self._dirty = True
+            if self._dirty_listener is not None:
+                self._dirty_listener(self, True)
 
     def __delitem__(self, field_name: str) -> None:
         del self._data[field_name]
@@ -227,11 +257,16 @@ class Slate:
         same blob as the data it guards, which is what makes
         slate+watermark persistence atomic.
         """
-        if self._watermarks is None:
-            self._watermarks = {}
-        if seq > self._watermarks.get(origin, -1):
-            self._watermarks[origin] = seq
-            self.dirty = True
+        watermarks = self._watermarks
+        if watermarks is None:
+            watermarks = self._watermarks = {}
+        if seq > watermarks.get(origin, -1):
+            watermarks[origin] = seq
+            self._version += 1  # the dirty setter, as in __setitem__
+            if not self._dirty:
+                self._dirty = True
+                if self._dirty_listener is not None:
+                    self._dirty_listener(self, True)
 
     @property
     def watermarks(self) -> Optional[Dict[str, int]]:
@@ -278,7 +313,10 @@ class Slate:
 
     def mark_clean(self) -> None:
         """Clear the dirty flag after a successful flush (runtime use)."""
-        self.dirty = False
+        if self._dirty:
+            self._dirty = False
+            if self._dirty_listener is not None:
+                self._dirty_listener(self, False)
 
     def expired(self, now: Timestamp) -> bool:
         """True if the TTL has elapsed since the last update (Section 4.2).

@@ -127,8 +127,7 @@ class FaultDriver:
         # Events still buffered for this machine are as dead as its
         # queues: flush them now so they are counted lost (and the
         # failure broadcast fires) instead of lingering.
-        if rt._batcher is not None:
-            rt._batcher.flush_all(to=machine)
+        rt._flush_batches(to=machine)
         machine.replay_pins.clear()
         for worker in machine.workers:
             rt.counters.lost_failure += len(worker.queue.drain())

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
                     Sequence, Tuple)
 
-from repro.cluster.hashring import HashRing
+from repro.cluster.hashring import MEMO_MAX_ENTRIES, HashRing
 from repro.errors import ConfigurationError, QuorumError, StoreError
 from repro.kvstore.cells import Cell, newest_by
 from repro.kvstore.api import ConsistencyLevel, ReadResult, WriteResult
@@ -74,6 +74,10 @@ class ReplicatedKVStore:
         self.clock = clock
         self.tracer = tracer
         self._ring: HashRing[str] = HashRing(node_names)
+        #: row -> its natural replica set, valid for one ring generation
+        #: (the store's partitioner memo; the ring keeps no copy).
+        self._replica_sets: Dict[str, Tuple[str, ...]] = {}
+        self._replica_generation = self._ring.generation
         overrides = device_overrides or {}
         #: Hinted handoff buffers: writes a down replica missed, keyed by
         #: the absent node's name, delivered on :meth:`mark_up`. Each
@@ -138,15 +142,24 @@ class ReplicatedKVStore:
             except StoreError:
                 break
 
-    def replicas_for(self, row: str) -> List[str]:
+    def replicas_for(self, row: str) -> Tuple[str, ...]:  # hot-path
         """The *natural* replica set for a row, in preference order.
 
         Down members are included: rows do not migrate during an outage;
         instead writes leave hints (Cassandra semantics) and reads work
         from the surviving members of the same set.
         """
-        return self._ring.preference_list(row, self.replication_factor,
-                                          include_excluded=True)
+        ring = self._ring
+        if self._replica_generation != ring.generation:
+            self._replica_sets.clear()
+            self._replica_generation = ring.generation
+        replicas = self._replica_sets.get(row)
+        if replicas is None:
+            if len(self._replica_sets) >= MEMO_MAX_ENTRIES:
+                self._replica_sets.clear()
+            replicas = self._replica_sets[row] = tuple(ring.preference_list(
+                row, self.replication_factor, include_excluded=True))
+        return replicas
 
     def _store_hint(self, name: str, cell: Cell) -> None:
         hints = self._hints.get(name)
@@ -205,7 +218,7 @@ class ReplicatedKVStore:
         now = self.clock()
         groups: Dict[Tuple[str, ...], List[Cell]] = {}
         for row, column, value, ttl in writes:
-            groups.setdefault(tuple(self.replicas_for(row)), []).append(
+            groups.setdefault(self.replicas_for(row), []).append(
                 Cell(row, column, value, now, ttl))
         results = [self._replicate(cells, replica_set, consistency)
                    for replica_set, cells in groups.items()]

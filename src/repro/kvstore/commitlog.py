@@ -163,6 +163,8 @@ _ESCAPE_BITS = bytes(
 
 
 def _json_number_len(number: Union[int, float, None]) -> int:
+    # charged_size inlines the finite-float and None cases: change both
+    # together.
     if number is None:
         return 4  # null
     if isinstance(number, float):
@@ -183,12 +185,16 @@ def charged_size(cell: Cell) -> int:  # hot-path
     else:
         value_len = 2 + len(value) + int.from_bytes(
             value.translate(_ESCAPE_BITS), "little").bit_count()
+    # _json_number_len inlined for a finite float stamp and no TTL.
+    write_ts, ttl = cell.write_ts, cell.ttl
     return (_JSON_FRAME
             + len(encode_basestring_ascii(cell.row))
             + len(encode_basestring_ascii(cell.column))
             + value_len
-            + _json_number_len(cell.write_ts)
-            + _json_number_len(cell.ttl))
+            + (len(float.__repr__(write_ts))
+               if type(write_ts) is float and write_ts - write_ts == 0.0
+               else _json_number_len(write_ts))
+            + (4 if ttl is None else _json_number_len(ttl)))
 
 
 class CommitLog:

@@ -42,15 +42,20 @@ class Memtable:
             record: Optional[bytes] = None) -> None:  # hot-path
         """Insert or overwrite the cell for ``(cell.row, cell.column)``;
         a durable node hands over its ``record`` too."""
-        key = cell.key
+        # Cell.key and Cell.size_bytes, inlined (same arithmetic).
+        row, column, value = cell.row, cell.column, cell.value
+        key = (row, column)
         previous = self._cells.get(key)
         if previous is not None:
-            self._bytes -= previous.size_bytes()
+            self._bytes -= (24 + len(row) + len(column)
+                            + (len(previous.value)
+                               if previous.value is not None else 0))
             self.absorbed_overwrites += 1
         self._cells[key] = cell
         if record is not None:
             self._records[key] = record
-        self._bytes += cell.size_bytes()
+        self._bytes += (24 + len(row) + len(column)
+                        + (len(value) if value is not None else 0))
         self.writes += 1
 
     def get(self, row: str, column: str) -> Optional[Cell]:

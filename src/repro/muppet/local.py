@@ -251,6 +251,8 @@ class ThreadedEngine:
         if self._stopping.is_set():
             raise EngineStoppedError("a stopped engine cannot be restarted")
         self._running = True
+        for manager in self._managers:
+            manager.start_interval()
         loops = [(self._worker_loop, (worker,), f"muppet-worker-{i}")
                  for i, worker in enumerate(self._workers)]
         loops += [(self._flusher_loop, (), "muppet-flusher"),

@@ -100,13 +100,16 @@ class ReplayJournal:
         epochs (the effectively-once configuration)."""
         return cls(horizon_s=None, max_entries=max_entries)
 
-    def record(self, dest_machine: str, payload: Any, now: float) -> None:
+    def record(self, dest_machine: str, payload: Any,
+               now: float) -> None:  # hot-path
         """Journal one sent event."""
-        self._prune(now)
-        if len(self._entries) >= self.max_entries:
-            self._entries.popleft()
+        if self.horizon_s is not None:
+            self._prune(now)
+        entries = self._entries
+        if len(entries) >= self.max_entries:
+            entries.popleft()
             self.stats.pruned += 1
-        self._entries.append((now, dest_machine, payload))
+        entries.append((now, dest_machine, payload))
         self.stats.recorded += 1
 
     def _prune(self, now: float) -> None:

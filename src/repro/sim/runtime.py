@@ -29,10 +29,11 @@ overflow stream, or source-throttle.
 This module is what every run executes — hash to a machine, enqueue,
 dispatch, slate cache, background flush (Sections 4.1-4.5) — plus the one
 procedure by which ring membership ever changes
-(:meth:`SimRuntime._change_ring`). Each extension is one object that lives
-beside its policy and that the per-event path reaches through a
-construction-time boolean cell: link batching (:mod:`repro.sim.dataplane`),
-effectively-once delivery (:mod:`repro.muppet.replay`), overload control
+(:meth:`SimRuntime._change_ring`). Link batching is part of that path
+(its per-link state is :mod:`repro.sim.dataplane`). Each other extension
+is one object that lives beside its policy and that the per-event path
+reaches through a construction-time boolean cell: effectively-once
+delivery (:mod:`repro.muppet.replay`), overload control
 (:mod:`repro.shedding.overload`), elastic membership
 (:mod:`repro.elastic.controller`) and crash / recovery
 (:mod:`repro.faults.driver`). That last one goes beyond the paper, which
@@ -57,8 +58,7 @@ from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
 
 from repro.cluster.topology import ClusterSpec, NetworkSpec
 from repro.core.application import Application, OperatorSpec
-from repro.core.event import (ORIGIN_SEQ_STRIDE, Event, EventCounter,
-                              derive_origin)
+from repro.core.event import ORIGIN_SEQ_STRIDE, Event, EventCounter
 from repro.core.operators import Context, Operator, TimerRequest
 from repro.core.slate import SlateKey, _json_size_fast
 from repro.elastic.controller import ElasticController
@@ -77,8 +77,8 @@ from repro.obs import (LatencyRecorder, MetricsRegistry, RingTracer,
 from repro.shedding.controller import TIER_OVERFLOW, TIER_THIN
 from repro.shedding.overload import THROTTLE_CHECK_S, OverloadControl
 from repro.sim.config import ENGINE_MUPPET2, SimConfig
-from repro.sim.dataplane import DataPlaneCounters, LinkBatcher
-from repro.sim.des import Simulator
+from repro.sim.dataplane import DataPlaneCounters, _Link
+from repro.sim.des import ScheduledEvent, Simulator
 from repro.sim.membership import MachineRing, WorkerRings
 from repro.sim.report import (SimReport, build_report, register_machine_probes,
                               register_metrics)
@@ -257,10 +257,9 @@ class SimRuntime:
         # The optional features, each one object beside its policy. A
         # feature that is off is None (or holds no controller), which
         # _compile_handlers turns into one untaken branch.
-        self._batcher = (LinkBatcher(self)
-                         if self.config.batch_max_events > 0 else None)
-        self.dataplane = (self._batcher.counters if self._batcher is not None
-                          else DataPlaneCounters())
+        #: Link-batching accounting (all zero with batching off); the
+        #: batching itself is part of the compiled per-event path.
+        self.dataplane = DataPlaneCounters()
         semantics = self.config.delivery_semantics
         self._eo: Optional[EffectivelyOnce] = None
         self.replay_journal: Optional[ReplayJournal] = None
@@ -539,20 +538,24 @@ class SimRuntime:
 
     # -- the per-event path ----------------------------------------------------
     def _compile_handlers(self) -> None:
-        """Closure-compile inject → send → deliver → execute → finish.
+        """Closure-compile inject → send → (batch) → deliver → execute →
+        finish.
 
-        This is the only per-event path. Every per-event constant (cost
-        terms, stream sequencers, subscriber tuples, network parameters)
-        is a closure cell — one LOAD_DEREF instead of an attribute chain
-        — and the dispatcher's memo-hit decision, the slate-cache hit,
-        the event-size arithmetic and the slate touch are inlined with
-        their stats bookkeeping replicated operation for operation.
-        Every optional feature is one construction-time boolean cell
-        (``tracing``, ``dedup``, ``batching``, ``shedding``, ``muppet1``
-        ...) guarding a call into that feature's own object — a bound
-        method held in another cell — so a disabled feature costs one
-        untaken branch and an enabled one runs the same code every
-        other configuration runs. Float
+        This is the only per-event path, link batching included: a
+        batched send is buffered inline in ``_send``, and each link's
+        ``ship`` (its linger timer too) prices and pushes the coalesced
+        envelope the way ``_send`` pushes a solo one. Every per-event
+        constant (cost terms, stream sequencers, subscriber tuples,
+        network parameters) is a closure cell — one LOAD_DEREF instead
+        of an attribute chain — and the dispatcher's memo-hit decision,
+        the slate-cache hit, the event-size arithmetic and the slate
+        touch are inlined with their stats bookkeeping replicated
+        operation for operation. Every other optional feature is one
+        construction-time boolean cell (``tracing``, ``dedup``,
+        ``shedding``, ``muppet1`` ...) guarding a call into that
+        feature's own object — a bound method held in another cell — so
+        a disabled feature costs one untaken branch and an enabled one
+        runs the same code every other configuration runs. Float
         service-time and delay expressions keep one fixed operand order
         throughout: reports are compared byte for byte.
 
@@ -563,7 +566,9 @@ class SimRuntime:
         :meth:`Simulator._drain` runs a tail inline when it would have
         been the next pop anyway. The model checker labels heap entries
         by these closures' ``__name__`` (``_deliver``/``_finish``/
-        ``_send``/``step``), so the names are part of the contract.
+        ``_send``/``step``, and ``deliver_all`` / ``<lambda>`` for a
+        batch arrival and a linger timer), so the names are part of the
+        contract.
         """
         rt = self
         cfg = self.config
@@ -576,7 +581,7 @@ class SimRuntime:
         latency = self.latency
         ring = self._machine_ring
         eo = self._eo
-        batcher = self._batcher
+        dataplane = self.dataplane
         overload = self._overload
         injector = self._injector
         streams = self.app.streams
@@ -594,8 +599,9 @@ class SimRuntime:
         pin_replay = eo.pin if eo is not None else None
         unpin_replay = eo.unpin if eo is not None else None
         at_least_once = journal is not None and not dedup
-        batching = batcher is not None
-        batch_enqueue = batcher.enqueue if batcher is not None else None
+        batching = cfg.batch_max_events > 0
+        batch_max = cfg.batch_max_events
+        linger_s = max(0.0, cfg.batch_linger_s)
         shedding = overload.controller is not None
         thinnable = overload.thinnable
         thin = overload.thin
@@ -646,6 +652,9 @@ class SimRuntime:
         ring_gen = [ring.generation]
         #: (key, fn) -> SlateKey: pure value identity, only bounded.
         skeys: Dict[Tuple[str, str], SlateKey] = {}
+        #: (source, destination) -> _Link, in the order the links' current
+        #: buffers began to fill: the order forced flushes ship them in.
+        links: Dict[Tuple[Optional[str], str], _Link] = {}
 
         destination_machine = self._destination_machine
         handle_dead = self._handle_dead_destination
@@ -693,24 +702,7 @@ class SimRuntime:
             if at_least_once:
                 journal.record(machine.name, envelope, clock._now)
             same = from_machine == machine.name
-            if (batching and not same
-                    and not (dedup and envelope.replayed)):
-                # Loopback sends skip batching: they pay no per-message
-                # network latency, so coalescing would only add linger.
-                # Replayed envelopes (effectively-once) also ship solo:
-                # a resend lingering in a coalescing buffer could be
-                # overtaken by a fresh, higher-sequence event arriving
-                # over a different link, and a lost event sneaking in
-                # *behind* the watermark its successor advanced would be
-                # mistaken for a duplicate. Batching only ever delays an
-                # event, so solo resends stay ahead of everything sent
-                # after them.
-                batch_enqueue(envelope, from_machine, machine, extra_delay)
-                return
-            if not inline_net:
-                delay = extra_delay + net.transfer_time(
-                    event.size_bytes(), same_machine=same)
-            elif same:
+            if same and inline_net:
                 delay = extra_delay
             else:
                 # Event.size_bytes() inlined for the common payload
@@ -727,7 +719,49 @@ class SimRuntime:
                             + len(v.encode("utf-8")))
                 else:
                     size = event.size_bytes()
-                delay = extra_delay + (net_lat + size / net_bw)
+                if (batching and not same
+                        and not (dedup and envelope.replayed)):
+                    # Loopback sends skip batching: they pay no
+                    # per-message network latency, so coalescing would
+                    # only add linger. Replayed envelopes
+                    # (effectively-once) also ship solo: a resend
+                    # lingering in a coalescing buffer could be overtaken
+                    # by a fresh, higher-sequence event arriving over a
+                    # different link, and a lost event sneaking in
+                    # *behind* the watermark its successor advanced would
+                    # be mistaken for a duplicate. Batching only ever
+                    # delays an event, so solo resends stay ahead of
+                    # everything sent after them.
+                    lkey = (from_machine, machine.name)
+                    link = links.get(lkey)
+                    if link is None:
+                        link = links[lkey] = new_link(from_machine, machine)
+                    elif not link.buffer:  # refilling: ships after the rest
+                        links[lkey] = links.pop(lkey)
+                    buffer = link.buffer
+                    buffer.append(envelope)
+                    link.bytes += size
+                    dataplane.batched_events += 1
+                    if extra_delay > link.extra:
+                        link.extra = extra_delay
+                    if len(buffer) >= batch_max:
+                        dataplane.size_flushes += 1
+                        link.ship(None, "size")
+                    elif link.timer is None:
+                        # Simulator.schedule_cancellable, inlined: the
+                        # timer runs the link's ship unless a flush
+                        # cancels it first (then popping it costs no step).
+                        timer = link.timer = obj_new(ScheduledEvent)
+                        timer.cancelled = False
+                        heappush(heap, (clock._now + linger_s, 0,
+                                        next(sim_seq), link.ship, timer,
+                                        None))
+                    return
+                if inline_net:
+                    delay = extra_delay + (net_lat + size / net_bw)
+                else:
+                    delay = extra_delay + net.transfer_time(
+                        size, same_machine=same)
             if injector is not None:
                 delivered, delay = injector.message_fate(
                     from_machine, machine.name, clock._now, delay)
@@ -742,6 +776,91 @@ class SimRuntime:
             heappush(heap, (now + delay if delay > 0.0 else now, 0,
                             next(sim_seq), _deliver, None,
                             (machine, envelope)))
+
+        def new_link(src: Optional[str], dst: _Machine) -> _Link:
+            """A link and its ``ship``, the one way its buffer leaves."""
+
+            def ship(sim: Optional[Simulator],
+                     trigger: str = "linger") -> None:  # hot-path
+                """Ship the buffer as one coalesced envelope.
+
+                One per-message network latency is paid for the whole
+                batch, plus bandwidth for the combined payload bytes;
+                the fault injector decides one fate for the envelope (a
+                dropped batch loses every event in it, like a dropped
+                TCP connection). An arrival-time clamp keeps the link
+                FIFO: a later, smaller batch must not overtake an
+                earlier, larger one mid-flight.
+                """
+                timer = link.timer
+                if timer is not None:
+                    timer.cancelled = True
+                    link.timer = None
+                envelopes = link.buffer
+                if not envelopes:
+                    return
+                if trigger == "linger":
+                    dataplane.linger_flushes += 1
+                total, extra = link.bytes, link.extra
+                link.buffer, link.bytes, link.extra = [], 0, 0.0
+                machine = link.dst
+                if not machine.alive:
+                    for env in envelopes:
+                        handle_dead(machine, env)
+                    return
+                now = clock._now
+                if inline_net:
+                    delay = extra + (net_lat + total / net_bw)
+                else:
+                    delay = extra + net.transfer_time(total,
+                                                      same_machine=False)
+                if injector is not None:
+                    delivered, delay = injector.message_fate(
+                        link.src, machine.name, now, delay)
+                    if not delivered:
+                        return
+                arrival = now + delay
+                if link.last_arrival > arrival:
+                    arrival = link.last_arrival
+                link.last_arrival = arrival
+                dataplane.batches_sent += 1
+                count = len(envelopes)
+                if count > dataplane.max_batch_events:
+                    dataplane.max_batch_events = count
+                if trace is not None:
+                    trace.emit(now, "batch_flush", src=link.src,
+                               dst=machine.name, events=count,
+                               trigger=trigger)
+
+                def deliver_all(sim: Simulator) -> None:  # hot-path
+                    for env in envelopes:
+                        # A heap-dispatched _deliver returns the started
+                        # event's finish as its tail; mid-batch it is
+                        # pushed at once, so sequence numbers are consumed
+                        # in the same order.
+                        tail = _deliver(machine, env)
+                        if tail is not None:
+                            heappush(heap, (tail[0], 0, next(sim_seq),
+                                            tail[1], None, tail[2]))
+
+                heappush(heap, (arrival, 0, next(sim_seq), deliver_all,
+                                None, None))
+
+            # The model checker labels a heap entry by its callable's
+            # __qualname__; a linger timer has always been ``ctl:<lambda>``
+            # and the label vocabulary is part of its contract.
+            ship.__qualname__ = "<lambda>"
+            link = _Link(src, dst, ship)
+            return link
+
+        def flush_batches(to: Optional[_Machine] = None) -> None:
+            """Force every buffered batch onto the wire (ring changes,
+            checkpoints), or only those headed ``to`` one machine (it
+            just died)."""
+            for link in list(links.values()):
+                if link.buffer and (to is None or link.dst is to):
+                    dataplane.forced_flushes += 1
+                    link.ship(None, "forced")
 
         def _inject(event: Event) -> None:  # hot-path
             """M0 reads one source event and hashes it onward (§4.1)."""
@@ -877,9 +996,11 @@ class SimRuntime:
                                                      weight)
                         else:
                             instance.update(ctx, event, slate)
-                        if dedup:
-                            origin, oseq = event.provenance()
-                            slate.advance_watermark(origin, oseq)
+                        if dedup:  # Event.provenance(), from its slots
+                            if event[5] is None:
+                                slate.advance_watermark(event[0], event[4])
+                            else:
+                                slate.advance_watermark(event[5], event[6])
                     # Slate.touch + SlateManager.note_update, inlined:
                     # the version bump keys the size/encode caches, the
                     # dirty transition feeds the cache's dirty index.
@@ -1074,7 +1195,7 @@ class SimRuntime:
                 recorder = latency.get(fn)
                 if recorder is None:
                     recorder = latency[fn] = LatencyRecorder()
-                recorder.record(clock._now - envelope.birth_ts)
+                recorder._samples.append(clock._now - envelope.birth_ts)
             if outputs:
                 birth = envelope.birth_ts
                 replayed = envelope.replayed
@@ -1090,7 +1211,14 @@ class SimRuntime:
                         raise SimulationError(
                             f"{fn} emitted {len(outputs)} events in one call;"
                             f" at most {ORIGIN_SEQ_STRIDE} get distinct ids")
-                    origin, base = derive_origin(envelope.event, fn, 0)
+                    # derive_origin(parent, fn, 0), from the tuple slots.
+                    parent = envelope.event
+                    if parent[5] is None:
+                        origin = f"{parent[0]}>{fn}"
+                        base = parent[4] * ORIGIN_SEQ_STRIDE
+                    else:
+                        origin = f"{parent[5]}>{fn}"
+                        base = parent[6] * ORIGIN_SEQ_STRIDE
                 ordinal = 0
                 for out in outputs:
                     info = stream_info.get(out[0])
@@ -1165,6 +1293,7 @@ class SimRuntime:
         self._deliver = _deliver
         self._finish = _finish
         self._start_source = _start_source
+        self._flush_batches = flush_batches
 
     # -- cold helpers of the per-event path ------------------------------------------
     def _charge_device(self, machine: _Machine, mgr: SlateManager) -> float:
@@ -1298,12 +1427,6 @@ class SimRuntime:
             before_reroute()
         if reroute:
             self._reroute_queued()
-
-    def _flush_batches(self) -> None:
-        """Force every buffered batch onto the wire (nothing to do with
-        batching off)."""
-        if self._batcher is not None:
-            self._batcher.flush_all()
 
     def _rebalance_flush(self) -> None:
         """Flush every dirty slate cluster-wide before a ring change, so

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.slate import Slate, SlateKey
 from repro.errors import ConfigurationError
@@ -147,13 +147,15 @@ class SlateCache:
         """Keys currently cached, LRU-first."""
         return list(self._slates)
 
-    def dirty_slates(self) -> Iterator[Slate]:
+    def dirty_slates(self) -> List[Slate]:
         """All resident slates with unflushed changes.
 
         Served from the incremental dirty index — O(dirty), not
-        O(resident) — in first-dirtied order (deterministic).
+        O(resident) — in first-dirtied order (deterministic). The index
+        is copied in one C call first: a threaded engine's workers may
+        dirty slates while its flusher asks.
         """
-        return (s for s in list(self._dirty_index.values()) if s.dirty)
+        return [s for s in list(self._dirty_index.values()) if s._dirty]
 
     def dirty_count(self) -> int:
         """Resident slates with unflushed changes (O(1))."""

@@ -53,6 +53,13 @@ class SlateCodec(Protocol):
         ...
 
 
+#: What ``json.dumps(data, separators=(",", ":"), sort_keys=True)`` and
+#: ``json.loads`` would build on every call; encoders and decoders keep
+#: no state between calls.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+_DECODER = json.JSONDecoder()
+
+
 class JsonCodec:
     """Plain JSON (UTF-8), no compression — ablation baseline."""
 
@@ -60,14 +67,13 @@ class JsonCodec:
 
     def encode(self, data: Dict[str, Any]) -> bytes:
         try:
-            return json.dumps(data, separators=(",", ":"),
-                              sort_keys=True).encode("utf-8")
+            return _ENCODER.encode(data).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise SlateError(f"slate not JSON-encodable: {exc}") from exc
 
     def decode(self, blob: bytes) -> Dict[str, Any]:
         try:
-            data = json.loads(blob.decode("utf-8"))
+            data = _DECODER.decode(blob.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise SlateError(f"corrupt slate blob: {exc}") from exc
         if not isinstance(data, dict):

@@ -291,6 +291,12 @@ class SlateManager:
         self._last_interval_flush = now
         return self.flush_all_dirty()
 
+    def start_interval(self) -> None:
+        """Start the interval clock now, so the first interval flush
+        falls one interval later. The threaded engines call this when
+        they start; a simulated manager counts from time zero."""
+        self._last_interval_flush = self.clock()
+
     def take_due(self) -> bool:
         """Claim a due interval flush: True, with the interval clock
         restarted, when one is due; the caller then flushes. The threaded
@@ -326,7 +332,7 @@ class SlateManager:
     def flush_all_dirty(self) -> int:
         """Flush every dirty resident slate; returns the flushed count
         (two or more ride one coalesced batch: :meth:`write_snapshots`)."""
-        slates = list(self.cache.dirty_slates())
+        slates = self.cache.dirty_slates()
         if self.store is not None:
             slates = [snap.slate for snap in self.write_snapshots(
                 [self.snapshot(slate) for slate in slates])]
@@ -453,7 +459,7 @@ class SlateManager:
         slates and that have not yet been flushed to the key-value store
         are lost" (Section 4.3). Returns the number of dirty slates lost.
         """
-        lost = sum(1 for _ in self.cache.dirty_slates())
+        lost = len(self.cache.dirty_slates())
         self.stats.lost_dirty_on_crash += lost
         self.cache.clear()
         return lost

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro.cluster.hashring import HashRing
 from repro.errors import ConfigurationError, QuorumError
 from repro.kvstore import cluster, commitlog
 from repro.kvstore.api import ConsistencyLevel
@@ -57,6 +58,33 @@ class TestPlacement:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ConfigurationError):
             ReplicatedKVStore([])
+
+    def test_replica_sets_follow_every_ring_change(self):
+        """The replica sets a store serves (memoized or not) are the
+        ring's current ones after an add, a remove, and an exclude then
+        restore — each asked warm, after the previous answer."""
+        store = make_store(nodes=4, rf=3)
+        rows = [f"row{i}" for i in range(40)]
+
+        def fresh():
+            ring = HashRing(sorted(store._ring.members))
+            return {row: ring.preference_list(row, 3) for row in rows}
+
+        def served():
+            return {row: list(store.replicas_for(row)) for row in rows}
+
+        before = served()
+        assert before == fresh()
+        store._ring.add("n9")
+        assert served() == fresh() != before
+        store._ring.remove("n1")
+        assert served() == fresh()
+        after_remove = served()
+        victim = store.replicas_for("row0")[0]
+        store.mark_down(victim)
+        assert served() == after_remove  # natural sets keep the down node
+        store.mark_up(victim)
+        assert served() == after_remove == fresh()
 
 
 class TestReadWrite:

@@ -1,6 +1,7 @@
 """LocalMuppet: the real-thread single-machine runtime."""
 
 import threading
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.core import Application, Event
 from repro.errors import (ConfigurationError, EngineStoppedError,
                           WorkflowError)
 from repro.muppet.local import LocalConfig, LocalMuppet
-from repro.muppet.local1 import Local1Config
+from repro.muppet.local1 import Local1Config, LocalMuppet1
 from repro.muppet.queues import OverflowPolicy
 from repro.slates.manager import FlushPolicy
 from tests.conftest import (CountingUpdater, EchoMapper, build_count_app,
@@ -72,6 +73,25 @@ class TestLifecycle:
     def test_flusher_period_that_would_spin_rejected(self, config):
         with pytest.raises(ConfigurationError, match="flusher_period_s"):
             config(flusher_period_s=0.0)
+
+    @pytest.mark.parametrize("engine, config",
+                             [(LocalMuppet, LocalConfig),
+                              (LocalMuppet1, Local1Config)],
+                             ids=["2.0", "1.0"])
+    def test_first_interval_flush_is_one_interval_after_start(
+            self, count_app, engine, config):
+        """The interval clock starts at start(), not at the monotonic
+        clock's zero: under a 1 s policy nothing is written in the
+        first 0.3 s (three flusher ticks)."""
+        runtime = engine(count_app, config(
+            flush_policy=FlushPolicy.every(1.0))).start()
+        try:
+            runtime.ingest_many(make_events(10, keys=5))
+            assert runtime.drain()
+            time.sleep(0.3)
+            assert runtime.metrics_snapshot()["slates.kv_writes"] == 0
+        finally:
+            runtime.stop()
 
     def test_ingest_before_start_rejected(self, count_app):
         runtime = LocalMuppet(count_app)

@@ -12,10 +12,14 @@ import json
 
 import pytest
 
+from repro.analysis.mc.controlled import classify_entry
 from repro.cluster import ClusterSpec
+from repro.core import Application, Event
 from repro.errors import ConfigurationError
 from repro.sim import SimConfig, SimRuntime, constant_rate, from_trace
-from tests.conftest import build_count_app, build_two_stage_app, make_events
+from repro.sim.des import SchedulerHook
+from tests.conftest import (CountingUpdater, build_count_app,
+                            build_two_stage_app, make_events)
 
 
 def run_with(config, app=None, events=None, machines=4, horizon=30.0):
@@ -195,3 +199,72 @@ class TestBatchingUnderFaults:
         # bound the chaos suite documents.
         assert counted + lost <= len(events)
         assert counted + lost >= len(events) - (rate * flush + keys)
+
+
+def _updater_app():
+    """One updater on the external stream: the only remote sends are
+    source -> owner, so each link's fill order is the test's to set."""
+    app = Application("fill-order")
+    app.add_stream("S1", external=True)
+    app.add_updater("U1", CountingUpdater, subscribes=["S1"])
+    return app.validate()
+
+
+class _Executed(SchedulerHook):
+    """Keeps the default schedule and records every entry it runs."""
+
+    def __init__(self):
+        self.entries = []
+
+    def executed(self, sim, entry):
+        self.entries.append(entry)
+
+
+class TestLinkTimers:
+    def test_size_flush_cancels_the_linger_timer_at_no_step(self):
+        """Two events per link fill a two-event buffer: every batch
+        ships on size, each cancelling the linger timer its first event
+        armed — and a cancelled timer is skipped, not run as a step."""
+        config = SimConfig(batch_max_events=2, batch_linger_s=0.5)
+        events = make_events(400, keys=16, spacing=0.002)
+        _, plain = run_with(config, app=_updater_app(), events=events)
+        runtime = SimRuntime(_updater_app(), ClusterSpec.uniform(4, cores=4),
+                             config, [from_trace("S1", iter(events))])
+        executed = runtime.sim.hook = _Executed()
+        report = runtime.run(30.0)
+        dp = report.dataplane
+        assert dp.size_flushes > 0
+        timers = [entry for entry in executed.entries
+                  if classify_entry(runtime, entry)[0] == "ctl:<lambda>"]
+        # Only the timers no size flush cancelled ran...
+        assert len(timers) == dp.linger_flushes < dp.size_flushes
+        # ...and every step is an executed entry, hooked or not.
+        assert runtime.sim.steps == len(executed.entries)
+        assert plain.steps == report.steps
+
+    def test_a_ring_change_ships_links_in_buffer_fill_order(self):
+        """A link that ships and then refills queues behind every link
+        that began filling before it: the join's forced flush ships the
+        refilled links in the order their buffers began to fill."""
+        probe = SimRuntime(_updater_app(), ClusterSpec.uniform(3, cores=2),
+                           SimConfig(), [])
+        owners = {}
+        for i in range(64):
+            owner = probe._membership.owner(f"k{i}", "U1").name
+            owners.setdefault(owner, f"k{i}")
+        (x, key_x), (y, key_y) = sorted(owners.items())[:2]
+        events = [Event("S1", 0.000, key_x), Event("S1", 0.001, key_y),
+                  # Both linger out at 0.01; then y refills before x.
+                  Event("S1", 0.020, key_y), Event("S1", 0.021, key_x)]
+        runtime = SimRuntime(
+            _updater_app(), ClusterSpec.uniform(3, cores=2),
+            SimConfig(batch_max_events=64, batch_linger_s=0.01, trace=True),
+            [from_trace("S1", iter(events))])
+        runtime.schedule_add_machine(0.025, "m900", cores=2)
+        report = runtime.run(1.0)
+        ships = [(span["trigger"], span["dst"])
+                 for span in runtime.tracer.spans()
+                 if span["kind"] == "batch_flush"]
+        assert ships == [("linger", x), ("linger", y),
+                         ("forced", y), ("forced", x)]
+        assert report.dataplane.forced_flushes == 2

@@ -15,7 +15,8 @@ The acceptance criteria of the third delivery mode:
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core import Application, Mapper
+from repro.core import Application, Mapper, Updater
+from repro.core.event import derive_origin
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FaultSchedule
 from repro.muppet.queues import OverflowPolicy, SourceThrottle
@@ -230,6 +231,65 @@ class TestDerivedIdCollision:
         monkeypatch.setattr(runtime_module, "ORIGIN_SEQ_STRIDE", 8)
         runtime = self.run_fanout(8)
         assert total_counted(runtime) == 8 * 5
+
+
+class ParentCarryingMapper(Mapper):
+    """Publishes two events per input, each carrying ``(input, ordinal)``
+    so a downstream operator can re-derive its id from the real parent."""
+
+    def map(self, ctx, event):
+        for ordinal in range(2):
+            ctx.publish(self.config["output_sid"], event.key,
+                        (event, ordinal))
+
+
+class ProvenanceRecorder(Updater):
+    """Keeps every ``(event, parent, ordinal, producer)`` it is handed."""
+
+    seen: list = []
+
+    def init_slate(self, key):
+        return {"count": 0}
+
+    def update(self, ctx, event, slate):
+        slate["count"] += 1
+        parent, ordinal = event.value
+        self.seen.append((event, parent, ordinal, "M2"))
+        grandparent, parent_ordinal = parent.value
+        self.seen.append((parent, grandparent, parent_ordinal, "M1"))
+
+
+class TestDerivedIdsMatchReference:
+    """The compiled path derives output ids inline from the parent's
+    tuple slots; :func:`derive_origin` over :meth:`Event.provenance` is
+    the reference they must equal, for source parents (``origin`` unset)
+    and derived ones alike, across a crash and its replay."""
+
+    def test_every_delivered_id_is_derive_origin(self, monkeypatch):
+        monkeypatch.setattr(ProvenanceRecorder, "seen", [])
+        app = Application("chain")
+        for sid in ("S1", "S2", "S3"):
+            app.add_stream(sid, external=sid == "S1")
+        app.add_mapper("M1", ParentCarryingMapper, subscribes=["S1"],
+                       publishes=["S2"], config={"output_sid": "S2"})
+        app.add_mapper("M2", ParentCarryingMapper, subscribes=["S2"],
+                       publishes=["S3"], config={"output_sid": "S3"})
+        app.add_updater("U1", ProvenanceRecorder, subscribes=["S3"])
+        source = constant_rate("S1", rate_per_s=400.0, duration_s=0.5,
+                               key_fn=lambda i: f"k{i % 8}")
+        runtime = SimRuntime(
+            app.validate(), ClusterSpec.uniform(4, cores=2),
+            SimConfig(**EXACT, queue_capacity=100_000),
+            [source], failures=FaultSchedule(seed=42).crash(
+                0.25, "m001", recover_at=0.6))
+        runtime.run(3.0)
+        seen = ProvenanceRecorder.seen
+        assert {producer for *_, producer in seen} == {"M1", "M2"}
+        assert any(parent.origin is None for _, parent, _, _ in seen)
+        assert any(parent.origin is not None for _, parent, _, _ in seen)
+        for event, parent, ordinal, producer in seen:
+            assert event.provenance() == derive_origin(parent, producer,
+                                                       ordinal)
 
 
 class TestEpochCheckpoints:
