@@ -50,9 +50,9 @@ Package map (see DESIGN.md for the full inventory):
 from repro.core import (Application, Context, Event, EventCounter, Mapper,
                         Operator, ReferenceExecutor, ReferenceResult, Slate,
                         SlateKey, StreamSpec, Updater, merge_by_timestamp)
-from repro.errors import (ConfigurationError, QueueOverflowError, ReproError,
-                          SlateError, SlateTooLargeError, StoreError,
-                          TimestampError, WorkflowError)
+from repro.errors import (ConfigurationError, ReproError, SlateError,
+                          SlateTooLargeError, StoreError, TimestampError,
+                          WorkflowError)
 
 __version__ = "1.0.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "EventCounter",
     "Mapper",
     "Operator",
-    "QueueOverflowError",
     "ReferenceExecutor",
     "ReferenceResult",
     "ReproError",

@@ -44,6 +44,9 @@ from repro.analysis.mc.properties import (PropertyViolation,
                                           check_terminal_state)
 from repro.faults.lattice import describe_schedule
 
+#: Retention cap on the counterexamples one exploration records.
+MAX_COUNTEREXAMPLES = 10
+
 
 @dataclass
 class ExplorationStats:
@@ -188,20 +191,17 @@ class Explorer:
         max_decisions: Branch-depth budget per run.
         stop_on_violation: Abandon the scenario after the first
             counterexample (exploration then reports not-exhausted).
-        max_counterexamples: Retention cap on recorded counterexamples.
     """
 
     def __init__(self, scenario: McScenario, dpor: bool = True,
                  max_schedules: Optional[int] = 10_000,
                  max_decisions: int = 10_000,
-                 stop_on_violation: bool = False,
-                 max_counterexamples: int = 10) -> None:
+                 stop_on_violation: bool = False) -> None:
         self.scenario = scenario
         self.dpor = dpor
         self.max_schedules = max_schedules
         self.max_decisions = max_decisions
         self.stop_on_violation = stop_on_violation
-        self.max_counterexamples = max_counterexamples
         self.stats = ExplorationStats()
         self.counterexamples: List[Counterexample] = []
         self._visited: Dict[str, List[FrozenSet[str]]] = {}
@@ -320,7 +320,7 @@ class Explorer:
             self.scenario.model, runtime, reference=self._reference)
         if not violations:
             return
-        if len(self.counterexamples) < self.max_counterexamples:
+        if len(self.counterexamples) < MAX_COUNTEREXAMPLES:
             self.counterexamples.append(Counterexample(
                 model=self.scenario.model.name,
                 scenario=describe_schedule(self.scenario.schedule),

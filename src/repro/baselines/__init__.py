@@ -1,8 +1,6 @@
 """Comparison baselines: snapshot MapReduce, micro-batch, Storm-style."""
 
-from repro.baselines.mapreduce import (MapReduceCosts, MapReduceJob,
-                                       MapReduceResult,
-                                       periodic_job_staleness)
+from repro.baselines.mapreduce import MapReduceCosts, periodic_job_staleness
 from repro.baselines.mapreduce_online import (MicroBatchEngine,
                                               MicroBatchReport,
                                               counting_reduce)
@@ -11,8 +9,6 @@ from repro.baselines.storm_like import (BoltStats, StormLikeTopology)
 __all__ = [
     "BoltStats",
     "MapReduceCosts",
-    "MapReduceJob",
-    "MapReduceResult",
     "MicroBatchEngine",
     "MicroBatchReport",
     "StormLikeTopology",

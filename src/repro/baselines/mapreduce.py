@@ -3,29 +3,16 @@
 "MapReduce runs on a static snapshot of a data set ... the input data set
 does not (and cannot) change between the start of the computation and its
 finish, and no reducer's input is ready to run until all mappers have
-finished." We implement exactly that: a barrier-synchronized map → shuffle
-→ reduce over a frozen snapshot, plus a cost model so bench E12 can
-report the *staleness* of its answers against a live stream.
+finished." A job over the whole snapshot therefore costs its startup plus
+a pass over every record, and this module models exactly that cost, so
+bench E12 can report the *staleness* of its answers against a live
+stream (and E6c the cost of restarting from scratch).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, List, Sequence, Tuple,
-                    TypeVar)
-
-from repro.cluster.hashring import stable_hash64
 from repro.errors import ConfigurationError
-
-K = TypeVar("K")
-V = TypeVar("V")
-K2 = TypeVar("K2")
-V2 = TypeVar("V2")
-
-#: map(key, value) -> [(key2, value2), ...]
-MapFunction = Callable[[Any, Any], Iterable[Tuple[Any, Any]]]
-#: reduce(key2, [value2, ...]) -> result
-ReduceFunction = Callable[[Any, List[Any]], Any]
 
 
 @dataclass(frozen=True)
@@ -44,65 +31,6 @@ class MapReduceCosts:
         work = records * (self.map_record_s + self.shuffle_record_s
                           + self.reduce_record_s)
         return self.job_startup_s + work / parallelism
-
-
-@dataclass
-class MapReduceResult:
-    """Output of one batch job."""
-
-    results: Dict[Any, Any]
-    records_in: int
-    intermediate_records: int
-    duration_s: float
-
-
-class MapReduceJob:
-    """A faithful little MapReduce: barrier between map and reduce.
-
-    Args:
-        map_fn: The map function.
-        reduce_fn: The reduce function — it receives *all* values for a
-            key at once, which is precisely what a stream cannot provide
-            (Section 2: "the reduce step needs to see a key and all the
-            values associated with the key; this is impossible in a
-            streaming model").
-        num_reducers: Hash-partitioned reduce parallelism.
-        costs: Cost model for the duration estimate.
-    """
-
-    def __init__(self, map_fn: MapFunction, reduce_fn: ReduceFunction,
-                 num_reducers: int = 4,
-                 costs: MapReduceCosts = MapReduceCosts()) -> None:
-        if num_reducers < 1:
-            raise ConfigurationError("num_reducers must be >= 1")
-        self.map_fn = map_fn
-        self.reduce_fn = reduce_fn
-        self.num_reducers = num_reducers
-        self.costs = costs
-
-    def run(self, snapshot: Sequence[Tuple[Any, Any]],
-            parallelism: int = 8) -> MapReduceResult:
-        """Run one job over a frozen snapshot of (key, value) records."""
-        partitions: List[Dict[Any, List[Any]]] = [
-            {} for _ in range(self.num_reducers)
-        ]
-        intermediate = 0
-        for key, value in snapshot:          # map phase (full pass)
-            for key2, value2 in self.map_fn(key, value):
-                intermediate += 1
-                part = stable_hash64(str(key2)) % self.num_reducers
-                partitions[part].setdefault(key2, []).append(value2)
-        results: Dict[Any, Any] = {}
-        for partition in partitions:          # reduce phase (after barrier)
-            for key2 in sorted(partition, key=str):
-                results[key2] = self.reduce_fn(key2, partition[key2])
-        return MapReduceResult(
-            results=results,
-            records_in=len(snapshot),
-            intermediate_records=intermediate,
-            duration_s=self.costs.job_duration(
-                len(snapshot) + intermediate, parallelism),
-        )
 
 
 def periodic_job_staleness(arrival_rate_per_s: float, period_s: float,

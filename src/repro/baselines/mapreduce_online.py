@@ -17,15 +17,24 @@ MapUpdate wins on latency (bench E12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.baselines.mapreduce import MapFunction, MapReduceCosts
+from repro.baselines.mapreduce import MapReduceCosts
 from repro.core.event import Event
 from repro.errors import ConfigurationError
 from repro.obs import LatencyRecorder
 
+#: map(key, value) -> [(key2, value2), ...]
+MapFunction = Callable[[Any, Any], Iterable[Tuple[Any, Any]]]
 #: fold(key2, new_values, carried_state_or_None) -> new_state
 IncrementalReduce = Callable[[Any, List[Any], Optional[Any]], Any]
+#: Workers a batch is spread over, for its duration estimate.
+PARALLELISM = 8
+#: Per-record costs of a batch. Startup is excluded: a resident
+#: streaming job amortizes it away.
+COSTS = MapReduceCosts()
+#: Seconds of work per record, map + shuffle + reduce.
+_RECORD_S = COSTS.map_record_s + COSTS.shuffle_record_s + COSTS.reduce_record_s
 
 
 @dataclass
@@ -47,21 +56,15 @@ class MicroBatchEngine:
         reduce_fn: Incremental reducer folding new values into state.
         batch_interval_s: The micro-batch period ("as a minimum interval
             of time passes").
-        parallelism: For the per-batch duration estimate.
-        costs: Per-record cost model (startup cost is amortized away for
-            a resident streaming job, so it is excluded here).
     """
 
     def __init__(self, map_fn: MapFunction, reduce_fn: IncrementalReduce,
-                 batch_interval_s: float = 10.0, parallelism: int = 8,
-                 costs: MapReduceCosts = MapReduceCosts()) -> None:
+                 batch_interval_s: float = 10.0) -> None:
         if batch_interval_s <= 0:
             raise ConfigurationError("batch_interval_s must be positive")
         self.map_fn = map_fn
         self.reduce_fn = reduce_fn
         self.batch_interval_s = batch_interval_s
-        self.parallelism = parallelism
-        self.costs = costs
 
     def run(self, events: Iterable[Event]) -> MicroBatchReport:
         """Process a timestamp-ordered event stream batch by batch."""
@@ -86,9 +89,7 @@ class MicroBatchEngine:
             for key2 in sorted(grouped, key=str):
                 state[key2] = self.reduce_fn(key2, grouped[key2],
                                              state.get(key2))
-            duration = (len(batch) + intermediate) * (
-                self.costs.map_record_s + self.costs.shuffle_record_s
-                + self.costs.reduce_record_s) / self.parallelism
+            duration = (len(batch) + intermediate) * _RECORD_S / PARALLELISM
             total_duration += duration
             batches += 1
             for event in batch:

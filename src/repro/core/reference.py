@@ -29,7 +29,6 @@ from repro.core.operators import (TIMER_SID_PREFIX, Context, Mapper, Operator,
                                   TimerRequest, Updater)
 from repro.core.slate import Slate, SlateKey
 from repro.errors import SimulationError, WorkflowError
-from repro.muppet.queues import BoundedQueue, QueueStats
 
 
 @dataclass
@@ -92,24 +91,12 @@ class ReferenceExecutor:
         max_events: Safety cap on total processed deliveries; cyclic
             workflows could otherwise run forever. Exceeding the cap raises
             :class:`SimulationError`.
-        max_pending: Optional bound on the pending-delivery backlog (the
-            scheduling heap). The reference engine has no overflow
-            mechanism — no drop/divert/throttle — so the bound is strict:
-            exceeding it raises :class:`QueueOverflowError` via
-            :meth:`BoundedQueue.put`. ``None`` (the default) keeps the
-            backlog unbounded, matching Section 3's idealized executor.
     """
 
-    def __init__(self, app: Application, max_events: int = 1_000_000,
-                 max_pending: Optional[int] = None) -> None:
+    def __init__(self, app: Application, max_events: int = 1_000_000) -> None:
         app.validate()
         self.app = app
         self.max_events = max_events
-        # Admission ledger mirroring the scheduling heap: every heappush
-        # is a put(), every heappop a poll(). Its stats expose the peak
-        # pending backlog; with max_pending set it turns runaway fan-out
-        # into a hard QueueOverflowError instead of unbounded memory.
-        self._pending: BoundedQueue[None] = BoundedQueue(max_size=max_pending)
         # One shared instance per operator: the reference engine is
         # single-threaded, so sharing is safe and matches Muppet 2.0.
         self._instances: Dict[str, Operator] = {
@@ -142,13 +129,11 @@ class ReferenceExecutor:
                 )
             stamped = self.app.streams.stamp(event)
             self._record(stamped)
-            self._pending.put(None)
             heapq.heappush(heap, (stamped.order_key(), next(tie), stamped))
 
         processed = 0
         while heap:
             _, __, item = heapq.heappop(heap)
-            self._pending.poll()
             processed += 1
             if processed > self.max_events:
                 raise SimulationError(
@@ -160,10 +145,8 @@ class ReferenceExecutor:
             else:
                 outputs, timers = self._deliver(item)  # type: ignore[arg-type]
             for out in outputs:
-                self._pending.put(None)
                 heapq.heappush(heap, (out.order_key(), next(tie), out))
             for timer in timers:
-                self._pending.put(None)
                 order = (timer.at_ts, TIMER_SID_PREFIX + timer.updater,
                          next(self._timer_seq))
                 heapq.heappush(heap, (order, next(tie), timer))
@@ -174,11 +157,6 @@ class ReferenceExecutor:
             counters=self._counters,
             slate_update_log=self._slate_log,
         )
-
-    @property
-    def pending_stats(self) -> QueueStats:
-        """Admission-ledger stats; ``peak_depth`` is the peak backlog."""
-        return self._pending.stats
 
     # -- internals -------------------------------------------------------------
     def _record(self, event: Event) -> None:

@@ -135,7 +135,7 @@ class Slate:
 
     __slots__ = ("slate_key", "ttl", "created_ts", "last_update_ts",
                  "_dirty", "_data", "_version", "_dirty_listener",
-                 "_enc_codec", "_enc_version", "_enc_blob",
+                 "_enc_version", "_enc_blob",
                  "_size_version", "_size_bytes", "_watermarks")
 
     def __init__(
@@ -152,7 +152,6 @@ class Slate:
         self._dirty = False
         self._version = 0
         self._dirty_listener: Optional[Callable[["Slate", bool], None]] = None
-        self._enc_codec: Any = None
         self._enc_version = -1
         self._enc_blob: Optional[bytes] = None
         self._size_version = -1
@@ -352,16 +351,16 @@ class Slate:
 
         The flush path calls this instead of ``codec.encode(as_dict())``
         so an unchanged slate flushed again (rebalance barrier after a
-        periodic flush, eviction after flush) pays zero re-encodes.
+        periodic flush, eviction after flush) pays zero re-encodes. The
+        cache is keyed on the version alone: every caller passes the one
+        slate codec, ``repro.slates.codec.DEFAULT_CODEC``.
 
         The encoded form is :meth:`blob_dict`: application fields plus
         (when present) the dedup watermarks — one write persists both.
         """
-        if (self._enc_blob is not None and self._enc_codec is codec
-                and self._enc_version == self._version):
+        if self._enc_blob is not None and self._enc_version == self._version:
             return self._enc_blob
         blob = codec.encode(self.blob_dict())
-        self._enc_codec = codec
         self._enc_version = self._version
         self._enc_blob = blob
         return blob

@@ -49,11 +49,9 @@ class StreamRegistry:
     one) so that the resulting order is well-defined.
     """
 
-    def __init__(self, specs: Iterable[StreamSpec] = ()) -> None:
+    def __init__(self) -> None:
         self._specs: Dict[str, StreamSpec] = {}
         self._seq: Dict[str, itertools.count] = {}
-        for spec in specs:
-            self.declare(spec)
 
     def declare(self, spec: StreamSpec) -> StreamSpec:
         """Register a stream. Re-declaring the same sid must agree on kind."""

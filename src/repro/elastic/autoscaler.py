@@ -22,11 +22,11 @@ legacy flush-barrier join when migration is not configured).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import QUEUE_EWMA_ALPHA, Ewma
+from repro.obs.registry import QUEUE_EWMA_ALPHA, CounterFields, Ewma
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class AutoscalerConfig:
 
 
 @dataclass(slots=True)
-class AutoscalerCounters:
+class AutoscalerCounters(CounterFields):
     """Decision accounting, registered under the ``elastic`` family."""
 
     observations: int = 0
@@ -109,10 +109,6 @@ class AutoscalerCounters:
     blocked_cooldown: int = 0
     blocked_bounds: int = 0
     blocked_migration: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Field snapshot for the metrics registry."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

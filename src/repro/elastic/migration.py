@@ -49,13 +49,15 @@ business, reached through its two hooks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple)
 
 from repro.cluster.hashring import route_key
 from repro.core.slate import SlateKey
 from repro.errors import ConfigurationError
+from repro.obs.registry import CounterFields
+from repro.slates.codec import DEFAULT_CODEC
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.elastic.controller import ElasticController
@@ -105,7 +107,7 @@ class MigrationConfig:
 
 
 @dataclass(slots=True)
-class MigrationCounters:
+class MigrationCounters(CounterFields):
     """Handoff accounting, registered under the ``elastic`` family."""
 
     started: int = 0
@@ -126,10 +128,6 @@ class MigrationCounters:
     #: set: one barrier write per kv replica plus the receiver's cold
     #: first-touch read, per slate.
     full_barrier_bytes: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Field snapshot for the metrics registry."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def incremental_bytes(self) -> int:
@@ -434,7 +432,7 @@ class MigrationCoordinator:
             version = slate.version
             if not full and stream.exported_versions.get(slate_key) == version:
                 continue
-            blob = slate.encoded_with(mgr.codec)
+            blob = slate.encoded_with(DEFAULT_CODEC)
             stream.staged[slate_key] = _Staged(
                 blob=blob, ttl=slate.ttl,
                 last_update_ts=slate.last_update_ts)
@@ -536,7 +534,7 @@ class MigrationCoordinator:
                 slate = donor_mgr.cache.peek(slate_key)
                 if slate is None:
                     continue
-                nbytes = len(slate.encoded_with(donor_mgr.codec))
+                nbytes = len(slate.encoded_with(DEFAULT_CODEC))
                 self.counters.full_barrier_bytes += nbytes * (replicas + 1)
                 self.counters.full_barrier_slates += 1
                 donor_mgr.drop(slate_key)

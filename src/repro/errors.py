@@ -60,10 +60,6 @@ class QuorumError(StoreError):
     """Not enough replicas answered to satisfy the requested consistency."""
 
 
-class QueueOverflowError(ReproError):
-    """An event could not be enqueued and the policy is to raise."""
-
-
 class WorkerFailedError(ReproError):
     """A peer worker (or its machine) could not be contacted."""
 

@@ -11,10 +11,11 @@ broadcast back into the ring.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigurationError
+from repro.obs.registry import CounterFields
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.sim.des import Simulator
@@ -22,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 
 @dataclass(slots=True)
-class RobustnessCounters:
+class RobustnessCounters(CounterFields):
     """Failure-injection and recovery accounting for one simulated run.
 
     Aggregated into :class:`repro.sim.report.SimReport` from the fault
@@ -68,10 +69,6 @@ class RobustnessCounters:
     replay_reapplied: int = 0
     checkpoint_epochs: int = 0
     epoch_pruned: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict snapshot (insertion-ordered, deterministic)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class FaultDriver:

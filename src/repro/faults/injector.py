@@ -19,14 +19,15 @@ seeded schedule over one workload produce byte-identical counters.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.faults.schedule import FaultSchedule
+from repro.obs.registry import CounterFields
 
 
 @dataclass(slots=True)
-class FaultInjectorStats:
+class FaultInjectorStats(CounterFields):
     """What the injector actually did to the run."""
 
     dropped_messages: int = 0
@@ -34,9 +35,6 @@ class FaultInjectorStats:
     injected_delay_s: float = 0.0
     lost_partition: int = 0
     gray_slow_s: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class FaultInjector:

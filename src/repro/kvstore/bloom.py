@@ -16,6 +16,8 @@ import struct
 from typing import Tuple
 
 _PAIR = struct.Struct(">QQ")
+#: The false-positive probability every filter is sized for.
+FALSE_POSITIVE_RATE = 0.01
 
 
 def hash_pair(item: str) -> Tuple[int, int]:
@@ -33,20 +35,13 @@ class BloomFilter:
 
     Args:
         expected_items: Sizing hint; the bit array and hash count are
-            derived for roughly ``false_positive_rate`` at this load.
-        false_positive_rate: Target false-positive probability.
+            derived for roughly :data:`FALSE_POSITIVE_RATE` at this load.
     """
 
-    def __init__(self, expected_items: int,
-                 false_positive_rate: float = 0.01) -> None:
+    def __init__(self, expected_items: int) -> None:
         expected_items = max(1, expected_items)
-        if not 0.0 < false_positive_rate < 1.0:
-            raise ValueError(
-                "false_positive_rate must be in (0,1), got "
-                f"{false_positive_rate}"
-            )
         ln2 = math.log(2.0)
-        bits = math.ceil(-expected_items * math.log(false_positive_rate)
+        bits = math.ceil(-expected_items * math.log(FALSE_POSITIVE_RATE)
                          / (ln2 * ln2))
         self._num_bits = max(8, bits)
         self._num_hashes = max(1, round((self._num_bits / expected_items)

@@ -45,10 +45,10 @@ class ReplicatedKVStore:
             conventional setting).
         clock: Time source shared with the engines; drives write
             timestamps and TTL expiry.
-        device_kind: ``"ssd"`` or ``"hdd"`` for every node (per-node
-            overrides via ``device_overrides``).
         data_dir: When given, each node persists under a subdirectory.
         memtable_flush_bytes / compaction_threshold: Passed to each node.
+        device_overrides: Node name -> ``"ssd"`` or ``"hdd"``; a node
+            not named here gets an SSD.
         tracer: Optional :class:`repro.obs.Tracer`; when set the store
             emits one ``kv_write`` span per replicated cell write.
             Strictly passive — only consulted behind ``is not None``.
@@ -59,7 +59,6 @@ class ReplicatedKVStore:
         node_names: List[str],
         replication_factor: int = 3,
         clock: Callable[[], float] = lambda: 0.0,
-        device_kind: str = "ssd",
         data_dir: Optional[Path] = None,
         memtable_flush_bytes: int = 4 * 1024 * 1024,
         compaction_threshold: int = 8,
@@ -90,7 +89,7 @@ class ReplicatedKVStore:
         self.max_hints_per_node = 100_000
         self.nodes: Dict[str, StorageNode] = {}
         for name in node_names:
-            kind = overrides.get(name, device_kind)
+            kind = overrides.get(name, "ssd")
             node_dir = (Path(data_dir) / name) if data_dir is not None else None
             self.nodes[name] = StorageNode(
                 name=name,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import ConfigurationError
+from repro.obs.registry import CounterFields
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def profile_for(name: str) -> DeviceProfile:
 
 
 @dataclass
-class DeviceStats:
+class DeviceStats(CounterFields):
     """Cumulative I/O accounting for one device."""
 
     random_reads: int = 0
@@ -101,16 +102,6 @@ class DeviceStats:
     sequential_bytes_read: int = 0
     sequential_bytes_written: int = 0
     busy_time_s: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict snapshot for logging/benchmarks."""
-        return {
-            "random_reads": self.random_reads,
-            "random_writes": self.random_writes,
-            "sequential_bytes_read": self.sequential_bytes_read,
-            "sequential_bytes_written": self.sequential_bytes_written,
-            "busy_time_s": self.busy_time_s,
-        }
 
 
 class StorageDevice:

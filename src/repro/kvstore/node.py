@@ -27,7 +27,7 @@ matching Muppet 2.0's dedicated background kv-store thread (Section 4.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -38,6 +38,7 @@ from repro.kvstore.commitlog import CommitLog, encode_record
 from repro.kvstore.device import StorageDevice
 from repro.kvstore.memtable import Memtable
 from repro.kvstore.sstable import SSTable, key_hashes, merge_sstables
+from repro.obs.registry import CounterFields
 
 #: Space rule of :meth:`StorageNode._compact_due`: newer runs may hold this
 #: fraction of the oldest run's bytes before everything is merged. It
@@ -49,7 +50,7 @@ SPACE_CAP = 0.5
 
 
 @dataclass(slots=True)
-class NodeStats:
+class NodeStats(CounterFields):
     """Operation counters for one storage node."""
 
     puts: int = 0
@@ -63,10 +64,6 @@ class NodeStats:
     bytes_flushed: int = 0
     bytes_compacted: int = 0
     ttl_purged_cells: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict snapshot for logging/benchmarks."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class StorageNode:

@@ -15,18 +15,23 @@ threads (slate contention ≤ 2); hot primaries can spill to the secondary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cluster.hashring import MEMO_MAX_ENTRIES, stable_hash64
 from repro.errors import ConfigurationError
+from repro.obs.registry import CounterFields
 
 #: The work item identity the dispatcher reasons about.
 KeyFn = Tuple[str, str]  # (event key, destination function)
 
+#: The secondary is chosen when ``primary_len >= SIGNIFICANT_FACTOR *
+#: (secondary_len + 1)`` — our concrete reading of "significantly shorter".
+SIGNIFICANT_FACTOR = 2.0
+
 
 @dataclass(slots=True)
-class DispatchStats:
+class DispatchStats(CounterFields):
     """Counters proving the Section 4.5 claims."""
 
     dispatched: int = 0
@@ -38,29 +43,18 @@ class DispatchStats:
     memo_hits: int = 0           # candidate pairs served from the memo
     memo_misses: int = 0         # candidate pairs that cost two hashes
 
-    def as_dict(self) -> Dict[str, int]:
-        """Field snapshot; summed across dispatchers by the registry."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 class TwoChoiceDispatcher:
     """Chooses between a primary and a secondary thread queue.
 
     Args:
         num_threads: Worker threads on the machine.
-        significant_factor: The secondary is chosen when
-            ``primary_len >= significant_factor * (secondary_len + 1)`` —
-            our concrete reading of "significantly shorter".
     """
 
-    def __init__(self, num_threads: int,
-                 significant_factor: float = 2.0) -> None:
+    def __init__(self, num_threads: int) -> None:
         if num_threads < 1:
             raise ConfigurationError("num_threads must be >= 1")
-        if significant_factor < 1.0:
-            raise ConfigurationError("significant_factor must be >= 1.0")
         self.num_threads = num_threads
-        self.significant_factor = significant_factor
         self.stats = DispatchStats()
         self._memo: Dict[KeyFn, Tuple[int, int]] = {}
 
@@ -130,7 +124,7 @@ class TwoChoiceDispatcher:
 
         if (primary != secondary
                 and queue_lengths[primary]
-                >= self.significant_factor * (queue_lengths[secondary] + 1)):
+                >= SIGNIFICANT_FACTOR * (queue_lengths[secondary] + 1)):
             self.stats.to_secondary += 1
             self.stats.spills += 1
             return secondary
@@ -178,7 +172,7 @@ class TwoChoiceDispatcher:
             stats.affinity_hits += 1
             return second
         if (len(first.queue._items)
-                >= self.significant_factor * (len(second.queue._items) + 1)):
+                >= SIGNIFICANT_FACTOR * (len(second.queue._items) + 1)):
             stats.to_secondary += 1
             stats.spills += 1
             return second

@@ -26,6 +26,7 @@ from typing import Any, Optional, Tuple
 from urllib.parse import unquote
 
 from repro.muppet.local import LocalMuppet
+from repro.slates.codec import DEFAULT_CODEC
 
 
 class _SlateRequestHandler(BaseHTTPRequestHandler):
@@ -76,7 +77,7 @@ class _SlateRequestHandler(BaseHTTPRequestHandler):
             return None
         if result.value is None:
             return None
-        return self.runtime.manager.codec.decode(result.value)
+        return DEFAULT_CODEC.decode(result.value)
 
     def log_message(self, fmt: str, *args: Any) -> None:
         """Silence per-request stderr logging."""

@@ -45,6 +45,7 @@ from repro.kvstore.cluster import ReplicatedKVStore
 from repro.muppet.dispatch import KeyFn, TwoChoiceDispatcher
 from repro.muppet.queues import BoundedQueue, OverflowPolicy
 from repro.obs import LatencyRecorder, MetricsRegistry
+from repro.slates.codec import DEFAULT_CODEC
 from repro.slates.manager import (FlushPolicy, SlateManager,
                                   SlateManagerStats, Snapshot)
 
@@ -576,7 +577,7 @@ class ThreadedEngine:
             value = self.store.read(key, updater).value
         except StoreError:
             return None
-        return None if value is None else self._managers[0].codec.decode(value)
+        return None if value is None else DEFAULT_CODEC.decode(value)
 
     def read_slates_of(self, updater: str) -> Dict[str, Dict[str, Any]]:
         """All cached slates of one updater, in sorted key order."""

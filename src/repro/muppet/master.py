@@ -6,25 +6,22 @@ master. (The master in Muppet is used for handling failures.)" A worker
 that cannot contact a peer reports the peer's machine to the master; the
 master broadcasts the failure to all workers, which update their local
 failed-machine lists so the shared hash ring routes around the dead
-machine from then on.
+machine from then on. Here the master keeps the set and counts the
+broadcasts; the engine that reported acts on one itself, by changing the
+ring (``SimRuntime._change_ring``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Set
+from dataclasses import dataclass
+from typing import Dict, Set
 
 from repro.errors import ConfigurationError
-
-#: Callback invoked on every worker when the master broadcasts a failure.
-FailureListener = Callable[[str], None]
-
-#: Callback invoked on every worker when the master broadcasts a recovery.
-RecoveryListener = Callable[[str], None]
+from repro.obs.registry import CounterFields
 
 
 @dataclass(slots=True)
-class MasterStats:
+class MasterStats(CounterFields):
     """Failure- and recovery-handling counters."""
 
     reports_received: int = 0
@@ -41,10 +38,6 @@ class MasterStats:
     migrations_aborted: int = 0
     migration_phase_records: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        """Field snapshot; registered as a metrics-registry group."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 class Master:
     """Receives failure reports and broadcasts them to the cluster.
@@ -57,22 +50,12 @@ class Master:
 
     def __init__(self) -> None:
         self._failed: Set[str] = set()
-        self._listeners: List[FailureListener] = []
-        self._recovery_listeners: List[RecoveryListener] = []
         self.stats = MasterStats()
         #: Durable live-migration ledger: epoch -> phase record. The
         #: coordinator journals every phase transition here *before*
         #: acting on it, so a master crash mid-migration resumes from
         #: the last recorded phase instead of losing the handoff.
         self._migrations: Dict[int, Dict[str, str]] = {}
-
-    def subscribe(self, listener: FailureListener) -> None:
-        """Register a worker/machine callback for failure broadcasts."""
-        self._listeners.append(listener)
-
-    def subscribe_recovery(self, listener: RecoveryListener) -> None:
-        """Register a worker/machine callback for recovery broadcasts."""
-        self._recovery_listeners.append(listener)
 
     def report_failure(self, machine: str) -> bool:
         """A worker reports that ``machine`` is unreachable.
@@ -86,8 +69,6 @@ class Master:
             return False
         self._failed.add(machine)
         self.stats.broadcasts_sent += 1
-        for listener in list(self._listeners):
-            listener(machine)
         return True
 
     def report_recovery(self, machine: str) -> bool:
@@ -105,8 +86,6 @@ class Master:
             return False
         self._failed.discard(machine)
         self.stats.recovery_broadcasts += 1
-        for listener in list(self._recovery_listeners):
-            listener(machine)
         return True
 
     def coordinate_epoch(self) -> int:

@@ -17,16 +17,17 @@ has to invoke a queue overflow mechanism." The mechanism may
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
-from typing import Deque, Dict, Generic, Iterator, List, Optional, TypeVar
+from dataclasses import dataclass
+from typing import Deque, Generic, Iterator, List, Optional, TypeVar
 
-from repro.errors import ConfigurationError, QueueOverflowError
+from repro.errors import ConfigurationError
+from repro.obs.registry import CounterFields
 
 T = TypeVar("T")
 
 
 @dataclass(slots=True)
-class QueueStats:
+class QueueStats(CounterFields):
     """Counters for one bounded queue."""
 
     offered: int = 0
@@ -34,21 +35,16 @@ class QueueStats:
     rejected: int = 0
     peak_depth: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        """Field snapshot; registered as a metrics-registry view."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 class BoundedQueue(Generic[T]):
     """A FIFO with a hard size limit; full queues decline new items.
 
     Args:
-        max_size: The "pre-specified limit" on queue length; ``None``
-            means unbounded (used by the reference executor only).
+        max_size: The "pre-specified limit" on queue length.
     """
 
-    def __init__(self, max_size: Optional[int] = 10_000) -> None:
-        if max_size is not None and max_size < 1:
+    def __init__(self, max_size: int = 10_000) -> None:
+        if max_size < 1:
             raise ConfigurationError(f"max_size must be >= 1, got {max_size}")
         self.max_size = max_size
         self._items: Deque[T] = deque()
@@ -57,7 +53,7 @@ class BoundedQueue(Generic[T]):
     def offer(self, item: T) -> bool:
         """Try to enqueue; returns False when the queue declines (full)."""
         self.stats.offered += 1
-        if self.max_size is not None and len(self._items) >= self.max_size:
+        if len(self._items) >= self.max_size:
             self.stats.rejected += 1
             return False
         self._items.append(item)
@@ -66,43 +62,17 @@ class BoundedQueue(Generic[T]):
             self.stats.peak_depth = len(self._items)
         return True
 
-    def put(self, item: T) -> None:
-        """Enqueue strictly: raise instead of declining.
-
-        The engines use :meth:`offer` and route declines through an
-        :class:`OverflowPolicy`; ``put`` is for callers with *no*
-        overflow mechanism — the reference executor's ingestion staging,
-        tooling, tests — where a full queue is a hard error.
-
-        Raises:
-            QueueOverflowError: The queue is at capacity; the item was
-                not enqueued (stats count it as rejected).
-        """
-        if not self.offer(item):
-            raise QueueOverflowError(
-                f"queue full at max_size={self.max_size}; strict put() "
-                "has no overflow policy to fall back on")
-
     def poll(self) -> Optional[T]:
         """Dequeue the next item, or None when empty."""
         if not self._items:
             return None
         return self._items.popleft()
 
-    def peek(self) -> Optional[T]:
-        """The next item without removing it, or None."""
-        return self._items[0] if self._items else None
-
     def __len__(self) -> int:
         return len(self._items)
 
     def __iter__(self) -> Iterator[T]:
         return iter(self._items)
-
-    @property
-    def full(self) -> bool:
-        """True when at capacity."""
-        return self.max_size is not None and len(self._items) >= self.max_size
 
     def drain(self) -> List[T]:
         """Remove and return everything (machine-failure accounting:

@@ -37,6 +37,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
                     Optional, Tuple)
 
 from repro.errors import ConfigurationError
+from repro.obs.registry import CounterFields
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.event import Event
@@ -46,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 
 @dataclass(slots=True)
-class ReplayStats:
+class ReplayStats(CounterFields):
     """Journal accounting."""
 
     recorded: int = 0

@@ -32,11 +32,7 @@ from repro.obs.latency import (
     format_table,
     percentile,
 )
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS_S,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.registry import LATENCY_BUCKETS_S, Histogram, MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
 from repro.obs.trace import (
     JsonlTracer,
@@ -49,9 +45,9 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS_S",
     "Histogram",
     "JsonlTracer",
+    "LATENCY_BUCKETS_S",
     "LatencyRecorder",
     "LatencySummary",
     "MetricsRegistry",

@@ -22,18 +22,35 @@ from __future__ import annotations
 
 import bisect
 import json
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import fields
+from typing import (Any, Callable, ClassVar, Dict, List, Mapping, Optional,
+                    Sequence)
 
 from repro.errors import ConfigurationError
 
-#: Default latency buckets (seconds): 1 ms .. 30 s in roughly 2x steps,
-#: bracketing the paper's 2-second end-to-end bound from both sides.
+#: Every histogram's buckets (seconds, ascending upper bounds): 1 ms ..
+#: 30 s in roughly 2x steps, bracketing the paper's 2-second end-to-end
+#: bound from both sides. An implicit overflow bucket catches everything
+#: above the last bound.
 # fmt: off
-DEFAULT_LATENCY_BUCKETS_S = (
+LATENCY_BUCKETS_S = (
     0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
     1.0, 2.0, 5.0, 10.0, 30.0,
 )
 # fmt: on
+
+
+class CounterFields:
+    """Base of the counter dataclasses (``*Stats``, ``*Counters``):
+    :meth:`as_dict` is their field snapshot, keys in declaration order —
+    the order ``counter_report()`` prints them in."""
+
+    __slots__ = ()
+    __dataclass_fields__: ClassVar[Dict[str, Any]]
+
+    def as_dict(self) -> Dict[str, Any]:
+        """Field snapshot; what a metrics-registry view or group reads."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class Histogram:
@@ -41,30 +58,20 @@ class Histogram:
 
     Args:
         name: Registry name.
-        buckets: Ascending upper bounds; an implicit overflow bucket
-            catches everything above the last bound.
 
-    Percentiles are linearly interpolated within the winning bucket (the
-    classic Prometheus ``histogram_quantile`` estimate), so they are
-    approximations bounded by bucket width — adequate for the latency
-    tables the benchmarks print, at O(buckets) memory.
+    The buckets are :data:`LATENCY_BUCKETS_S`. Percentiles are linearly
+    interpolated within the winning bucket (the classic Prometheus
+    ``histogram_quantile`` estimate), so they are approximations bounded
+    by bucket width — adequate for the latency tables the benchmarks
+    print, at O(buckets) memory.
     """
 
     __slots__ = ("name", "bounds", "counts", "count", "total", "maximum")
 
-    def __init__(
-        self, name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_S
-    ) -> None:
-        if not buckets:
-            raise ConfigurationError("histogram needs at least one bucket")
-        bounds = list(buckets)
-        if sorted(bounds) != bounds or len(set(bounds)) != len(bounds):
-            raise ConfigurationError(
-                f"histogram buckets must be strictly ascending, got {bounds}"
-            )
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds: List[float] = bounds
-        self.counts: List[int] = [0] * (len(bounds) + 1)  # +overflow
+        self.bounds = LATENCY_BUCKETS_S
+        self.counts: List[int] = [0] * (len(LATENCY_BUCKETS_S) + 1)  # +overflow
         self.count = 0
         self.total = 0.0
         self.maximum = 0.0
@@ -197,15 +204,11 @@ class MetricsRegistry:
         self._groups: List[Any] = []
 
     # -- registration ------------------------------------------------------
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_S,
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """Get or create the histogram ``name``."""
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = Histogram(name, buckets)
+            histogram = self._histograms[name] = Histogram(name)
         return histogram
 
     def register_view(self, prefix: str, obj: Any) -> None:

@@ -132,19 +132,20 @@ class RingTracer(Tracer):
         return len(self._ring)
 
 
+#: How many recent spans :meth:`JsonlTracer.spans` retains for
+#: in-process inspection alongside the file.
+JSONL_RING_CAPACITY = 4_096
+
+
 class JsonlTracer(Tracer):
     """File sink writing one JSON object per line (and keeping a ring).
 
     Args:
         path_or_file: Output path, or an open text file (tests pass
             ``io.StringIO``). Paths are opened lazily on first span.
-        ring_capacity: How many recent spans :meth:`spans` retains for
-            in-process inspection alongside the file.
     """
 
-    def __init__(
-        self, path_or_file: Union[str, IO[str]], ring_capacity: int = 4_096
-    ) -> None:
+    def __init__(self, path_or_file: Union[str, IO[str]]) -> None:
         self._path: Optional[str] = None
         self._file: Optional[IO[str]] = None
         if isinstance(path_or_file, str):
@@ -152,7 +153,7 @@ class JsonlTracer(Tracer):
         else:
             self._file = path_or_file
         self._owns_file = self._file is None
-        self._ring: Deque[Span] = deque(maxlen=ring_capacity)
+        self._ring: Deque[Span] = deque(maxlen=JSONL_RING_CAPACITY)
         self.written = 0
 
     def _store(self, span: Span) -> None:

@@ -27,11 +27,11 @@ family in ``SimReport.counter_report()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import QUEUE_EWMA_ALPHA, Ewma
+from repro.obs.registry import QUEUE_EWMA_ALPHA, CounterFields, Ewma
 from repro.shedding.thinning import ThinningPolicy
 
 TIER_NORMAL = 0
@@ -115,7 +115,7 @@ class PressureSignals:
 
 
 @dataclass(slots=True)
-class SheddingCounters:
+class SheddingCounters(CounterFields):
     """Overload-control accounting for one run (all zero when off).
 
     Printed under ``overload.*`` in ``SimReport.counter_report()``
@@ -141,10 +141,6 @@ class SheddingCounters:
     time_thin_s: float = 0.0
     time_overflow_s: float = 0.0
     time_throttle_s: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict snapshot (insertion-ordered, deterministic)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def add_residence(self, tier: int, seconds: float) -> None:
         """Charge ``seconds`` of machine time to one tier."""

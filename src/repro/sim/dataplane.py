@@ -11,9 +11,10 @@ its per-link state and its counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, List, Optional
 
+from repro.obs.registry import CounterFields
 from repro.sim.des import ScheduledEvent
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -21,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 
 @dataclass(slots=True)
-class DataPlaneCounters:
+class DataPlaneCounters(CounterFields):
     """Event-coalescing accounting for one simulated run.
 
     Filled by the compiled data plane when batching is on
@@ -44,10 +45,6 @@ class DataPlaneCounters:
     forced_flushes: int = 0
     #: Largest single batch shipped.
     max_batch_events: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict snapshot (insertion-ordered, deterministic)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class _Link:

@@ -8,7 +8,7 @@ attaches the engine's live stats objects to its
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.core.event import EventCounter
@@ -132,7 +132,7 @@ def register_metrics(rt: "SimRuntime") -> None:
     reg.register_group("master", rt.master.stats.as_dict)
     reg.register_group("dispatch", lambda: dispatch_stats(rt))
     reg.register_group("dataplane", rt.dataplane.as_dict)
-    reg.register_group("replay", lambda: asdict(replay_stats(rt)))
+    reg.register_group("replay", lambda: replay_stats(rt).as_dict())
     reg.register_group("overload", rt._overload.stats)
     for machine in rt.machines.values():
         register_machine_probes(rt, machine)
@@ -290,7 +290,7 @@ def build_report(rt: "SimRuntime", duration_s: float) -> SimReport:
         latency_by_updater=by_updater,
         throughput=ThroughputReport(rt.counters.processed, duration_s),
         dispatch_stats=dispatch_stats(rt),
-        master_stats=asdict(rt.master.stats),
+        master_stats=rt.master.stats.as_dict(),
         queue_peak_depth=queue_peak,
         slate_contention_events=rt._contention_events,
         max_workers_per_slate=rt._max_workers_per_slate,
@@ -303,7 +303,7 @@ def build_report(rt: "SimRuntime", duration_s: float) -> SimReport:
         steps=rt.sim.steps,
         robustness=robustness_counters(rt),
         dataplane=rt.dataplane,
-        replay=ReplayStats(**asdict(replay_stats(rt))),
+        replay=ReplayStats(**replay_stats(rt).as_dict()),
         shedding=rt._overload.counters,
         metrics=rt.metrics.family_snapshot(),
         timeline_data=(rt._timeline.as_dict()

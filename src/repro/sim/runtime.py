@@ -56,7 +56,7 @@ from heapq import heappush
 from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
                     Set, Tuple, Union)
 
-from repro.cluster.topology import ClusterSpec, NetworkSpec
+from repro.cluster.topology import ClusterSpec
 from repro.core.application import Application, OperatorSpec
 from repro.core.event import ORIGIN_SEQ_STRIDE, Event, EventCounter
 from repro.core.operators import Context, Operator, TimerRequest
@@ -68,7 +68,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.kvstore.cluster import ReplicatedKVStore
 from repro.muppet.conductor import IPCAccountant
-from repro.muppet.dispatch import SingleChoiceDispatcher, TwoChoiceDispatcher
+from repro.muppet.dispatch import (SIGNIFICANT_FACTOR, SingleChoiceDispatcher,
+                                   TwoChoiceDispatcher)
 from repro.muppet.master import Master
 from repro.muppet.queues import BoundedQueue
 from repro.muppet.replay import EffectivelyOnce, ReplayJournal
@@ -171,8 +172,7 @@ class _Machine:
         """Worst queue fullness across this machine's workers."""
         worst = 0.0
         for worker in self.workers:
-            cap = worker.queue.max_size or 1
-            worst = max(worst, len(worker.queue) / cap)
+            worst = max(worst, len(worker.queue) / worker.queue.max_size)
         return worst
 
     def occupy_device(self, now: float, io_s: float) -> float:
@@ -622,8 +622,8 @@ class SimRuntime:
         # cost plus a byte-accurate serialization charge.
         ipc = (None if muppet2
                else IPCAccountant(fixed_s=costs.ipc_overhead_s))
+        # NetworkSpec.transfer_time, inlined below (loopback is free).
         net = self.cluster.network
-        inline_net = type(net) is NetworkSpec
         net_lat = net.latency_s
         net_bw = net.bandwidth_bytes_per_s
         max_bytes = cfg.max_slate_bytes
@@ -702,7 +702,7 @@ class SimRuntime:
             if at_least_once:
                 journal.record(machine.name, envelope, clock._now)
             same = from_machine == machine.name
-            if same and inline_net:
+            if same:
                 delay = extra_delay
             else:
                 # Event.size_bytes() inlined for the common payload
@@ -757,11 +757,7 @@ class SimRuntime:
                                         next(sim_seq), link.ship, timer,
                                         None))
                     return
-                if inline_net:
-                    delay = extra_delay + (net_lat + size / net_bw)
-                else:
-                    delay = extra_delay + net.transfer_time(
-                        size, same_machine=same)
+                delay = extra_delay + (net_lat + size / net_bw)
             if injector is not None:
                 delivered, delay = injector.message_fate(
                     from_machine, machine.name, clock._now, delay)
@@ -809,11 +805,7 @@ class SimRuntime:
                         handle_dead(machine, env)
                     return
                 now = clock._now
-                if inline_net:
-                    delay = extra + (net_lat + total / net_bw)
-                else:
-                    delay = extra + net.transfer_time(total,
-                                                      same_machine=False)
+                delay = extra + (net_lat + total / net_bw)
                 if injector is not None:
                     delivered, delay = injector.message_fate(
                         link.src, machine.name, now, delay)
@@ -1135,7 +1127,7 @@ class SimRuntime:
                             dstats.affinity_hits += 1
                             worker = second
                         elif (len(worker.queue._items)
-                              >= dispatcher.significant_factor
+                              >= SIGNIFICANT_FACTOR
                               * (len(second.queue._items) + 1)):
                             dstats.to_secondary += 1
                             dstats.spills += 1
@@ -1150,8 +1142,7 @@ class SimRuntime:
             qstats = queue.stats
             items = queue._items
             qstats.offered += 1
-            max_size = queue.max_size
-            if max_size is not None and len(items) >= max_size:
+            if len(items) >= queue.max_size:
                 qstats.rejected += 1
                 overflow(machine, worker, envelope)
                 return None

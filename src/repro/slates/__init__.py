@@ -1,8 +1,7 @@
 """Slate management: codecs, caches, flush policies, and the manager."""
 
 from repro.slates.cache import CacheStats, SlateCache, fragmented_capacity
-from repro.slates.codec import (DEFAULT_CODEC, CompressedJsonCodec,
-                                JsonCodec, SlateCodec)
+from repro.slates.codec import DEFAULT_CODEC, CompressedJsonCodec, JsonCodec
 from repro.slates.manager import (FlushPolicy, SlateManager,
                                   SlateManagerStats)
 
@@ -13,7 +12,6 @@ __all__ = [
     "FlushPolicy",
     "JsonCodec",
     "SlateCache",
-    "SlateCodec",
     "SlateManager",
     "SlateManagerStats",
     "fragmented_capacity",

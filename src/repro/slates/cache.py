@@ -15,17 +15,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.slate import Slate, SlateKey
 from repro.errors import ConfigurationError
+from repro.obs.registry import CounterFields
 
 #: Called with each slate evicted while dirty, so the owner can flush it.
 EvictionCallback = Callable[[Slate], None]
 
 
 @dataclass(slots=True)
-class CacheStats:
+class CacheStats(CounterFields):
     """Hit/miss/eviction counters for one cache."""
 
     hits: int = 0
@@ -38,12 +39,6 @@ class CacheStats:
         """Fraction of lookups served from cache (0 when untouched)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Counter snapshot; registered as a metrics-registry view."""
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions,
-                "dirty_evictions": self.dirty_evictions}
 
 
 class SlateCache:

@@ -2,8 +2,9 @@
 
 "Our applications often use JSON to encode slates for language independence
 and flexibility, so Muppet compresses each slate before storing it in the
-key-value store." The default codec is therefore JSON + zlib; a plain JSON
-codec exists for ablation benches that measure what the compression buys.
+key-value store." The one slate codec, :data:`DEFAULT_CODEC`, is
+therefore JSON + zlib; :class:`JsonCodec` is its inner, uncompressed
+encoder.
 
 Under ``delivery_semantics="effectively-once"`` the blob additionally
 carries the slate's per-upstream dedup watermarks, embedded under the
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import Any, Dict, Optional, Protocol, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.slate import WATERMARK_FIELD
 from repro.errors import SlateError
@@ -39,20 +40,6 @@ def split_watermarks(
     return data, {str(origin): int(seq) for origin, seq in watermarks.items()}
 
 
-class SlateCodec(Protocol):
-    """Encodes slate field dicts to bytes for the key-value store."""
-
-    name: str
-
-    def encode(self, data: Dict[str, Any]) -> bytes:
-        """Serialize slate contents."""
-        ...
-
-    def decode(self, blob: bytes) -> Dict[str, Any]:
-        """Deserialize slate contents."""
-        ...
-
-
 #: What ``json.dumps(data, separators=(",", ":"), sort_keys=True)`` and
 #: ``json.loads`` would build on every call; encoders and decoders keep
 #: no state between calls.
@@ -61,7 +48,8 @@ _DECODER = json.JSONDecoder()
 
 
 class JsonCodec:
-    """Plain JSON (UTF-8), no compression — ablation baseline."""
+    """Plain JSON (UTF-8), no compression: the encoder inside
+    :class:`CompressedJsonCodec`."""
 
     name = "json"
 
@@ -83,32 +71,20 @@ class JsonCodec:
         return data
 
 
-#: Shared by every CompressedJsonCodec — JsonCodec is stateless, so one
-#: instance serves all compression levels.
+#: Shared by every CompressedJsonCodec — JsonCodec is stateless.
 _JSON = JsonCodec()
+#: The zlib level slates are compressed at (1 fast … 9 small). A blob
+#: decodes whatever level wrote it: zlib frames carry their own setting.
+ZLIB_LEVEL = 6
 
 
 class CompressedJsonCodec:
-    """JSON + zlib — the paper's production encoding.
-
-    Args:
-        level: zlib compression level (1 fast … 9 small; 6 default).
-    """
+    """JSON + zlib — the paper's production encoding."""
 
     name = "json+zlib"
 
-    def __init__(self, level: int = 6) -> None:
-        if not 1 <= level <= 9:
-            raise SlateError(f"zlib level must be 1..9, got {level}")
-        self._level = level
-
-    @property
-    def level(self) -> int:
-        """The zlib compression level this codec encodes at."""
-        return self._level
-
     def encode(self, data: Dict[str, Any]) -> bytes:
-        return zlib.compress(_JSON.encode(data), self._level)
+        return zlib.compress(_JSON.encode(data), ZLIB_LEVEL)
 
     def decode(self, blob: bytes) -> Dict[str, Any]:
         try:

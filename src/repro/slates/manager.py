@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError, StoreError
 from repro.kvstore.api import ConsistencyLevel
 from repro.kvstore.cluster import ReplicatedKVStore
 from repro.slates.cache import SlateCache
-from repro.slates.codec import DEFAULT_CODEC, SlateCodec, split_watermarks
+from repro.slates.codec import DEFAULT_CODEC, split_watermarks
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.obs import Tracer
@@ -123,14 +123,14 @@ class SlateManager:
 
     Muppet 1.0 builds one manager per worker (fragmented caches);
     Muppet 2.0 builds one per machine (the central cache). Engines
-    serialize access per manager.
+    serialize access per manager. Slates are encoded with
+    :data:`~repro.slates.codec.DEFAULT_CODEC` (JSON+zlib, like Muppet).
 
     Args:
         store: Backing replicated store; ``None`` disables persistence
             (slates then live only in cache — the Storm/S4 situation the
             paper contrasts against).
         cache_capacity: Resident-slate limit for the LRU cache.
-        codec: Serialization codec (JSON+zlib by default, like Muppet).
         flush_policy: See :class:`FlushPolicy`.
         clock: Time source for TTLs and flush scheduling.
         consistency: Consistency level for kv reads/writes.
@@ -149,7 +149,6 @@ class SlateManager:
         self,
         store: Optional[ReplicatedKVStore],
         cache_capacity: int = 10_000,
-        codec: SlateCodec = DEFAULT_CODEC,
         flush_policy: FlushPolicy = FlushPolicy.every(1.0),
         clock: Callable[[], float] = lambda: 0.0,
         consistency: ConsistencyLevel = ConsistencyLevel.ONE,
@@ -158,7 +157,6 @@ class SlateManager:
         owner: Optional[str] = None,
     ) -> None:
         self.store = store
-        self.codec = codec
         self.flush_policy = flush_policy
         self.clock = clock
         self.consistency = consistency
@@ -226,7 +224,7 @@ class SlateManager:
         if result.value is None:
             self.stats.kv_read_misses += 1
             return None
-        fields, watermarks = split_watermarks(self.codec.decode(result.value))
+        fields, watermarks = split_watermarks(DEFAULT_CODEC.decode(result.value))
         slate = Slate(slate_key, fields,
                       ttl=updater.slate_ttl, created_ts=now)
         # Watermarks ride the same blob as the fields, so a re-hydrated
@@ -283,13 +281,7 @@ class SlateManager:
         dirty index makes each call O(dirty slates), so an idle tick with
         nothing dirty costs two comparisons, not a resident-set scan.
         """
-        if self.flush_policy.kind != "interval":
-            return 0
-        now = self.clock()
-        if now - self._last_interval_flush < self.flush_policy.interval_s:
-            return 0
-        self._last_interval_flush = now
-        return self.flush_all_dirty()
+        return self.flush_all_dirty() if self.take_due() else 0
 
     def start_interval(self) -> None:
         """Start the interval clock now, so the first interval flush
@@ -304,10 +296,11 @@ class SlateManager:
         :meth:`snapshot` / :meth:`write_snapshots` instead of
         :meth:`flush_due` so it can take each slate's lock around the
         encode — a worker mutating slate fields mid-encode would otherwise
-        tear the blob."""
+        tear the blob. Only an interval policy reads the clock."""
+        if self.flush_policy.kind != "interval":
+            return False
         now = self.clock()
-        if (self.flush_policy.kind != "interval"
-                or now - self._last_interval_flush < self.flush_policy.interval_s):
+        if now - self._last_interval_flush < self.flush_policy.interval_s:
             return False
         self._last_interval_flush = now
         return True
@@ -351,7 +344,7 @@ class SlateManager:
         Raises:
             SlateError: The codec cannot encode the slate's fields.
         """
-        return Snapshot(slate, slate.version, slate.encoded_with(self.codec))
+        return Snapshot(slate, slate.version, slate.encoded_with(DEFAULT_CODEC))
 
     def write_snapshots(self, snapshots: List[Snapshot]) -> List[Snapshot]:
         """Write snapshots to the store: every flush's one kv write path.
@@ -432,7 +425,7 @@ class SlateManager:
         ordinary flush machinery (and the migration ack barrier)
         persists it rather than silently dropping the freshest state.
         """
-        fields, watermarks = split_watermarks(self.codec.decode(blob))
+        fields, watermarks = split_watermarks(DEFAULT_CODEC.decode(blob))
         slate = Slate(slate_key, fields, ttl=ttl, created_ts=now)
         slate.set_watermarks(watermarks)
         slate.last_update_ts = last_update_ts

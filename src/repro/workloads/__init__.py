@@ -2,16 +2,16 @@
 
 from repro.workloads.checkins import (NON_RETAIL_VENUES, RETAILER_SPELLINGS,
                                       CheckinGenerator, parse_checkin)
-from repro.workloads.tweets import (DEFAULT_TOPICS, TopicBurst,
-                                    TweetGenerator, parse_tweet)
+from repro.workloads.tweets import (TOPICS, TopicBurst, TweetGenerator,
+                                    parse_tweet)
 from repro.workloads.traceio import read_events, write_events
 from repro.workloads.zipf import ZipfSampler, zipf_key_fn
 
 __all__ = [
     "CheckinGenerator",
-    "DEFAULT_TOPICS",
     "NON_RETAIL_VENUES",
     "RETAILER_SPELLINGS",
+    "TOPICS",
     "TopicBurst",
     "TweetGenerator",
     "ZipfSampler",

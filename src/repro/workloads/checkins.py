@@ -29,6 +29,10 @@ RETAILER_SPELLINGS: Sequence[Tuple[str, Sequence[str]]] = (
     ("Target", ("Target", "SuperTarget", "Target Store T-1038")),
 )
 
+#: Zipf skew across retailers; ``hot_retailer`` makes the explicit
+#: hotspot (Example 6's Best Buy scenario).
+RETAILER_EXPONENT = 0.8
+
 #: Venues that should *not* match any retailer.
 NON_RETAIL_VENUES = (
     "Blue Bottle Coffee", "Golden Gate Park", "SFO Terminal 2",
@@ -46,8 +50,6 @@ class CheckinGenerator:
             ~17/s; benches crank this up).
         retail_fraction: Fraction of checkins at recognized retailers.
         num_users: Checkin-user population (Zipf-skewed).
-        retailer_exponent: Skew across retailers — raise it to make one
-            retailer a hotspot (Example 6's Best Buy scenario).
         hot_retailer: When set, that retailer receives ``hot_share`` of
             all retail checkins (overrides the Zipf draw) — the explicit
             hotspot knob for bench E5.
@@ -60,7 +62,6 @@ class CheckinGenerator:
         rate_per_s: float = 100.0,
         retail_fraction: float = 0.4,
         num_users: int = 50_000,
-        retailer_exponent: float = 0.8,
         hot_retailer: str = "",
         hot_share: float = 0.8,
         seed: int = 0,
@@ -81,7 +82,7 @@ class CheckinGenerator:
         self.hot_share = hot_share
         self._users = ZipfSampler(num_users, 1.0, seed)
         self._retailers = ZipfSampler(len(RETAILER_SPELLINGS),
-                                      retailer_exponent, seed + 1)
+                                      RETAILER_EXPONENT, seed + 1)
         self._rng = random.Random(seed + 2)
         self._checkin_id = 0
 

@@ -24,12 +24,17 @@ from repro.core.event import Event
 from repro.errors import ConfigurationError
 from repro.workloads.zipf import ZipfSampler
 
-#: Default topic vocabulary (the paper's "small set of pre-defined
+#: The topic vocabulary (the paper's "small set of pre-defined
 #: topics", Example 2).
-DEFAULT_TOPICS = (
+TOPICS = (
     "earthquake", "election", "sports", "music", "movies",
     "technology", "weather", "food", "travel", "fashion",
 )
+#: Fraction of tweets carrying a URL.
+URL_PROB = 0.20
+#: Zipf skew of author activity and of topic popularity.
+USER_EXPONENT = 1.1
+TOPIC_EXPONENT = 1.0
 
 
 @dataclass(frozen=True)
@@ -50,11 +55,9 @@ class TweetGenerator:
         sid: External stream ID the events carry (e.g. ``"S1"``).
         rate_per_s: Tweets per second.
         num_users: Author population (Zipf-skewed activity).
-        topics: Topic vocabulary.
         bursts: Optional hot-topic episodes.
         retweet_prob / reply_prob: Fractions of tweets that reference
             another user.
-        url_prob: Fraction of tweets carrying a URL.
         seed: Master seed — identical seeds give identical streams.
     """
 
@@ -63,31 +66,22 @@ class TweetGenerator:
         sid: str = "S1",
         rate_per_s: float = 1200.0,
         num_users: int = 100_000,
-        topics: Sequence[str] = DEFAULT_TOPICS,
         bursts: Sequence[TopicBurst] = (),
         retweet_prob: float = 0.15,
         reply_prob: float = 0.10,
-        url_prob: float = 0.20,
-        user_exponent: float = 1.1,
-        topic_exponent: float = 1.0,
         seed: int = 0,
     ) -> None:
         if rate_per_s <= 0:
             raise ConfigurationError("rate must be positive")
-        if not topics:
-            raise ConfigurationError("need at least one topic")
         self.sid = sid
         self.rate_per_s = rate_per_s
-        self.topics = list(topics)
         self.bursts = list(bursts)
-        self._users = ZipfSampler(num_users, user_exponent, seed)
-        self._topic_sampler = ZipfSampler(len(self.topics), topic_exponent,
-                                          seed + 1)
+        self._users = ZipfSampler(num_users, USER_EXPONENT, seed)
+        self._topic_sampler = ZipfSampler(len(TOPICS), TOPIC_EXPONENT, seed + 1)
         self._urls = ZipfSampler(500, 1.2, seed + 2)
         self._rng = random.Random(seed + 3)
         self.retweet_prob = retweet_prob
         self.reply_prob = reply_prob
-        self.url_prob = url_prob
         self._tweet_id = 0
 
     def _pick_topic(self, ts: float) -> str:
@@ -95,11 +89,11 @@ class TweetGenerator:
         active = [b for b in self.bursts if b.start_s <= ts < b.end_s]
         if active:
             burst = active[0]
-            base = 1.0 / len(self.topics)
+            base = 1.0 / len(TOPICS)
             boosted = min(0.95, base * burst.multiplier)
             if self._rng.random() < boosted:
                 return burst.topic
-        return self.topics[self._topic_sampler.sample()]
+        return TOPICS[self._topic_sampler.sample()]
 
     def _make_tweet(self, ts: float) -> Tuple[str, str]:
         """Build one tweet; returns (user key, JSON value)."""
@@ -118,7 +112,7 @@ class TweetGenerator:
             record["retweet_of"] = f"user{self._users.sample()}"
         elif roll < self.retweet_prob + self.reply_prob:
             record["reply_to"] = f"user{self._users.sample()}"
-        if self._rng.random() < self.url_prob:
+        if self._rng.random() < URL_PROB:
             record["urls"] = [f"http://ex.am/{self._urls.sample()}"]
         return user, json.dumps(record, separators=(",", ":"))
 

@@ -9,13 +9,15 @@ from repro.apps.retailer_count import build_retailer_app
 from repro.apps.top_urls import LEADERBOARD_KEY, build_top_urls_app
 from repro.core import ReferenceExecutor
 from repro.workloads import CheckinGenerator, TweetGenerator
+from repro.workloads import tweets
 from repro.workloads.tweets import parse_tweet
 
 
 class TestTopUrls:
     def tweets_with_urls(self, n=1500, seed=41):
-        return TweetGenerator(rate_per_s=200, seed=seed, url_prob=0.5) \
-            .take(n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tweets, "URL_PROB", 0.5)
+            return TweetGenerator(rate_per_s=200, seed=seed).take(n)
 
     def test_leaderboard_matches_true_top(self):
         events = self.tweets_with_urls()

@@ -5,8 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.baselines.mapreduce import (MapReduceCosts, MapReduceJob,
-                                       periodic_job_staleness)
+from repro.baselines.mapreduce import MapReduceCosts, periodic_job_staleness
 from repro.baselines.mapreduce_online import (MicroBatchEngine,
                                               counting_reduce)
 from repro.baselines.storm_like import StormLikeTopology
@@ -28,34 +27,12 @@ def checkin_events(n=1500, seed=61):
 
 
 class TestMapReduceJob:
-    def test_word_count_semantics(self):
-        job = MapReduceJob(lambda k, v: [(w, 1) for w in v.split()],
-                           lambda k, vs: sum(vs))
-        result = job.run([("d1", "a b a"), ("d2", "b c")])
-        assert result.results == {"a": 2, "b": 2, "c": 1}
-        assert result.intermediate_records == 5
-
-    def test_retailer_counts_match_truth(self):
-        events, truth = checkin_events()
-        job = MapReduceJob(retailer_map, lambda k, vs: sum(vs))
-        result = job.run([(e.key, e.value) for e in events])
-        assert result.results == truth
-
-    def test_reducer_count_does_not_change_results(self):
-        events, truth = checkin_events(500)
-        snapshot = [(e.key, e.value) for e in events]
-        one = MapReduceJob(retailer_map, lambda k, vs: sum(vs),
-                           num_reducers=1).run(snapshot)
-        many = MapReduceJob(retailer_map, lambda k, vs: sum(vs),
-                            num_reducers=16).run(snapshot)
-        assert one.results == many.results
+    """The snapshot job's cost model (``MapReduceCosts``)."""
 
     def test_duration_includes_startup(self):
         costs = MapReduceCosts(job_startup_s=5.0)
-        job = MapReduceJob(retailer_map, lambda k, vs: sum(vs),
-                           costs=costs)
-        result = job.run([])
-        assert result.duration_s >= 5.0
+        assert costs.job_duration(0, parallelism=8) == 5.0
+        assert costs.job_duration(1000, parallelism=8) > 5.0
 
     def test_staleness_grows_with_history(self):
         """Snapshot jobs reprocess everything: answers get *staler* as
@@ -69,7 +46,7 @@ class TestMapReduceJob:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            MapReduceJob(retailer_map, lambda k, vs: 0, num_reducers=0)
+            MapReduceCosts().job_duration(10, parallelism=0)
 
 
 class TestMicroBatch:

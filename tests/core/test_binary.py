@@ -117,6 +117,7 @@ class TestAppendixAppEndToEnd:
 
     def test_binary_slates_survive_store_roundtrip(self):
         """Byte slates persist through the JSON+zlib codec unharmed."""
+        from repro.slates.codec import DEFAULT_CODEC
         from repro.slates.manager import FlushPolicy
 
         events, truth = CheckinGenerator(seed=113).take_with_truth(300)
@@ -126,5 +127,5 @@ class TestAppendixAppEndToEnd:
             runtime.ingest_many(events)
             assert runtime.drain()
             stored = runtime.store.read("Walmart", "U1").value
-            walmart = runtime.manager.codec.decode(stored)
+            walmart = DEFAULT_CODEC.decode(stored)
         assert slate_bytes(walmart) == str(truth["Walmart"]).encode()

@@ -6,10 +6,10 @@ import pytest
 
 import repro.errors as errors_module
 from repro.errors import (AnalysisError, ConfigurationError,
-                          EngineStoppedError, QueueOverflowError,
-                          QuorumError, ReproError, SimulationError,
-                          SlateError, SlateTooLargeError, StoreError,
-                          TimestampError, WorkerFailedError, WorkflowError)
+                          EngineStoppedError, QuorumError, ReproError,
+                          SimulationError, SlateError, SlateTooLargeError,
+                          StoreError, TimestampError, WorkerFailedError,
+                          WorkflowError)
 
 
 def _all_error_classes():
@@ -20,15 +20,14 @@ def _all_error_classes():
 
 def test_every_exported_error_derives_from_repro_error():
     classes = _all_error_classes()
-    assert len(classes) >= 13
+    assert len(classes) >= 12
     for cls in classes:
         assert issubclass(cls, ReproError), cls
 
 
 def test_catching_repro_error_catches_subclasses():
     for cls in (ConfigurationError, AnalysisError, SimulationError,
-                QueueOverflowError, EngineStoppedError, TimestampError,
-                WorkerFailedError):
+                EngineStoppedError, TimestampError, WorkerFailedError):
         with pytest.raises(ReproError):
             raise cls("boom")
 

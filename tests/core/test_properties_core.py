@@ -36,7 +36,8 @@ class TestOrderingProperties:
     @given(events_strategy())
     def test_order_key_is_total(self, events):
         """No two stamped events of one registry compare equal."""
-        registry = StreamRegistry([StreamSpec("S1", external=True)])
+        registry = StreamRegistry()
+        registry.declare(StreamSpec("S1", external=True))
         stamped = [registry.stamp(e) for e in events]
         order_keys = [order_key(e) for e in stamped]
         assert len(set(order_keys)) == len(order_keys)

@@ -184,28 +184,3 @@ class TestInputValidation:
         with pytest.raises(WorkflowError, match="external"):
             ReferenceExecutor(build_count_app()).run(
                 [Event("S2", 0.0, "k")])
-
-
-class TestPendingLedger:
-    """The strict pending-delivery bound (no overflow mechanism)."""
-
-    def test_unbounded_by_default(self):
-        executor = ReferenceExecutor(build_count_app())
-        executor.run([Event("S1", float(i), f"k{i}") for i in range(50)])
-        assert executor.pending_stats.rejected == 0
-        assert executor.pending_stats.peak_depth > 0
-
-    def test_max_pending_overflow_raises(self):
-        from repro.errors import QueueOverflowError
-
-        executor = ReferenceExecutor(build_count_app(), max_pending=10)
-        events = [Event("S1", float(i), f"k{i}") for i in range(11)]
-        with pytest.raises(QueueOverflowError):
-            executor.run(events)
-
-    def test_peak_depth_reflects_backlog(self):
-        # All events share one timestamp-sorted heap: feeding N events
-        # up front peaks the ledger at N before draining begins.
-        executor = ReferenceExecutor(build_count_app())
-        executor.run([Event("S1", float(i), "k") for i in range(7)])
-        assert executor.pending_stats.peak_depth >= 7

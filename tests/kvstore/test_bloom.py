@@ -1,7 +1,5 @@
 """Bloom filter: no false negatives; bounded false positives."""
 
-import pytest
-
 from repro.kvstore.bloom import BloomFilter, hash_pair
 
 
@@ -20,7 +18,7 @@ class TestBloomFilter:
         assert all(item in bloom for item in items)
 
     def test_false_positive_rate_roughly_bounded(self):
-        bloom = BloomFilter(expected_items=1000, false_positive_rate=0.01)
+        bloom = BloomFilter(expected_items=1000)  # sized for 1 %
         for i in range(1000):
             bloom.add(f"present{i}")
         false_positives = sum(
@@ -62,10 +60,6 @@ class TestBloomFilter:
         assert by_item._bits == by_pair._bits
         assert by_item.might_contain_hashed(*hash_pair("present"))
         assert not by_item.might_contain_hashed(*hash_pair("absent"))
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            BloomFilter(expected_items=10, false_positive_rate=1.5)
 
     def test_sizing_grows_with_expected_items(self):
         small = BloomFilter(expected_items=10)

@@ -63,8 +63,7 @@ class TestChoiceRules:
         assert dispatcher.choose("k", "U", lengths, processing) == primary
 
     def test_spill_to_significantly_shorter_secondary(self):
-        dispatcher = TwoChoiceDispatcher(num_threads=4,
-                                         significant_factor=2.0)
+        dispatcher = TwoChoiceDispatcher(num_threads=4)
         primary, secondary = dispatcher.candidates("k", "U")
         lengths = [0] * 4
         lengths[primary] = 10
@@ -73,8 +72,7 @@ class TestChoiceRules:
         assert dispatcher.stats.spills == 1
 
     def test_mildly_shorter_secondary_not_chosen(self):
-        dispatcher = TwoChoiceDispatcher(num_threads=4,
-                                         significant_factor=2.0)
+        dispatcher = TwoChoiceDispatcher(num_threads=4)
         primary, secondary = dispatcher.candidates("k", "U")
         lengths = [0] * 4
         lengths[primary] = 3
@@ -103,8 +101,6 @@ class TestChoiceRules:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             TwoChoiceDispatcher(num_threads=0)
-        with pytest.raises(ConfigurationError):
-            TwoChoiceDispatcher(num_threads=2, significant_factor=0.5)
 
 
 class TestSingleChoice:

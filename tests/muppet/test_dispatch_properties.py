@@ -66,7 +66,7 @@ class TestTwoChoiceProperties:
         rng = random.Random(seed)
         plain, fast = TwoChoiceDispatcher(threads), TwoChoiceDispatcher(threads)
         for key, function, busy in items:
-            workers = [SimpleNamespace(queue=BoundedQueue(None), current=None)
+            workers = [SimpleNamespace(queue=BoundedQueue(), current=None)
                        for _ in range(threads)]
             for worker in workers:
                 for _ in range(rng.randrange(12)):

@@ -24,18 +24,6 @@ class TestBoundedQueue:
     def test_poll_empty_returns_none(self):
         assert BoundedQueue().poll() is None
 
-    def test_peek_does_not_remove(self):
-        queue = BoundedQueue()
-        queue.offer("x")
-        assert queue.peek() == "x"
-        assert len(queue) == 1
-
-    def test_unbounded_mode(self):
-        queue = BoundedQueue(max_size=None)
-        for i in range(100_000):
-            assert queue.offer(i)
-        assert not queue.full
-
     def test_peak_depth_tracked(self):
         queue = BoundedQueue(max_size=10)
         for i in range(7):
@@ -105,29 +93,6 @@ class TestSourceThrottle:
     def test_watermark_validation(self):
         with pytest.raises(ConfigurationError):
             SourceThrottle(high_watermark=0.5, low_watermark=0.9)
-
-
-class TestStrictPut:
-    """put(): strict enqueue for callers with no overflow mechanism."""
-
-    def test_put_enqueues_like_offer(self):
-        from repro.errors import QueueOverflowError
-
-        queue = BoundedQueue(max_size=2)
-        queue.put("a")
-        queue.put("b")
-        assert len(queue) == 2
-        with pytest.raises(QueueOverflowError, match="no overflow policy"):
-            queue.put("c")
-        # The decline is still accounted like an offer() decline.
-        assert queue.stats.rejected == 1
-        assert len(queue) == 2
-
-    def test_put_unbounded_never_raises(self):
-        queue = BoundedQueue(max_size=None)
-        for i in range(10_000):
-            queue.put(i)
-        assert len(queue) == 10_000
 
 
 class TestThrottleFinish:

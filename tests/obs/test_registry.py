@@ -24,24 +24,16 @@ class TestInstruments:
         assert histogram.mean == pytest.approx(sum(samples) / 1000)
 
     def test_histogram_overflow_bucket(self):
-        histogram = Histogram("h", buckets=[1.0])
+        histogram = Histogram("h")
         histogram.observe(0.5)
-        histogram.observe(99.0)
-        assert histogram.counts == [1, 1]
+        histogram.observe(99.0)  # above the last bound, 30 s
+        assert sum(histogram.counts) == 2 and histogram.counts[-1] == 1
         assert histogram.percentile(1.0) == 99.0
 
     def test_histogram_empty_summary(self):
         summary = Histogram("h").summary()
         assert summary["count"] == 0
         assert summary["p99"] == 0.0
-
-    def test_histogram_rejects_bad_buckets(self):
-        with pytest.raises(ConfigurationError):
-            Histogram("h", buckets=[])
-        with pytest.raises(ConfigurationError):
-            Histogram("h", buckets=[2.0, 1.0])
-        with pytest.raises(ConfigurationError):
-            Histogram("h", buckets=[1.0, 1.0])
 
     def test_histogram_rejects_bad_fraction(self):
         with pytest.raises(ConfigurationError):

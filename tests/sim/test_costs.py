@@ -3,10 +3,9 @@
 import pytest
 
 import repro
-from repro.errors import (ConfigurationError, QueueOverflowError,
-                          QuorumError, ReproError, SlateError,
-                          SlateTooLargeError, StoreError, TimestampError,
-                          WorkflowError)
+from repro.errors import (ConfigurationError, QuorumError, ReproError,
+                          SlateError, SlateTooLargeError, StoreError,
+                          TimestampError, WorkflowError)
 from repro.sim.costs import CostModel
 
 
@@ -32,7 +31,7 @@ class TestCostModel:
 class TestErrorHierarchy:
     @pytest.mark.parametrize("exc", [
         ConfigurationError, WorkflowError, TimestampError, SlateError,
-        SlateTooLargeError, StoreError, QuorumError, QueueOverflowError,
+        SlateTooLargeError, StoreError, QuorumError,
     ])
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)

@@ -1,9 +1,11 @@
 """Slate codecs: JSON round-trips, compression wins, corruption errors."""
 
+import zlib
+
 import pytest
 
 from repro.errors import SlateError
-from repro.slates.codec import (DEFAULT_CODEC, CompressedJsonCodec,
+from repro.slates.codec import (DEFAULT_CODEC, ZLIB_LEVEL, CompressedJsonCodec,
                                 JsonCodec)
 
 
@@ -48,25 +50,20 @@ class TestCompressedJsonCodec:
         with pytest.raises(SlateError, match="compressed"):
             CompressedJsonCodec().decode(b"not zlib data")
 
-    def test_invalid_level_rejected(self):
-        with pytest.raises(SlateError):
-            CompressedJsonCodec(level=0)
-        with pytest.raises(SlateError):
-            CompressedJsonCodec(level=10)
-
     def test_level_property(self):
-        assert CompressedJsonCodec().level == 6
-        assert CompressedJsonCodec(level=1).level == 1
+        """Slates are compressed at ZLIB_LEVEL, zlib's default of 6."""
+        data = {"history": ["same-interest-tag"] * 200}
+        assert ZLIB_LEVEL == 6
+        assert CompressedJsonCodec().encode(data) == zlib.compress(
+            JsonCodec().encode(data), ZLIB_LEVEL)
 
     def test_levels_agree_on_decode(self):
-        """Any level decodes any other level's blobs (zlib self-frames),
-        and higher levels never produce larger blobs on repetitive data."""
+        """A blob written at any level decodes (zlib self-frames)."""
         data = {"history": ["same-interest-tag"] * 200}
-        blobs = {lvl: CompressedJsonCodec(level=lvl).encode(data)
-                 for lvl in (1, 6, 9)}
-        for blob in blobs.values():
+        raw = JsonCodec().encode(data)
+        for level in (1, 6, 9):
+            blob = zlib.compress(raw, level)
             assert CompressedJsonCodec().decode(blob) == data
-        assert len(blobs[9]) <= len(blobs[6]) <= len(blobs[1])
 
     def test_default_codec_is_compressed(self):
         assert DEFAULT_CODEC.name == "json+zlib"

@@ -18,12 +18,24 @@ forwards the same attribute (``x=cfg.x``) sets nothing. Matching by
 name lets a field pass on a namesake's setter — ``ThreadedConfig.
 overflow`` on ``SimConfig.overflow``'s — so the table in CHANGES.md
 names each field's real caller; this test is the floor under it.
+
+Constructors get the same treatment. A defaulted parameter of a
+hand-written ``__init__`` in ``src/repro`` counts as set where a file
+outside ``tests/`` passes it, by keyword or by position, to the class,
+to a subclass, to ``cls(...)`` in one of its classmethods or through
+``super().__init__``; a ``**spread`` of a ``dict(...)`` or ``{...}``
+bound to a name in the same file passes its keys. Here the class's own
+module counts (a constructor is often called beside its class), so does
+a keyword that forwards a config field (``x=cfg.x`` is how a config
+value reaches the object it configures), and nothing is matched loosely
+by name: a parameter only tests pass, or one nobody passes, is listed in
+``UNSET_PARAMS`` or becomes a constant.
 """
 
 import ast
 import inspect
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.topology import MachineSpec, NetworkSpec
 from repro.elastic import AutoscalerConfig, MigrationConfig
@@ -180,3 +192,193 @@ def test_the_scan_sees_the_ways_a_field_is_set(tmp_path):
                      (FlushPolicy, "kind"), (FlushPolicy, "interval_s"),
                      (OverflowPolicy, "kind")}
     assert loose == {"heartbeat_s", "shedding", "costs", "two_choice"}
+
+
+#: Defaulted constructor parameters nothing outside ``tests/`` passes,
+#: and why each is still a parameter.
+OPERATOR_CONTRACT = ("the operator contract: OperatorSpec.instantiate "
+                     "calls every operator class as cls(config, name)")
+UNSET_PARAMS = {
+    "SlateHTTPServer.host": "a deployment address",
+    "SlateHTTPServer.port": "a deployment address",
+    "ThreadedEngine.store": "the seam tests use to pass in a store",
+    "Simulator.clock": "the seam tests use to pass in a clock",
+    "VirtualClock.start": "the seam tests use to start a clock late",
+    "Simulator.max_steps": "the runaway guard",
+    "MinuteCounter.config": OPERATOR_CONTRACT,
+    "MinuteCounter.name": OPERATOR_CONTRACT,
+    "SplittingRetailerMapper.config": OPERATOR_CONTRACT,
+    "SplittingRetailerMapper.name": OPERATOR_CONTRACT,
+}
+
+
+class Init:
+    """One hand-written ``__init__``: its positional parameters (after
+    ``self``) and the parameters that have a default."""
+
+    def __init__(self, node: ast.FunctionDef) -> None:
+        args = node.args
+        self.positional = [a.arg for a in args.posonlyargs + args.args][1:]
+        self.defaulted = self.positional[
+            len(self.positional) - len(args.defaults):]
+        self.defaulted += [a.arg for a, default in
+                           zip(args.kwonlyargs, args.kw_defaults)
+                           if default is not None]
+
+
+def class_bases(tree: ast.AST) -> Dict[str, List[str]]:
+    """class name -> the names of its bases, for one module."""
+    found: Dict[str, List[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            names = []
+            for base in node.bases:
+                if isinstance(base, ast.Subscript):  # Generic[T], Protocol[T]
+                    base = base.value
+                names.append(getattr(base, "id", getattr(base, "attr", "")))
+            found.setdefault(node.name, names)
+    return found
+
+
+def hand_written_inits() -> Dict[str, Init]:
+    """class name -> its ``__init__``, for every class in ``src/repro``
+    that writes one. Calls are matched by class name, so a name written
+    twice keeps its first ``__init__`` (today only ``_Worker`` is, with
+    no defaulted parameter)."""
+    found: Dict[str, Init] = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and item.name == "__init__"):
+                        found.setdefault(node.name, Init(item))
+    return found
+
+
+INITS = hand_written_inits()
+BASES = {name: names for path in scanned_files()
+         for name, names in class_bases(ast.parse(path.read_text())).items()}
+
+
+def init_owner(name: str) -> Optional[str]:
+    """The class whose ``__init__`` a call of class ``name`` runs: the
+    class itself or its nearest base that writes one (first base first)."""
+    if name in INITS:
+        return name
+    for base in BASES.get(name, ()):
+        if base != name and init_owner(base):
+            return init_owner(base)
+    return None
+
+
+def spread_dicts(tree: ast.AST) -> Dict[str, Set[str]]:
+    """name -> the keys of the ``dict(...)`` or ``{...}`` assigned to it."""
+    found: Dict[str, Set[str]] = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            value = node.value
+            if (isinstance(value, ast.Call)
+                    and getattr(value.func, "id", "") == "dict"):
+                found[node.targets[0].id] = keywords(value)
+            elif isinstance(value, ast.Dict):
+                found[node.targets[0].id] = {
+                    key.value for key in value.keys
+                    if isinstance(key, ast.Constant)}
+    return found
+
+
+def init_target(call: ast.Call, enclosing: Optional[str]) -> Optional[str]:
+    """The class whose ``__init__`` one call runs, if the scan knows it."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        if func.id == "cls":
+            return init_owner(enclosing) if enclosing else None
+        return init_owner(func.id)
+    if not isinstance(func, ast.Attribute):
+        return None
+    if (func.attr == "__init__" and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", "") == "super"):
+        for base in BASES.get(enclosing or "", ()):
+            if init_owner(base):
+                return init_owner(base)
+        return None
+    return init_owner(func.attr)  # module.Class(...)
+
+
+def params_set_in(path: Path) -> Set[Tuple[str, str]]:
+    """``(class, parameter)`` for every constructor argument one file
+    passes."""
+    tree = ast.parse(path.read_text())
+    spreads = spread_dicts(tree)
+    found: Set[Tuple[str, str]] = set()
+
+    def visit(node: ast.AST, enclosing: Optional[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                target = init_target(child, enclosing)
+                if target is not None:
+                    leading = 0
+                    for arg in child.args:
+                        if isinstance(arg, ast.Starred):
+                            break
+                        leading += 1
+                    passed = set(INITS[target].positional[:leading])
+                    for keyword in child.keywords:
+                        if keyword.arg is not None:
+                            passed.add(keyword.arg)
+                        elif isinstance(keyword.value, ast.Name):
+                            passed |= spreads.get(keyword.value.id, set())
+                    found.update((target, name) for name in passed)
+            visit(child, child.name if isinstance(child, ast.ClassDef)
+                  else enclosing)
+
+    visit(tree, None)
+    return found
+
+
+def unset_params() -> List[str]:
+    """``Class.parameter`` for every defaulted constructor parameter no
+    scanned file passes."""
+    passed: Set[Tuple[str, str]] = set()
+    for path in scanned_files():
+        passed |= params_set_in(path)
+    return [f"{name}.{param}" for name, init in INITS.items()
+            for param in init.defaulted if (name, param) not in passed]
+
+
+def test_every_constructor_parameter_has_a_caller_outside_tests_or_a_reason():
+    unset = unset_params()
+    flagged = sorted(set(unset) - set(UNSET_PARAMS))
+    stale = sorted(set(UNSET_PARAMS) - set(unset))
+    assert not flagged, f"only tests pass (make them constants): {flagged}"
+    assert not stale, f"UNSET_PARAMS entries that now have a caller: {stale}"
+
+
+def test_the_scan_sees_the_ways_a_parameter_is_passed(tmp_path, monkeypatch):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "KW = dict(compaction_threshold=4)\n"
+        "ReplicatedKVStore(['a'], 2, **KW)\n"
+        "repro.kvstore.bloom.BloomFilter(8)\n"
+        "class Loud(Thinner):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(0.5, seed=1)\n"
+        "class Cached(SlateCache):\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls(8, on_evict=print)\n"
+        "class Few(Operator):\n"
+        "    pass\n"
+        "Few(None, name='x')\n")
+    for name, bases in class_bases(ast.parse(sample.read_text())).items():
+        monkeypatch.setitem(BASES, name, bases)
+    assert params_set_in(sample) == {
+        ("ReplicatedKVStore", "node_names"),
+        ("ReplicatedKVStore", "replication_factor"),
+        ("ReplicatedKVStore", "compaction_threshold"),
+        ("BloomFilter", "expected_items"),
+        ("Thinner", "policy"), ("Thinner", "seed"),
+        ("SlateCache", "capacity"), ("SlateCache", "on_evict"),
+        ("Operator", "config"), ("Operator", "name")}

@@ -15,10 +15,14 @@ nothing, and nobody reads prose the way a test does. So, syntactically
   checked;
 * every ``python -m repro ...`` line of a fenced block parses against
   the real argparse tree;
+* every dotted ``repro.x.y`` name resolves: the longest prefix that
+  imports, then ``getattr`` for the rest (a deleted class or hook leaves
+  its name behind in prose);
 * EXPERIMENTS.md links every registered campaign's table;
 * CHANGES.md stays wrapped at 100 columns (it was 113 kB in 18 lines).
 """
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -41,6 +45,7 @@ FILE_PATH = re.compile(
     rf"(?<![\w/.\-:<>$])({_DIRS}[\w.\-]+\.[a-z]{{1,5}})\b(?![/<{{*])")
 TICKED_DIR = re.compile(rf"`({_DIRS})`")
 TREE_DIR = re.compile(rf"^\s*({_DIRS})\s", re.MULTILINE)
+DOTTED = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
 
 
 def doc_text(doc: str) -> str:
@@ -58,6 +63,27 @@ def named_paths(doc: str) -> List[str]:
     for block in FENCE.findall(text):
         found.update(TREE_DIR.findall(block))
     return sorted(found)
+
+
+def dotted_names(doc: str) -> List[str]:
+    return sorted(set(DOTTED.findall(doc_text(doc))))
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute reached from
+    the longest importable prefix by ``getattr``."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(found, attr):
+                return False
+            found = getattr(found, attr)
+        return True
+    return False
 
 
 def repro_commands(doc: str) -> Iterator[Tuple[str, List[str]]]:
@@ -95,6 +121,12 @@ def test_repro_commands_parse(doc, capsys):
     assert not bad, f"{doc} shows commands the CLI rejects: {bad}"
 
 
+@pytest.mark.parametrize("doc", DOCS)
+def test_dotted_names_resolve(doc):
+    dead = [name for name in dotted_names(doc) if not resolves(name)]
+    assert not dead, f"{doc} names what does not exist: {dead}"
+
+
 def test_every_campaign_is_linked_from_experiments():
     linked = set(links("EXPERIMENTS.md"))
     missing = [name for name in SPECS
@@ -120,3 +152,7 @@ def test_the_scan_sees_what_it_should():
     assert "src/repro/campaign/golden.py" in named_paths("README.md")
     assert {"bench/", "kvstore/"} <= set(named_paths("DESIGN.md"))
     assert "campaigns/results/perf_baseline.md" in links("EXPERIMENTS.md")
+    assert "repro.muppet.local.ThreadedEngine" in dotted_names("DESIGN.md")
+    assert resolves("repro.muppet.master.Master.report_failure")
+    assert not resolves("repro.muppet.master.Master.no_such_hook")
+    assert not resolves("repro.no_such_module")

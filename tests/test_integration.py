@@ -15,7 +15,7 @@ from repro.core import ReferenceExecutor
 from repro.muppet.local import LocalConfig, LocalMuppet
 from repro.sim import (ENGINE_MUPPET1, ENGINE_MUPPET2, SimConfig,
                        SimRuntime, from_trace)
-from repro.workloads import CheckinGenerator, TweetGenerator
+from repro.workloads import CheckinGenerator, TweetGenerator, tweets
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +58,9 @@ class TestTopUrlsAcrossEngines:
 
     @pytest.fixture(scope="class")
     def url_events(self):
-        return TweetGenerator(rate_per_s=300, seed=72,
-                              url_prob=0.6).take(600)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tweets, "URL_PROB", 0.6)
+            return TweetGenerator(rate_per_s=300, seed=72).take(600)
 
     def test_local_leaderboard_counts_correct(self, url_events):
         reference = ReferenceExecutor(build_top_urls_app()).run(

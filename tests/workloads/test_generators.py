@@ -70,8 +70,6 @@ class TestTweetGenerator:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             TweetGenerator(rate_per_s=0)
-        with pytest.raises(ConfigurationError):
-            TweetGenerator(topics=[])
 
 
 class TestCheckinGenerator:
