@@ -135,7 +135,7 @@ def e24_elasticity_run(
     trajectory: List[Tuple[float, int]] = []
 
     def sample(sim: Simulator) -> None:
-        trajectory.append((sim.now(), runtime._elastic_stats()["machines_live"]))
+        trajectory.append((sim.now(), runtime._elastic.stats()["machines_live"]))
         sim.schedule_in(0.25, sample)
 
     runtime.sim.schedule_in(0.0, sample)

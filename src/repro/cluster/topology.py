@@ -59,11 +59,7 @@ class NetworkSpec:
     bandwidth_bytes_per_s: float = 125e6  # 1 Gbit/s
 
     def transfer_time(self, size_bytes: int, same_machine: bool) -> float:
-        """Seconds to move ``size_bytes`` from one worker to another.
-
-        ``SimRuntime``'s compiled send path inlines this arithmetic; a
-        test holds that copy to this method (test_network_reference.py).
-        """
+        """Seconds to move ``size_bytes`` from one worker to another."""
         if same_machine:
             return 0.0
         return self.latency_s + size_bytes / self.bandwidth_bytes_per_s

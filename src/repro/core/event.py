@@ -165,11 +165,9 @@ def derive_origin(parent: Event, operator: str, ordinal: int) -> Tuple[str, int]
     re-derives byte-identical ``(origin, oseq)`` pairs — which is what
     lets downstream dedup watermarks recognize re-derived duplicates.
 
-    The simulator's compiled per-event path
-    (``SimRuntime._compile_handlers``) derives output ids with the same
-    arithmetic, read from the parent's tuple slots; the two must change
-    together, and ``tests/sim/test_effectively_once.py`` checks that
-    every id it delivers equals this function's.
+    The simulator's finish station (``SimRuntime._compile_finish``)
+    derives output ids with the same arithmetic, read from the parent's
+    tuple slots, under an ``# inlines:`` marker naming this function.
     """
     origin, oseq = parent.provenance()
     return f"{origin}>{operator}", oseq * ORIGIN_SEQ_STRIDE + ordinal

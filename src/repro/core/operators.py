@@ -127,6 +127,7 @@ class Context:
         # Direct tuple construction: publish runs once per emitted event
         # on every engine's hot path, and the named constructor's Python
         # frame doubles the allocation cost.
+        # inlines: repro.core.event:Event.__new__
         event = tuple.__new__(Event, (sid, ts, key, value, 0, None, 0))
         self.emitted.append(event)
         return event

@@ -203,8 +203,7 @@ class Slate:
 
     def __setitem__(self, field_name: str, value: Any) -> None:
         self._data[field_name] = value
-        # The dirty setter's rules, without its frame: every dirtying
-        # bumps the version, the listener hears only a transition.
+        # inlines: repro.core.slate:Slate.dirty
         self._version += 1
         if not self._dirty:
             self._dirty = True
@@ -261,7 +260,8 @@ class Slate:
             watermarks = self._watermarks = {}
         if seq > watermarks.get(origin, -1):
             watermarks[origin] = seq
-            self._version += 1  # the dirty setter, as in __setitem__
+            # inlines: repro.core.slate:Slate.dirty
+            self._version += 1
             if not self._dirty:
                 self._dirty = True
                 if self._dirty_listener is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from repro.core.event import Event
 from repro.errors import WorkflowError
@@ -87,6 +87,23 @@ class StreamRegistry:
     def internal_sids(self) -> List[str]:
         """IDs of internal (operator-produced) streams, sorted."""
         return sorted(s.sid for s in self._specs.values() if not s.external)
+
+    def table(self, operators: Iterable[Any]
+              ) -> Dict[str, Tuple[Iterator[int], Tuple[str, ...], bool]]:
+        """The workflow as engines route it: sid -> (sequencer,
+        subscriber names in operator order, external?) for every
+        declared stream, given ``Application.operators()``.
+
+        Engines build it once and stamp through it: ``next(sequencer)``
+        is the sequence number :meth:`stamp` would assign. They call
+        :meth:`stamp` only where it raises — an unknown sid, or an
+        operator publishing into an external stream.
+        """
+        specs = list(operators)
+        return {sid: (self._seq[sid],
+                      tuple(s.name for s in specs if sid in s.subscribes),
+                      self._specs[sid].external)
+                for sid in self.sids()}
 
     def stamp(self, event: Event, from_operator: bool = False) -> Event:
         """Assign the next publication sequence number on the event's stream.

@@ -63,11 +63,7 @@ class Cell:
         return not self.is_tombstone and not self.expired(now)
 
     def size_bytes(self) -> int:
-        """Approximate on-disk footprint of this cell.
-
-        :meth:`Memtable.put <repro.kvstore.memtable.Memtable.put>` computes
-        the same sum inline (and :attr:`key` with it): change both
-        together."""
+        """Approximate on-disk footprint of this cell."""
         payload = len(self.value) if self.value is not None else 0
         return 24 + len(self.row) + len(self.column) + payload
 

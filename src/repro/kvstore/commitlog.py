@@ -163,8 +163,6 @@ _ESCAPE_BITS = bytes(
 
 
 def _json_number_len(number: Union[int, float, None]) -> int:
-    # charged_size inlines the finite-float and None cases: change both
-    # together.
     if number is None:
         return 4  # null
     if isinstance(number, float):
@@ -185,7 +183,8 @@ def charged_size(cell: Cell) -> int:  # hot-path
     else:
         value_len = 2 + len(value) + int.from_bytes(
             value.translate(_ESCAPE_BITS), "little").bit_count()
-    # _json_number_len inlined for a finite float stamp and no TTL.
+    # For a finite float stamp and no TTL:
+    # inlines: repro.kvstore.commitlog:_json_number_len
     write_ts, ttl = cell.write_ts, cell.ttl
     return (_JSON_FRAME
             + len(encode_basestring_ascii(cell.row))

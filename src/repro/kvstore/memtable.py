@@ -42,7 +42,8 @@ class Memtable:
             record: Optional[bytes] = None) -> None:  # hot-path
         """Insert or overwrite the cell for ``(cell.row, cell.column)``;
         a durable node hands over its ``record`` too."""
-        # Cell.key and Cell.size_bytes, inlined (same arithmetic).
+        # inlines: repro.kvstore.cells:Cell.key
+        # inlines: repro.kvstore.cells:Cell.size_bytes
         row, column, value = cell.row, cell.column, cell.value
         key = (row, column)
         previous = self._cells.get(key)

@@ -140,11 +140,10 @@ class TwoChoiceDispatcher:
         two candidate workers are inspected directly. ``workers`` must
         expose ``current`` and a ``queue`` that is a
         :class:`~repro.muppet.queues.BoundedQueue`, whose length is read
-        as ``len(queue._items)``. The :meth:`candidates` memo hit is
-        served inline. Decisions and stats updates are identical to
-        :meth:`choose` by construction, which the dispatch property tests
-        assert.
+        as ``len(queue._items)``, and the :meth:`candidates` memo hit is
+        served here.
         """
+        # inlines: repro.muppet.dispatch:TwoChoiceDispatcher.choose
         item = (key, function)
         stats = self.stats
         stats.dispatched += 1

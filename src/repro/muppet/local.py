@@ -158,18 +158,17 @@ class ThreadedEngine:
         )
         self.counters = EventCounter()
         self.latency = LatencyRecorder()
-        # The workflow, compiled once: operator -> route record, and sid ->
-        # (sequencer, subscriber routes in operator-name order, external?),
-        # through which stamping is inlined; an unknown sid, or an operator
-        # publishing into an external stream, raises in the checked stamp().
-        streams = self._streams = app.streams
+        # The workflow, compiled once: operator -> route record, and the
+        # registry's workflow table with each subscriber name resolved to
+        # its route (see StreamRegistry.table).
+        self._streams = app.streams
         self._route_of: Dict[str, _Route] = {spec.name: _Route(
             spec.name, spec.instantiate(), spec.kind == "map", spec.publishes)
             for spec in app.operators()}
         self._stream_info: Dict[str, Tuple[Any, Tuple[_Route, ...], bool]] = {
-            sid: (streams._seq[sid], tuple(self._route_of[spec.name] for spec
-                                           in app.subscribers_of(sid)),
-                  streams.spec(sid).external) for sid in streams.sids()}
+            sid: (seq, tuple(self._route_of[name] for name in names), external)
+            for sid, (seq, names, external)
+            in app.streams.table(app.operators()).items()}
         self._note_updates = (  # note_update() has work: a cap, write-through
             self.config.max_slate_bytes is not None
             or self.config.flush_policy.kind == "write_through")
@@ -303,7 +302,7 @@ class ThreadedEngine:
             self._streams.spec(event.sid)  # unknown stream: raises
             raise WorkflowError(
                 f"ingest targets external streams only, got {event.sid!r}")
-        # event.with_seq(...) and _WorkItem(...), one C allocation each.
+        # inlines: repro.core.event:Event.with_seq
         ts = event[1]
         stamped = _tuple_new(Event, (event[0], ts, event[2], event[3],
                                      next(info[0]), event[5], event[6]))
@@ -434,7 +433,8 @@ class ThreadedEngine:
         does: stamping, allocation, the slate-cache hit, the slate touch."""
         event, route, birth, timer = item
         ts, key = event[1], event[2]
-        ctx = _object_new(Context)  # Context(name, ts, publishes, key)
+        # inlines: repro.core.operators:Context.__init__
+        ctx = _object_new(Context)
         ctx.operator, ctx.input_ts, ctx.input_key = route[0], ts, key
         ctx.now, ctx._output_sids = ts, route[3]
         ctx.emitted, ctx.timers = [], []
@@ -446,7 +446,8 @@ class ThreadedEngine:
             slate_lock = self._slate_stripes[hash(slate_key) % SLATE_LOCK_STRIPES]
             with slate_lock:
                 with self._manager_lock:
-                    # SlateCache.get's hit; a miss or a TTL slate: get().
+                    # A hit is served here; a miss or a TTL slate: get().
+                    # inlines: repro.slates.cache:SlateCache.get
                     cache = manager.cache
                     slate = cache._slates.get(slate_key)
                     if slate is not None and slate.ttl is None:
@@ -455,7 +456,7 @@ class ThreadedEngine:
                     else:
                         slate = manager.get(route[1], key)
                 self._invoke(worker, item, ctx, slate)
-                # slate.touch(ts): version bump, then the dirty transition.
+                # inlines: repro.core.slate:Slate.touch
                 slate.last_update_ts = ts
                 slate._version += 1
                 if not slate._dirty:
@@ -478,6 +479,7 @@ class ThreadedEngine:
                 info = self._stream_info.get(out[0])
                 if info is None or info[2]:
                     self._streams.stamp(out, from_operator=True)  # raises
+                # inlines: repro.core.event:Event.with_seq
                 stamped = _tuple_new(Event, (out[0], out[1], out[2], out[3],
                                              next(info[0]), out[5], out[6]))
                 for sub in info[1]:

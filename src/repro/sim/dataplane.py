@@ -5,8 +5,8 @@ on its ``(source machine, destination machine)`` link and shipped as
 one envelope when the buffer fills, when its linger timer expires, or
 when a ring change or a crash forces it out. The code that buffers,
 ships and delivers is part of the simulator's compiled per-event path
-(``SimRuntime._compile_handlers``, beside ``_send``); this module holds
-its per-link state and its counters.
+(the send station, ``SimRuntime._compile_send``); this module holds its
+per-link state and its counters.
 """
 
 from __future__ import annotations

@@ -216,8 +216,9 @@ class Simulator:
         max_steps = self._max_steps
         # Local counters, written back in ``finally`` so the totals stay
         # correct when an action raises. Heap pops are time-monotone
-        # (every schedule validates ``at >= now``), so the clock can be
-        # stored directly instead of through ``advance_to``'s guard.
+        # (every schedule validates ``at >= now``), so the clock is
+        # stored directly, without its guard:
+        # inlines: repro.sim.clock:VirtualClock.advance_to
         steps = self.steps
         inlined = self.inlined_steps
         try:

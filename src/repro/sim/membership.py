@@ -82,8 +82,8 @@ class WorkerRings:
         return self._workers[self._rings[fn].lookup(route_key(key, fn))]
 
     def _ring_of(self, worker: "_Worker") -> HashRing[str]:
-        assert worker.function is not None  # a 1.0 process runs one function
-        return self._rings[worker.function]
+        (function,) = worker.operators  # a 1.0 process runs one function
+        return self._rings[function]
 
     def exclude(self, machine: "_Machine") -> None:
         self.ring.exclude(machine.name)

@@ -62,7 +62,8 @@ from repro.core.event import ORIGIN_SEQ_STRIDE, Event, EventCounter
 from repro.core.operators import Context, Operator, TimerRequest
 from repro.core.slate import SlateKey, _json_size_fast
 from repro.elastic.controller import ElasticController
-from repro.errors import SimulationError, StoreError, WorkerFailedError
+from repro.errors import (SimulationError, StoreError, WorkerFailedError,
+                          WorkflowError)
 from repro.faults.driver import FaultDriver
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
@@ -90,6 +91,8 @@ from repro.slates.manager import SlateManager
 #: Wholesale-clear bound for the per-event path's memo tables (mirrors
 #: the hashring memo discipline: bounded table, cleared when full).
 _MEMO_MAX = 65_536
+
+_tuple_new, _object_new = tuple.__new__, object.__new__  # no __init__ frame
 
 #: Replicas per slate cell in the simulated store (slate reads and
 #: writes go at ``ConsistencyLevel.ONE``, :class:`SlateManager`'s default).
@@ -119,16 +122,19 @@ class _Envelope:
 class _Worker:
     """One execution slot: a 1.0 worker process or a 2.0 thread."""
 
-    __slots__ = ("wid", "machine", "index", "function", "queue", "busy",
+    __slots__ = ("wid", "machine", "index", "operators", "queue", "busy",
                  "current", "waiting", "mgr")
 
     def __init__(self, wid: str, machine: "_Machine", index: int,
-                 function: Optional[str], queue_capacity: int,
+                 operators: Dict[str, Operator], queue_capacity: int,
                  mgr: SlateManager) -> None:
         self.wid = wid
         self.machine = machine
         self.index = index
-        self.function = function          # None => any function (2.0)
+        #: Function name -> the operator instance this slot runs: the
+        #: machine's one shared map (a 2.0 thread runs any function) or
+        #: the process's own copy of its one function's code (1.0).
+        self.operators = operators
         self.queue: BoundedQueue[_Envelope] = BoundedQueue(queue_capacity)
         self.busy = False
         self.current: Optional[Tuple[str, str]] = None
@@ -147,7 +153,11 @@ class _Machine:
         self.waiting: Deque[_Worker] = deque()
         self.workers: List[_Worker] = []
         self.dispatcher: Optional[TwoChoiceDispatcher] = None
-        self.shared_instances: Dict[str, Operator] = {}
+        #: CPU charged on every start before the operator runs: the
+        #: dispatch lock (a 2.0 thread takes it on the way in and out),
+        #: plus a context switch on a 1.0 machine whose worker processes
+        #: outnumber its cores. Set with the workers.
+        self.dispatch_s = 0.0
         self.central_mgr: Optional[SlateManager] = None
         self.device_busy_until = 0.0
         #: Current overload-control pressure tier (0 = normal); written
@@ -157,15 +167,12 @@ class _Machine:
         #: ``SimRuntime.machines`` (probe/report key sets stay stable),
         #: and first in line for re-admission on the next scale-up.
         self.retired = False
-        #: Effectively-once replay ordering guard (2.0 engine only).
-        #: While replayed envelopes for a (key, fn) sit in a worker's
-        #: queue, every same-(key, fn) dispatch must land on that worker:
-        #: the two-choice spill rule would otherwise let a *fresh* event
-        #: jump to the idle secondary, apply first, and advance the slate
-        #: watermark past the still-queued replay — which then gets
-        #: dedup-skipped even though its effect was lost in the crash.
-        #: Maps (key, fn) -> [worker, queued_replay_count]; empty (zero
-        #: cost) whenever no replays are in flight.
+        #: Effectively-once replay ordering guard (2.0 engine only):
+        #: while replays for a (key, fn) sit in a worker's queue, every
+        #: same-(key, fn) dispatch lands there — a fresh event spilled to
+        #: the secondary would advance the watermark past the queued
+        #: replay, which would then be dedup-skipped though its effect
+        #: was lost. (key, fn) -> [worker, queued_replay_count].
         self.replay_pins: Dict[Tuple[str, str], List[Any]] = {}
 
     def queue_depth_fraction(self) -> float:
@@ -244,7 +251,15 @@ class SimRuntime:
         self._contention_events = 0
         self._max_workers_per_slate = 1
         self._processing_counts: Dict[Tuple[str, str], int] = {}
-        self._subs_cache: Dict[str, List[OperatorSpec]] = {}
+        #: sid -> (sequencer, subscriber names, external?): the workflow
+        #: table every station stamps and fans out through.
+        self._workflow = app.streams.table(app.operators())
+        #: (key, fn) -> the machine owning it on the current ring: the
+        #: route memo, which :meth:`_change_ring` clears.
+        self._route_memo: Dict[Tuple[str, str], _Machine] = {}
+        #: (source, destination) -> _Link, in the order the links' current
+        #: buffers began to fill: the order forced flushes ship them in.
+        self._links: Dict[Tuple[Optional[str], str], _Link] = {}
 
         self.store = ReplicatedKVStore(
             node_names=cluster.names(),
@@ -256,7 +271,7 @@ class SimRuntime:
         )
         # The optional features, each one object beside its policy. A
         # feature that is off is None (or holds no controller), which
-        # _compile_handlers turns into one untaken branch.
+        # the station compilers turn into one untaken branch.
         #: Link-batching accounting (all zero with batching off); the
         #: batching itself is part of the compiled per-event path.
         self.dataplane = DataPlaneCounters()
@@ -273,13 +288,10 @@ class SimRuntime:
         self._overload = OverloadControl(self)
         self._faults = FaultDriver(self)
         #: Elastic scaling: the autoscaler decides, the migration
-        #: coordinator executes. Both are None when unconfigured, so
-        #: every previously-working configuration runs byte-identically
-        #: (no extra simulator events, no new metrics family).
+        #: coordinator executes; both None when unconfigured.
         self._elastic = ElasticController(self, self._faults.kill)
         self._autoscaler = self._elastic.autoscaler
         self._migration = self._elastic.migration
-        self._elastic_stats = self._elastic.stats
         self.machines: Dict[str, _Machine] = {}
         for spec in self.cluster.machines:
             self._construct_machine(spec.name, spec.cores)
@@ -291,8 +303,6 @@ class SimRuntime:
                              [s.name for s in self.app.operators()]))
         self._machine_ring = self._membership.ring
         register_metrics(self)
-        self._op_specs: Dict[str, OperatorSpec] = {
-            s.name: s for s in self.app.operators()}
         self._compile_handlers()
 
     @property
@@ -323,6 +333,7 @@ class SimRuntime:
         """
         machine = _Machine(name, cores)
         cfg = self.config
+        lock_s = cfg.costs.dispatch_lock_s
         if cfg.engine == ENGINE_MUPPET2:
             threads = (cores if cfg.threads_per_machine is None
                        else cfg.threads_per_machine)
@@ -331,15 +342,15 @@ class SimRuntime:
             machine.dispatcher = (TwoChoiceDispatcher(threads)
                                   if cfg.two_choice
                                   else SingleChoiceDispatcher(threads))
-            machine.shared_instances = {
-                s.name: s.instantiate() for s in self.app.operators()
-            }
+            operators = {s.name: s.instantiate()
+                         for s in self.app.operators()}
             for i in range(threads):
                 machine.workers.append(_Worker(
                     wid=f"{name}/t{i}", machine=machine,
-                    index=i, function=None,
+                    index=i, operators=operators,
                     queue_capacity=cfg.queue_capacity,
                     mgr=machine.central_mgr))
+            machine.dispatch_s = lock_s * 2
         else:
             # Muppet 1.0: worker process pairs per function.
             overrides = cfg.workers_per_function or {}
@@ -355,18 +366,18 @@ class SimRuntime:
                     op_spec.name,
                     cfg.workers_per_function_per_machine)
                 for j in range(count):
-                    worker = _Worker(
+                    # Each 1.0 worker loads its own copy of the code.
+                    machine.workers.append(_Worker(
                         wid=f"{name}/{op_spec.name}#{j}",
                         machine=machine, index=index,
-                        function=op_spec.name,
                         queue_capacity=cfg.queue_capacity,
                         mgr=self._new_manager(per_worker_cache,
-                                              owner=name))
-                    # Each 1.0 worker loads its own copy of the code.
-                    machine.shared_instances[worker.wid] = (
-                        op_spec.instantiate())
-                    machine.workers.append(worker)
+                                              owner=name),
+                        operators={op_spec.name: op_spec.instantiate()}))
                     index += 1
+            machine.dispatch_s = lock_s
+            if len(machine.workers) > cores:
+                machine.dispatch_s += cfg.costs.context_switch_s
         self.machines[name] = machine
         if ((self._autoscaler is not None or self._migration is not None)
                 and name not in self.cluster.names()):
@@ -420,15 +431,6 @@ class SimRuntime:
         self.sim.run_until(duration_s)
         self._overload.finish(self.sim.now())
 
-    def _subscribers_of(self, sid: str) -> List[OperatorSpec]:
-        """Per-sid subscriber lists, cached (the workflow is immutable
-        once the runtime is built; ``Application.subscribers_of`` scans
-        every operator per call, far too slow for the per-event path)."""
-        subs = self._subs_cache.get(sid)
-        if subs is None:
-            subs = self._subs_cache[sid] = list(self.app.subscribers_of(sid))
-        return subs
-
     # -- routing and sender-side failure detection --------------------------------
     def _destination_machine(self, envelope: _Envelope) -> Optional[_Machine]:
         """The machine owning the envelope's ``<key, function>`` now, or
@@ -478,11 +480,9 @@ class SimRuntime:
             self._detection_time = now - failed_at
         if self.replay_journal is not None:
             # Section 4.3 future work, implemented: re-send the
-            # horizon's worth of events that targeted the dead
-            # machine. The ring now routes them to survivors. Under
-            # effectively-once the resends are flagged so the
-            # receiving updaters check them (and everything derived
-            # from them) against their dedup watermarks.
+            # horizon's events that targeted the dead machine, which the
+            # ring now routes to survivors. Effectively-once flags them,
+            # so updaters check them against their dedup watermarks.
             for lost in self.replay_journal.take_for(machine_name, now):
                 self.counters_replayed += 1
                 if self._eo is not None:
@@ -531,159 +531,94 @@ class SimRuntime:
         if self._trace is not None:
             self._trace_envelope("shed", machine, envelope,
                                  outcome="divert", proactive=proactive)
-        for spec in self._subscribers_of(overflow_sid):
-            self._send(_Envelope(stamped, envelope.birth_ts, spec.name,
+        for name in self._workflow[overflow_sid][1]:
+            self._send(_Envelope(stamped, envelope.birth_ts, name,
                                  diverted=True, replayed=envelope.replayed),
                        machine.name)
 
     # -- the per-event path ----------------------------------------------------
     def _compile_handlers(self) -> None:
         """Closure-compile inject → send → (batch) → deliver → execute →
-        finish.
+        finish: the only per-event path, one compiler per station.
 
-        This is the only per-event path, link batching included: a
-        batched send is buffered inline in ``_send``, and each link's
-        ``ship`` (its linger timer too) prices and pushes the coalesced
-        envelope the way ``_send`` pushes a solo one. Every per-event
-        constant (cost terms, stream sequencers, subscriber tuples,
-        network parameters) is a closure cell — one LOAD_DEREF instead
-        of an attribute chain — and the dispatcher's memo-hit decision,
-        the slate-cache hit, the event-size arithmetic and the slate
-        touch are inlined with their stats bookkeeping replicated
-        operation for operation. Every other optional feature is one
-        construction-time boolean cell (``tracing``, ``dedup``,
-        ``shedding``, ``muppet1`` ...) guarding a call into that
-        feature's own object — a bound method held in another cell — so
-        a disabled feature costs one untaken branch and an enabled one
-        runs the same code every other configuration runs. Float
-        service-time and delay expressions keep one fixed operand order
-        throughout: reports are compared byte for byte.
+        Each compiler builds its closures once. Per-event constants (cost
+        terms, the workflow table, network parameters) are closure cells;
+        each optional feature is one construction-time boolean cell
+        (``tracing``, ``dedup``, ``shedding`` ...) guarding a call into
+        that feature's own object, so a disabled feature costs one
+        untaken branch; what the worker layout decides (the operators a
+        slot runs, the CPU a start costs) is set on the workers and
+        machines when they are built. A hand-inlined copy of another
+        module's code names its original on an ``# inlines:
+        module:Qual.name`` line, and ``tests/test_inlined_copies.py``
+        holds it to that original. Float service-time and delay
+        expressions keep one fixed operand order: reports are compared
+        byte for byte.
 
-        ``_deliver`` and ``_finish`` *return* the continuation they end
-        on — the started event's ``_finish`` — as a tail
-        ``(at, action, args)`` instead of pushing it, and the source
-        stepper returns its own wake-up the same way;
+        The stations call each other in cycles (a send pushes a
+        delivery that may re-send; a start ends in a finish that starts
+        the next event), so a compiler whose closures reach a station
+        compiled after it returns a binder that fills that cell.
+        ``_deliver`` and ``_finish`` *return* the started event's
+        ``_finish`` as a tail ``(at, action, args)`` instead of pushing
+        it, as the source stepper returns its wake-up;
         :meth:`Simulator._drain` runs a tail inline when it would have
         been the next pop anyway. The model checker labels heap entries
         by these closures' ``__name__`` (``_deliver``/``_finish``/
         ``_send``/``step``, and ``deliver_all`` / ``<lambda>`` for a
-        batch arrival and a linger timer), so the names are part of the
-        contract.
+        batch arrival and a linger timer): the names are a contract.
         """
-        rt = self
-        cfg = self.config
-        costs = cfg.costs
-        clock = self.sim.clock
-        heap = self.sim._heap
-        sim_seq = self.sim._seq
-        counters = self.counters
-        pcounts = self._processing_counts
-        latency = self.latency
-        ring = self._machine_ring
-        eo = self._eo
-        dataplane = self.dataplane
-        overload = self._overload
-        injector = self._injector
-        streams = self.app.streams
-        ops = self._op_specs
-        journal = self.replay_journal
-        trace = self._trace
-        throttle = cfg.throttle
-        throttle_check_s = THROTTLE_CHECK_S
+        send, bind_deliver = self._compile_send()
+        try_start, bind_finish = self._compile_execute()
+        deliver = self._compile_deliver(send, try_start)
+        finish = self._compile_finish(send, try_start)
+        bind_deliver(deliver)
+        bind_finish(finish)
+        self._send, self._deliver, self._finish = send, deliver, finish
+        self._start_source = self._compile_source(send)
 
-        # One boolean cell per optional feature, and beside it the bound
-        # methods of the object that implements the feature.
-        tracing = trace is not None
-        dedup = eo is not None
-        dedup_skips = eo.skips if eo is not None else None
-        pin_replay = eo.pin if eo is not None else None
-        unpin_replay = eo.unpin if eo is not None else None
+    def _route(self, item: Tuple[str, str],
+               envelope: _Envelope) -> Optional[_Machine]:
+        """A route-memo miss: ask the ring for ``item``'s owner and
+        memoize a live one (:meth:`_change_ring` clears the memo)."""
+        machine = self._destination_machine(envelope)
+        if machine is not None:
+            memo = self._route_memo
+            if len(memo) >= _MEMO_MAX:
+                memo.clear()
+            memo[item] = machine
+        return machine
+
+    def _compile_send(self) -> Tuple[Callable[..., None],
+                                     Callable[[Callable], None]]:
+        """The send station and its links: route the envelope, journal
+        it, then push its arrival — or buffer it on its link when
+        batching is on. Returns ``_send`` and the binder for the deliver
+        station the arrivals run."""
+        cfg, net = self.config, self.cluster.network
+        clock, heap, sim_seq = self.sim.clock, self.sim._heap, self.sim._seq
+        counters, dataplane, links = self.counters, self.dataplane, self._links
+        injector, journal, trace = (self._injector, self.replay_journal,
+                                    self._trace)
+        dedup = self._eo is not None
         at_least_once = journal is not None and not dedup
-        batching = cfg.batch_max_events > 0
         batch_max = cfg.batch_max_events
+        batching = batch_max > 0
         linger_s = max(0.0, cfg.batch_linger_s)
-        shedding = overload.controller is not None
-        thinnable = overload.thinnable
-        thin = overload.thin
-        divert_proactively = overload.divert_proactively
-        muppet2 = cfg.engine == ENGINE_MUPPET2
-        muppet1 = not muppet2
-        hashed_worker = self._membership.worker
-        two_choice = muppet2 and cfg.two_choice
-
-        lock_s = costs.dispatch_lock_s * (2 if muppet2 else 1)
-        switch_s = costs.context_switch_s
-        map_s = costs.map_service_s
-        upd_s = costs.update_service_s
-        byte_s = costs.slate_byte_cost_s
-        cont_s = costs.slate_contention_s
-        source_s = costs.source_service_s
-        # Muppet 1.0 conductor <-> task-processor IPC: a fixed wakeup
-        # cost plus a byte-accurate serialization charge.
-        ipc = (None if muppet2
-               else IPCAccountant(fixed_s=costs.ipc_overhead_s))
-        # NetworkSpec.transfer_time, inlined below (loopback is free).
-        net = self.cluster.network
-        net_lat = net.latency_s
-        net_bw = net.bandwidth_bytes_per_s
-        max_bytes = cfg.max_slate_bytes
-        write_through = cfg.flush_policy.kind == "write_through"
-        sinks = cfg.latency_sinks
-        latency_ops = frozenset(
-            s.name for s in self.app.operators()
-            if s.kind == "update" and (sinks is None or s.name in sinks))
-        # sid -> (sequencer, subscriber names, external?). Stamping is
-        # inlined through this table; an unknown sid, or an operator
-        # publishing into an external stream, takes the registry's
-        # checked stamp(), which raises the proper WorkflowError.
-        stream_info = {
-            sid: (streams._seq[sid],
-                  tuple(s.name for s in self._subscribers_of(sid)),
-                  streams.spec(sid).external)
-            for sid in streams.sids()}
-        tuple_new = tuple.__new__
-        obj_new = object.__new__
-
-        # (key, fn) -> _Machine, valid for one ring generation; _send and
-        # _deliver's effectively-once re-check share it. 2.0 only: a
-        # planned 1.0 join or retirement moves worker-ring points without
-        # touching ``ring``, so its generation would not show it.
-        dest_memo: Dict[Tuple[str, str], _Machine] = {}
-        ring_gen = [ring.generation]
-        #: (key, fn) -> SlateKey: pure value identity, only bounded.
-        skeys: Dict[Tuple[str, str], SlateKey] = {}
-        #: (source, destination) -> _Link, in the order the links' current
-        #: buffers began to fill: the order forced flushes ship them in.
-        links: Dict[Tuple[Optional[str], str], _Link] = {}
-
-        destination_machine = self._destination_machine
+        net_lat, net_bw = net.latency_s, net.bandwidth_bytes_per_s
+        route_memo, route = self._route_memo, self._route
         handle_dead = self._handle_dead_destination
-        overflow = self._overflow
-        schedule_timer = self._schedule_timer
-        charge_device = self._charge_device
-        trace_envelope = self._trace_envelope
+        _deliver: Any = None  # the deliver station, bound once compiled
 
-        def memo_miss(item: Tuple[str, str],
-                      envelope: _Envelope) -> Optional[_Machine]:
-            """Ask the ring for ``item``'s owner; memoize a live one."""
-            machine = destination_machine(envelope)
-            if machine is not None:
-                if len(dest_memo) >= _MEMO_MAX:
-                    dest_memo.clear()
-                dest_memo[item] = machine
-            return machine
+        def bind(deliver: Callable) -> None:
+            nonlocal _deliver
+            _deliver = deliver
 
         def _send(envelope: _Envelope, from_machine: Optional[str],
                   extra_delay: float = 0.0) -> None:  # hot-path
             event = envelope.event
-            if muppet2:
-                if ring_gen[0] != ring.generation:
-                    dest_memo.clear()
-                    ring_gen[0] = ring.generation
-                item = (event.key, envelope.dest_fn)
-                machine = dest_memo.get(item) or memo_miss(item, envelope)
-            else:
-                machine = destination_machine(envelope)
+            item = (event.key, envelope.dest_fn)
+            machine = route_memo.get(item) or route(item, envelope)
             if machine is None:
                 counters.lost_failure += 1
                 return
@@ -701,12 +636,11 @@ class SimRuntime:
                 return
             if at_least_once:
                 journal.record(machine.name, envelope, clock._now)
-            same = from_machine == machine.name
-            if same:
+            if from_machine == machine.name:
                 delay = extra_delay
             else:
-                # Event.size_bytes() inlined for the common payload
-                # types (same arithmetic; other types take the method).
+                # inlines: repro.core.event:Event.size_bytes
+                # (for the common payload types; others take the method)
                 v = event.value
                 tv = type(v)
                 if v is None:
@@ -719,19 +653,14 @@ class SimRuntime:
                             + len(v.encode("utf-8")))
                 else:
                     size = event.size_bytes()
-                if (batching and not same
-                        and not (dedup and envelope.replayed)):
-                    # Loopback sends skip batching: they pay no
-                    # per-message network latency, so coalescing would
-                    # only add linger. Replayed envelopes
-                    # (effectively-once) also ship solo: a resend
-                    # lingering in a coalescing buffer could be overtaken
-                    # by a fresh, higher-sequence event arriving over a
-                    # different link, and a lost event sneaking in
-                    # *behind* the watermark its successor advanced would
-                    # be mistaken for a duplicate. Batching only ever
-                    # delays an event, so solo resends stay ahead of
-                    # everything sent after them.
+                if batching and not (dedup and envelope.replayed):
+                    # Loopback sends skip batching (they pay no network
+                    # latency, so coalescing would only add linger), and
+                    # effectively-once resends ship solo: a lingering one
+                    # could be overtaken by a fresh, higher-sequence event
+                    # on another link, whose advanced watermark would
+                    # then dedup the resend. Batching only ever delays an
+                    # event, so solo resends stay ahead of later sends.
                     lkey = (from_machine, machine.name)
                     link = links.get(lkey)
                     if link is None:
@@ -748,15 +677,16 @@ class SimRuntime:
                         dataplane.size_flushes += 1
                         link.ship(None, "size")
                     elif link.timer is None:
-                        # Simulator.schedule_cancellable, inlined: the
-                        # timer runs the link's ship unless a flush
+                        # The timer runs the link's ship unless a flush
                         # cancels it first (then popping it costs no step).
-                        timer = link.timer = obj_new(ScheduledEvent)
+                        # inlines: repro.sim.des:Simulator.schedule_cancellable
+                        timer = link.timer = _object_new(ScheduledEvent)
                         timer.cancelled = False
                         heappush(heap, (clock._now + linger_s, 0,
                                         next(sim_seq), link.ship, timer,
                                         None))
                     return
+                # inlines: repro.cluster.topology:NetworkSpec.transfer_time
                 delay = extra_delay + (net_lat + size / net_bw)
             if injector is not None:
                 delivered, delay = injector.message_fate(
@@ -778,16 +708,11 @@ class SimRuntime:
 
             def ship(sim: Optional[Simulator],
                      trigger: str = "linger") -> None:  # hot-path
-                """Ship the buffer as one coalesced envelope.
-
-                One per-message network latency is paid for the whole
-                batch, plus bandwidth for the combined payload bytes;
-                the fault injector decides one fate for the envelope (a
-                dropped batch loses every event in it, like a dropped
-                TCP connection). An arrival-time clamp keeps the link
-                FIFO: a later, smaller batch must not overtake an
-                earlier, larger one mid-flight.
-                """
+                """Ship the buffer as one coalesced envelope: one network
+                latency for the batch plus bandwidth for its bytes, one
+                fault-injector fate for all of it (like a dropped TCP
+                connection), and an arrival clamp that keeps the link
+                FIFO (a later, smaller batch must not overtake)."""
                 timer = link.timer
                 if timer is not None:
                     timer.cancelled = True
@@ -805,6 +730,7 @@ class SimRuntime:
                         handle_dead(machine, env)
                     return
                 now = clock._now
+                # inlines: repro.cluster.topology:NetworkSpec.transfer_time
                 delay = extra + (net_lat + total / net_bw)
                 if injector is not None:
                     delivered, delay = injector.message_fate(
@@ -826,10 +752,8 @@ class SimRuntime:
 
                 def deliver_all(sim: Simulator) -> None:  # hot-path
                     for env in envelopes:
-                        # A heap-dispatched _deliver returns the started
-                        # event's finish as its tail; mid-batch it is
-                        # pushed at once, so sequence numbers are consumed
-                        # in the same order.
+                        # Mid-batch, a delivery's tail is pushed at once:
+                        # sequence numbers go in the same order.
                         tail = _deliver(machine, env)
                         if tail is not None:
                             heappush(heap, (tail[0], 0, next(sim_seq),
@@ -838,51 +762,45 @@ class SimRuntime:
                 heappush(heap, (arrival, 0, next(sim_seq), deliver_all,
                                 None, None))
 
-            # The model checker labels a heap entry by its callable's
-            # __qualname__; a linger timer has always been ``ctl:<lambda>``
-            # and the label vocabulary is part of its contract.
+            # The model checker labels a linger timer ``ctl:<lambda>``, by
+            # its callable's __qualname__: the label is a contract.
             ship.__qualname__ = "<lambda>"
             link = _Link(src, dst, ship)
             return link
 
-        def flush_batches(to: Optional[_Machine] = None) -> None:
-            """Force every buffered batch onto the wire (ring changes,
-            checkpoints), or only those headed ``to`` one machine (it
-            just died)."""
-            for link in list(links.values()):
-                if link.buffer and (to is None or link.dst is to):
-                    dataplane.forced_flushes += 1
-                    link.ship(None, "forced")
+        return _send, bind
 
-        def _inject(event: Event) -> None:  # hot-path
-            """M0 reads one source event and hashes it onward (§4.1)."""
-            info = stream_info.get(event[0])
-            if info is None:
-                stamped = streams.stamp(event)  # raises: unknown sid
-            else:
-                # Event.with_seq, flattened to one C-level allocation
-                # (fields are tuple slots 0..6).
-                stamped = tuple_new(
-                    Event, (event[0], event[1], event[2], event[3],
-                            next(info[0]), event[5], event[6]))
-            counters.published += 1
-            birth = clock._now
-            if trace is not None:
-                origin, oseq = stamped.provenance()
-                trace.emit(birth, "source", sid=stamped.sid,
-                           key=stamped.key, origin=origin, oseq=oseq)
-            for sub_name in info[1]:
-                # _Envelope(stamped, birth, sub_name), allocated without
-                # the dataclass __init__ frame.
-                env = obj_new(_Envelope)
-                env.event = stamped
-                env.birth_ts = birth
-                env.dest_fn = sub_name
-                env.is_timer = False
-                env.timer_payload = None
-                env.diverted = False
-                env.replayed = False
-                _send(env, None, source_s)
+    def _compile_execute(self) -> Tuple[Callable, Callable[[Callable], None]]:
+        """The execute station: ``try_start`` runs the worker's next
+        event's operator and prices its service time. Returns it and the
+        binder for the finish station a started event ends on."""
+        rt, cfg, costs = self, self.config, self.config.costs
+        clock, heap, sim_seq = self.sim.clock, self.sim._heap, self.sim._seq
+        pcounts, injector = self._processing_counts, self._injector
+        ops = {spec.name: spec for spec in self.app.operators()}
+        eo, overload = self._eo, self._overload
+        dedup = eo is not None
+        dedup_skips = eo.skips if dedup else None
+        unpin_replay = eo.unpin if dedup else None
+        shedding = overload.controller is not None
+        thinnable, thin = overload.thinnable, overload.thin
+        tracing = self._trace is not None
+        map_s, upd_s = costs.map_service_s, costs.update_service_s
+        byte_s, cont_s = costs.slate_byte_cost_s, costs.slate_contention_s
+        # Muppet 1.0 conductor <-> task-processor IPC: a fixed wakeup
+        # cost plus a byte-accurate serialization charge.
+        ipc = (IPCAccountant(fixed_s=costs.ipc_overhead_s)
+               if cfg.engine != ENGINE_MUPPET2 else None)
+        max_bytes = cfg.max_slate_bytes
+        write_through = cfg.flush_policy.kind == "write_through"
+        charge_device = self._charge_device
+        #: (key, fn) -> SlateKey: pure value identity, only bounded.
+        skeys: Dict[Tuple[str, str], SlateKey] = {}
+        _finish: Any = None  # the finish station, bound once compiled
+
+        def bind(finish: Callable) -> None:
+            nonlocal _finish
+            _finish = finish
 
         def try_start(worker: _Worker, tail: bool):  # hot-path
             """Start the worker's next queued event if a core is free;
@@ -916,12 +834,9 @@ class SimRuntime:
                 rt._max_workers_per_slate = count
             # -- execute: run the operator now, charge its service time --
             spec = ops[fn]
-            # Muppet 1.0 loads one copy of the code per worker process.
-            instance = machine.shared_instances[fn if muppet2
-                                                else worker.wid]
-            # Context(), allocated without the constructor frame — the
-            # slot stores below are __init__'s body verbatim.
-            ctx = obj_new(Context)
+            instance = worker.operators[fn]
+            # inlines: repro.core.operators:Context.__init__
+            ctx = _object_new(Context)
             ctx.operator = fn
             ctx.input_ts = ts
             ctx.input_key = key
@@ -931,9 +846,7 @@ class SimRuntime:
             ctx.timers = []
             if tracing:
                 rt._trace_execute(machine, worker, envelope, spec)
-            service = lock_s
-            if muppet1 and len(machine.workers) > machine.cores:
-                service += switch_s
+            service = machine.dispatch_s
             #: Thinned or dedup-skipped: the slate is not touched, no
             #: output is produced, and the service charged so far stands.
             skipped = False
@@ -942,7 +855,7 @@ class SimRuntime:
                     raise SimulationError("timer delivered to a mapper")
                 instance.map(ctx, event)
                 service += map_s * instance.cost_factor
-                if muppet1:
+                if ipc is not None:
                     service += ipc.cost(
                         event.size_bytes(), output_bytes=sum(
                             e.size_bytes() for e in ctx.emitted))
@@ -955,15 +868,14 @@ class SimRuntime:
                     skipped = weight is None
                 if not skipped:
                     mgr = worker.mgr
-                    # Slate-cache hit, inlined with SlateCache.get's
-                    # exact bookkeeping (LRU touch + hit count). Miss or
-                    # TTL expiry delegates to the manager, which then
-                    # does its own (single) stats accounting.
                     sk = skeys.get(item)
                     if sk is None:
                         if len(skeys) >= _MEMO_MAX:
                             skeys.clear()
                         sk = skeys[item] = SlateKey(fn, key)
+                    # A hit is served here; a miss or a TTL expiry takes
+                    # the manager, which counts it itself.
+                    # inlines: repro.slates.cache:SlateCache.get
                     cache = mgr.cache
                     slate = cache._slates.get(sk)
                     if slate is not None and (
@@ -988,14 +900,13 @@ class SimRuntime:
                                                      weight)
                         else:
                             instance.update(ctx, event, slate)
-                        if dedup:  # Event.provenance(), from its slots
+                        if dedup:
+                            # inlines: repro.core.event:Event.provenance
                             if event[5] is None:
                                 slate.advance_watermark(event[0], event[4])
                             else:
                                 slate.advance_watermark(event[5], event[6])
-                    # Slate.touch + SlateManager.note_update, inlined:
-                    # the version bump keys the size/encode caches, the
-                    # dirty transition feeds the cache's dirty index.
+                    # inlines: repro.core.slate:Slate.touch
                     slate.last_update_ts = ts
                     slate._version += 1
                     if not slate._dirty:
@@ -1003,15 +914,15 @@ class SimRuntime:
                         listener = slate._dirty_listener
                         if listener is not None:
                             listener(slate, True)
+                    # inlines: repro.slates.manager:SlateManager.note_update
                     if max_bytes is not None:
                         slate.check_size(max_bytes)
                     if write_through:
                         mgr._flush_slate(slate)
                     if mgr.pending_io_s > 0.0:
                         service += charge_device(machine, mgr)
-                    # Slate.estimated_bytes, inlined with its per-version
-                    # cache discipline; the non-counter shape falls back
-                    # to the method (which recomputes and caches alike).
+                    # (a non-counter shape falls back to the method)
+                    # inlines: repro.core.slate:Slate.estimated_bytes
                     if slate._size_version == slate._version:
                         sbytes = slate._size_bytes
                     else:
@@ -1023,7 +934,7 @@ class SimRuntime:
                             slate._size_bytes = sbytes
                     service += (upd_s * instance.cost_factor
                                 + byte_s * sbytes)
-                    if muppet1:
+                    if ipc is not None:
                         service += ipc.cost(
                             event.size_bytes(), slate_bytes=sbytes,
                             output_bytes=sum(
@@ -1037,7 +948,6 @@ class SimRuntime:
                     extra = service * (factor - 1.0)
                     service += extra
                     injector.note_gray_cpu(extra)
-            # ---------------------------------------------------------------
             now = clock._now
             at = now + service if service > 0.0 else now
             if tail:
@@ -1046,6 +956,26 @@ class SimRuntime:
             heappush(heap, (at, 0, next(sim_seq), _finish, None,
                             (worker, envelope, ctx.emitted, ctx.timers)))
             return None
+
+        return try_start, bind
+
+    def _compile_deliver(self, _send: Callable[..., None],
+                         try_start: Callable) -> Callable:
+        """The deliver station: re-check the owner, pick the worker,
+        enqueue, and start the event if the worker is idle."""
+        eo, overload = self._eo, self._overload
+        dedup = eo is not None
+        pinning = dedup and eo.pin_replays
+        pin_replay = eo.pin if dedup else None
+        shedding = overload.controller is not None
+        divert_proactively = overload.divert_proactively
+        tracing = self._trace is not None
+        muppet1 = self.config.engine != ENGINE_MUPPET2
+        two_choice = not muppet1 and self.config.two_choice
+        hashed_worker = self._membership.worker
+        route_memo, route = self._route_memo, self._route
+        handle_dead = self._handle_dead_destination
+        overflow, trace_envelope = self._overflow, self._trace_envelope
 
         def _deliver(machine: _Machine, envelope: _Envelope):  # hot-path
             if not machine.alive:
@@ -1056,21 +986,11 @@ class SimRuntime:
             item = (key, fn)
             pin = None
             if dedup:
-                # Close the rebalance residual hazard (see
-                # :meth:`schedule_add_machine`): an event that was in
-                # flight — or parked in a coalescing buffer — while the
-                # ring moved its key would update the old owner's
-                # orphaned cache copy and lose the last-write-wins race.
-                # Exactness cannot absorb that, so late arrivals
-                # re-route to the current owner — asked of _send's memo,
-                # under the same generation compare.
-                if muppet2:
-                    if ring_gen[0] != ring.generation:
-                        dest_memo.clear()
-                        ring_gen[0] = ring.generation
-                    target = dest_memo.get(item) or memo_miss(item, envelope)
-                else:
-                    target = destination_machine(envelope)
+                # An event in flight (or buffered) while the ring moved
+                # its key would update the old owner's orphaned copy and
+                # lose the last-write-wins race (see schedule_add_machine):
+                # late arrivals re-route to the current owner.
+                target = route_memo.get(item) or route(item, envelope)
                 if target is not None and target is not machine:
                     _send(envelope, machine.name)
                     return None
@@ -1086,7 +1006,7 @@ class SimRuntime:
                 # fresh same-key event can overtake it via the spill
                 # rule.
                 worker = pin[0]
-            elif not muppet2:
+            elif muppet1:
                 worker = hashed_worker(key, fn)
                 if worker.machine is not machine:
                     # The ring moved this key (failure broadcast raced
@@ -1096,10 +1016,9 @@ class SimRuntime:
             elif not two_choice:
                 worker = machine.dispatcher.choose_workers(key, fn, workers)
             else:
-                # TwoChoiceDispatcher.choose_workers + the candidates
-                # memo hit, inlined (stats identical by construction;
-                # the miss path is the dispatcher's own candidates(),
-                # which accounts itself).
+                # The miss path is the dispatcher's own candidates(),
+                # which accounts itself.
+                # inlines: repro.muppet.dispatch:TwoChoiceDispatcher.choose_workers
                 dispatcher = machine.dispatcher
                 dstats = dispatcher.stats
                 dstats.dispatched += 1
@@ -1137,7 +1056,7 @@ class SimRuntime:
             if tracing:
                 trace_envelope("dispatch", machine, envelope,
                                worker=worker.index)
-            # BoundedQueue.offer, inlined.
+            # inlines: repro.muppet.queues:BoundedQueue.offer
             queue = worker.queue
             qstats = queue.stats
             items = queue._items
@@ -1151,8 +1070,7 @@ class SimRuntime:
             depth = len(items)
             if depth > qstats.peak_depth:
                 qstats.peak_depth = depth
-            if (dedup and muppet2 and envelope.replayed
-                    and not envelope.is_timer):
+            if pinning and envelope.replayed and not envelope.is_timer:
                 pin_replay(machine, worker, envelope)
             if tracing:
                 trace_envelope("enqueue", machine, envelope,
@@ -1160,6 +1078,23 @@ class SimRuntime:
             if worker.busy:  # the saturated regime: no call frame
                 return None
             return try_start(worker, True)
+
+        return _deliver
+
+    def _compile_finish(self, _send: Callable[..., None],
+                        try_start: Callable) -> Callable:
+        """The finish station: free the core, record latency, stamp and
+        send the outputs, arm the timers, start what waits."""
+        rt, clock, counters = self, self.sim.clock, self.counters
+        pcounts, latency = self._processing_counts, self.latency
+        streams, workflow = self.app.streams, self._workflow
+        dedup = self._eo is not None
+        tracing = self._trace is not None
+        schedule_timer = self._schedule_timer
+        sinks = self.config.latency_sinks
+        latency_ops = frozenset(
+            s.name for s in self.app.operators()
+            if s.kind == "update" and (sinks is None or s.name in sinks))
 
         def _finish(worker: _Worker, envelope: _Envelope,
                     outputs: List[Event],
@@ -1186,6 +1121,7 @@ class SimRuntime:
                 recorder = latency.get(fn)
                 if recorder is None:
                     recorder = latency[fn] = LatencyRecorder()
+                # inlines: repro.obs.latency:LatencyRecorder.record
                 recorder._samples.append(clock._now - envelope.birth_ts)
             if outputs:
                 birth = envelope.birth_ts
@@ -1202,7 +1138,7 @@ class SimRuntime:
                         raise SimulationError(
                             f"{fn} emitted {len(outputs)} events in one call;"
                             f" at most {ORIGIN_SEQ_STRIDE} get distinct ids")
-                    # derive_origin(parent, fn, 0), from the tuple slots.
+                    # inlines: repro.core.event:derive_origin
                     parent = envelope.event
                     if parent[5] is None:
                         origin = f"{parent[0]}>{fn}"
@@ -1212,26 +1148,24 @@ class SimRuntime:
                         base = parent[6] * ORIGIN_SEQ_STRIDE
                 ordinal = 0
                 for out in outputs:
-                    info = stream_info.get(out[0])
+                    info = workflow.get(out[0])
                     if info is None or info[2]:
-                        stamped = streams.stamp(out, from_operator=True)
-                        info = stream_info[stamped.sid]
-                        if dedup:
-                            stamped = stamped.with_provenance(
-                                origin, base + ordinal)
-                    elif dedup:
-                        stamped = tuple_new(
+                        streams.stamp(out, from_operator=True)  # raises
+                    # inlines: repro.core.event:Event.with_seq
+                    if dedup:
+                        stamped = _tuple_new(
                             Event, (out[0], out[1], out[2], out[3],
                                     next(info[0]), origin, base + ordinal))
                     else:
-                        stamped = tuple_new(
+                        stamped = _tuple_new(
                             Event, (out[0], out[1], out[2], out[3],
                                     next(info[0]), out[5], out[6]))
                     if tracing:
                         rt._trace_publish(envelope, stamped, ordinal)
                     counters.published += 1
                     for sub_name in info[1]:
-                        env = obj_new(_Envelope)
+                        # inlines: repro.sim.runtime:_Envelope.__init__
+                        env = _object_new(_Envelope)
                         env.event = stamped
                         env.birth_ts = birth
                         env.dest_fn = sub_name
@@ -1253,6 +1187,45 @@ class SimRuntime:
                 return try_start(worker, True)
             return None
 
+        return _finish
+
+    def _compile_source(self, _send: Callable[..., None]
+                        ) -> Callable[[Source], None]:
+        """The source station: M0 reads each due source event, stamps it
+        and hashes it onward (§4.1). Returns the source starter."""
+        clock, counters, trace = self.sim.clock, self.counters, self._trace
+        streams, workflow = self.app.streams, self._workflow
+        throttle = self.config.throttle
+        source_s = self.config.costs.source_service_s
+
+        def _inject(event: Event) -> None:  # hot-path
+            info = workflow.get(event[0])
+            if info is None or not info[2]:
+                streams.spec(event.sid)  # unknown stream: raises
+                raise WorkflowError(
+                    f"sources feed external streams only, got {event.sid!r}")
+            # inlines: repro.core.event:Event.with_seq
+            stamped = _tuple_new(
+                Event, (event[0], event[1], event[2], event[3],
+                        next(info[0]), event[5], event[6]))
+            counters.published += 1
+            birth = clock._now
+            if trace is not None:
+                origin, oseq = stamped.provenance()
+                trace.emit(birth, "source", sid=stamped.sid,
+                           key=stamped.key, origin=origin, oseq=oseq)
+            for sub_name in info[1]:
+                # inlines: repro.sim.runtime:_Envelope.__init__
+                env = _object_new(_Envelope)
+                env.event = stamped
+                env.birth_ts = birth
+                env.dest_fn = sub_name
+                env.is_timer = False
+                env.timer_payload = None
+                env.diverted = False
+                env.replayed = False
+                _send(env, None, source_s)
+
         def _start_source(source: Source) -> None:
             iterator = source.events
             pending = [next(iterator, None)]
@@ -1268,7 +1241,7 @@ class SimRuntime:
                     if throttle is not None and throttle.paused:
                         counters.throttled += 1
                         pending[0] = event
-                        return (now + throttle_check_s, step, None)
+                        return (now + THROTTLE_CHECK_S, step, None)
                     if event.ts > now:
                         pending[0] = event
                         return (event.ts, step, None)
@@ -1279,14 +1252,18 @@ class SimRuntime:
 
             self.sim.schedule_in(0.0, step)
 
-        self._inject = _inject
-        self._send = _send
-        self._deliver = _deliver
-        self._finish = _finish
-        self._start_source = _start_source
-        self._flush_batches = flush_batches
+        return _start_source
 
     # -- cold helpers of the per-event path ------------------------------------------
+    def _flush_batches(self, to: Optional[_Machine] = None) -> None:
+        """Force every buffered batch onto the wire (ring changes,
+        checkpoints), or only those headed ``to`` one machine (it just
+        died)."""
+        for link in list(self._links.values()):
+            if link.buffer and (to is None or link.dst is to):
+                self.dataplane.forced_flushes += 1
+                link.ship(None, "forced")
+
     def _charge_device(self, machine: _Machine, mgr: SlateManager) -> float:
         """Queue the manager's accrued synchronous kv I/O behind the
         machine's storage device; returns the wait it adds."""
@@ -1400,7 +1377,8 @@ class SimRuntime:
         1. ``flush`` — the rebalance barrier: every dirty slate goes to
            the kv-store first, so no key moves while its freshest state
            is only in a cache.
-        2. The membership object applies the change to its rings.
+        2. The membership object applies the change to its rings, and
+           the route memo is cleared.
         3. The ``ring_change`` span opens the new ring epoch.
         4. ``before_reroute`` — what must see the new ring but precede
            re-delivery (a migration re-addresses the journal and emits
@@ -1411,6 +1389,7 @@ class SimRuntime:
         if flush:
             self._rebalance_flush()
         getattr(self._membership, change)(machine)
+        self._route_memo.clear()
         if self._trace is not None:
             self._trace.emit(self.sim.now(), "ring_change",
                              change=change, machine=machine.name)

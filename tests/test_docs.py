@@ -18,15 +18,21 @@ nothing, and nobody reads prose the way a test does. So, syntactically
 * every dotted ``repro.x.y`` name resolves: the longest prefix that
   imports, then ``getattr`` for the rest (a deleted class or hook leaves
   its name behind in prose);
+* every backticked ```Class.attr``` whose ``Class`` is defined under
+  ``src/repro`` names a member of it: a class attribute or method, a
+  dataclass field, or a ``self.attr`` its own or a base class's code
+  assigns (a deleted field or method leaves its name behind too);
 * EXPERIMENTS.md links every registered campaign's table;
 * CHANGES.md stays wrapped at 100 columns (it was 113 kB in 18 lines).
 """
 
+import ast
 import importlib
+import inspect
 import re
 import shlex
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 import pytest
 
@@ -46,6 +52,7 @@ FILE_PATH = re.compile(
 TICKED_DIR = re.compile(rf"`({_DIRS})`")
 TREE_DIR = re.compile(rf"^\s*({_DIRS})\s", re.MULTILINE)
 DOTTED = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
+TICKED_ATTR = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)")
 
 
 def doc_text(doc: str) -> str:
@@ -84,6 +91,47 @@ def resolves(dotted: str) -> bool:
             found = getattr(found, attr)
         return True
     return False
+
+
+def repro_classes() -> Dict[str, List[str]]:
+    """Class name -> the modules under ``src/repro`` defining it."""
+    found: Dict[str, List[str]] = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                found.setdefault(node.name, []).append(module)
+    return found
+
+
+def _assigned_on_self(cls: type) -> Set[str]:
+    """``self.x`` targets in the code of ``cls`` and its repro bases."""
+    names: Set[str] = set()
+    for klass in cls.__mro__:
+        if not klass.__module__.startswith("repro"):
+            continue
+        for node in ast.walk(ast.parse(inspect.getsource(klass))):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                names.add(node.attr)
+    return names
+
+
+def has_member(module: str, name: str, attr: str) -> bool:
+    cls = getattr(importlib.import_module(module), name)
+    return (hasattr(cls, attr)
+            or attr in getattr(cls, "__dataclass_fields__", {})
+            or attr in _assigned_on_self(cls))
+
+
+def ticked_attributes(doc: str) -> Iterator[Tuple[int, str, str]]:
+    """``(line, Class, attr)`` of each backticked ```Class.attr```."""
+    for number, line in enumerate(doc_text(doc).splitlines(), 1):
+        for match in TICKED_ATTR.finditer(line):
+            yield number, match.group(1), match.group(2)
 
 
 def repro_commands(doc: str) -> Iterator[Tuple[str, List[str]]]:
@@ -127,6 +175,16 @@ def test_dotted_names_resolve(doc):
     assert not dead, f"{doc} names what does not exist: {dead}"
 
 
+@pytest.mark.parametrize("doc", DOCS)
+def test_class_attributes_resolve(doc):
+    classes = repro_classes()
+    dead = [f"{doc}:{number} {name}.{attr}"
+            for number, name, attr in ticked_attributes(doc)
+            if name in classes and not any(
+                has_member(module, name, attr) for module in classes[name])]
+    assert not dead, f"{doc} names members that do not exist: {dead}"
+
+
 def test_every_campaign_is_linked_from_experiments():
     linked = set(links("EXPERIMENTS.md"))
     missing = [name for name in SPECS
@@ -156,3 +214,9 @@ def test_the_scan_sees_what_it_should():
     assert resolves("repro.muppet.master.Master.report_failure")
     assert not resolves("repro.muppet.master.Master.no_such_hook")
     assert not resolves("repro.no_such_module")
+    assert ("SimRuntime", "_change_ring") in {
+        (name, attr) for _, name, attr in ticked_attributes("DESIGN.md")}
+    assert has_member("repro.sim.runtime", "_Machine", "replay_pins")
+    assert has_member("repro.sim.report", "SimReport", "dataplane")
+    assert not has_member("repro.muppet.local1", "Local1Config",
+                          "poll_interval_s")
