@@ -206,9 +206,9 @@ class InvariantChecker:
                     "trace)", span))
         return self._attach_chain(violations)
 
-    def check_two_choice(self, max_queues: int = 2
-                         ) -> List[InvariantViolation]:
-        """≤ ``max_queues`` worker queues per (fn, key, machine, epoch)."""
+    def check_two_choice(self) -> List[InvariantViolation]:
+        """≤ 2 worker queues per (fn, key, machine, epoch): two-choice
+        dispatch offers each key its primary and one secondary."""
         violations: List[InvariantViolation] = []
         targets: Dict[Tuple[Any, Any, Any, int], Set[Any]] = {}
         flagged: Set[Tuple[Any, Any, Any, int]] = set()
@@ -219,15 +219,15 @@ class InvariantChecker:
                       span.get("machine"), self._epochs[index])
             workers = targets.setdefault(window, set())
             workers.add(span.get("worker"))
-            if len(workers) > max_queues and window not in flagged:
+            if len(workers) > 2 and window not in flagged:
                 flagged.add(window)
                 fn, key, machine, epoch = window
                 violations.append(InvariantViolation(
                     "two_choice",
                     f"key {key!r} of {fn} hit {len(workers)} distinct "
                     f"queues {sorted(workers)} on {machine} within ring "
-                    f"epoch {epoch}; two-choice dispatch bounds it at "
-                    f"{max_queues}", span))
+                    f"epoch {epoch}; two-choice dispatch bounds it at 2",
+                    span))
         return self._attach_chain(violations)
 
     def check_ring_ownership(self) -> List[InvariantViolation]:

@@ -372,8 +372,16 @@ def _track_snapshots(manager: Any, mon: LockMonitor) -> None:
 
 
 # -- the CI smoke run ---------------------------------------------------------
-def race_smoke_run(events: int = 2000, threads: int = 4, keys: int = 16,
-                   flush_every_s: float = 0.02) -> LockMonitor:
+#: The smoke run's flush interval: short, so the flusher contends with
+#: the workers.
+SMOKE_FLUSH_EVERY_S = 0.02
+#: How long the smoke run waits for the flushers to write what the run
+#: left dirty.
+FLUSHED_TIMEOUT_S = 5.0
+
+
+def race_smoke_run(events: int = 2000, threads: int = 4,
+                   keys: int = 16) -> LockMonitor:
     """Run both worker layouts, instrumented, under churn; return the
     monitor they share.
 
@@ -388,8 +396,8 @@ def race_smoke_run(events: int = 2000, threads: int = 4, keys: int = 16,
     from repro.muppet.local1 import Local1Config, LocalMuppet1
     from repro.slates.manager import FlushPolicy
 
-    flushing = dict(flush_policy=FlushPolicy.every(flush_every_s),
-                    flusher_period_s=flush_every_s / 2)
+    flushing = dict(flush_policy=FlushPolicy.every(SMOKE_FLUSH_EVERY_S),
+                    flusher_period_s=SMOKE_FLUSH_EVERY_S / 2)
     pool = LocalMuppet(count_app("race-smoke"),
                        LocalConfig(num_threads=threads, **flushing))
     per_function = LocalMuppet1(count_app("race-smoke"), Local1Config(
@@ -410,10 +418,10 @@ def race_smoke_run(events: int = 2000, threads: int = 4, keys: int = 16,
     return monitor
 
 
-def _await_flushed(runtimes: Any, timeout_s: float = 5.0) -> bool:
+def _await_flushed(runtimes: Any) -> bool:
     """Wait until no manager of ``runtimes`` holds a dirty slate (their
-    flushers caught up); False if ``timeout_s`` passed first."""
-    deadline = time.monotonic() + timeout_s
+    flushers caught up); False if ``FLUSHED_TIMEOUT_S`` passed first."""
+    deadline = time.monotonic() + FLUSHED_TIMEOUT_S
     while any(manager.cache.dirty_count() for runtime in runtimes
               for manager in runtime._managers):
         if time.monotonic() > deadline:

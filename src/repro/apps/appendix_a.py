@@ -74,17 +74,17 @@ class Counter(BinaryUpdater):
         submitter.replaceSlate(str(count).encode("utf-8"))
 
 
-def build_appendix_app(source_sid: str = "S1") -> Application:
+def build_appendix_app() -> Application:
     """The Figure 1(b) workflow wired from the Appendix A classes.
 
     Note the appendix publishes to stream ``"S_2"`` (with an
     underscore), so that is the internal stream name here.
     """
     app = Application("appendix-a")
-    app.add_stream(source_sid, external=True,
+    app.add_stream("S1", external=True,
                    description="Foursquare checkin stream")
     app.add_stream("S_2", description="retailer checkins (Appendix A)")
-    app.add_mapper("M1", RetailerMapper, subscribes=[source_sid],
+    app.add_mapper("M1", RetailerMapper, subscribes=["S1"],
                    publishes=["S_2"])
     app.add_updater("U1", Counter, subscribes=["S_2"])
     return app.validate()

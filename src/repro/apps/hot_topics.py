@@ -175,8 +175,6 @@ class HotTopicSink(Updater):
 
 
 def build_hot_topics_app(
-    source_sid: str = "S1",
-    topics: Optional[List[str]] = None,
     window_s: float = SECONDS_PER_MINUTE,
     threshold: float = 3.0,
     with_sink: bool = True,
@@ -184,8 +182,6 @@ def build_hot_topics_app(
     """Assemble the Figure 1(c) workflow (optionally plus a test sink).
 
     Args:
-        source_sid: External tweet stream.
-        topics: Topic vocabulary for the mapper's text fallback.
         window_s: U1's counting window (60 s in the paper; tests shrink
             it).
         threshold: U2's hotness ratio.
@@ -193,12 +189,11 @@ def build_hot_topics_app(
             the single key ``"alerts"``.
     """
     app = Application("hot-topics")
-    app.add_stream(source_sid, external=True, description="Twitter stream")
+    app.add_stream("S1", external=True, description="Twitter stream")
     app.add_stream("S2", description="topic|minute mentions")
     app.add_stream("S3", description="per-minute topic counts")
     app.add_stream("S4", description="hot (topic, minute) alerts")
-    app.add_mapper("M1", TopicMapper, subscribes=[source_sid],
-                   publishes=["S2"], config={"topics": topics or []})
+    app.add_mapper("M1", TopicMapper, subscribes=["S1"], publishes=["S2"])
     app.add_updater("U1", MinuteCounter, subscribes=["S2"],
                     publishes=["S3"], config={"window_s": window_s})
     app.add_updater("U2", HotTopicDetector, subscribes=["S3"],

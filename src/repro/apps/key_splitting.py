@@ -139,15 +139,14 @@ def build_split_app(
     hot_keys: Sequence[str] = ("Best Buy",),
     num_splits: int = 2,
     emit_every: int = 10,
-    source_sid: str = "S1",
 ) -> Application:
     """Assemble the Example 6 workflow (split → partial → merge)."""
     app = Application("retailer-counts-split")
-    app.add_stream(source_sid, external=True,
+    app.add_stream("S1", external=True,
                    description="Foursquare checkin stream")
     app.add_stream("S2", description="retailer events (hot keys split)")
     app.add_stream("S3", description="partial-count deltas")
-    app.add_mapper("M1", SplittingRetailerMapper, subscribes=[source_sid],
+    app.add_mapper("M1", SplittingRetailerMapper, subscribes=["S1"],
                    publishes=["S2"],
                    config={"hot_keys": list(hot_keys),
                            "num_splits": num_splits})

@@ -158,31 +158,23 @@ def peak_hour(slate_fields: Dict[str, Any]) -> int:
     return max(range(len(histogram)), key=lambda h: histogram[h])
 
 
-def build_profiles_app(
-    source_sid: str = "S1",
-    user_ttl: Optional[float] = None,
-    venue_ttl: Optional[float] = None,
-) -> Application:
+def build_profiles_app(user_ttl: Optional[float] = None) -> Application:
     """Assemble the dual-profile workflow over one checkin stream.
 
     Args:
-        source_sid: External checkin stream.
         user_ttl: Optional TTL for user slates ("only active users",
-            §4.2); venues usually live forever (``venue_ttl=None``).
-        venue_ttl: Optional TTL for venue slates.
+            §4.2); venues live forever.
     """
     app = Application("profiles")
-    app.add_stream(source_sid, external=True,
+    app.add_stream("S1", external=True,
                    description="Foursquare checkin stream")
     app.add_stream("BY_USER", description="checkins keyed by user")
     app.add_stream("BY_VENUE", description="checkins keyed by venue")
-    app.add_mapper("M1", ProfileMapper, subscribes=[source_sid],
+    app.add_mapper("M1", ProfileMapper, subscribes=["S1"],
                    publishes=["BY_USER", "BY_VENUE"])
     user_config = ({"slate_ttl": user_ttl} if user_ttl is not None else {})
-    venue_config = ({"slate_ttl": venue_ttl}
-                    if venue_ttl is not None else {})
     app.add_updater("U_user", UserProfileUpdater, subscribes=["BY_USER"],
                     config=user_config)
     app.add_updater("U_venue", VenueProfileUpdater,
-                    subscribes=["BY_VENUE"], config=venue_config)
+                    subscribes=["BY_VENUE"])
     return app.validate()

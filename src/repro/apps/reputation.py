@@ -119,13 +119,13 @@ class ReputationUpdater(Updater):
             slate["endorsements_received"] += 1
 
 
-def build_reputation_app(source_sid: str = "S1") -> Application:
+def build_reputation_app() -> Application:
     """Assemble the reputation workflow (with its S3 self-loop)."""
     app = Application("user-reputation")
-    app.add_stream(source_sid, external=True, description="Twitter stream")
+    app.add_stream("S1", external=True, description="Twitter stream")
     app.add_stream("S2", description="author activity events")
     app.add_stream("S3", description="endorsement events (self-loop)")
-    app.add_mapper("M1", ReputationMapper, subscribes=[source_sid],
+    app.add_mapper("M1", ReputationMapper, subscribes=["S1"],
                    publishes=["S2"])
     app.add_updater("U1", ReputationUpdater, subscribes=["S2", "S3"],
                     publishes=["S3"])

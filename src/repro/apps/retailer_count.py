@@ -97,30 +97,17 @@ class CheckinCounter(Updater):
         slate["count"] += 1
 
 
-def build_retailer_app(
-    source_sid: str = "S1",
-    mapper_name: str = "M1",
-    updater_name: str = "U1",
-    slate_ttl: Optional[float] = None,
-) -> Application:
-    """Assemble the Figure 1(b) workflow.
-
-    Args:
-        source_sid: The external checkin stream.
-        mapper_name / updater_name: Function names (the paper names its
-            functions; names matter because slates are addressed by them).
-        slate_ttl: Optional TTL for the count slates (Section 4.2).
+def build_retailer_app() -> Application:
+    """Assemble the Figure 1(b) workflow: S1 -> M1 -> S2 -> U1.
 
     Returns:
         A validated application whose output is U1's slates.
     """
     app = Application("retailer-checkin-counts")
-    app.add_stream(source_sid, external=True,
+    app.add_stream("S1", external=True,
                    description="Foursquare checkin stream")
     app.add_stream("S2", description="recognized-retailer checkins")
-    app.add_mapper(mapper_name, RetailerMapper, subscribes=[source_sid],
+    app.add_mapper("M1", RetailerMapper, subscribes=["S1"],
                    publishes=["S2"])
-    config = {"slate_ttl": slate_ttl} if slate_ttl is not None else {}
-    app.add_updater(updater_name, CheckinCounter, subscribes=["S2"],
-                    config=config)
+    app.add_updater("U1", CheckinCounter, subscribes=["S2"])
     return app.validate()

@@ -94,17 +94,14 @@ class TopUrls(Updater):
             slate["counts"] = counts
 
 
-def build_top_urls_app(source_sid: str = "S1", top_n: int = 10,
-                       publish_every: int = 1) -> Application:
+def build_top_urls_app() -> Application:
     """Assemble the top-URLs workflow."""
     app = Application("top-urls")
-    app.add_stream(source_sid, external=True, description="Twitter stream")
+    app.add_stream("S1", external=True, description="Twitter stream")
     app.add_stream("S2", description="URL mentions")
     app.add_stream("S3", description="per-URL running counts")
-    app.add_mapper("M1", UrlMapper, subscribes=[source_sid],
+    app.add_mapper("M1", UrlMapper, subscribes=["S1"],
                    publishes=["S2"])
-    app.add_updater("U1", UrlCounter, subscribes=["S2"], publishes=["S3"],
-                    config={"publish_every": publish_every})
-    app.add_updater("U2", TopUrls, subscribes=["S3"],
-                    config={"top_n": top_n})
+    app.add_updater("U1", UrlCounter, subscribes=["S2"], publishes=["S3"])
+    app.add_updater("U2", TopUrls, subscribes=["S3"])
     return app.validate()

@@ -33,10 +33,12 @@ class MapReduceCosts:
         return self.job_startup_s + work / parallelism
 
 
+#: Tasks a snapshot job runs in parallel in the staleness estimate.
+JOB_PARALLELISM = 8
+
+
 def periodic_job_staleness(arrival_rate_per_s: float, period_s: float,
-                           history_records: int,
-                           costs: MapReduceCosts = MapReduceCosts(),
-                           parallelism: int = 8) -> float:
+                           history_records: int) -> float:
     """Mean answer staleness of a snapshot job re-run every ``period_s``.
 
     A record arriving uniformly within a period waits on average
@@ -45,7 +47,6 @@ def periodic_job_staleness(arrival_rate_per_s: float, period_s: float,
     This is the number bench E12 compares against Muppet's per-event
     latency.
     """
-    job = costs.job_duration(history_records
-                             + int(arrival_rate_per_s * period_s),
-                             parallelism)
+    job = MapReduceCosts().job_duration(
+        history_records + int(arrival_rate_per_s * period_s), JOB_PARALLELISM)
     return period_s / 2.0 + job

@@ -177,17 +177,6 @@ def e22_overload_run(
             thinning=e22_thinning_policy(),
             seed=seed,
             overflow_sid=E22_OVERFLOW_SID,
-            p99_budget_s=PAPER_LATENCY_BOUND_S,
-            # Thinning alone absorbs the configured overloads; keep the
-            # lossy (divert) and stalling (throttle) tiers as last resorts
-            # above the startup transient's queue spike, so they engage
-            # only when thinning genuinely cannot keep up (the 10× row)
-            # and never during the ramp-up at 2×/5×.
-            overflow_enter=0.85,
-            overflow_exit=0.50,
-            throttle_enter=0.95,
-            throttle_exit=0.70,
-            divert_fraction=0.90,
         )
     config = SimConfig(
         queue_capacity=200,

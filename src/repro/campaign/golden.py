@@ -267,18 +267,7 @@ def elastic_autoscale_migration() -> Run:
         flush_policy=FlushPolicy.every(0.2),
         queue_capacity=2_000,
         delivery_semantics="effectively-once",
-        autoscale=AutoscalerConfig(
-            min_machines=2,
-            max_machines=8,
-            check_period_s=0.25,
-            scale_up_queue=0.5,
-            scale_down_queue=0.1,
-            cooldown_s=0.5,
-            hold_s=1.0,
-            grow_step=2,
-            shrink_step=2,
-            cores=1,
-        ),
+        autoscale=AutoscalerConfig(max_machines=8),
         migration=MigrationConfig(),
     )
     source = spiky_rate(
@@ -390,9 +379,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def row_of(
-    runtime: SimRuntime, report: SimReport, updaters: Sequence[str] = ("U1",)
-) -> Metrics:
+def row_of(runtime: SimRuntime, report: SimReport, updaters: Sequence[str]) -> Metrics:
     """Everything a golden row pins, measured on a finished run."""
     slates = {updater: runtime.slates_of(updater) for updater in updaters}
     row: Metrics = {

@@ -114,18 +114,7 @@ def e24_elasticity_run(
         flush_policy=FlushPolicy.every(0.2),
         queue_capacity=10_000,
         delivery_semantics="effectively-once",
-        autoscale=AutoscalerConfig(
-            min_machines=2,
-            max_machines=16,
-            check_period_s=0.25,
-            scale_up_queue=0.5,
-            scale_down_queue=0.1,
-            cooldown_s=0.5,
-            hold_s=1.0,
-            grow_step=2,
-            shrink_step=2,
-            cores=1,
-        ),
+        autoscale=AutoscalerConfig(max_machines=16),
         migration=MigrationConfig(full_rehydration=full_rehydration),
     )
     source = spiky_rate("S1", E24_DIURNAL_PHASES, key_fn=lambda i: f"k{i % 64}")

@@ -188,7 +188,7 @@ def verify_elasticity(rows: List[Row]) -> List[str]:
                 f"{handoff}: swing was 2 -> {metrics['peak_machines']} -> "
                 f"{metrics['final_machines']}, expected 2 -> 16 -> 2"
             )
-        # grow_step = shrink_step = 2: each decision is two migrations.
+        # GROW_STEP = SHRINK_STEP = 2: each decision is two migrations.
         decisions = metrics["scale_ups"] + metrics["scale_downs"]
         if metrics["migrations_completed"] != 2 * decisions:
             failures.append(

@@ -14,7 +14,9 @@ streams are all rejected with :class:`WorkflowError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Type, Union
+from graphlib import CycleError, TopologicalSorter
+from typing import (Any, Dict, Iterable, List, Optional, Set, Tuple, Type,
+                    Union)
 
 from repro.core.operators import Mapper, Operator, Updater
 from repro.core.stream import StreamRegistry, StreamSpec
@@ -215,32 +217,24 @@ class Application:
         """Operators that may publish into stream ``sid``, sorted by name."""
         return [s for s in self.operators() if sid in s.publishes]
 
-    def to_networkx(self) -> Any:
-        """The workflow as a ``networkx.DiGraph`` (nodes=operators+streams).
-
-        Stream nodes are prefixed ``"stream:"`` so operator and stream
-        namespaces cannot collide. Useful for visualization and analyses
-        like cycle enumeration.
-        """
-        import networkx as nx
-
-        graph = nx.DiGraph(name=self.name)
-        for sid in self.streams.sids():
-            graph.add_node(f"stream:{sid}", kind="stream",
-                           external=self.streams.spec(sid).external)
-        for spec in self.operators():
-            graph.add_node(spec.name, kind=spec.kind)
-            for sid in spec.subscribes:
-                graph.add_edge(f"stream:{sid}", spec.name)
-            for sid in spec.publishes:
-                graph.add_edge(spec.name, f"stream:{sid}")
-        return graph
-
     def has_cycle(self) -> bool:
-        """True if the workflow graph contains a cycle (allowed by §3)."""
-        import networkx as nx
+        """True if the workflow graph contains a cycle (allowed by §3).
 
-        return not nx.is_directed_acyclic_graph(self.to_networkx())
+        The graph's nodes are the operators and the streams (prefixed
+        ``"stream:"`` so the two namespaces cannot collide); a stream
+        precedes its subscribers, an operator the streams it publishes.
+        """
+        predecessors: Dict[str, Set[str]] = {}
+        for spec in self.operators():
+            predecessors.setdefault(spec.name, set()).update(
+                f"stream:{sid}" for sid in spec.subscribes)
+            for sid in spec.publishes:
+                predecessors.setdefault(f"stream:{sid}", set()).add(spec.name)
+        try:
+            TopologicalSorter(predecessors).prepare()
+        except CycleError:
+            return True
+        return False
 
     # -- validation ----------------------------------------------------------
     def validate(self) -> "Application":

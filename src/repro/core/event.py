@@ -74,9 +74,10 @@ class Event(NamedTuple):
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def with_stream(self, sid: str, seq: int = 0) -> "Event":
-        """Return a copy of this event re-addressed to stream ``sid``."""
-        return Event(sid, self.ts, self.key, self.value, seq,
+    def with_stream(self, sid: str) -> "Event":
+        """Return a copy of this event re-addressed to stream ``sid``,
+        not yet sequenced there."""
+        return Event(sid, self.ts, self.key, self.value, 0,
                      self.origin, self.oseq)
 
     def with_seq(self, seq: int) -> "Event":

@@ -19,7 +19,7 @@ from collections import deque
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
                     Optional, Set, Tuple)
 
-from repro.elastic.autoscaler import Autoscaler, ScaleDecision
+from repro.elastic.autoscaler import CHECK_PERIOD_S, Autoscaler, ScaleDecision
 from repro.elastic.migration import MigrationCoordinator, MigrationState
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -41,8 +41,13 @@ class ElasticController:
                  kill: Callable[[str], None]) -> None:
         self.rt = rt
         auto_cfg = rt.config.autoscale
+        seed = rt.cluster.machines
         self.autoscaler: Optional[Autoscaler] = (
-            Autoscaler(auto_cfg) if auto_cfg is not None else None)
+            Autoscaler(auto_cfg, len(seed)) if auto_cfg is not None
+            else None)
+        #: Cores of the machines the autoscaler adds: the smallest seed
+        #: machine's.
+        self._grow_cores = min(spec.cores for spec in seed)
         mig_cfg = rt.config.migration
         self.migration: Optional[MigrationCoordinator] = (
             MigrationCoordinator(rt, mig_cfg, self, kill)
@@ -184,7 +189,7 @@ class ElasticController:
             if decision is not None:
                 self._execute(scaler, decision)
 
-        rt.sim.every(scaler.config.check_period_s, tick)
+        rt.sim.every(CHECK_PERIOD_S, tick)
 
     def _execute(self, scaler: Autoscaler, decision: ScaleDecision) -> None:
         if self.migration is not None and (
@@ -195,7 +200,7 @@ class ElasticController:
             return
         for _ in range(decision.count):
             if decision.direction == "grow":
-                self.join(self._next_join_candidate(), scaler.config.cores)
+                self.join(self._next_join_candidate(), self._grow_cores)
             else:
                 victim = self._pick_retire_victim()
                 if victim is None:

@@ -209,21 +209,21 @@ class FaultSchedule:
                                    cpu_factor=cpu_factor,
                                    net_factor=net_factor))
 
-    def drop(self, at: float, until: float, probability: float,
-             machine: Optional[str] = None) -> "FaultSchedule":
-        """Drop matching messages with ``probability`` during the window."""
+    def drop(self, at: float, until: float,
+             probability: float) -> "FaultSchedule":
+        """Drop messages with ``probability`` during the window."""
         if probability <= 0.0:
             raise ConfigurationError("drop probability must be > 0")
-        return self.add(FaultEvent("drop", at, until=until, machine=machine,
+        return self.add(FaultEvent("drop", at, until=until,
                                    probability=probability))
 
     def delay(self, at: float, until: float, extra_s: float,
-              jitter_s: float = 0.0, machine: Optional[str] = None,
+              jitter_s: float = 0.0,
               probability: float = 1.0) -> "FaultSchedule":
-        """Add ``extra_s`` (+ uniform jitter) to matching messages."""
+        """Add ``extra_s`` (+ uniform jitter) to messages."""
         if extra_s <= 0.0 and jitter_s <= 0.0:
             raise ConfigurationError("delay fault needs a positive delay")
-        return self.add(FaultEvent("delay", at, until=until, machine=machine,
+        return self.add(FaultEvent("delay", at, until=until,
                                    extra_delay_s=extra_s, jitter_s=jitter_s,
                                    probability=probability))
 
@@ -251,10 +251,10 @@ class FaultSchedule:
 
     # -- interop -----------------------------------------------------------
     @classmethod
-    def from_kill_list(cls, failures: Iterable[Tuple[float, str]],
-                       seed: int = 0) -> "FaultSchedule":
+    def from_kill_list(
+            cls, failures: Iterable[Tuple[float, str]]) -> "FaultSchedule":
         """Adapt the legacy ``[(time, machine), ...]`` kill list."""
-        schedule = cls(seed=seed)
+        schedule = cls()
         for at, machine in sorted(failures):
             schedule.crash(at, machine)
         return schedule

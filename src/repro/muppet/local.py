@@ -63,6 +63,8 @@ CACHE_SLATES = 100_000
 #: How long a throttled source sleeps between retries when its target
 #: queue is full (the block-the-source overflow policy).
 THROTTLE_POLL_S = 0.001
+#: How long a throttled source waits for space before the event drops.
+THROTTLE_TIMEOUT_S = 30.0
 
 _tuple_new, _object_new = tuple.__new__, object.__new__  # no __init__ frame
 
@@ -286,13 +288,12 @@ class ThreadedEngine:
         self.stop()
 
     # -- ingestion --------------------------------------------------------------
-    def ingest(self, event: Event, block: bool = True,
-               timeout: float = 30.0) -> bool:  # hot-path
+    def ingest(self, event: Event) -> bool:  # hot-path
         """Feed one event of an external stream (the M0 role, Section 4.1).
 
-        With the ``throttle`` overflow policy and ``block``, a full queue
-        makes the source wait up to ``timeout`` seconds for space; otherwise
-        it follows the drop/divert policy at once. Returns True if the event
+        With the ``throttle`` overflow policy a full queue makes the source
+        wait up to :data:`THROTTLE_TIMEOUT_S` for space; otherwise it
+        follows the drop/divert policy at once. Returns True if the event
         entered the system (fully or diverted), False if it was dropped.
         """
         if not self._running:
@@ -321,11 +322,11 @@ class ThreadedEngine:
                 self._timer_cond.notify_all()
         # A list, not a generator: every declined item gets its handling.
         return not declined or all(
-            [self._overflow(item, block, timeout) for item in declined])
+            [self._overflow(item, True) for item in declined])
 
-    def ingest_many(self, events, block: bool = True) -> int:
+    def ingest_many(self, events) -> int:
         """Feed a sequence of events; returns how many were accepted."""
-        return sum(self.ingest(event, block=block) for event in events)
+        return sum(self.ingest(event) for event in events)
 
     # -- dispatch -----------------------------------------------------------------
     def _place(self, items: Iterable[_WorkItem]) -> List[_WorkItem]:  # hot-path
@@ -346,7 +347,7 @@ class ThreadedEngine:
         return declined
 
     def _overflow(self, item: _WorkItem, from_source: bool = False,
-                  timeout: float = 30.0, allow_divert: bool = True) -> bool:
+                  allow_divert: bool = True) -> bool:
         """Apply the overflow policy to an item its queue declined. Runs
         with no lock held: throttling sleeps, diverting dispatches."""
         policy = self.config.overflow
@@ -363,7 +364,7 @@ class ThreadedEngine:
                 self._overflow(again, allow_divert=False)
             return len(declined) < len(items)
         if policy.kind == "throttle" and allow_divert and from_source:
-            deadline = time.monotonic() + timeout  # noqa: MUP001 -- real throttling deadline (threaded engine)
+            deadline = time.monotonic() + THROTTLE_TIMEOUT_S  # noqa: MUP001 -- real throttling deadline (threaded engine)
             while time.monotonic() < deadline:  # noqa: MUP001 -- real throttling deadline (threaded engine)
                 time.sleep(THROTTLE_POLL_S)  # noqa: MUP001 -- source backpressure needs real waiting (threaded engine)
                 with self._dispatch_lock:
@@ -374,13 +375,13 @@ class ThreadedEngine:
             self.counters.dropped_overflow += 1
         return False
 
-    def drain(self, timeout: float = 60.0, flush_timers: bool = True) -> bool:
+    def drain(self, timeout: float = 60.0) -> bool:
         """Block until every queued/in-flight event has been processed.
 
-        With ``flush_timers`` (the default), any timers still pending once
-        the queues empty are fired in timestamp order — end-of-stream
-        semantics, so windowed applications (hot topics) emit their final
-        windows when a bounded run finishes.
+        Any timers still pending once the queues empty are then fired in
+        timestamp order — end-of-stream semantics, so windowed
+        applications (hot topics) emit their final windows when a bounded
+        run finishes.
         """
         deadline = time.monotonic() + timeout  # noqa: MUP001 -- real drain deadline (threaded engine)
         while True:
@@ -391,7 +392,7 @@ class ThreadedEngine:
                         return False
                     self._drained.wait(min(remaining, 0.1))
             with self._timer_cond:
-                if not flush_timers or not self._timers:
+                if not self._timers:
                     return True
                 _, __, timer, birth = heapq.heappop(self._timers)
             self._fire_timer(timer, birth)

@@ -45,6 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.sim.des import Simulator
     from repro.sim.runtime import SimRuntime, _Envelope, _Machine, _Worker
 
+#: A journal's hard memory bound. Under effectively-once it should
+#: comfortably exceed one epoch of sends: an evicted entry can no longer
+#: be replayed, which degrades exactness back to at-most-once for it.
+MAX_ENTRIES = 200_000
+
 
 @dataclass(slots=True)
 class ReplayStats(CounterFields):
@@ -71,22 +76,18 @@ class ReplayJournal:
             disables time-based pruning entirely — the effectively-once
             mode, where the runtime prunes at checkpoint epochs via
             :meth:`prune_before` instead.
-        max_entries: Hard memory bound; oldest entries drop first. Under
-            effectively-once this bound should comfortably exceed one
-            epoch of sends: an evicted entry can no longer be replayed,
-            which degrades exactness back to at-most-once for it.
+
+    The journal holds at most :data:`MAX_ENTRIES` entries; the oldest
+    drop first.
     """
 
-    def __init__(self, horizon_s: Optional[float] = 0.25,
-                 max_entries: int = 200_000) -> None:
+    def __init__(self, horizon_s: Optional[float] = 0.25) -> None:
         if horizon_s is not None and horizon_s <= 0:
             raise ConfigurationError(
                 "horizon_s must be positive (or None for epoch-pruned "
                 "journals)")
-        if max_entries < 1:
-            raise ConfigurationError("max_entries must be >= 1")
         self.horizon_s = horizon_s
-        self.max_entries = max_entries
+        self.max_entries = MAX_ENTRIES
         #: (sent_at, destination machine, payload) in send order.
         self._entries: Deque[Tuple[float, str, Any]] = deque()
         #: Migration holds: token -> earliest timestamp that must stay
@@ -96,10 +97,10 @@ class ReplayJournal:
         self.stats = ReplayStats()
 
     @classmethod
-    def epoch_pruned(cls, max_entries: int = 200_000) -> "ReplayJournal":
+    def epoch_pruned(cls) -> "ReplayJournal":
         """A journal with no time horizon, pruned only at checkpoint
         epochs (the effectively-once configuration)."""
-        return cls(horizon_s=None, max_entries=max_entries)
+        return cls(horizon_s=None)
 
     def record(self, dest_machine: str, payload: Any,
                now: float) -> None:  # hot-path

@@ -106,9 +106,12 @@ class LatencyRecorder:
         )
 
     def fill_histogram(self, histogram) -> "LatencyRecorder":
-        """Feed every sample into a registry histogram (report-time
-        bridge to :class:`repro.obs.Histogram`); returns self."""
-        histogram.observe_many(self._samples)
+        """Feed a registry histogram the samples it has not counted yet
+        (report-time bridge to :class:`repro.obs.Histogram`; a histogram
+        fed only from here counts exactly the samples it was fed);
+        returns self."""
+        seen = histogram.count
+        histogram.observe_many(self._samples[seen:])
         return self
 
 
@@ -124,8 +127,9 @@ def worst_recent_p99(recorders: Mapping[str, LatencyRecorder],
     return worst
 
 
-def format_ms(seconds: Optional[float], digits: int = 2) -> str:
-    """Format a seconds value as milliseconds, or ``"n/a"`` for None.
+def format_ms(seconds: Optional[float]) -> str:
+    """Format a seconds value as milliseconds to two decimals, or
+    ``"n/a"`` for None.
 
     Benchmarks report optional quantities (e.g. failure detection time,
     which is ``None`` when no send ever touched the dead machine);
@@ -133,7 +137,7 @@ def format_ms(seconds: Optional[float], digits: int = 2) -> str:
     """
     if seconds is None:
         return "n/a"
-    return f"{seconds * 1e3:.{digits}f}"
+    return f"{seconds * 1e3:.2f}"
 
 
 @dataclass(slots=True)

@@ -23,8 +23,7 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import fields
-from typing import (Any, Callable, ClassVar, Dict, List, Mapping, Optional,
-                    Sequence)
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -249,6 +248,6 @@ class MetricsRegistry:
             families.setdefault(family, {})[rest or family] = value
         return families
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
+    def to_json(self) -> str:
         """The snapshot as a JSON document (CLI ``--metrics-out``)."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True, default=float)
+        return json.dumps(self.snapshot(), indent=2, sort_keys=True, default=float)

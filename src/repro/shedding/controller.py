@@ -10,7 +10,7 @@ tier  name        engine behaviour
 ====  ==========  ==================================================
 0     normal      nothing shed; the configured overflow policy only
 1     thin        thinnable updaters probabilistically thin (IPW)
-2     overflow    + arrivals above ``divert_fraction`` divert to the
+2     overflow    + arrivals above ``DIVERT_FRACTION`` divert to the
                   degraded overflow stream (provenance preserved)
 3     throttle    + sources pause (Section 5 source throttling)
 ====  ==========  ==================================================
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.errors import ConfigurationError
+from repro.obs.latency import PAPER_LATENCY_BOUND_S
 from repro.obs.registry import QUEUE_EWMA_ALPHA, CounterFields, Ewma
 from repro.shedding.thinning import ThinningPolicy
 
@@ -46,62 +46,43 @@ TIER_NAMES = ("normal", "thin", "overflow", "throttle")
 CHECK_PERIOD_S = 0.02
 #: Minimum residence time in a tier before de-escalating.
 HOLD_S = 0.25
-#: The thin tier's hysteresis band: the first response is cheap and
-#: reversible, so it engages early and only the lossy tiers are tuned.
+#: Each tier's hysteresis band on the smoothed worst queue fraction:
+#: escalate at or above *enter*, de-escalate at or below *exit* after
+#: ``HOLD_S`` in tier. The thin tier's first response is cheap and
+#: reversible, so it engages early.
 THIN_ENTER = 0.35
 THIN_EXIT = 0.15
+#: Thinning alone absorbs E22's overloads; keep the lossy (divert) and
+#: stalling (throttle) tiers as last resorts above the startup
+#: transient's queue spike, so they engage only when thinning genuinely
+#: cannot keep up (the 10x row) and never during the ramp-up at 2x/5x.
+OVERFLOW_ENTER = 0.85
+OVERFLOW_EXIT = 0.50
+THROTTLE_ENTER = 0.95
+THROTTLE_EXIT = 0.70
+#: At tier >= overflow, arrivals while the instantaneous queue fraction
+#: is at or above this divert instead of enqueueing.
+DIVERT_FRACTION = 0.90
+#: Escalate to at least ``thin`` while the recent updater p99 exceeds
+#: the paper's latency bound.
+P99_BUDGET_S = PAPER_LATENCY_BOUND_S
 #: Trailing latency samples per updater used for the p99 signal.
 P99_WINDOW = 256
 
 
 @dataclass
 class SheddingConfig:
-    """Knobs of the overload-control subsystem.
-
-    Thresholds are worst worker-queue depth fractions (0..1) on the
-    EWMA-smoothed signal; each tier has an *enter* threshold (escalate
-    at or above) and an *exit* threshold (de-escalate at or below,
-    after ``HOLD_S`` in tier). ``None`` for the optional latency signal
-    disables it.
-    """
+    """The application wiring of the overload-control subsystem; the
+    tier thresholds are the module constants above."""
 
     #: Per-key-class keep rates applied at tier >= thin.
     thinning: ThinningPolicy = field(default_factory=ThinningPolicy)
     #: Seed for the thinning RNG (replay-exactness contract).
     seed: int = 0
-    overflow_enter: float = 0.70
-    overflow_exit: float = 0.40
-    throttle_enter: float = 0.92
-    throttle_exit: float = 0.60
     #: Degraded overflow stream for tier-2 proactive diversion; None
     #: disables the overflow tier's divert action (the tier can still
     #: be entered, acting only as a stepping stone to throttle).
     overflow_sid: Optional[str] = None
-    #: At tier >= overflow, arrivals while the instantaneous queue
-    #: fraction is at or above this divert instead of enqueueing.
-    divert_fraction: float = 0.70
-    #: Escalate to at least ``thin`` while the recent updater p99
-    #: exceeds this budget (None disables the latency signal).
-    p99_budget_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        pairs = (("overflow", self.overflow_enter, self.overflow_exit),
-                 ("throttle", self.throttle_enter, self.throttle_exit))
-        for name, enter, exit_ in pairs:
-            if not 0.0 < exit_ < enter <= 1.0:
-                raise ConfigurationError(
-                    f"{name} tier needs 0 < exit ({exit_!r}) < enter "
-                    f"({enter!r}) <= 1 (hysteresis band)")
-        if THIN_ENTER >= self.overflow_enter or \
-                self.overflow_enter >= self.throttle_enter:
-            raise ConfigurationError(
-                "tier enter thresholds must ascend: thin < overflow "
-                f"< throttle, got {THIN_ENTER!r} / "
-                f"{self.overflow_enter!r} / {self.throttle_enter!r}")
-        if not 0.0 < self.divert_fraction <= 1.0:
-            raise ConfigurationError(
-                f"divert_fraction must be in (0, 1], got "
-                f"{self.divert_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -215,10 +196,9 @@ class BackpressureController:
     # -- internals ---------------------------------------------------------
     def _target_tier(self, smoothed: float,
                      signals: PressureSignals) -> int:
-        cfg = self.config
-        if smoothed >= cfg.throttle_enter:
+        if smoothed >= THROTTLE_ENTER:
             return TIER_THROTTLE
-        if smoothed >= cfg.overflow_enter:
+        if smoothed >= OVERFLOW_ENTER:
             return TIER_OVERFLOW
         if smoothed >= THIN_ENTER:
             return TIER_THIN
@@ -226,16 +206,15 @@ class BackpressureController:
         # tier even while queues still look shallow: a slow updater
         # (p99 over budget) predicts queue growth before the queues
         # themselves show it.
-        if cfg.p99_budget_s is not None and signals.p99_s > cfg.p99_budget_s:
+        if signals.p99_s > P99_BUDGET_S:
             return TIER_THIN
         return TIER_NORMAL
 
     def _exit_threshold(self, tier: int) -> float:
-        cfg = self.config
         if tier >= TIER_THROTTLE:
-            return cfg.throttle_exit
+            return THROTTLE_EXIT
         if tier == TIER_OVERFLOW:
-            return cfg.overflow_exit
+            return OVERFLOW_EXIT
         return THIN_EXIT
 
     def _transition(self, state: _MachinePressure, tier: int,

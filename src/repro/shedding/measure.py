@@ -114,21 +114,6 @@ def measure_counter_error(measured: Mapping[str, Mapping[str, Any]],
                          updater, fld)
 
 
-def attach_error_report(report: Any,
-                        measured: Mapping[str, Mapping[str, Any]],
-                        reference: ReferenceResult,
-                        updater: str, fld: str) -> CounterErrorReport:
-    """Measure and surface the error summary on a ``SimReport``.
-
-    Fills ``report.shedding_error`` with the summary dict so benchmark
-    tables and JSON dumps carry the ground-truth deviation next to the
-    shedding counters. Returns the full per-key report.
-    """
-    error = measure_counter_error(measured, reference, updater, fld)
-    report.shedding_error = error.as_dict()
-    return error
-
-
 def loss_summary(report: Any) -> Dict[str, Optional[float]]:
     """Per-policy data-loss accounting from one ``SimReport``.
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Optional, Set
 
 from repro.obs.latency import worst_recent_p99
-from repro.shedding.controller import (CHECK_PERIOD_S, P99_WINDOW,
-                                       TIER_THROTTLE, BackpressureController,
+from repro.shedding.controller import (CHECK_PERIOD_S, DIVERT_FRACTION,
+                                       P99_WINDOW, TIER_THROTTLE,
+                                       BackpressureController,
                                        PressureSignals, SheddingCounters)
 from repro.shedding.thinning import Thinner
 
@@ -127,7 +128,7 @@ class OverloadControl:
         config = self.controller.config
         if (envelope.is_timer or envelope.diverted
                 or config.overflow_sid is None
-                or machine.queue_depth_fraction() < config.divert_fraction):
+                or machine.queue_depth_fraction() < DIVERT_FRACTION):
             return False
         self.counters.diverted_proactive += 1
         self.note_overflow(machine.name, "diverted_proactive")
@@ -168,11 +169,9 @@ class OverloadControl:
         mid-workflow, which can deadlock).
         """
         rt = self.rt
-        cfg = shed.config
 
         def tick(sim: "Simulator") -> None:
-            p99 = (worst_recent_p99(rt.latency, P99_WINDOW)
-                   if cfg.p99_budget_s is not None else 0.0)
+            p99 = worst_recent_p99(rt.latency, P99_WINDOW)
             throttle_wanted = False
             for name in sorted(rt.machines):
                 machine = rt.machines[name]

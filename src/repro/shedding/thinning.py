@@ -90,10 +90,9 @@ class ThinningPolicy:
                 f"got {self.mode!r}")
 
     @classmethod
-    def uniform(cls, keep_rate: float,
-                mode: str = "stratified") -> "ThinningPolicy":
+    def uniform(cls, keep_rate: float) -> "ThinningPolicy":
         """One keep rate for every key."""
-        return cls(keep_rates={DEFAULT_CLASS: keep_rate}, mode=mode)
+        return cls(keep_rates={DEFAULT_CLASS: keep_rate})
 
     def keep_rate(self, key: Key) -> float:
         """The keep probability for one key (1.0 for unknown classes)."""

@@ -58,8 +58,6 @@ class CostModel:
             if value < 0:
                 raise ConfigurationError(f"cost {name} must be >= 0")
 
-    def update_time(self, cost_factor: float = 1.0,
-                    slate_bytes: int = 0) -> float:
-        """Service time of one update invocation on a slate of given size."""
-        return (self.update_service_s * cost_factor
-                + self.slate_byte_cost_s * slate_bytes)
+    def update_time(self, cost_factor: float = 1.0) -> float:
+        """Service time of one update invocation, slate bytes aside."""
+        return self.update_service_s * cost_factor

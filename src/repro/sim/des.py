@@ -125,8 +125,8 @@ class Simulator:
         """Schedule ``action`` after ``delay`` seconds."""
         self.schedule(self.clock.now() + max(0.0, delay), action, priority)
 
-    def schedule_call(self, at: float, action: Callable, *args,
-                      priority: int = 0) -> None:  # hot-path
+    def schedule_call(self, at: float, action: Callable,
+                      *args) -> None:  # hot-path
         """Schedule ``action(*args)`` at absolute time ``at``.
 
         The hot-path spelling of :meth:`schedule`: the callee's arguments
@@ -139,18 +139,18 @@ class Simulator:
                 f"cannot schedule at {at} before now={self.clock.now()}"
             )
         heapq.heappush(
-            self._heap, (at, priority, next(self._seq), action, None, args))
+            self._heap, (at, 0, next(self._seq), action, None, args))
 
-    def schedule_call_in(self, delay: float, action: Callable, *args,
-                         priority: int = 0) -> None:  # hot-path
+    def schedule_call_in(self, delay: float, action: Callable,
+                         *args) -> None:  # hot-path
         """Schedule ``action(*args)`` after ``delay`` seconds."""
         now = self.clock.now()
         at = now + delay if delay > 0.0 else now
         heapq.heappush(
-            self._heap, (at, priority, next(self._seq), action, None, args))
+            self._heap, (at, 0, next(self._seq), action, None, args))
 
-    def schedule_cancellable(self, delay: float, action: Action,
-                             priority: int = 0) -> ScheduledEvent:
+    def schedule_cancellable(self, delay: float,
+                             action: Action) -> ScheduledEvent:
         """Schedule ``action`` after ``delay``; returns a cancel handle.
 
         Used for linger timers that a size-triggered flush supersedes.
@@ -159,7 +159,7 @@ class Simulator:
         handle = ScheduledEvent()
         heapq.heappush(
             self._heap,
-            (at, priority, next(self._seq), action, handle, None))
+            (at, 0, next(self._seq), action, handle, None))
         return handle
 
     def every(self, period: float, body: Action) -> None:

@@ -57,10 +57,6 @@ class SimReport:
     replay: ReplayStats = field(default_factory=ReplayStats)
     #: Overload-control accounting (all zero when shedding is off).
     shedding: SheddingCounters = field(default_factory=SheddingCounters)
-    #: Ground-truth counter-error summary versus the reference executor
-    #: (filled via :func:`repro.shedding.measure.attach_error_report`;
-    #: None when no error measurement was taken).
-    shedding_error: Optional[Dict[str, Any]] = None
     #: Full :class:`repro.obs.MetricsRegistry` family snapshot taken at
     #: report time: the six counter_report families plus the new
     #: observability families (queues, slates, kv, latency histograms).
@@ -267,25 +263,35 @@ def memory_mb_per_machine(rt: "SimRuntime") -> float:
 
 
 def build_report(rt: "SimRuntime", duration_s: float) -> SimReport:
-    """Summarize the run so far as a :class:`SimReport`."""
+    """Summarize the run so far as a :class:`SimReport`: a snapshot, which
+    a later ``run`` of the same runtime leaves as it is."""
     all_latencies = LatencyRecorder()
     by_updater: Dict[str, LatencySummary] = {}
     for name, recorder in rt.latency.items():  # noqa: MUP003 -- single-threaded DES; operator insertion order is deterministic
         if len(recorder):
             by_updater[name] = recorder.summary()
             all_latencies.extend(recorder.samples)
-            histogram = rt.metrics.histogram(f"latency.{name}")
-            if histogram.count == 0:
-                recorder.fill_histogram(histogram)
+            recorder.fill_histogram(
+                rt.metrics.histogram(f"latency.{name}"))
     queue_peak = 0
     for machine in rt.machines.values():  # noqa: MUP003 -- max() is order-independent
         for worker in machine.workers:
             queue_peak = max(queue_peak, worker.queue.stats.peak_depth)
+    # Copies of the live counters, which a later run keeps counting
+    # into. Slot by slot through builtins: a copy costs no Python frame,
+    # so a run's frame count is what it was.
+    copies = []
+    for live in (rt.counters, rt.dataplane, rt._overload.counters):
+        copy = object.__new__(type(live))
+        for name in live.__slots__:
+            setattr(copy, name, getattr(live, name))
+        copies.append(copy)
+    counters, dataplane, shedding = copies
     throttle = rt.config.throttle
     return SimReport(
         engine=rt.config.engine,
         duration_s=duration_s,
-        counters=rt.counters,
+        counters=counters,
         latency=(all_latencies.summary() if len(all_latencies) else None),
         latency_by_updater=by_updater,
         throughput=ThroughputReport(rt.counters.processed, duration_s),
@@ -302,9 +308,9 @@ def build_report(rt: "SimRuntime", duration_s: float) -> SimReport:
                       for name, node in sorted(rt.store.nodes.items())},
         steps=rt.sim.steps,
         robustness=robustness_counters(rt),
-        dataplane=rt.dataplane,
+        dataplane=dataplane,
         replay=ReplayStats(**replay_stats(rt).as_dict()),
-        shedding=rt._overload.counters,
+        shedding=shedding,
         metrics=rt.metrics.family_snapshot(),
         timeline_data=(rt._timeline.as_dict()
                        if rt._timeline is not None else None),

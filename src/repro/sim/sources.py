@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
 from repro.core.event import Event
 from repro.errors import ConfigurationError
 
 #: Produces the key for the i-th event of a source.
 KeyFunction = Callable[[int], str]
-#: Produces the payload for the i-th event of a source.
-ValueFunction = Callable[[int], Any]
 
 
 @dataclass(slots=True)
@@ -35,19 +33,14 @@ class Source:
     events: Iterator[Event]
 
 
-def _default_value(_: int) -> None:
-    return None
-
-
 def constant_rate(
     sid: str,
     rate_per_s: float,
     duration_s: float,
     key_fn: KeyFunction,
-    value_fn: ValueFunction = _default_value,
-    start_ts: float = 0.0,
 ) -> Source:
-    """Evenly spaced arrivals at ``rate_per_s`` for ``duration_s``."""
+    """Evenly spaced arrivals at ``rate_per_s`` for ``duration_s``, from
+    time 0, carrying no payload."""
     if rate_per_s <= 0:
         raise ConfigurationError(f"rate must be positive, got {rate_per_s}")
 
@@ -55,8 +48,7 @@ def constant_rate(
         interval = 1.0 / rate_per_s
         count = int(rate_per_s * duration_s)
         for i in range(count):
-            ts = start_ts + i * interval
-            yield Event(sid, ts, key_fn(i), value_fn(i))
+            yield Event(sid, i * interval, key_fn(i))
 
     return Source(sid, generate())
 
@@ -66,24 +58,22 @@ def poisson_rate(
     rate_per_s: float,
     duration_s: float,
     key_fn: KeyFunction,
-    value_fn: ValueFunction = _default_value,
     seed: int = 0,
-    start_ts: float = 0.0,
 ) -> Source:
-    """Poisson arrivals (exponential inter-arrival times), seeded."""
+    """Poisson arrivals (exponential inter-arrival times), seeded, from
+    time 0, carrying no payload."""
     if rate_per_s <= 0:
         raise ConfigurationError(f"rate must be positive, got {rate_per_s}")
 
     def generate() -> Iterator[Event]:
         rng = random.Random(seed)
-        ts = start_ts
+        ts = 0.0
         i = 0
-        end = start_ts + duration_s
         while True:
             ts += rng.expovariate(rate_per_s)
-            if ts >= end:
+            if ts >= duration_s:
                 return
-            yield Event(sid, ts, key_fn(i), value_fn(i))
+            yield Event(sid, ts, key_fn(i))
             i += 1
 
     return Source(sid, generate())
@@ -93,10 +83,9 @@ def spiky_rate(
     sid: str,
     phases: Sequence[Tuple[float, float]],
     key_fn: KeyFunction,
-    value_fn: ValueFunction = _default_value,
-    start_ts: float = 0.0,
 ) -> Source:
-    """Piecewise-constant rates: ``phases`` is [(rate_per_s, seconds), ...].
+    """Piecewise-constant rates from time 0: ``phases`` is
+    [(rate_per_s, seconds), ...]; events carry no payload.
 
     Models the paper's "drastic spikes in the tweet volumes" — e.g. a
     steady 1,000 ev/s with a 10× burst during an earthquake minute.
@@ -108,7 +97,7 @@ def spiky_rate(
             raise ConfigurationError(f"bad phase ({rate}, {seconds})")
 
     def generate() -> Iterator[Event]:
-        phase_start = start_ts
+        phase_start = 0.0
         i = 0
         for rate, seconds in phases:
             if rate > 0:
@@ -118,7 +107,7 @@ def spiky_rate(
                     # Anchor to the phase start to avoid float drift
                     # accumulating across events.
                     yield Event(sid, phase_start + j * interval,
-                                key_fn(i), value_fn(i))
+                                key_fn(i))
                     i += 1
             phase_start += seconds
 

@@ -126,12 +126,12 @@ class TweetGenerator:
             user, value = self._make_tweet(ts)
             yield Event(self.sid, ts, user, value)
 
-    def take(self, count: int, start_ts: float = 0.0) -> List[Event]:
-        """Generate exactly ``count`` tweets (test convenience)."""
+    def take(self, count: int) -> List[Event]:
+        """Generate exactly ``count`` tweets, from time 0."""
         interval = 1.0 / self.rate_per_s
         events = []
         for i in range(count):
-            ts = start_ts + i * interval
+            ts = i * interval
             user, value = self._make_tweet(ts)
             events.append(Event(self.sid, ts, user, value))
         return events

@@ -25,7 +25,7 @@ class TestTopUrls:
         for event in events:
             for url in parse_tweet(event.value).get("urls", []):
                 truth[url] += 1
-        result = ReferenceExecutor(build_top_urls_app(top_n=10)).run(events)
+        result = ReferenceExecutor(build_top_urls_app()).run(events)
         board = result.slate("U2", LEADERBOARD_KEY)["top"]
         top_urls = [url for url, _ in board]
         true_top = [url for url, _ in truth.most_common(10)]
@@ -37,10 +37,10 @@ class TestTopUrls:
 
     def test_publish_every_reduces_leaderboard_traffic(self):
         events = self.tweets_with_urls(800)
-        chatty = ReferenceExecutor(
-            build_top_urls_app(publish_every=1)).run(list(events))
-        damped = ReferenceExecutor(
-            build_top_urls_app(publish_every=5)).run(list(events))
+        chatty = ReferenceExecutor(build_top_urls_app()).run(list(events))
+        damped_app = build_top_urls_app()
+        damped_app.operator("U1").config["publish_every"] = 5
+        damped = ReferenceExecutor(damped_app).run(list(events))
         assert len(damped.events_on("S3")) < len(chatty.events_on("S3"))
 
     def test_all_leaderboard_updates_hit_one_key(self):

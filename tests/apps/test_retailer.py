@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.apps.retailer_count import (RetailerMapper, build_retailer_app,
-                                       match_retailer)
-from repro.core import Event, ReferenceExecutor
+from repro.apps.retailer_count import (CheckinCounter, RetailerMapper,
+                                       build_retailer_app, match_retailer)
+from repro.core import Application, Event, ReferenceExecutor
 from repro.muppet.local import LocalConfig, LocalMuppet
 from repro.workloads import CheckinGenerator
 
@@ -86,6 +86,10 @@ class TestEndToEnd:
         assert got == truth
 
     def test_slate_ttl_configurable(self):
-        app = build_retailer_app(slate_ttl=7.0)
-        instance = app.operator("U1").instantiate()
-        assert instance.slate_ttl == 7.0
+        assert build_retailer_app().operator("U1").instantiate() \
+            .slate_ttl is None  # counts live forever
+        app = Application("retailer-ttl")
+        app.add_stream("S1", external=True)
+        app.add_updater("U1", CheckinCounter, subscribes=["S1"],
+                        config={"slate_ttl": 7.0})
+        assert app.operator("U1").instantiate().slate_ttl == 7.0

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.apps
 from repro.core.application import Application
 from repro.errors import WorkflowError
 from tests.conftest import CountingUpdater, EchoMapper, ForwardingUpdater
@@ -74,11 +75,12 @@ class TestIntrospection:
         with pytest.raises(WorkflowError, match="unknown operator"):
             minimal_app().operator("nope")
 
-    def test_to_networkx_structure(self):
-        graph = minimal_app().to_networkx()
-        assert graph.has_edge("stream:S1", "M1")
-        assert graph.has_edge("M1", "stream:S2")
-        assert graph.has_edge("stream:S2", "U1")
+    @pytest.mark.parametrize("build", sorted(
+        name for name in repro.apps.__all__ if name.startswith("build_")))
+    def test_has_cycle_on_every_shipped_app(self, build):
+        """Only the reputation workflow loops: U1 endorses through S3."""
+        assert getattr(repro.apps, build)().has_cycle() \
+            == (build == "build_reputation_app")
 
     def test_acyclic_app_has_no_cycle(self):
         assert not minimal_app().has_cycle()

@@ -93,8 +93,7 @@ class TestFaultScheduleBuilder:
 
     def test_from_kill_list_round_trips(self):
         kills = [(1.5, "m002"), (0.5, "m001")]
-        schedule = FaultSchedule.from_kill_list(kills, seed=3)
-        assert schedule.seed == 3
+        schedule = FaultSchedule.from_kill_list(kills)
         assert schedule.kill_list() == sorted(kills)
         assert all(e.kind == "crash" for e in schedule)
 

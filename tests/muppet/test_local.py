@@ -149,7 +149,7 @@ class TestOverflow:
         config = LocalConfig(num_threads=1, queue_capacity=5,
                              overflow=OverflowPolicy.drop())
         with LocalMuppet(count_app, config) as runtime:
-            runtime.ingest_many(make_events(500, keys=1), block=False)
+            runtime.ingest_many(make_events(500, keys=1))
             runtime.drain()
             snap = runtime.counters.snapshot()
             counted = runtime.read_slate("U1", "k0")["count"]
@@ -161,7 +161,7 @@ class TestOverflow:
         config = LocalConfig(num_threads=1, queue_capacity=5,
                              overflow=OverflowPolicy.throttle())
         with LocalMuppet(count_app, config) as runtime:
-            runtime.ingest_many(make_events(300, keys=1), block=True)
+            runtime.ingest_many(make_events(300, keys=1))
             runtime.drain()
             assert runtime.read_slate("U1", "k0")["count"] == 300
             assert runtime.counters.dropped_overflow == 0
@@ -181,7 +181,7 @@ class TestDivertOverflow:
         config = LocalConfig(num_threads=1, queue_capacity=4,
                              overflow=OverflowPolicy.divert("S_overflow"))
         with LocalMuppet(app, config) as runtime:
-            runtime.ingest_many(make_events(400, keys=1), block=False)
+            runtime.ingest_many(make_events(400, keys=1))
             runtime.drain()
             main = runtime.read_slate("U1", "k0")["count"]
             assert main > 0

@@ -227,7 +227,10 @@ class TestOverflowAccounting:
         assert runtime.dispatcher.stats.dispatched == dispatched
         return served
 
-    def test_source_overflow(self, kind):
+    def test_source_overflow(self, kind, monkeypatch):
+        # A throttled source gives up at once instead of waiting for the
+        # gated worker.
+        monkeypatch.setattr(local_module, "THROTTLE_TIMEOUT_S", 0.0)
         entered, release = threading.Event(), threading.Event()
         app = Application("gate")
         app.add_stream("S1", external=True)
@@ -239,8 +242,7 @@ class TestOverflowAccounting:
             try:
                 runtime.ingest(Event("S1", 0.0, "k"))
                 assert entered.wait(5.0)
-                accepted = [runtime.ingest(Event("S1", float(i), "k"),
-                                           block=False)
+                accepted = [runtime.ingest(Event("S1", float(i), "k"))
                             for i in range(1, 11)]
             finally:
                 release.set()
@@ -370,6 +372,14 @@ class WindowCount(Updater):
         self.config["fired"].set()
 
 
+def settle(runtime, timeout=5.0):
+    """Wait for the queues to empty, leaving pending timers pending
+    (``drain`` fires them)."""
+    with runtime._drained:
+        return runtime._drained.wait_for(lambda: not runtime._inflight,
+                                         timeout)
+
+
 class _CountingCondition(threading.Condition):
     notified = 0
 
@@ -393,11 +403,11 @@ class TestTimers:
         with self.layout.build(self.build(fired)) as runtime:
             runtime.ingest(Event("S1", 0.0, "k"))
             runtime.ingest(Event("S1", 0.5, "k"))
-            assert runtime.drain(flush_timers=False)
+            assert settle(runtime)
             assert not fired.is_set()
             runtime.ingest(Event("S1", 2.0, "other"))  # passes at_ts=1.0
             assert fired.wait(5.0)
-            assert runtime.drain(flush_timers=False)
+            assert settle(runtime)
             assert runtime.read_slate("U1", "k")["closed_at"] == 2
             # "other" still has its own timer pending; drain() fires it.
             assert runtime.drain()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.errors import ConfigurationError
+from repro.muppet import replay as replay_module
 from repro.muppet.replay import ReplayJournal
 from repro.sim import SimConfig, SimRuntime, constant_rate
 from repro.slates.manager import FlushPolicy
@@ -26,8 +27,9 @@ class TestJournal:
         assert journal.take_for("m1", now=5.5) == ["new"]
         assert journal.stats.pruned == 1
 
-    def test_max_entries_bounds_memory(self):
-        journal = ReplayJournal(horizon_s=100.0, max_entries=5)
+    def test_max_entries_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(replay_module, "MAX_ENTRIES", 5)
+        journal = ReplayJournal(horizon_s=100.0)
         for i in range(10):
             journal.record("m1", f"e{i}", now=float(i) * 0.01)
         assert len(journal) == 5
@@ -43,8 +45,6 @@ class TestJournal:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ReplayJournal(horizon_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ReplayJournal(max_entries=0)
 
 
 class TestReplayInSim:
@@ -191,8 +191,9 @@ class TestEpochPrunedJournal:
     def test_prune_before_on_empty_is_zero(self):
         assert ReplayJournal.epoch_pruned().prune_before(10.0) == 0
 
-    def test_max_entries_still_bounds_memory(self):
-        journal = ReplayJournal.epoch_pruned(max_entries=3)
+    def test_max_entries_still_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(replay_module, "MAX_ENTRIES", 3)
+        journal = ReplayJournal.epoch_pruned()
         for i in range(5):
             journal.record("m1", i, now=float(i))
         assert len(journal) == 3

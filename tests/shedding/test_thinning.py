@@ -109,8 +109,8 @@ class TestThinner:
         assert abs(kept_solo - kept_mixed) <= 1
 
     def test_bernoulli_mode_draws_per_event(self):
-        thinner = Thinner(ThinningPolicy.uniform(0.5, mode="bernoulli"),
-                          seed=7)
+        thinner = Thinner(ThinningPolicy(keep_rates={DEFAULT_CLASS: 0.5},
+                                         mode="bernoulli"), seed=7)
         kept = sum(1 for _ in range(1000) if thinner.decide("k")[0])
         # A fair-ish coin: loose bounds, deterministic under the seed.
         assert 400 < kept < 600

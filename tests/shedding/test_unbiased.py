@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core import Application, ReferenceExecutor
-from repro.shedding.thinning import (ThinnableCounter, Thinner,
-                                     ThinningPolicy)
+from repro.shedding.thinning import (DEFAULT_CLASS, ThinnableCounter,
+                                     Thinner, ThinningPolicy)
 from tests.conftest import make_events
 
 KEEP_RATE = 0.2
@@ -36,7 +36,8 @@ def exact_counts() -> Dict[str, float]:
 
 def ipw_estimate(seed: int, mode: str) -> Dict[str, float]:
     """One seeded thinning pass: the IPW-reconstructed counter."""
-    thinner = Thinner(ThinningPolicy.uniform(KEEP_RATE, mode=mode),
+    thinner = Thinner(ThinningPolicy(keep_rates={DEFAULT_CLASS: KEEP_RATE},
+                                     mode=mode),
                       seed=seed)
     estimate = {f"k{i}": 0.0 for i in range(KEYS)}
     for event in EVENTS:

@@ -14,7 +14,7 @@ These drive the acceptance criteria of the recovery subsystem:
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.faults import FaultSchedule
+from repro.faults import FaultEvent, FaultSchedule
 from repro.kvstore.api import ConsistencyLevel
 from repro.sim import SimConfig, SimRuntime, constant_rate
 from repro.slates.manager import FlushPolicy
@@ -130,8 +130,9 @@ class TestDeterminism:
         def one_run():
             schedule = (FaultSchedule(seed=9)
                         .drop(0.5, until=1.5, probability=0.02)
-                        .delay(1.0, until=2.0, extra_s=0.002,
-                               jitter_s=0.003, machine="m002")
+                        .add(FaultEvent("delay", 1.0, until=2.0,
+                                        machine="m002", extra_delay_s=0.002,
+                                        jitter_s=0.003))
                         .partition(1.8, ["m003"], until=2.2))
             _, report = run_chaos(schedule)
             return report.counter_report()

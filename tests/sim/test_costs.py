@@ -19,13 +19,10 @@ class TestCostModel:
         with pytest.raises(ConfigurationError):
             CostModel(map_service_s=-1.0)
 
-    def test_update_time_includes_slate_bytes(self):
-        costs = CostModel(update_service_s=100e-6,
-                          slate_byte_cost_s=1e-9)
-        small = costs.update_time(1.0, slate_bytes=100)
-        big = costs.update_time(1.0, slate_bytes=1_000_000)
-        assert big > small
-        assert big == pytest.approx(100e-6 + 1e-3)
+    def test_update_time_scales_with_cost_factor(self):
+        costs = CostModel(update_service_s=100e-6)
+        assert costs.update_time() == pytest.approx(100e-6)
+        assert costs.update_time(3.0) == pytest.approx(300e-6)
 
 
 class TestErrorHierarchy:

@@ -46,7 +46,7 @@ class TestIdentityWithExactGoldens:
                                            spacing=0.00002)))])
         assert type(runtime) is SimRuntime
         report = runtime.run(6.0)
-        assert row_of(runtime, report) == GOLDEN["muppet2_dense"]
+        assert row_of(runtime, report, ("U1",)) == GOLDEN["muppet2_dense"]
 
     def test_quiescent_gaps_are_inlined_not_approximated(self):
         # 50 ms spacing dwarfs per-event service time: every started
@@ -82,7 +82,7 @@ class TestThreeRunDeterminism:
     def test_reports_identical_across_runs(self):
         def one():
             runtime, report, _ = SCENARIOS["muppet2_dense"]()
-            return (row_of(runtime, report),
+            return (row_of(runtime, report, ("U1",)),
                     runtime.sim.inlined_steps)
 
         first, second, third = one(), one(), one()

@@ -173,6 +173,34 @@ class TestDeterminism:
         del moved
 
 
+class TestReportIsASnapshot:
+    """A report describes the run up to its ``run`` call; running the
+    same runtime on leaves it as it was."""
+
+    def test_a_later_run_leaves_an_earlier_report_alone(self):
+        runtime = SimRuntime(
+            build_count_app(), ClusterSpec.uniform(2, cores=2), SimConfig(),
+            [constant_rate("S1", 1000.0, 2.0, key_fn=lambda i: f"k{i % 8}")])
+        first = runtime.run(1.0)
+        before = (first.counters.snapshot(), first.dataplane.as_dict(),
+                  first.shedding.as_dict(), first.counter_report())
+        assert f"counters.processed={first.counters.processed}" \
+            in before[3]
+        second = runtime.run(3.0)
+        assert second.counters.processed > before[0]["processed"]
+        assert (first.counters.snapshot(), first.dataplane.as_dict(),
+                first.shedding.as_dict(), first.counter_report()) == before
+
+    def test_latency_histograms_count_every_sample(self):
+        runtime = SimRuntime(
+            build_count_app(), ClusterSpec.uniform(2, cores=2), SimConfig(),
+            [constant_rate("S1", 1000.0, 2.0, key_fn=lambda i: f"k{i % 8}")])
+        runtime.run(1.0)
+        report = runtime.run(3.0)
+        assert report.metrics["latency"]["U1.count"] \
+            == len(runtime.latency["U1"]) > 0
+
+
 class TestTimersInSim:
     def test_windowed_app_fires_timers(self):
         from repro.core import Updater

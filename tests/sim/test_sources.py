@@ -17,10 +17,10 @@ class TestConstantRate:
         assert events[1].ts - events[0].ts == pytest.approx(0.1)
 
     def test_keys_and_values(self):
-        source = constant_rate("S1", 5, 1.0, key_fn=lambda i: f"k{i}",
-                               value_fn=lambda i: i * 10)
+        source = constant_rate("S1", 5, 1.0, key_fn=lambda i: f"k{i}")
         events = list(source.events)
-        assert events[3].key == "k3" and events[3].value == 30
+        assert events[3].key == "k3" and events[3].value is None
+        assert events[0].ts == 0.0
 
     def test_invalid_rate(self):
         with pytest.raises(ConfigurationError):

@@ -22,11 +22,15 @@ nothing, and nobody reads prose the way a test does. So, syntactically
   ``src/repro`` names a member of it: a class attribute or method, a
   dataclass field, or a ``self.attr`` its own or a base class's code
   assigns (a deleted field or method leaves its name behind too);
+* every ``python`` block parses, and passes a config class of
+  ``test_config_surface.CONFIG_CLASSES`` only keywords that are its
+  fields (a deleted knob leaves its name behind in a snippet);
 * EXPERIMENTS.md links every registered campaign's table;
 * CHANGES.md stays wrapped at 100 columns (it was 113 kB in 18 lines).
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -38,6 +42,7 @@ import pytest
 
 from repro.campaign.specs import SPECS
 from repro.cli import _build_parser
+from tests.test_config_surface import BY_NAME
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
@@ -45,6 +50,7 @@ DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 BASES = (ROOT, ROOT / "src", ROOT / "src" / "repro")
 
 LINK = re.compile(r"\]\(([^)\s]+)\)")
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```$", re.MULTILINE | re.DOTALL)
 FENCE = re.compile(r"^```.*?$(.*?)^```$", re.MULTILINE | re.DOTALL)
 _DIRS = r"(?:[\w.\-]+/)+"
 FILE_PATH = re.compile(
@@ -144,6 +150,36 @@ def repro_commands(doc: str) -> Iterator[Tuple[str, List[str]]]:
                 yield line.strip(), shlex.split(args, comments=True)
 
 
+def python_blocks() -> List[Tuple[str, str]]:
+    """``(doc#n, code)`` of every ``python`` block of the docs."""
+    return [(f"{doc}#{n}", code) for doc in DOCS
+            for n, code in enumerate(PYTHON_BLOCK.findall(doc_text(doc)), 1)]
+
+
+def unknown_config_keywords(code: str) -> List[str]:
+    """``Class(keyword=...)`` of every keyword a block passes a config
+    class that is not one of its fields."""
+    bad = []
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.Call):
+            name = (node.func.id if isinstance(node.func, ast.Name)
+                    else getattr(node.func, "attr", ""))
+            cls = BY_NAME.get(name)
+            if cls is None:
+                continue
+            fields = {item.name for item in dataclasses.fields(cls)}
+            bad += [f"{name}({keyword.arg}=...)" for keyword in node.keywords
+                    if keyword.arg is not None and keyword.arg not in fields]
+    return bad
+
+
+@pytest.mark.parametrize("where, code", python_blocks(),
+                         ids=[where for where, _ in python_blocks()])
+def test_python_blocks_pass_config_classes_their_fields(where, code):
+    bad = unknown_config_keywords(code)
+    assert not bad, f"{where} passes knobs that do not exist: {bad}"
+
+
 @pytest.mark.parametrize("doc", DOCS)
 def test_relative_links_resolve(doc):
     dead = [target for target in links(doc) if not (ROOT / target).exists()]
@@ -220,3 +256,9 @@ def test_the_scan_sees_what_it_should():
     assert has_member("repro.sim.report", "SimReport", "dataplane")
     assert not has_member("repro.muppet.local1", "Local1Config",
                           "poll_interval_s")
+    assert len(python_blocks()) >= 10
+    assert sorted(unknown_config_keywords(
+        "SimConfig(queue_capacity=8, autoscale=AutoscalerConfig(\n"
+        "    max_machines=4, cooldown_s=1.0))\n"
+        "LocalConfig(num_threads=2, poll_s=0.1)")) == [
+            "AutoscalerConfig(cooldown_s=...)", "LocalConfig(poll_s=...)"]
