@@ -54,11 +54,10 @@ class TopicMapper(Mapper):
     """M1: classify each tweet into topics; emit one event per topic.
 
     Our "classifier" reads the generator's explicit topic annotations
-    when present and otherwise scans the text for known topic words —
-    standing in for the paper's production classifier.
+    (a tweet without them has no topic) — standing in for the paper's
+    production classifier.
 
     Config keys:
-        topics: Vocabulary for text scanning (list of strings).
         output_sid: Defaults to ``"S2"``.
     """
 
@@ -81,11 +80,8 @@ class TopicMapper(Mapper):
         if not isinstance(value, dict):
             return []
         annotated = value.get("topics")
-        if isinstance(annotated, list) and annotated:
-            return [str(t) for t in annotated]
-        text = str(value.get("text", "")).lower()
-        vocabulary = self.config.get("topics", [])
-        return [t for t in vocabulary if t in text]
+        return ([str(t) for t in annotated] if isinstance(annotated, list)
+                else [])
 
 
 class MinuteCounter(Updater):

@@ -308,7 +308,12 @@ class Slate:
     def touch(self, ts: Timestamp) -> None:
         """Record a write at time ``ts`` (runtime use)."""
         self.last_update_ts = ts
-        self.dirty = True
+        # inlines: repro.core.slate:Slate.dirty
+        self._version += 1
+        if not self._dirty:
+            self._dirty = True
+            if self._dirty_listener is not None:
+                self._dirty_listener(self, True)
 
     def mark_clean(self) -> None:
         """Clear the dirty flag after a successful flush (runtime use)."""

@@ -27,7 +27,7 @@ from repro.cluster.hashring import MEMO_MAX_ENTRIES, HashRing
 from repro.errors import ConfigurationError, QuorumError, StoreError
 from repro.kvstore.cells import Cell, newest_by
 from repro.kvstore.api import ConsistencyLevel, ReadResult, WriteResult
-from repro.kvstore.commitlog import charged_size
+from repro.kvstore.commitlog import charged_size, encode_record
 from repro.kvstore.device import StorageDevice, profile_for
 from repro.kvstore.node import StorageNode
 from repro.kvstore.sstable import key_hashes
@@ -237,10 +237,13 @@ class ReplicatedKVStore:
                    consistency: ConsistencyLevel) -> WriteResult:
         """The one write path: a live replica applies the stamped cells in
         one call, a down one gets the same cells as its hints; each cell is
-        priced (:func:`charged_size`) once for every replica's log. Too few
-        acks for ``consistency`` raise (what was applied or hinted stays)."""
+        priced (:func:`charged_size`) and, for the first durable replica,
+        encoded (:func:`encode_record`) once for every replica's log. Too
+        few acks for ``consistency`` raise (what was applied or hinted
+        stays)."""
         required = consistency.required_acks(self.replication_factor)
         sizes = [charged_size(cell) for cell in cells]
+        records: Optional[List[bytes]] = None
         acks = 0
         worst_cost = 0.0
         for name in replicas:
@@ -249,8 +252,10 @@ class ReplicatedKVStore:
                 for cell in cells:
                     self._store_hint(name, cell)
                 continue
+            if records is None and node._data_dir is not None:
+                records = list(map(encode_record, cells))
             try:
-                cost = node.apply(cells, _sizes=sizes)
+                cost = node.apply(cells, _sizes=sizes, _records=records)
             except StoreError:
                 continue
             acks += 1

@@ -14,7 +14,7 @@ writes it absorbed so benches (E8/E9) can quantify exactly that saving.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.kvstore.cells import Cell, CellKey
 
@@ -74,14 +74,16 @@ class Memtable:
         """Approximate memory footprint of the buffered cells."""
         return self._bytes
 
-    def cells_sorted(self) -> List[Cell]:
-        """All cells in ``(row, column)`` order, ready to flush."""
-        return [self._cells[k] for k in sorted(self._cells)]
-
-    def records_sorted(self) -> List[bytes]:
-        """The records handed to :meth:`put`, in :meth:`cells_sorted`
-        order."""
-        return [self._records[k] for k in sorted(self._records)]
+    def sorted_for_flush(self) -> Tuple[List[Cell], Optional[List[bytes]]]:
+        """All cells in ``(row, column)`` order, ready to flush, and a
+        durable node's records in the same order (``None`` when
+        :meth:`put` was handed none). The keys are sorted once for
+        both."""
+        keys = sorted(self._cells)
+        cells = self._cells
+        records = self._records
+        return ([cells[key] for key in keys],
+                [records[key] for key in keys] if records else None)
 
     def rows(self) -> Iterator[str]:
         """Distinct row keys currently buffered."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import StoreError
 from repro.kvstore.cells import Cell, newest_by
@@ -137,15 +137,17 @@ class StorageNode:
         return self.apply([Cell(row, column, None, self.clock())])
 
     def apply(self, cells: List[Cell],
-              _sizes: Optional[List[int]] = None) -> float:
+              _sizes: Optional[List[int]] = None,
+              _records: Optional[List[bytes]] = None) -> float:
         """Write cells as stamped — the node's one write path, for its own
         ``put`` / ``put_many`` / ``delete`` and for the coordinator's
         replicas, hints and read repairs alike.
 
         The cells share one commit-log append chain, one log flush, one
         sequential-write charge for the combined bytes and one memtable
-        flush-threshold check (``_sizes``: the coordinator's charged sizes,
-        priced once for every replica). Returns the foreground I/O time.
+        flush-threshold check. The coordinator prices (``_sizes``) and
+        encodes (``_records``) each cell once for every replica.
+        Returns the foreground I/O time.
         """
         self._check_up()
         for cell in cells:
@@ -154,10 +156,12 @@ class StorageNode:
                 raise StoreError(
                     f"ttl must be a number of seconds or None, got {ttl!r}"
                 )
-        # A durable node encodes each record once: the log writes it and
-        # the memtable keeps it for the flush.
-        records = (list(map(encode_record, cells))
-                   if self._data_dir is not None else repeat(None))
+        # A durable node encodes each record once (unless the coordinator
+        # did): the log writes it and the memtable keeps it for the flush.
+        if self._data_dir is None:
+            records: Iterable[Optional[bytes]] = repeat(None)
+        else:
+            records = _records or list(map(encode_record, cells))
         total_bytes = 0
         for cell, size, record in zip(cells, _sizes or repeat(None),
                                       records):
@@ -261,10 +265,9 @@ class StorageNode:
         if len(self._memtable) == 0:
             return 0.0
         generation, path = self._next_run()
-        memtable = self._memtable
-        table = SSTable(memtable.cells_sorted(), generation=generation,
-                        path=path, records=(memtable.records_sorted()
-                                            if path is not None else None))
+        cells, records = self._memtable.sorted_for_flush()
+        table = SSTable(cells, generation=generation, path=path,
+                        records=records if path is not None else None)
         self._sstables.append(table)
         cost = self.device.charge_sequential_write(table.size_bytes)
         self.pending_background_s += cost

@@ -28,7 +28,6 @@ from repro.obs.latency import (
     LatencyRecorder,
     LatencySummary,
     ThroughputReport,
-    format_ms,
     format_table,
     percentile,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "ThroughputReport",
     "TimelineRecorder",
     "Tracer",
-    "format_ms",
     "format_table",
     "percentile",
     "read_jsonl",

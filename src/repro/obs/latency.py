@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 
 def percentile(samples: Sequence[float], fraction: float) -> float:
@@ -125,19 +125,6 @@ def worst_recent_p99(recorders: Mapping[str, LatencyRecorder],
         if samples:
             worst = max(worst, percentile(samples[-window:], 0.99))
     return worst
-
-
-def format_ms(seconds: Optional[float]) -> str:
-    """Format a seconds value as milliseconds to two decimals, or
-    ``"n/a"`` for None.
-
-    Benchmarks report optional quantities (e.g. failure detection time,
-    which is ``None`` when no send ever touched the dead machine);
-    formatting them unconditionally used to raise ``TypeError``.
-    """
-    if seconds is None:
-        return "n/a"
-    return f"{seconds * 1e3:.2f}"
 
 
 @dataclass(slots=True)

@@ -243,6 +243,8 @@ class SimRuntime:
         #: per-message hot path stays untouched for fault-free runs.
         self._injector = injector if injector.has_rules() else None
         self.sim = Simulator()
+        #: Sources and background ticks are scheduled by the first run.
+        self._armed = False
         self.counters = EventCounter()
         self.master = Master()
         self.latency: Dict[str, LatencyRecorder] = {}
@@ -417,17 +419,20 @@ class SimRuntime:
                 "heap_steps": self.sim.steps - inlined}
 
     def _run_events(self, duration_s: float) -> None:
-        """Schedule sources, faults and background ticks; run the loop."""
-        for source in self.sources:
-            self._start_source(source)
-        self._faults.schedule_points()
-        self._schedule_flusher()
-        if self.config.heartbeat_s is not None:
-            self.sim.every(self.config.heartbeat_s, self._faults.sweep)
-        if self._eo is not None:
-            self._eo.schedule()
-        self._overload.schedule_monitor()
-        self._elastic.schedule()
+        """Schedule sources, faults and background ticks at the first
+        run (a later run resumes them); run the loop."""
+        if not self._armed:
+            self._armed = True
+            for source in self.sources:
+                self._start_source(source)
+            self._faults.schedule_points()
+            self._schedule_flusher()
+            if self.config.heartbeat_s is not None:
+                self.sim.every(self.config.heartbeat_s, self._faults.sweep)
+            if self._eo is not None:
+                self._eo.schedule()
+            self._overload.schedule_monitor()
+            self._elastic.schedule()
         self.sim.run_until(duration_s)
         self._overload.finish(self.sim.now())
 

@@ -29,6 +29,8 @@ from repro.slates.codec import DEFAULT_CODEC, split_watermarks
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.obs import Tracer
 
+_tuple_new = tuple.__new__  # a SlateKey without its __new__ frame
+
 
 @dataclass(frozen=True)
 class FlushPolicy:
@@ -175,39 +177,46 @@ class SlateManager:
         self.pending_io_s = 0.0
 
     # -- fetch ------------------------------------------------------------------
-    def get(self, updater: Updater, key: str) -> Slate:
+    def get(self, updater: Updater, key: str) -> Slate:  # hot-path
         """Fetch the slate for (updater, key): cache → store → initialize.
 
-        TTL expiry is honored at every layer: an expired cached slate is
-        re-initialized; the store returns nothing for expired cells.
+        A resident slate without a TTL is served here, inline: the same
+        LRU move and hit count as :meth:`SlateCache.get`, without its
+        frame (as both engines serve their hits). TTL expiry is honored
+        at every layer: an expired cached slate is re-initialized; the
+        store returns nothing for expired cells.
         """
         now = self.clock()
-        slate_key = SlateKey(updater.get_name(), key)
-        slate = self.cache.get(slate_key)
-        if slate is not None and slate.expired(now):
-            self.cache.remove(slate_key)
-            self.stats.ttl_resets += 1
-            slate = None
+        slate_key = _tuple_new(SlateKey, (updater.name, key))
+        cache = self.cache
+        # inlines: repro.slates.cache:SlateCache.get
+        slate = cache._slates.get(slate_key)
         if slate is not None:
-            return slate
-
+            cache._slates.move_to_end(slate_key)
+            cache.stats.hits += 1
+            if slate.ttl is None or not slate.expired(now):
+                return slate
+            cache.remove(slate_key)
+            self.stats.ttl_resets += 1
+        else:
+            cache.stats.misses += 1
         slate = self._fetch_from_store(updater, slate_key, now)
         if slate is None:
             slate = Slate(slate_key, updater.init_slate(key),
                           ttl=updater.slate_ttl, created_ts=now)
             self.stats.initialized += 1
-        self.cache.put(slate)
+        cache.put(slate)
         return slate
 
     def _fetch_from_store(self, updater: Updater, slate_key: SlateKey,
                           now: float) -> Optional[Slate]:
-        if self.store is None:
+        store = self.store
+        if store is None:
             return None
-        row, column = slate_key.row_column()
+        column, row = slate_key  # the store's address is (key, updater)
         self.stats.kv_reads += 1
         try:
-            result = self._kv_call(
-                lambda: self.store.read(row, column, self.consistency))
+            result = self._kv_call(store.read, row, column, self.consistency)
         except StoreError:
             # Fail-open degradation: treat the unreachable store as a
             # miss; the slate re-initializes and later flushes heal it.
@@ -217,8 +226,7 @@ class SlateManager:
         self.pending_io_s += result.cost_s
         if self.tracer is not None:
             self.tracer.emit(self.clock(), "slate_read",
-                             updater=slate_key.updater, key=slate_key.key,
-                             row=row, column=column,
+                             updater=column, key=row, row=row, column=column,
                              hit=result.value is not None,
                              **self._span_tags)
         if result.value is None:
@@ -240,8 +248,9 @@ class SlateManager:
             self.stats.rehydrated += 1
         return slate
 
-    def _kv_call(self, op):
-        """Run one kv operation under the retry/backoff constants.
+    def _kv_call(self, op, *args, **kwargs):
+        """Run ``op(*args, **kwargs)``, one kv operation, under the
+        retry/backoff constants.
 
         Backoff is virtual: each retry charges its delay to
         ``pending_io_s`` (the engine's background I/O accounting) and to
@@ -252,7 +261,7 @@ class SlateManager:
         attempt = 1
         while True:
             try:
-                return op()
+                return op(*args, **kwargs)
             except StoreError:
                 if attempt >= KV_MAX_ATTEMPTS:
                     raise
@@ -269,7 +278,8 @@ class SlateManager:
         Under write-through this immediately persists; otherwise the slate
         stays dirty for the periodic/evict flush.
         """
-        slate.check_size(self.max_slate_bytes)
+        if self.max_slate_bytes is not None:
+            slate.check_size(self.max_slate_bytes)
         if self.flush_policy.kind == "write_through":
             self._flush_slate(slate)
 
@@ -281,7 +291,15 @@ class SlateManager:
         dirty index makes each call O(dirty slates), so an idle tick with
         nothing dirty costs two comparisons, not a resident-set scan.
         """
-        return self.flush_all_dirty() if self.take_due() else 0
+        policy = self.flush_policy
+        if policy.kind != "interval":
+            return 0
+        # inlines: repro.slates.manager:SlateManager.take_due
+        now = self.clock()
+        if now - self._last_interval_flush < policy.interval_s:
+            return 0
+        self._last_interval_flush = now
+        return self.flush_all_dirty()
 
     def start_interval(self) -> None:
         """Start the interval clock now, so the first interval flush
@@ -376,11 +394,11 @@ class SlateManager:
                 return snapshots
         written = []
         for snap in snapshots:
-            row, column = snap.slate.slate_key.row_column()
+            column, row = snap.slate.slate_key
             try:
-                result = self._kv_call(lambda: self.store.write(
-                    row, column, snap.blob, ttl=snap.slate.ttl,
-                    consistency=self.consistency))
+                result = self._kv_call(self.store.write, row, column,
+                                       snap.blob, ttl=snap.slate.ttl,
+                                       consistency=self.consistency)
             except StoreError:
                 self.stats.fail_open_writes += 1
                 continue

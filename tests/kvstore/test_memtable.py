@@ -45,8 +45,9 @@ class TestMemtable:
         table.put(Cell("b", "z", b"1", 1.0))
         table.put(Cell("a", "y", b"2", 1.0))
         table.put(Cell("a", "x", b"3", 1.0))
-        keys = [c.key for c in table.cells_sorted()]
-        assert keys == [("a", "x"), ("a", "y"), ("b", "z")]
+        cells, records = table.sorted_for_flush()
+        assert [c.key for c in cells] == [("a", "x"), ("a", "y"), ("b", "z")]
+        assert records is None
 
     def test_rows_are_distinct(self):
         table = Memtable()

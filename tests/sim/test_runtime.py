@@ -200,6 +200,29 @@ class TestReportIsASnapshot:
         assert report.metrics["latency"]["U1.count"] \
             == len(runtime.latency["U1"]) > 0
 
+    def test_a_split_run_equals_one_run(self):
+        """A later run resumes the sources and background ticks the
+        first one scheduled; it does not schedule them again."""
+        from repro.apps.counting import count_app
+        from repro.slates.manager import FlushPolicy
+
+        def runtime():
+            return SimRuntime(
+                count_app("c", hops=1), ClusterSpec.uniform(2, cores=2),
+                SimConfig(delivery_semantics="effectively-once",
+                          batch_max_events=16, batch_linger_s=0.002,
+                          flush_policy=FlushPolicy.every(0.2)),
+                [constant_rate("S1", 1000.0, 2.0,
+                               key_fn=lambda i: f"k{i % 50}")])
+
+        split, whole = runtime(), runtime()
+        split.run(1.0)
+        resumed, once = split.run(3.0), whole.run(3.0)
+        assert split.sim.steps == whole.sim.steps
+        assert resumed.counter_report() == once.counter_report()
+        assert "checkpoint_epochs=3" in once.counter_report()
+        assert split.slates_of("U1") == whole.slates_of("U1")
+
 
 class TestTimersInSim:
     def test_windowed_app_fires_timers(self):

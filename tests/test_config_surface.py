@@ -242,6 +242,17 @@ class Signature:
                            zip(args.kwonlyargs, args.kw_defaults)
                            if default is not None]
         self.named = set(self.positional) | {a.arg for a in args.kwonlyargs}
+        #: Index of the parameter a runner calls with its own ``*args``
+        #: (``_kv_call(op, *args, **kwargs)``), or None.
+        self.runs: Optional[int] = None
+        if args.vararg is not None:
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call)
+                        and getattr(call.func, "id", "") in self.positional
+                        and any(isinstance(arg, ast.Starred)
+                                and getattr(arg.value, "id", "")
+                                == args.vararg.arg for arg in call.args)):
+                    self.runs = self.positional.index(call.func.id)
         #: parameter -> (config class, field) it is passed straight to.
         self.forwards: Dict[str, Set[Tuple[type, str]]] = defaultdict(set)
         for call in ast.walk(node):
@@ -553,6 +564,16 @@ def passed_params(tree: ast.AST) -> Set[Tuple[str, str]]:
         for sig in callees(call, enclosing):
             passed, _ = call_arguments(call, sig.positional, spreads)
             found.update((sig.qualname, name) for name in passed)
+            if sig.runs is not None and len(call.args) > sig.runs:
+                # A runner's call passes the rest to the function it got.
+                run = ast.Call(func=call.args[sig.runs],
+                               args=call.args[sig.runs + 1:],
+                               keywords=[kw for kw in call.keywords
+                                         if kw.arg not in sig.named])
+                for target in callees(run, enclosing):
+                    passed, _ = call_arguments(run, target.positional,
+                                               spreads)
+                    found.update((target.qualname, name) for name in passed)
     return found
 
 
@@ -574,6 +595,16 @@ def unset_params() -> List[str]:
     return sorted(param_key(sig, param) for sig in all_signatures()
                   for param in sig.defaulted
                   if (sig.qualname, param) not in passed)
+
+
+def test_the_scan_follows_a_runner_to_the_function_it_runs(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("self._kv_call(self.store.write, 'r', 'c', b'v',\n"
+                      "              ttl=None, consistency=level)\n")
+    passed = passed_params(parse(sample))
+    assert {("ReplicatedKVStore.write", name) for name in
+            ("row", "column", "value", "ttl", "consistency")} <= passed
+    assert ("SlateManager._kv_call", "op") in passed
 
 
 def test_every_defaulted_parameter_has_a_caller_outside_tests_or_a_reason():

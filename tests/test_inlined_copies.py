@@ -2,9 +2,9 @@
 
 The per-event paths avoid call frames by copying small methods into
 their callers: a slate-cache hit, a queue offer, a stamp, a size sum.
-Each copy in ``sim/``, ``muppet/``, ``core/`` and ``kvstore/`` carries a
-``# inlines: module:Qual.name`` line naming the code it copies. This
-table-driven test
+Each copy in ``sim/``, ``muppet/``, ``core/``, ``kvstore/`` and ``slates/``
+carries a ``# inlines: module:Qual.name`` line naming the code it
+copies. This table-driven test
 
 * resolves every marker by import plus ``getattr``;
 * fails on any ``# hot-path`` function that writes a private slot of
@@ -18,6 +18,7 @@ A failing check is named after the marker whose copy drifted.
 
 import ast
 import importlib
+import itertools
 import random
 import re
 from pathlib import Path
@@ -46,10 +47,10 @@ from repro.sim.runtime import _Envelope
 from repro.sim.sources import Source
 from repro.slates.cache import SlateCache
 from repro.slates.codec import DEFAULT_CODEC
-from repro.slates.manager import FlushPolicy
+from repro.slates.manager import FlushPolicy, SlateManager
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-SCANNED = ("sim", "muppet", "core", "kvstore")
+SCANNED = ("sim", "muppet", "core", "kvstore", "slates")
 MARKER = re.compile(r"^\s*# inlines: (\S+)\s*$")
 HOT = "# hot-path"
 #: Names a ``# hot-path`` function's owner goes by: ``self``, and ``rt``,
@@ -351,24 +352,58 @@ def check_context_init():
                           for name in Context.__slots__}
 
 
-def _expected_cache_stats(keys: List[str]):
-    cache = SlateCache(1_000)
+def _expected_cache(keys: List[str], capacity: int = 1_000) -> SlateCache:
+    cache = SlateCache(capacity)
     for key in keys:
         slate_key = SlateKey("U1", key)
         if cache.get(slate_key) is None:
             cache.put(Slate(slate_key))
-    return cache.stats.hits, cache.stats.misses
+    return cache
 
 
 def check_cache_get():
     runtime, _, _, updates, _ = sim_run(machines=1)
     engine, _, _, local_updates = local_run()
+    keys = [event.key for event in updates]
     for managers, log in ((sim_managers(runtime), updates),
                           ([engine.manager], local_updates)):
         (manager,) = managers
+        expected = _expected_cache([event.key for event in log]).stats
         stats = manager.cache.stats
-        assert (stats.hits, stats.misses) == _expected_cache_stats(
-            [event.key for event in log])
+        assert (stats.hits, stats.misses) == (expected.hits, expected.misses)
+    # The manager's own copy, with a cache small enough to evict.
+    manager = SlateManager(None, cache_capacity=10)
+    updater = RecordingCount(name="U1", config={"log": []})
+    for key in keys:
+        manager.get(updater, key)
+    expected = _expected_cache(keys, capacity=10)
+    assert manager.cache.stats.as_dict() == expected.stats.as_dict()
+    assert manager.cache.resident() == expected.resident()
+    assert expected.stats.evictions > 0
+
+
+def check_take_due():
+    """``flush_due`` flushes exactly when ``take_due`` says a flush is
+    due, reading the clock as often."""
+    def run(inlined: bool):
+        readings = itertools.count(1)
+        manager = SlateManager(None, flush_policy=FlushPolicy.every(0.004),
+                               clock=lambda: next(readings) * 0.001)
+        updater = RecordingCount(name="U1", config={"log": []})
+        flushed = []
+        for i in range(40):
+            slate = manager.get(updater, f"k{i % 3}")
+            slate["count"] += 1
+            if inlined:
+                flushed.append(manager.flush_due())
+            else:
+                flushed.append(manager.flush_all_dirty()
+                               if manager.take_due() else 0)
+        return flushed, next(readings), manager._last_interval_flush
+
+    inlined = run(True)
+    assert inlined == run(False)
+    assert 0 < inlined[0].count(0) < len(inlined[0])
 
 
 def _twin_versions(log: List[Event]):
@@ -450,6 +485,14 @@ def check_dirty_setter():
         original._watermarks = {"S1": step}
         original.dirty = True
         same()
+        if step % 3 == 0:
+            copy.mark_clean()
+            original.mark_clean()
+        copy.touch(float(step))
+        original.last_update_ts = float(step)
+        original.dirty = True
+        same()
+        assert copy.last_update_ts == original.last_update_ts
         if step % 2:
             copy.mark_clean()
             original.mark_clean()
@@ -518,6 +561,7 @@ CHECKS: Dict[str, Callable[[], None]] = {
     "repro.core.slate:Slate.estimated_bytes": check_estimated_bytes,
     "repro.slates.cache:SlateCache.get": check_cache_get,
     "repro.slates.manager:SlateManager.note_update": check_note_update,
+    "repro.slates.manager:SlateManager.take_due": check_take_due,
     "repro.sim.des:Simulator.schedule_cancellable":
         check_schedule_cancellable,
     "repro.cluster.topology:NetworkSpec.transfer_time": check_transfer_time,
@@ -587,7 +631,7 @@ def test_hot_path_private_writes_are_marked():
 
 
 def test_the_scan_sees_what_it_should():
-    assert len(markers()["repro.slates.cache:SlateCache.get"]) == 2
+    assert len(markers()["repro.slates.cache:SlateCache.get"]) == 3
     (function,) = ast.parse(
         "def f(self, cache, slate):  # hot-path\n"
         "    self._x = 1\n"

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.faults import RobustnessCounters
 from repro.obs import (PAPER_LATENCY_BOUND_S, PAPER_TWEETS_PER_SECOND,
-                       LatencyRecorder, ThroughputReport, format_ms,
-                       format_table, percentile)
+                       LatencyRecorder, ThroughputReport, format_table,
+                       percentile)
 
 
 class TestPercentile:
@@ -88,20 +88,6 @@ class TestThroughput:
         """Sanity-pin the §5 production numbers used across benches."""
         assert PAPER_TWEETS_PER_SECOND == pytest.approx(1157.4, abs=0.1)
         assert PAPER_LATENCY_BOUND_S == 2.0
-
-
-class TestFormatMs:
-    def test_none_renders_na(self):
-        """Regression: benches used to multiply a None detection time and
-        TypeError when no send ever touched the dead machine."""
-        assert format_ms(None) == "n/a"
-
-    def test_seconds_to_milliseconds(self):
-        assert format_ms(0.00123) == "1.23"
-        assert format_ms(1.5) == "1500.00"
-
-    def test_digits(self):
-        assert format_ms(0.0123456) == "12.35"
 
 
 class TestRobustnessCounters:
