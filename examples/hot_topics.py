@@ -34,8 +34,7 @@ def main() -> None:
     day2 = list(TweetGenerator(rate_per_s=rate, seed=62, bursts=[burst])
                 .events(duration_s=window_minutes * 60.0, start_ts=DAY))
 
-    app = build_hot_topics_app(window_s=60.0, threshold=3.0,
-                               with_sink=False)
+    app = build_hot_topics_app(window_s=60.0, threshold=3.0)
     result = ReferenceExecutor(app, max_events=2_000_000).run(day1 + day2)
 
     counts = result.events_on("S3")

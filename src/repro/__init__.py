@@ -29,7 +29,7 @@ Quickstart::
     result = ReferenceExecutor(app).run(
         [Event("S1", ts=float(i), key="k", value="hi") for i in range(3)]
     )
-    assert result.slate("U1", "k")["count"] == 3
+    assert result.slates_of("U1")["k"]["count"] == 3
 
 Package map (see DESIGN.md for the full inventory):
 
@@ -49,7 +49,7 @@ Package map (see DESIGN.md for the full inventory):
 
 from repro.core import (Application, Context, Event, EventCounter, Mapper,
                         Operator, ReferenceExecutor, ReferenceResult, Slate,
-                        SlateKey, StreamSpec, Updater, merge_by_timestamp)
+                        SlateKey, StreamSpec, Updater)
 from repro.errors import (ConfigurationError, ReproError, SlateError,
                           SlateTooLargeError, StoreError, TimestampError,
                           WorkflowError)
@@ -76,6 +76,5 @@ __all__ = [
     "TimestampError",
     "Updater",
     "WorkflowError",
-    "merge_by_timestamp",
     "__version__",
 ]

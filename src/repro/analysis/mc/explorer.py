@@ -79,22 +79,6 @@ class ExplorationStats:
         self.violations += other.violations
         self.exhausted = self.exhausted and other.exhausted
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "schedules_run": self.schedules_run,
-            "schedules_complete": self.schedules_complete,
-            "pruned_sleep": self.pruned_sleep,
-            "pruned_fingerprint": self.pruned_fingerprint,
-            "pruned_depth": self.pruned_depth,
-            "decision_points": self.decision_points,
-            "transitions": self.transitions,
-            "distinct_fingerprints": self.distinct_fingerprints,
-            "fingerprint_hits": self.fingerprint_hits,
-            "max_depth": self.max_depth,
-            "violations": self.violations,
-            "exhausted": self.exhausted,
-        }
-
 
 @dataclass
 class Counterexample:

@@ -260,9 +260,6 @@ class TrackedLock:
         self._monitor.on_release(self)
         self._lock.release()
 
-    def locked(self) -> bool:
-        return self._lock.locked()
-
     def __enter__(self) -> "TrackedLock":
         self.acquire()
         return self

@@ -21,7 +21,7 @@ Per the paper:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.application import Application
 from repro.core.event import Event
@@ -42,12 +42,6 @@ def minute_of_day(ts: float) -> int:
 def topic_minute_key(topic: str, ts: float) -> str:
     """The paper's ``v_m`` key: topic and minute concatenated."""
     return f"{topic}{KEY_SEPARATOR}{minute_of_day(ts)}"
-
-
-def split_key(key: str) -> Tuple[str, int]:
-    """Inverse of :func:`topic_minute_key`."""
-    topic, _, minute = key.rpartition(KEY_SEPARATOR)
-    return topic, int(minute)
 
 
 class TopicMapper(Mapper):
@@ -148,41 +142,16 @@ class HotTopicDetector(Updater):
         slate["days"] += 1
 
 
-class HotTopicSink(Updater):
-    """Optional S4 collector: one slate listing every hot (topic, minute).
-
-    Not part of the paper's workflow (its output *is* stream S4); tests
-    and examples use this sink to observe S4 without engine plumbing.
-    """
-
-    def init_slate(self, key: str) -> Dict[str, Any]:
-        return {"alerts": []}
-
-    def update(self, ctx: Context, event: Event, slate: Slate) -> None:
-        alert = event.value
-        if isinstance(alert, str):
-            try:
-                alert = json.loads(alert)
-            except ValueError:
-                pass
-        alerts = slate["alerts"]
-        alerts.append(alert)
-        slate["alerts"] = alerts
-
-
 def build_hot_topics_app(
     window_s: float = SECONDS_PER_MINUTE,
     threshold: float = 3.0,
-    with_sink: bool = True,
 ) -> Application:
-    """Assemble the Figure 1(c) workflow (optionally plus a test sink).
+    """Assemble the Figure 1(c) workflow; its output is stream S4.
 
     Args:
         window_s: U1's counting window (60 s in the paper; tests shrink
             it).
         threshold: U2's hotness ratio.
-        with_sink: Add the ``SINK`` updater collecting S4 alerts under
-            the single key ``"alerts"``.
     """
     app = Application("hot-topics")
     app.add_stream("S1", external=True, description="Twitter stream")
@@ -194,18 +163,6 @@ def build_hot_topics_app(
                     publishes=["S3"], config={"window_s": window_s})
     app.add_updater("U2", HotTopicDetector, subscribes=["S3"],
                     publishes=["S4"], config={"threshold": threshold})
-    if with_sink:
-        app.add_stream("S5", description="(unused; sink observes S4)")
-        app.add_mapper("MALERT", _AlertRekeyMapper, subscribes=["S4"],
-                       publishes=["S5"])
-        app.add_updater("SINK", HotTopicSink, subscribes=["S5"])
     app.mark_output("S4")
     return app.validate()
 
-
-class _AlertRekeyMapper(Mapper):
-    """Rekeys S4 alerts onto the single key ``"alerts"`` for the sink."""
-
-    def map(self, ctx: Context, event: Event) -> None:
-        ctx.publish("S5", key="alerts",
-                    value=json.dumps([event.key, event.value]))

@@ -152,12 +152,6 @@ def estimate_unique_visitors(slate_fields: Dict[str, Any]) -> float:
     return estimate
 
 
-def peak_hour(slate_fields: Dict[str, Any]) -> int:
-    """The venue's busiest hour of day (0-23)."""
-    histogram = slate_fields.get("hour_histogram") or [0]
-    return max(range(len(histogram)), key=lambda h: histogram[h])
-
-
 def build_profiles_app(user_ttl: Optional[float] = None) -> Application:
     """Assemble the dual-profile workflow over one checkin stream.
 

@@ -16,7 +16,7 @@ restarts from zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.cluster.hashring import stable_hash64
@@ -126,7 +126,3 @@ class StormLikeTopology:
                 self._route(Event(sid, _ts + 1e-6, key, value))
 
             fn(event, instance.state, emit)
-
-    def total_state_entries(self, bolt_id: str) -> int:
-        """Entries across all instances of one bolt (survivor count)."""
-        return sum(len(inst.state) for inst in self._bolts[bolt_id][1])

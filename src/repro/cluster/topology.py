@@ -89,17 +89,6 @@ class ClusterSpec:
         ]
         return cls(machines, network or NetworkSpec())
 
-    def machine(self, name: str) -> MachineSpec:
-        """Look up a machine by name."""
-        for spec in self.machines:
-            if spec.name == name:
-                return spec
-        raise ConfigurationError(f"unknown machine {name!r}")
-
     def names(self) -> List[str]:
         """All machine names, in declaration order."""
         return [m.name for m in self.machines]
-
-    def total_cores(self) -> int:
-        """Sum of cores across the cluster."""
-        return sum(m.cores for m in self.machines)

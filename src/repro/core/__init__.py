@@ -8,14 +8,13 @@ that defines the model's exact semantics.
 from repro.core.application import Application, OperatorSpec
 from repro.core.binary import (BinaryMapper, BinaryUpdater,
                                PerformerUtilities, slate_bytes)
-from repro.core.configfile import (application_from_config,
-                                   application_to_config, load_application)
+from repro.core.configfile import application_from_config, load_application
 from repro.core.event import Event, EventCounter, Key, Timestamp
 from repro.core.operators import (MIN_TS_INCREMENT, Context, Mapper,
                                   Operator, TimerRequest, Updater)
 from repro.core.reference import ReferenceExecutor, ReferenceResult
 from repro.core.slate import TTL_FOREVER, Slate, SlateKey
-from repro.core.stream import StreamRegistry, StreamSpec, merge_by_timestamp
+from repro.core.stream import StreamRegistry, StreamSpec
 from repro.core.windows import TumblingWindow
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "BinaryUpdater",
     "PerformerUtilities",
     "application_from_config",
-    "application_to_config",
     "load_application",
     "slate_bytes",
     "Context",
@@ -46,5 +44,4 @@ __all__ = [
     "Timestamp",
     "TumblingWindow",
     "Updater",
-    "merge_by_timestamp",
 ]

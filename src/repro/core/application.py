@@ -197,10 +197,6 @@ class Application:
         except KeyError:
             raise WorkflowError(f"unknown operator {name!r}") from None
 
-    def mappers(self) -> List[OperatorSpec]:
-        """All map-function specs, sorted by name."""
-        return [s for s in self.operators() if s.kind == "map"]
-
     def updaters(self) -> List[OperatorSpec]:
         """All update-function specs, sorted by name."""
         return [s for s in self.operators() if s.kind == "update"]

@@ -128,38 +128,3 @@ def load_application(path: Union[str, Path]) -> Application:
     if not isinstance(config, dict):
         raise ConfigurationError(f"{path} must contain a JSON object")
     return application_from_config(config)
-
-
-def application_to_config(app: Application) -> Dict[str, Any]:
-    """Export an application back to its config-dict form.
-
-    Only class-factory operators round-trip (pre-built instances have no
-    import path); raises :class:`ConfigurationError` otherwise.
-    """
-    operators = []
-    for spec in app.operators():
-        factory = spec.factory
-        if not isinstance(factory, type):
-            raise ConfigurationError(
-                f"operator {spec.name!r} was built from an instance and "
-                "cannot be exported to a config file"
-            )
-        operators.append({
-            "name": spec.name,
-            "kind": spec.kind,
-            "class": f"{factory.__module__}.{factory.__qualname__}",
-            "subscribes": list(spec.subscribes),
-            "publishes": list(spec.publishes),
-            "config": dict(spec.config),
-        })
-    return {
-        "name": app.name,
-        "streams": [
-            {"sid": sid,
-             "external": app.streams.spec(sid).external,
-             "overflow": app.streams.spec(sid).overflow}
-            for sid in app.streams.sids()
-        ],
-        "operators": operators,
-        "outputs": list(app.output_sids),
-    }

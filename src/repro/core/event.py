@@ -10,9 +10,10 @@ An event is the 4-tuple ``(sid, ts, key, value)``:
 The paper requires that events be fed to operators "in the increasing order
 of their timestamps, using a deterministic tie-breaking procedure". We make
 that procedure explicit: ties are broken first by stream ID, then by a
-per-stream sequence number stamped at publication time. :func:`order_key`
-returns the total-order sort key used everywhere (reference executor, local
-runtime, and simulator) so all engines agree on what "timestamp order" means.
+per-stream sequence number stamped at publication time.
+:meth:`Event.order_key` returns the total-order sort key used everywhere
+(reference executor, local runtime, and simulator) so all engines agree on
+what "timestamp order" means.
 """
 
 from __future__ import annotations
@@ -141,11 +142,6 @@ class Event(NamedTuple):
         else:
             payload = len(repr(self.value))
         return 16 + len(self.sid) + len(self.key) + payload
-
-
-def order_key(event: Event) -> Tuple[Timestamp, str, int]:
-    """Module-level alias of :meth:`Event.order_key` for use as a sort key."""
-    return event.order_key()
 
 
 #: Sequence-id stride between consecutive parent events on a derived

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.core.application import Application, OperatorSpec
 from repro.core.event import Event, EventCounter, Key, Timestamp
@@ -49,10 +49,6 @@ class ReferenceResult:
     slates: Dict[SlateKey, Slate]
     counters: EventCounter
     slate_update_log: List[Tuple[SlateKey, Dict[str, Any]]]
-
-    def slate(self, updater: str, key: Key) -> Optional[Slate]:
-        """The final slate for (updater, key), or None if never created."""
-        return self.slates.get(SlateKey(updater, key))
 
     def slates_of(self, updater: str) -> Dict[Key, Slate]:
         """All final slates belonging to one update function."""

@@ -25,7 +25,6 @@ Two hot-path amortizations live here:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import isfinite
 from typing import (Any, Callable, Dict, Iterator, NamedTuple, Optional,
                     Tuple)
@@ -266,11 +265,6 @@ class Slate:
                 self._dirty = True
                 if self._dirty_listener is not None:
                     self._dirty_listener(self, True)
-
-    @property
-    def watermarks(self) -> Optional[Dict[str, int]]:
-        """The per-upstream watermark map, or None if never tracked."""
-        return self._watermarks
 
     def set_watermarks(self, watermarks: Optional[Dict[str, int]]) -> None:
         """Install watermarks decoded from a stored blob (manager use).

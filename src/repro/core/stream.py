@@ -141,18 +141,3 @@ class StreamRegistry:
         origin, oseq = event.provenance()
         return self.stamp(
             event.with_stream(overflow_sid)).with_provenance(origin, oseq)
-
-
-def merge_by_timestamp(*event_lists: Iterable[Event]) -> List[Event]:
-    """Merge several event sequences into global timestamp order.
-
-    This is the order in which a function subscribed to all of the given
-    streams sees events (Section 3's two-stream example with the 21:23 /
-    21:25 timestamps). Input order within each list is irrelevant; the
-    result is sorted by :meth:`Event.order_key`.
-    """
-    merged: List[Event] = []
-    for events in event_lists:
-        merged.extend(events)
-    merged.sort(key=lambda e: e.order_key())
-    return merged

@@ -73,14 +73,6 @@ class TumblingWindow:
         ctx.set_timer(ts + self.length_s)
         return True
 
-    def is_open(self, slate: Any) -> bool:
-        """Whether a window is currently open on this slate."""
-        return bool(slate.get(self._open_field))
-
-    def start_ts(self, slate: Any) -> float:
-        """Opening timestamp of the current window (-1 when closed)."""
-        return float(slate.get(self._start_field, -1.0))
-
     def close(self, slate: Any) -> None:
         """Close the window (call from ``on_timer`` after emitting)."""
         slate[self._open_field] = False

@@ -279,11 +279,6 @@ class FaultSchedule:
         order (the coordinator consumes each at most once)."""
         return [e for e in self._events if e.kind in MIGRATION_KINDS]
 
-    def kill_list(self) -> List[Tuple[float, str]]:
-        """The crash events in legacy kill-list form (compat shim)."""
-        return [(e.at, e.machine) for e in self.events()
-                if e.kind == "crash"]
-
     def __len__(self) -> int:
         return len(self._events)
 

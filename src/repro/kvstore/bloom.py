@@ -90,13 +90,3 @@ class BloomFilter:
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def size_bits(self) -> int:
-        """The bit-array size (diagnostics)."""
-        return self._num_bits
-
-    @property
-    def num_hashes(self) -> int:
-        """Hash functions applied per item (diagnostics)."""
-        return self._num_hashes

@@ -227,12 +227,6 @@ class ReplicatedKVStore:
                 name for replica_set in groups for name in replica_set)),
             cost_s=sum((result.cost_s for result in results), 0.0))
 
-    def delete(self, row: str, column: str,
-               consistency: ConsistencyLevel = ConsistencyLevel.ONE) -> int:
-        """Replicated tombstone write; returns acknowledgement count."""
-        return self._replicate([Cell(row, column, None, self.clock())],
-                               self.replicas_for(row), consistency).acks
-
     def _replicate(self, cells: List[Cell], replicas: Sequence[str],
                    consistency: ConsistencyLevel) -> WriteResult:
         """The one write path: a live replica applies the stamped cells in
@@ -328,11 +322,6 @@ class ReplicatedKVStore:
                           worst_cost)
 
     # -- maintenance / introspection ----------------------------------------------
-    def flush_all(self) -> float:
-        """Flush every node's memtable; returns total background cost."""
-        return sum(node.flush() for _, node in sorted(self.nodes.items())
-                   if not node.is_down)
-
     def column_cells(self, column: str) -> Dict[str, "Cell"]:
         """Newest live cell per row for one column across live nodes.
 
@@ -352,10 +341,6 @@ class ReplicatedKVStore:
         """Release every node's file handles (durable stores)."""
         for node in self.nodes.values():
             node.close()
-
-    def total_cells(self) -> int:
-        """Cells across all nodes (replicas counted separately)."""
-        return sum(node.total_cells() for node in self.nodes.values())
 
     def stored_bytes(self) -> int:
         """Bytes across all nodes (replicas counted separately)."""

@@ -30,7 +30,6 @@ class DeviceProfile:
         name: Profile label (``"ssd"``/``"hdd"``/custom).
         random_read_latency_s: Fixed cost per random read op (seek +
             rotation for HDD; flash lookup for SSD).
-        random_write_latency_s: Fixed cost per random write op.
         sequential_bandwidth_bytes_per_s: Streaming throughput used for
             flushes, compaction reads/writes, and commit-log appends.
         max_iops: Random-operation ceiling (informational; derived
@@ -39,18 +38,12 @@ class DeviceProfile:
 
     name: str
     random_read_latency_s: float
-    random_write_latency_s: float
     sequential_bandwidth_bytes_per_s: float
     max_iops: float
 
     def random_read_time(self, size_bytes: int) -> float:
         """Seconds for one random read of ``size_bytes``."""
         return (self.random_read_latency_s
-                + size_bytes / self.sequential_bandwidth_bytes_per_s)
-
-    def random_write_time(self, size_bytes: int) -> float:
-        """Seconds for one random write of ``size_bytes``."""
-        return (self.random_write_latency_s
                 + size_bytes / self.sequential_bandwidth_bytes_per_s)
 
     def sequential_time(self, size_bytes: int) -> float:
@@ -62,7 +55,6 @@ class DeviceProfile:
 SSD_PROFILE = DeviceProfile(
     name="ssd",
     random_read_latency_s=100e-6,
-    random_write_latency_s=120e-6,
     sequential_bandwidth_bytes_per_s=250e6,
     max_iops=10_000,
 )
@@ -71,7 +63,6 @@ SSD_PROFILE = DeviceProfile(
 HDD_PROFILE = DeviceProfile(
     name="hdd",
     random_read_latency_s=8e-3,
-    random_write_latency_s=9e-3,
     sequential_bandwidth_bytes_per_s=100e6,
     max_iops=120,
 )
@@ -132,13 +123,6 @@ class StorageDevice:
         """Account one random read; returns its duration in seconds."""
         cost = self.profile.random_read_time(size_bytes)
         self.stats.random_reads += 1
-        self.stats.busy_time_s += cost
-        return cost
-
-    def charge_random_write(self, size_bytes: int) -> float:
-        """Account one random write; returns its duration in seconds."""
-        cost = self.profile.random_write_time(size_bytes)
-        self.stats.random_writes += 1
         self.stats.busy_time_s += cost
         return cost
 

@@ -14,7 +14,7 @@ writes it absorbed so benches (E8/E9) can quantify exactly that saving.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.kvstore.cells import Cell, CellKey
 
@@ -84,14 +84,6 @@ class Memtable:
         records = self._records
         return ([cells[key] for key in keys],
                 [records[key] for key in keys] if records else None)
-
-    def rows(self) -> Iterator[str]:
-        """Distinct row keys currently buffered."""
-        seen = set()
-        for row, _ in self._cells:
-            if row not in seen:
-                seen.add(row)
-                yield row
 
     def clear(self) -> None:
         """Empty the memtable after a flush (counters persist)."""

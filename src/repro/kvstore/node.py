@@ -132,16 +132,12 @@ class StorageNode:
         return self.apply([Cell(row, column, value, now, ttl)
                            for row, column, value, ttl in cells])
 
-    def delete(self, row: str, column: str) -> float:
-        """Write a tombstone; returns the foreground I/O time."""
-        return self.apply([Cell(row, column, None, self.clock())])
-
     def apply(self, cells: List[Cell],
               _sizes: Optional[List[int]] = None,
               _records: Optional[List[bytes]] = None) -> float:
         """Write cells as stamped — the node's one write path, for its own
-        ``put`` / ``put_many`` / ``delete`` and for the coordinator's
-        replicas, hints and read repairs alike.
+        ``put`` / ``put_many`` and for the coordinator's replicas, hints
+        and read repairs alike. A cell with no value is a tombstone.
 
         The cells share one commit-log append chain, one log flush, one
         sequential-write charge for the combined bytes and one memtable
@@ -228,22 +224,6 @@ class StorageNode:
         if cell is None or not cell.live(now):
             return None, cost
         return cell.value, cost
-
-    def scan_row(self, row: str) -> Tuple[Dict[str, bytes], float]:
-        """All live columns of a row (the bulk-read path of Section 5)."""
-        self._check_up()
-        now = self.clock()
-        cells: List[Cell] = []
-        cost = 0.0
-        for table in self._sstables:
-            for cell in table.scan_row(row):
-                cost += self.device.charge_random_read(cell.size_bytes())
-                cells.append(cell)
-        cells.extend(cell for cell in list(self._memtable._cells.values())
-                     if cell.row == row)
-        newest = newest_by(cells, "column")
-        return {column: cell.value for column, cell in newest.items()
-                if cell.live(now)}, cost
 
     def column_cells(self, column: str) -> Dict[str, Cell]:
         """Newest live cell per row for one column (offline inspection).
@@ -410,16 +390,6 @@ class StorageNode:
             raise StoreError(f"storage node {self.name!r} is down")
 
     # -- introspection -----------------------------------------------------------
-    @property
-    def sstable_count(self) -> int:
-        """Current number of on-disk runs."""
-        return len(self._sstables)
-
-    @property
-    def memtable_bytes(self) -> int:
-        """Current memtable footprint."""
-        return self._memtable.size_bytes
-
     @property
     def absorbed_overwrites(self) -> int:
         """Disk writes avoided by in-memory overwrites (Section 4.2)."""

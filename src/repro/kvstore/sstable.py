@@ -213,10 +213,6 @@ class SSTable:
         read = self._reader()
         return [self._decode(read(at), at) for at in range(len(self))]
 
-    def scan_row(self, row: str) -> List[Cell]:
-        """All cells of one row (bulk-read path, Section 5)."""
-        return [self._body(at) for at in range(*self._row_span(row))]
-
     def __len__(self) -> int:
         return len(self._index.rows)
 
@@ -224,11 +220,6 @@ class SSTable:
     def size_bytes(self) -> int:
         """Approximate on-disk size of the run."""
         return self._size
-
-    @property
-    def path(self) -> Optional[Path]:
-        """The backing file, if persisted."""
-        return self._path
 
     def _row_span(self, row: str) -> Tuple[int, int]:
         """The positions ``[first, end)`` of ``row``'s cells."""

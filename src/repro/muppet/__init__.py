@@ -22,9 +22,9 @@ from repro.muppet.conductor import (Conductor, IPCAccountant,
 from repro.muppet.local import LocalConfig, LocalMuppet
 from repro.muppet.local1 import Local1Config, LocalMuppet1
 from repro.muppet.master import Master, MasterStats
-from repro.muppet.placement import (FlowRecord, PlacementCost,
-                                    TrafficMatrix, evaluate_placement,
-                                    greedy_placement, hash_placement)
+from repro.muppet.placement import (PlacementCost, TrafficMatrix,
+                                    evaluate_placement, greedy_placement,
+                                    hash_placement)
 from repro.muppet.queues import (BoundedQueue, OverflowPolicy, QueueStats,
                                  SourceThrottle)
 from repro.muppet.replay import ReplayJournal, ReplayStats
@@ -34,7 +34,6 @@ from repro.muppet.sideeffects import (PerWorkerLogger, SharedLogger,
 __all__ = [
     "BoundedQueue",
     "DispatchStats",
-    "FlowRecord",
     "Conductor",
     "IPCAccountant",
     "Local1Config",

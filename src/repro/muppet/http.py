@@ -107,11 +107,6 @@ class SlateHTTPServer:
         """The bound TCP port (useful with ephemeral port 0)."""
         return self._server.server_address[1]
 
-    @property
-    def host(self) -> str:
-        """The bound host address."""
-        return self._server.server_address[0]
-
     def start(self) -> "SlateHTTPServer":
         """Serve requests on a daemon thread."""
         if self._thread is not None:

@@ -145,7 +145,3 @@ class Master:
         record["outcome"] = "aborted"
         record["reason"] = reason
         self.stats.migrations_aborted += 1
-
-    def failed_machines(self) -> Set[str]:
-        """Machines currently known dead."""
-        return set(self._failed)

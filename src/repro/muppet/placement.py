@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.hashring import HashRing, route_key
 from repro.errors import ConfigurationError
@@ -42,23 +42,11 @@ Slot = Tuple[str, str]
 Placement = Dict[Slot, str]
 
 
-@dataclass
-class FlowRecord:
-    """One observed flow: events of ``key`` for ``function`` produced on
-    ``producer_machine``, totaling ``bytes_sent``."""
-
-    producer_machine: str
-    function: str
-    key: str
-    events: int
-    bytes_sent: int
-
-
 class TrafficMatrix:
     """Aggregated event traffic, the input to placement decisions.
 
-    Populated either from :meth:`record` calls (engines can hook their
-    send path) or from a trace via :meth:`from_flows`.
+    Populated by :meth:`record` calls (engines can hook their send
+    path).
     """
 
     def __init__(self) -> None:
@@ -73,16 +61,6 @@ class TrafficMatrix:
         slot = (function, key)
         self._flows[slot][producer_machine] += size_bytes
         self._events[slot] += 1
-
-    @classmethod
-    def from_flows(cls, flows: Iterable[FlowRecord]) -> "TrafficMatrix":
-        """Build a matrix from pre-aggregated flow records."""
-        matrix = cls()
-        for flow in flows:
-            slot = (flow.function, flow.key)
-            matrix._flows[slot][flow.producer_machine] += flow.bytes_sent
-            matrix._events[slot] += flow.events
-        return matrix
 
     def slots(self) -> List[Slot]:
         """All observed (function, key) slots, sorted for determinism."""

@@ -192,7 +192,8 @@ class SourceThrottle:
         return min(1.0, paused / now)
 
     def finish(self, now: float) -> None:
-        """Close any open pause interval at end of run (accounting)."""
+        """Count any open pause interval up to ``now`` (end of a run) and
+        reopen it there, so a resumed run counts the rest of the pause."""
         if self.paused and self._paused_since is not None:
             self.paused_time_s += now - self._paused_since
-            self._paused_since = None
+            self._paused_since = now

@@ -40,7 +40,6 @@ from repro.obs.trace import (
     Tracer,
     read_jsonl,
     reconstruct_chain,
-    spans_for,
 )
 
 __all__ = [
@@ -62,5 +61,4 @@ __all__ = [
     "percentile",
     "read_jsonl",
     "reconstruct_chain",
-    "spans_for",
 ]

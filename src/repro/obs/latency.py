@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 
 def percentile(samples: Sequence[float], fraction: float) -> float:
@@ -52,17 +52,6 @@ class LatencySummary:
     p95: float
     p99: float
     maximum: float
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict form for printing in benchmark tables."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.maximum,
-        }
 
 
 class LatencyRecorder:
@@ -140,11 +129,6 @@ class ThroughputReport:
         if self.seconds <= 0:
             return 0.0
         return self.events / self.seconds
-
-    @property
-    def events_per_day(self) -> float:
-        """Rate scaled to the paper's per-day reporting unit (§5)."""
-        return self.events_per_second * 86_400.0
 
 
 #: The paper's §5 production workload, in events/second, for benchmark

@@ -69,13 +69,6 @@ class TimelineRecorder:
         point.update(histogram.summary())
         self.updater_series.setdefault(updater, []).append(point)
 
-    def histogram(self, updater: str) -> Histogram:
-        """The running latency histogram for one updater (creates it)."""
-        histogram = self._histograms.get(updater)
-        if histogram is None:
-            histogram = self._histograms[updater] = Histogram(f"timeline.{updater}")
-        return histogram
-
     def as_dict(self) -> Dict[str, Any]:
         """The full timeline: ``{"machines": {...}, "updaters": {...}}``."""
         return {

@@ -132,13 +132,9 @@ class RingTracer(Tracer):
         return len(self._ring)
 
 
-#: How many recent spans :meth:`JsonlTracer.spans` retains for
-#: in-process inspection alongside the file.
-JSONL_RING_CAPACITY = 4_096
-
-
 class JsonlTracer(Tracer):
-    """File sink writing one JSON object per line (and keeping a ring).
+    """File sink writing one JSON object per line (read it back with
+    :func:`read_jsonl`; it keeps no spans in memory).
 
     Args:
         path_or_file: Output path, or an open text file (tests pass
@@ -153,7 +149,6 @@ class JsonlTracer(Tracer):
         else:
             self._file = path_or_file
         self._owns_file = self._file is None
-        self._ring: Deque[Span] = deque(maxlen=JSONL_RING_CAPACITY)
         self.written = 0
 
     def _store(self, span: Span) -> None:
@@ -163,10 +158,6 @@ class JsonlTracer(Tracer):
         self._file.write(json.dumps(span, sort_keys=True, default=repr))
         self._file.write("\n")
         self.written += 1
-        self._ring.append(span)
-
-    def spans(self) -> List[Span]:
-        return list(self._ring)
 
     def close(self) -> None:
         if self._file is not None:
@@ -187,27 +178,16 @@ def read_jsonl(path: str) -> List[Span]:
     return spans
 
 
-def spans_for(spans: Iterable[Span], origin: str, oseq: int) -> List[Span]:
-    """All spans carrying exactly the provenance ``(origin, oseq)``."""
-    return [
-        span
-        for span in spans
-        if span.get("origin") == origin and span.get("oseq") == oseq
-    ]
-
-
 def reconstruct_chain(spans: Iterable[Span], origin: str, oseq: int) -> List[Span]:
     """Rebuild one event's full path from a trace.
 
     The chain starts with every span that carries the event's own
     ``(origin, oseq)`` provenance — source injection, dispatches,
     enqueues, executions, dedup decisions — *plus* the spans of events
-    derived from it downstream. Downstream identities are found two
-    ways: by following the explicit parent→child edges that ``publish``
-    spans record (works in every delivery mode), and by the
-    effectively-once origin chaining (``"S1" -> "S1>M1"``, see
-    :func:`repro.core.event.derive_origin`) for traces that predate
-    publish spans. It is then extended through the state layers by
+    derived from it downstream, found by following the parent→child
+    edges that ``publish`` spans record (the simulator, the one engine
+    that traces, emits one per published event in every delivery
+    mode). It is then extended through the state layers by
     joining on the slate address: the first ``slate_flush`` of a slate
     this event's update touched that happens at-or-after the update, and
     the first ``kv_write`` of that slate's ``(row, column)`` cell
@@ -233,15 +213,7 @@ def reconstruct_chain(spans: Iterable[Span], origin: str, oseq: int) -> List[Spa
     chain: List[Span] = []
     for span in ordered:
         span_origin = span.get("origin")
-        if span_origin is None:
-            continue
-        if (span_origin, span.get("oseq")) in reached:
-            chain.append(span)
-        elif (
-            isinstance(span_origin, str)
-            and span_origin.startswith(f"{origin}>")
-            and _derived_from(span.get("oseq"), span_origin, origin, oseq)
-        ):
+        if span_origin is not None and (span_origin, span.get("oseq")) in reached:
             chain.append(span)
     # Join through the state layers: updates name the slate cell they
     # touched; flushes and kv writes name the same cell.
@@ -265,24 +237,6 @@ def reconstruct_chain(spans: Iterable[Span], origin: str, oseq: int) -> List[Spa
     indexed = {id(span): i for i, span in enumerate(ordered)}
     chain.sort(key=lambda span: (span["ts"], indexed.get(id(span), 0)))
     return chain
-
-
-def _derived_from(
-    derived_oseq: Optional[int], derived_origin: str, origin: str, oseq: int
-) -> bool:
-    """Is ``(derived_origin, derived_oseq)`` derived from ``(origin,
-    oseq)``? Derivation multiplies the parent sequence by
-    ``ORIGIN_SEQ_STRIDE`` once per operator hop and adds the output
-    ordinal (see :func:`repro.core.event.derive_origin`)."""
-    from repro.core.event import ORIGIN_SEQ_STRIDE
-
-    if derived_oseq is None:
-        return False
-    hops = derived_origin[len(origin) :].count(">")
-    ancestor = derived_oseq
-    for _ in range(hops):
-        ancestor //= ORIGIN_SEQ_STRIDE
-    return ancestor == oseq
 
 
 def _first_at_or_after(

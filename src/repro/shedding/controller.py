@@ -159,11 +159,6 @@ class BackpressureController:
         state = self._machines.get(machine)
         return state.tier if state is not None else TIER_NORMAL
 
-    def smoothed(self, machine: str) -> float:
-        """The machine's EWMA-smoothed queue fraction (diagnostics)."""
-        state = self._machines.get(machine)
-        return state.ewma.value if state is not None else 0.0
-
     def observe(self, machine: str, signals: PressureSignals,
                 now: float) -> int:
         """Fold one observation; returns the machine's (new) tier."""

@@ -41,18 +41,6 @@ class CounterErrorReport:
     worst_key: str = ""
     per_key: Dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, Any]:
-        """Summary dict (no per-key detail) for report/bench tables."""
-        return {
-            "updater": self.updater,
-            "field": self.fld,
-            "compared": self.compared,
-            "missing_keys": self.missing_keys,
-            "max_rel_error": self.max_rel_error,
-            "mean_rel_error": self.mean_rel_error,
-            "worst_key": self.worst_key,
-        }
-
 
 def _numeric(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):

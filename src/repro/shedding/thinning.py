@@ -89,11 +89,6 @@ class ThinningPolicy:
                 f"mode must be 'stratified' or 'bernoulli', "
                 f"got {self.mode!r}")
 
-    @classmethod
-    def uniform(cls, keep_rate: float) -> "ThinningPolicy":
-        """One keep rate for every key."""
-        return cls(keep_rates={DEFAULT_CLASS: keep_rate})
-
     def keep_rate(self, key: Key) -> float:
         """The keep probability for one key (1.0 for unknown classes)."""
         if self.classifier is None:

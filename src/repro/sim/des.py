@@ -182,10 +182,6 @@ class Simulator:
         self._drain(t_end)
         self.clock.advance_to(max(self.clock.now(), t_end))
 
-    def run(self) -> None:
-        """Process events until the schedule is empty."""
-        self._drain(float("inf"))
-
     def _drain(self, t_end: float) -> None:  # hot-path
         """The event loop: pop, advance, run — with a tail-call trampoline.
 
@@ -300,7 +296,3 @@ class Simulator:
             if tail is not None:
                 heapq.heappush(heap, (tail[0], 0, next(self._seq),
                                       tail[1], None, tail[2]))
-
-    def pending(self) -> int:
-        """Number of scheduled events not yet executed."""
-        return len(self._heap)

@@ -34,12 +34,6 @@ class CacheStats(CounterFields):
     evictions: int = 0
     dirty_evictions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0 when untouched)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class SlateCache:
     """An LRU cache of :class:`Slate` objects with eviction callbacks.

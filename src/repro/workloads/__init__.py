@@ -2,8 +2,7 @@
 
 from repro.workloads.checkins import (NON_RETAIL_VENUES, RETAILER_SPELLINGS,
                                       CheckinGenerator, parse_checkin)
-from repro.workloads.tweets import (TOPICS, TopicBurst, TweetGenerator,
-                                    parse_tweet)
+from repro.workloads.tweets import TOPICS, TopicBurst, TweetGenerator
 from repro.workloads.traceio import read_events, write_events
 from repro.workloads.zipf import ZipfSampler, zipf_key_fn
 
@@ -16,7 +15,6 @@ __all__ = [
     "TweetGenerator",
     "ZipfSampler",
     "parse_checkin",
-    "parse_tweet",
     "read_events",
     "write_events",
     "zipf_key_fn",

@@ -8,7 +8,8 @@ seeded synthetic tweets with the properties the applications depend on:
 * a topic vocabulary with skewed popularity and occasional *bursts*
   (drives hot-topic detection — a bursting topic's rate multiplies);
 * retweets/replies referencing other users (drives reputation);
-* embedded URLs with skewed popularity (drives top-ten URLs).
+* embedded URLs with skewed popularity (Section 2's top-ten URLs input;
+  no shipped app reads them, but their draws shape every tweet stream).
 
 Values are JSON strings, like the real Firehose; keys are user IDs.
 """
@@ -135,8 +136,3 @@ class TweetGenerator:
             user, value = self._make_tweet(ts)
             events.append(Event(self.sid, ts, user, value))
         return events
-
-
-def parse_tweet(value: str) -> Dict[str, object]:
-    """Decode a tweet JSON payload (application-side helper)."""
-    return json.loads(value)

@@ -49,17 +49,6 @@ class ZipfSampler:
         """Draw one rank."""
         return bisect.bisect_left(self._cdf, self._rng.random())
 
-    def sample_many(self, count: int) -> List[int]:
-        """Draw ``count`` ranks."""
-        return [self.sample() for _ in range(count)]
-
-    def probability(self, rank: int) -> float:
-        """The sampling probability of a rank (diagnostics)."""
-        if not 0 <= rank < self.n:
-            raise ConfigurationError(f"rank {rank} outside 0..{self.n - 1}")
-        low = self._cdf[rank - 1] if rank > 0 else 0.0
-        return self._cdf[rank] - low
-
 
 def zipf_key_fn(prefix: str, n: int, exponent: float = 1.0,
                 seed: int = 0):

@@ -3,7 +3,7 @@
 import json
 
 from repro.apps.hot_topics import (build_hot_topics_app, minute_of_day,
-                                   split_key, topic_minute_key)
+                                   topic_minute_key)
 from repro.core import Event, ReferenceExecutor
 from repro.workloads import TopicBurst, TweetGenerator
 
@@ -21,11 +21,12 @@ class TestKeying:
     def test_key_roundtrip(self):
         key = topic_minute_key("earthquake", ts=14 * 60.0)
         assert key == "earthquake|14"
-        assert split_key(key) == ("earthquake", 14)
 
     def test_topics_with_separator_still_split(self):
+        # The minute is always after the last separator.
         key = topic_minute_key("a|b", ts=0.0)
-        assert split_key(key) == ("a|b", 0)
+        assert key == "a|b|0"
+        assert key.rpartition("|") == ("a|b", "|", "0")
 
 
 def tweet(topic, ts, user="u1"):
@@ -37,7 +38,7 @@ def tweet(topic, ts, user="u1"):
 class TestPipeline:
     def test_minute_counts_published(self):
         """U1 emits (v_m, count) to S3 after its window closes."""
-        app = build_hot_topics_app(window_s=60.0, with_sink=False)
+        app = build_hot_topics_app(window_s=60.0)
         events = [tweet("sports", ts) for ts in (0.0, 10.0, 20.0)]
         events.append(tweet("sports", 120.0))  # next window, fires timer
         result = ReferenceExecutor(app).run(events)
@@ -48,8 +49,7 @@ class TestPipeline:
 
     def test_detector_uses_daily_average(self):
         """U2: hot when count / (total_count/days) > threshold."""
-        app = build_hot_topics_app(window_s=60.0, threshold=3.0,
-                                   with_sink=False)
+        app = build_hot_topics_app(window_s=60.0, threshold=3.0)
         events = []
         # Day 0 and day 1: 2 mentions of 'music' in minute 0 (baseline).
         for day in range(2):
@@ -68,8 +68,7 @@ class TestPipeline:
         assert s4[0].value == 10
 
     def test_no_alert_without_burst(self):
-        app = build_hot_topics_app(window_s=60.0, threshold=3.0,
-                                   with_sink=False)
+        app = build_hot_topics_app(window_s=60.0, threshold=3.0)
         events = []
         for day in range(4):
             base = day * 86_400.0
@@ -83,9 +82,8 @@ class TestPipeline:
         events += [tweet("news", 86_400.0 + i * 0.5) for i in range(8)]
         events.append(tweet("news", 2 * 86_400.0))
         result = ReferenceExecutor(app).run(events)
-        sink = result.slate("SINK", "alerts")
-        assert sink is not None
-        assert ["news|0", 8] in sink["alerts"]
+        alerts = [(e.key, e.value) for e in result.events_on("S4")]
+        assert ("news|0", 8) in alerts
 
 
 class TestWithGenerator:
@@ -103,8 +101,7 @@ class TestWithGenerator:
         day2 = list(TweetGenerator(rate_per_s=30, seed=14, bursts=[burst])
                     .events(duration_s=240.0, start_ts=86_400.0))
         result = ReferenceExecutor(
-            build_hot_topics_app(window_s=60.0, threshold=3.0,
-                                 with_sink=False),
+            build_hot_topics_app(window_s=60.0, threshold=3.0),
             max_events=500_000).run(day1 + day2)
         alerts = [e.key for e in result.events_on("S4")]
         assert any(key.startswith("fashion|") for key in alerts)

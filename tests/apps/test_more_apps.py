@@ -1,54 +1,11 @@
-"""Top-ten URLs and key splitting (Sections 2, 5, Ex 6)."""
-
-from collections import Counter
+"""Key splitting (Section 5, Example 6)."""
 
 import pytest
 
 from repro.apps.key_splitting import base_key, build_split_app, split_key
 from repro.apps.retailer_count import build_retailer_app
-from repro.apps.top_urls import LEADERBOARD_KEY, build_top_urls_app
 from repro.core import ReferenceExecutor
-from repro.workloads import CheckinGenerator, TweetGenerator
-from repro.workloads import tweets
-from repro.workloads.tweets import parse_tweet
-
-
-class TestTopUrls:
-    def tweets_with_urls(self, n=1500, seed=41):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tweets, "URL_PROB", 0.5)
-            return TweetGenerator(rate_per_s=200, seed=seed).take(n)
-
-    def test_leaderboard_matches_true_top(self):
-        events = self.tweets_with_urls()
-        truth = Counter()
-        for event in events:
-            for url in parse_tweet(event.value).get("urls", []):
-                truth[url] += 1
-        result = ReferenceExecutor(build_top_urls_app()).run(events)
-        board = result.slate("U2", LEADERBOARD_KEY)["top"]
-        top_urls = [url for url, _ in board]
-        true_top = [url for url, _ in truth.most_common(10)]
-        # Counts must match exactly for every listed URL.
-        assert all(truth[url] == count for url, count in board)
-        # The winner is unambiguous.
-        assert top_urls[0] == true_top[0]
-        assert len(board) == 10
-
-    def test_publish_every_reduces_leaderboard_traffic(self):
-        events = self.tweets_with_urls(800)
-        chatty = ReferenceExecutor(build_top_urls_app()).run(list(events))
-        damped_app = build_top_urls_app()
-        damped_app.operator("U1").config["publish_every"] = 5
-        damped = ReferenceExecutor(damped_app).run(list(events))
-        assert len(damped.events_on("S3")) < len(chatty.events_on("S3"))
-
-    def test_all_leaderboard_updates_hit_one_key(self):
-        """The deliberate hotspot: every S3 event has key 'top'."""
-        events = self.tweets_with_urls(300)
-        result = ReferenceExecutor(build_top_urls_app()).run(events)
-        assert all(e.key == LEADERBOARD_KEY
-                   for e in result.events_on("S3"))
+from repro.workloads import CheckinGenerator
 
 
 class TestKeySplitting:
@@ -84,7 +41,7 @@ class TestKeySplitting:
                    if k.startswith("Best Buy#")}
         assert subkeys == {f"Best Buy#{i}" for i in range(4)}
         # Round-robin: sub-counts are near-equal.
-        counts = [result.slate("U1", k)["count"] for k in sorted(subkeys)]
+        counts = [result.slates_of("U1")[k]["count"] for k in sorted(subkeys)]
         assert max(counts) - min(counts) <= 1
 
     def test_cold_keys_not_split(self):

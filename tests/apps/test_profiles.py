@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.apps.profiles import (build_profiles_app,
-                                 estimate_unique_visitors, peak_hour)
+                                 estimate_unique_visitors)
 from repro.core import Event, ReferenceExecutor
 from repro.workloads import CheckinGenerator
 from repro.workloads.checkins import parse_checkin
@@ -22,7 +22,7 @@ class TestUserProfiles:
                   checkin("alice", "Park", 20.0),
                   checkin("bob", "Cafe", 15.0)]
         result = ReferenceExecutor(build_profiles_app()).run(events)
-        alice = result.slate("U_user", "alice")
+        alice = result.slates_of("U_user").get("alice")
         assert alice["checkins"] == 2
         # Mapper-emitted events advance the timestamp by epsilon (§3's
         # output-ts rule), hence approx.
@@ -34,7 +34,7 @@ class TestUserProfiles:
         events = [checkin("u", f"venue{i}", float(i)) for i in range(30)]
         events.append(checkin("u", "venue0", 99.0))  # revisit
         result = ReferenceExecutor(build_profiles_app()).run(events)
-        interests = result.slate("U_user", "u")["interests"]
+        interests = result.slates_of("U_user")["u"]["interests"]
         assert len(interests) == 16  # bounded (keep slates small, §5)
         assert interests[-1] == "venue0"  # most recent last
 
@@ -50,7 +50,7 @@ class TestVenueProfiles:
     def test_checkin_count(self):
         events = [checkin(f"u{i}", "Cafe", float(i)) for i in range(20)]
         result = ReferenceExecutor(build_profiles_app()).run(events)
-        assert result.slate("U_venue", "Cafe")["checkins"] == 20
+        assert result.slates_of("U_venue")["Cafe"]["checkins"] == 20
 
     def test_unique_visitor_sketch_accuracy(self):
         """±35% on 1,000 distinct users — plenty for profile slates."""
@@ -60,7 +60,7 @@ class TestVenueProfiles:
         events += [checkin(f"user{i % 50}", "Stadium", 100.0 + i)
                    for i in range(500)]
         result = ReferenceExecutor(build_profiles_app()).run(events)
-        slate = result.slate("U_venue", "Stadium").as_dict()
+        slate = result.slates_of("U_venue")["Stadium"].as_dict()
         estimate = estimate_unique_visitors(slate)
         assert 650 <= estimate <= 1350
 
@@ -68,7 +68,7 @@ class TestVenueProfiles:
         events = [checkin(f"user{i}", "Mall", float(i) * 0.01)
                   for i in range(2000)]
         result = ReferenceExecutor(build_profiles_app()).run(events)
-        slate = result.slate("U_venue", "Mall")
+        slate = result.slates_of("U_venue").get("Mall")
         assert slate.estimated_bytes() < 2000  # KBs, never MBs
 
     def test_peak_hour(self):
@@ -78,7 +78,8 @@ class TestVenueProfiles:
         events += [checkin(f"v{i}", "Bar", base_day + 9 * 3600 + i)
                    for i in range(3)]                      # quiet morning
         result = ReferenceExecutor(build_profiles_app()).run(events)
-        assert peak_hour(result.slate("U_venue", "Bar").as_dict()) == 22
+        hours = result.slates_of("U_venue")["Bar"]["hour_histogram"]
+        assert max(range(24), key=lambda hour: hours[hour]) == 22
 
 
 class TestDualProfilePopulations:

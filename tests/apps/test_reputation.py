@@ -24,7 +24,7 @@ class TestScoring:
     def test_plain_tweet_boosts_author(self):
         result = ReferenceExecutor(build_reputation_app()).run(
             [tweet("alice", 0.0)])
-        slate = result.slate("U1", "alice")
+        slate = result.slates_of("U1").get("alice")
         assert slate["score"] == pytest.approx(INITIAL_SCORE
                                                + ACTIVITY_BOOST)
         assert slate["tweets"] == 1
@@ -34,8 +34,8 @@ class TestScoring:
         change, depending on the score of A'."""
         result = ReferenceExecutor(build_reputation_app()).run(
             [tweet("alice", 0.0, retweet_of="bob")])
-        alice = result.slate("U1", "alice")
-        bob = result.slate("U1", "bob")
+        alice = result.slates_of("U1").get("alice")
+        bob = result.slates_of("U1").get("bob")
         expected_alice = INITIAL_SCORE + ACTIVITY_BOOST
         assert alice["score"] == pytest.approx(expected_alice)
         assert bob["score"] == pytest.approx(
@@ -44,9 +44,9 @@ class TestScoring:
 
     def test_reply_weighs_less_than_retweet(self):
         replied = ReferenceExecutor(build_reputation_app()).run(
-            [tweet("a", 0.0, reply_to="b")]).slate("U1", "b")["score"]
+            [tweet("a", 0.0, reply_to="b")]).slates_of("U1")["b"]["score"]
         retweeted = ReferenceExecutor(build_reputation_app()).run(
-            [tweet("a", 0.0, retweet_of="b")]).slate("U1", "b")["score"]
+            [tweet("a", 0.0, retweet_of="b")]).slates_of("U1")["b"]["score"]
         assert replied < retweeted
 
     def test_high_scorer_endorsement_worth_more(self):
@@ -56,14 +56,14 @@ class TestScoring:
         events.append(tweet("star", 100.0, retweet_of="lucky"))
         events.append(tweet("nobody", 101.0, retweet_of="unlucky"))
         result = ReferenceExecutor(app).run(events)
-        lucky = result.slate("U1", "lucky")["score"]
-        unlucky = result.slate("U1", "unlucky")["score"]
+        lucky = result.slates_of("U1")["lucky"]["score"]
+        unlucky = result.slates_of("U1")["unlucky"]["score"]
         assert lucky > unlucky
 
     def test_self_retweet_ignored(self):
         result = ReferenceExecutor(build_reputation_app()).run(
             [tweet("alice", 0.0, retweet_of="alice")])
-        slate = result.slate("U1", "alice")
+        slate = result.slates_of("U1").get("alice")
         assert slate["endorsements_received"] == 0
 
 

@@ -40,14 +40,8 @@ class TestClusterSpec:
     def test_uniform_builder(self):
         cluster = ClusterSpec.uniform(5, cores=4)
         assert len(cluster.machines) == 5
-        assert cluster.total_cores() == 20
+        assert sum(m.cores for m in cluster.machines) == 20
         assert cluster.names() == [f"m{i:03d}" for i in range(5)]
-
-    def test_machine_lookup(self):
-        cluster = ClusterSpec.uniform(3)
-        assert cluster.machine("m001").name == "m001"
-        with pytest.raises(ConfigurationError):
-            cluster.machine("nope")
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -60,4 +54,4 @@ class TestClusterSpec:
     def test_heterogeneous_storage(self):
         cluster = ClusterSpec([MachineSpec("fast", storage="ssd"),
                                MachineSpec("slow", storage="hdd")])
-        assert cluster.machine("slow").storage == "hdd"
+        assert [m.storage for m in cluster.machines] == ["ssd", "hdd"]

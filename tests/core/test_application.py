@@ -68,7 +68,7 @@ class TestIntrospection:
 
     def test_mappers_updaters_partition(self):
         app = minimal_app()
-        assert [s.name for s in app.mappers()] == ["M1"]
+        assert [s.name for s in app.operators() if s.kind == "map"] == ["M1"]
         assert [s.name for s in app.updaters()] == ["U1"]
 
     def test_unknown_operator_raises(self):

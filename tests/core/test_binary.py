@@ -100,11 +100,11 @@ class TestAppendixAppEndToEnd:
         result = ReferenceExecutor(build_appendix_app()).run(events)
         # The appendix only recognizes Walmart and Sam's Club.
         for retailer in ("Walmart", "Sam's Club"):
-            slate = result.slate("U1", retailer)
+            slate = result.slates_of("U1").get(retailer)
             assert slate is not None
             assert slate_bytes(slate.as_dict()) == \
                 str(truth[retailer]).encode()
-        assert result.slate("U1", "Best Buy") is None
+        assert result.slates_of("U1").get("Best Buy") is None
 
     def test_binary_app_runs_on_thread_runtime(self):
         events, truth = CheckinGenerator(seed=112).take_with_truth(500)

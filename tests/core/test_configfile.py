@@ -1,4 +1,4 @@
-"""Application config files: loading, validation, round-tripping."""
+"""Application config files: loading and validation."""
 
 import json
 from pathlib import Path
@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.configfile import (application_from_config,
-                                   application_to_config,
                                    load_application,
                                    resolve_operator_class)
 from repro.errors import ConfigurationError
@@ -58,7 +57,7 @@ class TestApplicationFromConfig:
     def test_builds_and_validates(self):
         app = application_from_config(retailer_config())
         assert app.name == "retailer-counts"
-        assert [s.name for s in app.mappers()] == ["M1"]
+        assert [s.name for s in app.operators() if s.kind == "map"] == ["M1"]
         assert app.operator("U1").config["slate_ttl"] == 86400.0
         assert app.output_sids == ["S2"]
 
@@ -126,22 +125,3 @@ class TestLoadApplication:
         for name in ("retailer.json", "reputation.json"):
             app = load_application(repo / "examples" / "configs" / name)
             assert app.operators()
-
-
-class TestRoundTrip:
-    def test_to_config_and_back(self):
-        app = application_from_config(retailer_config())
-        exported = application_to_config(app)
-        rebuilt = application_from_config(exported)
-        assert application_to_config(rebuilt) == exported
-
-    def test_instance_factories_not_exportable(self):
-        from repro.core import Application
-        from tests.conftest import CountingUpdater
-
-        app = Application("t")
-        app.add_stream("S1", external=True)
-        app.add_updater("U1", CountingUpdater(name="U1"),
-                        subscribes=["S1"])
-        with pytest.raises(ConfigurationError, match="instance"):
-            application_to_config(app)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.event import Event, EventCounter, order_key
+from repro.core.event import Event, EventCounter
 
 
 class TestEvent:
@@ -56,14 +56,10 @@ class TestOrdering:
         second = Event("S1", 1.0, "k", seq=1)
         assert first.order_key() < second.order_key()
 
-    def test_module_level_order_key_matches(self):
-        event = Event("S1", 1.0, "k")
-        assert order_key(event) == event.order_key()
-
     def test_sorting_is_deterministic_total_order(self):
         events = [Event("S2", 1.0, "a", seq=1), Event("S1", 2.0, "b"),
                   Event("S1", 1.0, "c", seq=2), Event("S2", 1.0, "d")]
-        ordered = sorted(events, key=order_key)
+        ordered = sorted(events, key=Event.order_key)
         assert [e.key for e in ordered] == ["c", "d", "a", "b"]
 
 

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Application, Event, ReferenceExecutor
-from repro.core.event import order_key
 from repro.core.slate import Slate, SlateKey
-from repro.core.stream import StreamRegistry, StreamSpec, merge_by_timestamp
+from repro.core.stream import StreamRegistry, StreamSpec
 from tests.conftest import SummingUpdater, build_count_app
 
 keys = st.text(alphabet="abcdef", min_size=1, max_size=3)
@@ -23,23 +22,12 @@ def events_strategy(sid="S1"):
 
 class TestOrderingProperties:
     @given(events_strategy())
-    def test_merge_output_is_sorted(self, events):
-        merged = merge_by_timestamp(events)
-        assert merged == sorted(merged, key=order_key)
-
-    @given(events_strategy(), events_strategy())
-    def test_merge_preserves_multiset(self, a, b):
-        merged = merge_by_timestamp(a, b)
-        assert sorted(map(order_key, merged)) == \
-            sorted(map(order_key, a + b))
-
-    @given(events_strategy())
     def test_order_key_is_total(self, events):
         """No two stamped events of one registry compare equal."""
         registry = StreamRegistry()
         registry.declare(StreamSpec("S1", external=True))
         stamped = [registry.stamp(e) for e in events]
-        order_keys = [order_key(e) for e in stamped]
+        order_keys = [e.order_key() for e in stamped]
         assert len(set(order_keys)) == len(order_keys)
 
 

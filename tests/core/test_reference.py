@@ -13,13 +13,13 @@ class TestBasicExecution:
         result = ReferenceExecutor(build_count_app()).run(
             make_events(20, keys=4))
         for key in ("k0", "k1", "k2", "k3"):
-            assert result.slate("U1", key)["count"] == 5
+            assert result.slates_of("U1")[key]["count"] == 5
 
     def test_two_stage_pipeline(self):
         result = ReferenceExecutor(build_two_stage_app()).run(
             make_events(10, keys=2))
-        assert result.slate("U2", "k0")["count"] == 5
-        assert result.slate("U1", "k1")["count"] == 5
+        assert result.slates_of("U2")["k0"]["count"] == 5
+        assert result.slates_of("U1")["k1"]["count"] == 5
 
     def test_stream_logs_are_recorded(self):
         result = ReferenceExecutor(build_count_app()).run(make_events(3))
@@ -29,7 +29,7 @@ class TestBasicExecution:
 
     def test_missing_slate_is_none(self):
         result = ReferenceExecutor(build_count_app()).run(make_events(1))
-        assert result.slate("U1", "never-seen") is None
+        assert result.slates_of("U1").get("never-seen") is None
 
     def test_counters(self):
         result = ReferenceExecutor(build_count_app()).run(make_events(5))
@@ -104,7 +104,7 @@ class TestCycles:
         app.add_updater("U1", DecayLoop, subscribes=["S1", "LOOP"],
                         publishes=["LOOP"])
         result = ReferenceExecutor(app).run([Event("S1", 0.0, "k", 5)])
-        assert result.slate("U1", "k")["iterations"] == 6  # 5,4,3,2,1,0
+        assert result.slates_of("U1")["k"]["iterations"] == 6  # 5,4,3,2,1,0
 
     def test_runaway_loop_hits_max_events(self):
         class Forever(Updater):
@@ -146,7 +146,7 @@ class TestTimers:
         events += [Event("S1", 100.0, "k")]                            # after
         result = ReferenceExecutor(app).run(events)
         # Timer set at ts=60 fires before the ts=100 event: 5 in window.
-        assert result.slate("U1", "k")["emitted"] == 5
+        assert result.slates_of("U1")["k"]["emitted"] == 5
         assert len(result.events_on("OUT")) == 1
 
     def test_timer_receives_payload(self):
@@ -176,7 +176,7 @@ class TestTTLInReference:
         events = [Event("S1", 0.0, "k"), Event("S1", 5.0, "k"),
                   Event("S1", 100.0, "k")]  # 95 s gap > TTL
         result = ReferenceExecutor(app).run(events)
-        assert result.slate("U1", "k")["count"] == 1  # reset at t=100
+        assert result.slates_of("U1")["k"]["count"] == 1  # reset at t=100
 
 
 class TestInputValidation:

@@ -193,7 +193,7 @@ class TestDedupWatermarks:
         slate.advance_watermark("S1", 3)   # late, lower: no regression
         slate.advance_watermark("S1", 9)
         assert slate.watermark("S1") == 9
-        assert slate.watermarks == {"S1": 9}
+        assert slate._watermarks == {"S1": 9}
 
     def test_advance_dirties_and_bumps_version(self):
         slate = make_slate()

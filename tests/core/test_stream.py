@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.event import Event
-from repro.core.stream import StreamRegistry, StreamSpec, merge_by_timestamp
+from repro.core.stream import StreamRegistry, StreamSpec
 from repro.errors import WorkflowError
 
 
@@ -74,27 +74,3 @@ class TestStamping:
         reg = StreamRegistry()
         with pytest.raises(WorkflowError):
             reg.stamp(Event("S1", 0.0, "k"))
-
-
-class TestMergeByTimestamp:
-    def test_merges_the_paper_example(self):
-        """Section 3: e (21:23 on S1) is fed before f (21:25 on S2)."""
-        s1 = [Event("S1", 21 * 60 + 23.0, "e")]
-        s2 = [Event("S2", 21 * 60 + 25.0, "f")]
-        merged = merge_by_timestamp(s2, s1)
-        assert [e.key for e in merged] == ["e", "f"]
-
-    def test_tie_break_by_sid_then_seq(self):
-        s1 = [Event("S1", 1.0, "a", seq=1), Event("S1", 1.0, "b", seq=0)]
-        s2 = [Event("S2", 1.0, "c", seq=0)]
-        merged = merge_by_timestamp(s1, s2)
-        assert [e.key for e in merged] == ["b", "a", "c"]
-
-    def test_empty_inputs(self):
-        assert merge_by_timestamp([], []) == []
-
-    def test_merge_is_stable_total_order(self):
-        events = [Event("S1", float(i % 3), f"k{i}", seq=i)
-                  for i in range(10)]
-        merged = merge_by_timestamp(events)
-        assert merged == sorted(events, key=lambda e: e.order_key())

@@ -55,8 +55,8 @@ class TestLifecycle:
         ctx = Context("U", 10.0, (), "k")
         assert window.observe(ctx, 10.0, slate)        # opened
         assert not window.observe(ctx, 11.0, slate)    # already open
-        assert window.is_open(slate)
-        assert window.start_ts(slate) == 10.0
+        assert slate["__w_open__"]
+        assert slate["__w_start__"] == 10.0
         assert len(ctx.timers) == 1
         assert ctx.timers[0].at_ts == 70.0
 
@@ -67,8 +67,8 @@ class TestLifecycle:
         slate = Slate(SlateKey("U", "k"), window.init({}))
         slate["__w_open__"] = True
         window.close(slate)
-        assert not window.is_open(slate)
-        assert window.start_ts(slate) == -1.0
+        assert not slate["__w_open__"]
+        assert slate["__w_start__"] == -1.0
 
 
 class TestEndToEnd:

@@ -48,8 +48,8 @@ class TestBloomFilter:
             digest = hashlib.blake2b(item.encode(), digest_size=16).digest()
             h1 = int.from_bytes(digest[:8], "big")
             h2 = int.from_bytes(digest[8:], "big") | 1
-            for k in range(bloom.num_hashes):
-                pos = (h1 + k * h2) % bloom.size_bits
+            for k in range(bloom._num_hashes):
+                pos = (h1 + k * h2) % bloom._num_bits
                 expected[pos >> 3] |= 1 << (pos & 7)
         assert bloom._bits == expected
 
@@ -64,5 +64,5 @@ class TestBloomFilter:
     def test_sizing_grows_with_expected_items(self):
         small = BloomFilter(expected_items=10)
         large = BloomFilter(expected_items=10_000)
-        assert large.size_bits > small.size_bits
-        assert small.num_hashes >= 1
+        assert large._num_bits > small._num_bits
+        assert small._num_hashes >= 1

@@ -10,6 +10,7 @@ from repro.kvstore import cluster, commitlog
 from repro.kvstore.api import ConsistencyLevel
 from repro.kvstore.cluster import ReplicatedKVStore
 from repro.kvstore.node import StorageNode
+from tests.kvstore.writes import flush_every_node, replicated_tombstone
 
 
 def make_clock():
@@ -105,7 +106,7 @@ class TestReadWrite:
     def test_delete(self):
         store = make_store()
         store.write("r", "c", b"v")
-        store.delete("r", "c", ConsistencyLevel.ALL)
+        replicated_tombstone(store, "r", "c", ConsistencyLevel.ALL)
         assert store.read("r", "c", ConsistencyLevel.ALL).value is None
 
     def test_ttl_write_expires(self):
@@ -181,13 +182,14 @@ class TestMaintenance:
         store = make_store()
         for i in range(20):
             store.write(f"r{i}", "c", b"v" * 50)
-        assert store.flush_all() >= 0.0
+        assert flush_every_node(store) >= 0.0
         assert all(node.compact() >= 0.0 for node in store.nodes.values())
 
     def test_total_accounting(self):
         store = make_store(nodes=2, rf=2)
         store.write("r", "c", b"v", consistency=ConsistencyLevel.ALL)
-        assert store.total_cells() == 2  # one per replica
+        # One cell per replica.
+        assert sum(node.total_cells() for node in store.nodes.values()) == 2
         assert store.stored_bytes() > 0
 
     def test_stats_by_node(self):
@@ -213,8 +215,8 @@ class TestColumnCells:
         store = make_store(nodes=2, rf=2)
         store.write("gone", "U1", b"v", consistency=ConsistencyLevel.ALL)
         store.write("kept", "U1", b"v", consistency=ConsistencyLevel.ALL)
-        store.delete("gone", "U1")
-        store.flush_all()  # scan must reach into SSTables too
+        replicated_tombstone(store, "gone", "U1")
+        flush_every_node(store)  # scan must reach into SSTables too
         assert set(store.column_cells("U1")) == {"kept"}
 
     def test_down_node_is_skipped(self):
@@ -250,7 +252,7 @@ class TestRepairCarriesTheCell:
         store.write("r", "c", b"v", consistency=ConsistencyLevel.ALL)
         store.mark_down(victim)
         now[0] = 2.0
-        store.delete("r", "c", ConsistencyLevel.QUORUM)
+        replicated_tombstone(store, "r", "c", ConsistencyLevel.QUORUM)
         store._hints.clear()  # the hint is lost: only repair can heal
         store.mark_up(victim)
         now[0] = 3.0
@@ -346,7 +348,7 @@ class TestReplicasChargedOnce:
                            ("r3", "U1", b"x" * 40, 2.5),
                            ("r1", "c", b"v2", None)],
                           consistency=ConsistencyLevel.ALL)
-        store.delete("r2", "c", ConsistencyLevel.ALL)
+        replicated_tombstone(store, "r2", "c", ConsistencyLevel.ALL)
         if rf > 1:
             stale = store.replicas_for("r4")[-1]
             store.mark_down(stale)
@@ -367,5 +369,5 @@ class TestReplicasChargedOnce:
         store.write_batch([(f"r{i}", "c", b"v", None) for i in range(5)],
                           consistency=ConsistencyLevel.ALL)
         assert len(calls) == 6
-        store.delete("r1", "c", ConsistencyLevel.ALL)
+        replicated_tombstone(store, "r1", "c", ConsistencyLevel.ALL)
         assert len(calls) == 7

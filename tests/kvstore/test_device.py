@@ -37,10 +37,9 @@ class TestAccounting:
     def test_charges_accumulate(self):
         device = StorageDevice.ssd()
         t1 = device.charge_random_read(100)
-        t2 = device.charge_random_write(100)
+        t2 = device.charge_random_read(200)
         t3 = device.charge_sequential_write(10_000)
-        assert device.stats.random_reads == 1
-        assert device.stats.random_writes == 1
+        assert device.stats.random_reads == 2
         assert device.stats.sequential_bytes_written == 10_000
         assert device.stats.busy_time_s == pytest.approx(t1 + t2 + t3)
 

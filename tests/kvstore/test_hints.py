@@ -9,6 +9,7 @@ from repro.kvstore.api import ConsistencyLevel
 from repro.kvstore.cluster import ReplicatedKVStore
 from tests.kvstore.test_cluster import (assert_charged_as_lone_nodes,
                                         count_charged_size)
+from tests.kvstore.writes import replicated_tombstone
 
 
 def make_store(nodes=3, rf=3):
@@ -60,7 +61,7 @@ class TestHintedHandoff:
         victim = replicas[0]
         store.write("row", "col", b"v", consistency=ConsistencyLevel.ALL)
         store.mark_down(victim)
-        store.delete("row", "col", ConsistencyLevel.QUORUM)
+        replicated_tombstone(store, "row", "col", ConsistencyLevel.QUORUM)
         store.mark_up(victim)
         value, _ = store.nodes[victim].get("row", "col")
         assert value is None
@@ -156,7 +157,7 @@ class TestHintsChargedAsBefore:
                 lambda: store.write("row", "col", b'q"\\\x00\xff'),
                 lambda: store.write_batch([("row", "a", b"x" * 40, 2.5),
                                            ("row", "b", b"y", None)]),
-                lambda: store.delete("row", "old")):
+                lambda: replicated_tombstone(store, "row", "old")):
             try:
                 mutate()
             except QuorumError:

@@ -8,6 +8,8 @@ from repro.errors import QuorumError
 from repro.kvstore.api import ConsistencyLevel
 from repro.kvstore.cluster import ReplicatedKVStore
 from repro.kvstore.node import StorageNode
+from tests.kvstore.writes import (flush_every_node, replicated_tombstone,
+                                  tombstone)
 
 rows = st.text(alphabet="abcdexyz", min_size=1, max_size=4)
 columns = st.sampled_from(["U1", "U2", "U3"])
@@ -42,7 +44,7 @@ def run_node(ops, **node_kwargs):
             node.put(row, column, value, ttl=TTL_S)
             written[(row, column)] = (value, now[0] + TTL_S)
         elif op == "delete":
-            node.delete(row, column)
+            tombstone(node, row, column)
             written[(row, column)] = (None, None)
         elif op == "flush":
             node.flush()
@@ -171,7 +173,7 @@ class TestClusterActsLikeALastWriteWinsRegister:
         # At width 2 a flush may merge. A base run far larger than the
         # sequence can write keeps those merges partial: they never purge.
         store.write("base", "c", b"." * 4096, consistency=ALL)
-        store.flush_all()
+        flush_every_node(store)
         history = {"a": [], "b": []}  # key -> [(ts, value, ttl, acked)]
         diverged = False
 
@@ -209,7 +211,7 @@ class TestClusterActsLikeALastWriteWinsRegister:
             elif op == "delete":
                 key, level = args
                 mutate([(key, None, None)],
-                       lambda: store.delete(key, "c", level))
+                       lambda: replicated_tombstone(store, key, "c", level))
             elif op == "down":
                 store.mark_down(args[0])
             elif op == "up":

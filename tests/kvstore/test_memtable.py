@@ -49,13 +49,6 @@ class TestMemtable:
         assert [c.key for c in cells] == [("a", "x"), ("a", "y"), ("b", "z")]
         assert records is None
 
-    def test_rows_are_distinct(self):
-        table = Memtable()
-        table.put(Cell("a", "c1", b"", 1.0))
-        table.put(Cell("a", "c2", b"", 1.0))
-        table.put(Cell("b", "c1", b"", 1.0))
-        assert sorted(table.rows()) == ["a", "b"]
-
     def test_clear_preserves_counters(self):
         table = Memtable()
         table.put(Cell("r", "c", b"v", 1.0))

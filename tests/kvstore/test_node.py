@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import StoreError
 from repro.kvstore.node import SPACE_CAP, StorageNode
+from tests.kvstore.writes import tombstone
 
 
 def make_clock(step: float = 1.0):
@@ -41,7 +42,7 @@ class TestReadWrite:
     def test_delete_hides_value(self):
         node = make_node()
         node.put("r", "c", b"v")
-        node.delete("r", "c")
+        tombstone(node, "r", "c")
         assert node.get("r", "c")[0] is None
 
     def test_memtable_hit_is_free(self):
@@ -69,8 +70,8 @@ class TestFlushAndCompaction:
         node = make_node()
         node.put("r", "c", b"v")
         node.flush()
-        assert node.memtable_bytes == 0
-        assert node.sstable_count == 1
+        assert node._memtable.size_bytes == 0
+        assert len(node._sstables) == 1
         assert node.get("r", "c")[0] == b"v"
 
     def test_flush_threshold_triggers_automatically(self):
@@ -86,7 +87,7 @@ class TestFlushAndCompaction:
         node = make_node(memtable_flush_bytes=1, compaction_threshold=4)
         for i in range(10):
             node.put(f"r{i}", "c", b"v")
-        assert node.sstable_count < node.stats.flushes == 10
+        assert len(node._sstables) < node.stats.flushes == 10
         assert node.stats.compactions >= 1
         assert node.total_cells() == 10
 
@@ -94,11 +95,11 @@ class TestFlushAndCompaction:
         node = make_node(memtable_flush_bytes=1, compaction_threshold=3)
         node.put_many([(f"base{i}", "c", b"v" * 50, None) for i in range(20)])
         node.put("base0", "c", b"soon gone", ttl=0.5)
-        node.delete("base1", "c")
-        assert node.sstable_count == 3  # too small for the space rule
+        tombstone(node, "base1", "c")
+        assert len(node._sstables) == 3  # too small for the space rule
         before = node.stats.as_dict()
         node.put("r", "c", b"v")  # the three small runs are of a size
-        assert node.sstable_count == 2
+        assert len(node._sstables) == 2
         assert node.stats.compactions == before["compactions"] + 1
         assert node.stats.ttl_purged_cells == before["ttl_purged_cells"]
         assert node.stats.bytes_compacted - before["bytes_compacted"] == \
@@ -129,7 +130,7 @@ class TestFlushAndCompaction:
         node.flush()
         if garbage == "deleted":
             for i in range(100):
-                node.delete(f"dead{i:03d}", "c")
+                tombstone(node, f"dead{i:03d}", "c")
         now[0] = 10.0  # the TTLs have lapsed either way
         node.flush()
         base = node.stored_bytes()
@@ -143,7 +144,7 @@ class TestFlushAndCompaction:
             node.flush()
             flushes += 1
             assert flushes <= bound
-        assert node.sstable_count == 1
+        assert len(node._sstables) == 1
         assert node.total_cells() == len(live)
         assert all(node.get(row, "c")[0] for row in live)
 
@@ -159,7 +160,7 @@ class TestFlushAndCompaction:
         for _ in range(10_000):
             node.put(f"row{rng.randrange(3000)}", "c",
                      rng.randbytes(rng.randrange(20, 200)))
-            most = max(most, node.sstable_count)
+            most = max(most, len(node._sstables))
         tiers = 1 + int(math.log(node.stored_bytes() / 3 / 2048, width))
         assert node.stats.flushes > 600
         assert width <= most <= 1 + (width - 1) * tiers
@@ -181,11 +182,11 @@ class TestFlushAndCompaction:
         node = make_node(memtable_flush_bytes=1, compaction_threshold=100)
         for i in range(6):
             node.put("hot", "c", f"v{i}".encode())
-        many_runs = node.sstable_count
+        many_runs = len(node._sstables)
         node.get("hot", "c")
         assert many_runs == 6
         node.compact()
-        assert node.sstable_count == 1
+        assert len(node._sstables) == 1
 
     def test_background_cost_accrues_and_drains(self):
         node = make_node()
@@ -273,7 +274,7 @@ class TestCostModelPinned:
                                 rng.randbytes(rng.randrange(1, 64)), None)
                                for _ in range(4)])
             elif roll < 0.60:
-                node.delete(row, "U1")
+                tombstone(node, row, "U1")
             else:
                 node.get(row, rng.choice(["U1", "U2", "U3"]))
         return node

@@ -11,6 +11,7 @@ from repro.kvstore.cells import Cell
 from repro.kvstore.commitlog import encode_record
 from repro.kvstore.node import StorageNode
 from repro.kvstore.sstable import SSTable
+from tests.kvstore.writes import flush_every_node, tombstone
 
 
 def clock():
@@ -95,7 +96,7 @@ class TestReopen:
 
         node = StorageNode.open("n1", tmp_path, clock=clock())
         assert [node.get(row, "U1")[0] for row in "abc"] == [b"1", b"2", b"3"]
-        assert node.sstable_count == 1
+        assert len(node._sstables) == 1
 
     def test_runs_reopen_in_generation_order(self, tmp_path: Path):
         """Not in file-timestamp order: the newest write wins even when
@@ -164,7 +165,7 @@ class TestReopen:
 
         reopened = StorageNode.open("n1", tmp_path, clock=clock())
         assert not half.exists()
-        assert reopened.sstable_count == 0
+        assert len(reopened._sstables) == 0
         assert reopened.get("row", "U1")[0] == b"v"
         assert reopened.get("ghost", "U1")[0] is None
 
@@ -175,7 +176,7 @@ class TestReopen:
         node.put("row", "U1", b"old")
         node.flush()
         node.put("row", "U1", b"new")
-        node.delete("gone", "U1")
+        tombstone(node, "gone", "U1")
         logged = (tmp_path / "n1.commitlog").read_bytes()
         node.flush()
         node.close()
@@ -194,17 +195,17 @@ class TestReopen:
         node.put("kept", "U1", b"v1")
         node.put("deleted", "U1", b"doomed")
         node.flush()
-        node.delete("deleted", "U1")
+        tombstone(node, "deleted", "U1")
         node.put("kept", "U1", b"v2")
         node.flush()
-        newest_input = node._sstables[-1].path
+        newest_input = node._sstables[-1]._path
         saved = newest_input.read_bytes()
         node.compact()
         node.close()
         newest_input.write_bytes(saved)  # its delete never happened
 
         reopened = StorageNode.open("n1", tmp_path, clock=clock())
-        assert reopened.sstable_count == 2
+        assert len(reopened._sstables) == 2
         assert reopened.get("kept", "U1")[0] == b"v2"
         assert reopened.get("deleted", "U1")[0] is None
         reopened.put("more", "U1", b"x")
@@ -230,7 +231,7 @@ class TestReopen:
             for row in ("live", "deleted", "expired", "over"):
                 node.put(row, "U1", row.encode() * 40)
             node.flush()
-            node.delete("deleted", "U1")
+            tombstone(node, "deleted", "U1")
             node.flush()
             node.put("expired", "U1", b"briefly", ttl=5.0)
             node.flush()
@@ -252,7 +253,7 @@ class TestReopen:
                             "expired": None, "over": b"written",
                             "logged": b"unflushed", "never": None}
 
-        inputs = [table.path for table in node._sstables[-count:]]
+        inputs = [table._path for table in node._sstables[-count:]]
         unlinked = []
 
         def unlink(path, missing_ok=False):
@@ -307,7 +308,7 @@ class TestReopen:
     def test_empty_directory_opens_empty(self, tmp_path: Path):
         node = StorageNode.open("fresh", tmp_path, clock=clock())
         assert node.get("anything", "U1")[0] is None
-        assert node.sstable_count == 0
+        assert len(node._sstables) == 0
 
 
 class TestClusterReopen:
@@ -320,7 +321,7 @@ class TestClusterReopen:
         for i in range(20):
             store.write(f"row{i}", "U1", f"v{i}".encode(),
                         consistency=ConsistencyLevel.ALL)
-        store.flush_all()
+        flush_every_node(store)
         store.write("unflushed", "U1", b"via-log",
                     consistency=ConsistencyLevel.ALL)
         del store
@@ -342,7 +343,7 @@ class TestClusterReopen:
         store = ReplicatedKVStore(["a"], replication_factor=1,
                                   clock=clock(), data_dir=tmp_path)
         store.write("k", "c", b"v1")
-        store.flush_all()
+        flush_every_node(store)
         del store
         again = ReplicatedKVStore.reopen(["a"], tmp_path,
                                          replication_factor=1,

@@ -33,12 +33,6 @@ class TestSSTable:
                    if table.might_contain(f"zz{i}", "c"))
         assert hits < 200  # mostly filtered
 
-    def test_scan_row_returns_all_columns(self):
-        table = SSTable([Cell("r", "U1", b"a", 1.0),
-                         Cell("r", "U2", b"b", 1.0),
-                         Cell("q", "U1", b"c", 1.0)])
-        assert sorted(c.column for c in table.scan_row("r")) == ["U1", "U2"]
-
     def test_size_bytes_positive(self):
         assert SSTable([Cell("r", "c", b"v" * 100, 1.0)]).size_bytes > 100
 

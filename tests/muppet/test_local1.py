@@ -131,7 +131,7 @@ class TestTimersOn10Runtime:
             return Event("S1", ts, "u1",
                          json.dumps({"user": "u1", "topics": [topic]}))
 
-        app = build_hot_topics_app(window_s=60.0, with_sink=False)
+        app = build_hot_topics_app(window_s=60.0)
         events = [tweet("sports", float(t)) for t in (0, 10, 20)]
         events.append(tweet("sports", 120.0))
         with LocalMuppet1(app) as runtime:

@@ -23,14 +23,14 @@ class TestMaster:
         master = Master()
         master.report_failure("a")
         master.report_failure("b")
-        assert master.failed_machines() == {"a", "b"}
+        assert master._failed == {"a", "b"}
 
     def test_forget_restores(self):
         """A recovery report is how the master forgets a failure."""
         master = Master()
         master.report_failure("a")
         master.report_recovery("a")
-        assert master.failed_machines() == set()
+        assert master._failed == set()
         assert master.report_failure("a")  # news again
 
     def test_no_listeners_is_fine(self):
@@ -46,7 +46,7 @@ class TestMasterRecovery:
         assert master.report_recovery("m3")
         assert master.stats.recovery_reports == 1
         assert master.stats.recovery_broadcasts == 1
-        assert master.failed_machines() == set()
+        assert master._failed == set()
 
     def test_recovery_of_unknown_machine_absorbed(self):
         """A recovery report for a machine never (or no longer) marked

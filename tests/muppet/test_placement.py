@@ -3,23 +3,32 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.muppet.placement import (FlowRecord, TrafficMatrix,
-                                    evaluate_placement, greedy_placement,
-                                    hash_placement)
+from repro.muppet.placement import (TrafficMatrix, evaluate_placement,
+                                    greedy_placement, hash_placement)
 
 MACHINES = ["m0", "m1", "m2", "m3"]
+
+
+def matrix_of(flows):
+    """A matrix from ``(producer, function, key, events, bytes)`` flows,
+    recorded one event at a time."""
+    matrix = TrafficMatrix()
+    for producer, function, key, events, bytes_sent in flows:
+        for _ in range(events):
+            matrix.record(producer, function, key, bytes_sent // events)
+    return matrix
 
 
 def skewed_matrix() -> TrafficMatrix:
     """Checkins arrive at m0; popular retailers dominate the traffic."""
     flows = [
-        FlowRecord("m0", "U1", "Walmart", events=500, bytes_sent=50_000),
-        FlowRecord("m0", "U1", "Best Buy", events=300, bytes_sent=30_000),
-        FlowRecord("m0", "U1", "Target", events=100, bytes_sent=10_000),
-        FlowRecord("m1", "U1", "Walmart", events=50, bytes_sent=5_000),
-        FlowRecord("m2", "U1", "JCPenney", events=20, bytes_sent=2_000),
+        ("m0", "U1", "Walmart", 500, 50_000),
+        ("m0", "U1", "Best Buy", 300, 30_000),
+        ("m0", "U1", "Target", 100, 10_000),
+        ("m1", "U1", "Walmart", 50, 5_000),
+        ("m2", "U1", "JCPenney", 20, 2_000),
     ]
-    return TrafficMatrix.from_flows(flows)
+    return matrix_of(flows)
 
 
 class TestTrafficMatrix:
@@ -51,8 +60,8 @@ class TestHashPlacement:
     def test_content_oblivious(self):
         """Hash placement ignores where traffic comes from."""
         placement = hash_placement(skewed_matrix(), MACHINES)
-        flipped = TrafficMatrix.from_flows([
-            FlowRecord("m3", "U1", key, 1, 1)
+        flipped = matrix_of([
+            ("m3", "U1", key, 1, 1)
             for _, key in skewed_matrix().slots()])
         assert hash_placement(flipped, MACHINES) == placement
 
@@ -107,11 +116,11 @@ class TestDriftCaveat:
         yesterday = skewed_matrix()
         tuned = greedy_placement(yesterday, MACHINES,
                                  max_load_fraction=1.0)
-        today = TrafficMatrix.from_flows([
-            FlowRecord("m3", "U1", "Walmart", 500, 50_000),
-            FlowRecord("m3", "U1", "Best Buy", 300, 30_000),
-            FlowRecord("m3", "U1", "Target", 100, 10_000),
-            FlowRecord("m3", "U1", "JCPenney", 20, 2_000),
+        today = matrix_of([
+            ("m3", "U1", "Walmart", 500, 50_000),
+            ("m3", "U1", "Best Buy", 300, 30_000),
+            ("m3", "U1", "Target", 100, 10_000),
+            ("m3", "U1", "JCPenney", 20, 2_000),
         ])
         stale_cost = evaluate_placement(today, tuned)
         fresh_cost = evaluate_placement(

@@ -100,8 +100,11 @@ class TestThrottleFinish:
         throttle = SourceThrottle()
         throttle.observe(0.95, now=0.0)
         throttle.finish(now=2.0)
-        throttle.finish(now=5.0)      # second close must not re-count
+        throttle.finish(now=2.0)      # a second close at once adds nothing
         assert throttle.paused_time_s == pytest.approx(2.0)
+        throttle.finish(now=5.0)      # the pause went on: 2 s more...
+        throttle.finish(now=5.0)
+        assert throttle.paused_time_s == pytest.approx(5.0)  # ...once
 
     def test_finish_without_open_interval_is_a_noop(self):
         throttle = SourceThrottle()

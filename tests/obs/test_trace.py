@@ -9,7 +9,7 @@ from repro.cluster import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.faults import FaultSchedule
 from repro.obs import (JsonlTracer, RingTracer, read_jsonl,
-                       reconstruct_chain, spans_for)
+                       reconstruct_chain)
 from repro.sim import SimConfig, SimRuntime, constant_rate
 from repro.slates.manager import FlushPolicy
 from tests.conftest import build_count_app
@@ -60,13 +60,6 @@ class TestJsonlTracer:
         path = tmp_path / "empty.trace.jsonl"
         JsonlTracer(str(path)).close()
         assert not path.exists()
-
-
-class TestSpanQueries:
-    def test_spans_for_exact_provenance(self):
-        spans = [{"kind": "source", "origin": "S1", "oseq": 1},
-                 {"kind": "execute", "origin": "S1", "oseq": 2}]
-        assert spans_for(spans, "S1", 1) == [spans[0]]
 
 
 def run_traced_chaos(**config_kwargs):

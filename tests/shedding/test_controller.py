@@ -46,7 +46,6 @@ class TestTierTransitions:
     def test_unobserved_machine_is_normal(self):
         controller = BackpressureController(SheddingConfig())
         assert controller.tier_of("m000") == TIER_NORMAL
-        assert controller.smoothed("m000") == 0.0
 
     def test_escalation_is_immediate_and_can_jump_tiers(self):
         controller = BackpressureController(SheddingConfig())

@@ -61,17 +61,6 @@ class TestCounterError:
             counter_error({"a": {"count": bad}}, {"a": 1.0},
                           "U1", "count")
 
-    def test_as_dict_summary(self):
-        report = counter_error(slates(a=90.0), {"a": 100.0},
-                               "U1", "count")
-        assert report.as_dict() == {
-            "updater": "U1", "field": "count", "compared": 1,
-            "missing_keys": 0,
-            "max_rel_error": pytest.approx(0.1),
-            "mean_rel_error": pytest.approx(0.1),
-            "worst_key": "a",
-        }
-
     def test_empty_truth(self):
         report = counter_error({}, {}, "U1", "count")
         assert report.compared == 0

@@ -9,16 +9,16 @@ from repro.shedding.thinning import (DEFAULT_CLASS, ThinnableCounter,
                                      Thinner, ThinningPolicy)
 
 
+def uniform(keep_rate):
+    """One keep rate for every key."""
+    return ThinningPolicy(keep_rates={DEFAULT_CLASS: keep_rate})
+
+
 class TestThinningPolicy:
     def test_defaults(self):
         policy = ThinningPolicy()
         assert policy.keep_rate("anything") == 0.1
         assert policy.mode == "stratified"
-
-    def test_uniform(self):
-        policy = ThinningPolicy.uniform(0.25)
-        assert policy.keep_rate("a") == 0.25
-        assert policy.keep_rate("b") == 0.25
 
     def test_classifier_routes_rates(self):
         policy = ThinningPolicy(
@@ -47,12 +47,12 @@ class TestThinningPolicy:
             ThinningPolicy(mode="systematic-ish")
 
     def test_rate_one_is_allowed(self):
-        assert ThinningPolicy.uniform(1.0).keep_rate("k") == 1.0
+        assert uniform(1.0).keep_rate("k") == 1.0
 
 
 class TestThinner:
     def test_rate_one_keeps_all_without_consuming_rng(self):
-        thinner = Thinner(ThinningPolicy.uniform(1.0), seed=3)
+        thinner = Thinner(uniform(1.0), seed=3)
         state = thinner._rng.getstate()
         for _ in range(100):
             assert thinner.decide("k") == (True, 1.0)
@@ -60,20 +60,20 @@ class TestThinner:
         assert thinner.decisions == 0
 
     def test_weight_is_inverse_keep_rate(self):
-        thinner = Thinner(ThinningPolicy.uniform(0.25), seed=1)
+        thinner = Thinner(uniform(0.25), seed=1)
         weights = {thinner.decide("k")[1] for _ in range(200)}
         assert weights <= {0.0, 4.0}
         assert 4.0 in weights
 
     def test_same_seed_replays_exactly(self):
-        decisions = [Thinner(ThinningPolicy.uniform(0.3), seed=42).decide(
+        decisions = [Thinner(uniform(0.3), seed=42).decide(
             f"k{i % 7}") for i in range(500)]
-        replayed = [Thinner(ThinningPolicy.uniform(0.3), seed=42).decide(
+        replayed = [Thinner(uniform(0.3), seed=42).decide(
             f"k{i % 7}") for i in range(500)]
         assert decisions == replayed
 
     def test_counters_account_every_decision(self):
-        thinner = Thinner(ThinningPolicy.uniform(0.5), seed=0)
+        thinner = Thinner(uniform(0.5), seed=0)
         for i in range(300):
             thinner.decide(f"k{i % 3}")
         assert thinner.decisions == 300
@@ -85,7 +85,7 @@ class TestThinner:
         contract the E22 bench's <1% claim rests on."""
         rate = 0.13
         for seed in range(20):
-            thinner = Thinner(ThinningPolicy.uniform(rate), seed=seed)
+            thinner = Thinner(uniform(rate), seed=seed)
             for n in (7, 100, 997):
                 kept = sum(1 for _ in range(n)
                            if thinner.decide(f"key{n}")[0])
@@ -95,9 +95,9 @@ class TestThinner:
         """Keys sample independently: interleaving keys does not change
         each key's own kept count."""
         rate = 0.2
-        solo = Thinner(ThinningPolicy.uniform(rate), seed=9)
+        solo = Thinner(uniform(rate), seed=9)
         kept_solo = sum(1 for _ in range(250) if solo.decide("a")[0])
-        mixed = Thinner(ThinningPolicy.uniform(rate), seed=9)
+        mixed = Thinner(uniform(rate), seed=9)
         kept_mixed = 0
         for i in range(500):
             key = "a" if i % 2 == 0 else "b"

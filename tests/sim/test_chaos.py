@@ -213,4 +213,5 @@ class TestLegacyKillListCompat:
         runtime, report = run_chaos([(1.0, "m001")])
         assert report.master_stats["broadcasts_sent"] == 1
         assert report.counters.lost_failure > 0
-        assert runtime.fault_schedule.kill_list() == [(1.0, "m001")]
+        assert [(e.at, e.machine)
+                for e in runtime.fault_schedule] == [(1.0, "m001")]

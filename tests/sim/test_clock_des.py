@@ -33,7 +33,7 @@ class TestSimulator:
         sim.schedule(3.0, lambda s: order.append("c"))
         sim.schedule(1.0, lambda s: order.append("a"))
         sim.schedule(2.0, lambda s: order.append("b"))
-        sim.run()
+        sim.run_until(float("inf"))
         assert order == ["a", "b", "c"]
 
     def test_same_time_priority_then_fifo(self):
@@ -42,14 +42,14 @@ class TestSimulator:
         sim.schedule(1.0, lambda s: order.append("second"), priority=1)
         sim.schedule(1.0, lambda s: order.append("first"), priority=-1)
         sim.schedule(1.0, lambda s: order.append("third"), priority=1)
-        sim.run()
+        sim.run_until(float("inf"))
         assert order == ["first", "second", "third"]
 
     def test_clock_follows_events(self):
         sim = Simulator()
         seen = []
         sim.schedule(2.5, lambda s: seen.append(s.now()))
-        sim.run()
+        sim.run_until(float("inf"))
         assert seen == [2.5]
 
     def test_callbacks_can_schedule_more(self):
@@ -62,7 +62,7 @@ class TestSimulator:
                 s.schedule_in(1.0, recur)
 
         sim.schedule(0.0, recur)
-        sim.run()
+        sim.run_until(float("inf"))
         assert hits == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_run_until_stops_at_boundary(self):
@@ -73,12 +73,12 @@ class TestSimulator:
         sim.run_until(3.0)
         assert ran == [1]
         assert sim.now() == 3.0
-        assert sim.pending() == 1
+        assert len(sim._heap) == 1
 
     def test_cannot_schedule_in_the_past(self):
         sim = Simulator()
         sim.schedule(5.0, lambda s: None)
-        sim.run()
+        sim.run_until(float("inf"))
         with pytest.raises(SimulationError):
             sim.schedule(1.0, lambda s: None)
 
@@ -90,7 +90,7 @@ class TestSimulator:
 
         sim.schedule(0.0, forever)
         with pytest.raises(SimulationError, match="max_steps"):
-            sim.run()
+            sim.run_until(float("inf"))
 
     def test_determinism(self):
         def run_once():
@@ -99,7 +99,7 @@ class TestSimulator:
             for i in range(20):
                 sim.schedule((i * 7) % 5 * 1.0,
                              lambda s, i=i: order.append(i))
-            sim.run()
+            sim.run_until(float("inf"))
             return order
 
         assert run_once() == run_once()

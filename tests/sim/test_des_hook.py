@@ -101,7 +101,7 @@ def test_run_consults_the_hook_too():
     for name in ("a", "b", "c"):
         sim.schedule(1.0, lambda s, name=name: log.append(name))
     sim.hook = _PickLast()
-    sim.run()
+    sim.run_until(float("inf"))
     assert log == ["c", "b", "a"]
 
 

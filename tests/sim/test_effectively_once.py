@@ -320,8 +320,8 @@ class TestEpochCheckpoints:
 class TestThrottleFinishAtEndOfRun:
     def test_open_pause_interval_closed_by_run(self):
         """Regression: a run that ends while the sources are paused must
-        still account the final open pause interval (and close it, so a
-        later finish() cannot double-count)."""
+        still account the final open pause interval (and reopen it at
+        the end, so a later finish() counts only what follows)."""
         throttle = SourceThrottle(high_watermark=0.5, low_watermark=0.2)
         config_kwargs = dict(
             overflow=OverflowPolicy.throttle(), throttle=throttle,
@@ -335,8 +335,29 @@ class TestThrottleFinishAtEndOfRun:
                              config, [source], failures=FaultSchedule())
         report = runtime.run(0.5)   # end mid-storm, while paused
         assert throttle.paused
-        assert throttle._paused_since is None          # interval closed
+        assert throttle._paused_since == 0.5           # reopened at the end
         assert report.throttle_paused_s > 0.0
         before = throttle.paused_time_s
-        throttle.finish(now=99.0)                      # idempotent
+        throttle.finish(now=0.5)                       # idempotent
         assert throttle.paused_time_s == before
+
+    def test_a_pause_open_across_runs_is_counted_whole(self):
+        """A pause still open when ``run(0.05)`` returns goes on in the
+        next ``run``: the split run counts it as the single run does
+        (0.13 s against 0.16 s while ``finish`` closed the pause)."""
+        from repro.apps.counting import count_app
+
+        def paused_time(*horizons):
+            runtime = SimRuntime(
+                count_app("c", hops=1), ClusterSpec.uniform(1, cores=1),
+                SimConfig(overflow=OverflowPolicy.throttle(),
+                          queue_capacity=50),
+                [constant_rate("S1", 20_000.0, 0.1,
+                               key_fn=lambda i: f"k{i % 50}")])
+            for horizon in horizons:
+                report = runtime.run(horizon)
+            return report.throttle_paused_s
+
+        whole = paused_time(0.5)
+        assert whole > 0.1
+        assert paused_time(0.05, 0.5) == pytest.approx(whole)

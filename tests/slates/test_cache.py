@@ -64,14 +64,6 @@ class TestLRU:
         with pytest.raises(ConfigurationError):
             SlateCache(capacity=0)
 
-    def test_hit_rate(self):
-        cache = SlateCache(capacity=2)
-        s = slate("a")
-        cache.put(s)
-        cache.get(s.slate_key)
-        cache.get(SlateKey("U1", "missing"))
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
 
 class TestEvictionCallback:
     def test_dirty_victims_reported(self):

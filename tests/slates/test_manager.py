@@ -311,7 +311,7 @@ class TestWatermarkPersistence:
         other["count"] = 1
         manager.note_update(other)
         refetched = manager.get(updater, "k1")
-        assert refetched.watermarks is None
+        assert refetched._watermarks is None
         assert refetched.watermark("anything") == -1
 
     def test_unflushed_watermark_reverts_with_crash(self):

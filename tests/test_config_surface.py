@@ -538,9 +538,6 @@ UNSET_PARAMS = {
                           "publishes",
     "Context.set_timer.payload": OPERATOR_API + ": a timer hands back what "
                                  "its operator gave it",
-    "ReplicatedKVStore.delete.consistency":
-        "a tombstone is a write: delete takes the consistency level put "
-        "and get take",
     "ReplicatedKVStore.pending_hints.name":
         "the per-node view of hinted handoff; a run reports the total",
     "e22_overload_run.seed":

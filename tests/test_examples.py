@@ -17,6 +17,7 @@ EXAMPLES = [
     "hotspot_splitting.py",
     "muppet1_vs_muppet2.py",
     "bulk_dump.py",
+    "appendix_a.py",
 ]
 
 

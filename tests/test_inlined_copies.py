@@ -463,7 +463,7 @@ def check_provenance_and_derive_origin():
         held = marks.setdefault(event.key, {})
         held[origin] = max(held.get(origin, -1), oseq)
     slates = resident_slates(sim_managers(runtime))
-    assert {key: s.watermarks for key, s in slates.items()} == marks
+    assert {key: s._watermarks for key, s in slates.items()} == marks
 
 
 def check_dirty_setter():

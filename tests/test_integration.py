@@ -8,14 +8,13 @@ reference executor's slate fixpoints (Section 3's well-defined semantics).
 import pytest
 
 from repro.apps import (build_retailer_app, build_reputation_app,
-                        build_split_app, build_top_urls_app)
-from repro.apps.top_urls import LEADERBOARD_KEY
+                        build_split_app)
 from repro.cluster import ClusterSpec
 from repro.core import ReferenceExecutor
 from repro.muppet.local import LocalConfig, LocalMuppet
 from repro.sim import (ENGINE_MUPPET1, ENGINE_MUPPET2, SimConfig,
                        SimRuntime, from_trace)
-from repro.workloads import CheckinGenerator, TweetGenerator, tweets
+from repro.workloads import CheckinGenerator, TweetGenerator
 
 
 @pytest.fixture(scope="module")
@@ -51,42 +50,6 @@ class TestRetailerAcrossEngines:
         got = {k: v["count"] for k, v in runtime.slates_of("U1").items()}
         assert got == truth
         assert report.counters.lost_total() == 0
-
-
-class TestTopUrlsAcrossEngines:
-    """A single-hot-key app: the hardest case for distributed engines."""
-
-    @pytest.fixture(scope="class")
-    def url_events(self):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tweets, "URL_PROB", 0.6)
-            return TweetGenerator(rate_per_s=300, seed=72).take(600)
-
-    def test_local_leaderboard_counts_correct(self, url_events):
-        reference = ReferenceExecutor(build_top_urls_app()).run(
-            list(url_events))
-        ref_board = dict(reference.slate("U2", LEADERBOARD_KEY)["top"])
-        with LocalMuppet(build_top_urls_app(),
-                         LocalConfig(num_threads=4)) as runtime:
-            runtime.ingest_many(list(url_events))
-            assert runtime.drain()
-            board = dict(runtime.read_slate("U2", LEADERBOARD_KEY)["top"])
-        # Counts per URL must agree exactly (counting is commutative; the
-        # leaderboard tracks the max running count per URL).
-        assert board == ref_board
-
-    @pytest.mark.parametrize("engine", [ENGINE_MUPPET1, ENGINE_MUPPET2])
-    def test_sim_leaderboard_counts_correct(self, url_events, engine):
-        reference = ReferenceExecutor(build_top_urls_app()).run(
-            list(url_events))
-        ref_board = dict(reference.slate("U2", LEADERBOARD_KEY)["top"])
-        runtime = SimRuntime(build_top_urls_app(),
-                             ClusterSpec.uniform(3, cores=4),
-                             SimConfig(engine=engine),
-                             [from_trace("S1", list(url_events))])
-        runtime.run(8.0)
-        board = dict(runtime.slate("U2", LEADERBOARD_KEY)["top"])
-        assert board == ref_board
 
 
 class TestSplitAppAcrossEngines:

@@ -1,19 +1,20 @@
 """Tweet and checkin generators: schema, determinism, knobs."""
 
+import json
 from collections import Counter
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.workloads.checkins import (CheckinGenerator, parse_checkin)
-from repro.workloads.tweets import TopicBurst, TweetGenerator, parse_tweet
+from repro.workloads.tweets import TopicBurst, TweetGenerator
 from repro.apps.retailer_count import match_retailer
 
 
 class TestTweetGenerator:
     def test_schema(self):
         event = TweetGenerator(seed=1).take(1)[0]
-        tweet = parse_tweet(event.value)
+        tweet = json.loads(event.value)
         assert tweet["user"] == event.key
         assert isinstance(tweet["topics"], list) and tweet["topics"]
         assert "text" in tweet and "id" in tweet
@@ -28,14 +29,14 @@ class TestTweetGenerator:
         assert events[1].ts - events[0].ts == pytest.approx(0.01)
 
     def test_retweets_and_replies_present(self):
-        tweets = [parse_tweet(e.value)
+        tweets = [json.loads(e.value)
                   for e in TweetGenerator(seed=2).take(500)]
         retweets = sum(1 for t in tweets if "retweet_of" in t)
         replies = sum(1 for t in tweets if "reply_to" in t)
         assert retweets > 30 and replies > 15
 
     def test_urls_present(self):
-        tweets = [parse_tweet(e.value)
+        tweets = [json.loads(e.value)
                   for e in TweetGenerator(seed=2).take(500)]
         with_urls = sum(1 for t in tweets if "urls" in t)
         assert with_urls > 50
@@ -50,7 +51,7 @@ class TestTweetGenerator:
                                bursts=[burst]).take(1000)
 
         def share(events):
-            topics = Counter(parse_tweet(e.value)["topics"][0]
+            topics = Counter(json.loads(e.value)["topics"][0]
                              for e in events)
             return topics["fashion"] / len(events)
 
