@@ -35,7 +35,8 @@ def main() -> None:
                 .events(duration_s=window_minutes * 60.0, start_ts=DAY))
 
     app = build_hot_topics_app(window_s=60.0, threshold=3.0)
-    result = ReferenceExecutor(app, max_events=2_000_000).run(day1 + day2)
+    result = ReferenceExecutor(app, max_events=2_000_000,
+                               record=("S2", "S3", "S4")).run(day1 + day2)
 
     counts = result.events_on("S3")
     print(f"\nprocessed {len(day1) + len(day2)} tweets -> "

@@ -12,43 +12,45 @@ can only approximate them."
 single-threaded engine that processes every event in exact global order. It
 is deliberately slow and simple. The distributed engines (local threads,
 Muppet 1.0/2.0 on the simulator) are tested against it: with commutative
-updates they must reach the same slate fixpoints; run with a single worker
-they must reproduce its streams exactly.
+updates they must reach the same slate fixpoints.
+
+Like a slate, which "summarizes all events with key k that an update
+function U has seen so far", a run holds per-key state, not the stream: its
+:class:`ReferenceResult` keeps the final slates, the event counters and
+the published events of only the streams named in ``record``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.application import Application, OperatorSpec
 from repro.core.event import Event, EventCounter, Key, Timestamp
 from repro.core.operators import (TIMER_SID_PREFIX, Context, Mapper, Operator,
                                   TimerRequest, Updater)
 from repro.core.slate import Slate, SlateKey
-from repro.errors import SimulationError, WorkflowError
+from repro.errors import ConfigurationError, SimulationError, WorkflowError
 
 
 @dataclass
 class ReferenceResult:
-    """Output of a reference run: streams, slates, and counters.
+    """Output of a reference run: slates, counters and recorded streams.
 
     Attributes:
-        streams: Every event ever published, per stream, in publication
-            order (which equals processing order for this executor).
+        streams: For each stream named in the executor's ``record``, every
+            event published to it, in publication order (which equals
+            processing order for this executor). Other streams are not
+            kept; ``counters.published`` still counts their events.
         slates: Final slate objects, keyed by :class:`SlateKey`.
         counters: Event accounting.
-        slate_update_log: The full sequence of (slate key, field snapshot)
-            after each update — the paper's "sequences of slate updates",
-            used to compare engines against the reference.
     """
 
     streams: Dict[str, List[Event]]
     slates: Dict[SlateKey, Slate]
     counters: EventCounter
-    slate_update_log: List[Tuple[SlateKey, Dict[str, Any]]]
 
     def slates_of(self, updater: str) -> Dict[Key, Slate]:
         """All final slates belonging to one update function."""
@@ -56,8 +58,17 @@ class ReferenceResult:
                 if sk.updater == updater}
 
     def events_on(self, sid: str) -> List[Event]:
-        """Events published to stream ``sid`` (empty list if none)."""
-        return self.streams.get(sid, [])
+        """Events published to the recorded stream ``sid``.
+
+        Raises :class:`ConfigurationError` for a stream the run did not
+        record, rather than answering an empty list.
+        """
+        try:
+            return self.streams[sid]
+        except KeyError:
+            raise ConfigurationError(
+                f"stream {sid!r} was not recorded; name it in "
+                "ReferenceExecutor(..., record=...)") from None
 
     def numeric_slates(self, updater: str, fld: str) -> Dict[str, float]:
         """One updater's final ``{key: float(slate[fld])}`` ground truth.
@@ -87,9 +98,13 @@ class ReferenceExecutor:
         max_events: Safety cap on total processed deliveries; cyclic
             workflows could otherwise run forever. Exceeding the cap raises
             :class:`SimulationError`.
+        record: The streams whose published events the result keeps
+            (:meth:`ReferenceResult.events_on`). An undeclared stream
+            raises :class:`ConfigurationError`.
     """
 
-    def __init__(self, app: Application, max_events: int = 1_000_000) -> None:
+    def __init__(self, app: Application, max_events: int = 1_000_000,
+                 record: Iterable[str] = ()) -> None:
         app.validate()
         self.app = app
         self.max_events = max_events
@@ -100,8 +115,12 @@ class ReferenceExecutor:
         }
         self._slates: Dict[SlateKey, Slate] = {}
         self._counters = EventCounter()
-        self._slate_log: List[Tuple[SlateKey, Dict[str, Any]]] = []
-        self._published: Dict[str, List[Event]] = {}
+        self._streams: Dict[str, List[Event]] = {}
+        for sid in record:
+            if sid not in app.streams:
+                raise ConfigurationError(
+                    f"record names undeclared stream {sid!r}")
+            self._streams[sid] = []
         self._timer_seq = itertools.count()
 
     # -- public API ----------------------------------------------------------
@@ -148,16 +167,17 @@ class ReferenceExecutor:
                 heapq.heappush(heap, (order, next(tie), timer))
 
         return ReferenceResult(
-            streams=self._published,
+            streams=self._streams,
             slates=self._slates,
             counters=self._counters,
-            slate_update_log=self._slate_log,
         )
 
     # -- internals -------------------------------------------------------------
     def _record(self, event: Event) -> None:
-        self._published.setdefault(event.sid, []).append(event)
         self._counters.published += 1
+        recorded = self._streams.get(event.sid)
+        if recorded is not None:
+            recorded.append(event)
 
     def _stamp_and_record(self, outputs: List[Event]) -> List[Event]:
         stamped = []
@@ -183,9 +203,6 @@ class ReferenceExecutor:
                 slate = self._slate_for(instance, spec, event.key, event.ts)
                 instance.update(ctx, event, slate)
                 slate.touch(event.ts)
-                self._slate_log.append(
-                    (slate.slate_key, slate.as_dict())
-                )
             outputs.extend(self._stamp_and_record(ctx.emitted))
             timers.extend(ctx.timers)
         return outputs, timers
@@ -200,7 +217,6 @@ class ReferenceExecutor:
         slate = self._slate_for(instance, spec, timer.key, timer.at_ts)
         instance.on_timer(ctx, timer.key, slate, timer.payload)
         slate.touch(timer.at_ts)
-        self._slate_log.append((slate.slate_key, slate.as_dict()))
         outputs = self._stamp_and_record(ctx.emitted)
         return outputs, list(ctx.timers)
 

@@ -226,13 +226,6 @@ class Slate:
         """Return a field value, or ``default`` if absent."""
         return self._data.get(field_name, default)
 
-    def setdefault(self, field_name: str, default: Any) -> Any:
-        """Like :meth:`dict.setdefault`; marks the slate dirty on insert."""
-        if field_name not in self._data:
-            self._data[field_name] = default
-            self.dirty = True
-        return self._data[field_name]
-
     # -- dedup watermarks (effectively-once delivery) ----------------------
     def watermark(self, origin: str) -> int:
         """Highest applied sequence id from ``origin``; ``-1`` if none.

@@ -210,7 +210,6 @@ class CommitLog:
     def __init__(self, path: Optional[Path] = None) -> None:
         self._path = Path(path) if path is not None else None
         self._memory: List[Cell] = []
-        self._bytes = 0
         self._handle = None
         if self._path is not None:
             self._attach()
@@ -234,7 +233,6 @@ class CommitLog:
                 log._handle.truncate(log._handle.tell() - leftover)
             except OSError as exc:
                 raise StoreError(f"commit log open failed: {exc}") from exc
-        log._bytes = sum(charged_size(cell) for cell in cells)
         return log
 
     def _read(self) -> Tuple[List[Cell], int]:
@@ -258,11 +256,6 @@ class CommitLog:
         except OSError as exc:
             raise StoreError(f"commit log open failed: {exc}") from exc
 
-    @property
-    def size_bytes(self) -> int:
-        """Total charged bytes appended since the last truncation."""
-        return self._bytes
-
     def append(self, cell: Cell, _size: Optional[int] = None,
                _record: Optional[bytes] = None) -> int:  # hot-path
         """Append one mutation; returns its charged size in bytes
@@ -271,7 +264,6 @@ class CommitLog:
         when the caller already encoded it) in its handle: call
         :meth:`flush` before acknowledging the write."""
         size = charged_size(cell) if _size is None else _size
-        self._bytes += size
         if self._handle is not None:
             try:
                 self._handle.write(encode_record(cell) if _record is None
@@ -301,7 +293,6 @@ class CommitLog:
     def truncate(self) -> None:
         """Discard the log after a successful memtable flush."""
         self._memory.clear()
-        self._bytes = 0
         if self._handle is not None:
             try:
                 self._handle.truncate(0)

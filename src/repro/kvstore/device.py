@@ -89,7 +89,6 @@ class DeviceStats(CounterFields):
     """Cumulative I/O accounting for one device."""
 
     random_reads: int = 0
-    random_writes: int = 0
     sequential_bytes_read: int = 0
     sequential_bytes_written: int = 0
     busy_time_s: float = 0.0

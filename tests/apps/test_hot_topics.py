@@ -41,7 +41,7 @@ class TestPipeline:
         app = build_hot_topics_app(window_s=60.0)
         events = [tweet("sports", ts) for ts in (0.0, 10.0, 20.0)]
         events.append(tweet("sports", 120.0))  # next window, fires timer
-        result = ReferenceExecutor(app).run(events)
+        result = ReferenceExecutor(app, record=("S3",)).run(events)
         s3 = result.events_on("S3")
         assert len(s3) >= 1
         assert s3[0].key == "sports|0"
@@ -61,7 +61,7 @@ class TestPipeline:
         events += [tweet("music", base + i * 0.1) for i in range(10)]
         # Day 3 trickle so day-2's window timer has a successor context.
         events.append(tweet("music", 3 * 86_400.0 + 1.0))
-        result = ReferenceExecutor(app).run(events)
+        result = ReferenceExecutor(app, record=("S4",)).run(events)
         s4 = result.events_on("S4")
         assert len(s4) == 1
         assert s4[0].key == "music|0"
@@ -73,7 +73,7 @@ class TestPipeline:
         for day in range(4):
             base = day * 86_400.0
             events += [tweet("food", base + 1.0), tweet("food", base + 2.0)]
-        result = ReferenceExecutor(app).run(events)
+        result = ReferenceExecutor(app, record=("S4",)).run(events)
         assert result.events_on("S4") == []
 
     def test_sink_collects_alerts(self):
@@ -81,7 +81,7 @@ class TestPipeline:
         events = [tweet("news", 1.0)]
         events += [tweet("news", 86_400.0 + i * 0.5) for i in range(8)]
         events.append(tweet("news", 2 * 86_400.0))
-        result = ReferenceExecutor(app).run(events)
+        result = ReferenceExecutor(app, record=("S4",)).run(events)
         alerts = [(e.key, e.value) for e in result.events_on("S4")]
         assert ("news|0", 8) in alerts
 
@@ -102,7 +102,7 @@ class TestWithGenerator:
                     .events(duration_s=240.0, start_ts=86_400.0))
         result = ReferenceExecutor(
             build_hot_topics_app(window_s=60.0, threshold=3.0),
-            max_events=500_000).run(day1 + day2)
+            max_events=500_000, record=("S4",)).run(day1 + day2)
         alerts = [e.key for e in result.events_on("S4")]
         assert any(key.startswith("fashion|") for key in alerts)
         # The alert names the burst minutes (2 or 3 of the day).

@@ -21,7 +21,8 @@ counted. A function that ``bench/`` calls (its tests aside) counts as
 entered, since the benchmark's full-length runs may reach what a short
 run does not; a call names a function by its class (``Class.name(...)``),
 as a bare module-level name, or by a method name that only one counted
-function has.
+function has and no builtin ``dict``, ``list``, ``set``, ``str`` or
+``bytes`` defines (a bench ``d.setdefault(...)`` is a dict's).
 
 Run the whole census (about 15 minutes of single-process time)::
 
@@ -57,6 +58,11 @@ SRC = REPO / "src"
 
 #: A place in the source: ``(absolute file path, first line)``.
 Site = Tuple[str, int]
+
+#: Method names a builtin receiver answers: a bench ``x.name(...)`` with
+#: one of these names may not call the package at all.
+BUILTIN_METHODS = frozenset(
+    name for kind in (dict, list, set, str, bytes) for name in dir(kind))
 
 STUB_RAISES = {"NotImplementedError"}
 
@@ -168,7 +174,9 @@ def bench_called_names(root: Path = REPO / "bench") -> Set[str]:
 
 def _called_from_bench(defs: Mapping[str, Function],
                        bench_names: Set[str]) -> Set[str]:
-    """The counted functions a ``bench/`` call names unambiguously."""
+    """The counted functions a ``bench/`` call names unambiguously: by
+    class, by module-level name, or by a method name only they have and
+    no builtin receiver defines."""
     owners: Dict[str, List[str]] = {}
     for name in defs:
         owners.setdefault(name.rpartition(".")[2].rpartition(":")[2],
@@ -179,7 +187,8 @@ def _called_from_bench(defs: Mapping[str, Function],
         owner, _, short = path.rpartition(".")
         by_class = f"{owner.rpartition('.')[2]}.{short}"
         if (path in bench_names or owner and by_class in bench_names
-                or f".{short}" in bench_names and len(owners[short]) == 1):
+                or f".{short}" in bench_names and len(owners[short]) == 1
+                and short not in BUILTIN_METHODS):
             called.add(name)
     return called
 

@@ -61,26 +61,39 @@ class ForwardingUpdater(Updater):
                     slate["count"])
 
 
-def build_count_app() -> Application:
+def recording(updater: type, log: list) -> type:
+    """A subclass of ``updater`` that appends ``(slate key, fields)`` to
+    ``log`` after each update: the slate-update sequence Section 3
+    defines, as the engine running it applies it."""
+
+    class Recording(updater):
+        def update(self, ctx, event, slate):
+            super().update(ctx, event, slate)
+            log.append((slate.slate_key, slate.as_dict()))
+
+    return Recording
+
+
+def build_count_app(counter: type = CountingUpdater) -> Application:
     """S1 → M1(echo) → S2 → U1(count): the minimal end-to-end app."""
     app = Application("count")
     app.add_stream("S1", external=True)
     app.add_stream("S2")
     app.add_mapper("M1", EchoMapper, subscribes=["S1"], publishes=["S2"])
-    app.add_updater("U1", CountingUpdater, subscribes=["S2"])
+    app.add_updater("U1", counter, subscribes=["S2"])
     return app.validate()
 
 
-def build_two_stage_app() -> Application:
+def build_two_stage_app(forwarder: type = ForwardingUpdater,
+                        counter: type = CountingUpdater) -> Application:
     """S1 → M1 → S2 → U1(forward) → S3 → U2(count)."""
     app = Application("two-stage")
     app.add_stream("S1", external=True)
     app.add_stream("S2")
     app.add_stream("S3")
     app.add_mapper("M1", EchoMapper, subscribes=["S1"], publishes=["S2"])
-    app.add_updater("U1", ForwardingUpdater, subscribes=["S2"],
-                    publishes=["S3"])
-    app.add_updater("U2", CountingUpdater, subscribes=["S3"])
+    app.add_updater("U1", forwarder, subscribes=["S2"], publishes=["S3"])
+    app.add_updater("U2", counter, subscribes=["S3"])
     return app.validate()
 
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from repro.core import Application, Event, ReferenceExecutor
 from repro.core.slate import Slate, SlateKey
 from repro.core.stream import StreamRegistry, StreamSpec
-from tests.conftest import SummingUpdater, build_count_app
+from tests.conftest import (CountingUpdater, SummingUpdater,
+                            build_count_app, recording)
 
 keys = st.text(alphabet="abcdef", min_size=1, max_size=3)
 timestamps = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
@@ -56,10 +57,14 @@ class TestReferenceProperties:
             if event.ts not in seen_ts:
                 seen_ts.add(event.ts)
                 distinct.append(event)
-        r1 = ReferenceExecutor(build_count_app()).run(list(distinct))
-        r2 = ReferenceExecutor(build_count_app()).run(
+        forward, backward = [], []
+        ReferenceExecutor(build_count_app(
+            recording(CountingUpdater, forward))).run(list(distinct))
+        ReferenceExecutor(build_count_app(
+            recording(CountingUpdater, backward))).run(
             list(reversed(distinct)))
-        assert r1.slate_update_log == r2.slate_update_log
+        assert len(forward) == len(distinct)
+        assert forward == backward
 
     @settings(max_examples=30, deadline=None)
     @given(events_strategy())

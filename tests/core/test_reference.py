@@ -1,11 +1,19 @@
 """Reference executor: exact Section 3 semantics."""
 
+import gc
+import hashlib
+import tracemalloc
+
 import pytest
 
+from repro.apps import build_hot_topics_app
+from repro.apps.reputation import build_reputation_app
 from repro.core import Application, Event, Mapper, ReferenceExecutor, Updater
-from repro.errors import SimulationError, WorkflowError
-from tests.conftest import (CountingUpdater, build_count_app,
-                            build_two_stage_app, make_events)
+from repro.errors import ConfigurationError, SimulationError, WorkflowError
+from repro.workloads import TopicBurst, TweetGenerator
+from tests.conftest import (CountingUpdater, ForwardingUpdater,
+                            build_count_app, build_two_stage_app,
+                            make_events, recording)
 
 
 class TestBasicExecution:
@@ -22,10 +30,10 @@ class TestBasicExecution:
         assert result.slates_of("U1")["k1"]["count"] == 5
 
     def test_stream_logs_are_recorded(self):
-        result = ReferenceExecutor(build_count_app()).run(make_events(3))
+        result = ReferenceExecutor(build_count_app(),
+                                   record=("S1", "S2")).run(make_events(3))
         assert len(result.events_on("S1")) == 3
         assert len(result.events_on("S2")) == 3
-        assert result.events_on("S_unknown") == []
 
     def test_missing_slate_is_none(self):
         result = ReferenceExecutor(build_count_app()).run(make_events(1))
@@ -72,17 +80,15 @@ class TestOrderingSemantics:
 
     def test_determinism_across_runs(self):
         events = make_events(50, keys=7)
-        r1 = ReferenceExecutor(build_two_stage_app()).run(list(events))
-        r2 = ReferenceExecutor(build_two_stage_app()).run(list(events))
-        assert r1.slate_update_log == r2.slate_update_log
+        logs = ([], [])
+        r1, r2 = (ReferenceExecutor(build_two_stage_app(
+            recording(ForwardingUpdater, log),
+            recording(CountingUpdater, log))).run(list(events))
+            for log in logs)
+        assert len(logs[0]) == 100  # 50 forwards and 50 counts
+        assert logs[0] == logs[1]
         assert {k: s.as_dict() for k, s in r1.slates.items()} == \
             {k: s.as_dict() for k, s in r2.slates.items()}
-
-    def test_slate_update_log_records_every_update(self):
-        result = ReferenceExecutor(build_count_app()).run(make_events(4))
-        assert len(result.slate_update_log) == 4
-        counts = [snap["count"] for _, snap in result.slate_update_log]
-        assert all(c >= 1 for c in counts)
 
 
 class TestCycles:
@@ -144,7 +150,7 @@ class TestTimers:
         app.add_updater("U2", CountingUpdater, subscribes=["OUT"])
         events = [Event("S1", float(i), "k") for i in range(5)]       # in window
         events += [Event("S1", 100.0, "k")]                            # after
-        result = ReferenceExecutor(app).run(events)
+        result = ReferenceExecutor(app, record=("OUT",)).run(events)
         # Timer set at ts=60 fires before the ts=100 event: 5 in window.
         assert result.slates_of("U1")["k"]["emitted"] == 5
         assert len(result.events_on("OUT")) == 1
@@ -184,3 +190,90 @@ class TestInputValidation:
         with pytest.raises(WorkflowError, match="external"):
             ReferenceExecutor(build_count_app()).run(
                 [Event("S2", 0.0, "k")])
+
+
+def _digests(result):
+    """SHA-256 of each recorded stream's events, in publication order."""
+    return {sid: (len(events), hashlib.sha256(
+        "\n".join(map(repr, events)).encode()).hexdigest())
+        for sid, events in result.streams.items()}
+
+
+def hot_topics_input():
+    """The two days of tweets ``examples/hot_topics.py`` runs."""
+    day = 86_400.0
+    burst = TopicBurst("fashion", start_s=day + 60.0, end_s=day + 180.0,
+                       multiplier=30.0)
+    day1 = TweetGenerator(rate_per_s=40.0, seed=61).events(duration_s=240.0)
+    day2 = TweetGenerator(rate_per_s=40.0, seed=62, bursts=[burst]).events(
+        duration_s=240.0, start_ts=day)
+    return list(day1) + list(day2)
+
+
+class TestRecording:
+    #: Per-stream (count, digest) of every published event, recorded
+    #: when the executor still kept every stream.
+    HOT_TOPICS = {
+        "S1": (19200, "b9c81048e7c49db5f61a02503a84c7d5"
+                      "a6326b539f683cd061b34c754bff5647"),
+        "S2": (19200, "c0d2d115a38c379ccfcc9432ca57da06"
+                      "4f22ee20c22ab03647eab7b605ed296a"),
+        "S3": (80, "503116d845e49b598cfca11c1d94456c"
+                   "62051a3e89555c5df486241392fe81ea"),
+        "S4": (2, "4c3341d37b767cc92e612e64b3442bc8"
+                  "e371babcd33b6d3791d9add2d59d3080"),
+    }
+    REPUTATION = {
+        "S1": (2000, "4e5e202176f387f1ffa78e7758a2e847"
+                     "b8c49292e4a41a28c6867d750949b1a1"),
+        "S2": (2000, "20efaa5f34319b9a7b808518ddc5bb55"
+                     "d3f076b1fd4876bb5e57826543bfffff"),
+        "S3": (459, "933ccab00c3305a3a2ee5a18f6f21567"
+                    "b73c1ec3ec776eb3dc1288af6e5812b2"),
+    }
+
+    def test_every_stream_recorded_matches_hot_topics(self):
+        app = build_hot_topics_app(window_s=60.0, threshold=3.0)
+        result = ReferenceExecutor(app, max_events=2_000_000,
+                                   record=app.streams.sids()).run(
+            hot_topics_input())
+        assert self.HOT_TOPICS == _digests(result)
+
+    def test_every_stream_recorded_matches_reputation(self):
+        app = build_reputation_app()
+        result = ReferenceExecutor(app, record=app.streams.sids()).run(
+            TweetGenerator(sid="S1", seed=7).take(2000))
+        assert self.REPUTATION == _digests(result)
+
+    def test_published_counts_unrecorded_streams(self):
+        result = ReferenceExecutor(build_count_app(), record=("S2",)).run(
+            make_events(5))
+        assert result.counters.published == 10
+        assert len(result.events_on("S2")) == 5
+
+    def test_undeclared_stream_in_record_raises(self):
+        with pytest.raises(ConfigurationError, match="S9"):
+            ReferenceExecutor(build_count_app(), record=("S2", "S9"))
+
+    def test_events_on_an_unrecorded_stream_raises(self):
+        result = ReferenceExecutor(build_count_app(), record=("S2",)).run(
+            make_events(3))
+        with pytest.raises(ConfigurationError, match="record="):
+            result.events_on("S1")
+
+    def test_result_retains_slates_not_the_stream(self):
+        """A run over 20,000 events keeps its 200 slates, not a copy per
+        update or the published events (which held 10.6 MiB)."""
+        events = make_events(20_000, keys=200)
+        app = build_count_app()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = ReferenceExecutor(app).run(events)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.slates_of("U1")) == 200
+        assert kept < 0.5 * 2**20

@@ -43,11 +43,6 @@ class TestMappingProtocol:
         slate = make_slate()
         assert slate.get("missing", 42) == 42
 
-    def test_setdefault_inserts_once(self):
-        slate = make_slate()
-        assert slate.setdefault("x", 1) == 1
-        assert slate.setdefault("x", 9) == 1
-
     def test_iteration_and_len(self):
         slate = make_slate(data={"a": 1, "b": 2})
         assert sorted(slate) == ["a", "b"]
@@ -75,12 +70,6 @@ class TestDirtyTracking:
         slate = make_slate()
         slate["x"] = 1
         assert slate.dirty
-
-    def test_setdefault_existing_does_not_dirty(self):
-        slate = make_slate(data={"x": 1})
-        slate.mark_clean()
-        slate.setdefault("x", 2)
-        assert not slate.dirty
 
     def test_touch_and_mark_clean_cycle(self):
         slate = make_slate()

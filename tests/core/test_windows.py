@@ -76,7 +76,7 @@ class TestEndToEnd:
         events = [Event("S1", float(t), "k") for t in (0, 10, 20)]
         events += [Event("S1", float(t), "k") for t in (100, 110)]
         events += [Event("S1", 300.0, "k")]
-        result = ReferenceExecutor(build_app()).run(events)
+        result = ReferenceExecutor(build_app(), record=("OUT",)).run(events)
         emitted = [e.value for e in result.events_on("OUT")]
         # Window 1 opens at t=0, closes at 60 with 3 events; window 2
         # opens at 100, closes at 160 with 2; window 3 opens at 300.
@@ -85,7 +85,7 @@ class TestEndToEnd:
     def test_independent_keys_independent_windows(self):
         events = [Event("S1", 0.0, "a"), Event("S1", 50.0, "b"),
                   Event("S1", 55.0, "a")]
-        result = ReferenceExecutor(build_app()).run(events)
+        result = ReferenceExecutor(build_app(), record=("OUT",)).run(events)
         emitted = {(e.key, e.value) for e in result.events_on("OUT")}
         assert emitted == {("a", 2), ("b", 1)}
 

@@ -30,13 +30,14 @@ class TestInMemoryLog:
         log.append(cells()[0])
         log.truncate()
         assert list(log.replay()) == []
-        assert log.size_bytes == 0
+        assert log.append(cells()[1]) == charged_size(cells()[1])
+        assert list(log.replay()) == [cells()[1]]
 
     def test_size_grows(self):
         log = CommitLog()
         size = log.append(cells()[0])
         assert size > 0
-        assert log.size_bytes == size
+        assert size == charged_size(cells()[0])
 
 
 class TestOnDiskLog:
@@ -89,8 +90,7 @@ class TestAdoptedLog:
         before = path.read_bytes()
         adopted = CommitLog.open(path)
         assert path.read_bytes() == before  # nothing rewritten
-        assert adopted.size_bytes == charged_size(cells()[0])
-        adopted.append(cells()[1])
+        assert adopted.append(cells()[1]) == charged_size(cells()[1])
         adopted.close()
         assert list(CommitLog.open(path).replay()) == cells()[:2]
 
@@ -176,4 +176,4 @@ class TestChargedSize:
         for log in (CommitLog(), CommitLog(tmp_path / "n.commitlog")):
             sizes = [log.append(cell) for cell in cells()]
             assert sizes == [len(legacy_json_line(c)) + 1 for c in cells()]
-            assert log.size_bytes == sum(sizes)
+            assert sizes == [charged_size(c) for c in cells()]

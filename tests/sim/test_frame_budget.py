@@ -143,9 +143,9 @@ class Budget(NamedTuple):
 
 BUDGETS = {
     "sim_eo": Budget(_sim_job(_eo_runtime, 4_000.0), _processed_every_hop,
-                     frames=78_252, package_frames=63_849),
+                     frames=78_248, package_frames=63_849),
     "sim_chain": Budget(_sim_job(_chain_runtime, 10_000.0),
-                        _processed_every_hop, frames=40_172,
+                        _processed_every_hop, frames=40_168,
                         package_frames=38_496),
     "store_churn": Budget(_manager_job, _hit_and_wrote, frames=29_626,
                           package_frames=25_143),
