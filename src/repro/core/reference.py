@@ -15,7 +15,9 @@ Muppet 1.0/2.0 on the simulator) are tested against it: with commutative
 updates they must reach the same slate fixpoints.
 
 Like a slate, which "summarizes all events with key k that an update
-function U has seen so far", a run holds per-key state, not the stream: its
+function U has seen so far", a run holds per-key state, not the stream:
+its slates, the operator outputs and timers in flight and, only for
+input that is out of timestamp order, its stamped source list. Its
 :class:`ReferenceResult` keeps the final slates, the event counters and
 the published events of only the streams named in ``record``.
 """
@@ -25,13 +27,14 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.core.application import Application, OperatorSpec
 from repro.core.event import Event, EventCounter, Key, Timestamp
 from repro.core.operators import (TIMER_SID_PREFIX, Context, Mapper, Operator,
                                   TimerRequest, Updater)
 from repro.core.slate import Slate, SlateKey
+from repro.core.stream import StreamRegistry
 from repro.errors import ConfigurationError, SimulationError, WorkflowError
 
 
@@ -41,9 +44,10 @@ class ReferenceResult:
 
     Attributes:
         streams: For each stream named in the executor's ``record``, every
-            event published to it, in publication order (which equals
-            processing order for this executor). Other streams are not
-            kept; ``counters.published`` still counts their events.
+            event published to it, in publication order: processing
+            order for an internal stream, input order for an external
+            one. Other streams are not kept; ``counters.published``
+            still counts their events.
         slates: Final slate objects, keyed by :class:`SlateKey`.
         counters: Event accounting.
     """
@@ -95,9 +99,10 @@ class ReferenceExecutor:
 
     Args:
         app: A validated :class:`Application`.
-        max_events: Safety cap on total processed deliveries; cyclic
-            workflows could otherwise run forever. Exceeding the cap raises
-            :class:`SimulationError`.
+        max_events: Safety cap on the events and timers a run takes in
+            order (an event counts once, however many operators it
+            reaches); cyclic workflows could otherwise run forever.
+            Exceeding the cap raises :class:`SimulationError`.
         record: The streams whose published events the result keeps
             (:meth:`ReferenceResult.events_on`). An undeclared stream
             raises :class:`ConfigurationError`.
@@ -122,33 +127,44 @@ class ReferenceExecutor:
                     f"record names undeclared stream {sid!r}")
             self._streams[sid] = []
         self._timer_seq = itertools.count()
+        # Its own sequencers: a run's seq values do not depend on what
+        # stamped through the application's registry before it.
+        self._registry = StreamRegistry()
+        for sid in app.streams.sids():
+            self._registry.declare(app.streams.spec(sid))
 
     # -- public API ----------------------------------------------------------
     def run(self, source_events: Iterable[Event]) -> ReferenceResult:
         """Feed ``source_events`` (external streams only) to completion.
 
-        Events may arrive in any order; the executor sorts the whole run
-        into the global timestamp order first, then processes each delivery,
-        interleaving operator-published events and timers at their correct
-        positions.
+        Events may arrive in any order. Input already in ``(ts, sid)``
+        order is stamped as the run reaches it; other input is stamped in
+        input order and sorted once. One loop then takes whichever comes
+        first, the next source event or the earliest operator output or
+        timer, so every delivery happens at its global position.
         """
-        heap: List[Tuple[Tuple[Timestamp, str, int], int, object]] = []
-        tie = itertools.count()
-
-        for event in source_events:
-            spec = self.app.streams.spec(event.sid)
-            if not spec.external:
+        events = (source_events if isinstance(source_events, (list, tuple))
+                  else list(source_events))
+        for event in events:
+            if not self._registry.spec(event.sid).external:
                 raise WorkflowError(
                     "source event addressed to internal stream "
                     f"{event.sid!r}; only external streams accept input"
                 )
-            stamped = self.app.streams.stamp(event)
-            self._record(stamped)
-            heapq.heappush(heap, (stamped.order_key(), next(tie), stamped))
+        pending: Iterator[Event] = map(self._publish, events)
+        if not all((a.ts, a.sid) <= (b.ts, b.sid)
+                   for a, b in itertools.pairwise(events)):
+            pending = iter(sorted(pending, key=Event.order_key))
 
+        heap: List[Tuple[Tuple[Timestamp, str, int], int, object]] = []
+        tie = itertools.count()
+        source = next(pending, None)
         processed = 0
-        while heap:
-            _, __, item = heapq.heappop(heap)
+        while source is not None or heap:
+            if heap and (source is None or heap[0][0] < source.order_key()):
+                item = heapq.heappop(heap)[2]
+            else:
+                item, source = source, next(pending, None)
             processed += 1
             if processed > self.max_events:
                 raise SimulationError(
@@ -173,19 +189,15 @@ class ReferenceExecutor:
         )
 
     # -- internals -------------------------------------------------------------
-    def _record(self, event: Event) -> None:
+    def _publish(self, event: Event, from_operator: bool = False) -> Event:
+        """Stamp ``event`` on the executor's own sequencers, count it and
+        record it if its stream is recorded."""
+        event = self._registry.stamp(event, from_operator)
         self._counters.published += 1
         recorded = self._streams.get(event.sid)
         if recorded is not None:
             recorded.append(event)
-
-    def _stamp_and_record(self, outputs: List[Event]) -> List[Event]:
-        stamped = []
-        for out in outputs:
-            event = self.app.streams.stamp(out, from_operator=True)
-            self._record(event)
-            stamped.append(event)
-        return stamped
+        return event
 
     def _deliver(self, event: Event) -> Tuple[List[Event], List[TimerRequest]]:
         """Feed one event to every subscriber, in sorted operator order."""
@@ -203,7 +215,7 @@ class ReferenceExecutor:
                 slate = self._slate_for(instance, spec, event.key, event.ts)
                 instance.update(ctx, event, slate)
                 slate.touch(event.ts)
-            outputs.extend(self._stamp_and_record(ctx.emitted))
+            outputs.extend(self._publish(out, True) for out in ctx.emitted)
             timers.extend(ctx.timers)
         return outputs, timers
 
@@ -217,7 +229,7 @@ class ReferenceExecutor:
         slate = self._slate_for(instance, spec, timer.key, timer.at_ts)
         instance.on_timer(ctx, timer.key, slate, timer.payload)
         slate.touch(timer.at_ts)
-        outputs = self._stamp_and_record(ctx.emitted)
+        outputs = [self._publish(out, True) for out in ctx.emitted]
         return outputs, list(ctx.timers)
 
     def _slate_for(self, instance: Updater, spec: OperatorSpec, key: Key,

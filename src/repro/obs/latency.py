@@ -27,7 +27,11 @@ def percentile(samples: Sequence[float], fraction: float) -> float:
         raise ValueError("percentile of empty sample set")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction {fraction} outside [0, 1]")
-    ordered = sorted(samples)
+    return _ranked(sorted(samples), fraction)
+
+
+def _ranked(ordered: Sequence[float], fraction: float) -> float:
+    """:func:`percentile` of samples already sorted ascending."""
     if len(ordered) == 1:
         return ordered[0]
     rank = fraction * (len(ordered) - 1)
@@ -85,13 +89,14 @@ class LatencyRecorder:
         """Summarize; raises ValueError when no samples were recorded."""
         if not self._samples:
             raise ValueError("no latency samples recorded")
+        ordered = sorted(self._samples)
         return LatencySummary(
-            count=len(self._samples),
-            mean=sum(self._samples) / len(self._samples),
-            p50=percentile(self._samples, 0.50),
-            p95=percentile(self._samples, 0.95),
-            p99=percentile(self._samples, 0.99),
-            maximum=max(self._samples),
+            count=len(ordered),
+            mean=sum(self._samples) / len(ordered),
+            p50=_ranked(ordered, 0.50),
+            p95=_ranked(ordered, 0.95),
+            p99=_ranked(ordered, 0.99),
+            maximum=ordered[-1],
         )
 
     def fill_histogram(self, histogram) -> "LatencyRecorder":

@@ -265,14 +265,21 @@ def memory_mb_per_machine(rt: "SimRuntime") -> float:
 def build_report(rt: "SimRuntime", duration_s: float) -> SimReport:
     """Summarize the run so far as a :class:`SimReport`: a snapshot, which
     a later ``run`` of the same runtime leaves as it is."""
-    all_latencies = LatencyRecorder()
     by_updater: Dict[str, LatencySummary] = {}
     for name, recorder in rt.latency.items():  # noqa: MUP003 -- single-threaded DES; operator insertion order is deterministic
         if len(recorder):
             by_updater[name] = recorder.summary()
-            all_latencies.extend(recorder.samples)
             recorder.fill_histogram(
                 rt.metrics.histogram(f"latency.{name}"))
+    # One updater's summary is the run's; several are pooled, in
+    # updater order, and sorted once.
+    if len(by_updater) > 1:
+        pooled = LatencyRecorder()
+        for recorder in rt.latency.values():  # noqa: MUP003 -- insertion order as above
+            pooled.extend(recorder.samples)
+        latency: Optional[LatencySummary] = pooled.summary()
+    else:
+        latency = next(iter(by_updater.values()), None)
     queue_peak = 0
     for machine in rt.machines.values():  # noqa: MUP003 -- max() is order-independent
         for worker in machine.workers:
@@ -292,7 +299,7 @@ def build_report(rt: "SimRuntime", duration_s: float) -> SimReport:
         engine=rt.config.engine,
         duration_s=duration_s,
         counters=counters,
-        latency=(all_latencies.summary() if len(all_latencies) else None),
+        latency=latency,
         latency_by_updater=by_updater,
         throughput=ThroughputReport(rt.counters.processed, duration_s),
         dispatch_stats=dispatch_stats(rt),
