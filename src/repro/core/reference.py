@@ -118,6 +118,10 @@ class ReferenceExecutor:
         self._instances: Dict[str, Operator] = {
             spec.name: spec.instantiate() for spec in app.operators()
         }
+        # Each stream's (subscriber, instance) pairs, in sorted order.
+        self._routes = {sid: tuple((spec, self._instances[spec.name])
+                                   for spec in app.subscribers_of(sid))
+                        for sid in app.streams.sids()}
         self._slates: Dict[SlateKey, Slate] = {}
         self._counters = EventCounter()
         self._streams: Dict[str, List[Event]] = {}
@@ -200,13 +204,12 @@ class ReferenceExecutor:
         return event
 
     def _deliver(self, event: Event) -> Tuple[List[Event], List[TimerRequest]]:
-        """Feed one event to every subscriber, in sorted operator order."""
+        """Feed one event to its subscribers, routed by the table built once."""
         outputs: List[Event] = []
         timers: List[TimerRequest] = []
-        for spec in self.app.subscribers_of(event.sid):
+        for spec, instance in self._routes[event.sid]:
             self._counters.processed += 1
             ctx = Context(spec.name, event.ts, spec.publishes, event.key)
-            instance = self._instances[spec.name]
             if spec.kind == "map":
                 assert isinstance(instance, Mapper)
                 instance.map(ctx, event)

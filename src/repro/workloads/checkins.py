@@ -7,6 +7,10 @@ retailer (if any)". At Kosmix the stream ran at ~1.5 M checkins/day
 (Section 5). We generate seeded checkins whose venue names mix recognized
 retailers (with messy real-world spellings, so the Figure 3 regexes have
 something to chew on) and non-retail venues.
+
+Each value is formatted directly, byte for byte what ``json.dumps(record,
+separators=(",", ":"))`` writes for the record: every venue name is
+escaped once by the encoder (``Sam’s Club`` reads ``Sam\\u2019s Club``).
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ NON_RETAIL_VENUES = (
     "Mission Dolores Park", "City Hall", "Joe's Diner",
     "24th St BART", "The Fillmore", "Main Library", "Pier 39",
 )
+
+#: Escapes a generated record's free text, once per piece.
+_ESCAPE = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class CheckinGenerator:
@@ -75,43 +82,45 @@ class CheckinGenerator:
             raise ConfigurationError(
                 f"unknown hot retailer {hot_retailer!r}; choices {names}"
             )
+        if not 0.0 <= hot_share <= 1.0:
+            raise ConfigurationError("hot_share must be in [0, 1]")
         self.sid = sid
         self.rate_per_s = rate_per_s
         self.retail_fraction = retail_fraction
-        self.hot_retailer = hot_retailer
         self.hot_share = hot_share
         self._users = ZipfSampler(num_users, 1.0, seed)
         self._retailers = ZipfSampler(len(RETAILER_SPELLINGS),
                                       RETAILER_EXPONENT, seed + 1)
         self._rng = random.Random(seed + 2)
         self._checkin_id = 0
+        # Venue names escaped once, in the orders ``rng.choice`` indexes.
+        self._non_retail = tuple(map(_ESCAPE, NON_RETAIL_VENUES))
+        self._spellings = tuple((name, tuple(map(_ESCAPE, spellings)))
+                                for name, spellings in RETAILER_SPELLINGS)
+        self._hot_index = names.index(hot_retailer) if hot_retailer else -1
 
     def _venue(self) -> Tuple[str, str]:
-        """Pick a venue; returns (venue display name, true retailer or '')."""
+        """Pick a venue; returns (venue name as JSON, true retailer or '')."""
         if self._rng.random() >= self.retail_fraction:
-            return self._rng.choice(NON_RETAIL_VENUES), ""
-        if self.hot_retailer and self._rng.random() < self.hot_share:
-            index = next(i for i, (name, _) in enumerate(RETAILER_SPELLINGS)
-                         if name == self.hot_retailer)
+            return self._rng.choice(self._non_retail), ""
+        if self._hot_index >= 0 and self._rng.random() < self.hot_share:
+            index = self._hot_index
         else:
             index = self._retailers.sample()
-        name, spellings = RETAILER_SPELLINGS[index]
-        return self._rng.choice(list(spellings)), name
+        name, spellings = self._spellings[index]
+        return self._rng.choice(spellings), name
 
     def _make_checkin(self, ts: float) -> Tuple[str, str, str]:
         """Build one checkin; returns (user key, JSON value, retailer)."""
         self._checkin_id += 1
         user = f"user{self._users.sample()}"
         venue, retailer = self._venue()
-        record: Dict[str, object] = {
-            "id": self._checkin_id,
-            "user": user,
-            "ts": ts,
-            "venue": {"name": venue,
-                      "lat": round(37.70 + self._rng.random() * 0.12, 5),
-                      "lon": round(-122.51 + self._rng.random() * 0.14, 5)},
-        }
-        return user, json.dumps(record, separators=(",", ":")), retailer
+        lat = round(37.70 + self._rng.random() * 0.12, 5)
+        lon = round(-122.51 + self._rng.random() * 0.14, 5)
+        return user, (f'{{"id":{self._checkin_id},"user":"{user}",'
+                      f'"ts":{float.__repr__(ts)},"venue":{{"name":{venue},'
+                      f'"lat":{float.__repr__(lat)},'
+                      f'"lon":{float.__repr__(lon)}}}}}'), retailer
 
     def events(self, duration_s: float, start_ts: float = 0.0
                ) -> Iterator[Event]:

@@ -11,7 +11,10 @@ seeded synthetic tweets with the properties the applications depend on:
 * embedded URLs with skewed popularity (Section 2's top-ten URLs input;
   no shipped app reads them, but their draws shape every tweet stream).
 
-Values are JSON strings, like the real Firehose; keys are user IDs.
+Values are JSON strings, like the real Firehose; keys are user IDs. Each
+value is formatted directly from fragments built once, byte for byte what
+``json.dumps(record, separators=(",", ":"))`` writes for the record: the
+free text (every topic, bursts' included) is escaped once by the encoder.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.core.event import Event
 from repro.errors import ConfigurationError
@@ -37,6 +40,9 @@ URL_PROB = 0.20
 USER_EXPONENT = 1.1
 TOPIC_EXPONENT = 1.0
 
+#: Escapes a generated record's free text, once per piece.
+_ESCAPE = json.JSONEncoder(separators=(",", ":")).encode
+
 
 @dataclass(frozen=True)
 class TopicBurst:
@@ -47,6 +53,11 @@ class TopicBurst:
     start_s: float
     end_s: float
     multiplier: float = 10.0
+
+    def __post_init__(self) -> None:
+        if not self.start_s < self.end_s or self.multiplier <= 0:
+            raise ConfigurationError(
+                "a burst needs start_s < end_s and a positive multiplier")
 
 
 class TweetGenerator:
@@ -74,6 +85,9 @@ class TweetGenerator:
     ) -> None:
         if rate_per_s <= 0:
             raise ConfigurationError("rate must be positive")
+        if min(retweet_prob, reply_prob) < 0 or retweet_prob + reply_prob > 1:
+            raise ConfigurationError(
+                "retweet_prob and reply_prob must be >= 0 with sum <= 1")
         self.sid = sid
         self.rate_per_s = rate_per_s
         self.bursts = list(bursts)
@@ -84,6 +98,10 @@ class TweetGenerator:
         self.retweet_prob = retweet_prob
         self.reply_prob = reply_prob
         self._tweet_id = 0
+        # Each topic's "text" and "topics" members, escaped once.
+        self._topic_json = {topic: '"text":%s,"topics":[%s]' % (
+            _ESCAPE(f"talking about {topic} right now #{topic}"),
+            _ESCAPE(topic)) for topic in (*TOPICS, *(b.topic for b in bursts))}
 
     def _pick_topic(self, ts: float) -> str:
         """Topic choice honoring active bursts at time ``ts``."""
@@ -100,22 +118,17 @@ class TweetGenerator:
         """Build one tweet; returns (user key, JSON value)."""
         self._tweet_id += 1
         user = f"user{self._users.sample()}"
-        topic = self._pick_topic(ts)
-        record: Dict[str, object] = {
-            "id": self._tweet_id,
-            "user": user,
-            "ts": ts,
-            "text": f"talking about {topic} right now #{topic}",
-            "topics": [topic],
-        }
+        topic = self._topic_json[self._pick_topic(ts)]
         roll = self._rng.random()
+        ref = ""
         if roll < self.retweet_prob:
-            record["retweet_of"] = f"user{self._users.sample()}"
+            ref = f',"retweet_of":"user{self._users.sample()}"'
         elif roll < self.retweet_prob + self.reply_prob:
-            record["reply_to"] = f"user{self._users.sample()}"
-        if self._rng.random() < URL_PROB:
-            record["urls"] = [f"http://ex.am/{self._urls.sample()}"]
-        return user, json.dumps(record, separators=(",", ":"))
+            ref = f',"reply_to":"user{self._users.sample()}"'
+        url = (f',"urls":["http://ex.am/{self._urls.sample()}"]'
+               if self._rng.random() < URL_PROB else "")
+        return user, (f'{{"id":{self._tweet_id},"user":"{user}",'
+                      f'"ts":{float.__repr__(ts)},{topic}{ref}{url}}}')
 
     def events(self, duration_s: float, start_ts: float = 0.0
                ) -> Iterator[Event]:

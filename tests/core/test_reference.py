@@ -238,6 +238,20 @@ class TestSequencing:
             assert [e.seq for e in result.events_on("S2")] == [0, 1, 2]
 
 
+class TestRouting:
+    def test_run_routes_without_scanning_the_operators(self, monkeypatch):
+        """Subscribers are looked up in a table built with the executor,
+        not found again among the application's operators per event."""
+        executor = ReferenceExecutor(build_two_stage_app())
+        calls = []
+        operators = Application.operators
+        monkeypatch.setattr(Application, "operators",
+                            lambda app: calls.append(1) or operators(app))
+        result = executor.run(make_events(10, keys=2))
+        assert result.slates_of("U2")["k0"]["count"] == 5
+        assert calls == []
+
+
 def _digests(result):
     """SHA-256 of each recorded stream's events, in publication order."""
     return {sid: (len(events), hashlib.sha256(
