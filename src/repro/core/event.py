@@ -161,10 +161,8 @@ def derive_origin(parent: Event, operator: str, ordinal: int) -> Tuple[str, int]
     Because operators are deterministic (Section 3), replaying ``parent``
     re-derives byte-identical ``(origin, oseq)`` pairs — which is what
     lets downstream dedup watermarks recognize re-derived duplicates.
-
-    The simulator's finish station (``SimRuntime._compile_finish``)
-    derives output ids with the same arithmetic, read from the parent's
-    tuple slots, under an ``# inlines:`` marker naming this function.
+    The simulator's finish station calls it once per invocation, with
+    ``ordinal`` 0, and adds each output's position to the sequence.
     """
     origin, oseq = parent.provenance()
     return f"{origin}>{operator}", oseq * ORIGIN_SEQ_STRIDE + ordinal

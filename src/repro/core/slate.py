@@ -252,12 +252,7 @@ class Slate:
             watermarks = self._watermarks = {}
         if seq > watermarks.get(origin, -1):
             watermarks[origin] = seq
-            # inlines: repro.core.slate:Slate.dirty
-            self._version += 1
-            if not self._dirty:
-                self._dirty = True
-                if self._dirty_listener is not None:
-                    self._dirty_listener(self, True)
+            self.dirty = True
 
     def set_watermarks(self, watermarks: Optional[Dict[str, int]]) -> None:
         """Install watermarks decoded from a stored blob (manager use).

@@ -31,7 +31,8 @@ def hash_pair(item: str) -> Tuple[int, int]:
 
 
 class BloomFilter:
-    """A classic k-hash bloom filter over strings.
+    """A classic k-hash bloom filter over strings, filled and probed by
+    their :func:`hash_pair`.
 
     Args:
         expected_items: Sizing hint; the bit array and hash count are
@@ -47,11 +48,6 @@ class BloomFilter:
         self._num_hashes = max(1, round((self._num_bits / expected_items)
                                         * ln2))
         self._bits = bytearray((self._num_bits + 7) // 8)
-        self._count = 0
-
-    def add(self, item: str) -> None:
-        """Insert an item."""
-        self.add_hashed(*hash_pair(item))
 
     def add_hashed(self, h1: int, h2: int) -> None:
         """Insert the item whose :func:`hash_pair` is ``(h1, h2)``."""
@@ -64,15 +60,11 @@ class BloomFilter:
             pos += step
             if pos >= num_bits:
                 pos -= num_bits
-        self._count += 1
-
-    def might_contain(self, item: str) -> bool:
-        """False means definitely absent; True means possibly present."""
-        return self.might_contain_hashed(*hash_pair(item))
 
     def might_contain_hashed(self, h1: int, h2: int) -> bool:
-        """:meth:`might_contain` for the item whose :func:`hash_pair` is
-        ``(h1, h2)`` — one hash serves every filter probed for a key."""
+        """Whether the item whose :func:`hash_pair` is ``(h1, h2)`` may be
+        present: False means definitely absent. One hash serves every
+        filter probed for a key."""
         num_bits = self._num_bits
         bits = self._bits
         pos = h1 % num_bits
@@ -84,9 +76,3 @@ class BloomFilter:
             if pos >= num_bits:
                 pos -= num_bits
         return True
-
-    def __contains__(self, item: str) -> bool:
-        return self.might_contain(item)
-
-    def __len__(self) -> int:
-        return self._count

@@ -183,16 +183,12 @@ def charged_size(cell: Cell) -> int:  # hot-path
     else:
         value_len = 2 + len(value) + int.from_bytes(
             value.translate(_ESCAPE_BITS), "little").bit_count()
-    # For a finite float stamp and no TTL:
-    # inlines: repro.kvstore.commitlog:_json_number_len
-    write_ts, ttl = cell.write_ts, cell.ttl
+    ttl = cell.ttl
     return (_JSON_FRAME
             + len(encode_basestring_ascii(cell.row))
             + len(encode_basestring_ascii(cell.column))
             + value_len
-            + (len(float.__repr__(write_ts))
-               if type(write_ts) is float and write_ts - write_ts == 0.0
-               else _json_number_len(write_ts))
+            + _json_number_len(cell.write_ts)
             + (4 if ttl is None else _json_number_len(ttl)))
 
 

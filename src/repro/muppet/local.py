@@ -66,7 +66,7 @@ THROTTLE_POLL_S = 0.001
 #: How long a throttled source waits for space before the event drops.
 THROTTLE_TIMEOUT_S = 30.0
 
-_tuple_new, _object_new = tuple.__new__, object.__new__  # no __init__ frame
+_tuple_new = tuple.__new__  # no __new__ frame
 
 
 @dataclass(kw_only=True)
@@ -303,10 +303,8 @@ class ThreadedEngine:
             self._streams.spec(event.sid)  # unknown stream: raises
             raise WorkflowError(
                 f"ingest targets external streams only, got {event.sid!r}")
-        # inlines: repro.core.event:Event.with_seq
         ts = event[1]
-        stamped = _tuple_new(Event, (event[0], ts, event[2], event[3],
-                                     next(info[0]), event[5], event[6]))
+        stamped = event.with_seq(next(info[0]))
         birth = time.monotonic()  # noqa: MUP001 -- wall-clock latency birthstamp (threaded engine)
         items: List[_WorkItem] = []
         for route in info[1]:  # a loop: a comprehension is one more frame
@@ -430,15 +428,11 @@ class ThreadedEngine:
                 error = exc
 
     def _process(self, worker: _Worker, item: _WorkItem) -> None:  # hot-path
-        """Run one delivery, inlining what the simulator's compiled path
-        does: stamping, allocation, the slate-cache hit, the slate touch."""
+        """Run one delivery: the operator call, then for an update the
+        slate touch, and the outputs stamped and placed."""
         event, route, birth, timer = item
         ts, key = event[1], event[2]
-        # inlines: repro.core.operators:Context.__init__
-        ctx = _object_new(Context)
-        ctx.operator, ctx.input_ts, ctx.input_key = route[0], ts, key
-        ctx.now, ctx._output_sids = ts, route[3]
-        ctx.emitted, ctx.timers = [], []
+        ctx = Context(route[0], ts, route[3], key)
         if route[2]:
             self._invoke(worker, item, ctx, None)
         else:
@@ -447,28 +441,14 @@ class ThreadedEngine:
             slate_lock = self._slate_stripes[hash(slate_key) % SLATE_LOCK_STRIPES]
             with slate_lock:
                 with self._manager_lock:
-                    # A hit is served here; a miss or a TTL slate: get().
-                    # inlines: repro.slates.cache:SlateCache.get
-                    cache = manager.cache
-                    slate = cache._slates.get(slate_key)
-                    if slate is not None and slate.ttl is None:
-                        cache._slates.move_to_end(slate_key)
-                        cache.stats.hits += 1
-                    else:
-                        slate = manager.get(route[1], key)
+                    slate = manager.get(route[1], key)
                 self._invoke(worker, item, ctx, slate)
-                # inlines: repro.core.slate:Slate.touch
-                slate.last_update_ts = ts
-                slate._version += 1
-                if not slate._dirty:
-                    slate._dirty = True
-                    if slate._dirty_listener is not None:
-                        slate._dirty_listener(slate, True)
-                if cache._slates.get(slate_key) is not slate:
+                slate.touch(ts)
+                if manager.cache.peek(slate_key) is not slate:
                     # Evicted mid-update by another worker's fetch: put it
                     # back (none refetched it: we hold its stripe) or lose it.
                     with self._manager_lock:
-                        cache.put(slate)
+                        manager.cache.put(slate)
                 if self._note_updates:
                     with self._manager_lock:
                         manager.note_update(slate)
@@ -480,9 +460,7 @@ class ThreadedEngine:
                 info = self._stream_info.get(out[0])
                 if info is None or info[2]:
                     self._streams.stamp(out, from_operator=True)  # raises
-                # inlines: repro.core.event:Event.with_seq
-                stamped = _tuple_new(Event, (out[0], out[1], out[2], out[3],
-                                             next(info[0]), out[5], out[6]))
+                stamped = out.with_seq(next(info[0]))
                 for sub in info[1]:
                     outs.append(_tuple_new(_WorkItem, (stamped, sub, birth, None)))
             with self._dispatch_lock:

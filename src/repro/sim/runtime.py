@@ -58,7 +58,7 @@ from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.application import Application, OperatorSpec
-from repro.core.event import ORIGIN_SEQ_STRIDE, Event, EventCounter
+from repro.core.event import ORIGIN_SEQ_STRIDE, Event, EventCounter, derive_origin
 from repro.core.operators import Context, Operator, TimerRequest
 from repro.core.slate import SlateKey, _json_size_fast
 from repro.elastic.controller import ElasticController
@@ -735,8 +735,7 @@ class SimRuntime:
                         handle_dead(machine, env)
                     return
                 now = clock._now
-                # inlines: repro.cluster.topology:NetworkSpec.transfer_time
-                delay = extra + (net_lat + total / net_bw)
+                delay = extra + net.transfer_time(total, False)
                 if injector is not None:
                     delivered, delay = injector.message_fate(
                         link.src, machine.name, now, delay)
@@ -906,11 +905,7 @@ class SimRuntime:
                         else:
                             instance.update(ctx, event, slate)
                         if dedup:
-                            # inlines: repro.core.event:Event.provenance
-                            if event[5] is None:
-                                slate.advance_watermark(event[0], event[4])
-                            else:
-                                slate.advance_watermark(event[5], event[6])
+                            slate.advance_watermark(*event.provenance())
                     # inlines: repro.core.slate:Slate.touch
                     slate.last_update_ts = ts
                     slate._version += 1
@@ -1143,14 +1138,7 @@ class SimRuntime:
                         raise SimulationError(
                             f"{fn} emitted {len(outputs)} events in one call;"
                             f" at most {ORIGIN_SEQ_STRIDE} get distinct ids")
-                    # inlines: repro.core.event:derive_origin
-                    parent = envelope.event
-                    if parent[5] is None:
-                        origin = f"{parent[0]}>{fn}"
-                        base = parent[4] * ORIGIN_SEQ_STRIDE
-                    else:
-                        origin = f"{parent[5]}>{fn}"
-                        base = parent[6] * ORIGIN_SEQ_STRIDE
+                    origin, base = derive_origin(envelope.event, fn, 0)
                 ordinal = 0
                 for out in outputs:
                     info = workflow.get(out[0])

@@ -104,14 +104,14 @@ class TweetGenerator:
             _ESCAPE(topic)) for topic in (*TOPICS, *(b.topic for b in bursts))}
 
     def _pick_topic(self, ts: float) -> str:
-        """Topic choice honoring active bursts at time ``ts``."""
-        active = [b for b in self.bursts if b.start_s <= ts < b.end_s]
-        if active:
-            burst = active[0]
-            base = 1.0 / len(TOPICS)
-            boosted = min(0.95, base * burst.multiplier)
-            if self._rng.random() < boosted:
-                return burst.topic
+        """Topic choice honoring the first burst active at time ``ts``."""
+        for burst in self.bursts:  # a loop: no list, no comprehension frame
+            if burst.start_s <= ts < burst.end_s:
+                base = 1.0 / len(TOPICS)
+                boosted = min(0.95, base * burst.multiplier)
+                if self._rng.random() < boosted:
+                    return burst.topic
+                break
         return TOPICS[self._topic_sampler.sample()]
 
     def _make_tweet(self, ts: float) -> Tuple[str, str]:

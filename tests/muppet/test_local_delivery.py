@@ -505,3 +505,26 @@ def test_store_is_current_after_stop_under_a_racing_flusher(layout):
             assert {slate["count"] for slate in stored.values()} == {400}
     finally:
         sys.setswitchinterval(previous)
+
+
+def test_cache_counts_of_plain_and_ttl_hits():
+    """One worker, a plain updater and a ``slate_ttl`` one: the cache's
+    hits and misses and the manager's TTL resets and initializations
+    equal those recorded when the engine served a plain hit itself and
+    handed a TTL slate to the manager (which now serves both). The
+    manager's clock stands still past every event time, so each TTL hit
+    finds its slate expired, and no interval flush falls in the run."""
+    app = Application("ttl-counts")
+    app.add_stream("S1", external=True)
+    app.add_updater("U1", CountingUpdater, subscribes=["S1"])
+    app.add_updater("T1", CountingUpdater, subscribes=["S1"],
+                    config={"slate_ttl": 1.0})
+    runtime = LocalMuppet(app, LocalConfig(
+        num_threads=1, flush_policy=FlushPolicy.every(3600.0)))
+    runtime.manager.clock = lambda: 1e6
+    with runtime:
+        runtime.ingest_many(make_events(200, keys=7))
+        assert runtime.drain()
+    stats, cache = runtime.manager.stats, runtime.manager.cache.stats
+    assert (cache.hits, cache.misses, stats.ttl_resets,
+            stats.initialized) == (386, 14, 193, 207)

@@ -143,12 +143,12 @@ class Budget(NamedTuple):
 
 BUDGETS = {
     "sim_eo": Budget(_sim_job(_eo_runtime, 4_000.0), _processed_every_hop,
-                     frames=78_239, package_frames=63_841),
+                     frames=84_665, package_frames=70_267),
     "sim_chain": Budget(_sim_job(_chain_runtime, 10_000.0),
-                        _processed_every_hop, frames=40_159,
-                        package_frames=38_488),
-    "store_churn": Budget(_manager_job, _hit_and_wrote, frames=29_626,
-                          package_frames=25_143),
+                        _processed_every_hop, frames=40_358,
+                        package_frames=38_687),
+    "store_churn": Budget(_manager_job, _hit_and_wrote, frames=29_864,
+                          package_frames=25_381),
 }
 
 

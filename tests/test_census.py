@@ -17,8 +17,6 @@ import pytest
 from repro.campaign.spec import resolve_ref
 from tests import census
 
-COMPARED = ("the original tests/test_inlined_copies.py holds the "
-            "hot path's hand-inlined copies to")
 TRACER_TARGET = ("a bench/tracer.py layer target; it goes when the "
                  "benchmark stops naming it")
 CLEANUP = "durability and cleanup: "
@@ -45,10 +43,6 @@ UNREACHED = {
         "a failure path: prints a lint finding",
     "repro.analysis.races:RaceReport.format":
         "a failure path: prints a detected race",
-    # Originals of hand-inlined copies.
-    "repro.core.event:derive_origin": COMPARED,
-    "repro.kvstore.bloom:BloomFilter.add": COMPARED,
-    "repro.kvstore.bloom:BloomFilter.might_contain": COMPARED,
     # Named by the benchmark's tracer.
     "repro.muppet.dispatch:TwoChoiceDispatcher.choose": TRACER_TARGET,
     "repro.slates.manager:SlateManager.flush_one": TRACER_TARGET,
@@ -104,7 +98,7 @@ def resolve(qualname):
 
 
 def test_the_table_is_short_and_every_entry_has_a_reason():
-    assert len(UNREACHED) <= 28
+    assert len(UNREACHED) <= 25
     for name, reason in UNREACHED.items():
         assert isinstance(reason, str) and reason.strip(), name
 
